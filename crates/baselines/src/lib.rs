@@ -4,7 +4,9 @@
 //!   simulation for `v(t)` (Eqs. 1–3),
 //! - [`Fqs`]: Fair Queuing based on Start-time (GPS tags, start-tag
 //!   order),
-//! - [`Scfq`]: Self-Clocked Fair Queuing,
+//! - [`Scfq`]: Self-Clocked Fair Queuing — the finish-clock
+//!   instantiation of `sfq_core::TagSched`, re-exported here beside its
+//!   fellow comparators,
 //! - [`VirtualClock`]: Zhang's Virtual Clock (unfair real-time
 //!   baseline; also the GSQ inside Fair Airport),
 //! - [`Drr`]: Deficit Round Robin,
@@ -25,7 +27,6 @@ mod drr;
 mod edd;
 mod fifo;
 mod gps;
-mod scfq;
 mod vc;
 mod wfq;
 
@@ -33,6 +34,6 @@ pub use drr::{drr_quantum, Drr};
 pub use edd::DelayEdd;
 pub use fifo::Fifo;
 pub use gps::GpsClock;
-pub use scfq::Scfq;
+pub use sfq_core::Scfq;
 pub use vc::VirtualClock;
 pub use wfq::{Fqs, Wfq};

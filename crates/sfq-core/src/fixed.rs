@@ -1,6 +1,8 @@
-//! Fixed-point u64 tag arithmetic for the fast-path schedulers.
+//! Fixed-point u64 tag arithmetic: [`Fixed`], the [`TagArith`] that
+//! turns the one scheduler core ([`crate::TagSched`]) into the
+//! fast-path [`SfqFast`](crate::SfqFast) / [`ScfqFast`](crate::ScfqFast).
 //!
-//! The exact schedulers ([`crate::Sfq`], baselines' `Scfq`) compute every
+//! The exact schedulers ([`crate::Sfq`], [`crate::Scfq`]) compute every
 //! start/finish tag in reduced `i128` rational arithmetic. That is the
 //! right foundation for proving the paper's theorems, but each tag update
 //! costs gcd reductions and 128-bit multiplies. Production schedulers
@@ -65,6 +67,7 @@
 //! implementing the windowed comparison is provided for tests and
 //! debug assertions documenting why it was rejected for the heap path.
 
+use crate::arith::TagArith;
 use crate::packet::FlowId;
 use crate::sched::SchedError;
 use core::cmp::Ordering;
@@ -256,6 +259,109 @@ impl FixedInc {
             Ok(d) => Ok(d.max(1)),
             Err(_) => Err(SchedError::TagOverflow),
         }
+    }
+}
+
+/// Fixed-point tag arithmetic on a `2^shift` grid: the [`TagArith`]
+/// behind [`SfqFast`](crate::SfqFast) and [`ScfqFast`](crate::ScfqFast).
+///
+/// - Tags are [`FixedTag`]s, the per-flow increment a [`FixedInc`], the
+///   tie-break key an `i64`: a start-ordered heap key is 24 bytes
+///   against the exact arithmetic's 64.
+/// - No snap at the `v(t)` read point and no floor on the GC horizon:
+///   tags already live on the grid and `v(t)` is non-decreasing, so
+///   `last_finish ≤ v` is revival-stable as it stands.
+/// - A rebase subtracts the whole-unit part of `v(t)` and saturates
+///   instead of dry-checking: every tag live in the current busy period
+///   is `≥ base`, and an idle flow's stale `last_finish < base` clamps
+///   to zero, which preserves Eq. 4's `max(v, last_finish)` because the
+///   rebased `v` is `≥` the rebased stale finish either way.
+/// - The eager-rebase threshold is clamped to [`MAX_REBASE_BITS`]:
+///   callers tuned for `i128` tags pass thresholds (e.g. 96) a u64
+///   would wrap long before reaching.
+#[derive(Clone, Copy, Debug)]
+pub struct Fixed {
+    shift: u32,
+}
+
+impl Fixed {
+    /// Arithmetic on a `2^shift` tag grid. Rejects `shift == 0` and
+    /// `shift >` [`MAX_SHIFT`] with [`SchedError::TagOverflow`] — the
+    /// u64 overflow-freedom proof only covers that range. Small shifts
+    /// are for experiments: the pinned adversarial witness in the test
+    /// suite uses `shift = 4` to show the quantization bound has teeth.
+    pub fn new(shift: u32) -> Result<Self, SchedError> {
+        if shift == 0 || shift > MAX_SHIFT {
+            return Err(SchedError::TagOverflow);
+        }
+        Ok(Fixed { shift })
+    }
+
+    /// The tag grid's fractional bit count.
+    pub fn shift(self) -> u32 {
+        self.shift
+    }
+}
+
+impl Default for Fixed {
+    /// The [`DEFAULT_SHIFT`] grid.
+    fn default() -> Self {
+        Fixed {
+            shift: DEFAULT_SHIFT,
+        }
+    }
+}
+
+impl TagArith for Fixed {
+    type Tag = FixedTag;
+    type Inc = FixedInc;
+    type Tie = i64;
+
+    const ZERO: FixedTag = FixedTag::ZERO;
+    const FIXED: bool = true;
+    const CHECKED_REBASE: bool = false;
+
+    fn inc(&self, flow: FlowId, rate: Rate) -> Result<FixedInc, SchedError> {
+        FixedInc::new(flow, rate, self.shift)
+    }
+
+    #[inline]
+    fn snap(v: FixedTag) -> FixedTag {
+        v
+    }
+
+    #[inline]
+    fn advance(start: FixedTag, _rate: Rate, inc: FixedInc, len: Bytes) -> Option<FixedTag> {
+        start.checked_add(inc.span(len).ok()?)
+    }
+
+    #[inline]
+    fn max(a: FixedTag, b: FixedTag) -> FixedTag {
+        a.max(b)
+    }
+
+    #[inline]
+    fn gc_horizon(v: FixedTag) -> FixedTag {
+        v
+    }
+
+    #[inline]
+    fn outgrown(v: FixedTag, threshold_bits: u32) -> bool {
+        v.magnitude_bits() > threshold_bits.min(MAX_REBASE_BITS)
+    }
+
+    fn rebase_base(&self, v: FixedTag) -> Option<FixedTag> {
+        let base = v.floor_to_base(self.shift);
+        (base.raw() != 0).then_some(base)
+    }
+
+    #[inline]
+    fn rebased(tag: FixedTag, base: FixedTag) -> Option<FixedTag> {
+        Some(tag.saturating_sub(base))
+    }
+
+    fn to_ratio(&self, tag: FixedTag) -> Ratio {
+        tag.to_ratio(self.shift)
     }
 }
 

@@ -79,13 +79,14 @@ pub enum Backpressure {
 /// Observation hooks called by schedulers. All methods default to
 /// no-ops so implementors override only what they need.
 pub trait SchedObserver {
-    /// Whether this observer does anything at all. The fixed-point fast
-    /// paths (`SfqFast`/`ScfqFast`) consult this to skip constructing
-    /// [`SchedEvent`]s entirely when the observer is a no-op: event
-    /// construction converts u64 tags to exact [`Ratio`]s, which is a
-    /// non-inlined gcd call the optimizer cannot always remove on its
-    /// own. Defaults to `true`; only [`NoopObserver`] (and wrappers
-    /// around it) report `false`. Under monomorphization the call folds
+    /// Whether this observer does anything at all. The tag-scheduler
+    /// core (`TagSched`, all four aliases) consults this to skip
+    /// constructing [`SchedEvent`]s entirely when the observer is a
+    /// no-op: under the fixed-point arithmetic event construction
+    /// converts u64 tags to exact [`Ratio`]s, which is a non-inlined
+    /// gcd call the optimizer cannot always remove on its own. Defaults
+    /// to `true`; only [`NoopObserver`] (and wrappers around it) report
+    /// `false`. Under monomorphization the call folds
     /// to a constant, so guarding with `if self.obs.active()` costs
     /// nothing; it is a method rather than an associated const so the
     /// trait stays usable as `dyn SchedObserver`. A performance hint,

@@ -43,7 +43,7 @@ pub use sync::SyncEngine;
 pub use threaded::{RecoveryStats, ThreadedEngine};
 
 use sfq_core::obs::SchedObserver;
-use sfq_core::{FlowId, ScfqFast, Scheduler, Sfq, SfqFast, TelemetrySink};
+use sfq_core::{FlowId, Scheduler, TagArith, TagSched, TelemetrySink, VtRule};
 
 /// A scheduling discipline that can serve as an engine shard: the full
 /// [`sfq_core::Scheduler`] contract plus opt-in virtual-time rebasing,
@@ -69,33 +69,13 @@ pub trait ShardSched: Scheduler {
     fn attach_telemetry(&mut self, sink: TelemetrySink);
 }
 
-impl<O: SchedObserver> ShardSched for Sfq<O> {
+impl<A: TagArith, V: VtRule, O: SchedObserver> ShardSched for TagSched<A, V, O> {
     fn enable_rebasing(&mut self, threshold_bits: u32) {
-        Sfq::enable_rebasing(self, threshold_bits);
+        TagSched::enable_rebasing(self, threshold_bits);
     }
 
     fn attach_telemetry(&mut self, sink: TelemetrySink) {
-        Sfq::attach_telemetry(self, sink);
-    }
-}
-
-impl<O: SchedObserver> ShardSched for SfqFast<O> {
-    fn enable_rebasing(&mut self, threshold_bits: u32) {
-        SfqFast::enable_rebasing(self, threshold_bits);
-    }
-
-    fn attach_telemetry(&mut self, sink: TelemetrySink) {
-        SfqFast::attach_telemetry(self, sink);
-    }
-}
-
-impl<O: SchedObserver> ShardSched for ScfqFast<O> {
-    fn enable_rebasing(&mut self, threshold_bits: u32) {
-        ScfqFast::enable_rebasing(self, threshold_bits);
-    }
-
-    fn attach_telemetry(&mut self, sink: TelemetrySink) {
-        ScfqFast::attach_telemetry(self, sink);
+        TagSched::attach_telemetry(self, sink);
     }
 }
 
