@@ -12,8 +12,9 @@
 //! source 3 is starved for most of [0.5, 1.0]; under SFQ both TCP
 //! sources receive packets at comparable rates immediately.
 
+use graph::{GraphSpec, PortSpec};
 use jsonline::impl_to_json;
-use netsim::{Net, SwitchCore, TcpConfig};
+use netsim::TcpConfig;
 use servers::RateProfile;
 use sfq_core::{FlowId, Scheduler, Sfq};
 use simtime::{Bytes, Rate, SimDuration, SimTime};
@@ -58,15 +59,21 @@ impl_to_json!(Fig1bResult {
 pub fn fig1b(discipline: Discipline, seed: u64, horizon: SimTime) -> Fig1bResult {
     let link = Rate::bps(2_500_000);
     let tcp_weight = Rate::bps(1_250_000); // equal weights for 2 & 3
-    let sched: Box<dyn Scheduler> = match discipline {
-        Discipline::Sfq => Box::new(Sfq::new()),
-        Discipline::Wfq => Box::new(baselines::Wfq::new(link)),
-    };
-    let mut sw = SwitchCore::new(sched, RateProfile::constant(link), Some(100));
-    sw.add_flow(FlowId(2), tcp_weight);
-    sw.add_flow(FlowId(3), tcp_weight);
+    let prop = SimDuration::from_millis(1); // each way
 
-    let mut net = Net::new(sw, SimDuration::from_millis(1), SimDuration::from_millis(1));
+    // One bottleneck link; all three sources are routed across it, but
+    // only the TCP class is scheduled.
+    let mut port = PortSpec::new(
+        RateProfile::constant(link),
+        vec![(FlowId(2), tcp_weight), (FlowId(3), tcp_weight)],
+    );
+    port.per_flow_cap = Some(100);
+    let routes: Vec<_> = (1..=3).map(|f| (FlowId(f), vec![0])).collect();
+    let mut net =
+        GraphSpec::routed(vec![(port, prop)], &routes).build_with(&mut |_| match discipline {
+            Discipline::Sfq => Box::new(Sfq::new()) as Box<dyn Scheduler>,
+            Discipline::Wfq => Box::new(baselines::Wfq::new(link)),
+        });
     // Source 1: synthetic VBR video, strict priority.
     let vbr = traffic::VbrVideoSource::new(
         SimTime::ZERO,
@@ -76,23 +83,23 @@ pub fn fig1b(discipline: Discipline, seed: u64, horizon: SimTime) -> Fig1bResult
         0.35,
         des::SimRng::new(seed),
     );
-    let arrivals = traffic::arrivals_until(vbr, horizon);
-    net.add_scripted_source(FlowId(1), &arrivals, true);
+    net.add_priority_source(0, FlowId(1), &traffic::arrivals_until(vbr, horizon));
     // Sources 2 and 3: TCP Reno, 200-byte segments.
     let cfg = TcpConfig {
         mss: Bytes::new(200),
         min_rto: SimDuration::from_millis(100),
         ..TcpConfig::default()
     };
-    net.add_tcp_source(FlowId(2), cfg, SimTime::ZERO);
-    net.add_tcp_source(FlowId(3), cfg, SimTime::from_millis(500));
+    net.add_tcp_source(0, FlowId(2), cfg, prop, SimTime::ZERO);
+    net.add_tcp_source(0, FlowId(3), cfg, prop, SimTime::from_millis(500));
 
-    let deliveries = net.run(horizon);
+    let report = net.run(horizon);
+    let deliveries = &report.sink_departures[0].1;
     let series = |flow: u32| -> Vec<(f64, usize)> {
         let mut out = Vec::new();
         let mut n = 0usize;
-        for d in &deliveries {
-            if d.pkt.flow == FlowId(flow) {
+        for d in deliveries {
+            if d.flow == FlowId(flow) {
                 n += 1;
                 out.push((d.at.as_secs_f64(), n));
             }
@@ -112,7 +119,7 @@ pub fn fig1b(discipline: Discipline, seed: u64, horizon: SimTime) -> Fig1bResult
     let count_in = |flow: u32, a: SimTime, b: SimTime| {
         deliveries
             .iter()
-            .filter(|d| d.pkt.flow == FlowId(flow) && d.at >= a && d.at <= b)
+            .filter(|d| d.flow == FlowId(flow) && d.at >= a && d.at <= b)
             .count()
     };
     let t_half = SimTime::from_millis(500);

@@ -1,28 +1,20 @@
-//! End-to-end conformance: Theorem 6 and Corollary 1 over a
-//! `netsim::Tandem` of 2–5 FC servers, with the scenario's fault
-//! schedule (capacity droop, cross-flow churn, per-flow buffer caps)
-//! applied.
+//! End-to-end conformance: Theorem 6 and Corollary 1 over a tandem of
+//! 2–5 FC servers — a `graph::GraphSpec::chain` in which every cross
+//! flow is local to one hop — with the scenario's fault schedule
+//! (capacity droop, cross-flow churn, per-flow buffer caps) applied.
 //!
-//! Soundness under faults:
-//!
-//! - **Droop** makes a hop a worse-but-still FC server; the per-hop β
-//!   is recomputed with the *exact* effective δ of the faulted profile,
-//!   so the composed bound remains a theorem, not a heuristic.
-//! - **Churn** only ever removes cross flows. Removing competing
-//!   backlog can only advance the observed flow, and β (computed from
-//!   the cross flows' `l^max`) stays an upper bound.
-//! - **Buffer caps** drop packets. Dropped cross packets reduce load;
-//!   dropped observed packets are simply excluded from the check, while
-//!   the EAT chain is still computed over the *full* injected sequence
-//!   — later than the survivors' own chain, hence conservative.
+//! The chain is built, run and evaluated by the same helpers as the
+//! forwarding-graph runner ([`crate::graph`], which also states why
+//! the bounds stay sound under each fault); this runner differs only
+//! in what it reports — the observed flow's outcome plus a departure
+//! fingerprint for bit-identity comparisons — and in running without
+//! ingress policers.
 
-use crate::faults::{effective_delta_bits, hop_profile};
-use crate::scenario::{other_lmax_at, Scenario, SourceKind, OBSERVED_FLOW};
-use analysis::{e2e_delay_bound, max_e2e_violation, sfq_delay_term};
-use netsim::{SwitchCore, Tandem};
-use sfq_core::{FlowId, Scheduler, Sfq, TieBreak};
+use crate::graph::{chain_spec, check_path, hop_deltas, run_once};
+use crate::scenario::Scenario;
+use sfq_core::{Sfq, TieBreak};
 use sfq_obs::RingTracer;
-use simtime::{Bytes, SimDuration, SimTime};
+use simtime::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -63,176 +55,60 @@ pub struct E2eOutcome {
 /// Run the full tandem conformance check for a [`Preset::Tandem`]
 /// scenario (any scenario with FC/constant hops works).
 ///
-/// `with_observers` attaches a ring tracer to every hop's scheduler
-/// and a drop observer to every hop's port; the outcome must be
-/// bit-identical either way (the observer-neutrality satellite checks
-/// exactly that via [`E2eOutcome::fingerprint`]).
+/// `with_observers` attaches a ring tracer to every hop's scheduler;
+/// the outcome must be bit-identical either way (the
+/// observer-neutrality satellite checks exactly that via
+/// [`E2eOutcome::fingerprint`]).
+///
+/// [`Preset::Tandem`]: crate::scenario::Preset::Tandem
 pub fn run_tandem_conformance(sc: &Scenario, with_observers: bool) -> E2eOutcome {
     assert!(
         !matches!(sc.server, crate::scenario::ServerSpec::Ebf { .. }),
         "Theorem 6 harness needs FC hops"
     );
-    let link = sc.link();
-    let obs = sc.observed().clone();
-    let obs_len = obs.max_len();
     let run_horizon = sc.horizon() + SimDuration::from_secs(10);
-
-    // Per-hop profiles, effective δ, and β terms.
-    let mut betas = Vec::with_capacity(sc.hops);
-    let mut hops = Vec::with_capacity(sc.hops);
-    for h in 0..sc.hops {
-        let profile = hop_profile(sc, h, run_horizon);
-        let delta = effective_delta_bits(sc, &profile, run_horizon);
-        let others = other_lmax_at(sc, h, OBSERVED_FLOW);
-        betas.push(sfq_delay_term(&others, obs_len, link, delta));
-
-        let mut sched: Box<dyn Scheduler> = if with_observers {
-            let tracer = Rc::new(RefCell::new(RingTracer::with_capacity(512)));
-            Box::new(Sfq::with_observer(TieBreak::Fifo, tracer))
-        } else {
-            Box::new(Sfq::new())
-        };
-        for f in sc.flows.iter().filter(|f| f.entry <= h && h <= f.exit) {
-            sched.add_flow(FlowId(f.id), f.weight());
-        }
-        let mut core = SwitchCore::new(sched, profile, sc.per_flow_cap);
-        core.set_shared_cap(sc.shared_cap);
-        core.set_drop_policy(crate::soak::drop_policy_of(sc.drop_policy));
-        if with_observers {
-            core.set_drop_observer(Box::new(sfq_obs::CountingObserver::default()));
-        }
-        hops.push(core);
-    }
-
-    let mut tandem = Tandem::new(hops, sc.prop());
-    let mut injected = 0usize;
-    for f in &sc.flows {
-        let arrivals = sc.arrivals_for(f);
-        if f.id == OBSERVED_FLOW.0 {
-            injected = arrivals.len();
-        }
-        tandem.add_path_source(FlowId(f.id), &arrivals, f.entry, f.exit);
-    }
-    for c in &sc.churns {
-        let spec = sc.flow(FlowId(c.flow)).expect("churned flow has a spec");
-        for h in spec.entry..=spec.exit {
-            tandem.schedule_force_remove(h, FlowId(c.flow), SimTime::from_millis(c.at_ms as i128));
-        }
-    }
-    let report = tandem.run_report(run_horizon);
-
-    // Completed observed transits, by injection order.
-    let mut done: Vec<(u64, SimTime, Bytes, SimTime)> = report
-        .transits
-        .iter()
-        .filter(|t| t.pkt.flow == OBSERVED_FLOW)
-        .map(|t| {
-            (
-                t.pkt.uid,
-                t.pkt.arrival,
-                t.pkt.len,
-                *t.hop_departures.last().expect("cleared all hops"),
-            )
-        })
-        .collect();
-    done.sort_by_key(|&(uid, arr, _, _)| (arr, uid));
-    let completed = done.len();
-
-    // Theorem 6: EAT over the full injected sequence; survivors are
-    // checked against their departure, non-survivors trivially pass.
-    let full = sc.arrivals_for(&obs);
-    let triples = embed_survivors(&full, &done);
-
-    let term: SimDuration =
-        betas.iter().fold(SimDuration::ZERO, |acc, &b| acc + b) + props_total(sc);
-    let theorem6_violation = max_e2e_violation(&triples, obs.weight(), term);
-
-    // Corollary 1 for the (σ, ρ)-shaped observed flow.
-    let sigma_pkts = match obs.source {
-        SourceKind::ShapedPoisson { sigma_pkts } => sigma_pkts as u64,
-        _ => 1,
-    };
-    let props = vec![sc.prop(); sc.hops.saturating_sub(1)];
-    let corollary1_bound = e2e_delay_bound(
-        sigma_pkts * obs_len.bits(),
-        obs.weight(),
-        obs_len,
-        &betas,
-        &props,
+    let (spec, inject) = chain_spec(sc, run_horizon, false);
+    let report = run_once(
+        sc,
+        &spec,
+        &inject,
+        &mut |_ordinal| {
+            if with_observers {
+                let tracer = Rc::new(RefCell::new(RingTracer::with_capacity(512)));
+                Box::new(Sfq::with_observer(TieBreak::Fifo, tracer))
+            } else {
+                Box::new(Sfq::new())
+            }
+        },
+        run_horizon,
     );
-    let mut max_delay = SimDuration::ZERO;
-    let mut corollary1_violation = SimDuration::ZERO;
-    for &(_, arr, _, dep) in &done {
-        let delay = dep - arr;
-        max_delay = max_delay.max(delay);
-        if delay > corollary1_bound {
-            corollary1_violation = corollary1_violation.max(delay - corollary1_bound);
-        }
-    }
-
-    let buffer_dropped: u64 = report
-        .buffer_drops
-        .iter()
-        .flat_map(|hop| hop.iter().map(|&(_, n)| n))
-        .sum();
-    let fingerprint: Vec<(u64, SimTime)> =
-        done.iter().map(|&(uid, _, _, dep)| (uid, dep)).collect();
+    assert!(
+        report.audit.balanced(),
+        "arena books unbalanced: {:?}\n  {}",
+        report.audit,
+        sc.replay_line()
+    );
+    let path = check_path(sc, &report, &hop_deltas(sc, run_horizon), sc.observed());
 
     E2eOutcome {
         replay: sc.replay_line(),
         hops: sc.hops,
-        injected,
-        completed,
-        term,
-        theorem6_violation,
-        corollary1_violation,
-        max_delay,
-        corollary1_bound,
+        injected: path.injected,
+        completed: path.done.len(),
+        term: path.term,
+        theorem6_violation: path.theorem6_violation,
+        corollary1_violation: path.corollary1_violation,
+        max_delay: path.max_delay,
+        corollary1_bound: path.corollary1_bound,
         churn_discarded: report.churn_discarded,
         churn_refused: report.churn_refused,
-        buffer_dropped,
-        fingerprint,
+        buffer_dropped: report.port_drops.iter().map(|&(_, n)| n).sum(),
+        fingerprint: path
+            .done
+            .iter()
+            .map(|&(uid, _, _, dep)| (uid, dep))
+            .collect(),
     }
-}
-
-/// Embed a run's completed transits back into the full injected script,
-/// producing the `(arrival, len, departure)` triples
-/// [`analysis::max_e2e_violation`] consumes.
-///
-/// `done` must be the survivors sorted by `(arrival, uid)` — a
-/// subsequence of the injected order, since drops only delete entries.
-/// Non-survivors get `dep := arrival`, which trivially conforms
-/// (`EAT >= arrival`, so `arrival <= EAT + term` always). Survivors are
-/// matched from the *end*, so each takes the latest admissible slot:
-/// among duplicate `(arrival, len)` entries with dropped siblings this
-/// yields the largest EAT, keeping the check conservative rather than
-/// strict. Panics if a survivor cannot be matched against the script.
-pub fn embed_survivors(
-    full: &[(SimTime, Bytes)],
-    done: &[(u64, SimTime, Bytes, SimTime)],
-) -> Vec<(SimTime, Bytes, SimTime)> {
-    let mut triples: Vec<(SimTime, Bytes, SimTime)> =
-        full.iter().map(|&(arr, len)| (arr, len, arr)).collect();
-    let mut j = done.len();
-    for i in (0..full.len()).rev() {
-        if j == 0 {
-            break;
-        }
-        let (arr, len) = full[i];
-        let (_, a, l, dep) = done[j - 1];
-        if a == arr && l == len {
-            triples[i].2 = dep;
-            j -= 1;
-        }
-    }
-    // All survivors must have been matched against the injected script.
-    assert_eq!(j, 0, "transit not present in injected script");
-    triples
-}
-
-fn props_total(sc: &Scenario) -> SimDuration {
-    let n = sc.hops.saturating_sub(1) as i128;
-    SimDuration::from_millis(n * sc.prop_ms as i128)
 }
 
 #[cfg(test)]

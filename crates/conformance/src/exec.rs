@@ -7,7 +7,8 @@
 //! door — exactly what a real switch does after tearing down a
 //! reservation. Event order at one instant: completion, faults,
 //! arrivals, service start — so a packet arriving at the removal
-//! instant is already refused, matching `netsim::Tandem`.
+//! instant is already refused, matching the `graph::Graph` executor
+//! (churn events are scheduled ahead of any same-instant arrival).
 
 use crate::scenario::{Scenario, SourceKind};
 use servers::{Departure, RateProfile};

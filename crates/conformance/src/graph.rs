@@ -1,4 +1,6 @@
-//! Forwarding-graph conformance: the [`Preset::Graph`] runner.
+//! Forwarding-graph conformance: the [`Preset::Graph`] runner, plus
+//! the chain builder and the one Theorem 6 / Corollary 1 evaluation
+//! routine it shares with the tandem runner ([`crate::e2e`]).
 //!
 //! One scenario drives three proofs over the same `graph::GraphSpec`
 //! chain (ports shared by multi-hop cross flows, policers in front of
@@ -8,8 +10,8 @@
 //!    ports with `sfq_obs::FlowMetrics` attached) must satisfy
 //!    Theorem 6 along *every* flow's path — per-hop β recomputed with
 //!    the droop-faulted effective δ, survivors embedded back into the
-//!    injected script by the shared reverse-greedy rule
-//!    ([`crate::e2e::embed_survivors`]) — plus Corollary 1 for the
+//!    injected script by the reverse-greedy rule
+//!    ([`embed_survivors`]) — plus Corollary 1 for the
 //!    (σ, ρ)-shaped observed flow, and (under tail-drop, where
 //!    delivered-service fairness is not sacrificed by evictions)
 //!    Theorem 1 pairwise fairness at every port via the FlowMetrics
@@ -23,15 +25,28 @@
 //! 3. **Books.** After every run the packet arena's disposition books
 //!    balance exactly — no slot leaks however packets died mid-graph.
 //!
+//! Soundness of the delay bounds under faults:
+//!
+//! - **Droop** makes a hop a worse-but-still FC server; the per-hop β
+//!   is recomputed with the *exact* effective δ of the faulted profile,
+//!   so the composed bound remains a theorem, not a heuristic.
+//! - **Churn** only ever removes cross flows. Removing competing
+//!   backlog can only advance the surviving flows, and β (computed
+//!   from the cross flows' `l^max`) stays an upper bound.
+//! - **Buffer caps and policers** drop packets. Dropped cross packets
+//!   reduce load; a flow's own dropped packets are simply excluded
+//!   from its check, while the EAT chain is still computed over the
+//!   *full* injected sequence — later than the survivors' own chain,
+//!   hence conservative.
+//!
 //! Every failure message ends with the scenario's replay line.
 
-use crate::e2e::embed_survivors;
 use crate::faults::{effective_delta_bits, hop_profile};
-use crate::scenario::{other_lmax_at, DropKind, Scenario, SourceKind, OBSERVED_FLOW};
+use crate::scenario::{other_lmax_at, DropKind, FlowSpec, Scenario, SourceKind, OBSERVED_FLOW};
 use crate::soak::drop_policy_of;
 use analysis::{e2e_delay_bound, max_e2e_violation, sfq_delay_term, sfq_fairness_bound};
 use des::SimRng;
-use graph::{Graph, GraphReport, GraphSpec, PortSpec, TokenBucket};
+use graph::{GraphReport, GraphSpec, PortSpec, TokenBucket};
 use sfq_core::{FlowId, Scheduler, Sfq, TieBreak};
 use sfq_engine::EngineConfig;
 use sfq_obs::FlowMetrics;
@@ -77,11 +92,18 @@ pub struct GraphOutcome {
 /// policer, everything else at its entry port.
 type InjectMap = BTreeMap<u32, usize>;
 
-/// Build the scenario's chain spec plus the injection map. Cross flows
-/// with even ids get a `(σ = 3·l^max, ρ = weight)` GCRA contract at a
-/// policer in front of their entry port — generous enough that CBR
-/// conforms, tight enough that Poisson bursts shed.
-fn chain_spec(sc: &Scenario, run_horizon: SimTime) -> (GraphSpec, InjectMap) {
+/// Build the scenario's chain spec plus the injection map: port `h`
+/// schedules the flows whose path covers hop `h`, under the
+/// scenario's droop-faulted link profile, caps and drop policy. With
+/// `police`, cross flows with even ids get a `(σ = 3·l^max, ρ =
+/// weight)` GCRA contract at a policer in front of their entry port —
+/// generous enough that CBR conforms, tight enough that Poisson bursts
+/// shed.
+pub(crate) fn chain_spec(
+    sc: &Scenario,
+    run_horizon: SimTime,
+    police: bool,
+) -> (GraphSpec, InjectMap) {
     let mut ports = Vec::with_capacity(sc.hops);
     for h in 0..sc.hops {
         let flows = sc
@@ -104,7 +126,7 @@ fn chain_spec(sc: &Scenario, run_horizon: SimTime) -> (GraphSpec, InjectMap) {
     for f in sc
         .flows
         .iter()
-        .filter(|f| f.id != OBSERVED_FLOW.0 && f.id % 2 == 0)
+        .filter(|f| police && f.id != OBSERVED_FLOW.0 && f.id % 2 == 0)
     {
         by_entry.entry(f.entry).or_default().push((
             FlowId(f.id),
@@ -126,7 +148,7 @@ fn chain_spec(sc: &Scenario, run_horizon: SimTime) -> (GraphSpec, InjectMap) {
 /// Materialize and run the spec once. Sources are added in flow-spec
 /// order, so packet uids are identical across every build of the same
 /// scenario — the property the identity comparison rides on.
-fn run_once(
+pub(crate) fn run_once(
     sc: &Scenario,
     spec: &GraphSpec,
     inject: &InjectMap,
@@ -145,6 +167,144 @@ fn run_once(
         }
     }
     g.run(run_horizon)
+}
+
+/// Per-hop effective δ (bits) under the scenario's droop schedule —
+/// what keeps every flow's β terms theorems on faulted hops.
+pub(crate) fn hop_deltas(sc: &Scenario, run_horizon: SimTime) -> Vec<u64> {
+    (0..sc.hops)
+        .map(|h| effective_delta_bits(sc, &hop_profile(sc, h, run_horizon), run_horizon))
+        .collect()
+}
+
+/// One flow's path checked against Theorem 6 and Corollary 1.
+pub(crate) struct PathCheck {
+    /// Packets the flow injected.
+    pub injected: usize,
+    /// Its delivered packets as `(uid, injection time, length,
+    /// last-hop departure)`, in injection order.
+    pub done: Vec<(u64, SimTime, Bytes, SimTime)>,
+    /// Composed delay term `Σ_n β^n + Σ τ` over the flow's path.
+    pub term: SimDuration,
+    /// Worst Theorem 6 violation over delivered packets (zero =
+    /// conforms).
+    pub theorem6_violation: SimDuration,
+    /// Corollary 1 closed-form bound, reading the flow as (σ, ρ)-shaped
+    /// (σ = the source's burst for `ShapedPoisson`, one packet
+    /// otherwise — only meaningful for conforming sources).
+    pub corollary1_bound: SimDuration,
+    /// Largest end-to-end delay among delivered packets.
+    pub max_delay: SimDuration,
+    /// Worst excess of a delay over the Corollary 1 bound.
+    pub corollary1_violation: SimDuration,
+}
+
+/// The Theorem 6 / Corollary 1 evaluation routine, shared by the tandem
+/// and graph runners: flow `f`'s delivered transits in `report` (a run
+/// of [`chain_spec`]) against the bounds composed from the per-hop
+/// Theorem 4 terms β with the faulted `deltas`. Departure = last-hop
+/// transmission completion (the wires into the exit classifier and the
+/// sink are zero-delay). Theorem 6's EAT chain runs over the *full*
+/// injected script with the survivors embedded by
+/// [`embed_survivors`].
+pub(crate) fn check_path(
+    sc: &Scenario,
+    report: &GraphReport,
+    deltas: &[u64],
+    f: &FlowSpec,
+) -> PathCheck {
+    let full = sc.arrivals_for(f);
+    let mut done: Vec<(u64, SimTime, Bytes, SimTime)> = report
+        .transits
+        .iter()
+        .filter(|t| t.pkt.flow == FlowId(f.id) && t.delivered.is_some())
+        .map(|t| {
+            let (_, dep) = *t.port_departures.last().expect("delivered => transmitted");
+            (t.pkt.uid, t.pkt.arrival, t.pkt.len, dep)
+        })
+        .collect();
+    done.sort_by_key(|&(uid, arr, _, _)| (arr, uid));
+    let betas: Vec<SimDuration> = (f.entry..=f.exit)
+        .map(|h| {
+            sfq_delay_term(
+                &other_lmax_at(sc, h, FlowId(f.id)),
+                f.max_len(),
+                sc.link(),
+                deltas[h],
+            )
+        })
+        .collect();
+    let props = vec![sc.prop(); f.exit - f.entry];
+    let term = betas
+        .iter()
+        .chain(&props)
+        .fold(SimDuration::ZERO, |acc, &d| acc + d);
+    let theorem6_violation = max_e2e_violation(&embed_survivors(&full, &done), f.weight(), term);
+
+    let sigma_pkts = match f.source {
+        SourceKind::ShapedPoisson { sigma_pkts } => sigma_pkts as u64,
+        _ => 1,
+    };
+    let corollary1_bound = e2e_delay_bound(
+        sigma_pkts * f.max_len().bits(),
+        f.weight(),
+        f.max_len(),
+        &betas,
+        &props,
+    );
+    let max_delay = done
+        .iter()
+        .map(|&(_, arr, _, dep)| dep - arr)
+        .fold(SimDuration::ZERO, SimDuration::max);
+    let corollary1_violation = if max_delay > corollary1_bound {
+        max_delay - corollary1_bound
+    } else {
+        SimDuration::ZERO
+    };
+    PathCheck {
+        injected: full.len(),
+        done,
+        term,
+        theorem6_violation,
+        corollary1_bound,
+        max_delay,
+        corollary1_violation,
+    }
+}
+
+/// Embed a run's completed transits back into the full injected script,
+/// producing the `(arrival, len, departure)` triples
+/// [`analysis::max_e2e_violation`] consumes.
+///
+/// `done` must be the survivors sorted by `(arrival, uid)` — a
+/// subsequence of the injected order, since drops only delete entries.
+/// Non-survivors get `dep := arrival`, which trivially conforms
+/// (`EAT >= arrival`, so `arrival <= EAT + term` always). Survivors are
+/// matched from the *end*, so each takes the latest admissible slot:
+/// among duplicate `(arrival, len)` entries with dropped siblings this
+/// yields the largest EAT, keeping the check conservative rather than
+/// strict. Panics if a survivor cannot be matched against the script.
+pub fn embed_survivors(
+    full: &[(SimTime, Bytes)],
+    done: &[(u64, SimTime, Bytes, SimTime)],
+) -> Vec<(SimTime, Bytes, SimTime)> {
+    let mut triples: Vec<(SimTime, Bytes, SimTime)> =
+        full.iter().map(|&(arr, len)| (arr, len, arr)).collect();
+    let mut j = done.len();
+    for i in (0..full.len()).rev() {
+        if j == 0 {
+            break;
+        }
+        let (arr, len) = full[i];
+        let (_, a, l, dep) = done[j - 1];
+        if a == arr && l == len {
+            triples[i].2 = dep;
+            j -= 1;
+        }
+    }
+    // All survivors must have been matched against the injected script.
+    assert_eq!(j, 0, "transit not present in injected script");
+    triples
 }
 
 /// Identity surface of one run: everything that must be bit-identical
@@ -185,7 +345,7 @@ pub fn run_graph_conformance(sc: &Scenario) -> Result<GraphOutcome, String> {
     let replay = sc.replay_line();
     let fail = |msg: String| format!("{msg}\n  {replay}");
     let run_horizon = sc.horizon() + SimDuration::from_secs(10);
-    let (spec, inject) = chain_spec(sc, run_horizon);
+    let (spec, inject) = chain_spec(sc, run_horizon, true);
 
     // --- Oracle run: bare Sfq ports with live FlowMetrics. ---
     let mut metrics: Vec<Rc<RefCell<FlowMetrics>>> = Vec::new();
@@ -215,54 +375,16 @@ pub fn run_graph_conformance(sc: &Scenario) -> Result<GraphOutcome, String> {
         )));
     }
 
-    // Per-hop effective δ under the droop schedule, shared by every
-    // flow's β terms.
-    let deltas: Vec<u64> = (0..sc.hops)
-        .map(|h| effective_delta_bits(sc, &hop_profile(sc, h, run_horizon), run_horizon))
-        .collect();
-    let link = sc.link();
-
-    // --- Theorem 6 along every flow's path. ---
+    // --- Theorem 6 along every flow's path, Corollary 1 for the
+    // shaped observed flow. ---
+    let deltas = hop_deltas(sc, run_horizon);
     let mut theorem6_violation = SimDuration::ZERO;
-    let mut checked_paths = 0usize;
-    let mut obs_done: Vec<(u64, SimTime, Bytes, SimTime)> = Vec::new();
-    let mut obs_injected = 0usize;
+    let mut observed = None;
     for f in &sc.flows {
-        let full = sc.arrivals_for(f);
-        // Delivered transits, by injection order. Departure = last-hop
-        // transmission completion (the wire into the exit classifier
-        // and sink is zero-delay).
-        let mut done: Vec<(u64, SimTime, Bytes, SimTime)> = report
-            .transits
-            .iter()
-            .filter(|t| t.pkt.flow == FlowId(f.id) && t.delivered.is_some())
-            .map(|t| {
-                let (_, dep) = *t.port_departures.last().expect("delivered => transmitted");
-                (t.pkt.uid, t.pkt.arrival, t.pkt.len, dep)
-            })
-            .collect();
-        done.sort_by_key(|&(uid, arr, _, _)| (arr, uid));
-        let betas: Vec<SimDuration> = (f.entry..=f.exit)
-            .map(|h| {
-                sfq_delay_term(
-                    &other_lmax_at(sc, h, FlowId(f.id)),
-                    f.max_len(),
-                    link,
-                    deltas[h],
-                )
-            })
-            .collect();
-        let term = betas.iter().fold(SimDuration::ZERO, |acc, &b| acc + b)
-            + SimDuration::from_millis((f.exit - f.entry) as i128 * sc.prop_ms as i128);
-        let triples = embed_survivors(&full, &done);
-        let v = max_e2e_violation(&triples, f.weight(), term);
-        if v > theorem6_violation {
-            theorem6_violation = v;
-        }
-        checked_paths += 1;
+        let path = check_path(sc, &report, &deltas, f);
+        theorem6_violation = theorem6_violation.max(path.theorem6_violation);
         if f.id == OBSERVED_FLOW.0 {
-            obs_injected = full.len();
-            obs_done = done;
+            observed = Some(path);
         }
     }
     if theorem6_violation > SimDuration::ZERO {
@@ -271,46 +393,15 @@ pub fn run_graph_conformance(sc: &Scenario) -> Result<GraphOutcome, String> {
             sc.hops
         )));
     }
-
-    // --- Corollary 1 for the shaped observed flow. ---
-    let obs = sc.observed();
-    let sigma_pkts = match obs.source {
-        SourceKind::ShapedPoisson { sigma_pkts } => sigma_pkts as u64,
-        _ => 1,
-    };
-    let obs_betas: Vec<SimDuration> = (0..sc.hops)
-        .map(|h| {
-            sfq_delay_term(
-                &other_lmax_at(sc, h, OBSERVED_FLOW),
-                obs.max_len(),
-                link,
-                deltas[h],
-            )
-        })
-        .collect();
-    let props = vec![sc.prop(); sc.hops.saturating_sub(1)];
-    let corollary1_bound = e2e_delay_bound(
-        sigma_pkts * obs.max_len().bits(),
-        obs.weight(),
-        obs.max_len(),
-        &obs_betas,
-        &props,
-    );
-    let mut max_delay = SimDuration::ZERO;
-    let mut corollary1_violation = SimDuration::ZERO;
-    for &(_, arr, _, dep) in &obs_done {
-        let delay = dep - arr;
-        max_delay = max_delay.max(delay);
-        if delay > corollary1_bound {
-            corollary1_violation = corollary1_violation.max(delay - corollary1_bound);
-        }
-    }
+    let observed = observed.expect("scenario has an observed flow");
+    let (corollary1_violation, corollary1_bound) =
+        (observed.corollary1_violation, observed.corollary1_bound);
     if corollary1_violation > SimDuration::ZERO {
         return Err(fail(format!(
             "Corollary 1 violated by {corollary1_violation:?} (bound {corollary1_bound:?})"
         )));
     }
-    if obs_done.is_empty() {
+    if observed.done.is_empty() {
         return Err(fail("no observed packets delivered end to end".into()));
     }
 
@@ -390,13 +481,13 @@ pub fn run_graph_conformance(sc: &Scenario) -> Result<GraphOutcome, String> {
     Ok(GraphOutcome {
         replay,
         hops: sc.hops,
-        injected: obs_injected,
-        completed: obs_done.len(),
-        checked_paths,
+        injected: observed.injected,
+        completed: observed.done.len(),
+        checked_paths: sc.flows.len(),
         theorem6_violation,
         corollary1_violation,
         corollary1_bound,
-        max_delay,
+        max_delay: observed.max_delay,
         policer_dropped: report.policer_dropped,
         buffer_dropped,
         churn_discarded: report.churn_discarded + report.churn_refused,
@@ -409,7 +500,7 @@ pub fn run_graph_conformance(sc: &Scenario) -> Result<GraphOutcome, String> {
 /// topology.
 pub fn run_graph_oracle(sc: &Scenario) -> GraphReport {
     let run_horizon = sc.horizon() + SimDuration::from_secs(10);
-    let (spec, inject) = chain_spec(sc, run_horizon);
+    let (spec, inject) = chain_spec(sc, run_horizon, true);
     run_once(
         sc,
         &spec,
@@ -418,11 +509,6 @@ pub fn run_graph_oracle(sc: &Scenario) -> GraphReport {
         run_horizon,
     )
 }
-
-// Keep the `Graph` name reachable for doc links without an unused
-// import warning in the module body.
-#[allow(unused)]
-fn _doc_anchor(_: &Graph) {}
 
 #[cfg(test)]
 mod tests {

@@ -13,9 +13,10 @@
 //! - [`diff`]: the differential oracle — two schedulers (or a
 //!   scheduler against an `analysis` bound) on identical inputs, first
 //!   divergence rendered as a minimized observer-event trace,
-//! - [`e2e`]: Theorem 6 / Corollary 1 conformance over
-//!   `netsim::Tandem` chains of FC servers with injected capacity
-//!   droop, flow churn, and buffer-cap drops,
+//! - [`e2e`]: Theorem 6 / Corollary 1 conformance over tandems of FC
+//!   servers (`graph::GraphSpec::chain` with hop-local cross flows)
+//!   with injected capacity droop, flow churn, and buffer-cap drops —
+//!   built and evaluated by the same helpers as [`graph`],
 //! - [`engine`]: sharded-engine differential — one seeded API call
 //!   schedule replayed against `sfq_engine::SyncEngine` (oracle) and
 //!   `sfq_engine::ThreadedEngine`, requiring bit-identical departures
@@ -72,7 +73,7 @@ pub use chaos::{run_chaos_conformance, ChaosOutcome, CHAOS_DOMAIN};
 pub use diff::{
     check_against_bound, diff_schedulers, first_divergence, BoundCheck, DiffReport, SchedKind,
 };
-pub use e2e::{embed_survivors, run_tandem_conformance, E2eOutcome};
+pub use e2e::{run_tandem_conformance, E2eOutcome};
 pub use engine::{run_engine_conformance, EngineOutcome};
 pub use exec::{
     faults_from, materialize_packets, register_flows, run_faulted, run_faulted_checked, ExecReport,
@@ -80,7 +81,7 @@ pub use exec::{
 };
 pub use fast::{run_fast_conformance, FastOutcome};
 pub use faults::{effective_delta_bits, hop_profile};
-pub use graph::{run_graph_conformance, run_graph_oracle, GraphOutcome};
+pub use graph::{embed_survivors, run_graph_conformance, run_graph_oracle, GraphOutcome};
 pub use pool::{run_pool_conformance, PoolOutcome};
 pub use scenario::{
     other_lmax_at, Churn, Droop, DropKind, FlowSpec, Preset, Scenario, ServerSpec, SizeDist,

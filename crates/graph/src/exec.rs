@@ -2,33 +2,42 @@
 //!
 //! The graph is a statically wired DAG over [`NodeKind`]s. Execution
 //! is event-driven at the boundaries (packet injections, transmission
-//! completions, propagation delays, churn faults) and run-to-completion
-//! in between: an ingress batch chains synchronously through
-//! classifiers and policers until every surviving handle rests in a
-//! scheduler port, with zero intermediate queues — the R2 dispatch
-//! model. Port output is timed: the executor drives each port's
-//! busy-link transmission (`try_start`/transmission-done events) and
-//! forwards completed packets along the port's single output wire,
-//! honouring the wire's propagation delay.
+//! completions, propagation delays, churn faults, TCP endpoint timers)
+//! and run-to-completion in between: an ingress batch chains
+//! synchronously through classifiers and policers until every
+//! surviving handle rests in a scheduler port, with zero intermediate
+//! queues — the R2 dispatch model. Port output is timed: the executor
+//! drives each port's busy-link transmission (`try_start`/
+//! transmission-done events) and forwards completed packets along the
+//! port's single output wire, honouring the wire's propagation delay.
+//!
+//! This is the only event loop that drives more than one
+//! `netsim::SwitchCore`: open-loop scripted sources, strict-priority
+//! injection ([`Graph::add_priority_source`]), closed-loop TCP Reno
+//! endpoints ([`Graph::add_tcp_source`]) and per-port MTU
+//! fragmentation with reassembly at the sink all run on it.
 //!
 //! # Determinism
 //!
 //! Everything is ordered: the [`des::EventQueue`] delivers equal-time
 //! events FIFO by schedule order, injections are sorted by
-//! `(time, entry node, uid)` before scheduling, node dispatch is
-//! batch-order-preserving, and no step iterates an unordered map. The
-//! executor is therefore a deterministic function of
-//! (topology, sources, churns) — the property that makes a sync-port
-//! graph the *oracle* for the identical graph built on threaded ports
-//! (see `docs/graph.md` for the full identity argument).
+//! `(time, entry node, uid)` before scheduling (then churns, then TCP
+//! starts), node dispatch is batch-order-preserving, and no step
+//! iterates an unordered map. The executor is therefore a
+//! deterministic function of (topology, sources, churns) — the
+//! property that makes a sync-port graph the *oracle* for the
+//! identical graph built on threaded ports (see `docs/graph.md` for
+//! the full identity argument and the same-instant ordering rules).
 
 use crate::arena::{ArenaAudit, PktArena};
 use crate::node::{GraphNode, OutPort};
 use crate::nodes::{Classifier, Departure, Policer, TxSink};
 use crate::port::PortNode;
 use des::EventQueue;
-use sfq_core::{FlowId, Packet, PacketFactory, PktRef};
+use netsim::{TcpConfig, TcpReceiver, TcpSender};
+use sfq_core::{FlowId, FlowMap, Packet, PacketFactory, PktRef};
 use simtime::{Bytes, SimDuration, SimTime};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// One node of the wired graph.
@@ -53,6 +62,15 @@ pub struct Edge {
     pub prop: SimDuration,
 }
 
+/// What a TCP endpoint event delivers to its sender.
+enum TcpEv {
+    Start,
+    /// Cumulative ACK number.
+    Ack(u64),
+    /// Retransmission timer generation.
+    Rto(u64),
+}
+
 enum Ev {
     /// Inject pre-grouped script range `groups[i]`.
     Inject(usize),
@@ -62,24 +80,30 @@ enum Ev {
     TxDone { node: usize, h: PktRef },
     /// Churn fault: force-remove `flow` at `node`.
     Churn { node: usize, flow: FlowId },
+    /// A TCP endpoint's connection start, ACK arrival or timer expiry.
+    Tcp(FlowId, TcpEv),
 }
 
 /// One packet's journey through the graph.
 #[derive(Clone, Debug)]
 pub struct Transit {
-    /// The packet as injected (original arrival stamp).
+    /// The packet as minted (original arrival stamp): a scripted
+    /// injection, a TCP segment, or an MTU fragment.
     pub pkt: Packet,
     /// `(port node, transmission-completion time)` per traversed port,
     /// in path order.
     pub port_departures: Vec<(usize, SimTime)>,
     /// Terminal sink and the time the packet reached it, if it
-    /// survived to one.
+    /// survived to one. Fragments never do: they are absorbed by
+    /// reassembly and the original packet is delivered in their place.
     pub delivered: Option<(usize, SimTime)>,
 }
 
 /// Everything a graph run produced.
 pub struct GraphReport {
-    /// Per-packet journeys, sorted by uid (== injection mint order).
+    /// Per-packet journeys, indexed by uid (== mint order: scripted
+    /// sources in `add_*_source` order, then run-time TCP segments and
+    /// fragments in event order).
     pub transits: Vec<Transit>,
     /// Per sink node: departures in service order (identity surface).
     pub sink_departures: Vec<(usize, Vec<Departure>)>,
@@ -103,165 +127,294 @@ pub struct GraphReport {
     pub audit: ArenaAudit,
 }
 
+/// A closed-loop source: TCP Reno sender and receiver state machines
+/// (`netsim::tcp`) plus the glue the executor needs to turn segment
+/// numbers into packets and sink deliveries into ACKs.
+struct TcpEndpoint {
+    sender: TcpSender,
+    receiver: TcpReceiver,
+    /// uid → segment number for segments in flight.
+    seg_of: HashMap<u64, u64>,
+    mss: Bytes,
+    /// Node the segments enter the graph at.
+    entry: usize,
+    /// Sink → source ACK path delay.
+    ack_prop: SimDuration,
+    start: SimTime,
+}
+
+/// The packet mint: the factory plus the per-uid journey table, so
+/// `transits[uid]` is every packet's record however and whenever it
+/// was minted. Scripted packets are minted up front and their journeys
+/// opened in one allocation when the run starts; [`Mint::make`] is the
+/// run-time path (TCP segments, fragments) and extends the table.
+struct Mint {
+    pf: PacketFactory,
+    transits: Vec<Transit>,
+}
+
+impl Mint {
+    fn open(pkt: Packet) -> Transit {
+        Transit {
+            pkt,
+            port_departures: Vec::new(),
+            delivered: None,
+        }
+    }
+
+    fn make(&mut self, flow: FlowId, len: Bytes, at: SimTime) -> Packet {
+        let pkt = self.pf.make(flow, len, at);
+        debug_assert_eq!(pkt.uid as usize, self.transits.len());
+        self.transits.push(Self::open(pkt));
+        pkt
+    }
+}
+
 /// A wired forwarding graph plus its traffic script. Build by hand or
 /// through [`crate::topo::GraphSpec`].
 pub struct Graph {
     nodes: Vec<NodeKind>,
     wires: Vec<Vec<Edge>>,
     arena: PktArena,
-    pf: PacketFactory,
-    script: Vec<(usize, Packet)>,
+    mint: Mint,
+    /// `(entry node, strict priority?, packet)` per scripted injection.
+    script: Vec<(usize, bool, Packet)>,
     churns: Vec<(SimTime, usize, FlowId)>,
     removed: HashSet<(usize, FlowId)>,
-    transit_idx: HashMap<u64, usize>,
-    transits: Vec<Transit>,
+    tcp: FlowMap<TcpEndpoint>,
+    /// Fragment uid → original uid, for reassembly at the sink.
+    fragment_of: HashMap<u64, u64>,
+    /// Original uid → (its parked handle, fragments outstanding).
+    reassembly: HashMap<u64, (PktRef, usize)>,
     churn_refused: u64,
     arena_refused: u64,
+    ran: bool,
     // run-to-completion scratch, reused across dispatches
     emissions: Vec<(OutPort, PktRef)>,
 }
 
 impl Graph {
     /// Graph over `nodes` wired by `wires` (`wires[n][p]` is node `n`'s
-    /// out-port `p`), with an unbounded packet arena. Panics if the
-    /// wire table's outer length disagrees with the node count.
+    /// out-port `p`), with an unbounded packet arena. Panics on a
+    /// mis-wired graph, see [`Graph::with_arena`].
     pub fn new(nodes: Vec<NodeKind>, wires: Vec<Vec<Edge>>) -> Self {
         Self::with_arena(nodes, wires, PktArena::new())
     }
 
     /// Same, but over a caller-configured arena (e.g. slot-capped).
+    ///
+    /// The wiring is validated here, once, so the run loop never meets
+    /// a dangling wire: panics unless there is one wire vector per
+    /// node, every wire lands on an existing node, every port has
+    /// exactly one out-wire, every policer has its out-port 0, and
+    /// every classifier route (and default) names an existing
+    /// out-wire.
     pub fn with_arena(mut nodes: Vec<NodeKind>, wires: Vec<Vec<Edge>>, arena: PktArena) -> Self {
         assert_eq!(nodes.len(), wires.len(), "one wire vector per node");
-        // Every sink must free into *this* graph's arena lane, whatever
-        // lane it was constructed with.
-        for node in &mut nodes {
-            if let NodeKind::Sink(s) = node {
-                s.set_lane(arena.lane());
+        for (n, (node, out)) in nodes.iter_mut().zip(&wires).enumerate() {
+            if let Some(e) = out.iter().find(|e| e.to >= wires.len()) {
+                panic!("node {n}: wire to missing node {}", e.to);
+            }
+            match node {
+                NodeKind::Port(_) => {
+                    assert_eq!(out.len(), 1, "port {n} needs exactly one out-wire")
+                }
+                NodeKind::Police(_) => assert!(!out.is_empty(), "policer {n} is unwired"),
+                NodeKind::Classify(c) => {
+                    if let Some(p) = c.out_ports().find(|&p| p >= out.len()) {
+                        panic!("classifier {n} routes to unwired out-port {p}");
+                    }
+                }
+                // Every sink must free into *this* graph's arena lane,
+                // whatever lane it was constructed with.
+                NodeKind::Sink(s) => s.set_lane(arena.lane()),
             }
         }
         Graph {
             nodes,
             wires,
             arena,
-            pf: PacketFactory::new(),
+            mint: Mint {
+                pf: PacketFactory::new(),
+                transits: Vec::new(),
+            },
             script: Vec::new(),
             churns: Vec::new(),
             removed: HashSet::new(),
-            transit_idx: HashMap::new(),
-            transits: Vec::new(),
+            tcp: FlowMap::new(),
+            fragment_of: HashMap::new(),
+            reassembly: HashMap::new(),
             churn_refused: 0,
             arena_refused: 0,
+            ran: false,
             emissions: Vec::new(),
         }
     }
 
-    /// Mutable access to a node, for wiring-time configuration (route
-    /// tables, flow registration, policer contracts).
-    pub fn node_mut(&mut self, n: usize) -> &mut NodeKind {
-        &mut self.nodes[n]
-    }
-
-    /// The port at node `n`; panics if `n` is not a port.
-    pub fn port_mut(&mut self, n: usize) -> &mut PortNode {
-        match &mut self.nodes[n] {
-            NodeKind::Port(p) => p,
+    /// The port at node `n`; panics if `n` is not a port. Over the
+    /// node slice alone, so callers can lend the arena alongside.
+    fn port_of(nodes: &mut [NodeKind], n: usize) -> &mut PortNode {
+        match nodes.get_mut(n) {
+            Some(NodeKind::Port(p)) => p,
             _ => panic!("node {n} is not a port"),
         }
     }
 
-    /// Mint and script one source: `flow`'s packets enter the graph at
-    /// node `entry` at the given `(arrival, length)` times.
-    pub fn add_source(&mut self, entry: usize, flow: FlowId, arrivals: &[(SimTime, Bytes)]) {
+    fn add_script(
+        &mut self,
+        entry: usize,
+        priority: bool,
+        flow: FlowId,
+        arrivals: &[(SimTime, Bytes)],
+    ) {
         for &(at, len) in arrivals {
-            let pkt = self.pf.make(flow, len, at);
-            self.script.push((entry, pkt));
+            let pkt = self.mint.pf.make(flow, len, at);
+            self.script.push((entry, priority, pkt));
         }
+    }
+
+    /// Mint and script one source: `flow`'s packets enter the graph at
+    /// node `entry` at the given `(arrival, length)` times. Panics if
+    /// `entry` is not a node.
+    pub fn add_source(&mut self, entry: usize, flow: FlowId, arrivals: &[(SimTime, Bytes)]) {
+        assert!(entry < self.nodes.len(), "entry {entry} is not a node");
+        self.add_script(entry, false, flow, arrivals);
+    }
+
+    /// Script a strict-priority source at `port` (Figure 1's VBR
+    /// class): its packets bypass the port's scheduler and caps, are
+    /// never dropped, and pre-empt the scheduled class at every
+    /// transmission start — to the scheduled flows the link becomes a
+    /// variable-rate server. After transmission they follow the port's
+    /// out-wire like any packet, so `flow` needs a route downstream.
+    /// Panics if `port` is not a port.
+    pub fn add_priority_source(
+        &mut self,
+        port: usize,
+        flow: FlowId,
+        arrivals: &[(SimTime, Bytes)],
+    ) {
+        Self::port_of(&mut self.nodes, port);
+        self.add_script(port, true, flow, arrivals);
+    }
+
+    /// Attach a closed-loop TCP Reno source: from `start` the sender
+    /// injects `cfg.mss`-byte segments of `flow` at node `entry`, every
+    /// sink delivery of one feeds the receiver, and the resulting
+    /// cumulative ACK reaches the sender `ack_prop` later. Losses
+    /// anywhere on the path recover through duplicate ACKs or the
+    /// retransmission timer. Panics if `entry` is not a node or `flow`
+    /// already has an endpoint.
+    pub fn add_tcp_source(
+        &mut self,
+        entry: usize,
+        flow: FlowId,
+        cfg: TcpConfig,
+        ack_prop: SimDuration,
+        start: SimTime,
+    ) {
+        assert!(entry < self.nodes.len(), "entry {entry} is not a node");
+        let ep = TcpEndpoint {
+            sender: TcpSender::new(cfg),
+            receiver: TcpReceiver::new(),
+            seg_of: HashMap::new(),
+            mss: cfg.mss,
+            entry,
+            ack_prop,
+            start,
+        };
+        assert!(
+            self.tcp.insert(flow, ep).is_none(),
+            "flow {flow} already has a TCP endpoint"
+        );
     }
 
     /// Schedule a churn fault: force-remove `flow` from the port at
     /// `node` at time `at`. Stragglers of the flow reaching that port
-    /// afterwards are refused at the graph level.
+    /// afterwards are refused at the graph level. Panics if `node` is
+    /// not a port.
     pub fn schedule_churn(&mut self, node: usize, flow: FlowId, at: SimTime) {
+        Self::port_of(&mut self.nodes, node);
         self.churns.push((at, node, flow));
     }
 
     /// Run the script to `horizon` (events at exactly `horizon` still
     /// fire) and report. Packets still queued at the horizon stay
-    /// allocated and show up in the audit's `in_use`.
+    /// allocated and show up in the audit's `in_use`. A graph runs
+    /// once: the run consumes the script and hands the journey table
+    /// to the report, so a second call panics instead of re-injecting
+    /// on top of the first run's leftovers.
     pub fn run(&mut self, horizon: SimTime) -> GraphReport {
-        // Group injections by (time, entry) so each group is one
-        // run-to-completion ingress batch.
-        self.script
-            .sort_by_key(|&(entry, ref p)| (p.arrival, entry, p.uid));
-        self.transits = self
-            .script
-            .iter()
-            .map(|&(_, pkt)| Transit {
-                pkt,
-                port_departures: Vec::new(),
-                delivered: None,
-            })
-            .collect();
-        self.transit_idx = self
-            .script
-            .iter()
-            .enumerate()
-            .map(|(i, &(_, p))| (p.uid, i))
-            .collect();
-
-        let mut groups: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        assert!(
+            !std::mem::replace(&mut self.ran, true),
+            "Graph::run called twice on the same graph"
+        );
+        // The script is still in mint (uid) order: open its journeys.
+        let mut script = std::mem::take(&mut self.script);
+        self.mint.transits = script.iter().map(|&(_, _, p)| Mint::open(p)).collect();
+        // Group injections by (time, entry, class) so each group is
+        // one run-to-completion ingress batch.
+        script.sort_by_key(|&(entry, _, ref p)| (p.arrival, entry, p.uid));
+        let mut groups: Vec<std::ops::Range<usize>> = Vec::new();
         let mut q = EventQueue::new();
         let mut i = 0;
-        while i < self.script.len() {
-            let (entry, ref pkt) = self.script[i];
-            let (t, e) = (pkt.arrival, entry);
+        while i < script.len() {
+            let (entry, priority, Packet { arrival, .. }) = script[i];
             let start = i;
-            while i < self.script.len() && self.script[i].0 == e && self.script[i].1.arrival == t {
+            while script.get(i).is_some_and(|&(e, p, ref pkt)| {
+                e == entry && p == priority && pkt.arrival == arrival
+            }) {
                 i += 1;
             }
-            q.schedule(t, Ev::Inject(groups.len()));
-            groups.push((e, start..i));
+            q.schedule(arrival, Ev::Inject(groups.len()));
+            groups.push(start..i);
         }
-        let mut churns = std::mem::take(&mut self.churns);
-        churns.sort_by_key(|&(at, node, flow)| (at, node, flow.0));
-        for &(at, node, flow) in &churns {
+        self.churns
+            .sort_by_key(|&(at, node, flow)| (at, node, flow.0));
+        for &(at, node, flow) in &self.churns {
             q.schedule(at, Ev::Churn { node, flow });
         }
-        self.churns = churns;
+        let mut starts: Vec<(SimTime, FlowId)> =
+            self.tcp.iter().map(|(f, ep)| (ep.start, f)).collect();
+        starts.sort_by_key(|&(at, f)| (at, f.0));
+        for (at, flow) in starts {
+            q.schedule(at, Ev::Tcp(flow, TcpEv::Start));
+        }
 
         let mut churn_discarded = 0u64;
-        while let Some(t) = q.peek_time() {
-            if t > horizon {
-                break;
-            }
+        while q.peek_time().is_some_and(|t| t <= horizon) {
             let Some((now, ev)) = q.pop() else {
                 break;
             };
             match ev {
                 Ev::Inject(g) => {
-                    let (entry, range) = groups[g].clone();
+                    let range = groups[g].clone();
+                    let (entry, priority, _) = script[range.start];
                     let mut batch = Vec::with_capacity(range.len());
-                    for k in range {
-                        let pkt = self.script[k].1;
+                    for &(_, _, pkt) in &script[range] {
                         match self.arena.try_alloc(pkt) {
                             Some(h) => batch.push(h),
                             None => self.arena_refused += 1,
                         }
                     }
-                    self.dispatch_into(now, entry, batch, &mut q);
+                    if priority {
+                        let port = Self::port_of(&mut self.nodes, entry);
+                        for h in batch {
+                            port.offer_priority(now, &mut self.arena, h);
+                        }
+                        self.kick(entry, now, &mut q);
+                    } else {
+                        self.dispatch_into(now, entry, batch, &mut q);
+                    }
                 }
                 Ev::Arrive { node, pkts } => self.dispatch_into(now, node, pkts, &mut q),
                 Ev::TxDone { node, h } => {
                     let uid = self.arena.get(h).uid;
-                    self.port_mut(node).complete(now);
-                    if let Some(&ti) = self.transit_idx.get(&uid) {
-                        self.transits[ti].port_departures.push((node, now));
-                    }
-                    let edge = *self
-                        .wires
-                        .get(node)
-                        .and_then(|w| w.first())
-                        .expect("port output must be wired");
+                    Self::port_of(&mut self.nodes, node).complete(now);
+                    self.mint.transits[uid as usize]
+                        .port_departures
+                        .push((node, now));
+                    let edge = self.wires[node][0];
                     q.schedule(
                         now + edge.prop,
                         Ev::Arrive {
@@ -272,18 +425,50 @@ impl Graph {
                     self.kick(node, now, &mut q);
                 }
                 Ev::Churn { node, flow } => {
-                    let dropped = match &mut self.nodes[node] {
-                        NodeKind::Port(p) => p.force_remove(now, &mut self.arena, flow),
-                        _ => panic!("churn target {node} is not a port"),
-                    };
-                    churn_discarded += dropped as u64;
+                    let port = Self::port_of(&mut self.nodes, node);
+                    churn_discarded += port.force_remove(now, &mut self.arena, flow) as u64;
                     self.removed.insert((node, flow));
                 }
+                Ev::Tcp(flow, ev) => self.tcp_event(now, flow, ev, &mut q),
             }
         }
 
         self.arena.fold_returns();
         self.build_report(churn_discarded)
+    }
+
+    /// The one copy of the TCP glue: hand `ev` to `flow`'s sender,
+    /// mint a packet per segment number it wants on the wire, inject
+    /// them at the endpoint's entry node as one batch, and (re)arm the
+    /// retransmission timer event for the sender's current timer
+    /// generation (stale generations are ignored by the sender). A
+    /// segment dropped anywhere downstream is simply never delivered;
+    /// duplicate ACKs or the timer recover it.
+    fn tcp_event(&mut self, now: SimTime, flow: FlowId, ev: TcpEv, q: &mut EventQueue<Ev>) {
+        let Some(ep) = self.tcp.get_mut(flow) else {
+            return;
+        };
+        let segs = match ev {
+            TcpEv::Start => ep.sender.on_start(now),
+            TcpEv::Ack(ackno) => ep.sender.on_ack(now, ackno),
+            TcpEv::Rto(gen) => ep.sender.on_rto(now, gen),
+        };
+        let mut batch = Vec::with_capacity(segs.len());
+        for seg in segs {
+            let pkt = self.mint.make(flow, ep.mss, now);
+            match self.arena.try_alloc(pkt) {
+                Some(h) => {
+                    ep.seg_of.insert(pkt.uid, seg);
+                    batch.push(h);
+                }
+                None => self.arena_refused += 1,
+            }
+        }
+        let (entry, timer) = (ep.entry, ep.sender.timer());
+        self.dispatch_into(now, entry, batch, q);
+        if let Some((deadline, gen)) = timer {
+            q.schedule(deadline.max(now), Ev::Tcp(flow, TcpEv::Rto(gen)));
+        }
     }
 
     /// Run-to-completion: chain `batch` through nodes along zero-queue
@@ -299,7 +484,7 @@ impl Graph {
     ) {
         let mut work: VecDeque<(usize, Vec<PktRef>)> = VecDeque::new();
         work.push_back((node, batch));
-        while let Some((n, pkts)) = work.pop_front() {
+        while let Some((n, mut pkts)) = work.pop_front() {
             if pkts.is_empty() {
                 continue;
             }
@@ -312,22 +497,72 @@ impl Graph {
                 NodeKind::Port(p) => {
                     let mut admit = Vec::with_capacity(pkts.len());
                     for h in pkts {
-                        let flow = self.arena.get(h).flow;
+                        let Packet { flow, len, uid, .. } = *self.arena.get(h);
                         if self.removed.contains(&(n, flow)) {
                             self.arena.free(h);
                             self.churn_refused += 1;
-                        } else {
-                            admit.push(h);
+                            continue;
+                        }
+                        match p.mtu {
+                            // Whole packets fragment on entry (a
+                            // fragment meeting a smaller MTU later
+                            // passes unchanged). The original's slot
+                            // stays parked until its last fragment
+                            // reaches a sink.
+                            Some(mtu) if len > mtu && !self.fragment_of.contains_key(&uid) => {
+                                let mut left = len.as_u64();
+                                let mut outstanding = 0;
+                                while left > 0 {
+                                    let take = left.min(mtu.as_u64());
+                                    left -= take;
+                                    let frag = self.mint.make(flow, Bytes::new(take), now);
+                                    self.fragment_of.insert(frag.uid, uid);
+                                    outstanding += 1;
+                                    match self.arena.try_alloc(frag) {
+                                        Some(fh) => admit.push(fh),
+                                        None => self.arena_refused += 1,
+                                    }
+                                }
+                                self.reassembly.insert(uid, (h, outstanding));
+                            }
+                            _ => admit.push(h),
                         }
                     }
                     p.dispatch(now, &mut self.arena, &admit, &mut emissions);
                     kick_port = true;
                 }
                 NodeKind::Sink(s) => {
+                    if !self.fragment_of.is_empty() {
+                        // Reassembly: a fragment is absorbed; the last
+                        // one of a packet is replaced by the parked
+                        // original, which is what the sink delivers.
+                        pkts.retain_mut(|h| {
+                            let Some(orig) = self.fragment_of.remove(&self.arena.get(*h).uid)
+                            else {
+                                return true;
+                            };
+                            self.arena.free(*h);
+                            let Entry::Occupied(mut parked) = self.reassembly.entry(orig) else {
+                                return false;
+                            };
+                            parked.get_mut().1 -= 1;
+                            if parked.get().1 > 0 {
+                                return false;
+                            }
+                            *h = parked.remove().0;
+                            true
+                        });
+                    }
                     for &h in &pkts {
-                        let uid = self.arena.get(h).uid;
-                        if let Some(&ti) = self.transit_idx.get(&uid) {
-                            self.transits[ti].delivered = Some((n, now));
+                        let Packet { flow, uid, .. } = *self.arena.get(h);
+                        self.mint.transits[uid as usize].delivered = Some((n, now));
+                        // Close the loop: a delivered TCP segment
+                        // turns into an ACK at its sender.
+                        if let Some(ep) = self.tcp.get_mut(flow) {
+                            if let Some(seg) = ep.seg_of.remove(&uid) {
+                                let ack = ep.receiver.on_segment(seg);
+                                q.schedule(now + ep.ack_prop, Ev::Tcp(flow, TcpEv::Ack(ack)));
+                            }
                         }
                     }
                     s.dispatch(now, &mut self.arena, &pkts, &mut emissions);
@@ -343,11 +578,7 @@ impl Graph {
             let mut local: Vec<(usize, Vec<PktRef>)> = Vec::new();
             let mut delayed: Vec<(usize, SimDuration, Vec<PktRef>)> = Vec::new();
             for (op, h) in emissions.drain(..) {
-                let edge = *self
-                    .wires
-                    .get(n)
-                    .and_then(|w| w.get(op.0))
-                    .unwrap_or_else(|| panic!("node {n} out-port {} unwired", op.0));
+                let edge = self.wires[n][op.0];
                 if edge.prop == SimDuration::ZERO {
                     match local.iter_mut().find(|(to, _)| *to == edge.to) {
                         Some((_, v)) => v.push(h),
@@ -375,11 +606,7 @@ impl Graph {
 
     /// Start the port's link if it is free and work is queued.
     fn kick(&mut self, node: usize, now: SimTime, q: &mut EventQueue<Ev>) {
-        let port = match &mut self.nodes[node] {
-            NodeKind::Port(p) => p,
-            _ => unreachable!("kick target is always a port"),
-        };
-        if let Some((_, h, done)) = port.try_start(now) {
+        if let Some((_, h, done)) = Self::port_of(&mut self.nodes, node).try_start(now) {
             q.schedule(done, Ev::TxDone { node, h });
         }
     }
@@ -404,7 +631,7 @@ impl Graph {
             }
         }
         GraphReport {
-            transits: std::mem::take(&mut self.transits),
+            transits: std::mem::take(&mut self.mint.transits),
             sink_departures,
             port_refusals,
             port_drops,
@@ -586,5 +813,46 @@ mod tests {
         );
         assert_eq!(r.audit.in_use, 0);
         assert!(r.audit.balanced());
+    }
+
+    #[test]
+    #[should_panic(expected = "port 4 needs exactly one out-wire")]
+    fn miswired_spec_fails_at_build_not_at_run() {
+        // A port whose output goes nowhere used to build fine and
+        // panic mid-run at its first transmission completion.
+        let mut spec = incast_spec(None, DropPolicy::TailDrop);
+        spec.wires[4].clear();
+        spec.build(PortKind::Sfq);
+    }
+
+    #[test]
+    #[should_panic(expected = "classifier 0 routes to unwired out-port 3")]
+    fn dangling_classifier_route_fails_at_build() {
+        let mut spec = incast_spec(None, DropPolicy::TailDrop);
+        spec.nodes[0] = crate::NodeSpec::Classify {
+            routes: vec![(FlowId(1), 3)],
+            default: Some(0),
+        };
+        spec.build(PortKind::Sfq);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0 is not a port")]
+    fn churn_target_is_checked_when_scheduled() {
+        let mut g = incast_spec(None, DropPolicy::TailDrop).build(PortKind::Sfq);
+        g.schedule_churn(0, FlowId(1), SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "Graph::run called twice")]
+    fn second_run_fails_loudly() {
+        // `run` used to keep the script and the arena, so a second call
+        // silently re-injected every packet on top of the first run's
+        // leftovers and doubled the books.
+        let mut g = incast_spec(None, DropPolicy::TailDrop).build(PortKind::Sfq);
+        g.add_source(0, FlowId(1), &arrivals(3, 500, 125));
+        let r = g.run(SimTime::from_millis(60_000));
+        assert_eq!(r.transits.len(), 3);
+        g.run(SimTime::from_millis(120_000));
     }
 }

@@ -1,7 +1,8 @@
-//! # graph — run-to-completion forwarding graph
+//! # graph — run-to-completion forwarding graph, the one executor
 //!
-//! Turns the single-port `netsim` switch into a multi-port router:
-//! a statically wired DAG of [`GraphNode`]s — classification
+//! Turns the single-port `netsim` switch into a multi-port router and
+//! is the only event loop that drives more than one of them: a
+//! statically wired DAG of [`GraphNode`]s — classification
 //! ([`Classifier`]), token-bucket regulation ([`Policer`]), scheduler
 //! ports ([`PortNode`]: a `SwitchCore` over any [`sfq_core::Scheduler`],
 //! including the sharded `sfq-engine` drivers), and transmit sinks
@@ -10,11 +11,16 @@
 //! ([`PktArena`]: slab slots plus a cross-thread `ReturnQueue` lane)
 //! handed node-to-node without copies.
 //!
-//! Multiple ingress sources feeding multiple egress ports make the
-//! scenario classes the paper only gestures at first-class:
-//! asymmetric fan-in incast ([`GraphSpec::incast`]), port-to-port
-//! traffic matrices ([`GraphSpec::matrix`]), and multi-hop paths that
-//! share intermediate ports with cross traffic ([`GraphSpec::chain`]).
+//! Every topology of the reproduction is a [`GraphSpec`]: the paper's
+//! Figure 1 bottleneck (strict-priority VBR via
+//! [`Graph::add_priority_source`], TCP Reno feedback via
+//! [`Graph::add_tcp_source`]), the Section 2.4 tandem
+//! ([`GraphSpec::chain`]) and routed meshes with MTU fragmentation
+//! ([`GraphSpec::routed`], [`PortSpec::mtu`]), plus the scenario
+//! classes the paper only gestures at: asymmetric fan-in incast
+//! ([`GraphSpec::incast`]), port-to-port traffic matrices
+//! ([`GraphSpec::matrix`]), and multi-hop paths that share
+//! intermediate ports with cross traffic.
 //! Because every execution step is ordered, a graph built on the
 //! sync-engine (or bare SFQ) ports is the *oracle* for the identical
 //! graph built on threaded ports: departures, refusals, and drop

@@ -41,6 +41,12 @@ impl Classifier {
     pub fn unrouted(&self) -> u64 {
         self.unrouted
     }
+
+    /// Every out-port some route or the default names, for the
+    /// executor's construction-time wiring check.
+    pub(crate) fn out_ports(&self) -> impl Iterator<Item = usize> + '_ {
+        self.routes.iter().map(|(_, &p)| p).chain(self.default)
+    }
 }
 
 impl Default for Classifier {

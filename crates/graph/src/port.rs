@@ -25,7 +25,7 @@ use netsim::{DropPolicy, SwitchCore};
 use servers::RateProfile;
 use sfq_core::obs::{SchedEvent, SchedObserver};
 use sfq_core::{FlowId, PktRef, ReconfigCmd, SchedError, Scheduler, TelemetrySink};
-use simtime::{Rate, SimTime};
+use simtime::{Bytes, Rate, SimTime};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -44,6 +44,14 @@ impl SchedObserver for ShedLog {
     }
 }
 
+/// Stamp slot `h`'s packet as arriving at this port `now` and return
+/// the stamped copy the switch queues.
+fn restamp(arena: &mut PktArena, h: PktRef, now: SimTime) -> sfq_core::Packet {
+    let p = arena.get_mut(h);
+    p.arrival = now;
+    *p
+}
+
 /// A scheduler port of the forwarding graph. See the module docs.
 pub struct PortNode {
     core: SwitchCore,
@@ -51,6 +59,9 @@ pub struct PortNode {
     shed: Rc<RefCell<ShedLog>>,
     refused: Vec<u64>,
     evicted: u64,
+    /// Maximum transmission unit ([`crate::PortSpec::mtu`]): the
+    /// executor fragments larger packets on entry to this port.
+    pub(crate) mtu: Option<Bytes>,
 }
 
 impl PortNode {
@@ -74,6 +85,7 @@ impl PortNode {
             shed,
             refused: Vec::new(),
             evicted: 0,
+            mtu: None,
         }
     }
 
@@ -99,11 +111,7 @@ impl PortNode {
     /// fresh arrival, Eq. 4's `A(p)` is per-server), admit through the
     /// switch caps, and settle slot fates for anything shed.
     fn offer(&mut self, now: SimTime, arena: &mut PktArena, h: PktRef) {
-        let pkt = {
-            let p = arena.get_mut(h);
-            p.arrival = now;
-            *p
-        };
+        let pkt = restamp(arena, h, now);
         match self.core.try_offer(now, pkt) {
             Ok(()) => {
                 self.inflight.insert(pkt.uid, (pkt.flow, h));
@@ -127,6 +135,16 @@ impl PortNode {
                 self.evicted += 1;
             }
         }
+    }
+
+    /// Offer one handle to the strict-priority class: never refused,
+    /// never scheduled, served ahead of every scheduled packet (the
+    /// switch's priority FIFO). The slot joins the side table like an
+    /// admitted packet's and leaves it at transmission start.
+    pub fn offer_priority(&mut self, now: SimTime, arena: &mut PktArena, h: PktRef) {
+        let pkt = restamp(arena, h, now);
+        self.core.offer_priority(now, pkt);
+        self.inflight.insert(pkt.uid, (pkt.flow, h));
     }
 
     /// Start transmitting if the link is free and a packet is queued:

@@ -6,17 +6,19 @@
 //! checkable: both graphs see byte-identical topologies and scripts,
 //! so any divergence is a scheduler-driver bug, not a wiring artifact.
 //!
-//! Three canonical shapes cover the scenario classes the paper only
-//! gestures at:
+//! Four canonical shapes cover the paper's network-level experiments
+//! and the scenario classes it only gestures at:
 //!
 //! - [`GraphSpec::incast`] — N ingress classifiers fanning into one
 //!   scheduler port (the asymmetric fan-in incast scenario);
 //! - [`GraphSpec::matrix`] — N ingress classifiers routing a flow →
 //!   egress-port traffic matrix over M ports, one sink each;
-//! - [`GraphSpec::chain`] — K ports in sequence with per-flow
-//!   entry/exit hops, an exit classifier after every port, and
-//!   propagation delay between hops: the Tandem topology generalized
-//!   to shared intermediate ports with genuine fan-in.
+//! - [`GraphSpec::routed`] — one port plus one exit classifier per
+//!   link and a per-flow route across them: the Figure 1 bottleneck
+//!   (one link), the parking lot, any mesh of crossing paths;
+//! - [`GraphSpec::chain`] — the Section 2.4 tandem as a routed spec:
+//!   K ports in sequence with per-flow entry/exit hops and propagation
+//!   delay between hops, shared intermediate ports with genuine fan-in.
 
 use crate::exec::{Edge, Graph, NodeKind};
 use crate::nodes::{Classifier, Policer, TokenBucket, TxSink};
@@ -25,7 +27,7 @@ use netsim::DropPolicy;
 use servers::RateProfile;
 use sfq_core::{FlowId, Scheduler, Sfq, SfqFast};
 use sfq_engine::{EngineConfig, SyncEngine, ThreadedEngine};
-use simtime::{Rate, SimDuration};
+use simtime::{Bytes, Rate, SimDuration};
 
 /// Which scheduler runs inside every port of a built graph.
 #[derive(Clone, Copy, Debug)]
@@ -64,6 +66,11 @@ pub struct PortSpec {
     pub policy: DropPolicy,
     /// Scheduled flows and their weights.
     pub flows: Vec<(FlowId, Rate)>,
+    /// Maximum transmission unit: a larger packet is split into
+    /// MTU-sized fragments on entry to this port and reassembled
+    /// before sink delivery (`None` = never fragment). Section 2.4
+    /// notes the end-to-end analysis survives fragmentation.
+    pub mtu: Option<Bytes>,
 }
 
 impl PortSpec {
@@ -75,6 +82,7 @@ impl PortSpec {
             shared_cap: None,
             policy: DropPolicy::TailDrop,
             flows,
+            mtu: None,
         }
     }
 }
@@ -186,6 +194,8 @@ impl GraphSpec {
                     for &(flow, weight) in &ps.flows {
                         port.add_flow(flow, weight);
                     }
+                    assert!(ps.mtu != Some(Bytes::ZERO), "MTU must be positive");
+                    port.mtu = ps.mtu;
                     NodeKind::Port(Box::new(port))
                 }
                 NodeSpec::Sink => NodeKind::Sink(TxSink::new(std::sync::Arc::new(
@@ -271,47 +281,102 @@ impl GraphSpec {
         GraphSpec { nodes, wires }
     }
 
-    /// Multi-hop chain with shared intermediate ports: port `h` at node
-    /// `h`, exit classifier `E_h` at node `hops + h`, one shared sink
-    /// at node `2·hops`. `P_h → E_h` is a zero-delay wire; `E_h` routes
-    /// each flow to the sink (out-port 0) if `exits[flow] == h`, else
-    /// onward to `P_{h+1}` (out-port 1) across a `prop`-delay wire.
-    /// Inject a flow at its entry port's node index (or at a policer
-    /// added with [`GraphSpec::add_policer`]).
-    pub fn chain(hops: Vec<PortSpec>, exits: &[(FlowId, usize)], prop: SimDuration) -> GraphSpec {
-        let k = hops.len();
-        assert!(k >= 1);
+    /// Routed topology: one scheduler port per link, each followed by
+    /// an exit classifier holding the per-flow next hop, and one shared
+    /// sink. `links[l]` is the port plus the propagation delay of every
+    /// wire leaving it; `routes` lists, per flow, the links it crosses
+    /// in order (no link twice). Layout: port `l` at node `l`, exit
+    /// classifier `E_l` at node `k + l` (`k = links.len()`), sink at
+    /// node `2k`. `P_l → E_l` is a zero-delay wire; `E_l` sends a flow
+    /// whose route ends at `l` to the sink (out-port 0) and every
+    /// other to its next link's port (out-ports 1.. in order of first
+    /// use), both across `links[l].1`. Inject a flow at its first
+    /// link's node index (or at a policer added with
+    /// [`GraphSpec::add_policer`]); a flow may also enter mid-route.
+    pub fn routed(
+        links: Vec<(PortSpec, SimDuration)>,
+        routes: &[(FlowId, Vec<usize>)],
+    ) -> GraphSpec {
+        let k = links.len();
+        assert!(k >= 1, "a routed graph needs at least one link");
         let sink_node = 2 * k;
         let mut nodes = Vec::with_capacity(2 * k + 1);
         let mut wires = Vec::with_capacity(2 * k + 1);
-        for (h, ps) in hops.into_iter().enumerate() {
+        let mut exits = Vec::with_capacity(k);
+        for (l, (ps, prop)) in links.into_iter().enumerate() {
             nodes.push(NodeSpec::Port(ps));
             wires.push(vec![Edge {
-                to: k + h,
+                to: k + l,
                 prop: SimDuration::ZERO,
             }]);
+            exits.push((
+                Vec::new(),
+                vec![Edge {
+                    to: sink_node,
+                    prop,
+                }],
+            ));
         }
-        for h in 0..k {
-            let routes = exits
-                .iter()
-                .map(|&(flow, exit)| (flow, if exit == h { 0 } else { 1 }))
-                .collect();
+        for (flow, route) in routes {
+            assert!(!route.is_empty(), "route needs at least one link");
+            assert!(
+                route.iter().all(|&l| l < k),
+                "route references unknown link"
+            );
+            for (i, &l) in route.iter().enumerate() {
+                let (table, out): &mut (Vec<(FlowId, usize)>, Vec<Edge>) = &mut exits[l];
+                assert!(
+                    table.iter().all(|&(f, _)| f != *flow),
+                    "flow {flow} crosses link {l} twice"
+                );
+                let out_port = match route.get(i + 1) {
+                    None => 0,
+                    Some(&next) => out.iter().position(|e| e.to == next).unwrap_or_else(|| {
+                        let prop = out[0].prop;
+                        out.push(Edge { to: next, prop });
+                        out.len() - 1
+                    }),
+                };
+                table.push((*flow, out_port));
+            }
+        }
+        for (routes, out) in exits {
             nodes.push(NodeSpec::Classify {
                 routes,
                 default: None,
             });
-            let mut w = vec![Edge {
-                to: sink_node,
-                prop: SimDuration::ZERO,
-            }];
-            if h + 1 < k {
-                w.push(Edge { to: h + 1, prop });
-            }
-            wires.push(w);
+            wires.push(out);
         }
         nodes.push(NodeSpec::Sink);
         wires.push(Vec::new());
         GraphSpec { nodes, wires }
+    }
+
+    /// Multi-hop chain with shared intermediate ports — the Section 2.4
+    /// tandem: [`GraphSpec::routed`] over `hops` in sequence, where a
+    /// flow listed in `exits` leaves after hop `exits[flow]` and rides
+    /// every hop from wherever it is injected up to that one (inject it
+    /// at its entry port's node index). `prop` separates consecutive
+    /// hops; the wires into the sink are zero-delay, so a packet's
+    /// delivery instant is its last hop's transmission completion —
+    /// the departure Theorem 6 bounds.
+    pub fn chain(hops: Vec<PortSpec>, exits: &[(FlowId, usize)], prop: SimDuration) -> GraphSpec {
+        let k = hops.len();
+        let routes: Vec<(FlowId, Vec<usize>)> = exits
+            .iter()
+            .map(|&(flow, exit)| {
+                assert!(
+                    exit < k,
+                    "invalid path: flow {flow} exits at hop {exit} of {k}"
+                );
+                (flow, (0..=exit).collect())
+            })
+            .collect();
+        let mut spec = Self::routed(hops.into_iter().map(|ps| (ps, prop)).collect(), &routes);
+        for exit in &mut spec.wires[k..2 * k] {
+            exit[0].prop = SimDuration::ZERO;
+        }
+        spec
     }
 
     /// Append an ingress [`Policer`](crate::Policer) node wired into

@@ -1,19 +1,17 @@
-//! # netsim — discrete-event network simulator substrate
+//! # netsim — network components
 //!
-//! The reproduction's replacement for the REAL simulator used in the
-//! paper's Figure 1 experiment:
+//! The building blocks of the reproduction's replacement for the REAL
+//! simulator used in the paper's Figure 1 experiment. This crate holds
+//! components only; the executor that wires them into topologies and
+//! drives them from one event queue is `graph::Graph`.
 //!
 //! - [`SwitchCore`]: an output-queued switch port with a strict-
-//!   priority class and a pluggable [`sfq_core::Scheduler`],
+//!   priority class and a pluggable [`sfq_core::Scheduler`], buffer
+//!   caps and [`DropPolicy`] overflow responses,
 //! - [`TcpSender`] / [`TcpReceiver`]: a compact TCP Reno model (slow
 //!   start, congestion avoidance, fast retransmit/recovery, adaptive
-//!   RTO),
-//! - [`Net`]: the Figure 1(a) single-bottleneck topology with an ACK
-//!   return path,
-//! - [`Tandem`]: a K-server chain for the end-to-end delay experiments
-//!   of Section 2.4,
-//! - [`Mesh`]: arbitrary routed topologies (e.g. the parking-lot
-//!   end-to-end fairness scenario),
+//!   RTO) as pure state machines — `Graph::add_tcp_source` closes the
+//!   loop through a topology,
 //! - [`engine_port`]: a switch port whose scheduled class is the
 //!   sharded `sfq-engine` drainer (hierarchical SFQ composition,
 //!   Section 4) behind the ordinary [`SwitchCore`] machinery.
@@ -21,15 +19,9 @@
 #![warn(missing_docs)]
 
 mod engine_port;
-mod mesh;
-mod net;
 mod switch;
-mod tandem;
 mod tcp;
 
 pub use engine_port::{engine_port, threaded_engine_port};
-pub use mesh::{LinkId, Mesh, MeshDelivery};
-pub use net::{Delivery, Net};
 pub use switch::{DropPolicy, SwitchCore};
-pub use tandem::{Tandem, TandemReport, Transit};
 pub use tcp::{TcpConfig, TcpReceiver, TcpSender};

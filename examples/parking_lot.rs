@@ -7,39 +7,58 @@
 //!
 //! Run with: `cargo run --release --example parking_lot`
 
-use netsim::{Mesh, SwitchCore, TcpConfig};
 use sfq_repro::prelude::*;
 
-fn link(flows: &[u32], rate: Rate) -> SwitchCore {
-    let mut s = Sfq::new();
-    for &f in flows {
-        s.add_flow(FlowId(f), Rate::kbps(500));
-    }
-    SwitchCore::new(Box::new(s), RateProfile::constant(rate), Some(64))
+/// A 1 Mb/s SFQ link (64-packet per-flow buffers, 1 ms downstream)
+/// scheduling `flows` at equal weights.
+fn link(flows: &[u32]) -> (PortSpec, SimDuration) {
+    let flows = flows
+        .iter()
+        .map(|&f| (FlowId(f), Rate::kbps(500)))
+        .collect();
+    let mut port = PortSpec::new(RateProfile::constant(Rate::mbps(1)), flows);
+    port.per_flow_cap = Some(64);
+    (port, SimDuration::from_millis(1))
 }
 
 fn main() {
-    let c = Rate::mbps(1);
-    let mut m = Mesh::new();
     // Links A, B, C in a row; flow 1 rides all three, flows 2-4 are
     // local to one link each.
-    let a = m.add_link(link(&[1, 2], c), SimDuration::from_millis(1));
-    let b = m.add_link(link(&[1, 3], c), SimDuration::from_millis(1));
-    let cl = m.add_link(link(&[1, 4], c), SimDuration::from_millis(1));
-    m.add_route(FlowId(1), vec![a, b, cl]);
-    m.add_route(FlowId(2), vec![a]);
-    m.add_route(FlowId(3), vec![b]);
-    m.add_route(FlowId(4), vec![cl]);
+    let (a, b, c) = (0, 1, 2);
+    let spec = GraphSpec::routed(
+        vec![link(&[1, 2]), link(&[1, 3]), link(&[1, 4])],
+        &[
+            (FlowId(1), vec![a, b, c]),
+            (FlowId(2), vec![a]),
+            (FlowId(3), vec![b]),
+            (FlowId(4), vec![c]),
+        ],
+    );
+    let mut g = spec.build(PortKind::Sfq);
 
     let cfg = TcpConfig::default();
     // The long flow's ACKs travel further.
-    m.add_tcp_source(FlowId(1), cfg, SimDuration::from_millis(3), SimTime::ZERO);
-    for f in 2..=4u32 {
-        m.add_tcp_source(FlowId(f), cfg, SimDuration::from_millis(1), SimTime::ZERO);
+    g.add_tcp_source(
+        a,
+        FlowId(1),
+        cfg,
+        SimDuration::from_millis(3),
+        SimTime::ZERO,
+    );
+    for (f, entry) in [(2u32, a), (3, b), (4, c)] {
+        g.add_tcp_source(
+            entry,
+            FlowId(f),
+            cfg,
+            SimDuration::from_millis(1),
+            SimTime::ZERO,
+        );
     }
 
     let horizon = SimTime::from_secs(10);
-    let deliveries = m.run(horizon);
+    let report = g.run(horizon);
+    assert!(report.audit.balanced(), "packet arena leaked a slot");
+    let deliveries = &report.sink_departures[0].1;
     println!("Parking lot: long TCP flow over links A->B->C vs one local TCP flow per link");
     println!("{:<22} {:>10} {:>12}", "flow", "packets", "Mb/s");
     let mut rates = Vec::new();
@@ -51,18 +70,15 @@ fn main() {
     ] {
         let bits: u64 = deliveries
             .iter()
-            .filter(|d| d.pkt.flow == FlowId(f))
-            .map(|d| d.pkt.len.bits())
+            .filter(|d| d.flow == FlowId(f))
+            .map(|d| d.len.bits())
             .sum();
         let rate = bits as f64 / horizon.as_secs_f64() / 1e6;
         rates.push(rate);
         println!(
             "{:<22} {:>10} {:>12.3}",
             label,
-            deliveries
-                .iter()
-                .filter(|d| d.pkt.flow == FlowId(f))
-                .count(),
+            deliveries.iter().filter(|d| d.flow == FlowId(f)).count(),
             rate
         );
     }

@@ -10,8 +10,11 @@
 //!   profiles and the exact single-server harness,
 //! - [`traffic`]: CBR, Poisson, on-off, scripted, leaky-bucket, and
 //!   synthetic MPEG VBR sources,
-//! - [`netsim`]: the Figure 1 network simulator with TCP Reno and the
-//!   Section 2.4 tandem,
+//! - [`netsim`]: the network components — the output-queued switch
+//!   port and the TCP Reno endpoints,
+//! - [`graph`]: the forwarding-graph executor every topology runs on —
+//!   the Figure 1 TCP bottleneck, the Section 2.4 tandem, routed
+//!   meshes with MTU fragmentation,
 //! - [`analysis`]: fairness/delay metrics and the paper's analytic
 //!   bounds,
 //! - [`obs`]: scheduler observability — event tracing and per-flow
@@ -59,6 +62,7 @@ pub mod scenario;
 pub use analysis;
 pub use baselines;
 pub use des;
+pub use graph;
 pub use netsim;
 pub use servers;
 pub use sfq_core as core;
@@ -74,7 +78,8 @@ pub mod prelude {
     };
     pub use baselines::{DelayEdd, Drr, Fifo, Fqs, Scfq, VirtualClock, Wfq};
     pub use des::SimRng;
-    pub use netsim::{Net, SwitchCore, Tandem, TcpConfig};
+    pub use graph::{Graph, GraphReport, GraphSpec, PortKind, PortSpec};
+    pub use netsim::{SwitchCore, TcpConfig};
     pub use servers::{fc_on_off, run_server, Departure, FcParams, RateProfile, Segment};
     pub use sfq_core::{
         Backpressure, ClassId, FairAirport, FifoBackend, FlowId, FlowMap, HierSfq, NoopObserver,

@@ -5,22 +5,24 @@
 use sfq_repro::prelude::*;
 
 /// Serialize a delivery list into a comparable fingerprint.
-fn fingerprint(deliveries: &[netsim::Delivery]) -> Vec<(u32, u64, String)> {
+fn fingerprint(deliveries: &[graph::Departure]) -> Vec<(u32, u64, String)> {
     deliveries
         .iter()
-        .map(|d| (d.pkt.flow.0, d.pkt.uid, format!("{:?}", d.at)))
+        .map(|d| (d.flow.0, d.uid, format!("{:?}", d.at)))
         .collect()
 }
 
-fn run_net(seed: u64) -> Vec<netsim::Delivery> {
-    let mut sw = SwitchCore::new(
-        Box::new(Sfq::new()),
+/// The Figure 1(a) bottleneck: a strict-priority VBR source and two
+/// TCP Reno flows over one 2 Mb/s SFQ port, 1 ms each way.
+fn run_net(seed: u64) -> Vec<graph::Departure> {
+    let mut port = PortSpec::new(
         RateProfile::constant(Rate::mbps(2)),
-        Some(50),
+        vec![(FlowId(2), Rate::mbps(1)), (FlowId(3), Rate::mbps(1))],
     );
-    sw.add_flow(FlowId(2), Rate::mbps(1));
-    sw.add_flow(FlowId(3), Rate::mbps(1));
-    let mut net = Net::new(sw, SimDuration::from_millis(1), SimDuration::from_millis(1));
+    port.per_flow_cap = Some(50);
+    let prop = SimDuration::from_millis(1);
+    let routes: Vec<_> = (1..=3).map(|f| (FlowId(f), vec![0])).collect();
+    let mut net = GraphSpec::routed(vec![(port, prop)], &routes).build(PortKind::Sfq);
     let vbr = VbrVideoSource::new(
         SimTime::ZERO,
         Rate::kbps(800),
@@ -30,10 +32,18 @@ fn run_net(seed: u64) -> Vec<netsim::Delivery> {
         SimRng::new(seed),
     );
     let arrivals = arrivals_until(vbr, SimTime::from_millis(800));
-    net.add_scripted_source(FlowId(1), &arrivals, true);
-    net.add_tcp_source(FlowId(2), TcpConfig::default(), SimTime::ZERO);
-    net.add_tcp_source(FlowId(3), TcpConfig::default(), SimTime::from_millis(200));
-    net.run(SimTime::from_millis(800))
+    net.add_priority_source(0, FlowId(1), &arrivals);
+    net.add_tcp_source(0, FlowId(2), TcpConfig::default(), prop, SimTime::ZERO);
+    net.add_tcp_source(
+        0,
+        FlowId(3),
+        TcpConfig::default(),
+        prop,
+        SimTime::from_millis(200),
+    );
+    let mut report = net.run(SimTime::from_millis(800));
+    assert!(report.audit.balanced());
+    report.sink_departures.remove(0).1
 }
 
 #[test]

@@ -1,0 +1,257 @@
+//! Executor goldens: digests and counts captured from the three deleted
+//! `netsim` executors (`Net`, `Tandem`, `Mesh`) at the commit before
+//! they were ported onto `graph::Graph`, plus one digest of a scripted
+//! matrix run on the graph executor of that same commit. The
+//! graph-backed code must reproduce every one of them bit for bit: a
+//! golden that moves means the executor's same-instant event order
+//! changed (see docs/graph.md, "Same-instant event order"), and is to
+//! be explained, never silently re-pinned.
+
+use bench::exp_fig1b::{fig1b, Discipline};
+use bench::exp_tandem::{tandem, tandem_mixed};
+use conformance::{run_tandem_conformance, Preset, Scenario};
+use graph::{Departure, GraphReport};
+use netsim::DropPolicy;
+use sfq_repro::prelude::*;
+
+/// 64-bit FNV-1a over little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Exact rational time: numerator and denominator, so nothing
+    /// hides behind float rounding.
+    fn time(&mut self, t: SimTime) {
+        let r = t.as_ratio();
+        self.word(r.numer() as u64);
+        self.word(r.denom() as u64);
+    }
+}
+
+/// Digest of `(flow, uid, delivery time)` over a single-sink run's
+/// deliveries in `(time, uid)` order — the order the old executors
+/// reported them in.
+fn delivery_digest(r: &GraphReport) -> (usize, u64) {
+    assert!(r.audit.balanced(), "arena books unbalanced: {:?}", r.audit);
+    let mut d: Vec<Departure> = r.sink_departures[0].1.clone();
+    d.sort_by_key(|x| (x.at, x.uid));
+    let mut h = Fnv::new();
+    for x in &d {
+        h.word(x.flow.0 as u64);
+        h.word(x.uid);
+        h.time(x.at);
+    }
+    (d.len(), h.0)
+}
+
+/// `tests/determinism.rs`' `run_net`: priority VBR + two TCP flows over
+/// one 2 Mb/s SFQ bottleneck.
+fn run_net(seed: u64) -> GraphReport {
+    let mut port = PortSpec::new(
+        RateProfile::constant(Rate::mbps(2)),
+        vec![(FlowId(2), Rate::mbps(1)), (FlowId(3), Rate::mbps(1))],
+    );
+    port.per_flow_cap = Some(50);
+    let prop = SimDuration::from_millis(1);
+    let routes: Vec<_> = (1..=3).map(|f| (FlowId(f), vec![0])).collect();
+    let mut net = GraphSpec::routed(vec![(port, prop)], &routes).build(PortKind::Sfq);
+    let vbr = VbrVideoSource::new(
+        SimTime::ZERO,
+        Rate::kbps(800),
+        Bytes::new(50),
+        30,
+        0.4,
+        SimRng::new(seed),
+    );
+    let arrivals = arrivals_until(vbr, SimTime::from_millis(800));
+    net.add_priority_source(0, FlowId(1), &arrivals);
+    net.add_tcp_source(0, FlowId(2), TcpConfig::default(), prop, SimTime::ZERO);
+    net.add_tcp_source(
+        0,
+        FlowId(3),
+        TcpConfig::default(),
+        prop,
+        SimTime::from_millis(200),
+    );
+    net.run(SimTime::from_millis(800))
+}
+
+#[test]
+fn net_bottleneck_deliveries_match_the_old_net() {
+    assert_eq!(
+        delivery_digest(&run_net(1234)),
+        (2248, 0x3bb0_717d_be3c_b168)
+    );
+    assert_eq!(delivery_digest(&run_net(1)), (2084, 0x554e_ed11_a59a_11bb));
+}
+
+#[test]
+fn fig1b_counts_match_the_old_net() {
+    let counts = |d| {
+        let r = fig1b(d, 42, SimTime::from_secs(1));
+        (r.src2_after_start3, r.src3_after_start3, r.src3_first_435ms)
+    };
+    assert_eq!(counts(Discipline::Sfq), (223, 216, 178));
+    assert_eq!(counts(Discipline::Wfq), (408, 31, 15));
+}
+
+#[test]
+fn tandem_conformance_fingerprints_match_the_old_tandem() {
+    // (seed, completed observed packets, fingerprint digest, straggler
+    // packets refused after churn).
+    for (seed, n, digest, churn_refused) in [
+        (1u64, 267usize, 0x640e_2400_2e65_650d_u64, 0u64),
+        (11, 78, 0xaf3d_f256_e624_be3b, 172),
+        (77, 181, 0x4aa1_75cd_69e2_f743, 233),
+    ] {
+        for with_observers in [false, true] {
+            let sc = Scenario::from_seed(Preset::Tandem, seed);
+            let out = run_tandem_conformance(&sc, with_observers);
+            let mut h = Fnv::new();
+            for &(uid, at) in &out.fingerprint {
+                h.word(uid);
+                h.time(at);
+            }
+            let what = format!("seed {seed}, observers {with_observers}");
+            assert_eq!((out.fingerprint.len(), h.0), (n, digest), "{what}");
+            assert_eq!(out.churn_refused, churn_refused, "{what}");
+            assert_eq!((out.churn_discarded, out.buffer_dropped), (0, 0), "{what}");
+            assert_eq!(out.theorem6_violation, SimDuration::ZERO, "{what}");
+            assert_eq!(out.corollary1_violation, SimDuration::ZERO, "{what}");
+        }
+    }
+}
+
+#[test]
+fn parking_lot_counts_match_the_old_mesh() {
+    // examples/parking_lot.rs at its 10 s horizon.
+    let link = |flows: &[u32]| {
+        let flows = flows
+            .iter()
+            .map(|&f| (FlowId(f), Rate::kbps(500)))
+            .collect();
+        let mut port = PortSpec::new(RateProfile::constant(Rate::mbps(1)), flows);
+        port.per_flow_cap = Some(64);
+        (port, SimDuration::from_millis(1))
+    };
+    let spec = GraphSpec::routed(
+        vec![link(&[1, 2]), link(&[1, 3]), link(&[1, 4])],
+        &[
+            (FlowId(1), vec![0, 1, 2]),
+            (FlowId(2), vec![0]),
+            (FlowId(3), vec![1]),
+            (FlowId(4), vec![2]),
+        ],
+    );
+    let mut g = spec.build(PortKind::Sfq);
+    let cfg = TcpConfig::default();
+    g.add_tcp_source(
+        0,
+        FlowId(1),
+        cfg,
+        SimDuration::from_millis(3),
+        SimTime::ZERO,
+    );
+    for (f, entry) in [(2u32, 0), (3, 1), (4, 2)] {
+        g.add_tcp_source(
+            entry,
+            FlowId(f),
+            cfg,
+            SimDuration::from_millis(1),
+            SimTime::ZERO,
+        );
+    }
+    let r = g.run(SimTime::from_secs(10));
+    let counts: Vec<usize> = (1..=4u32)
+        .map(|f| {
+            r.sink_departures[0]
+                .1
+                .iter()
+                .filter(|d| d.flow == FlowId(f))
+                .count()
+        })
+        .collect();
+    assert_eq!(counts, [3116, 3129, 3131, 3132]);
+    assert_eq!(delivery_digest(&r).1, 0x4de0_d315_1690_ac12);
+}
+
+#[test]
+fn exp_tandem_delays_match_the_old_tandem() {
+    // `-p bench --bin tandem` defaults: 60 s, seed 11.
+    let res = tandem(&[1, 2, 3, 4, 5], SimTime::from_secs(60), 11);
+    let measured: Vec<u64> = res.iter().map(|r| r.measured_max_s.to_bits()).collect();
+    let golden = [0.03947287, 0.04247287, 0.04547287, 0.04847287, 0.05147287];
+    assert_eq!(measured, golden.map(f64::to_bits));
+    let mixed = tandem_mixed(SimTime::from_secs(60), 11);
+    assert_eq!(mixed.measured_max_s.to_bits(), 0.04547287f64.to_bits());
+}
+
+/// Today's graph, unchanged: a scripted 4×4 matrix with shared caps
+/// under both eviction-free and head-drop policies, pinned on the
+/// executor before the port so scripted-only graphs are shown to run
+/// the same event sequence.
+#[test]
+fn scripted_matrix_digest_is_unchanged() {
+    let ports: Vec<PortSpec> = (0..4)
+        .map(|j| {
+            let flows = (0..16u32)
+                .filter(|k| k % 4 == j)
+                .map(|k| (FlowId(k + 1), Rate::bps(10_000 * (1 + (k as u64 % 3)))))
+                .collect();
+            let mut p = PortSpec::new(RateProfile::constant(Rate::bps(100_000)), flows);
+            p.shared_cap = Some(12);
+            p.policy = if j % 2 == 0 {
+                DropPolicy::TailDrop
+            } else {
+                DropPolicy::HeadDrop
+            };
+            p
+        })
+        .collect();
+    let routes = (0..16u32)
+        .map(|k| (FlowId(k + 1), (k % 4) as usize))
+        .collect();
+    let spec = GraphSpec::matrix(4, ports, routes);
+    let mut g = spec.build(PortKind::Sfq);
+    for k in 0..16u32 {
+        let arr: Vec<(SimTime, Bytes)> = (0..40)
+            .map(|i| {
+                (
+                    SimTime::from_millis((i / 4) * 37 + (k as i128 % 5)),
+                    Bytes::new(100 + 25 * ((i as u64 + k as u64) % 7)),
+                )
+            })
+            .collect();
+        g.add_source((k / 4) as usize, FlowId(k + 1), &arr);
+    }
+    let r = g.run(SimTime::from_secs(600));
+    let mut h = Fnv::new();
+    for (sink, deps) in &r.sink_departures {
+        h.word(*sink as u64);
+        for d in deps {
+            h.word(d.uid);
+            h.time(d.at);
+        }
+    }
+    for (n, refs) in &r.port_refusals {
+        h.word(*n as u64);
+        for u in refs {
+            h.word(*u);
+        }
+    }
+    let delivered: usize = r.sink_departures.iter().map(|(_, d)| d.len()).sum();
+    let shed: u64 = r.port_drops.iter().map(|&(_, n)| n).sum();
+    assert_eq!((delivered, shed, r.evicted), (147, 493, 194));
+    assert_eq!(h.0, 0xd0b4_b211_ef8e_f57a);
+    assert!(r.audit.balanced() && r.audit.in_use == 0);
+}

@@ -162,14 +162,19 @@ fn residual_capacity_of_priority_server_is_fc() {
     );
     let shaped = LeakyBucket::new(sigma_bits, rho).shape(&raw);
     // Low priority: a single backlogged flow behind a strict-priority
-    // class, modeled with the netsim switch.
-    let mut sw = SwitchCore::new(Box::new(Sfq::new()), RateProfile::constant(link), None);
-    sw.add_flow(FlowId(1), Rate::kbps(60));
-    let mut net = Net::new(sw, SimDuration::ZERO, SimDuration::ZERO);
-    net.add_scripted_source(FlowId(9), &shaped, true);
+    // class at one graph port (the netsim switch).
+    let port = PortSpec::new(
+        RateProfile::constant(link),
+        vec![(FlowId(1), Rate::kbps(60))],
+    );
+    let routes = [(FlowId(1), vec![0]), (FlowId(9), vec![0])];
+    let mut net = GraphSpec::routed(vec![(port, SimDuration::ZERO)], &routes).build(PortKind::Sfq);
+    net.add_priority_source(0, FlowId(9), &shaped);
     let low: Vec<(SimTime, Bytes)> = vec![(SimTime::ZERO, Bytes::new(125)); 40_000];
-    net.add_scripted_source(FlowId(1), &low, false);
-    let deliveries = net.run(SimTime::from_secs(100));
+    net.add_source(0, FlowId(1), &low);
+    let report = net.run(SimTime::from_secs(100));
+    assert!(report.audit.balanced());
+    let deliveries = &report.sink_departures[0].1;
     // Cumulative low-priority service must satisfy
     // W(t1,t2) >= (C - rho)(t2 - t1) - sigma - packet slack over all
     // windows (extra packets of slack for non-preemption/quantization).
@@ -178,8 +183,8 @@ fn residual_capacity_of_priority_server_is_fc() {
     let mut worst: f64 = 0.0;
     let mut min_g = 0.0f64; // g(0) = 0
     let mut acc = 0.0;
-    for d in deliveries.iter().filter(|d| d.pkt.flow == FlowId(1)) {
-        acc += d.pkt.len.bits() as f64;
+    for d in deliveries.iter().filter(|d| d.flow == FlowId(1)) {
+        acc += d.len.bits() as f64;
         let g = resid * d.at.as_secs_f64() - acc;
         worst = worst.max(g - min_g);
         min_g = min_g.min(g);
