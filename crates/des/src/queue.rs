@@ -4,10 +4,27 @@
 //! queue pops them in time order, and simultaneous events are delivered
 //! in the order they were scheduled (monotone sequence numbers) so runs
 //! are bit-for-bit reproducible.
+//!
+//! # Two lanes, one order
+//!
+//! Pending events live in one of two lanes. An event scheduled at a
+//! time no earlier than the last event of the *run* is appended to the
+//! run, a `VecDeque`; sequence numbers only grow, so the run is sorted
+//! by `(time, seq)` without ever comparing more than its last entry.
+//! Every other event goes to the binary heap. `pop` takes whichever
+//! lane's front is smaller under the same `(time, seq)` order the heap
+//! alone used to apply, and `(time, seq)` is a total order over all
+//! pending events, so the delivery sequence is the one a single heap
+//! would produce — the lanes change what an operation costs, not what
+//! it returns. A simulation that scripts its arrivals up front in time
+//! order (the graph executor does) pays O(1) per scripted event, and
+//! the heap holds only the few events in flight instead of the script.
+//! Scheduled in any other pattern the queue degrades to the heap plus
+//! one comparison per operation.
 
 use simtime::{SimDuration, SimTime};
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 struct Entry<E> {
     time: SimTime,
@@ -35,8 +52,19 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// Which lane holds the next event.
+#[derive(Clone, Copy)]
+enum Lane {
+    Run,
+    Heap,
+}
+
 /// A time-ordered queue of events of type `E` with a simulation clock.
 pub struct EventQueue<E> {
+    /// Events scheduled at a time >= the run's last: sorted by
+    /// `(time, seq)` by construction.
+    run: VecDeque<Entry<E>>,
+    /// Everything else.
     heap: BinaryHeap<Reverse<Entry<E>>>,
     now: SimTime,
     seq: u64,
@@ -47,6 +75,7 @@ impl<E> EventQueue<E> {
     /// New queue with the clock at t = 0.
     pub fn new() -> Self {
         EventQueue {
+            run: VecDeque::new(),
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
@@ -68,13 +97,17 @@ impl<E> EventQueue<E> {
     /// past — a causality violation, always a bug in the model.
     pub fn schedule(&mut self, t: SimTime, event: E) {
         assert!(t >= self.now, "event scheduled in the past");
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Entry {
+        let entry = Entry {
             time: t,
-            seq,
+            seq: self.seq,
             event,
-        }));
+        };
+        self.seq += 1;
+        if self.run.back().is_none_or(|last| last.time <= t) {
+            self.run.push_back(entry);
+        } else {
+            self.heap.push(Reverse(entry));
+        }
     }
 
     /// Schedule `event` after a non-negative delay from now.
@@ -84,27 +117,56 @@ impl<E> EventQueue<E> {
         self.schedule(t, event);
     }
 
-    /// Pop the next event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(e) = self.heap.pop()?;
+    /// Lane and timestamp of the next event by `(time, seq)`.
+    fn next(&self) -> Option<(Lane, SimTime)> {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(r), Some(Reverse(h))) if h < r => Some((Lane::Heap, h.time)),
+            (Some(r), _) => Some((Lane::Run, r.time)),
+            (None, Some(Reverse(h))) => Some((Lane::Heap, h.time)),
+            (None, None) => None,
+        }
+    }
+
+    /// Take the front of `lane`, advancing the clock to its timestamp.
+    fn take(&mut self, lane: Lane) -> Option<(SimTime, E)> {
+        let e = match lane {
+            Lane::Run => self.run.pop_front()?,
+            Lane::Heap => self.heap.pop()?.0,
+        };
         self.now = e.time;
         self.processed += 1;
         Some((e.time, e.event))
     }
 
+    /// Pop the next event, advancing the clock to its timestamp.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let (lane, _) = self.next()?;
+        self.take(lane)
+    }
+
+    /// Pop the next event if it is due at or before `horizon`;
+    /// otherwise leave the queue and the clock untouched.
+    pub fn pop_through(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+        let (lane, due) = self.next()?;
+        if due > horizon {
+            return None;
+        }
+        self.take(lane)
+    }
+
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.next().map(|(_, due)| due)
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 }
 
@@ -160,6 +222,41 @@ mod tests {
     }
 
     #[test]
+    fn equal_time_events_stay_fifo_across_the_two_lanes() {
+        let mut q = EventQueue::new();
+        let (t5, t7) = (SimTime::from_secs(5), SimTime::from_secs(7));
+        q.schedule(t5, 0); // run
+        q.schedule(t7, 1); // run
+        q.schedule(t5, 2); // before the run's last: heap
+        q.schedule(t7, 3); // run again
+        q.schedule(t5, 4); // heap
+        assert_eq!((q.run.len(), q.heap.len()), (3, 2));
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![0, 2, 4, 1, 3]);
+    }
+
+    #[test]
+    fn pop_through_stops_at_the_horizon_without_moving_the_clock() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(1), "a");
+        q.schedule(SimTime::from_secs(3), "b");
+        assert_eq!(q.pop_through(SimTime::ZERO), None);
+        assert_eq!((q.now(), q.processed(), q.len()), (SimTime::ZERO, 0, 2));
+        // An event exactly at the horizon still fires.
+        assert_eq!(
+            q.pop_through(SimTime::from_secs(1)),
+            Some((SimTime::from_secs(1), "a"))
+        );
+        assert_eq!(q.pop_through(SimTime::from_secs(2)), None);
+        assert_eq!(q.now(), SimTime::from_secs(1));
+        assert_eq!(
+            q.pop_through(SimTime::from_secs(9)).map(|(_, e)| e),
+            Some("b")
+        );
+        assert_eq!(q.pop_through(SimTime::from_secs(9)), None);
+    }
+
+    #[test]
     fn empty_and_len() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
@@ -173,6 +270,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -226,6 +324,152 @@ mod proptests {
             }
             prop_assert_eq!(popped, scheduled);
             prop_assert_eq!(q.processed(), scheduled as u64);
+        }
+    }
+
+    /// One step of the differential test; times are milliseconds.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// `schedule` at now + the offset.
+        At(i128),
+        /// `schedule_in` the offset.
+        In(i128),
+        Pop,
+        /// `pop_through` now + the offset.
+        PopThrough(i128),
+    }
+
+    /// Offsets from a few values, so that equal-time bursts are the
+    /// rule and land on both sides of the run's last entry, mixed with
+    /// far ones that move that entry out of reach.
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0i128..4).prop_map(Op::At),
+            (0i128..4).prop_map(Op::In),
+            (0i128..400).prop_map(Op::At),
+            Just(Op::Pop),
+            Just(Op::Pop),
+            (0i128..6).prop_map(Op::PopThrough),
+        ]
+    }
+
+    /// What is scheduled before the first pop: nothing; a sorted bulk
+    /// script (the graph executor's pattern — everything dynamic then
+    /// lands before the run's last entry); one far-future event (the
+    /// run is stuck behind it and everything else takes the heap);
+    /// or the far-future event and then the script.
+    fn preload() -> impl Strategy<Value = Vec<i128>> {
+        let script = || {
+            prop::collection::vec(0i128..300, 1..80).prop_map(|mut v| {
+                v.sort_unstable();
+                v
+            })
+        };
+        prop_oneof![
+            Just(Vec::new()),
+            script(),
+            Just(vec![1_000_000]),
+            script().prop_map(|mut v| {
+                v.insert(0, 1_000_000);
+                v
+            }),
+        ]
+    }
+
+    /// The queue and its model: a `BTreeMap` keyed by `(time, seq)` is
+    /// the specification of the delivery order.
+    struct Pair {
+        q: EventQueue<u64>,
+        model: BTreeMap<(SimTime, u64), u64>,
+        seq: u64,
+        now: SimTime,
+        processed: u64,
+    }
+
+    impl Pair {
+        /// Schedule the next id `delay` from now on both sides, through
+        /// `schedule_in` or through `schedule` at the absolute time.
+        fn schedule(&mut self, delay: SimDuration, relative: bool) {
+            let t = self.now + delay;
+            if relative {
+                self.q.schedule_in(delay, self.seq);
+            } else {
+                self.q.schedule(t, self.seq);
+            }
+            self.model.insert((t, self.seq), self.seq);
+            self.seq += 1;
+        }
+
+        /// Pop both sides (through `horizon`, if given) and compare.
+        fn pop(&mut self, horizon: Option<SimTime>) -> Result<(), TestCaseError> {
+            let due = self
+                .model
+                .first_key_value()
+                .map(|(&(t, _), _)| t)
+                .filter(|&t| horizon.is_none_or(|h| t <= h));
+            let want = due.and_then(|_| self.model.pop_first().map(|((t, _), id)| (t, id)));
+            let got = match horizon {
+                Some(h) => self.q.pop_through(h),
+                None => self.q.pop(),
+            };
+            prop_assert_eq!(got, want);
+            if let Some((t, _)) = want {
+                self.now = t;
+                self.processed += 1;
+            }
+            Ok(())
+        }
+
+        fn check(&self) -> Result<(), TestCaseError> {
+            prop_assert_eq!(self.q.len(), self.model.len());
+            prop_assert_eq!(self.q.is_empty(), self.model.is_empty());
+            prop_assert_eq!(
+                self.q.peek_time(),
+                self.model.first_key_value().map(|(&(t, _), _)| t)
+            );
+            prop_assert_eq!(self.q.now(), self.now);
+            prop_assert_eq!(self.q.processed(), self.processed);
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Differential: under any interleaving of `schedule`,
+        /// `schedule_in`, `pop` and `pop_through`, the two-lane queue
+        /// delivers exactly what one `(time, seq)`-ordered map would,
+        /// and its observers agree with the model at every step.
+        #[test]
+        fn two_lanes_match_a_btreemap_model(
+            preload in preload(),
+            ops in prop::collection::vec(op(), 1..300),
+        ) {
+            let mut p = Pair {
+                q: EventQueue::new(),
+                model: BTreeMap::new(),
+                seq: 0,
+                now: SimTime::ZERO,
+                processed: 0,
+            };
+            for t in preload {
+                p.schedule(SimDuration::from_millis(t), false);
+                p.check()?;
+            }
+            for op in ops {
+                match op {
+                    Op::At(dt) => p.schedule(SimDuration::from_millis(dt), false),
+                    Op::In(dt) => p.schedule(SimDuration::from_millis(dt), true),
+                    Op::Pop => p.pop(None)?,
+                    Op::PopThrough(dt) => p.pop(Some(p.now + SimDuration::from_millis(dt)))?,
+                }
+                p.check()?;
+            }
+            while !p.model.is_empty() {
+                p.pop(None)?;
+                p.check()?;
+            }
+            prop_assert_eq!(p.q.pop(), None);
         }
     }
 }

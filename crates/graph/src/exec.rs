@@ -39,6 +39,7 @@ use sfq_core::{FlowId, FlowMap, Packet, PacketFactory, PktRef};
 use simtime::{Bytes, SimDuration, SimTime};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Range;
 
 /// One node of the wired graph.
 pub enum NodeKind {
@@ -74,8 +75,11 @@ enum TcpEv {
 enum Ev {
     /// Inject pre-grouped script range `groups[i]`.
     Inject(usize),
-    /// A batch crossing a delayed wire lands at `node`.
-    Arrive { node: usize, pkts: Vec<PktRef> },
+    /// One packet crossing a wire lands at `node`: every port's
+    /// transmission hand-off, and any lone emission on a delayed wire.
+    Arrive { node: usize, h: PktRef },
+    /// A batch of two or more crossing a delayed wire lands at `node`.
+    ArriveBatch { node: usize, pkts: Box<[PktRef]> },
     /// `node`'s link finishes transmitting the packet in slot `h`.
     TxDone { node: usize, h: PktRef },
     /// Churn fault: force-remove `flow` at `node`.
@@ -189,7 +193,25 @@ pub struct Graph {
     churn_refused: u64,
     arena_refused: u64,
     ran: bool,
-    // run-to-completion scratch, reused across dispatches
+    scratch: Scratch,
+}
+
+/// Run-to-completion scratch, reused across events so that a dispatch
+/// allocates only when a buffer grows past its high-water mark.
+#[derive(Default)]
+struct Scratch {
+    /// The ingress batch of an `Inject` or TCP event.
+    ingress: Vec<PktRef>,
+    /// Pending `(node, batch)` work of the dispatch in flight; a batch
+    /// is a range of `batches`.
+    work: VecDeque<(usize, Range<usize>)>,
+    /// The batches of the dispatch in flight, back to back.
+    batches: Vec<PktRef>,
+    /// A batch after the executor's own pass over it: at a port,
+    /// churned flows out and fragments in; at a sink, fragments out
+    /// and reassembled originals in.
+    staged: Vec<PktRef>,
+    /// What the node being dispatched emitted, until routed.
     emissions: Vec<(OutPort, PktRef)>,
 }
 
@@ -247,7 +269,7 @@ impl Graph {
             churn_refused: 0,
             arena_refused: 0,
             ran: false,
-            emissions: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -355,7 +377,7 @@ impl Graph {
         // Group injections by (time, entry, class) so each group is
         // one run-to-completion ingress batch.
         script.sort_by_key(|&(entry, _, ref p)| (p.arrival, entry, p.uid));
-        let mut groups: Vec<std::ops::Range<usize>> = Vec::new();
+        let mut groups: Vec<Range<usize>> = Vec::new();
         let mut q = EventQueue::new();
         let mut i = 0;
         while i < script.len() {
@@ -382,15 +404,13 @@ impl Graph {
         }
 
         let mut churn_discarded = 0u64;
-        while q.peek_time().is_some_and(|t| t <= horizon) {
-            let Some((now, ev)) = q.pop() else {
-                break;
-            };
+        while let Some((now, ev)) = q.pop_through(horizon) {
             match ev {
                 Ev::Inject(g) => {
                     let range = groups[g].clone();
                     let (entry, priority, _) = script[range.start];
-                    let mut batch = Vec::with_capacity(range.len());
+                    let mut batch = std::mem::take(&mut self.scratch.ingress);
+                    batch.clear();
                     for &(_, _, pkt) in &script[range] {
                         match self.arena.try_alloc(pkt) {
                             Some(h) => batch.push(h),
@@ -399,15 +419,17 @@ impl Graph {
                     }
                     if priority {
                         let port = Self::port_of(&mut self.nodes, entry);
-                        for h in batch {
+                        for &h in &batch {
                             port.offer_priority(now, &mut self.arena, h);
                         }
                         self.kick(entry, now, &mut q);
                     } else {
-                        self.dispatch_into(now, entry, batch, &mut q);
+                        self.dispatch_into(now, entry, &batch, &mut q);
                     }
+                    self.scratch.ingress = batch;
                 }
-                Ev::Arrive { node, pkts } => self.dispatch_into(now, node, pkts, &mut q),
+                Ev::Arrive { node, h } => self.dispatch_into(now, node, &[h], &mut q),
+                Ev::ArriveBatch { node, pkts } => self.dispatch_into(now, node, &pkts, &mut q),
                 Ev::TxDone { node, h } => {
                     let uid = self.arena.get(h).uid;
                     Self::port_of(&mut self.nodes, node).complete(now);
@@ -415,13 +437,7 @@ impl Graph {
                         .port_departures
                         .push((node, now));
                     let edge = self.wires[node][0];
-                    q.schedule(
-                        now + edge.prop,
-                        Ev::Arrive {
-                            node: edge.to,
-                            pkts: vec![h],
-                        },
-                    );
+                    q.schedule(now + edge.prop, Ev::Arrive { node: edge.to, h });
                     self.kick(node, now, &mut q);
                 }
                 Ev::Churn { node, flow } => {
@@ -453,7 +469,8 @@ impl Graph {
             TcpEv::Ack(ackno) => ep.sender.on_ack(now, ackno),
             TcpEv::Rto(gen) => ep.sender.on_rto(now, gen),
         };
-        let mut batch = Vec::with_capacity(segs.len());
+        let mut batch = std::mem::take(&mut self.scratch.ingress);
+        batch.clear();
         for seg in segs {
             let pkt = self.mint.make(flow, ep.mss, now);
             match self.arena.try_alloc(pkt) {
@@ -465,7 +482,8 @@ impl Graph {
             }
         }
         let (entry, timer) = (ep.entry, ep.sender.timer());
-        self.dispatch_into(now, entry, batch, q);
+        self.dispatch_into(now, entry, &batch, q);
+        self.scratch.ingress = batch;
         if let Some((deadline, gen)) = timer {
             q.schedule(deadline.max(now), Ev::Tcp(flow, TcpEv::Rto(gen)));
         }
@@ -474,29 +492,33 @@ impl Graph {
     /// Run-to-completion: chain `batch` through nodes along zero-queue
     /// hops until every handle rests in a port, a sink, or the arena
     /// freelist. FIFO work order keeps sibling emissions in dispatch
-    /// order.
+    /// order. Every buffer is [`Scratch`]: the only allocations here
+    /// are buffer growth, fragments' journeys, and the boxed batch of a
+    /// multi-packet delayed crossing.
     fn dispatch_into(
         &mut self,
         now: SimTime,
         node: usize,
-        batch: Vec<PktRef>,
+        batch: &[PktRef],
         q: &mut EventQueue<Ev>,
     ) {
-        let mut work: VecDeque<(usize, Vec<PktRef>)> = VecDeque::new();
-        work.push_back((node, batch));
-        while let Some((n, mut pkts)) = work.pop_front() {
-            if pkts.is_empty() {
+        self.scratch.batches.clear();
+        self.scratch.batches.extend_from_slice(batch);
+        self.scratch.work.push_back((node, 0..batch.len()));
+        while let Some((n, range)) = self.scratch.work.pop_front() {
+            if range.is_empty() {
                 continue;
             }
-            let mut emissions = std::mem::take(&mut self.emissions);
-            emissions.clear();
+            let pkts = &self.scratch.batches[range];
+            let emissions = &mut self.scratch.emissions;
+            let staged = &mut self.scratch.staged;
             let mut kick_port = false;
             match &mut self.nodes[n] {
-                NodeKind::Classify(c) => c.dispatch(now, &mut self.arena, &pkts, &mut emissions),
-                NodeKind::Police(p) => p.dispatch(now, &mut self.arena, &pkts, &mut emissions),
+                NodeKind::Classify(c) => c.dispatch(now, &mut self.arena, pkts, emissions),
+                NodeKind::Police(p) => p.dispatch(now, &mut self.arena, pkts, emissions),
                 NodeKind::Port(p) => {
-                    let mut admit = Vec::with_capacity(pkts.len());
-                    for h in pkts {
+                    staged.clear();
+                    for &h in pkts {
                         let Packet { flow, len, uid, .. } = *self.arena.get(h);
                         if self.removed.contains(&(n, flow)) {
                             self.arena.free(h);
@@ -519,24 +541,26 @@ impl Graph {
                                     self.fragment_of.insert(frag.uid, uid);
                                     outstanding += 1;
                                     match self.arena.try_alloc(frag) {
-                                        Some(fh) => admit.push(fh),
+                                        Some(fh) => staged.push(fh),
                                         None => self.arena_refused += 1,
                                     }
                                 }
                                 self.reassembly.insert(uid, (h, outstanding));
                             }
-                            _ => admit.push(h),
+                            _ => staged.push(h),
                         }
                     }
-                    p.dispatch(now, &mut self.arena, &admit, &mut emissions);
+                    p.dispatch(now, &mut self.arena, staged, emissions);
                     kick_port = true;
                 }
                 NodeKind::Sink(s) => {
+                    staged.clear();
+                    staged.extend_from_slice(pkts);
                     if !self.fragment_of.is_empty() {
                         // Reassembly: a fragment is absorbed; the last
                         // one of a packet is replaced by the parked
                         // original, which is what the sink delivers.
-                        pkts.retain_mut(|h| {
+                        staged.retain_mut(|h| {
                             let Some(orig) = self.fragment_of.remove(&self.arena.get(*h).uid)
                             else {
                                 return true;
@@ -553,7 +577,7 @@ impl Graph {
                             true
                         });
                     }
-                    for &h in &pkts {
+                    for &h in staged.iter() {
                         let Packet { flow, uid, .. } = *self.arena.get(h);
                         self.mint.transits[uid as usize].delivered = Some((n, now));
                         // Close the loop: a delivered TCP segment
@@ -565,41 +589,43 @@ impl Graph {
                             }
                         }
                     }
-                    s.dispatch(now, &mut self.arena, &pkts, &mut emissions);
+                    s.dispatch(now, &mut self.arena, staged, emissions);
                 }
             }
             if kick_port {
                 self.kick(n, now, q);
             }
             // Route emissions along wires, preserving order and batch
-            // locality: same-target zero-delay emissions stay one
-            // batch; delayed ones cross as one Arrive event per
-            // (target, delay).
-            let mut local: Vec<(usize, Vec<PktRef>)> = Vec::new();
-            let mut delayed: Vec<(usize, SimDuration, Vec<PktRef>)> = Vec::new();
-            for (op, h) in emissions.drain(..) {
-                let edge = self.wires[n][op.0];
+            // locality: each pass moves the first emission's whole
+            // `(target, delay)` group, in emission order, to the end of
+            // `batches`. Zero-delay groups stay one batch of this
+            // dispatch; delayed ones cross as one event per group.
+            let wires = &self.wires[n];
+            while let Some(&(first, _)) = self.scratch.emissions.first() {
+                let edge = wires[first.0];
+                let batches = &mut self.scratch.batches;
+                let start = batches.len();
+                self.scratch.emissions.retain(|&(op, h)| {
+                    let e = wires[op.0];
+                    let grouped = e.to == edge.to && e.prop == edge.prop;
+                    if grouped {
+                        batches.push(h);
+                    }
+                    !grouped
+                });
                 if edge.prop == SimDuration::ZERO {
-                    match local.iter_mut().find(|(to, _)| *to == edge.to) {
-                        Some((_, v)) => v.push(h),
-                        None => local.push((edge.to, vec![h])),
-                    }
-                } else {
-                    match delayed
-                        .iter_mut()
-                        .find(|(to, d, _)| *to == edge.to && *d == edge.prop)
-                    {
-                        Some((_, _, v)) => v.push(h),
-                        None => delayed.push((edge.to, edge.prop, vec![h])),
-                    }
+                    self.scratch.work.push_back((edge.to, start..batches.len()));
+                    continue;
                 }
-            }
-            self.emissions = emissions;
-            for (to, v) in local {
-                work.push_back((to, v));
-            }
-            for (to, d, v) in delayed {
-                q.schedule(now + d, Ev::Arrive { node: to, pkts: v });
+                let ev = match batches[start..] {
+                    [h] => Ev::Arrive { node: edge.to, h },
+                    ref pkts => Ev::ArriveBatch {
+                        node: edge.to,
+                        pkts: pkts.into(),
+                    },
+                };
+                batches.truncate(start);
+                q.schedule(now + edge.prop, ev);
             }
         }
     }

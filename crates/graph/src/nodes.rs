@@ -4,7 +4,7 @@
 use crate::arena::PktArena;
 use crate::node::{GraphNode, OutPort};
 use sfq_core::{FlowId, FlowMap, PktRef, ReturnQueue};
-use simtime::{Bytes, Rate, SimTime};
+use simtime::{Bytes, Rate, SimDuration, SimTime};
 use std::sync::Arc;
 
 /// Flow-id → out-port classification (the paper's per-flow path
@@ -100,31 +100,51 @@ pub struct TokenBucket {
 /// freed and counted; flows without a contract pass through untouched.
 /// Conforming traffic leaves on out-port 0.
 pub struct Policer {
-    rules: FlowMap<TokenBucket>,
-    tat: FlowMap<SimTime>,
-    dropped: FlowMap<u64>,
+    contracts: FlowMap<Contract>,
     total_dropped: u64,
+}
+
+/// One flow's contract and its running state, together so that a
+/// packet costs one lookup.
+struct Contract {
+    rho: Rate,
+    /// τ = σ/ρ, the burst tolerance, computed when the contract is set.
+    tau: SimDuration,
+    /// Theoretical arrival time of the flow's next conforming packet.
+    tat: SimTime,
+    dropped: u64,
 }
 
 impl Policer {
     /// Policer with no contracts (everything conforms).
     pub fn new() -> Self {
         Policer {
-            rules: FlowMap::new(),
-            tat: FlowMap::new(),
-            dropped: FlowMap::new(),
+            contracts: FlowMap::new(),
             total_dropped: 0,
         }
     }
 
-    /// Enforce `bucket` on `flow`.
+    /// Enforce `bucket` on `flow`. Re-contracting a flow changes its
+    /// rate and tolerance and keeps its TAT and drop count.
     pub fn contract(&mut self, flow: FlowId, bucket: TokenBucket) {
-        self.rules.insert(flow, bucket);
+        let (rho, tau) = (bucket.rho, bucket.rho.tx_time(bucket.sigma));
+        match self.contracts.get_mut(flow) {
+            Some(c) => (c.rho, c.tau) = (rho, tau),
+            None => {
+                let fresh = Contract {
+                    rho,
+                    tau,
+                    tat: SimTime::ZERO,
+                    dropped: 0,
+                };
+                self.contracts.insert(flow, fresh);
+            }
+        }
     }
 
     /// Non-conforming packets dropped for `flow`.
     pub fn dropped(&self, flow: FlowId) -> u64 {
-        self.dropped.get(flow).copied().unwrap_or(0)
+        self.contracts.get(flow).map_or(0, |c| c.dropped)
     }
 
     /// Non-conforming packets dropped across all flows.
@@ -149,27 +169,22 @@ impl GraphNode for Policer {
     ) {
         for &h in pkts {
             let pkt = *arena.get(h);
-            let Some(tb) = self.rules.get(pkt.flow).copied() else {
+            let Some(c) = self.contracts.get_mut(pkt.flow) else {
                 out.push((OutPort(0), h));
                 continue;
             };
-            let tat = self.tat.get(pkt.flow).copied().unwrap_or(SimTime::ZERO);
             // Conform iff now ≥ TAT − τ with τ = σ/ρ, rearranged to
-            // avoid negative times: TAT ≤ now + τ.
-            let tau = tb.rho.tx_time(tb.sigma);
-            if tat <= now + tau {
-                let next = tat.max(now) + tb.rho.tx_time(pkt.len);
-                self.tat.insert(pkt.flow, next);
+            // avoid negative times: TAT ≤ now + τ. A flow whose TAT
+            // has passed conforms whatever τ is.
+            let idle = c.tat <= now;
+            if idle || c.tat <= now + c.tau {
+                let from = if idle { now } else { c.tat };
+                c.tat = from + c.rho.tx_time(pkt.len);
                 out.push((OutPort(0), h));
             } else {
                 arena.free(h);
+                c.dropped += 1;
                 self.total_dropped += 1;
-                match self.dropped.get_mut(pkt.flow) {
-                    Some(n) => *n += 1,
-                    None => {
-                        self.dropped.insert(pkt.flow, 1);
-                    }
-                }
             }
         }
     }
@@ -253,7 +268,6 @@ impl GraphNode for TxSink {
 mod tests {
     use super::*;
     use sfq_core::PacketFactory;
-    use simtime::SimDuration;
 
     #[test]
     fn classifier_routes_and_counts_unrouted() {

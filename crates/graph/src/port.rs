@@ -125,8 +125,7 @@ impl PortNode {
         // The switch reported every shed uid (refusal or eviction)
         // through the drop observer; evicted uids were previously
         // admitted, so their slots are in the side table.
-        let shed: Vec<u64> = self.shed.borrow_mut().uids.drain(..).collect();
-        for uid in shed {
+        for uid in self.shed.borrow_mut().uids.drain(..) {
             if uid == pkt.uid {
                 continue; // the refusal settled above
             }

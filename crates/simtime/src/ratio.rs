@@ -11,6 +11,31 @@
 //! quantization of random inputs) intermediate products stay far below
 //! `i128::MAX`, and a panic is a correctness signal, not an expected
 //! runtime condition.
+//!
+//! # The 64-bit road
+//!
+//! `i128` is what keeps the arithmetic from overflowing, but it is not
+//! what most values need: a nanosecond arrival time, a transmission
+//! time `l / C`, a policer's theoretical arrival time all have
+//! numerators and denominators far below `2^63`. On x86-64 a 128-bit
+//! `%`, `/` or `checked_mul` is a library call (`__modti3`,
+//! `__divti3`, `__muloti4`); the same operation on 64-bit operands is
+//! one instruction. So [`Ratio::new`], [`Ratio::checked_add`] (hence
+//! `checked_sub`), [`Ratio::checked_mul`] and [`Ord::cmp`] first ask
+//! whether every numerator and denominator involved fits an `i64`. If
+//! so they take gcds on machine words (`gcd64`), divide with the
+//! hardware `div` and form every product as `i64 × i64 → i128`, which
+//! cannot overflow — so the road needs no overflow checks and never
+//! returns `None`. If not, they fall through to the wide code
+//! (`new_wide`, `add_wide`, `mul_wide`, `cmp_wide`), which is the only
+//! code there used to be.
+//!
+//! The two roads compute the same thing, not two approximations of it:
+//! both return *the* reduced fraction with a positive denominator,
+//! which is unique, and the unit tests check the 64-bit road against
+//! the wide one exhaustively on a small domain and by property test on
+//! operands straddling `i64::MAX`, `i64::MIN` and `u64::MAX`. Nothing
+//! selects between them but the size of the operands.
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -23,15 +48,99 @@ pub struct Ratio {
     den: i128,
 }
 
-/// Greatest common divisor (binary-free Euclid; inputs may be negative).
+/// Greatest common divisor of operands of any width and sign, by
+/// Euclid: every step is a 128-bit `%`. Magnitudes are taken unsigned
+/// so that `i128::MIN`, a legal numerator, is an ordinary operand; the
+/// result fits unless it is `2^127` itself.
 fn gcd(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
     while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+        (a, b) = (b, a % b);
     }
-    a
+    i128::try_from(a).expect("Ratio gcd overflow")
+}
+
+/// [`gcd`] on machine words, by the binary algorithm: shifts and
+/// subtractions only, which beats even the hardware `div` of Euclid on
+/// the 30- to 50-bit denominators exact times have.
+fn gcd64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    b >>= b.trailing_zeros();
+    // Both odd from here on: their difference is even, and its odd
+    // part replaces the larger.
+    while a != b {
+        let d = a.abs_diff(b);
+        b = a.min(b);
+        a = d >> d.trailing_zeros();
+    }
+    a << shift
+}
+
+/// `x * y` of two machine words; an `i128` holds every such product.
+#[inline]
+fn wide(x: i64, y: i64) -> i128 {
+    x as i128 * y as i128
+}
+
+/// `v / g` for a divisor `0 < g`, in 64 bits when `v` fits.
+#[inline]
+fn div64(v: i128, g: i64) -> i128 {
+    match i64::try_from(v) {
+        Ok(v) => (v / g) as i128,
+        Err(_) => v / g as i128,
+    }
+}
+
+/// `num / den` reduced, for `den != 0`. `g >= 1` because `den != 0`,
+/// and the magnitudes divide as unsigned words, so `i64::MIN` is an
+/// ordinary operand here.
+fn new64(num: i64, den: i64) -> Ratio {
+    let (n, d) = (num.unsigned_abs(), den.unsigned_abs());
+    let g = gcd64(n, d);
+    let n = (n / g) as i128;
+    Ratio {
+        num: if (num < 0) != (den < 0) { -n } else { n },
+        den: (d / g) as i128,
+    }
+}
+
+/// `a/b + c/d` for reduced operands with `b, d > 0`: the algorithm of
+/// [`Ratio::add_wide`] (sum over the lcm, then one gcd against
+/// `g = gcd(b, d)`, which every common factor of the sum's numerator
+/// and denominator divides) with `b == d` as the case `g = b`. The two
+/// products in the numerator are below `2^126` in magnitude, so their
+/// sum fits; the reduction stays in 64 bits unless the numerator
+/// itself outgrew them.
+fn add64((a, b): (i64, i64), (c, d): (i64, i64)) -> Ratio {
+    let (num, den, g) = if b == d {
+        (a as i128 + c as i128, b as i128, b)
+    } else {
+        let g = gcd64(b as u64, d as u64) as i64;
+        let (lb, ld) = (d / g, b / g);
+        (wide(a, lb) + wide(c, ld), wide(b, lb), g)
+    };
+    if g == 1 {
+        return Ratio::raw(num, den);
+    }
+    let rem = match i64::try_from(num) {
+        Ok(n) => (n % g).unsigned_abs(),
+        Err(_) => (num % g as i128).unsigned_abs() as u64,
+    };
+    // gcd(g, 0) = g covers a zero sum: equal denominators, 0/b -> 0/1.
+    let g2 = gcd64(g as u64, rem) as i64;
+    Ratio::raw(div64(num, g2), div64(den, g2))
+}
+
+/// `a/b * c/d` for reduced non-zero operands with `b, d > 0`,
+/// cross-reduced before multiplying like [`Ratio::mul_wide`].
+fn mul64((a, b): (i64, i64), (c, d): (i64, i64)) -> Ratio {
+    let g1 = gcd64(a.unsigned_abs(), d as u64) as i64;
+    let g2 = gcd64(c.unsigned_abs(), b as u64) as i64;
+    Ratio::raw(wide(a / g1, c / g2), wide(b / g2, d / g1))
 }
 
 impl Ratio {
@@ -47,6 +156,14 @@ impl Ratio {
             // Integer fast path: already reduced.
             return Ratio { num, den: 1 };
         }
+        match (i64::try_from(num), i64::try_from(den)) {
+            (Ok(num), Ok(den)) => new64(num, den),
+            _ => Self::new_wide(num, den),
+        }
+    }
+
+    /// [`Ratio::new`] for operands of any width (`den` neither 0 nor 1).
+    fn new_wide(num: i128, den: i128) -> Self {
         let sign = if den < 0 { -1 } else { 1 };
         let g = gcd(num, den);
         if g == 0 {
@@ -69,6 +186,13 @@ impl Ratio {
             "Ratio::raw requires a reduced fraction: {num}/{den}"
         );
         Ratio { num, den }
+    }
+
+    /// Numerator and denominator as machine words, when both fit: the
+    /// question every operation asks to choose the 64-bit road.
+    #[inline]
+    fn narrow(self) -> Option<(i64, i64)> {
+        Some((i64::try_from(self.num).ok()?, i64::try_from(self.den).ok()?))
     }
 
     /// Construct from an integer.
@@ -101,11 +225,12 @@ impl Ratio {
         self.num > 0
     }
 
-    /// Absolute value.
+    /// Absolute value. Panics on overflow (`i128::MIN` numerator).
     pub fn abs(self) -> Self {
-        Ratio {
-            num: self.num.abs(),
-            den: self.den,
+        if self.num < 0 {
+            -self
+        } else {
+            self
         }
     }
 
@@ -147,19 +272,29 @@ impl Ratio {
     ///
     /// Layered fast paths for the shapes scheduler arithmetic actually
     /// produces (tag chains repeatedly add spans with one of a few
-    /// denominators): integers add without any gcd; a zero operand
-    /// returns the other; equal denominators need one gcd and no
+    /// denominators): a zero operand returns the other; integers add
+    /// without any gcd; equal denominators need one gcd and no
     /// multiplications; coprime denominators skip the final reduction
-    /// entirely (the cross sum is provably already reduced).
+    /// entirely (the cross sum is provably already reduced). Operands
+    /// that fit machine words do all of it on the 64-bit road (module
+    /// docs), which cannot overflow.
     pub fn checked_add(self, rhs: Self) -> Option<Self> {
-        if self.den == 1 && rhs.den == 1 {
-            return Some(Ratio::raw(self.num.checked_add(rhs.num)?, 1));
-        }
         if self.num == 0 {
             return Some(rhs);
         }
         if rhs.num == 0 {
             return Some(self);
+        }
+        match (self.narrow(), rhs.narrow()) {
+            (Some(a), Some(b)) => Some(add64(a, b)),
+            _ => self.add_wide(rhs),
+        }
+    }
+
+    /// [`Ratio::checked_add`] for operands of any width.
+    fn add_wide(self, rhs: Self) -> Option<Self> {
+        if self.den == 1 && rhs.den == 1 {
+            return Some(Ratio::raw(self.num.checked_add(rhs.num)?, 1));
         }
         if self.den == rhs.den {
             // a/b + c/b = (a + c)/b; reduce by gcd(a + c, b) only.
@@ -197,6 +332,14 @@ impl Ratio {
         if self.num == 0 || rhs.num == 0 {
             return Some(Ratio::ZERO);
         }
+        match (self.narrow(), rhs.narrow()) {
+            (Some(a), Some(b)) => Some(mul64(a, b)),
+            _ => self.mul_wide(rhs),
+        }
+    }
+
+    /// [`Ratio::checked_mul`] for non-zero operands of any width.
+    fn mul_wide(self, rhs: Self) -> Option<Self> {
         if self.den == 1 && rhs.den == 1 {
             // Integer fast path: no gcds at all.
             return Some(Ratio::raw(self.num.checked_mul(rhs.num)?, 1));
@@ -322,7 +465,7 @@ impl Neg for Ratio {
     type Output = Ratio;
     fn neg(self) -> Self {
         Ratio {
-            num: -self.num,
+            num: self.num.checked_neg().expect("Ratio neg overflow"),
             den: self.den,
         }
     }
@@ -380,7 +523,17 @@ impl Ord for Ratio {
         if self.den == other.den {
             return self.num.cmp(&other.num);
         }
-        // Fast path: a/b vs c/d (b,d > 0)  <=>  a*d vs c*b.
+        // a/b vs c/d (b,d > 0)  <=>  a*d vs c*b.
+        match (self.narrow(), other.narrow()) {
+            (Some((a, b)), Some((c, d))) => wide(a, d).cmp(&wide(c, b)),
+            _ => self.cmp_wide(other),
+        }
+    }
+}
+
+impl Ratio {
+    /// [`Ord::cmp`] for unequal denominators of any width.
+    fn cmp_wide(&self, other: &Self) -> Ordering {
         if let (Some(lhs), Some(rhs)) = (
             self.num.checked_mul(other.den),
             other.num.checked_mul(self.den),
@@ -440,6 +593,7 @@ impl fmt::Display for Ratio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn r(n: i128, d: i128) -> Ratio {
         Ratio::new(n, d)
@@ -703,6 +857,110 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "Ratio neg overflow")]
+    fn neg_of_min_numerator_panics() {
+        let _ = -Ratio::from_int(i128::MIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "Ratio neg overflow")]
+    fn sub_of_min_numerator_panics() {
+        // A release build used to wrap `-i128::MIN` back to itself and
+        // return 0 - MIN = MIN.
+        let _ = Ratio::ZERO - Ratio::from_int(i128::MIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "Ratio neg overflow")]
+    fn abs_of_min_numerator_panics() {
+        let _ = Ratio::from_int(i128::MIN).abs();
+    }
+
+    // The operations as they were before the 64-bit road existed: the
+    // public entry points' shortcuts, then the wide code.
+
+    fn new_ref(num: i128, den: i128) -> Ratio {
+        if den == 1 {
+            Ratio { num, den }
+        } else {
+            Ratio::new_wide(num, den)
+        }
+    }
+
+    fn sub_ref(a: Ratio, b: Ratio) -> Option<Ratio> {
+        a.add_wide(Ratio {
+            num: b.num.checked_neg()?,
+            den: b.den,
+        })
+    }
+
+    fn mul_ref(a: Ratio, b: Ratio) -> Option<Ratio> {
+        if a.is_zero() || b.is_zero() {
+            Some(Ratio::ZERO)
+        } else {
+            a.mul_wide(b)
+        }
+    }
+
+    fn cmp_ref(a: Ratio, b: Ratio) -> Ordering {
+        if a.den == b.den {
+            a.num.cmp(&b.num)
+        } else {
+            a.cmp_wide(&b)
+        }
+    }
+
+    /// Every operation with a 64-bit road returns what the wide code
+    /// returns: the same `(numer, denom)`, the same `None`.
+    fn assert_roads_agree(a: Ratio, b: Ratio) {
+        assert_eq!(a.checked_add(b), a.add_wide(b), "{a} + {b}");
+        assert_eq!(a.checked_sub(b), sub_ref(a, b), "{a} - {b}");
+        assert_eq!(a.checked_mul(b), mul_ref(a, b), "{a} * {b}");
+        assert_eq!(a.cmp(&b), cmp_ref(a, b), "{a} vs {b}");
+    }
+
+    /// Every fraction over `parts` through `new`, then every pair of
+    /// them through the other operations, road against wide code.
+    fn assert_roads_agree_over(parts: &[i128]) {
+        let mut vals = Vec::new();
+        for &n in parts {
+            for &d in parts.iter().filter(|&&d| d != 0) {
+                assert_eq!(r(n, d), new_ref(n, d), "{n}/{d}");
+                vals.push(r(n, d));
+            }
+        }
+        for &a in &vals {
+            for &b in &vals {
+                assert_roads_agree(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_road_agrees_with_wide_on_small_domain() {
+        let small: Vec<i128> = (-8..=8).collect();
+        assert_roads_agree_over(&small);
+        for &a in &small {
+            for &b in &small {
+                let word = |v: i128| v.unsigned_abs() as u64;
+                assert_eq!(gcd64(word(a), word(b)) as i128, gcd(a, b), "gcd({a}, {b})");
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_road_agrees_with_wide_at_the_word_boundary() {
+        // Every pairing of the values where an operand stops fitting
+        // an i64 (and, for magnitudes, a u64), both signs.
+        let edges: Vec<i128> = [i64::MAX as i128, -(i64::MIN as i128), u64::MAX as i128]
+            .iter()
+            .flat_map(|&e| [e - 1, e, e + 1, -(e - 1), -e, -(e + 1)])
+            .chain([1, 2, 3, -1, -2, 1 << 62, 1 << 32, 6_700_417, 0])
+            .collect();
+        assert_roads_agree_over(&edges);
+    }
+
+    #[test]
     fn magnitude_bits_tracks_growth() {
         assert_eq!(Ratio::ZERO.magnitude_bits(), 1);
         assert_eq!(Ratio::ONE.magnitude_bits(), 1);
@@ -720,5 +978,49 @@ mod tests {
         // One thousand of those transmissions:
         let total = (0..1000).fold(Ratio::ZERO, |acc, _| acc + t);
         assert_eq!(total, r(3000, 25_000));
+    }
+
+    /// Integers that straddle the widths the 64-bit road tests for,
+    /// mixed with small, random narrow and random wide ones.
+    fn part() -> impl Strategy<Value = i128> {
+        let around = |e: i128| (e - 1)..(e + 2);
+        prop_oneof![
+            around(i64::MAX as i128),
+            around(i64::MIN as i128),
+            around(u64::MAX as i128),
+            -8i128..9,
+            (i64::MIN as i128)..(i64::MAX as i128 + 1),
+            -(1i128 << 100)..(1i128 << 100),
+        ]
+    }
+
+    fn ratio() -> impl Strategy<Value = Ratio> {
+        (part(), part()).prop_map(|(n, d)| Ratio::new(n, if d == 0 { 1 } else { d }))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Narrow, wide and mixed pairs: the public operations return
+        /// the wide code's `(numer, denom)` and its `None`s.
+        #[test]
+        fn roads_agree_across_the_word_boundary(a in ratio(), b in ratio()) {
+            assert_roads_agree(a, b);
+        }
+
+        #[test]
+        fn new_agrees_across_the_word_boundary(n in part(), d in part()) {
+            let d = if d == 0 { 1 } else { d };
+            prop_assert_eq!(Ratio::new(n, d), new_ref(n, d));
+        }
+
+        /// The binary algorithm against Euclid, on whole words and on
+        /// operands sharing a large power of two.
+        #[test]
+        fn gcd64_agrees_with_euclid(a in 0u64..=u64::MAX, b in 0u64..=u64::MAX, k in 0u32..64) {
+            for (a, b) in [(a, b), (a << k, b << k), (a >> k, b), (a, a)] {
+                prop_assert_eq!(super::gcd64(a, b) as i128, super::gcd(a as i128, b as i128));
+            }
+        }
     }
 }
