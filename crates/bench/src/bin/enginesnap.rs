@@ -30,7 +30,7 @@ use graph::{GraphSpec, PortKind, PortSpec};
 use jsonline::{impl_to_json, ToJson};
 use servers::RateProfile;
 use sfq_core::{FlowId, Packet, PacketFactory, Scheduler, Sfq};
-use sfq_engine::{EngineConfig, ShardSched, SyncEngine, ThreadedEngine};
+use sfq_engine::{Engine, EngineConfig, ShardLink, SyncEngine, ThreadedEngine};
 use simtime::{Bytes, Rate, SimTime};
 use std::hint::black_box;
 use std::io::Write;
@@ -160,37 +160,6 @@ impl_to_json!(Snapshot {
     graph_points
 });
 
-/// The two engine drivers behind one measurement loop.
-trait Driver {
-    fn add(&mut self, flow: FlowId, weight: Rate);
-    fn ingest(&mut self, pkt: Packet);
-    fn drain_n(&mut self, max: usize, out: &mut Vec<Packet>) -> usize;
-}
-
-impl<S: ShardSched> Driver for SyncEngine<S> {
-    fn add(&mut self, flow: FlowId, weight: Rate) {
-        self.try_add_flow(flow, weight).expect("register");
-    }
-    fn ingest(&mut self, pkt: Packet) {
-        self.try_ingest(pkt).expect("ring sized for the backlog");
-    }
-    fn drain_n(&mut self, max: usize, out: &mut Vec<Packet>) -> usize {
-        self.drain(SimTime::ZERO, max, out).expect("drain")
-    }
-}
-
-impl Driver for ThreadedEngine {
-    fn add(&mut self, flow: FlowId, weight: Rate) {
-        self.try_add_flow(flow, weight).expect("register");
-    }
-    fn ingest(&mut self, pkt: Packet) {
-        self.try_ingest(pkt).expect("ring sized for the backlog");
-    }
-    fn drain_n(&mut self, max: usize, out: &mut Vec<Packet>) -> usize {
-        self.drain(SimTime::ZERO, max, out).expect("drain")
-    }
-}
-
 fn weight_of(f: usize) -> Rate {
     Rate::kbps(64 + f as u64)
 }
@@ -199,7 +168,12 @@ fn weight_of(f: usize) -> Rate {
 /// preloaded backlog; returns sustained drained packets per second.
 /// `per_packet` issues one `drain(now, 1)` per departure instead of
 /// one batched drain per cycle.
-fn measure_driver<D: Driver>(mut eng: D, per_packet: bool, warmup: Duration, win: Duration) -> f64 {
+fn measure_driver<L: ShardLink>(
+    mut eng: Engine<L>,
+    per_packet: bool,
+    warmup: Duration,
+    win: Duration,
+) -> f64 {
     measure_driver_at(
         eng_preloaded(&mut eng, FLOWS, DEPTH),
         eng,
@@ -211,23 +185,29 @@ fn measure_driver<D: Driver>(mut eng: D, per_packet: bool, warmup: Duration, win
 
 /// Register `flows` flows and preload `depth` packets each; returns the
 /// packet factory positioned after the preload.
-fn eng_preloaded<D: Driver>(eng: &mut D, flows: usize, depth: usize) -> (PacketFactory, usize) {
+fn eng_preloaded<L: ShardLink>(
+    eng: &mut Engine<L>,
+    flows: usize,
+    depth: usize,
+) -> (PacketFactory, usize) {
     let t0 = SimTime::ZERO;
     let mut pf = PacketFactory::new();
     for f in 0..flows {
-        eng.add(FlowId(f as u32), weight_of(f));
+        eng.try_add_flow(FlowId(f as u32), weight_of(f))
+            .expect("register");
     }
     for _ in 0..depth {
         for f in 0..flows {
-            eng.ingest(pf.make(FlowId(f as u32), Bytes::new(PKT), t0));
+            eng.try_ingest(pf.make(FlowId(f as u32), Bytes::new(PKT), t0))
+                .expect("ring sized for the backlog");
         }
     }
     (pf, flows)
 }
 
-fn measure_driver_at<D: Driver>(
+fn measure_driver_at<L: ShardLink>(
     (mut pf, flows): (PacketFactory, usize),
-    mut eng: D,
+    mut eng: Engine<L>,
     per_packet: bool,
     warmup: Duration,
     win: Duration,
@@ -235,17 +215,19 @@ fn measure_driver_at<D: Driver>(
     let t0 = SimTime::ZERO;
     let mut out = Vec::with_capacity(CYCLE);
     let mut i = 0u32;
-    let mut cycle = |eng: &mut D, pf: &mut PacketFactory, out: &mut Vec<Packet>| {
+    let mut cycle = |eng: &mut Engine<L>, pf: &mut PacketFactory, out: &mut Vec<Packet>| {
         for _ in 0..CYCLE {
             let f = FlowId(i % flows as u32);
             i = i.wrapping_add(1);
-            eng.ingest(pf.make(f, Bytes::new(PKT), t0));
+            eng.try_ingest(pf.make(f, Bytes::new(PKT), t0))
+                .expect("ring sized for the backlog");
         }
         out.clear();
+        let mut drain_n = |max| eng.drain(t0, max, out).expect("drain");
         let drained = if per_packet {
-            (0..CYCLE).map(|_| eng.drain_n(1, out)).sum::<usize>()
+            (0..CYCLE).map(|_| drain_n(1)).sum::<usize>()
         } else {
-            eng.drain_n(CYCLE, out)
+            drain_n(CYCLE)
         };
         assert_eq!(drained, CYCLE, "under-drain against a deep backlog");
         black_box(out.last().map(|p| p.uid));

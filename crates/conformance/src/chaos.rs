@@ -33,11 +33,15 @@
 //! Every failure message ends with the scenario's replay line
 //! (`preset=chaos seed=N`), so any fuzz hit reproduces from the log.
 
+use crate::engine::{
+    diff, flows_of, kill_worker, mint_packets, no_kills, replay, seeded_config, with_kills, Op,
+    Trace,
+};
 use crate::scenario::Scenario;
 use analysis::sfq_fairness_bound;
 use des::SimRng;
-use sfq_core::{FlowId, Packet, PacketFactory, SchedError, Scheduler, Sfq, TieBreak};
-use sfq_engine::{DegradedMode, EngineConfig, RecoveryPolicy, SyncEngine, ThreadedEngine};
+use sfq_core::{FlowId, Packet, PacketFactory, ReconfigCmd, SchedError, Scheduler, Sfq, TieBreak};
+use sfq_engine::{Engine, RecoveryPolicy, ShardLink, SyncEngine, ThreadedEngine};
 use sfq_obs::FlowMetrics;
 use simtime::{Bytes, Rate, Ratio, SimTime};
 use std::cell::RefCell;
@@ -48,22 +52,6 @@ use std::rc::Rc;
 /// same seed.
 pub const CHAOS_DOMAIN: u64 = 0xC4A0_50C4;
 
-/// One step of the derived operational schedule.
-#[derive(Clone, Copy, Debug)]
-enum Op {
-    /// Ingest `packets[a..b]` in arrival order.
-    Ingest(usize, usize),
-    /// Asynchronous pump at the current time.
-    Pump,
-    /// Partial drain of up to this many packets.
-    Drain(usize),
-    /// Apply reconfiguration `k` of the side table (the replay mode
-    /// decides whether it is stripped, a no-op, or the real change).
-    Reconfig(usize),
-    /// Kill this shard's worker (threaded chaos leg only).
-    Kill(usize),
-}
-
 /// How a replay treats the schedule's `SetWeight` reconfigurations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum WeightMode {
@@ -73,82 +61,6 @@ enum WeightMode {
     Noop,
     /// Apply the real weight changes.
     Real,
-}
-
-/// The engine surface the replay drives, implemented by both drivers so
-/// one schedule executor produces comparable traces.
-trait Driver {
-    fn add(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError>;
-    fn ingest(&mut self, pkt: Packet) -> Result<(), SchedError>;
-    fn pump(&mut self, now: SimTime) -> Result<(), SchedError>;
-    fn drain(
-        &mut self,
-        now: SimTime,
-        max: usize,
-        out: &mut Vec<Packet>,
-    ) -> Result<usize, SchedError>;
-    fn set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError>;
-    fn kill(&mut self, shard: usize);
-    fn pending(&self) -> usize;
-}
-
-impl Driver for SyncEngine {
-    fn add(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        self.try_add_flow(flow, weight)
-    }
-    fn ingest(&mut self, pkt: Packet) -> Result<(), SchedError> {
-        self.try_ingest(pkt)
-    }
-    fn pump(&mut self, now: SimTime) -> Result<(), SchedError> {
-        SyncEngine::pump(self, now)
-    }
-    fn drain(
-        &mut self,
-        now: SimTime,
-        max: usize,
-        out: &mut Vec<Packet>,
-    ) -> Result<usize, SchedError> {
-        SyncEngine::drain(self, now, max, out)
-    }
-    fn set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        SyncEngine::try_set_weight(self, flow, weight)
-    }
-    fn kill(&mut self, _shard: usize) {
-        unreachable!("kills are only scheduled on the threaded driver");
-    }
-    fn pending(&self) -> usize {
-        SyncEngine::pending(self)
-    }
-}
-
-impl Driver for ThreadedEngine {
-    fn add(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        self.try_add_flow(flow, weight)
-    }
-    fn ingest(&mut self, pkt: Packet) -> Result<(), SchedError> {
-        self.try_ingest(pkt)
-    }
-    fn pump(&mut self, now: SimTime) -> Result<(), SchedError> {
-        ThreadedEngine::pump(self, now);
-        Ok(())
-    }
-    fn drain(
-        &mut self,
-        now: SimTime,
-        max: usize,
-        out: &mut Vec<Packet>,
-    ) -> Result<usize, SchedError> {
-        ThreadedEngine::drain(self, now, max, out)
-    }
-    fn set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        ThreadedEngine::try_set_weight(self, flow, weight)
-    }
-    fn kill(&mut self, shard: usize) {
-        let _ = self.inject_worker_panic(shard);
-    }
-    fn pending(&self) -> usize {
-        ThreadedEngine::pending(self)
-    }
 }
 
 /// Statistics of a passing chaos run.
@@ -181,78 +93,39 @@ pub struct ChaosOutcome {
     pub fairness_bound: Ratio,
 }
 
-/// Replay one schedule on one driver, returning the departure uid
-/// sequence and the ingest-refusal count. Drains to empty at the end;
-/// an engine that cannot drain (a stalled shard) is an error.
-fn replay<D: Driver + ?Sized>(
-    eng: &mut D,
+/// Replay the schedule on one engine with its `SetWeight`s treated per
+/// `mode`. A reconfiguration refused because the flow's shard is down
+/// (degraded chaos leg) is expected; any other control error fails.
+fn replay_mode<L: ShardLink>(
+    eng: &mut Engine<L>,
     sc: &Scenario,
     packets: &[Packet],
     ops: &[Op],
-    recfg: &[(FlowId, Rate, Rate)],
     mode: WeightMode,
-) -> Result<(Vec<u64>, usize), String> {
-    for f in &sc.flows {
-        eng.add(FlowId(f.id), f.weight())
-            .map_err(|e| format!("flow registration refused: {e}"))?;
-    }
-    let mut now = SimTime::ZERO;
-    let mut deps = Vec::new();
-    let mut refusals = 0usize;
-    let mut out = Vec::new();
-    for op in ops {
-        match *op {
-            Op::Ingest(a, b) => {
-                for &pkt in &packets[a..b] {
-                    now = pkt.arrival;
-                    match eng.ingest(pkt) {
-                        Ok(()) => {}
-                        // Backpressure or a parked flow: the packet is
-                        // refused; conservation counts it.
-                        Err(_) => refusals += 1,
-                    }
-                }
+    kill: &mut dyn FnMut(&mut Engine<L>, usize),
+) -> Result<Trace, String> {
+    let ops: Vec<Op> = ops
+        .iter()
+        .filter_map(|&op| match (op, mode) {
+            (Op::Reconfig(_), WeightMode::Strip) => None,
+            (Op::Reconfig(ReconfigCmd::SetWeight(flow, _)), WeightMode::Noop) => {
+                let current = sc.flows.iter().find(|f| f.id == flow.0)?.weight();
+                Some(Op::Reconfig(ReconfigCmd::SetWeight(flow, current)))
             }
-            Op::Pump => eng.pump(now).map_err(|e| format!("pump failed: {e}"))?,
-            Op::Drain(max) => {
-                out.clear();
-                eng.drain(now, max, &mut out)
-                    .map_err(|e| format!("drain failed: {e}"))?;
-                deps.extend(out.iter().map(|p| p.uid));
-            }
-            Op::Reconfig(k) => {
-                let (flow, real, current) = recfg[k];
-                let w = match mode {
-                    WeightMode::Strip => continue,
-                    WeightMode::Noop => current,
-                    WeightMode::Real => real,
-                };
-                match eng.set_weight(flow, w) {
-                    // A reconfiguration refused because the flow's
-                    // shard is down (degraded chaos leg) is expected.
-                    Ok(()) | Err(SchedError::ShardDown(_)) => {}
-                    Err(e) => return Err(format!("SetWeight({flow}, {w:?}) failed: {e}")),
-                }
-            }
-            Op::Kill(shard) => eng.kill(shard),
-        }
-    }
-    let end = sc.horizon();
-    let mut guard = 0;
-    while eng.pending() > 0 {
-        out.clear();
-        eng.drain(end, 4096, &mut out)
-            .map_err(|e| format!("final drain failed: {e}"))?;
-        deps.extend(out.iter().map(|p| p.uid));
-        guard += 1;
-        if guard > packets.len() + 16 {
-            return Err(format!(
-                "engine stalled: {} packets pending after {guard} full drains",
-                eng.pending()
-            ));
-        }
-    }
-    Ok((deps, refusals))
+            _ => Some(op),
+        })
+        .collect();
+    let tr = replay(
+        eng,
+        &flows_of(sc),
+        packets,
+        &ops,
+        sc.horizon(),
+        kill,
+        &mut || Ok(()),
+    )?;
+    tr.expect_no_control_errors(&ops)?;
+    Ok(tr)
 }
 
 /// Run the full chaos conformance for a scenario. `Ok` carries run
@@ -261,26 +134,9 @@ fn replay<D: Driver + ?Sized>(
 pub fn run_chaos_conformance(sc: &Scenario) -> Result<ChaosOutcome, String> {
     let fail = |msg: String| -> String { format!("{msg}\n  {}", sc.replay_line()) };
     let mut rng = SimRng::new(sc.seed ^ CHAOS_DOMAIN);
-    let shards = rng.uniform_range(2, 6) as usize;
-    let batch = rng.uniform_range(1, 33) as usize;
-    let ring_capacity = 1usize << rng.uniform_range(5, 10); // 32..=512
-    let cfg = EngineConfig::new(shards)
-        .batch(batch)
-        .ring_capacity(ring_capacity);
-
-    // Materialize arrivals once so every replay sees identical uids.
-    let mut arrivals: Vec<(SimTime, u32, Bytes)> = Vec::new();
-    for f in &sc.flows {
-        for (t, len) in sc.arrivals_for(f) {
-            arrivals.push((t, f.id, len));
-        }
-    }
-    arrivals.sort_by_key(|&(t, id, _)| (t, id));
-    let mut fac = PacketFactory::new();
-    let packets: Vec<Packet> = arrivals
-        .iter()
-        .map(|&(t, id, len)| fac.make(FlowId(id), len, t))
-        .collect();
+    let cfg = seeded_config(&mut rng);
+    let shards = cfg.shards;
+    let (packets, mut fac) = mint_packets(sc);
     let offered = packets.len();
 
     // Derive the operational schedule: ingest chunks interleaved with
@@ -288,7 +144,7 @@ pub fn run_chaos_conformance(sc: &Scenario) -> Result<ChaosOutcome, String> {
     // target weight scales the original by 0.5x..2x (never zero), so
     // every reconfiguration is a legal Eq. 36 rate.
     let mut ops: Vec<Op> = Vec::new();
-    let mut recfg: Vec<(FlowId, Rate, Rate)> = Vec::new();
+    let mut reconfigs = 0;
     let mut i = 0;
     while i < offered {
         let chunk = rng.uniform_range(1, 65) as usize;
@@ -301,85 +157,67 @@ pub fn run_chaos_conformance(sc: &Scenario) -> Result<ChaosOutcome, String> {
             3 => {
                 let f = &sc.flows[rng.uniform_range(0, sc.flows.len() as u64) as usize];
                 let real = Rate::bps((f.weight_bps * rng.uniform_range(1, 5) / 2).max(4_000));
-                recfg.push((FlowId(f.id), real, f.weight()));
-                ops.push(Op::Reconfig(recfg.len() - 1));
+                ops.push(Op::Reconfig(ReconfigCmd::SetWeight(FlowId(f.id), real)));
+                reconfigs += 1;
             }
             _ => {} // let backlog build
         }
     }
-    let reconfigs = recfg.len();
 
     // Kill-augmented copy of the schedule for the chaos leg.
-    let policy = match rng.uniform_range(0, 3) {
-        0 => RecoveryPolicy::Restart,
-        1 => RecoveryPolicy::Degrade(DegradedMode::Redistribute),
-        _ => RecoveryPolicy::Degrade(DegradedMode::Park),
-    };
-    let kills = rng.uniform_range(1, 4) as usize;
-    let mut chaos_ops = ops.clone();
-    for _ in 0..kills {
-        let pos = rng.uniform_range(0, chaos_ops.len() as u64 + 1) as usize;
-        let shard = rng.uniform_range(0, shards as u64) as usize;
-        chaos_ops.insert(pos, Op::Kill(shard));
-    }
+    let (chaos_ops, policy, kills) = with_kills(&ops, shards, &mut rng);
 
     // --- Leg 1a: no-op reconfigurations are bit-identical to the
     // unreconfigured oracle, on both drivers.
-    let (plain, plain_ref) = replay(
-        &mut SyncEngine::new(cfg),
-        sc,
-        &packets,
-        &ops,
-        &recfg,
-        WeightMode::Strip,
-    )
-    .map_err(|e| fail(format!("unreconfigured oracle: {e}")))?;
-    for (name, eng) in [
-        ("sync", &mut SyncEngine::new(cfg) as &mut dyn Driver),
-        ("threaded", &mut ThreadedEngine::new(cfg) as &mut dyn Driver),
+    let sync = |mode| {
+        replay_mode(
+            &mut SyncEngine::new(cfg),
+            sc,
+            &packets,
+            &ops,
+            mode,
+            &mut no_kills,
+        )
+    };
+    let threaded = |mode| {
+        replay_mode(
+            &mut ThreadedEngine::new(cfg),
+            sc,
+            &packets,
+            &ops,
+            mode,
+            &mut no_kills,
+        )
+    };
+    let plain = sync(WeightMode::Strip).map_err(|e| fail(format!("unreconfigured oracle: {e}")))?;
+    for (name, noop) in [
+        ("sync", sync(WeightMode::Noop)),
+        ("threaded", threaded(WeightMode::Noop)),
     ] {
-        let (noop, noop_ref) = replay(eng, sc, &packets, &ops, &recfg, WeightMode::Noop)
-            .map_err(|e| fail(format!("no-op {name} replay: {e}")))?;
-        if noop != plain || noop_ref != plain_ref {
-            let at = noop.iter().zip(&plain).position(|(a, b)| a != b);
+        let noop = noop.map_err(|e| fail(format!("no-op {name} replay: {e}")))?;
+        if noop.departures != plain.departures || noop.refused != plain.refused {
+            let at = (noop.departures.iter().zip(&plain.departures)).position(|(a, b)| a != b);
             return Err(fail(format!(
                 "no-op reconfiguration schedule diverged from the unreconfigured \
                  oracle on the {name} driver (first differing departure index {at:?}, \
-                 refusals {noop_ref} vs {plain_ref}) — the tag rewrite is not a \
-                 fixed point at the current weight"
+                 refusals {} vs {}) — the tag rewrite is not a \
+                 fixed point at the current weight",
+                noop.refused.len(),
+                plain.refused.len()
             )));
         }
     }
 
     // --- Leg 1b: real reconfigurations, sync vs threaded identity.
-    let (sync_deps, sync_ref) = replay(
-        &mut SyncEngine::new(cfg),
-        sc,
-        &packets,
-        &ops,
-        &recfg,
-        WeightMode::Real,
-    )
-    .map_err(|e| fail(format!("reconfigured oracle: {e}")))?;
-    let (thr_deps, thr_ref) = replay(
-        &mut ThreadedEngine::new(cfg),
-        sc,
-        &packets,
-        &ops,
-        &recfg,
-        WeightMode::Real,
-    )
-    .map_err(|e| fail(format!("reconfigured threaded replay: {e}")))?;
-    if thr_deps != sync_deps || thr_ref != sync_ref {
-        let at = thr_deps.iter().zip(&sync_deps).position(|(a, b)| a != b);
-        return Err(fail(format!(
-            "reconfigured schedule diverged between drivers (first differing \
-             departure index {at:?}; counts {} vs {}; refusals {thr_ref} vs {sync_ref})",
-            thr_deps.len(),
-            sync_deps.len(),
-        )));
-    }
-    let departures = sync_deps.len();
+    let oracle = sync(WeightMode::Real).map_err(|e| fail(format!("reconfigured oracle: {e}")))?;
+    let thr = threaded(WeightMode::Real)
+        .map_err(|e| fail(format!("reconfigured threaded replay: {e}")))?;
+    diff(&oracle, &thr).map_err(|e| {
+        fail(format!(
+            "reconfigured schedule diverged between drivers: {e}"
+        ))
+    })?;
+    let (departures, sync_ref) = (oracle.departures.len(), oracle.refused.len());
     if departures + sync_ref != offered {
         return Err(fail(format!(
             "identity-leg conservation broken: {offered} offered != {departures} \
@@ -389,9 +227,15 @@ pub fn run_chaos_conformance(sc: &Scenario) -> Result<ChaosOutcome, String> {
 
     // --- Leg 2: worker kills under the seeded recovery policy.
     let mut eng = ThreadedEngine::new(cfg.recovery(policy));
-    let (chaos_deps, chaos_ref) =
-        replay(&mut eng, sc, &packets, &chaos_ops, &recfg, WeightMode::Real)
-            .map_err(|e| fail(format!("chaos replay ({policy:?}): {e}")))?;
+    let chaos = replay_mode(
+        &mut eng,
+        sc,
+        &packets,
+        &chaos_ops,
+        WeightMode::Real,
+        &mut kill_worker,
+    )
+    .map_err(|e| fail(format!("chaos replay ({policy:?}): {e}")))?;
     // Post-recovery probes: one fresh packet per flow. Under `Restart`
     // every shard is alive again, so every probe must depart; degraded
     // policies may refuse (parked flow) or drop (a kill detected by the
@@ -434,8 +278,8 @@ pub fn run_chaos_conformance(sc: &Scenario) -> Result<ChaosOutcome, String> {
     // offered packet either departed, was refused at ingest, or is in
     // the supervisor's drop ledger. Anything else is a leak.
     let total_offered = offered + sc.flows.len();
-    let total_departed = chaos_deps.len() + probe_out.len();
-    let total_refused = chaos_ref + probe_refused;
+    let total_departed = chaos.departures.len() + probe_out.len();
+    let total_refused = chaos.refused.len() + probe_refused;
     if total_departed + total_refused + stats.dropped as usize != total_offered {
         return Err(fail(format!(
             "chaos conservation broken ({policy:?}, {kills} kills): {total_offered} \

@@ -20,7 +20,9 @@
 //! - [`engine`]: sharded-engine differential — one seeded API call
 //!   schedule replayed against `sfq_engine::SyncEngine` (oracle) and
 //!   `sfq_engine::ThreadedEngine`, requiring bit-identical departures
-//!   and refusals under real thread interleavings,
+//!   and refusals under real thread interleavings; also hosts the one
+//!   schedule executor (`engine::replay`, generic over the engine's
+//!   link) that `chaos` and `telemetry` share,
 //! - [`fast`]: fixed-point fast-path differential — quantization-safe
 //!   workloads replayed against `SfqFast`/`ScfqFast` and their exact
 //!   rational counterparts, requiring bit-identical departures,

@@ -45,13 +45,15 @@
 //! (`preset=telemetry seed=N`), so any fuzz hit reproduces from the
 //! log.
 
+use crate::engine::{
+    flows_of, kill_worker, mint_packets, no_kills, replay, seeded_config, with_kills, Op,
+};
 use crate::scenario::Scenario;
 use des::SimRng;
-use sfq_core::{FlowId, Packet, PacketFactory, SchedError, Scheduler};
-use sfq_engine::{DegradedMode, EngineConfig, RecoveryPolicy, SyncEngine, ThreadedEngine};
-use sfq_telemetry::{Aggregator, EngineSnapshot, PageSnapshot, TelemetryHub};
-use simtime::{Rate, SimTime};
-use std::sync::Arc;
+use sfq_core::{FlowId, Packet, ReconfigCmd};
+use sfq_engine::{Engine, RecoveryPolicy, ShardLink, SyncEngine, ThreadedEngine};
+use sfq_telemetry::{Aggregator, EngineSnapshot, PageSnapshot};
+use simtime::Rate;
 
 /// Domain separator for the telemetry operational schedule, distinct
 /// from the scenario-generation, arrival, and chaos streams of the same
@@ -65,24 +67,6 @@ pub const TELEMETRY_DOMAIN: u64 = 0x7E1E_3E7B;
 /// that loses this many races has found a liveness bug.
 pub const SNAP_BUDGET: usize = 1 << 16;
 
-/// One step of the derived operational schedule.
-#[derive(Clone, Copy, Debug)]
-enum Op {
-    /// Ingest `packets[a..b]` in arrival order.
-    Ingest(usize, usize),
-    /// Asynchronous pump at the current time.
-    Pump,
-    /// Partial drain of up to this many packets.
-    Drain(usize),
-    /// Force-remove this flow (always preceded by a generated `Pump`,
-    /// so the rings are empty and the discard count is exact).
-    Remove(u32),
-    /// (Re-)register this flow at this rate.
-    Revive(u32, u64),
-    /// Kill this shard's worker (kill leg only).
-    Kill(usize),
-}
-
 /// What the driving thread itself observed — the ground truth every
 /// page total is checked against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -91,98 +75,6 @@ struct Ledger {
     refused: u64,
     departed: u64,
     force_drops: u64,
-}
-
-/// The engine surface the replay drives, implemented by both drivers so
-/// one schedule executor produces comparable pages.
-trait Driver {
-    fn attach(&mut self) -> Arc<TelemetryHub>;
-    fn add(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError>;
-    fn ingest(&mut self, pkt: Packet) -> Result<(), SchedError>;
-    fn pump(&mut self, now: SimTime) -> Result<(), SchedError>;
-    fn drain(
-        &mut self,
-        now: SimTime,
-        max: usize,
-        out: &mut Vec<Packet>,
-    ) -> Result<usize, SchedError>;
-    fn force_remove(&mut self, flow: FlowId) -> usize;
-    fn kill(&mut self, shard: usize);
-    fn pending(&self) -> usize;
-    /// `(recovered, dropped)` per the supervisor's books (sync: zero).
-    fn recovery(&self) -> (u64, u64);
-}
-
-impl Driver for SyncEngine {
-    fn attach(&mut self) -> Arc<TelemetryHub> {
-        self.attach_telemetry()
-    }
-    fn add(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        self.try_add_flow(flow, weight)
-    }
-    fn ingest(&mut self, pkt: Packet) -> Result<(), SchedError> {
-        self.try_ingest(pkt)
-    }
-    fn pump(&mut self, now: SimTime) -> Result<(), SchedError> {
-        SyncEngine::pump(self, now)
-    }
-    fn drain(
-        &mut self,
-        now: SimTime,
-        max: usize,
-        out: &mut Vec<Packet>,
-    ) -> Result<usize, SchedError> {
-        SyncEngine::drain(self, now, max, out)
-    }
-    fn force_remove(&mut self, flow: FlowId) -> usize {
-        Scheduler::force_remove_flow(self, flow)
-    }
-    fn kill(&mut self, _shard: usize) {
-        unreachable!("kills are only scheduled on the threaded kill leg");
-    }
-    fn pending(&self) -> usize {
-        SyncEngine::pending(self)
-    }
-    fn recovery(&self) -> (u64, u64) {
-        (0, 0)
-    }
-}
-
-impl Driver for ThreadedEngine {
-    fn attach(&mut self) -> Arc<TelemetryHub> {
-        self.attach_telemetry()
-    }
-    fn add(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        self.try_add_flow(flow, weight)
-    }
-    fn ingest(&mut self, pkt: Packet) -> Result<(), SchedError> {
-        self.try_ingest(pkt)
-    }
-    fn pump(&mut self, now: SimTime) -> Result<(), SchedError> {
-        ThreadedEngine::pump(self, now);
-        Ok(())
-    }
-    fn drain(
-        &mut self,
-        now: SimTime,
-        max: usize,
-        out: &mut Vec<Packet>,
-    ) -> Result<usize, SchedError> {
-        ThreadedEngine::drain(self, now, max, out)
-    }
-    fn force_remove(&mut self, flow: FlowId) -> usize {
-        ThreadedEngine::force_remove_flow(self, flow)
-    }
-    fn kill(&mut self, shard: usize) {
-        let _ = self.inject_worker_panic(shard);
-    }
-    fn pending(&self) -> usize {
-        ThreadedEngine::pending(self)
-    }
-    fn recovery(&self) -> (u64, u64) {
-        let stats = self.recovery_stats();
-        (stats.recovered, stats.dropped)
-    }
 }
 
 /// Statistics of a passing telemetry run.
@@ -307,84 +199,51 @@ fn check_self_consistency(snap: &EngineSnapshot) -> Result<(), String> {
     Ok(())
 }
 
-/// Replay one schedule on one driver with pages attached, snapshotting
+/// Replay one schedule on one engine with pages attached, snapshotting
 /// after every operation. Returns the final quiescent snapshot (already
 /// checked against the driver-side ledger) and the snapshot count.
-fn replay<D: Driver + ?Sized>(
-    eng: &mut D,
+fn replay_pages<L: ShardLink>(
+    mut eng: Engine<L>,
     sc: &Scenario,
     packets: &[Packet],
     ops: &[Op],
     mid_budget: usize,
+    kill: &mut dyn FnMut(&mut Engine<L>, usize),
 ) -> Result<(Ledger, EngineSnapshot, usize), String> {
-    let hub = eng.attach();
-    let agg = Aggregator::new(Arc::clone(&hub));
-    for f in &sc.flows {
-        eng.add(FlowId(f.id), f.weight())
-            .map_err(|e| format!("flow registration refused: {e}"))?;
-    }
-    let mut now = SimTime::ZERO;
-    let mut ledger = Ledger::default();
-    let mut out = Vec::new();
+    let agg = Aggregator::new(eng.attach_telemetry());
     let mut prev: Option<EngineSnapshot> = None;
     let mut snapshots = 0usize;
-    for op in ops {
-        match *op {
-            Op::Ingest(a, b) => {
-                for &pkt in &packets[a..b] {
-                    now = pkt.arrival;
-                    ledger.offered += 1;
-                    // Backpressure, a removed flow, or a parked shard:
-                    // the packet is refused; conservation counts it.
-                    if eng.ingest(pkt).is_err() {
-                        ledger.refused += 1;
-                    }
-                }
-            }
-            Op::Pump => eng.pump(now).map_err(|e| format!("pump failed: {e}"))?,
-            Op::Drain(max) => {
-                out.clear();
-                eng.drain(now, max, &mut out)
-                    .map_err(|e| format!("drain failed: {e}"))?;
-                ledger.departed += out.len() as u64;
-            }
-            Op::Remove(flow) => {
-                ledger.force_drops += eng.force_remove(FlowId(flow)) as u64;
-            }
-            Op::Revive(flow, bps) => match eng.add(FlowId(flow), Rate::bps(bps)) {
-                // Re-registering onto a parked shard is refused; the
-                // flow simply stays gone and its later arrivals are
-                // booked as refusals.
-                Ok(()) | Err(SchedError::ShardDown(_)) => {}
-                Err(e) => return Err(format!("revive of flow {flow} failed: {e}")),
-            },
-            Op::Kill(shard) => eng.kill(shard),
-        }
-        // The after-every-op snapshot: must land within the retry
-        // budget no matter what the workers are doing right now.
+    // The after-every-op snapshot: must land within the retry budget no
+    // matter what the workers are doing right now.
+    let mut snap_check = || {
         let snap = agg
             .snapshot(mid_budget)
             .map_err(|e| format!("mid-run {e} (budget {mid_budget}) — retry did not settle"))?;
         snapshots += 1;
         check_midrun(&prev, &snap).map_err(|e| format!("mid-run snapshot incoherent: {e}"))?;
         prev = Some(snap);
-    }
-    // Drain to quiescence; an engine that cannot drain is an error.
-    let end = sc.horizon();
-    let mut guard = 0;
-    while eng.pending() > 0 {
-        out.clear();
-        eng.drain(end, 4096, &mut out)
-            .map_err(|e| format!("final drain failed: {e}"))?;
-        ledger.departed += out.len() as u64;
-        guard += 1;
-        if guard > packets.len() + 16 {
-            return Err(format!(
-                "engine stalled: {} packets pending after {guard} full drains",
-                eng.pending()
-            ));
-        }
-    }
+        Ok(())
+    };
+    let flows = flows_of(sc);
+    let tr = replay(
+        &mut eng,
+        &flows,
+        packets,
+        ops,
+        sc.horizon(),
+        kill,
+        &mut snap_check,
+    )?;
+    // Backpressure, a removed flow, or a parked shard refuse a packet and
+    // conservation counts it; re-registering onto a parked shard is
+    // refused too — the flow simply stays gone. Nothing else may fail.
+    tr.expect_no_control_errors(ops)?;
+    let ledger = Ledger {
+        offered: packets.len() as u64,
+        refused: tr.refused.len() as u64,
+        departed: tr.departures.len() as u64,
+        force_drops: tr.discarded as u64,
+    };
 
     // The quiescent differential: pages alone must reproduce the
     // driver-side ledger and the supervisor's recovery books.
@@ -393,7 +252,8 @@ fn replay<D: Driver + ?Sized>(
         .map_err(|e| format!("quiescent {e}"))?;
     snapshots += 1;
     check_midrun(&prev, &snap).map_err(|e| format!("final snapshot incoherent: {e}"))?;
-    let (recovered, dropped) = eng.recovery();
+    let stats = eng.recovery_stats();
+    let (recovered, dropped) = (stats.recovered, stats.dropped);
     if snap.engine.offered != ledger.offered || snap.engine.refused_total() != ledger.refused {
         return Err(format!(
             "arrival books diverge from the ledger: pages say {} offered / {} refused, \
@@ -447,32 +307,16 @@ fn replay<D: Driver + ?Sized>(
 pub fn run_telemetry_conformance(sc: &Scenario) -> Result<TelemetryOutcome, String> {
     let fail = |msg: String| -> String { format!("{msg}\n  {}", sc.replay_line()) };
     let mut rng = SimRng::new(sc.seed ^ TELEMETRY_DOMAIN);
-    let shards = rng.uniform_range(2, 6) as usize;
-    let batch = rng.uniform_range(1, 33) as usize;
-    let ring_capacity = 1usize << rng.uniform_range(5, 10); // 32..=512
-    let cfg = EngineConfig::new(shards)
-        .batch(batch)
-        .ring_capacity(ring_capacity);
-
-    // Materialize arrivals once so every replay sees identical uids.
-    let mut arrivals: Vec<(SimTime, u32, simtime::Bytes)> = Vec::new();
-    for f in &sc.flows {
-        for (t, len) in sc.arrivals_for(f) {
-            arrivals.push((t, f.id, len));
-        }
-    }
-    arrivals.sort_by_key(|&(t, id, _)| (t, id));
-    let mut fac = PacketFactory::new();
-    let packets: Vec<Packet> = arrivals
-        .iter()
-        .map(|&(t, id, len)| fac.make(FlowId(id), len, t))
-        .collect();
+    let cfg = seeded_config(&mut rng);
+    let shards = cfg.shards;
+    let (packets, _) = mint_packets(sc);
     let offered = packets.len();
 
     // Derive the operational schedule: ingest chunks interleaved with
-    // pumps, partial drains, and flow churn. Every `Remove` is preceded
-    // by a `Pump` so the rings are empty when the discard count is
-    // taken (both drivers' force-remove is scheduler-resident only).
+    // pumps, partial drains, and flow churn. Every removal is preceded
+    // by a `Pump`, as this schedule always was (forced removal folds
+    // ring residue by itself; `tests/engine_interleaving.rs` covers the
+    // un-pumped case).
     let mut ops: Vec<Op> = Vec::new();
     let mut removals = 0usize;
     let mut i = 0;
@@ -487,46 +331,40 @@ pub fn run_telemetry_conformance(sc: &Scenario) -> Result<TelemetryOutcome, Stri
             3 => {
                 let f = &sc.flows[rng.uniform_range(0, sc.flows.len() as u64) as usize];
                 ops.push(Op::Pump);
-                ops.push(Op::Remove(f.id));
+                ops.push(Op::ForceRemove(FlowId(f.id)));
                 removals += 1;
             }
             4 => {
                 let f = &sc.flows[rng.uniform_range(0, sc.flows.len() as u64) as usize];
                 let bps = (f.weight_bps * rng.uniform_range(1, 5) / 2).max(4_000);
-                ops.push(Op::Revive(f.id, bps));
+                ops.push(Op::Reconfig(ReconfigCmd::AddFlow(
+                    FlowId(f.id),
+                    Rate::bps(bps),
+                )));
             }
             _ => {} // let backlog build
         }
     }
 
     // Kill-augmented copy of the schedule for the chaos leg.
-    let policy = match rng.uniform_range(0, 3) {
-        0 => RecoveryPolicy::Restart,
-        1 => RecoveryPolicy::Degrade(DegradedMode::Redistribute),
-        _ => RecoveryPolicy::Degrade(DegradedMode::Park),
-    };
-    let kills = rng.uniform_range(1, 4) as usize;
-    let mut kill_ops = ops.clone();
-    for _ in 0..kills {
-        let pos = rng.uniform_range(0, kill_ops.len() as u64 + 1) as usize;
-        let shard = rng.uniform_range(0, shards as u64) as usize;
-        kill_ops.insert(pos, Op::Kill(shard));
-    }
+    let (kill_ops, policy, kills) = with_kills(&ops, shards, &mut rng);
 
     // --- Leg 1: sync oracle. No concurrent writer exists, so every
     // snapshot must succeed on its first attempt (budget 1).
-    let (sync_ledger, sync_snap, snaps1) = replay(&mut SyncEngine::new(cfg), sc, &packets, &ops, 1)
-        .map_err(|e| fail(format!("sync leg: {e}")))?;
+    let (sync_ledger, sync_snap, snaps1) =
+        replay_pages(SyncEngine::new(cfg), sc, &packets, &ops, 1, &mut no_kills)
+            .map_err(|e| fail(format!("sync leg: {e}")))?;
 
     // --- Leg 2: threaded, kill-free — the pages are part of the
     // drivers' determinism contract, so they must be bit-identical to
     // the sync oracle's.
-    let (thr_ledger, thr_snap, snaps2) = replay(
-        &mut ThreadedEngine::new(cfg),
+    let (thr_ledger, thr_snap, snaps2) = replay_pages(
+        ThreadedEngine::new(cfg),
         sc,
         &packets,
         &ops,
         SNAP_BUDGET,
+        &mut no_kills,
     )
     .map_err(|e| fail(format!("threaded leg: {e}")))?;
     if thr_ledger != sync_ledger {
@@ -556,12 +394,13 @@ pub fn run_telemetry_conformance(sc: &Scenario) -> Result<TelemetryOutcome, Stri
     // recovery policy. The replay's quiescent checks already prove the
     // conservation identity and the RecoveryStats mirror; the pages are
     // *not* compared to the oracle here (recovery is real divergence).
-    let (kill_ledger, kill_snap, snaps3) = replay(
-        &mut ThreadedEngine::new(cfg.recovery(policy)),
+    let (kill_ledger, kill_snap, snaps3) = replay_pages(
+        ThreadedEngine::new(cfg.recovery(policy)),
         sc,
         &packets,
         &kill_ops,
         SNAP_BUDGET,
+        &mut kill_worker,
     )
     .map_err(|e| fail(format!("kill leg ({policy:?}): {e}")))?;
 

@@ -187,6 +187,16 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
         FlowFifos { name, inner }
     }
 
+    /// Told to expect up to `packets` queued packets: lets the pooled
+    /// backend allocate its first packet chunk now instead of at the
+    /// first push (see [`SlabPool::preallocate`]). No-op on the owned
+    /// backend.
+    pub fn preallocate(&mut self, packets: usize) {
+        if let Inner::Pooled(p) = &mut self.inner {
+            p.slab.preallocate(packets);
+        }
+    }
+
     /// Which backend this instance runs on.
     pub fn backend(&self) -> FifoBackend {
         match &self.inner {

@@ -206,6 +206,17 @@ impl<T: Copy> SlabPool<T> {
         made
     }
 
+    /// Told to expect up to `slots` live slots: if that fills a chunk,
+    /// allocate the first chunk now (untouched, so it costs address
+    /// space only) rather than at the first packet. A pool built just
+    /// before a deep backlog then places its large allocation with the
+    /// rest of the set-up instead of in the middle of the data path.
+    pub fn preallocate(&mut self, slots: usize) {
+        if slots >= CHUNK && self.chunks.is_empty() {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+    }
+
     /// Attach the pool's cross-thread return lane. Handles posted
     /// there are folded back into the freelist lazily.
     pub fn attach_return_queue(&mut self, q: Arc<ReturnQueue>) {
@@ -652,6 +663,20 @@ mod tests {
         }
         assert_eq!(p.try_alloc(9), None);
         assert_eq!(p.slots(), 4); // no growth past the prewarm
+    }
+
+    #[test]
+    fn preallocate_moves_the_first_chunk_forward_and_nothing_else() {
+        let mut p: SlabPool<u16> = SlabPool::new();
+        p.preallocate(CHUNK - 1); // a backlog that cannot fill a chunk
+        assert!(p.chunks.is_empty());
+        p.preallocate(CHUNK);
+        p.preallocate(4 * CHUNK); // only ever the first chunk
+        assert_eq!((p.chunks.len(), p.chunks[0].capacity()), (1, CHUNK));
+        assert_eq!((p.slots(), p.in_use()), (0, 0));
+        let h = p.try_alloc(7).unwrap();
+        assert_eq!((p.slots(), p.in_use(), p.chunks.len()), (1, 1, 1));
+        assert_eq!(*p.get(h), 7);
     }
 
     #[test]

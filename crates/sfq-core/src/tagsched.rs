@@ -275,6 +275,15 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
         self.rebase_bits = Some(threshold_bits);
     }
 
+    /// Told to expect a backlog of up to `packets`: if that fills a
+    /// chunk of the packet store, allocate the first chunk now instead
+    /// of at the first enqueue — for a scheduler built right before its
+    /// load arrives (an engine shard), so the one large allocation sits
+    /// with the rest of the set-up. Costs address space only until used.
+    pub fn preallocate(&mut self, packets: usize) {
+        self.q.preallocate(packets);
+    }
+
     /// Number of rebases applied so far (0 unless
     /// [`TagSched::enable_rebasing`] was called).
     pub fn rebases(&self) -> u64 {

@@ -17,37 +17,57 @@
 //! composed inequality and the tests in `tests/engine_fairness.rs`
 //! measure it.
 //!
-//! Two drivers share that layout:
+//! That composition is one machine — [`Engine`], the coordinator: the
+//! flow table, the root arbiter, the pending-count backpressure rule
+//! and the pick → pull-batch → charge drain loop — generic over a
+//! [`ShardLink`], the one thing that differs between deployments: how
+//! a coordinator command reaches a shard's scheduler.
 //!
-//! * [`SyncEngine`] — single-threaded, deterministic. Doubles as the
+//! * [`SyncEngine`] = `Engine<`[`Inline`]`<S>>` — every shard run in
+//!   place on the calling thread, statically dispatched. Doubles as the
 //!   differential oracle for the threaded mode and as a drop-in
 //!   [`sfq_core::Scheduler`] so `netsim`'s switch can run a sharded
 //!   port (see `netsim::engine_port`).
-//! * [`ThreadedEngine`] — one worker thread per shard. Commands to the
-//!   workers carry explicit ring cursors (`upto` counts), which pins
-//!   the exact set of packets each worker consumes per command; given
-//!   the same API call sequence its departures are byte-identical to
+//! * [`ThreadedEngine`] = `Engine<`[`Worker`]`>` — one worker thread
+//!   per shard behind a command channel, supervised. Commands that
+//!   consume the ring carry explicit packet counts, which pins the
+//!   exact set of packets each worker consumes per command; given the
+//!   same API call sequence its departures are byte-identical to
 //!   `SyncEngine`'s under any OS interleaving. The conformance `engine`
 //!   preset replays seeded call sequences against both and diffs them.
 
 #![warn(missing_docs)]
 
+mod engine;
+mod inline;
 pub mod ring;
 pub mod root;
-mod sync;
-mod threaded;
+mod worker;
 
+pub use engine::{Engine, LinkError, ShardLink};
+pub use inline::Inline;
 pub use ring::{spsc, SpscConsumer, SpscProducer};
 pub use root::RootSfq;
-pub use sync::SyncEngine;
-pub use threaded::{RecoveryStats, ThreadedEngine};
+pub use worker::{RecoveryStats, Worker};
+
+/// Deterministic single-threaded sharded engine, generic over the leaf
+/// discipline `S` running in each shard (exact-rational [`Sfq`] by
+/// default; [`SyncEngine::new_fast`] swaps in the fixed-point
+/// [`sfq_core::SfqFast`]). The root arbiter is exact-rational for every
+/// `S`. See [`Inline`].
+pub type SyncEngine<S = Sfq> = Engine<Inline<S>>;
+
+/// Multi-threaded sharded engine: same API, one worker thread per
+/// shard. See [`Worker`]'s module docs for the determinism protocol and
+/// the supervision state machine.
+pub type ThreadedEngine = Engine<Worker>;
 
 use sfq_core::obs::SchedObserver;
-use sfq_core::{FlowId, Scheduler, TagArith, TagSched, TelemetrySink, VtRule};
+use sfq_core::{FlowId, Scheduler, Sfq, TagArith, TagSched, TelemetrySink, VtRule};
 
 /// A scheduling discipline that can serve as an engine shard: the full
 /// [`sfq_core::Scheduler`] contract plus opt-in virtual-time rebasing,
-/// which both drivers wire to [`EngineConfig::rebase_bits`] at
+/// which both links wire to [`EngineConfig::rebase_bits`] at
 /// construction time.
 ///
 /// The root arbiter stays exact-rational regardless of the shard type —
@@ -61,17 +81,29 @@ pub trait ShardSched: Scheduler {
     /// schedulers' default of 96 bits is safe to pass to any shard.
     fn enable_rebasing(&mut self, threshold_bits: u32);
 
+    /// The shard will never hold more than `packets` packets (the
+    /// engine's refusal rule bounds it by [`EngineConfig::ring_capacity`]):
+    /// a discipline may allocate its packet store for a deep backlog
+    /// now, at construction, rather than in the middle of the first
+    /// burst. Both links call this once per shard; the default does
+    /// nothing.
+    fn preallocate(&mut self, _packets: usize) {}
+
     /// Attach a telemetry counter page: every later enqueue, dequeue,
     /// head drop, and forced removal is recorded on `sink` with plain
     /// single-writer stores (see the `sfq-telemetry` crate and
-    /// `docs/telemetry.md`). Both drivers call this from
-    /// `attach_telemetry` so each shard writes its own page.
+    /// `docs/telemetry.md`). [`Engine::attach_telemetry`] calls this
+    /// through each link so each shard writes its own page.
     fn attach_telemetry(&mut self, sink: TelemetrySink);
 }
 
 impl<A: TagArith, V: VtRule, O: SchedObserver> ShardSched for TagSched<A, V, O> {
     fn enable_rebasing(&mut self, threshold_bits: u32) {
         TagSched::enable_rebasing(self, threshold_bits);
+    }
+
+    fn preallocate(&mut self, packets: usize) {
+        TagSched::preallocate(self, packets);
     }
 
     fn attach_telemetry(&mut self, sink: TelemetrySink) {
@@ -81,11 +113,15 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> ShardSched for TagSched<A, V, O> 
 
 // Boxed shards forward the whole contract (the `Scheduler` supertrait
 // already forwards through `Box` in sfq-core); this is what lets the
-// threaded driver type-erase heterogeneous shard factories so a
+// `Worker` link type-erase heterogeneous shard factories so a
 // supervisor can rebuild a worker's scheduler after a crash.
 impl<T: ShardSched + ?Sized> ShardSched for Box<T> {
     fn enable_rebasing(&mut self, threshold_bits: u32) {
         (**self).enable_rebasing(threshold_bits);
+    }
+
+    fn preallocate(&mut self, packets: usize) {
+        (**self).preallocate(packets);
     }
 
     fn attach_telemetry(&mut self, sink: TelemetrySink) {
@@ -127,7 +163,7 @@ pub enum DegradedMode {
     Park,
 }
 
-/// Construction parameters shared by both engine drivers.
+/// Construction parameters of an [`Engine`], whatever its link.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Number of scheduler shards (and, for [`ThreadedEngine`], worker
@@ -145,8 +181,8 @@ pub struct EngineConfig {
     /// scheduler and on the root node once tag magnitudes exceed
     /// `bits` (see `docs/robustness.md`).
     pub rebase_bits: Option<u32>,
-    /// What the [`ThreadedEngine`] supervisor does when a shard worker
-    /// dies (ignored by [`SyncEngine`], which has no workers to lose).
+    /// What the supervisor does when a shard's link goes down:
+    /// consulted only when a link can go down ([`Worker`]).
     pub recovery: RecoveryPolicy,
 }
 
@@ -201,8 +237,8 @@ impl EngineConfig {
 /// Shard index owning `flow` in an engine with `shards` shards.
 ///
 /// SplitMix64 over the flow id: adjacent flow ids land on unrelated
-/// shards, and the mapping is a pure function shared by both drivers,
-/// the conformance harness, and the fairness tests.
+/// shards, and the mapping is a pure function shared by the
+/// coordinator, the conformance harness, and the fairness tests.
 pub fn shard_of(flow: FlowId, shards: usize) -> usize {
     debug_assert!(shards >= 1);
     let mut z = (flow.0 as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);

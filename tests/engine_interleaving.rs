@@ -7,9 +7,108 @@
 //! panics with the full divergence report, which ends in the standard
 //! `conformance replay: preset=engine seed=N` line for offline
 //! reproduction via the conformance fuzzer.
+//!
+//! The second proptest drives the same generic replay with the op
+//! alphabet the `engine` preset never generates: forced removals and
+//! head drops issued *with un-pumped ring residue*, re-adding a removed
+//! flow, weight changes between ingest and pump. Both engines are one
+//! coordinator over two links, so the whole trace — departures, every
+//! refusal and its cause, discard counts, `pending()` after every op —
+//! must be equal, and every accepted packet must be accounted for.
 
+use conformance::engine::{diff, no_kills, replay, Op};
 use conformance::{run_engine_conformance, Preset, Scenario};
 use proptest::prelude::*;
+use sfq_core::{FlowId, PacketFactory, ReconfigCmd};
+use sfq_engine::{EngineConfig, SyncEngine, ThreadedEngine};
+use simtime::{Bytes, Rate, SimTime};
+
+const FLOWS: u32 = 6;
+
+/// One generated action; `Ingest(seed, n)` mints `n` packets whose flows
+/// and lengths are spun off `seed`.
+#[derive(Clone, Debug)]
+enum Act {
+    Ingest(u32, usize),
+    Op(Op),
+}
+
+fn act() -> impl Strategy<Value = Act> {
+    let flow = || (0..FLOWS).prop_map(FlowId);
+    let rate = || (8u64..=512).prop_map(Rate::kbps);
+    let reconfig = prop_oneof![
+        flow().prop_map(ReconfigCmd::RemoveFlow),
+        (flow(), rate()).prop_map(|(f, r)| ReconfigCmd::AddFlow(f, r)),
+        (flow(), rate()).prop_map(|(f, r)| ReconfigCmd::SetWeight(f, r)),
+        (flow(), rate()).prop_map(|(f, r)| ReconfigCmd::SetRate(f, r)),
+        (0usize..4, proptest::option::of(rate()))
+            .prop_map(|(s, r)| ReconfigCmd::SetShardWeight(s, r)),
+    ];
+    let ingest = || (0..u32::MAX, 1usize..12).prop_map(|(seed, n)| Act::Ingest(seed, n));
+    let drain = || (1usize..20).prop_map(|max| Act::Op(Op::Drain(max)));
+    // Repeated arms stand in for weights: about a third ingests, a
+    // quarter control ops.
+    prop_oneof![
+        ingest(),
+        ingest(),
+        ingest(),
+        ingest(),
+        Just(Act::Op(Op::Pump)),
+        drain(),
+        drain(),
+        reconfig.prop_map(|cmd| Act::Op(Op::Reconfig(cmd))),
+        flow().prop_map(|f| Act::Op(Op::ForceRemove(f))),
+        flow().prop_map(|f| Act::Op(Op::DropHead(f))),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn control_ops_on_ring_residue_are_identical_across_links(
+        shards in 1usize..=3,
+        batch in 1usize..=8,
+        ring in 4usize..=32,
+        acts in proptest::collection::vec(act(), 1..60),
+    ) {
+        let cfg = EngineConfig::new(shards).batch(batch).ring_capacity(ring);
+        let flows: Vec<_> = (0..FLOWS).map(|f| (FlowId(f), Rate::kbps(32 << (f % 3)))).collect();
+        let mut fac = PacketFactory::new();
+        let mut packets = Vec::new();
+        let ops: Vec<Op> = acts
+            .iter()
+            .map(|a| match *a {
+                Act::Op(op) => op,
+                Act::Ingest(seed, n) => {
+                    let from = packets.len();
+                    for j in 0..n as u32 {
+                        let flow = FlowId(seed.wrapping_add(7 * j) % FLOWS);
+                        let len = Bytes::new(64 + 40 * (seed.wrapping_add(j) % 9) as u64);
+                        let at = SimTime::from_micros(packets.len() as i128);
+                        packets.push(fac.make(flow, len, at));
+                    }
+                    Op::Ingest(from, packets.len())
+                }
+            })
+            .collect();
+        let end = SimTime::from_secs(1);
+        let run = |trace: Result<_, String>| trace.unwrap_or_else(|e| panic!("replay failed: {e}"));
+        let sync = run(replay(
+            &mut SyncEngine::new(cfg), &flows, &packets, &ops, end, &mut no_kills, &mut || Ok(()),
+        ));
+        let thr = run(replay(
+            &mut ThreadedEngine::new(cfg), &flows, &packets, &ops, end, &mut no_kills, &mut || Ok(()),
+        ));
+        if let Err(report) = diff(&sync, &thr) {
+            panic!("threaded engine diverged from the sync oracle: {report}\n  ops: {ops:?}");
+        }
+        // Conservation on the oracle (hence on both): every accepted
+        // packet departed, was discarded by a removal, or was evicted.
+        prop_assert_eq!(
+            packets.len() - sync.refused.len(),
+            sync.departures.len() + sync.discarded + sync.evicted.len()
+        );
+    }
+}
 
 proptest! {
     #[test]
