@@ -38,6 +38,7 @@ pub mod arith;
 mod fair_airport;
 pub mod fixed;
 pub mod flowq;
+mod headheap;
 mod hier;
 pub mod obs;
 mod packet;

@@ -448,3 +448,86 @@ fn pool_preset_replay_line_reproduces_the_differential_check() {
     let out = run_pool_conformance(&back).unwrap_or_else(|d| panic!("{d}"));
     assert!(out.compared > 0);
 }
+
+/// The proptests above never hold more than a few hundred heap
+/// entries; the head-of-flow heap only prefetches ahead of its descent
+/// once it outgrows cache (`sfq_core::flowq::HeadHeap`, docs/pooling.md).
+/// This drives that branch through the real scheduler: 200 000 flows
+/// two packets deep (6 MB of heap), a closed loop of served-then-
+/// re-offered flows, and every source of stale heap entries —
+/// `force_remove_flow`, `drop_head`, and lazy flow GC handing a freed
+/// slot (generation bumped) to the next flow registered — with the
+/// pooled backend held to the owned oracle's exact departure order.
+#[test]
+fn sfq_fast_pooled_is_bit_identical_to_owned_at_200k_flows() {
+    const FLOWS: u32 = 200_000;
+    let weight = |f: u32| Rate::kbps(64 + (f % 512) as u64);
+    let len = |uid: u64| Bytes::new(64 + uid.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 1437);
+    let run = |backend: FifoBackend| {
+        let mut s = SfqFast::with_parts(TieBreak::Fifo, DEFAULT_SHIFT, NoopObserver, backend)
+            .expect("default shift is valid");
+        if backend == FifoBackend::Pooled {
+            s.enable_flow_gc();
+        }
+        let now = SimTime::ZERO;
+        let mut uid = 0u64;
+        let mut offer = |s: &mut SfqFast, f: u32| {
+            // Register-before-enqueue: the discipline under which lazy
+            // GC is transparent (see the module docs).
+            s.add_flow(FlowId(f), weight(f));
+            let p = Packet {
+                flow: FlowId(f),
+                seq: uid + 1,
+                len: len(uid),
+                arrival: now,
+                uid,
+            };
+            uid += 1;
+            s.enqueue(now, p);
+        };
+        for _ in 0..2 {
+            for f in 0..FLOWS {
+                offer(&mut s, f);
+            }
+        }
+        // Stale entries: a removed flow's entry stays behind, and so
+        // does a dropped head's while the new head gets its own.
+        let mut dropped = 0;
+        for f in (0..FLOWS).step_by(97) {
+            dropped += s.force_remove_flow(FlowId(f));
+            offer(&mut s, f);
+        }
+        for f in (0..FLOWS).step_by(89) {
+            dropped += usize::from(s.drop_head(FlowId(f)).is_some());
+        }
+        let stale_after_faults = s.head_heap_len() - FLOWS as usize;
+        // Closed loop: every third departure's flow is re-offered, the
+        // others drain towards empty, get collected, and their slots
+        // go to whichever flow registers next.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut served = 0usize;
+        let mut serve = |s: &mut SfqFast| {
+            let p = s.dequeue(now)?;
+            s.on_departure(now);
+            digest = (digest ^ p.uid).wrapping_mul(0x0100_0000_01b3);
+            served += 1;
+            Some(p.flow.0)
+        };
+        for i in 0..300_000 {
+            let f = serve(&mut s).expect("backlog outlasts the loop");
+            if i % 3 == 0 {
+                offer(&mut s, f);
+            }
+        }
+        let reclaimed = s.pool_stats().map_or(0, |st| st.flows_reclaimed);
+        while serve(&mut s).is_some() {}
+        assert_eq!(served + dropped, uid as usize, "every packet accounted for");
+        (digest, served, stale_after_faults, reclaimed)
+    };
+    let (dp, np, stale_p, reclaimed) = run(FifoBackend::Pooled);
+    let (d_o, n_o, stale_o, _) = run(FifoBackend::Owned);
+    assert_eq!((dp, np), (d_o, n_o), "departure order diverged");
+    assert_eq!(stale_p, stale_o, "stale heap entries diverged");
+    assert!(stale_p > 2_000, "the faults left stale entries: {stale_p}");
+    assert!(reclaimed > 1_000, "flow GC ran: {reclaimed} reclaimed");
+}
