@@ -117,6 +117,9 @@ pub struct GraphReport {
     pub port_drops: Vec<(usize, u64)>,
     /// Packets evicted (previously admitted) across all ports.
     pub evicted: u64,
+    /// Packets a port released without a slot on record, across all
+    /// ports ([`PortNode::strays`]): zero unless a port has a bug.
+    pub port_strays: u64,
     /// Packets killed by policers.
     pub policer_dropped: u64,
     /// Packets freed for lack of a classifier route.
@@ -174,6 +177,62 @@ impl Mint {
     }
 }
 
+/// One scripted injection: `(entry node, strict priority?, packet)`.
+type Scripted = (usize, bool, Packet);
+
+/// Order a script, still in mint order, by `(arrival, entry node,
+/// uid)`.
+///
+/// Comparing exact times cross-multiplies rationals tens of thousands
+/// of times over 72-byte tuples, so the arrivals are first put on one
+/// integer lattice ([`lattice_keys`]) and the 16-byte keys sorted
+/// instead; mint order is uid order, so a key's script index stands in
+/// for the uid and makes every key distinct. A script no `u64` lattice
+/// holds is ordered by comparing the times themselves. Which of the
+/// two runs depends on the arrivals' denominators and on nothing else,
+/// and both produce the same order.
+fn sort_script(script: &mut Vec<Scripted>) {
+    debug_assert!(script.windows(2).all(|w| w[0].2.uid < w[1].2.uid));
+    match lattice_keys(script) {
+        Some(mut keys) => {
+            keys.sort_unstable();
+            *script = keys.iter().map(|&(_, _, i)| script[i as usize]).collect();
+        }
+        None => script.sort_by_key(|&(entry, _, ref p)| (p.arrival, entry, p.uid)),
+    }
+}
+
+/// `(arrival in ticks of 1/L, entry node, script index)` per scripted
+/// packet, where `L` is the least common multiple of the arrivals'
+/// denominators. `None` when `L` or a tick count does not fit a `u64`
+/// (or an arrival is negative, or an index does not fit a `u32`).
+fn lattice_keys(script: &[Scripted]) -> Option<Vec<(u64, u32, u32)>> {
+    u32::try_from(script.len()).ok()?;
+    let mut lattice = 1u64;
+    for (_, _, p) in script {
+        let den = u64::try_from(p.arrival.as_ratio().denom()).ok()?;
+        // Nearly always true: a nanosecond script settles on 10^9
+        // within its first few packets.
+        if !lattice.is_multiple_of(den) {
+            let (mut a, mut b) = (lattice, den);
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            lattice = (lattice / a).checked_mul(den)?;
+        }
+    }
+    script
+        .iter()
+        .enumerate()
+        .map(|(i, &(entry, _, ref p))| {
+            let at = p.arrival.as_ratio();
+            let per_unit = lattice / at.denom() as u64;
+            let ticks = u64::try_from(at.numer()).ok()?.checked_mul(per_unit)?;
+            Some((ticks, u32::try_from(entry).ok()?, i as u32))
+        })
+        .collect()
+}
+
 /// A wired forwarding graph plus its traffic script. Build by hand or
 /// through [`crate::topo::GraphSpec`].
 pub struct Graph {
@@ -181,8 +240,8 @@ pub struct Graph {
     wires: Vec<Vec<Edge>>,
     arena: PktArena,
     mint: Mint,
-    /// `(entry node, strict priority?, packet)` per scripted injection.
-    script: Vec<(usize, bool, Packet)>,
+    /// The scripted injections, in mint order until the run sorts them.
+    script: Vec<Scripted>,
     churns: Vec<(SimTime, usize, FlowId)>,
     removed: HashSet<(usize, FlowId)>,
     tcp: FlowMap<TcpEndpoint>,
@@ -376,7 +435,7 @@ impl Graph {
         self.mint.transits = script.iter().map(|&(_, _, p)| Mint::open(p)).collect();
         // Group injections by (time, entry, class) so each group is
         // one run-to-completion ingress batch.
-        script.sort_by_key(|&(entry, _, ref p)| (p.arrival, entry, p.uid));
+        sort_script(&mut script);
         let mut groups: Vec<Range<usize>> = Vec::new();
         let mut q = EventQueue::new();
         let mut i = 0;
@@ -642,6 +701,7 @@ impl Graph {
         let mut port_refusals = Vec::new();
         let mut port_drops = Vec::new();
         let mut evicted = 0u64;
+        let mut port_strays = 0u64;
         let mut policer_dropped = 0u64;
         let mut unrouted = 0u64;
         for (n, node) in self.nodes.iter().enumerate() {
@@ -651,6 +711,7 @@ impl Graph {
                     port_refusals.push((n, p.refusals().to_vec()));
                     port_drops.push((n, p.drops_total()));
                     evicted += p.evicted();
+                    port_strays += p.strays();
                 }
                 NodeKind::Police(p) => policer_dropped += p.total_dropped(),
                 NodeKind::Classify(c) => unrouted += c.unrouted(),
@@ -662,6 +723,7 @@ impl Graph {
             port_refusals,
             port_drops,
             evicted,
+            port_strays,
             policer_dropped,
             unrouted,
             churn_discarded,
@@ -677,8 +739,80 @@ mod tests {
     use super::*;
     use crate::topo::{GraphSpec, PortKind, PortSpec};
     use netsim::DropPolicy;
+    use proptest::prelude::*;
     use servers::RateProfile;
-    use simtime::Rate;
+    use simtime::{Rate, Ratio};
+
+    /// A script in mint order over arrivals `num / den`: few distinct
+    /// numerators and entries, so that ties at every level of the key
+    /// are common.
+    fn script_of(arrivals: &[(i128, i128, usize)]) -> Vec<Scripted> {
+        let mut pf = PacketFactory::new();
+        let script = arrivals.iter().map(|&(num, den, entry)| {
+            let at = SimTime::from_ratio(Ratio::new(num, den));
+            (entry, num % 2 == 0, pf.make(FlowId(7), Bytes::new(64), at))
+        });
+        script.collect()
+    }
+
+    fn assert_sorts_like_the_comparison(mut script: Vec<Scripted>) {
+        let mut by_comparison = script.clone();
+        by_comparison.sort_by_key(|&(entry, _, ref p)| (p.arrival, entry, p.uid));
+        sort_script(&mut script);
+        assert_eq!(script, by_comparison);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arrivals on the nanosecond lattice and a few coarser ones:
+        /// one `u64` lattice holds them, the integer keys sort.
+        #[test]
+        fn lattice_sort_is_the_comparison_sort(
+            arrivals in prop::collection::vec(
+                (0i128..40, prop_oneof![Just(1_000_000_000i128), Just(1_000), Just(48), Just(1)], 0usize..3),
+                0..200,
+            ),
+        ) {
+            let script = script_of(&arrivals);
+            prop_assert!(lattice_keys(&script).is_some());
+            assert_sorts_like_the_comparison(script);
+        }
+
+        /// Pairwise coprime 21-bit denominators (no `u64` holds the
+        /// product of four), numerators past `u64`, negative instants:
+        /// whenever one of them is drawn the exact times are compared.
+        #[test]
+        fn fallback_sort_is_the_comparison_sort(
+            arrivals in prop::collection::vec(
+                (
+                    prop_oneof![-3i128..40, (1i128 << 64)..(1 << 64) + 3],
+                    prop_oneof![Just(1_000_003i128), Just(1_000_033), Just(1_000_037), Just(1_000_039), Just(1)],
+                    0usize..3,
+                ),
+                0..200,
+            ),
+        ) {
+            assert_sorts_like_the_comparison(script_of(&arrivals));
+        }
+    }
+
+    #[test]
+    fn the_sort_falls_back_exactly_when_no_u64_lattice_fits() {
+        let fits = |arrivals: &[(i128, i128, usize)]| lattice_keys(&script_of(arrivals)).is_some();
+        let dens = [1_000_003, 1_000_033, 1_000_037, 1_000_039];
+        // Three coprime 21-bit denominators make a 60-bit lattice; the
+        // fourth does not fit.
+        assert!(fits(&[(1, dens[0], 0), (1, dens[1], 0), (1, dens[2], 0)]));
+        assert!(!fits(&dens.map(|d| (1, d, 0))));
+        // The lattice fits but an hour in ticks of it does not.
+        assert!(fits(&[(1, 1 << 40, 0), ((1 << 40) * 3_600, 1 << 40, 0)]));
+        assert!(!fits(&[(1, 1 << 60, 0), (3_600, 1, 0)]));
+        // Before the origin, and past every word.
+        assert!(!fits(&[(-1, 1_000, 0)]));
+        assert!(!fits(&[(1, (1 << 64) + 1, 0)]));
+        assert!(fits(&[]));
+    }
 
     fn arrivals(n: usize, gap_ms: i128, len: u64) -> Vec<(SimTime, Bytes)> {
         (0..n)

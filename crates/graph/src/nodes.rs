@@ -1,10 +1,13 @@
 //! Concrete forwarding nodes: classification, token-bucket policing,
 //! and transmit sinks. Scheduler ports live in [`crate::port`].
 
+// Panic-free outside tests, like `sfq-core` (docs/robustness.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::arena::PktArena;
 use crate::node::{GraphNode, OutPort};
 use sfq_core::{FlowId, FlowMap, PktRef, ReturnQueue};
-use simtime::{Bytes, Rate, SimDuration, SimTime};
+use simtime::{Bytes, Rate, SimTime, Unreduced};
 use std::sync::Arc;
 
 /// Flow-id → out-port classification (the paper's per-flow path
@@ -94,11 +97,17 @@ pub struct TokenBucket {
 /// Ingress policer enforcing per-flow [`TokenBucket`] contracts with
 /// the exact GCRA (virtual-scheduling) formulation: a packet of length
 /// `l` arriving at `t` conforms iff `t ≥ TAT − σ/ρ`, and on
-/// conformance `TAT ← max(TAT, t) + l/ρ`. All arithmetic is exact
-/// rational time ([`Rate::tx_time`]), so conformance decisions are
-/// deterministic and driver-independent. Non-conforming packets are
-/// freed and counted; flows without a contract pass through untouched.
-/// Conforming traffic leaves on out-port 0.
+/// conformance `TAT ← max(TAT, t) + l/ρ`. All arithmetic is exact, so
+/// conformance decisions are deterministic and driver-independent.
+/// Non-conforming packets are freed and counted; flows without a
+/// contract pass through untouched. Conforming traffic leaves on
+/// out-port 0.
+///
+/// A TAT is compared with the clock and never read, so it is kept as
+/// an [`Unreduced`] fraction on the lattice of `ρ`, seated at the
+/// instant the flow last went from idle to busy: a busy flow's update
+/// is an integer add and both tests are cross-multiplications, with no
+/// gcd on any branch (docs/graph.md, "What a packet costs").
 pub struct Policer {
     contracts: FlowMap<Contract>,
     total_dropped: u64,
@@ -108,11 +117,30 @@ pub struct Policer {
 /// packet costs one lookup.
 struct Contract {
     rho: Rate,
-    /// τ = σ/ρ, the burst tolerance, computed when the contract is set.
-    tau: SimDuration,
+    /// σ in bits: stepping back by it takes TAT to `TAT − σ/ρ`.
+    sigma_bits: i128,
     /// Theoretical arrival time of the flow's next conforming packet.
-    tat: SimTime,
+    tat: Unreduced,
     dropped: u64,
+}
+
+impl Contract {
+    /// The TAT after a packet of `len` arriving at `now`, if it
+    /// conforms: iff `now ≥ TAT − σ/ρ`; a flow whose TAT has passed
+    /// conforms whatever σ is. Arithmetic that leaves `i128` — no
+    /// instant or rate a simulation can hold gets there — reads as
+    /// non-conforming: the policer fails closed rather than panic.
+    fn admit(&self, now: SimTime, len: Bytes) -> Option<Unreduced> {
+        let (now, rho) = (now.as_ratio(), self.rho.as_bps());
+        let from = if self.tat <= now {
+            Unreduced::from(now)
+        } else if self.tat.advance(-self.sigma_bits, rho)? <= now {
+            self.tat
+        } else {
+            return None;
+        };
+        from.advance(len.bits() as i128, rho)
+    }
 }
 
 impl Policer {
@@ -125,21 +153,21 @@ impl Policer {
     }
 
     /// Enforce `bucket` on `flow`. Re-contracting a flow changes its
-    /// rate and tolerance and keeps its TAT and drop count.
+    /// rate and tolerance and keeps its TAT and drop count. Panics on a
+    /// zero `rho`, under which nothing would ever conform again.
     pub fn contract(&mut self, flow: FlowId, bucket: TokenBucket) {
-        let (rho, tau) = (bucket.rho, bucket.rho.tx_time(bucket.sigma));
-        match self.contracts.get_mut(flow) {
-            Some(c) => (c.rho, c.tau) = (rho, tau),
-            None => {
-                let fresh = Contract {
-                    rho,
-                    tau,
-                    tat: SimTime::ZERO,
-                    dropped: 0,
-                };
-                self.contracts.insert(flow, fresh);
-            }
-        }
+        assert!(bucket.rho.as_bps() > 0, "transmission at zero rate");
+        let prior = self.contracts.get(flow);
+        let tat = prior.map_or(Unreduced::ZERO, |c| c.tat);
+        let fresh = Contract {
+            rho: bucket.rho,
+            sigma_bits: bucket.sigma.bits() as i128,
+            // Seat the TAT on the new rate's lattice now (a step of
+            // nothing), so that no packet pays for the move.
+            tat: tat.advance(0, bucket.rho.as_bps()).unwrap_or(tat),
+            dropped: prior.map_or(0, |c| c.dropped),
+        };
+        self.contracts.insert(flow, fresh);
     }
 
     /// Non-conforming packets dropped for `flow`.
@@ -173,18 +201,16 @@ impl GraphNode for Policer {
                 out.push((OutPort(0), h));
                 continue;
             };
-            // Conform iff now ≥ TAT − τ with τ = σ/ρ, rearranged to
-            // avoid negative times: TAT ≤ now + τ. A flow whose TAT
-            // has passed conforms whatever τ is.
-            let idle = c.tat <= now;
-            if idle || c.tat <= now + c.tau {
-                let from = if idle { now } else { c.tat };
-                c.tat = from + c.rho.tx_time(pkt.len);
-                out.push((OutPort(0), h));
-            } else {
-                arena.free(h);
-                c.dropped += 1;
-                self.total_dropped += 1;
+            match c.admit(now, pkt.len) {
+                Some(tat) => {
+                    c.tat = tat;
+                    out.push((OutPort(0), h));
+                }
+                None => {
+                    arena.free(h);
+                    c.dropped += 1;
+                    self.total_dropped += 1;
+                }
             }
         }
     }
@@ -267,7 +293,143 @@ impl GraphNode for TxSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sfq_core::PacketFactory;
+    use simtime::{Ratio, SimDuration};
+
+    /// The GCRA as it was while a TAT was a reduced [`SimTime`]: what
+    /// [`Policer`] has to stay indistinguishable from.
+    struct ReducedGcra {
+        rho: Rate,
+        tau: SimDuration,
+        tat: SimTime,
+    }
+
+    impl ReducedGcra {
+        fn contract(&mut self, bucket: TokenBucket) {
+            (self.rho, self.tau) = (bucket.rho, bucket.rho.tx_time(bucket.sigma));
+        }
+
+        fn conforms(&mut self, now: SimTime, len: Bytes) -> bool {
+            let idle = self.tat <= now;
+            let conforms = idle || self.tat <= now + self.tau;
+            if conforms {
+                let from = if idle { now } else { self.tat };
+                self.tat = from + self.rho.tx_time(len);
+            }
+            conforms
+        }
+    }
+
+    /// A link rate with no factor in common with a nanosecond.
+    const LINK_BPS: i128 = 45_511_111;
+
+    /// Contracts from σ = 0 up, at rates from 7 b/s to 100 Gb/s whose
+    /// least common multiple stays small, so that the oracle's reduced
+    /// arithmetic never leaves `i128` however often a run re-contracts.
+    fn bucket() -> impl Strategy<Value = TokenBucket> {
+        const RHO: [u64; 6] = [7, 1_000, 64_000, 1_250_000, 45_511_111, 100_000_000_000];
+        let sigma = prop_oneof![Just(0u64), 1u64..3_000, 3_000u64..100_000];
+        (sigma, 0..RHO.len()).prop_map(|(sigma, i)| TokenBucket {
+            sigma: Bytes::new(sigma),
+            rho: Rate::bps(RHO[i]),
+        })
+    }
+
+    /// Time to the next arrival: nothing (a same-instant burst), or a
+    /// step on the nanosecond lattice, on the lattice a packet leaves a
+    /// [`LINK_BPS`] port on, or on thirds of a microsecond.
+    fn gap() -> impl Strategy<Value = Ratio> {
+        let on = |den: i128| (1i128..2_000_000_000).prop_map(move |k| Ratio::new(k, den));
+        prop_oneof![
+            Just(Ratio::ZERO),
+            on(1_000_000_000),
+            on(1_000_000_000),
+            on(1_000_000_000 * LINK_BPS),
+            on(3_000_000),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Unreduced TAT against the reduced one: the same verdict on
+        /// every packet and the same TAT after it, on mixed arrival
+        /// lattices, from the origin and from an hour in (numerators
+        /// past `i64`), re-contracted mid-burst.
+        #[test]
+        fn unreduced_tat_matches_the_reduced_gcra(
+            first in bucket(),
+            hours in 0i128..3,
+            pkts in prop::collection::vec((gap(), 0u64..9_000, prop::option::of(bucket())), 1..80),
+        ) {
+            let flow = FlowId(1);
+            let mut arena = PktArena::new();
+            let mut pf = PacketFactory::new();
+            let mut p = Policer::new();
+            p.contract(flow, first);
+            let mut old = ReducedGcra {
+                rho: first.rho,
+                tau: first.rho.tx_time(first.sigma),
+                tat: SimTime::ZERO,
+            };
+            let mut now = Ratio::from_int(3_600 * hours);
+            let mut out = Vec::new();
+            let mut dropped = 0;
+            for (i, (gap, len, recontract)) in pkts.into_iter().enumerate() {
+                // One re-contract in four lands between two packets.
+                if let Some(b) = recontract.filter(|_| i % 4 == 3) {
+                    p.contract(flow, b);
+                    old.contract(b);
+                }
+                now += gap;
+                let (at, len) = (SimTime::from_ratio(now), Bytes::new(len));
+                let h = arena.try_alloc(pf.make(flow, len, at)).unwrap();
+                out.clear();
+                p.dispatch(at, &mut arena, &[h], &mut out);
+                let conforms = old.conforms(at, len);
+                prop_assert_eq!(!out.is_empty(), conforms, "packet {} at {:?}", i, at);
+                let tat = p.contracts.get(flow).map(|c| c.tat.reduce());
+                prop_assert_eq!(tat, Some(old.tat.as_ratio()), "TAT after packet {}", i);
+                dropped += !conforms as u64;
+            }
+            prop_assert_eq!(p.dropped(flow), dropped);
+            prop_assert_eq!(p.total_dropped(), dropped);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transmission at zero rate")]
+    fn zero_rate_contract_is_rejected_when_set() {
+        let never = TokenBucket {
+            sigma: Bytes::new(1_500),
+            rho: Rate::bps(0),
+        };
+        Policer::new().contract(FlowId(1), never);
+    }
+
+    #[test]
+    fn tat_past_i128_fails_closed() {
+        // A clock within a step of i128::MAX seconds: the flow's TAT
+        // cannot be stepped, so its packets read as non-conforming
+        // where reduced arithmetic would have panicked.
+        let flow = FlowId(1);
+        let mut arena = PktArena::new();
+        let mut pf = PacketFactory::new();
+        let mut p = Policer::new();
+        let slow = TokenBucket {
+            sigma: Bytes::new(100),
+            rho: Rate::bps(1),
+        };
+        p.contract(flow, slow);
+        let at = SimTime::from_ratio(Ratio::from_int(i128::MAX - 8));
+        let h = arena.try_alloc(pf.make(flow, Bytes::new(2), at)).unwrap();
+        let mut out = Vec::new();
+        p.dispatch(at, &mut arena, &[h], &mut out);
+        assert!(out.is_empty());
+        assert_eq!((p.dropped(flow), p.total_dropped()), (1, 1));
+        assert!(arena.audit().balanced());
+    }
 
     #[test]
     fn classifier_routes_and_counts_unrouted() {

@@ -19,6 +19,9 @@
 //! spot and the uid recorded in the port's refusal sequence, which is
 //! part of the oracle-vs-threaded identity surface.
 
+// Panic-free outside tests, like `sfq-core` (docs/robustness.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::arena::PktArena;
 use crate::node::{GraphNode, OutPort};
 use netsim::{DropPolicy, SwitchCore};
@@ -59,6 +62,7 @@ pub struct PortNode {
     shed: Rc<RefCell<ShedLog>>,
     refused: Vec<u64>,
     evicted: u64,
+    strays: u64,
     /// Maximum transmission unit ([`crate::PortSpec::mtu`]): the
     /// executor fragments larger packets on entry to this port.
     pub(crate) mtu: Option<Bytes>,
@@ -85,6 +89,7 @@ impl PortNode {
             shed,
             refused: Vec::new(),
             evicted: 0,
+            strays: 0,
             mtu: None,
         }
     }
@@ -149,13 +154,23 @@ impl PortNode {
     /// Start transmitting if the link is free and a packet is queued:
     /// returns the packet, its handle (removed from the side table),
     /// and the completion time.
+    ///
+    /// Every packet the switch holds has its handle in the side table:
+    /// both offers insert it on admission, and an entry leaves only
+    /// with its packet (here, on eviction, on churn). A packet found
+    /// without one has no slot to forward, so it is counted a stray
+    /// ([`PortNode::strays`]), its transmission ends where it began,
+    /// and the next packet is tried.
     pub fn try_start(&mut self, now: SimTime) -> Option<(sfq_core::Packet, PktRef, SimTime)> {
-        let (pkt, done) = self.core.try_start(now)?;
-        let (_, h) = self
-            .inflight
-            .remove(&pkt.uid)
-            .expect("transmitting packet missing from the port side table");
-        Some((pkt, h, done))
+        loop {
+            let (pkt, done) = self.core.try_start(now)?;
+            if let Some((_, h)) = self.inflight.remove(&pkt.uid) {
+                return Some((pkt, h, done));
+            }
+            debug_assert!(false, "packet {} has no side-table entry", pkt.uid);
+            self.strays += 1;
+            self.core.complete(now);
+        }
     }
 
     /// Transmission-done: advances the switch (departure bookkeeping,
@@ -182,8 +197,9 @@ impl PortNode {
             "side table out of sync with the scheduler backlog"
         );
         for uid in uids {
-            let (_, h) = self.inflight.remove(&uid).expect("uid listed above");
-            arena.free(h);
+            if let Some((_, h)) = self.inflight.remove(&uid) {
+                arena.free(h);
+            }
         }
         dropped
     }
@@ -219,6 +235,13 @@ impl PortNode {
     /// Previously admitted packets evicted by a drop policy.
     pub fn evicted(&self) -> u64 {
         self.evicted
+    }
+
+    /// Packets the switch released that had no slot on record (see
+    /// [`PortNode::try_start`]): zero unless the side table and the
+    /// switch disagree, which is a bug in this port.
+    pub fn strays(&self) -> u64 {
+        self.strays
     }
 
     /// Total shed packets (refusals + evictions) for `flow` per the

@@ -24,6 +24,18 @@ pub struct RateProfile {
     segments: Vec<Segment>,
 }
 
+/// Exact time to serve `remaining` bits at the non-zero `rate`. A whole
+/// number of bits — every transmission that has not crossed a segment
+/// boundary at a fractional bit — is the single reduction of
+/// [`Rate::tx_time`]; only a fractional remainder divides rationals.
+fn drain_time(remaining: Ratio, rate: Rate) -> SimDuration {
+    SimDuration::from_ratio(if remaining.denom() == 1 {
+        Ratio::new(remaining.numer(), rate.as_bps() as i128)
+    } else {
+        remaining / rate.as_ratio()
+    })
+}
+
 impl RateProfile {
     /// Constant-rate server (`(C, 0)` Fluctuation Constrained).
     pub fn constant(rate: Rate) -> Self {
@@ -119,7 +131,7 @@ impl RateProfile {
                 Some(end) if end > t => {
                     let capacity = rate * (end - t).as_ratio();
                     if capacity >= remaining && !rate.is_zero() {
-                        return t + SimDuration::from_ratio(remaining / rate);
+                        return t + drain_time(remaining, seg.rate);
                     }
                     remaining -= capacity;
                     t = end;
@@ -130,7 +142,7 @@ impl RateProfile {
                         !rate.is_zero(),
                         "transmission never completes: zero final rate"
                     );
-                    return t + SimDuration::from_ratio(remaining / rate);
+                    return t + drain_time(remaining, seg.rate);
                 }
             }
         }
@@ -262,6 +274,66 @@ mod tests {
             p.finish_time(SimTime::from_secs(1), Bytes::new(125)),
             SimTime::from_secs(1) + SimDuration::from_millis(1)
         );
+    }
+
+    /// `finish_time` as it was when every segment divided rationals.
+    fn finish_time_by_division(p: &RateProfile, t0: SimTime, len: Bytes) -> SimTime {
+        let mut remaining = len.bits_ratio();
+        let mut t = t0;
+        let from = p.segments.iter().rposition(|s| s.start <= t0).unwrap_or(0);
+        for (i, seg) in p.segments.iter().enumerate().skip(from) {
+            let rate = seg.rate.as_ratio();
+            let room = p
+                .segments
+                .get(i + 1)
+                .map(|n| (n.start, rate * (n.start - t).as_ratio()));
+            match room {
+                Some((end, capacity)) if capacity < remaining || rate.is_zero() => {
+                    remaining -= capacity;
+                    t = end;
+                }
+                _ => return t + SimDuration::from_ratio(remaining / rate),
+            }
+        }
+        unreachable!("the last segment returns")
+    }
+
+    #[test]
+    fn finish_time_agrees_with_dividing_rationals() {
+        // Constant, stepped (a boundary crossed at a fractional bit
+        // count: 7 bps for 1/3 s) and zero-rate-gap profiles.
+        let third = SimTime::from_ratio(Ratio::new(1, 3));
+        let stepped = RateProfile::from_segments(vec![
+            Segment {
+                start: SimTime::ZERO,
+                rate: Rate::bps(7),
+            },
+            Segment {
+                start: third,
+                rate: Rate::bps(1_000_003),
+            },
+            Segment {
+                start: SimTime::from_secs(2),
+                rate: Rate::kbps(64),
+            },
+        ]);
+        let profiles = [
+            RateProfile::constant(Rate::bps(45_511_111)),
+            stepped,
+            on_off(),
+        ];
+        for p in &profiles {
+            for t0 in [SimTime::ZERO, third, SimTime::from_nanos(1_999_999_999)] {
+                for len in [1, 2, 64, 1_500, 250_000] {
+                    let len = Bytes::new(len);
+                    assert_eq!(
+                        p.finish_time(t0, len),
+                        finish_time_by_division(p, t0, len),
+                        "{len} from {t0:?} on {p:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

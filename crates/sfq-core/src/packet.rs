@@ -1,5 +1,6 @@
 //! Packet and flow vocabulary shared by every scheduling discipline.
 
+use crate::pool::FlowMap;
 use core::fmt;
 use simtime::{Bytes, SimTime};
 
@@ -43,7 +44,7 @@ pub struct Packet {
 #[derive(Debug, Default)]
 pub struct PacketFactory {
     next_uid: u64,
-    per_flow_seq: std::collections::HashMap<FlowId, u64>,
+    per_flow_seq: FlowMap<u64>,
 }
 
 impl PacketFactory {
@@ -55,13 +56,21 @@ impl PacketFactory {
     /// Mint the next packet of `flow` with the given length and arrival
     /// time, assigning `seq` and `uid` automatically.
     pub fn make(&mut self, flow: FlowId, len: Bytes, arrival: SimTime) -> Packet {
-        let seq = self.per_flow_seq.entry(flow).or_insert(0);
-        *seq += 1;
+        let seq = match self.per_flow_seq.get_mut(flow) {
+            Some(seq) => {
+                *seq += 1;
+                *seq
+            }
+            None => {
+                self.per_flow_seq.insert(flow, 1);
+                1
+            }
+        };
         let uid = self.next_uid;
         self.next_uid += 1;
         Packet {
             flow,
-            seq: *seq,
+            seq,
             len,
             arrival,
             uid,
@@ -87,6 +96,13 @@ mod tests {
         assert_eq!((a.seq, b.seq, c.seq), (1, 2, 1));
         assert!(a.uid < b.uid && b.uid < c.uid);
         assert_eq!(pf.minted(), 3);
+        // A sparse id numbers like any other: the dense table indexes
+        // small ids directly and must not size itself by this one.
+        let d = pf.make(FlowId(u32::MAX), Bytes::new(100), SimTime::ZERO);
+        let e = pf.make(FlowId(u32::MAX), Bytes::new(100), SimTime::ZERO);
+        let f = pf.make(FlowId(1), Bytes::new(100), SimTime::ZERO);
+        assert_eq!((d.seq, e.seq, f.seq), (1, 2, 3));
+        assert_eq!((d.uid, e.uid, f.uid), (3, 4, 5));
     }
 
     #[test]

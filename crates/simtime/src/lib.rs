@@ -5,6 +5,10 @@
 //! represented exactly:
 //!
 //! - [`Ratio`]: reduced `i128` rationals (no floats in scheduler logic),
+//! - [`Unreduced`]: the same exact values for state that is stepped
+//!   once per packet and only ever compared (a policer's TAT, an
+//!   arbiter's tags) — seated on the lattice of its rate, it advances
+//!   by integer adds and is reduced only when somebody reads it,
 //! - [`SimTime`] / [`SimDuration`]: absolute instants and spans in exact
 //!   rational seconds,
 //! - [`Bytes`] / [`Rate`]: integer bytes and integer bits-per-second.
@@ -17,10 +21,12 @@
 mod ratio;
 mod time;
 mod units;
+mod unreduced;
 
 pub use ratio::Ratio;
 pub use time::{SimDuration, SimTime};
 pub use units::{Bytes, Rate};
+pub use unreduced::Unreduced;
 
 #[cfg(test)]
 mod proptests {

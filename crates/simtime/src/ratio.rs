@@ -179,7 +179,7 @@ impl Ratio {
     /// with `den > 0` — the fast-path constructor that skips the gcd of
     /// [`Ratio::new`]. Invariants are checked in debug builds.
     #[inline]
-    fn raw(num: i128, den: i128) -> Self {
+    pub(crate) fn raw(num: i128, den: i128) -> Self {
         debug_assert!(den > 0, "Ratio::raw requires den > 0");
         debug_assert!(
             gcd(num, den) == 1 && (num != 0 || den == 1),

@@ -1,7 +1,9 @@
 //! Executor goldens: digests and counts captured from the three deleted
 //! `netsim` executors (`Net`, `Tandem`, `Mesh`) at the commit before
 //! they were ported onto `graph::Graph`, plus one digest of a scripted
-//! matrix run on the graph executor of that same commit. The
+//! matrix run on the graph executor of that same commit, plus two
+//! policed matrices over engine ports captured at the commit before
+//! the policer's and the root arbiter's arithmetic went unreduced. The
 //! graph-backed code must reproduce every one of them bit for bit: a
 //! golden that moves means the executor's same-instant event order
 //! changed (see docs/graph.md, "Same-instant event order"), and is to
@@ -254,4 +256,171 @@ fn scripted_matrix_digest_is_unchanged() {
     assert_eq!((delivered, shed, r.evicted), (147, 493, 194));
     assert_eq!(h.0, 0xd0b4_b211_ef8e_f57a);
     assert!(r.audit.balanced() && r.audit.in_use == 0);
+}
+
+/// A 4×4 matrix behind four ingress policers: sixteen flows, flow `k`
+/// entering at policer `k / 4` and leaving by port `k % 4`, every port
+/// a 2-shard `SyncEngine` under a 12-packet head-drop shared buffer.
+/// `caps = false` lifts the buffers, so nothing but a policer sheds.
+fn policed_matrix(caps: bool) -> (Graph, Vec<usize>) {
+    let weight = |k: u32| Rate::kbps(64 + 24 * (k as u64 % 5));
+    let ports: Vec<PortSpec> = (0..4u32)
+        .map(|j| {
+            let flows: Vec<(FlowId, Rate)> = (0..16u32)
+                .filter(|k| k % 4 == j)
+                .map(|k| (FlowId(k), weight(k)))
+                .collect();
+            let mean: u64 = flows.iter().map(|(_, r)| r.as_bps()).sum();
+            let link = RateProfile::constant(Rate::bps(mean * 10 / 9));
+            let mut p = PortSpec::new(link, flows);
+            if caps {
+                p.shared_cap = Some(12);
+                p.policy = DropPolicy::HeadDrop;
+            }
+            p
+        })
+        .collect();
+    let routes = (0..16u32).map(|k| (FlowId(k), (k % 4) as usize)).collect();
+    let mut spec = GraphSpec::matrix(4, ports, routes);
+    let policers = (0..4u32)
+        .map(|i| {
+            let rules = (0..16u32)
+                .filter(|k| k / 4 == i)
+                .map(|k| {
+                    let bucket = graph::TokenBucket {
+                        sigma: Bytes::new(3_000),
+                        rho: Rate::bps(weight(k).as_bps() * 5 / 4),
+                    };
+                    (FlowId(k), bucket)
+                })
+                .collect();
+            spec.add_policer(i as usize, rules)
+        })
+        .collect();
+    let cfg = sfq_engine::EngineConfig::new(2);
+    (spec.build(PortKind::EngineSync(cfg)), policers)
+}
+
+/// What a policed-matrix run is pinned by: the digest of every sink's
+/// `(uid, exact departure time)` sequence, of the per-flow policed uid
+/// lists and of the per-port refusal lists, then the delivered /
+/// policed / refused / evicted counts. The policed uids are read off
+/// the uncapped twin of the run (`open`), where a packet that is not
+/// delivered can only have been policed; a policer's decisions depend
+/// on nothing downstream of it, which the two runs' equal policed
+/// counts check.
+fn policed_fingerprint(capped: &GraphReport, open: &GraphReport) -> (u64, [u64; 4]) {
+    assert!(capped.audit.balanced() && capped.audit.in_use == 0);
+    assert!(open.audit.balanced() && open.audit.in_use == 0);
+    assert_eq!(capped.policer_dropped, open.policer_dropped);
+    assert_eq!(open.evicted, 0);
+    assert!(open.port_refusals.iter().all(|(_, u)| u.is_empty()));
+    let mut h = Fnv::new();
+    for (sink, deps) in &capped.sink_departures {
+        h.word(*sink as u64);
+        for d in deps {
+            h.word(d.uid);
+            h.time(d.at);
+        }
+    }
+    let mut policed: Vec<(u32, u64)> = open
+        .transits
+        .iter()
+        .filter(|t| t.delivered.is_none())
+        .map(|t| (t.pkt.flow.0, t.pkt.uid))
+        .collect();
+    policed.sort_unstable();
+    assert_eq!(policed.len() as u64, capped.policer_dropped);
+    for (flow, uid) in policed {
+        h.word(flow as u64);
+        h.word(uid);
+    }
+    for (port, uids) in &capped.port_refusals {
+        h.word(*port as u64);
+        for u in uids {
+            h.word(*u);
+        }
+    }
+    let delivered = capped.sink_departures.iter().map(|(_, d)| d.len() as u64);
+    let refused = capped.port_refusals.iter().map(|(_, u)| u.len() as u64);
+    let tally = [
+        delivered.sum(),
+        capped.policer_dropped,
+        refused.sum(),
+        capped.evicted,
+    ];
+    assert_eq!(tally.iter().sum::<u64>(), capped.transits.len() as u64);
+    (h.0, tally)
+}
+
+/// Captured at the commit before policer TATs and root-arbiter tags
+/// went unreduced and the script sort went to integer keys: heavy-tailed
+/// on-off sources on the nanosecond lattice through policers and
+/// engine ports, which no golden above covers.
+#[test]
+fn policed_engine_matrix_is_unchanged() {
+    let run = |caps| {
+        let (mut g, policers) = policed_matrix(caps);
+        let mut rng = SimRng::new(0x5f0_1996);
+        for k in 0..16u32 {
+            let src = traffic::ParetoOnOffSource::new(
+                SimTime::from_nanos(1_000_003 * k as i128),
+                SimDuration::from_nanos(2_853_333_333 / (64 + 24 * (k as i128 % 5))),
+                Bytes::new(64),
+                0.2,
+                0.2,
+                1.5,
+                rng.fork(k as u64),
+            );
+            let arrivals: Vec<(SimTime, Bytes)> = arrivals_until(src, SimTime::from_secs(6))
+                .into_iter()
+                .enumerate()
+                .map(|(i, (t, _))| (t, Bytes::new([64, 576, 1500][(i + k as usize) % 3])))
+                .collect();
+            g.add_source(policers[(k / 4) as usize], FlowId(k), &arrivals);
+        }
+        g.run(SimTime::from_secs(3600))
+    };
+    assert_eq!(
+        policed_fingerprint(&run(true), &run(false)),
+        (0x2885_024f_9125_8264, [1599, 323, 8, 29])
+    );
+}
+
+/// Same pin, second branch of the script sort: arrival denominators
+/// that are pairwise coprime per ingress, so that no common `u64`
+/// lattice holds them and the script is ordered by comparing exact
+/// times; a millisecond-lattice arrival every fourth packet puts
+/// same-instant arrivals at all four entries, and a strict-priority
+/// source at port 0 shares those instants.
+#[test]
+fn coprime_lattice_script_is_unchanged() {
+    const DENS: [i128; 4] = [1_000_003, 1_000_033, 1_000_037, 1_000_039];
+    let run = |caps| {
+        let (mut g, policers) = policed_matrix(caps);
+        for k in 0..16u32 {
+            let den = DENS[(k / 4) as usize];
+            let arrivals: Vec<(SimTime, Bytes)> = (0..60i128)
+                .map(|i| {
+                    let at = if i % 4 == 0 {
+                        SimTime::from_millis(40 * i)
+                    } else {
+                        let num = 40 * i * den / 1_000 + 7_919 * (k as i128 % 3);
+                        SimTime::from_ratio(Ratio::new(num, den))
+                    };
+                    (at, Bytes::new(200 + 150 * ((i as u64 + k as u64) % 8)))
+                })
+                .collect();
+            g.add_source(policers[(k / 4) as usize], FlowId(k), &arrivals);
+        }
+        let vbr: Vec<(SimTime, Bytes)> = (0..30)
+            .map(|i| (SimTime::from_millis(80 * i), Bytes::new(90)))
+            .collect();
+        g.add_priority_source(4, FlowId(99), &vbr);
+        g.run(SimTime::from_secs(3600))
+    };
+    assert_eq!(
+        policed_fingerprint(&run(true), &run(false)),
+        (0x104b_bf5e_399c_180c, [844, 127, 3, 16])
+    );
 }
