@@ -39,7 +39,7 @@ use crate::packet::{FlowId, Packet};
 use crate::pool::PoolStats;
 use crate::sched::{SchedError, Scheduler, TieBreak};
 use core::fmt;
-use sfq_telemetry::TelemetrySink;
+use sfq_telemetry::{DequeueTally, EnqueueTally, TelemetrySink};
 use simtime::{Rate, Ratio, SimTime};
 use std::cell::Cell;
 
@@ -403,6 +403,35 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
         })
     }
 
+    /// One enqueue call: `pkts` all read `v(t)` once
+    /// ([`TagSched::arrival_v`]) and are stamped and queued in order,
+    /// stopping at the first one refused. The counter page takes the
+    /// whole call in one write section, opened after the last push —
+    /// never held across heap work — and a call refused half-way still
+    /// books the packets it queued.
+    ///
+    /// Always inlined: the single-packet callers pass a one-element
+    /// slice, and only inlined does the loop fold away and, with no
+    /// page attached, the tally with it (out of line the bare
+    /// scheduler's `enqueue` read ≈ 4 % slower on `sched_hot`).
+    #[inline(always)]
+    fn push_run(
+        &mut self,
+        now: SimTime,
+        pkts: &[Packet],
+        explicit: Option<ChargeOf<A, V>>,
+    ) -> Result<(), SchedError> {
+        let v_now = self.arrival_v();
+        let mut tally = self.tele.as_ref().map(|_| EnqueueTally::new());
+        let res = pkts
+            .iter()
+            .try_for_each(|&pkt| self.push_tagged(now, pkt, v_now, explicit, tally.as_mut()));
+        if let (Some(sink), Some(tally)) = (&self.tele, &tally) {
+            sink.book_enqueues(tally);
+        }
+        res
+    }
+
     /// Eqs. 4/5 for one arrival that read virtual time `v_now`: stamp
     /// `pkt` — charged as its flow is registered, or at `explicit` —
     /// and queue it. State is untouched on every error.
@@ -413,6 +442,7 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
         pkt: Packet,
         v_now: A::Tag,
         explicit: Option<ChargeOf<A, V>>,
+        tally: Option<&mut EnqueueTally>,
     ) -> Result<(), SchedError> {
         let (key, meta) = self.q.try_push_with(pkt, |ext| {
             let c = explicit.unwrap_or(ext.charge);
@@ -427,8 +457,8 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
             };
             Some((key, meta))
         })?;
-        if let Some(t) = &self.tele {
-            t.record_enqueue(pkt.len.as_u64(), self.q.len());
+        if let Some(tally) = tally {
+            tally.add(pkt.len.as_u64(), self.q.len());
         }
         if self.obs.active() {
             let ev = event(&self.arith, now, &pkt, V::key_meta(key.tag, meta), v_now);
@@ -536,8 +566,7 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> Scheduler for TagSched<A, V, O> {
     }
 
     fn try_enqueue(&mut self, now: SimTime, pkt: Packet) -> Result<(), SchedError> {
-        let v_now = self.arrival_v();
-        self.push_tagged(now, pkt, v_now, None)
+        self.push_run(now, core::slice::from_ref(&pkt), None)
     }
 
     fn enqueue_batch(&mut self, now: SimTime, pkts: &[Packet]) {
@@ -546,11 +575,7 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> Scheduler for TagSched<A, V, O> {
     }
 
     fn try_enqueue_batch(&mut self, now: SimTime, pkts: &[Packet]) -> Result<(), SchedError> {
-        let v_now = self.arrival_v();
-        for &pkt in pkts {
-            self.push_tagged(now, pkt, v_now, None)?;
-        }
-        Ok(())
+        self.push_run(now, pkts, None)
     }
 
     fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
@@ -580,17 +605,23 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> Scheduler for TagSched<A, V, O> {
             tele,
             ..
         } = self;
+        // The page takes the batch in one write section, opened once
+        // the heap work is done.
+        let mut tally = tele.as_ref().map(|_| DequeueTally::new(now));
         let n = q.pop_min_batch(max, |pkt, key, meta| {
             let (start, finish) = V::key_meta(key.tag, meta);
             V::serve::<A>(v, max_finish_served, start, finish);
-            if let Some(t) = tele {
-                t.record_dequeue(pkt.flow.0, pkt.len.as_u64(), pkt.arrival, now);
+            if let Some(tally) = &mut tally {
+                tally.add(pkt.flow.0, pkt.len.as_u64(), pkt.arrival);
             }
             if obs.active() {
                 obs.on_dequeue(&event(arith, now, &pkt, (start, finish), *v));
             }
             out.push(pkt);
         });
+        if let (Some(sink), Some(tally)) = (tele, &tally) {
+            sink.book_dequeues(tally);
+        }
         // Each packet's departure was reported before the next was
         // selected, so only the final state matters: settling once is
         // what the last per-packet departure would have done (a rebase
@@ -838,8 +869,7 @@ impl<O: SchedObserver> Sfq<O> {
         rate: Rate,
     ) -> Result<(), SchedError> {
         let charge = self.charge(pkt.flow, rate)?;
-        let v_now = self.arrival_v();
-        self.push_tagged(now, pkt, v_now, Some(charge))
+        self.push_run(now, core::slice::from_ref(&pkt), Some(charge))
     }
 }
 

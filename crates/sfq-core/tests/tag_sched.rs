@@ -17,7 +17,8 @@ use proptest::prelude::*;
 use sfq_core::obs::{SchedEvent, SchedObserver};
 use sfq_core::{
     Exact, FinishClock, Fixed, FlowId, Packet, PacketFactory, ScfqFast, SchedError, Scheduler, Sfq,
-    SfqFast, StartClock, TagArith, TagSched, TieBreak, VtRule, MAX_REBASE_BITS, MAX_SHIFT,
+    SfqFast, StartClock, TagArith, TagSched, TelemetrySink, TieBreak, VtRule, MAX_REBASE_BITS,
+    MAX_SHIFT,
 };
 use simtime::{Bytes, Rate, Ratio, SimTime};
 use std::cmp::Reverse;
@@ -429,7 +430,40 @@ fn batch_api_is_bit_identical_to_singles<A: TagArith + Default, V: VtRule>() {
     }
 }
 
+/// An attached counter page is written in one seqlock section per
+/// scheduler call — the epoch moves by 2 — whether the call moved one
+/// packet or thirty-two, and not at all by a call that moved none.
+fn counter_page_takes_one_write_section_per_call<A: TagArith + Default, V: VtRule>() {
+    let (mut s, mut pf) = setup2::<A, V>();
+    let sink = TelemetrySink::new();
+    s.attach_telemetry(sink.clone());
+    let burst: Vec<Packet> = (0..32).map(|i| pkt(&mut pf, 1 + i % 2, 128)).collect();
+    let mut out = Vec::new();
+
+    assert_eq!(s.try_enqueue_batch(T0, &burst), Ok(()));
+    assert_eq!(sink.epoch(), 2);
+    assert_eq!(s.dequeue_batch(T0, 32, &mut out), 32);
+    assert_eq!(sink.epoch(), 4);
+
+    s.enqueue(T0, pkt(&mut pf, 1, 128));
+    assert_eq!(sink.epoch(), 6);
+    assert!(s.dequeue(T0).is_some());
+    assert_eq!(sink.epoch(), 8);
+    s.on_departure(T0);
+
+    assert_eq!(s.try_enqueue_batch(T0, &[]), Ok(()));
+    assert_eq!(s.dequeue_batch(T0, 32, &mut out), 0, "nothing queued");
+    s.enqueue(T0, pkt(&mut pf, 2, 128));
+    assert_eq!(s.dequeue_batch(T0, 0, &mut out), 0, "nothing asked for");
+    assert_eq!(sink.epoch(), 10, "only the enqueue wrote");
+
+    let snap = sink.snapshot(1).expect("no writer running");
+    assert_eq!((snap.enqueues, snap.dequeues), (34, 33));
+    assert_eq!(snap.resident(), s.len() as i128);
+}
+
 on_all_four!(
+    counter_page_takes_one_write_section_per_call,
     name_and_panic_prefix_come_from_the_instantiation,
     tags_follow_eq4_eq5,
     serves_in_key_tag_order_across_flows,
@@ -449,6 +483,33 @@ on_all_four!(
     eager_rebase_threshold_is_clamped_for_u64_tags_only,
     batch_api_is_bit_identical_to_singles,
 );
+
+/// A batch refused at packet k keeps packets 0..k queued, so it must
+/// keep them booked: the tally collected so far is written before the
+/// error returns.
+#[test]
+fn a_batch_refused_half_way_books_what_it_queued() {
+    let mut s = SfqFast::new();
+    s.add_flow(FlowId(1), Rate::bps(1 << 10));
+    // At 1 bit/s a 1 TiB packet spans 2^43 units: past the u64 grid.
+    s.add_flow(FlowId(2), Rate::bps(1));
+    let sink = TelemetrySink::new();
+    s.attach_telemetry(sink.clone());
+    let mut pf = PacketFactory::new();
+    let mut batch: Vec<Packet> = (0..9).map(|i| pkt(&mut pf, 1, 128 + i)).collect();
+    batch.insert(5, pkt(&mut pf, 2, 1 << 40));
+    assert_eq!(
+        s.try_enqueue_batch(T0, &batch),
+        Err(SchedError::TagOverflow)
+    );
+    assert_eq!(s.len(), 5);
+    let snap = sink.snapshot(1).expect("no writer running");
+    assert_eq!(snap.enqueues, 5);
+    assert_eq!(snap.enq_bytes, (0..5).map(|i| 128 + i).sum::<u64>());
+    assert_eq!(snap.backlog_hist.iter().sum::<u64>(), snap.enqueues);
+    assert_eq!(snap.resident(), 5);
+    assert_eq!(sink.epoch(), 2, "still one write section");
+}
 
 /// Deterministic smoke version of the proptest identity suite
 /// (`tests/fixed_point_identity.rs`): interleaved enqueues/dequeues

@@ -177,3 +177,50 @@ impl<S: ShardSched> SyncEngine<S> {
         Engine::assemble(cfg, |i| Inline::new(&cfg, mk(i)))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sfq_core::{PacketFactory, Scheduler};
+    use simtime::Bytes;
+
+    /// The poisoned-shard path keeps the page's books closed: a pump
+    /// whose batch is refused half-way has queued — and booked — the
+    /// packets before the refusal, and nothing after it.
+    #[test]
+    fn a_poisoned_pump_books_what_it_queued() {
+        let (mut shard, ring) = Inline::new(&EngineConfig::new(1), SfqFast::new());
+        let sink = TelemetrySink::new();
+        ShardLink::attach_telemetry(&mut shard, sink.clone());
+        shard.add_flow(FlowId(1), Rate::kbps(64)).unwrap();
+        // At 1 bit/s a 1 TiB packet spans past the u64 tag grid.
+        shard.add_flow(FlowId(2), Rate::bps(1)).unwrap();
+        let t0 = SimTime::ZERO;
+        let mut fac = PacketFactory::new();
+        let mut pkts: Vec<Packet> = (0..9)
+            .map(|_| fac.make(FlowId(1), Bytes::new(500), t0))
+            .collect();
+        pkts.insert(5, fac.make(FlowId(2), Bytes::new(1 << 40), t0));
+        for p in pkts {
+            ring.push(p).unwrap();
+        }
+        let mut scratch = Vec::new();
+        assert_eq!(
+            shard.pump_n(usize::MAX, t0, &mut scratch),
+            Err(SchedError::TagOverflow)
+        );
+        ring.push(fac.make(FlowId(1), Bytes::new(500), t0)).unwrap();
+        assert_eq!(shard.pump_n(usize::MAX, t0, &mut scratch), Ok(()));
+        assert!(ring.is_empty(), "a poisoned shard still consumes its ring");
+
+        let snap = sink.snapshot(1).expect("no writer running");
+        assert_eq!(snap.enqueues, 5);
+        assert_eq!(snap.enqueues, shard.sched.len() as u64);
+        assert_eq!(snap.resident(), 5);
+        // What `conformance::telemetry::check_self_consistency` asks of
+        // the folded pages.
+        assert_eq!(snap.backlog_hist.iter().sum::<u64>(), snap.enqueues);
+        assert_eq!(snap.delay_hist.iter().sum::<u64>(), snap.dequeues);
+        assert_eq!(snap.class_bytes.iter().sum::<u64>(), snap.deq_bytes);
+    }
+}

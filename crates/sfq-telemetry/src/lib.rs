@@ -44,6 +44,13 @@ pub const FLOW_CLASSES: usize = 8;
 /// delays in `[2^i, 2^(i+1))` nanoseconds; bucket 0 also absorbs
 /// zero/sub-nanosecond delays and the last bucket absorbs everything
 /// beyond `2^40` ns (~18 minutes).
+///
+/// Exactly: a departure at `now` of a packet that arrived at `arrival`
+/// counts in bucket `min(39, ⌊log2 ⌊(now − arrival)·10⁹⌋⌋)`, and in
+/// bucket 0 when the delay is under 2 ns or `now <= arrival`. The
+/// index is computed in integers from the two exact instants
+/// ([`SimTime::log2_nanos_since`]) — no rounding, so a delay of
+/// exactly `2^i` ns is in bucket `i` and one a hair short of it is not.
 pub const DELAY_BUCKETS: usize = 40;
 
 /// Log2 buckets of the backlog histogram, sampled at enqueue: bucket
@@ -167,30 +174,57 @@ impl StatPage {
         self.slots[slot].store(v.wrapping_add(by), Ordering::Relaxed);
     }
 
-    /// Record a successful scheduler enqueue. `backlog_after` is the
-    /// shard's total queued packets after the push (feeds the backlog
-    /// histogram).
+    /// Book a call's worth of scheduler enqueues in one write section
+    /// (none for an empty tally).
     #[inline]
-    pub fn record_enqueue(&self, len_bytes: u64, backlog_after: usize) {
+    pub fn book_enqueues(&self, tally: &EnqueueTally) {
+        if tally.count == 0 {
+            return;
+        }
         let s = self.begin();
-        self.bump(ENQUEUES, 1);
-        self.bump(ENQ_BYTES, len_bytes);
-        self.bump(BACKLOG_HIST + backlog_bucket(backlog_after), 1);
+        self.bump(ENQUEUES, tally.count);
+        self.bump(ENQ_BYTES, tally.bytes);
+        self.bump_each(BACKLOG_HIST, &tally.backlog);
         self.end(s);
     }
 
-    /// Record a dequeue (departure from the scheduler). Queueing delay
-    /// is `now - arrival`, bucketed log2 in nanoseconds; the common
-    /// synthetic-bench case `now == arrival` takes a comparison-only
-    /// fast path.
+    /// Book a call's worth of departures in one write section (none
+    /// for an empty tally).
     #[inline]
-    pub fn record_dequeue(&self, flow: u32, len_bytes: u64, arrival: SimTime, now: SimTime) {
+    pub fn book_dequeues(&self, tally: &DequeueTally) {
+        if tally.count == 0 {
+            return;
+        }
         let s = self.begin();
-        self.bump(DEQUEUES, 1);
-        self.bump(DEQ_BYTES, len_bytes);
-        self.bump(CLASS_BYTES + flow_class(flow), len_bytes);
-        self.bump(DELAY_HIST + delay_bucket(arrival, now), 1);
+        self.bump(DEQUEUES, tally.count);
+        self.bump(DEQ_BYTES, tally.bytes);
+        self.bump_each(CLASS_BYTES, &tally.class_bytes);
+        self.bump_each(DELAY_HIST, &tally.delay);
         self.end(s);
+    }
+
+    /// Bump the slots from `base` that `sums` touched.
+    #[inline(always)]
+    fn bump_each<const N: usize>(&self, base: usize, sums: &Sums<N>) {
+        let mut touched = sums.touched;
+        while touched != 0 {
+            let i = touched.trailing_zeros() as usize;
+            self.bump(base + i, sums.by_index[i]);
+            touched &= touched - 1;
+        }
+    }
+
+    /// Record one departure from the scheduler: a tally of one. See
+    /// [`DequeueTally::add`].
+    ///
+    /// Never inlined: the tally is ≈ 400 bytes of stack, and inlined it
+    /// lands in the frame of the scheduler's per-packet `dequeue`, which
+    /// the bare scheduler (no page attached) then pays for too.
+    #[inline(never)]
+    pub fn record_dequeue(&self, flow: u32, len_bytes: u64, arrival: SimTime, now: SimTime) {
+        let mut tally = DequeueTally::new(now);
+        tally.add(flow, len_bytes, arrival);
+        self.book_dequeues(&tally);
     }
 
     /// Record a head-of-line eviction (`drop_head`).
@@ -261,6 +295,13 @@ impl StatPage {
         self.generation.load(Ordering::Relaxed)
     }
 
+    /// The seqlock word: odd while a write section is open, advanced by
+    /// 2 per section closed — so the difference between two reads
+    /// counts the sections written in between.
+    pub fn epoch(&self) -> u64 {
+        self.seq.load(Ordering::Acquire)
+    }
+
     /// One optimistic snapshot attempt. Returns [`SnapshotError::Torn`]
     /// if a write section overlapped the read.
     pub fn try_snapshot(&self) -> Result<PageSnapshot, SnapshotError> {
@@ -309,17 +350,110 @@ fn backlog_bucket(backlog: usize) -> usize {
     (backlog.max(1).ilog2() as usize).min(BACKLOG_BUCKETS - 1)
 }
 
-/// Bucket index for a queueing delay (log2 nanoseconds, saturating).
+/// Bucket index for a queueing delay (log2 nanoseconds, saturating);
+/// see [`DELAY_BUCKETS`] for the exact definition.
 #[inline]
 fn delay_bucket(arrival: SimTime, now: SimTime) -> usize {
-    if now <= arrival {
-        return 0;
+    (now.log2_nanos_since(arrival) as usize).min(DELAY_BUCKETS - 1)
+}
+
+/// Sums by slot index collected outside a write section, with a bitmap
+/// of the indices touched so that booking them visits only those.
+#[derive(Clone, Debug)]
+struct Sums<const N: usize> {
+    touched: u64,
+    by_index: [u64; N],
+}
+
+impl<const N: usize> Sums<N> {
+    const ZERO: Self = {
+        assert!(N <= u64::BITS as usize);
+        Sums {
+            touched: 0,
+            by_index: [0; N],
+        }
+    };
+
+    #[inline(always)]
+    fn add(&mut self, i: usize, by: u64) {
+        self.touched |= 1 << i;
+        self.by_index[i] = self.by_index[i].wrapping_add(by);
     }
-    let ns = (now - arrival).as_secs_f64() * 1e9;
-    if ns < 2.0 {
-        return 0;
+}
+
+/// The enqueues of one scheduler call, summed on the caller's stack and
+/// booked by [`StatPage::book_enqueues`] in a single write section: the
+/// page then changes once per call, and a reader is locked out for the
+/// length of a dozen stores however long the call's heap work ran.
+#[derive(Clone, Debug)]
+pub struct EnqueueTally {
+    count: u64,
+    bytes: u64,
+    backlog: Sums<BACKLOG_BUCKETS>,
+}
+
+impl Default for EnqueueTally {
+    fn default() -> Self {
+        Self::new()
     }
-    ((ns.log2()) as usize).min(DELAY_BUCKETS - 1)
+}
+
+impl EnqueueTally {
+    /// An empty tally.
+    #[inline]
+    pub fn new() -> Self {
+        EnqueueTally {
+            count: 0,
+            bytes: 0,
+            backlog: Sums::ZERO,
+        }
+    }
+
+    /// Count one successful scheduler enqueue. `backlog_after` is the
+    /// shard's total queued packets after the push (feeds the backlog
+    /// histogram).
+    #[inline]
+    pub fn add(&mut self, len_bytes: u64, backlog_after: usize) {
+        self.count += 1;
+        self.bytes = self.bytes.wrapping_add(len_bytes);
+        self.backlog.add(backlog_bucket(backlog_after), 1);
+    }
+}
+
+/// The departures of one scheduler call at one instant `now`: the
+/// dequeue-side twin of [`EnqueueTally`], booked by
+/// [`StatPage::book_dequeues`].
+#[derive(Clone, Debug)]
+pub struct DequeueTally {
+    now: SimTime,
+    count: u64,
+    bytes: u64,
+    class_bytes: Sums<FLOW_CLASSES>,
+    delay: Sums<DELAY_BUCKETS>,
+}
+
+impl DequeueTally {
+    /// An empty tally of departures at `now`.
+    #[inline]
+    pub fn new(now: SimTime) -> Self {
+        DequeueTally {
+            now,
+            count: 0,
+            bytes: 0,
+            class_bytes: Sums::ZERO,
+            delay: Sums::ZERO,
+        }
+    }
+
+    /// Count one departure. Queueing delay is `now - arrival`, bucketed
+    /// log2 in nanoseconds ([`DELAY_BUCKETS`]).
+    #[inline]
+    pub fn add(&mut self, flow: u32, len_bytes: u64, arrival: SimTime) {
+        self.count += 1;
+        self.bytes = self.bytes.wrapping_add(len_bytes);
+        self.class_bytes.add(flow_class(flow), len_bytes);
+        self.delay.add(delay_bucket(arrival, self.now), 1);
+    }
 }
 
 /// A snapshot-time error.
@@ -633,6 +767,14 @@ impl Aggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One enqueue, booked the way `TagSched` books it: a tally of one.
+    fn record_enqueue(page: &StatPage, len_bytes: u64, backlog_after: usize) {
+        let mut tally = EnqueueTally::new();
+        tally.add(len_bytes, backlog_after);
+        page.book_enqueues(&tally);
+    }
 
     #[test]
     fn single_writer_counts_are_exact() {
@@ -640,7 +782,7 @@ mod tests {
         let t0 = SimTime::ZERO;
         let t1 = SimTime::from_micros(3);
         for i in 0..100u32 {
-            sink.record_enqueue(200, (i + 1) as usize);
+            record_enqueue(&sink, 200, (i + 1) as usize);
         }
         for i in 0..60u32 {
             sink.record_dequeue(i % 4, 200, t0, t1);
@@ -684,7 +826,7 @@ mod tests {
     #[test]
     fn generation_bump_is_visible_and_keeps_counters() {
         let sink = TelemetrySink::new();
-        sink.record_enqueue(100, 1);
+        record_enqueue(&sink, 100, 1);
         assert_eq!(sink.generation(), 0);
         sink.bump_generation();
         assert_eq!(sink.generation(), 1);
@@ -726,7 +868,7 @@ mod tests {
         let t0 = SimTime::ZERO;
         for (i, s) in hub.shards().iter().enumerate() {
             for _ in 0..=i {
-                s.record_enqueue(100, 1);
+                record_enqueue(s, 100, 1);
                 s.record_dequeue(i as u32, 100, t0, t0);
             }
         }
@@ -749,6 +891,8 @@ mod tests {
         let page = Arc::clone(sink.page());
         let stop = Arc::new(AtomicU64::new(0));
         let stop2 = Arc::clone(&stop);
+        let reading = Arc::new(AtomicU64::new(0));
+        let reading2 = Arc::clone(&reading);
         let reader = std::thread::spawn(move || {
             let mut seen = 0u64;
             let mut torn = 0u64;
@@ -760,12 +904,18 @@ mod tests {
                             "torn page slipped past the epoch check"
                         );
                         seen += 1;
+                        reading2.store(1, Ordering::Relaxed);
                     }
                     Err(_) => torn += 1,
                 }
             }
             (seen, torn)
         });
+        // The race is only a race once the reader runs: an optimized
+        // writer is otherwise done before the thread is scheduled.
+        while reading.load(Ordering::Relaxed) == 0 {
+            std::hint::spin_loop();
+        }
         let t0 = SimTime::ZERO;
         for _ in 0..200_000 {
             let s = sink.begin();
@@ -790,5 +940,80 @@ mod tests {
         snap.delay_hist[10] = 10;
         assert_eq!(snap.delay_percentile_ns(50.0), Some(2));
         assert_eq!(snap.delay_percentile_ns(99.0), Some(1 << 11));
+    }
+
+    #[test]
+    fn a_tally_books_what_the_single_records_book_in_one_section() {
+        let (singles, batched) = (TelemetrySink::new(), TelemetrySink::new());
+        let now = SimTime::from_micros(5_000);
+        // Arrivals from 5 ms back to the departure instant itself, some
+        // repeated back to back, over every flow class.
+        let arrivals: Vec<SimTime> = (0..40i128)
+            .map(|i| SimTime::from_micros(5_000 - (5_000 >> (i / 3))))
+            .collect();
+        let mut enq = EnqueueTally::new();
+        let mut deq = DequeueTally::new(now);
+        for (i, &arrival) in arrivals.iter().enumerate() {
+            let (flow, len) = (i as u32 * 3, 64 + 17 * i as u64);
+            record_enqueue(&singles, len, i + 1);
+            singles.record_dequeue(flow, len, arrival, now);
+            enq.add(len, i + 1);
+            deq.add(flow, len, arrival);
+        }
+        assert_eq!(singles.epoch(), 4 * arrivals.len() as u64);
+        batched.book_enqueues(&enq);
+        assert_eq!(batched.epoch(), 2, "one section for the whole tally");
+        batched.book_dequeues(&deq);
+        assert_eq!(batched.epoch(), 4);
+        let snap = batched.snapshot(1).unwrap();
+        assert_eq!(snap, singles.snapshot(1).unwrap());
+        assert!(snap.delay_hist.iter().filter(|&&n| n > 0).count() >= 5);
+        assert!(snap.backlog_hist.iter().filter(|&&n| n > 0).count() >= 5);
+        // Nothing counted, nothing written: the epoch does not move.
+        batched.book_enqueues(&EnqueueTally::new());
+        batched.book_dequeues(&DequeueTally::new(now));
+        assert_eq!(batched.epoch(), 4);
+    }
+
+    /// `delay_bucket` as it was computed before it became an integer
+    /// expression: an exact-rational subtraction, a division in `f64`,
+    /// a `log2`. Kept as the oracle for the lattices real arrival times
+    /// sit on.
+    fn delay_bucket_f64(arrival: SimTime, now: SimTime) -> usize {
+        if now <= arrival {
+            return 0;
+        }
+        let ns = (now - arrival).as_secs_f64() * 1e9;
+        if ns < 2.0 {
+            return 0;
+        }
+        ((ns.log2()) as usize).min(DELAY_BUCKETS - 1)
+    }
+
+    /// A delay in lattice ticks: any, or within one tick of a power of
+    /// two — where a rounded logarithm would slip a bucket.
+    fn ticks() -> impl Strategy<Value = i128> {
+        prop_oneof![
+            0i128..(1 << 46),
+            0i128..4096,
+            (0u32..46, -1i128..2).prop_map(|(k, d)| (1i128 << k) + d),
+        ]
+    }
+
+    proptest! {
+        /// No sample moves bucket: on the nanosecond and microsecond
+        /// lattices, up to days of delay on top of days of clock, the
+        /// integer bucket is the one the float expression chose.
+        #[test]
+        fn delay_bucket_agrees_with_the_float_expression_on_the_ns_and_us_lattices(
+            arrival in 0i128..(1 << 50),
+            delay in ticks(),
+        ) {
+            for at in [SimTime::from_nanos, SimTime::from_micros] {
+                let (arrival, now) = (at(arrival), at(arrival + delay));
+                prop_assert_eq!(delay_bucket(arrival, now), delay_bucket_f64(arrival, now));
+                prop_assert_eq!(delay_bucket(now, arrival), 0);
+            }
+        }
     }
 }

@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+mod log2;
 mod ratio;
 mod time;
 mod units;

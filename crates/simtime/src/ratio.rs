@@ -82,7 +82,7 @@ fn gcd64(mut a: u64, mut b: u64) -> u64 {
 
 /// `x * y` of two machine words; an `i128` holds every such product.
 #[inline]
-fn wide(x: i64, y: i64) -> i128 {
+pub(crate) fn wide(x: i64, y: i64) -> i128 {
     x as i128 * y as i128
 }
 
@@ -191,7 +191,7 @@ impl Ratio {
     /// Numerator and denominator as machine words, when both fit: the
     /// question every operation asks to choose the 64-bit road.
     #[inline]
-    fn narrow(self) -> Option<(i64, i64)> {
+    pub(crate) fn narrow(self) -> Option<(i64, i64)> {
         Some((i64::try_from(self.num).ok()?, i64::try_from(self.den).ok()?))
     }
 

@@ -24,10 +24,16 @@
 //! 3. **Reconfig churn.** Weight changes and force-removals are part of
 //!    the op alphabet throughout, so the identities hold across live
 //!    reconfiguration, not just steady-state forwarding.
+//! 4. **Per packet vs per batch.** A batch call books its packets in one
+//!    write section from a stack tally; a single call books a tally of
+//!    one. The same schedule driven through `enqueue`/`dequeue` and
+//!    through `enqueue_batch`/`dequeue_batch`, on a clock that moves
+//!    between calls so sojourns spread over the delay histogram, must
+//!    leave equal pages after every call.
 
 use proptest::prelude::*;
 use sfq_engine::{EngineConfig, SyncEngine, ThreadedEngine};
-use sfq_repro::core::ReconfigCmd;
+use sfq_repro::core::{ReconfigCmd, TagArith, TagSched, VtRule};
 use sfq_repro::prelude::*;
 use sfq_telemetry::{Aggregator, EngineSnapshot, PageSnapshot, TelemetryHub, TelemetrySink};
 use std::cell::RefCell;
@@ -313,11 +319,141 @@ fn check_all(ops: &[Op]) {
     assert_eq!(sync_snap.totals, thr_snap.totals, "totals diverged");
 }
 
+/// One round of the per-packet-vs-per-batch schedule: the clock steps,
+/// a burst of `(flow index, length)` arrives at one instant, the clock
+/// steps again, and up to `take` packets leave at one instant.
+#[derive(Clone, Debug)]
+struct Round {
+    gap_ns: [i128; 2],
+    burst: Vec<(u32, u64)>,
+    take: usize,
+}
+
+fn rounds() -> impl Strategy<Value = Vec<Round>> {
+    // Steps from a nanosecond to tens of milliseconds, so the sojourn of
+    // a packet that waits a few rounds can land anywhere in between.
+    let gap = || (0u32..26, 1i128..8).prop_map(|(k, m)| m << k);
+    let burst = prop::collection::vec((0..FLOWS, 64u64..1500), 0..12);
+    prop::collection::vec(
+        (gap(), gap(), burst, 0usize..10).prop_map(|(g0, g1, burst, take)| Round {
+            gap_ns: [g0, g1],
+            burst,
+            take,
+        }),
+        1..60,
+    )
+}
+
+/// Drive two copies of one scheduler through `rounds` — one a packet at
+/// a time, one a batch at a time — comparing their pages after every
+/// call. Returns the final page.
+fn check_batch_identity<S: Scheduler>(
+    mk: impl Fn() -> (S, Rc<RefCell<CountingObserver>>, TelemetrySink),
+    rounds: &[Round],
+    ctx: &str,
+) -> PageSnapshot {
+    let (mut single, single_counts, single_page) = mk();
+    let (mut batched, batched_counts, batched_page) = mk();
+    for s in [&mut single, &mut batched] {
+        for f in 0..FLOWS {
+            s.add_flow(FlowId(f + 1), Rate::kbps(8 * (f as u64 + 1)));
+        }
+    }
+    let pages_agree = |call: &str, round: usize| {
+        let snap = batched_page.snapshot(SNAP_BUDGET).expect("snapshot");
+        assert_eq!(
+            single_page.snapshot(SNAP_BUDGET).expect("snapshot"),
+            snap,
+            "{ctx}: pages differ after the {call} of round {round}"
+        );
+        snap
+    };
+    let (mut pf, mut now) = (PacketFactory::new(), SimTime::ZERO);
+    let mut out = Vec::new();
+    for (i, r) in rounds.iter().enumerate() {
+        now += SimDuration::from_nanos(r.gap_ns[0]);
+        let burst: Vec<Packet> = r
+            .burst
+            .iter()
+            .map(|&(f, len)| pf.make(FlowId(f + 1), Bytes::new(len), now))
+            .collect();
+        for &p in &burst {
+            single.enqueue(now, p);
+        }
+        batched.enqueue_batch(now, &burst);
+        pages_agree("enqueue", i);
+
+        now += SimDuration::from_nanos(r.gap_ns[1]);
+        out.clear();
+        batched.dequeue_batch(now, r.take, &mut out);
+        for p in &out {
+            assert_eq!(single.dequeue(now).map(|q| q.uid), Some(p.uid), "{ctx}");
+            single.on_departure(now);
+        }
+        pages_agree("dequeue", i);
+    }
+    let snap = pages_agree("last call", rounds.len());
+    for counts in [single_counts, batched_counts] {
+        let truth = counts.borrow();
+        assert_eq!(snap.enqueues, truth.enqueued, "{ctx}: enqueues");
+        assert_eq!(snap.dequeues, truth.dequeued, "{ctx}: dequeues");
+    }
+    check_page_self_consistency(&snap, batched.len(), ctx);
+    snap
+}
+
+/// [`check_batch_identity`] over `SfqFast`, `ScfqFast` and `Sfq`.
+/// Returns the `Sfq` page.
+fn check_batch_identity_on_all(rounds: &[Round]) -> PageSnapshot {
+    type Counts = Rc<RefCell<CountingObserver>>;
+    /// `mk(observer)` with a fresh counting observer and a fresh page.
+    fn paged<A: TagArith, V: VtRule>(
+        mk: impl Fn(Counts) -> TagSched<A, V, Counts>,
+    ) -> impl Fn() -> (TagSched<A, V, Counts>, Counts, TelemetrySink) {
+        move || {
+            let counts = Rc::new(RefCell::new(CountingObserver::new()));
+            let sink = TelemetrySink::new();
+            let mut s = mk(Rc::clone(&counts));
+            s.attach_telemetry(sink.clone());
+            (s, counts, sink)
+        }
+    }
+    let tie = TieBreak::default();
+    check_batch_identity(paged(|c| SfqFast::with_observer(tie, c)), rounds, "SfqFast");
+    check_batch_identity(paged(ScfqFast::with_observer), rounds, "ScfqFast");
+    check_batch_identity(paged(|c| Sfq::with_observer(tie, c)), rounds, "Sfq")
+}
+
 proptest! {
     #[test]
     fn telemetry_matches_counting_observer(ops in ops()) {
         check_all(&ops);
     }
+
+    #[test]
+    fn batch_calls_leave_the_pages_single_calls_leave(rounds in rounds()) {
+        check_batch_identity_on_all(&rounds);
+    }
+}
+
+/// Pinned per-packet-vs-per-batch schedule: always runs, with gaps
+/// growing from nanoseconds to milliseconds and back so that the
+/// sojourns fill a good part of the delay histogram.
+#[test]
+fn pinned_batches_leave_the_pages_single_calls_leave() {
+    let rounds: Vec<Round> = (0..48u32)
+        .map(|i| Round {
+            gap_ns: [3i128.pow(i % 13), 5i128.pow((i + 4) % 11)],
+            burst: (0..(i * 7) % 11)
+                .map(|j| ((i + j) % FLOWS, 64 + ((i * 131 + j * 17) % 1400) as u64))
+                .collect(),
+            take: ((i * 5) % 9) as usize,
+        })
+        .collect();
+    let snap = check_batch_identity_on_all(&rounds);
+    assert!(snap.dequeues > 100, "{} departures", snap.dequeues);
+    let filled = snap.delay_hist.iter().filter(|&&n| n > 0).count();
+    assert!(filled >= 5, "only {filled} delay buckets filled");
 }
 
 /// Pinned schedule: always runs, exercising every op kind including
