@@ -63,9 +63,23 @@
 //! (the served flow's entry leaves and returns under its next head's
 //! key in one descent); the owned oracle uses plain `pop` + `push`, so
 //! the identity suites check one against the other.
+//!
+//! ## The dequeue look-ahead
+//!
+//! What a pooled dequeue reads outside the heap — the winner's flow
+//! slot, its head packet's record, the key of the packet behind it — is
+//! a chain of dependent loads from memory last touched a backlog ago.
+//! Every pooled dequeue therefore ends by asking (prefetch hints, see
+//! [`crate::prefetch`]) for what the next one will read: the new heap
+//! root's flow slot names its head record and, through
+//! `FlowSlot::second`, the record behind it without loading anything
+//! else, and the flow slots of the root's two children are asked for so
+//! that the slot read here next time is already home. It changes no
+//! decision; `docs/pooling.md` ("Dequeue look-ahead") has the details.
 
 use crate::packet::{FlowId, Packet};
 use crate::pool::{IdIndex, PoolStats, SlabPool, NIL};
+use crate::prefetch::prefetch_value;
 use crate::sched::SchedError;
 use std::collections::{HashMap, VecDeque};
 
@@ -127,17 +141,64 @@ struct OwnedFifos<K, E, M> {
 /// they were pushed under — from a previous occupant are recognized
 /// as stale even after the slot is reused by another flow. A free
 /// slot has `ext == None` and sits on the `free_flows` list.
+///
+/// Six words and the extension state: 64 bytes for `SfqFast`, one
+/// cache line's worth (pinned by a test in `tagsched.rs`).
 #[derive(Debug)]
 struct FlowSlot<E> {
     id: FlowId,
     gen: u32,
     /// Slab index of the FIFO head packet, or `NIL` when idle.
     head: u32,
+    /// Slab index of the packet behind the head — always the head
+    /// record's link, `NIL` when fewer than two packets are queued — so
+    /// that a dequeue (and the look-ahead before it) finds the record
+    /// it needs second without loading the first.
+    second: u32,
     tail: u32,
+    /// Queued packets in the low 31 bits; [`LISTED`] on top.
     len: u32,
-    /// Already queued as a GC candidate (avoids duplicate hints).
-    listed: bool,
     ext: Option<E>,
+}
+
+/// Bit of [`FlowSlot::len`]: already queued as a GC candidate (avoids
+/// duplicate hints).
+const LISTED: u32 = 1 << 31;
+
+impl<E> FlowSlot<E> {
+    fn backlog(&self) -> u32 {
+        self.len & !LISTED
+    }
+
+    /// Unlink the head packet, whose record the caller frees: the
+    /// second packet becomes the head and its link the new second.
+    /// Returns the new head's key, `None` when the flow drained.
+    #[inline(always)]
+    fn advance<K: Copy, M: Copy>(&mut self, slab: &SlabPool<Entry<K, M>>) -> Option<K> {
+        let next = self.second;
+        self.head = next;
+        self.len -= 1;
+        if next == NIL {
+            self.tail = NIL;
+            return None;
+        }
+        self.second = slab.link_raw(next);
+        Some(slab.val_raw(next).key)
+    }
+
+    /// Debug builds: `second` is the head record's link. Called
+    /// wherever a slot's FIFO ends were just written.
+    #[inline(always)]
+    fn debug_check_second<K: Copy, M: Copy>(&self, slab: &SlabPool<Entry<K, M>>) {
+        debug_assert_eq!(
+            self.second,
+            match self.head {
+                NIL => NIL,
+                head => slab.link_raw(head),
+            },
+            "flow slot's `second` is not its head's link"
+        );
+    }
 }
 
 /// Pooled backend: slab packets, intrusive FIFOs, dense flow table.
@@ -381,16 +442,6 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                     o.heap.push((next.key, flow));
                 }
                 o.queued -= 1;
-                // The next pop will read the new heap top's head packet,
-                // a line last touched a full ring revolution ago under
-                // deep backlogs. Start pulling it in now (see
-                // crate::prefetch): measured ~6-point reduction in
-                // deep-backlog depth sensitivity at 512 flows.
-                if let Some(&(_, nf)) = o.heap.peek() {
-                    if let Some(h) = o.flows.get(&nf).and_then(|f| f.queue.front()) {
-                        crate::prefetch::prefetch_read(h);
-                    }
-                }
                 return Some((e.pkt, e.key, e.meta));
             },
             Inner::Pooled(p) => p.pop_min(),
@@ -482,7 +533,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
             Inner::Pooled(p) => p
                 .ids
                 .get(flow)
-                .map_or(0, |i| p.flows[i as usize].len as usize),
+                .map_or(0, |i| p.flows[i as usize].backlog() as usize),
         }
     }
 
@@ -685,6 +736,33 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
     }
 }
 
+/// `(size, align)` of the three records the pooled per-packet path
+/// reads and hints, for the layout-pinning tests.
+#[cfg(test)]
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct PooledLayout {
+    pub flow_slot: (usize, usize),
+    pub slab_slot: (usize, usize),
+    pub heap_entry: (usize, usize),
+}
+
+#[cfg(test)]
+impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
+    pub(crate) fn pooled_layout() -> PooledLayout {
+        PooledLayout {
+            flow_slot: (
+                std::mem::size_of::<FlowSlot<E>>(),
+                std::mem::align_of::<FlowSlot<E>>(),
+            ),
+            slab_slot: SlabPool::<Entry<K, M>>::slot_layout(),
+            heap_entry: (
+                std::mem::size_of::<(K, u32, u32)>(),
+                std::mem::align_of::<(K, u32, u32)>(),
+            ),
+        }
+    }
+}
+
 impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
     fn upsert_flow(&mut self, flow: FlowId, make: impl FnOnce() -> E) -> &mut E {
         let idx = match self.ids.get(flow) {
@@ -693,7 +771,7 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
                 // plane just touched this flow, so reclaiming it
                 // before its next packet would turn a valid enqueue
                 // into UnknownFlow.
-                self.flows[i as usize].listed = false;
+                self.flows[i as usize].len &= !LISTED;
                 i
             }
             None => {
@@ -705,9 +783,9 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
                             id: flow,
                             gen: 0,
                             head: NIL,
+                            second: NIL,
                             tail: NIL,
                             len: 0,
-                            listed: false,
                             ext: None,
                         });
                         i
@@ -716,9 +794,9 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
                 let s = &mut self.flows[i as usize];
                 s.id = flow;
                 s.head = NIL;
+                s.second = NIL;
                 s.tail = NIL;
                 s.len = 0;
-                s.listed = false;
                 s.ext = Some(make());
                 self.ids.set(flow, i);
                 i
@@ -743,11 +821,12 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
             .ok_or(SchedError::UnknownFlow(pkt.flow))? as usize;
         // Capacity check BEFORE tag arithmetic: pool exhaustion must
         // leave the flow's tag chain untouched (no-state-change-on-
-        // error, like every other failure of this method).
-        if !self.slab.can_alloc() {
+        // error, like every other failure of this method). A backlog
+        // that would carry into the `LISTED` bit counts as exhaustion.
+        let s = &mut self.flows[idx];
+        if !self.slab.can_alloc() || s.backlog() == !LISTED {
             return Err(SchedError::BufferFull(pkt.flow));
         }
-        let s = &mut self.flows[idx];
         let Some(ext) = s.ext.as_mut() else {
             return Err(SchedError::UnknownFlow(pkt.flow));
         };
@@ -765,8 +844,12 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
             let tail = s.tail;
             s.tail = slot;
             self.slab.set_link_raw(tail, slot);
+            if s.second == NIL {
+                s.second = slot; // the backlog just became two
+            }
         }
         s.len += 1;
+        s.debug_check_second(&self.slab);
         self.queued += 1;
         Ok((key, meta))
     }
@@ -797,32 +880,20 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
                 if slab.val_raw(head).key != key {
                     return None; // head changed (drop_front) since the push
                 }
-                let next = slab.link_raw(head);
                 let e = slab.free_raw(head);
-                s.head = next;
-                s.len -= 1;
                 *queued -= 1;
                 served = Some((e.pkt, e.key, e.meta));
-                if next == NIL {
-                    s.tail = NIL;
+                let next_key = s.advance(slab);
+                s.debug_check_second(slab);
+                if next_key.is_none() {
                     note_drained(gc, s, fidx);
-                    None
-                } else {
-                    Some((slab.val_raw(next).key, fidx, gen))
                 }
+                next_key.map(|k| (k, fidx, gen))
             })?;
-            if served.is_none() {
-                continue;
+            look_ahead(heap, flows, slab);
+            if served.is_some() {
+                return served;
             }
-            // Prefetch the next winner's head slab line, mirroring the
-            // owned backend (same ~6-point deep-backlog effect).
-            if let Some(&(_, nf, ngen)) = self.heap.peek() {
-                let ns = &self.flows[nf as usize];
-                if ns.gen == ngen && ns.head != NIL {
-                    crate::prefetch::prefetch_read(self.slab.val_raw(ns.head));
-                }
-            }
-            return served;
         }
     }
 
@@ -846,8 +917,7 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
                 if s.gen != gen || s.head == NIL {
                     return None; // slot released/reused since the push
                 }
-                let mut cur = s.head;
-                if slab.val_raw(cur).key != key {
+                if slab.val_raw(s.head).key != key {
                     return None; // head changed (drop_front) since the push
                 }
                 // Run path: serve this flow's head, then keep serving it
@@ -855,56 +925,45 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
                 // identical decisions to the owned backend (keys are
                 // unique).
                 loop {
-                    let next = slab.link_raw(cur);
-                    let e = slab.free_raw(cur);
-                    s.head = next;
-                    s.len -= 1;
+                    let e = slab.free_raw(s.head);
+                    let next_key = s.advance(slab);
+                    s.debug_check_second(slab);
                     *queued -= 1;
                     n += 1;
                     each(e.pkt, e.key, e.meta);
-                    if next == NIL {
-                        s.tail = NIL;
+                    let Some(next_key) = next_key else {
                         note_drained(gc, s, fidx);
                         return None;
-                    }
-                    let next_key = slab.val_raw(next).key;
+                    };
                     if n >= max || top.is_some_and(|&(top, _, _)| next_key >= top) {
                         // Re-admit the flow's head and return to the
                         // heap path (or stop, leaving the invariant
                         // restored).
                         return Some((next_key, fidx, gen));
                     }
-                    cur = next;
                 }
             });
             if popped.is_none() {
                 break;
             }
+            look_ahead(heap, flows, slab);
         }
         n
     }
 
     fn drop_front(&mut self, flow: FlowId) -> Option<(Packet, K, M)> {
         let fidx = self.ids.get(flow)?;
-        let head = self.flows[fidx as usize].head;
-        if head == NIL {
+        let s = &mut self.flows[fidx as usize];
+        if s.head == NIL {
             return None;
         }
-        let next = self.slab.link_raw(head);
-        let e = self.slab.free_raw(head);
-        let s = &mut self.flows[fidx as usize];
-        s.head = next;
-        s.len -= 1;
-        let gen = s.gen;
-        if next == NIL {
-            s.tail = NIL;
-        }
+        let e = self.slab.free_raw(s.head);
         self.queued -= 1;
-        if next == NIL {
-            note_drained(&mut self.gc, &mut self.flows[fidx as usize], fidx);
-        } else {
-            self.heap.push((self.slab.val_raw(next).key, fidx, gen));
+        match s.advance(&self.slab) {
+            Some(key) => self.heap.push((key, fidx, s.gen)),
+            None => note_drained(&mut self.gc, s, fidx),
         }
+        s.debug_check_second(&self.slab);
         Some((e.pkt, e.key, e.meta))
     }
 
@@ -926,7 +985,7 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
     fn force_remove_flow(&mut self, flow: FlowId) -> Option<usize> {
         let fidx = self.ids.get(flow)?;
         let s = &self.flows[fidx as usize];
-        let dropped = s.len as usize;
+        let dropped = s.backlog() as usize;
         let mut cur = s.head;
         while cur != NIL {
             let next = self.slab.link_raw(cur);
@@ -946,10 +1005,10 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
         let s = &mut self.flows[fidx as usize];
         s.ext = None;
         s.gen = s.gen.wrapping_add(1);
-        s.listed = false;
         s.head = NIL;
+        s.second = NIL;
         s.tail = NIL;
-        s.len = 0;
+        s.len = 0; // not listed either
         let id = s.id;
         self.ids.remove(id);
         self.free_flows.push(fidx);
@@ -962,13 +1021,13 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
                 break;
             };
             let s = &self.flows[fidx as usize];
-            if s.gen != gen || !s.listed {
+            if s.gen != gen || s.len & LISTED == 0 {
                 continue; // slot released/reused or candidacy withdrawn
             }
             if s.head != NIL {
                 // Re-backlogged since listed: drop the hint (a future
                 // drain re-lists it).
-                self.flows[fidx as usize].listed = false;
+                self.flows[fidx as usize].len &= !LISTED;
                 continue;
             }
             let is_safe = s.ext.as_ref().is_some_and(&mut safe);
@@ -1005,9 +1064,36 @@ fn note_drained<E>(gc: &mut Option<VecDeque<(u32, u32)>>, s: &mut FlowSlot<E>, f
     let Some(gc) = gc.as_mut() else {
         return;
     };
-    if s.ext.is_some() && !s.listed {
-        s.listed = true;
+    if s.ext.is_some() && s.len & LISTED == 0 {
+        s.len |= LISTED;
         gc.push_back((fidx, s.gen));
+    }
+}
+
+/// The end of every pooled dequeue: ask for what the next one will read
+/// — the new root's head record and the record behind it — and for the
+/// flow slots of the root's children, one of which is what this
+/// function reads a dequeue from now (the only other candidate, the
+/// flow just served, is warm). Hints only: a stale or changing entry
+/// costs nothing, and nothing is loaded that was not asked for a
+/// dequeue ago.
+#[inline(always)]
+fn look_ahead<K: Ord + Copy, E, M: Copy>(
+    heap: &HeadHeap<(K, u32, u32)>,
+    flows: &[FlowSlot<E>],
+    slab: &SlabPool<Entry<K, M>>,
+) {
+    let Some(&(_, fidx, _)) = heap.peek() else {
+        return;
+    };
+    if let Some(s) = flows.get(fidx as usize) {
+        slab.prefetch_raw(s.head);
+        slab.prefetch_raw(s.second);
+    }
+    for &(_, child, _) in heap.root_children() {
+        if let Some(s) = flows.get(child as usize) {
+            prefetch_value(s);
+        }
     }
 }
 

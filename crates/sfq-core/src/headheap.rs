@@ -72,6 +72,14 @@ impl<T: Ord + Copy> HeadHeap<T> {
         self.data.first()
     }
 
+    /// The root's children (none, one or two elements, in no particular
+    /// order): together with the element a removal re-admits, the only
+    /// candidates for the minimum after next.
+    #[inline]
+    pub fn root_children(&self) -> &[T] {
+        self.data.get(1..self.data.len().min(3)).unwrap_or(&[])
+    }
+
     /// Remove every element, keeping the allocation.
     pub fn clear(&mut self) {
         self.data.clear();
@@ -457,6 +465,25 @@ mod tests {
             let ids = |v: &[Dup]| v.iter().map(|d| (d.key, d.id)).collect::<Vec<_>>();
             prop_assert_eq!(ids(&ours), ids(&theirs));
         }
+
+        /// Element sizes other than the scheduler's 32 bytes — 16 (four
+        /// to a line) and 56 (no two entries sit alike in their lines) —
+        /// cross their own cold thresholds inside the same preload range:
+        /// the look-ahead counts in bytes, and the pop order is none of
+        /// its business.
+        #[test]
+        fn head_heap_matches_binary_heap_at_other_element_sizes(
+            preload in 0usize..3 * COLD_LEN,
+            by_rebuild in (0u8..2).prop_map(|b| b == 1),
+            ops in ops(),
+        ) {
+            differential(preload, by_rebuild, &ops, |draw, serial| -> [u64; 2] {
+                [draw, serial]
+            })?;
+            differential(preload, by_rebuild, &ops, |draw, serial| -> [u64; 7] {
+                [draw, serial, 0, 0, 0, 0, 0]
+            })?;
+        }
     }
 
     /// 2^18 entries (8 MB): every level the look-ahead can reach, in
@@ -524,5 +551,45 @@ mod tests {
         assert_eq!(refilled, Some(5));
         assert_eq!(h.pop_refill(|&min, _| Some(min + 9)), Some(4));
         assert_eq!((h.pop(), h.pop()), (Some(13), None));
+    }
+
+    /// Every length up to 33, odd and even — so the last parent has one
+    /// child or two, and the hole a removal walks down ends on the last
+    /// position or beside it — filled by `rebuild` and by `push`, then
+    /// emptied through `pop_refill` returning nothing.
+    #[test]
+    fn head_heap_shrinks_to_empty_from_every_small_length() {
+        for n in 0..=33u64 {
+            let scrambled = |i: u64| (i * 19 + 7) % 37;
+            let mut rebuilt: HeadHeap<u64> = HeadHeap::new();
+            rebuilt.rebuild((0..n).map(scrambled));
+            let mut pushed: HeadHeap<u64> = HeadHeap::new();
+            (0..n).map(scrambled).for_each(|v| pushed.push(v));
+            let mut want: Vec<u64> = (0..n).map(scrambled).collect();
+            want.sort_unstable();
+            for (i, &w) in want.iter().enumerate() {
+                let rest = want.get(i + 1);
+                for h in [&mut rebuilt, &mut pushed] {
+                    assert_eq!(h.root_children().len(), (want.len() - i - 1).min(2));
+                    let got = h.pop_refill(|&min, shown| {
+                        assert_eq!((min, shown), (w, rest), "n = {n}");
+                        None
+                    });
+                    assert_eq!(got, Some(w), "n = {n}");
+                    assert_eq!(h.len(), want.len() - i - 1);
+                }
+            }
+            assert_eq!((rebuilt.pop(), pushed.pop()), (None, None));
+        }
+        // The hole stops on the last position itself: 1's smaller child
+        // is 2, whose only child, 9, is the array's last element.
+        let mut h: HeadHeap<u32> = HeadHeap::new();
+        h.rebuild([1, 2, 5, 9].into_iter());
+        assert_eq!(h.root_children(), [2, 5]);
+        assert_eq!(h.pop(), Some(1));
+        assert_eq!(
+            (h.pop(), h.pop(), h.pop(), h.pop()),
+            (Some(2), Some(5), Some(9), None)
+        );
     }
 }

@@ -362,6 +362,26 @@ impl<T: Copy> SlabPool<T> {
         self.slot_mut(idx).next = next;
     }
 
+    /// Ask for the cache lines of slot `idx` — record and link — ahead
+    /// of a read (see [`crate::prefetch`]). `NIL` or any other index
+    /// with no slot behind it asks for nothing.
+    #[inline(always)]
+    pub(crate) fn prefetch_raw(&self, idx: u32) {
+        let chunk = self.chunks.get((idx >> CHUNK_BITS) as usize);
+        if let Some(slot) = chunk.and_then(|c| c.get((idx & CHUNK_MASK) as usize)) {
+            crate::prefetch::prefetch_value(slot);
+        }
+    }
+
+    /// `(size, align)` of one slot, for the layout-pinning tests.
+    #[cfg(test)]
+    pub(crate) fn slot_layout() -> (usize, usize) {
+        (
+            std::mem::size_of::<Slot<T>>(),
+            std::mem::align_of::<Slot<T>>(),
+        )
+    }
+
     pub(crate) fn in_use_raw(&self) -> usize {
         self.in_use as usize
     }

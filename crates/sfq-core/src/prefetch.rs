@@ -1,16 +1,16 @@
 //! Best-effort software prefetch for the scheduler hot paths.
 //!
-//! Two callers, two primitives:
+//! Two callers, one instruction (x86-64 `prefetcht0`; nothing on other
+//! targets, where both callers simply run without look-ahead):
 //!
-//! **The next winner's head packet** ([`prefetch_read`]). With per-flow
-//! FIFO rings, the line holding a flow's head packet was written when
-//! the packet was enqueued — one full ring revolution ago. At deep
-//! backlogs that write-to-read reuse distance exceeds the L2 working set
-//! and, unlike a single global FIFO, hundreds of scattered rings defeat
-//! the hardware stride prefetcher. The schedulers therefore issue an
-//! explicit prefetch for the *next* dequeue candidate's head (known from
-//! the top of the head-of-flow heap) while finishing the current
-//! dequeue, buying roughly one operation of lead time to cover the miss.
+//! **The pooled dequeue's look-ahead** ([`prefetch_value`]). Per-flow
+//! FIFOs scatter a flow's slot, its head packet and the packet behind it
+//! over three places that were last touched when the packets were
+//! enqueued — a full revolution of the backlog ago, long out of every
+//! cache at a million flows. After each heap refill the dequeue asks
+//! for the lines the *next* pop will read and for the flow slots the pop
+//! after that may start from (see `docs/pooling.md`, "Dequeue
+//! look-ahead").
 //!
 //! **The head-of-flow heap's own descent** ([`prefetch_span`]). A `pop`
 //! on a heap far larger than cache knows, several levels ahead, the
@@ -19,7 +19,9 @@
 //!
 //! A prefetch is only a hint: issuing one for a stale heap entry or a
 //! line that is about to change is harmless, so callers need no
-//! precision here. This module is the crate's only `unsafe`.
+//! precision here, and it retires at once whether or not the line is
+//! home, so asking never delays the work it runs ahead of. This module
+//! is the crate's only `unsafe`.
 
 /// Cache-line size assumed by both primitives.
 const LINE: usize = 64;
@@ -28,8 +30,8 @@ const LINE: usize = 64;
 /// to `align` such that every 64-byte line the value overlaps is hit,
 /// wherever the alignment lets it sit: one offset per `LINE` from the
 /// first byte, plus the last byte when the value can straddle one line
-/// more than `size / LINE` rounds to (a 104-byte, 8-aligned record at
-/// line offset 32 covers three lines, not two). Both conditions are
+/// more than `size / LINE` rounds to (a 112-byte, 16-aligned slab slot
+/// at line offset 32 covers three lines, not two). Both conditions are
 /// compile-time constants at every call site.
 #[inline(always)]
 fn for_each_line_offset(size: usize, align: usize, mut touch: impl FnMut(usize)) {
@@ -43,72 +45,64 @@ fn for_each_line_offset(size: usize, align: usize, mut touch: impl FnMut(usize))
     }
 }
 
-/// Pull the cache lines holding `*v` toward L1 by issuing real
-/// (discarded) loads, one per 64-byte line the value overlaps (see
-/// `for_each_line_offset` for the one a value that is not
-/// line-aligned adds).
+/// Hint every line of the `size` bytes at `base`, which is aligned to
+/// `align`.
 ///
-/// A demand load rather than a prefetch hint on purpose: x86 `prefetch`
-/// instructions are dropped on a dTLB miss, and a deep backlog spans
-/// enough pages that the translation itself is usually the cold part.
-/// The loads' results feed nothing, so out-of-order execution retires
-/// surrounding work while the miss (and page walk) resolves.
-#[inline]
-pub fn prefetch_read<T>(v: &T) {
-    let base = v as *const T as *const u8;
-    for_each_line_offset(
-        core::mem::size_of::<T>(),
-        core::mem::align_of::<T>(),
-        |off| {
-            // SAFETY: `off < size_of::<T>()`, so this is an in-bounds
-            // read of a live `&T`; volatile so the otherwise-dead load
-            // is not elided.
-            core::hint::black_box(unsafe { core::ptr::read_volatile(base.add(off)) });
-        },
-    );
-}
-
-/// Ask for every cache line of `s` with a prefetch *hint* (x86-64
-/// `prefetcht0`; nothing on other targets, where the heap simply runs
-/// without look-ahead).
+/// # Safety
 ///
-/// A hint rather than [`prefetch_read`]'s demand load, by measurement:
-/// the heap issues nine of these per level and uses one, and a hint
-/// retires at once whereas a load holds its reorder-buffer slot until
-/// the line arrives, so eight useless loads per level stall the very
-/// descent they were meant to run ahead of (`sched_scale`, 1 M flows:
-/// see EXPERIMENTS.md for both figures).
-#[inline]
-pub fn prefetch_span<T>(s: &[T]) {
+/// `base..base + size` must lie inside one live allocation.
+#[inline(always)]
+unsafe fn hint_lines(base: *const u8, size: usize, align: usize) {
     #[cfg(target_arch = "x86_64")]
     {
         use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let base = s.as_ptr() as *const i8;
-        // `align` 1: a slice can start anywhere in its first line.
-        for_each_line_offset(core::mem::size_of_val(s), 1, |off| {
-            // SAFETY: `off < size_of_val(s)`, so the address is inside
-            // the live slice (and the instruction cannot fault).
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(base.add(off)) };
+        for_each_line_offset(size, align, |off| {
+            // SAFETY: `off < size`, so by the caller's guarantee the
+            // address is inside a live allocation (and the instruction
+            // cannot fault).
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(base.add(off) as *const i8) };
         });
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = s;
+    let _ = (base, size, align);
+}
+
+/// Ask for every cache line `*v` overlaps (see `for_each_line_offset`
+/// for the one a value that is not line-aligned adds).
+#[inline]
+pub fn prefetch_value<T>(v: &T) {
+    // SAFETY: the range is exactly the live `&T`.
+    unsafe {
+        hint_lines(
+            v as *const T as *const u8,
+            core::mem::size_of::<T>(),
+            core::mem::align_of::<T>(),
+        )
+    };
+}
+
+/// Ask for every cache line of `s`.
+#[inline]
+pub fn prefetch_span<T>(s: &[T]) {
+    // SAFETY: the range is exactly the live slice, which starts where
+    // a `T` may.
+    unsafe {
+        hint_lines(
+            s.as_ptr() as *const u8,
+            core::mem::size_of_val(s),
+            core::mem::align_of::<T>(),
+        )
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The pooled `Entry` shape: bigger than one line, 8-aligned.
-    #[repr(align(8))]
-    #[allow(dead_code)]
-    struct Rec([u8; 104]);
-
-    #[test]
-    fn every_line_a_value_overlaps_is_touched() {
-        let (size, align) = (core::mem::size_of::<Rec>(), core::mem::align_of::<Rec>());
-        assert_eq!((size, align), (104, 8));
-        for start in (0..LINE).step_by(align) {
+    /// Every line a value of `(size, align)` overlaps is touched, at
+    /// every offset into a line its alignment allows.
+    fn covers_every_line(size: usize, align: usize) {
+        for start in (0..LINE).step_by(align.min(LINE)) {
             let mut hit = Vec::new();
             for_each_line_offset(size, align, |off| {
                 assert!(off < size, "out-of-bounds offset {off}");
@@ -116,7 +110,17 @@ mod tests {
             });
             hit.dedup();
             let covered: Vec<usize> = (start / LINE..=(start + size - 1) / LINE).collect();
-            assert_eq!(hit, covered, "value at line offset {start}");
+            assert_eq!(hit, covered, "{size}/{align} value at line offset {start}");
+        }
+    }
+
+    /// The shapes that get hinted, as `SfqFast` really lays them out
+    /// (pinned in `tagsched.rs`), and two that are not line-friendly.
+    #[test]
+    fn every_line_a_value_overlaps_is_touched() {
+        let l = crate::tagsched::sfq_fast_layout();
+        for (size, align) in [l.slab_slot, l.flow_slot, l.heap_entry, (104, 8), (1, 1)] {
+            covers_every_line(size, align);
         }
     }
 
@@ -131,14 +135,17 @@ mod tests {
         assert_eq!(count(64, 64), 1);
         assert_eq!(count(128, 64), 2);
         assert_eq!(count(32, 8), 2); // a 32-byte heap entry can straddle
+        assert_eq!(count(64, 8), 2); // a flow slot can straddle
+        assert_eq!(count(112, 16), 3); // and so can a slab slot
         assert_eq!(count(0, 1), 0);
     }
 
     #[test]
-    fn primitives_accept_any_slice() {
+    fn primitives_accept_any_value() {
         prefetch_span::<u64>(&[]);
         prefetch_span(&[1u8]);
         prefetch_span(&[0u64; 100]);
-        prefetch_read(&Rec([0; 104]));
+        prefetch_value(&[0u8; 104]);
+        prefetch_value(&());
     }
 }

@@ -980,3 +980,33 @@ impl<O: SchedObserver> ScfqFast<O> {
         ))
     }
 }
+
+/// The pooled hot-path record shapes of [`SfqFast`], the scheduler the
+/// scale workloads run.
+#[cfg(test)]
+pub(crate) fn sfq_fast_layout() -> crate::flowq::PooledLayout {
+    Fifos::<Fixed, StartClock>::pooled_layout()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flowq::PooledLayout;
+
+    /// The dequeue look-ahead is written against these numbers
+    /// (docs/pooling.md): a flow slot is one line's worth, a slab slot
+    /// at most three lines, two heap entries one line's worth. A
+    /// toolchain that moves them (the alignment of `i128` already did
+    /// once) should fail here, not cost a line silently.
+    #[test]
+    fn sfq_fast_hot_records_have_the_layout_the_look_ahead_is_written_against() {
+        assert_eq!(
+            sfq_fast_layout(),
+            PooledLayout {
+                flow_slot: (64, 8),
+                slab_slot: (112, 16),
+                heap_entry: (32, 8),
+            }
+        );
+    }
+}

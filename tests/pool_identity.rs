@@ -94,6 +94,14 @@ enum Op {
     /// Re-register flow index `0..4` (revives a removed flow; for a
     /// live flow this is the idempotent weight refresh).
     Revive(usize),
+    /// Discard the head-of-line packet of flow index `0..4` (the
+    /// head-drop overload policy; leaves a stale heap entry behind).
+    DropHead(usize),
+    /// Dequeue up to this many packets through `dequeue_batch`.
+    DeqBatch(usize),
+    /// Live-reweigh flow index `0..4` (rewrites its queued tags behind
+    /// the head).
+    SetWeight(usize, u64),
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -109,6 +117,9 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             Just(Op::Deq),
             (0usize..4).prop_map(Op::ForceRemove),
             (0usize..4).prop_map(Op::Revive),
+            (0usize..4).prop_map(Op::DropHead),
+            (1usize..6).prop_map(Op::DeqBatch),
+            (0usize..4, 500u64..50_000).prop_map(|(f, w)| Op::SetWeight(f, w)),
         ],
         1..200,
     )
@@ -137,13 +148,23 @@ fn ties() -> impl Strategy<Value = TieBreak> {
 }
 
 /// Drive `sched` through `ops` (flow ids 1..=4 at rates `ws[i]`),
-/// returning the dequeue order, per-op enqueue outcomes, and the full
-/// observer trace.
+/// returning the departure order (drops marked), per-op enqueue and
+/// reweigh outcomes, and the full observer trace.
 fn run_ops<S: Scheduler>(
+    sched: S,
+    trace: Rc<RefCell<Trace>>,
+    ws: &[u64; 4],
+    ops: &[Op],
+) -> (Vec<u64>, Vec<bool>, Vec<Event>) {
+    drive(sched, trace, ws, ops, false)
+}
+
+fn drive<S: Scheduler>(
     mut sched: S,
     trace: Rc<RefCell<Trace>>,
     ws: &[u64; 4],
     ops: &[Op],
+    reregister: bool,
 ) -> (Vec<u64>, Vec<bool>, Vec<Event>) {
     let mut pf = PacketFactory::new();
     let now = SimTime::ZERO;
@@ -155,6 +176,9 @@ fn run_ops<S: Scheduler>(
     for op in ops {
         match *op {
             Op::Enq(f, len) => {
+                if reregister {
+                    sched.add_flow(FlowId(f as u32 + 1), Rate::bps(ws[f]));
+                }
                 let pkt = pf.make(FlowId(f as u32 + 1), Bytes::new(len), now);
                 outcomes.push(sched.try_enqueue(now, pkt).is_ok());
             }
@@ -169,6 +193,23 @@ fn run_ops<S: Scheduler>(
             }
             Op::Revive(f) => {
                 sched.add_flow(FlowId(f as u32 + 1), Rate::bps(ws[f]));
+            }
+            Op::DropHead(f) => {
+                // A dropped packet leaves like a served one, marked.
+                let dropped = sched.drop_head(FlowId(f as u32 + 1));
+                order.extend(dropped.map(|p| !p.uid));
+            }
+            Op::DeqBatch(max) => {
+                let mut out = Vec::new();
+                sched.dequeue_batch(now, max, &mut out);
+                order.extend(out.iter().map(|p| p.uid));
+            }
+            Op::SetWeight(f, w) => {
+                let flow = FlowId(f as u32 + 1);
+                if reregister {
+                    sched.add_flow(flow, Rate::bps(ws[f]));
+                }
+                outcomes.push(sched.try_set_weight(flow, Rate::bps(w)).is_ok());
             }
         }
     }
@@ -315,6 +356,14 @@ proptest! {
         let to = Rc::new(RefCell::new(Trace::default()));
         let pooled = mk(FifoBackend::Pooled, Rc::clone(&tp));
         let owned = mk(FifoBackend::Owned, Rc::clone(&to));
+        // Reweighing is left to the four scheduler-level tests: every
+        // one re-prices a shard at the root arbiter, whose exact tags
+        // leave `i128` under a script of arbitrary weights (`dequeue`
+        // panics on that `TagOverflow`, on either backend).
+        let ops: Vec<Op> = ops
+            .into_iter()
+            .filter(|op| !matches!(op, Op::SetWeight(..)))
+            .collect();
         let rp = run_ops(pooled, tp, &ws, &ops);
         let ro = run_ops(owned, to, &ws, &ops);
         assert_identical(rp, ro)?;
@@ -391,47 +440,15 @@ proptest! {
 }
 
 /// Like [`run_ops`], but re-registers a flow immediately before every
-/// enqueue — the discipline under which lazy GC must be transparent.
+/// enqueue and reweigh — the discipline under which lazy GC must be
+/// transparent.
 fn run_ops_reregistering<S: Scheduler>(
-    mut sched: S,
+    sched: S,
     trace: Rc<RefCell<Trace>>,
     ws: &[u64; 4],
     ops: &[Op],
 ) -> (Vec<u64>, Vec<bool>, Vec<Event>) {
-    let mut pf = PacketFactory::new();
-    let now = SimTime::ZERO;
-    for (i, &w) in ws.iter().enumerate() {
-        sched.add_flow(FlowId(i as u32 + 1), Rate::bps(w));
-    }
-    let mut order = Vec::new();
-    let mut outcomes = Vec::new();
-    for op in ops {
-        match *op {
-            Op::Enq(f, len) => {
-                sched.add_flow(FlowId(f as u32 + 1), Rate::bps(ws[f]));
-                let pkt = pf.make(FlowId(f as u32 + 1), Bytes::new(len), now);
-                outcomes.push(sched.try_enqueue(now, pkt).is_ok());
-            }
-            Op::Deq => {
-                if let Some(p) = sched.dequeue(now) {
-                    sched.on_departure(now);
-                    order.push(p.uid);
-                }
-            }
-            Op::ForceRemove(f) => {
-                sched.force_remove_flow(FlowId(f as u32 + 1));
-            }
-            Op::Revive(f) => {
-                sched.add_flow(FlowId(f as u32 + 1), Rate::bps(ws[f]));
-            }
-        }
-    }
-    while let Some(p) = sched.dequeue(now) {
-        sched.on_departure(now);
-        order.push(p.uid);
-    }
-    let events = std::mem::take(&mut trace.borrow_mut().events);
-    (order, outcomes, events)
+    drive(sched, trace, ws, ops, true)
 }
 
 /// The same obligation as the proptests, reproduced from a conformance
@@ -460,6 +477,21 @@ fn pool_preset_replay_line_reproduces_the_differential_check() {
 /// pooled backend held to the owned oracle's exact departure order.
 #[test]
 fn sfq_fast_pooled_is_bit_identical_to_owned_at_200k_flows() {
+    pooled_matches_owned_at_200k_flows(None);
+}
+
+/// The same scenario served 32 at a time through `dequeue_batch`, so
+/// the batch path's dequeue look-ahead (and its run path, which moves a
+/// flow slot's `head`/`second` several packets per heap pass) works past
+/// the heap's cold threshold against the oracle too.
+#[test]
+fn sfq_fast_pooled_is_bit_identical_to_owned_at_200k_flows_in_batches() {
+    pooled_matches_owned_at_200k_flows(Some(32));
+}
+
+/// `batch`: `None` serves through `dequeue` + `on_departure`, `Some(n)`
+/// through `dequeue_batch(n)`.
+fn pooled_matches_owned_at_200k_flows(batch: Option<usize>) {
     const FLOWS: u32 = 200_000;
     let weight = |f: u32| Rate::kbps(64 + (f % 512) as u64);
     let len = |uid: u64| Bytes::new(64 + uid.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 1437);
@@ -506,21 +538,38 @@ fn sfq_fast_pooled_is_bit_identical_to_owned_at_200k_flows() {
         // go to whichever flow registers next.
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         let mut served = 0usize;
-        let mut serve = |s: &mut SfqFast| {
-            let p = s.dequeue(now)?;
-            s.on_departure(now);
-            digest = (digest ^ p.uid).wrapping_mul(0x0100_0000_01b3);
-            served += 1;
-            Some(p.flow.0)
+        let mut out = Vec::new();
+        let mut serve = |s: &mut SfqFast, out: &mut Vec<Packet>| {
+            out.clear();
+            match batch {
+                Some(max) => {
+                    s.dequeue_batch(now, max, out);
+                }
+                None => {
+                    if let Some(p) = s.dequeue(now) {
+                        s.on_departure(now);
+                        out.push(p);
+                    }
+                }
+            }
+            for p in out.iter() {
+                digest = (digest ^ p.uid).wrapping_mul(0x0100_0000_01b3);
+            }
+            served += out.len();
+            !out.is_empty()
         };
-        for i in 0..300_000 {
-            let f = serve(&mut s).expect("backlog outlasts the loop");
-            if i % 3 == 0 {
-                offer(&mut s, f);
+        let mut i = 0;
+        while i < 300_000 {
+            assert!(serve(&mut s, &mut out), "backlog outlasts the loop");
+            for p in &out {
+                if i % 3 == 0 {
+                    offer(&mut s, p.flow.0);
+                }
+                i += 1;
             }
         }
         let reclaimed = s.pool_stats().map_or(0, |st| st.flows_reclaimed);
-        while serve(&mut s).is_some() {}
+        while serve(&mut s, &mut out) {}
         assert_eq!(served + dropped, uid as usize, "every packet accounted for");
         (digest, served, stale_after_faults, reclaimed)
     };
@@ -529,5 +578,8 @@ fn sfq_fast_pooled_is_bit_identical_to_owned_at_200k_flows() {
     assert_eq!((dp, np), (d_o, n_o), "departure order diverged");
     assert_eq!(stale_p, stale_o, "stale heap entries diverged");
     assert!(stale_p > 2_000, "the faults left stale entries: {stale_p}");
-    assert!(reclaimed > 1_000, "flow GC ran: {reclaimed} reclaimed");
+    // Flow GC looks at two candidates per scheduler call, and a batch
+    // is one call.
+    let gc_floor = if batch.is_some() { 500 } else { 1_000 };
+    assert!(reclaimed > gc_floor, "flow GC ran: {reclaimed} reclaimed");
 }
