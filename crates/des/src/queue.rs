@@ -16,11 +16,22 @@
 //! alone used to apply, and `(time, seq)` is a total order over all
 //! pending events, so the delivery sequence is the one a single heap
 //! would produce — the lanes change what an operation costs, not what
-//! it returns. A simulation that scripts its arrivals up front in time
-//! order (the graph executor does) pays O(1) per scripted event, and
-//! the heap holds only the few events in flight instead of the script.
-//! Scheduled in any other pattern the queue degrades to the heap plus
-//! one comparison per operation.
+//! it returns. A simulation that schedules in time order pays O(1) per
+//! event; scheduled in any other pattern the queue degrades to the heap
+//! plus one comparison per operation.
+//!
+//! # Merging a sorted stream of the caller's own
+//!
+//! A caller that already holds part of its future in time order (the
+//! graph executor: its scripted injections) need not copy it in here.
+//! If those events outrank every queued one at their own instant — as
+//! they would had they all been scheduled first — then
+//! [`EventQueue::pop_before`]`(t)`, with `t` the stream's next instant,
+//! delivers exactly the queued events that come before it in
+//! `(time, seq)` order, and [`EventQueue::advance_to`]`(t)` moves the
+//! clock there when the stream's event fires, so that
+//! [`EventQueue::schedule`] keeps refusing the past as the caller sees
+//! it.
 
 use simtime::{SimDuration, SimTime};
 use std::cmp::{Ordering, Reverse};
@@ -154,6 +165,31 @@ impl<E> EventQueue<E> {
         self.take(lane)
     }
 
+    /// Pop the next event if it is due strictly before `t`; otherwise
+    /// leave the queue and the clock untouched. See the module docs on
+    /// merging.
+    pub fn pop_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
+        let (lane, due) = self.next()?;
+        if due >= t {
+            return None;
+        }
+        self.take(lane)
+    }
+
+    /// Move the clock forward to `t` without delivering anything: an
+    /// event the caller holds outside the queue fires at `t`. Panics if
+    /// `t` is before the clock, or past a pending event — which would
+    /// then be delivered in the caller's past. Both are causality
+    /// violations, always a bug in the model.
+    pub fn advance_to(&mut self, t: SimTime) {
+        assert!(t >= self.now, "clock moved into the past");
+        assert!(
+            self.next().is_none_or(|(_, due)| due >= t),
+            "clock moved past a pending event"
+        );
+        self.now = t;
+    }
+
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.next().map(|(_, due)| due)
@@ -257,6 +293,56 @@ mod tests {
     }
 
     #[test]
+    fn pop_before_is_strict_and_leaves_ties_to_the_caller() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(1), "a");
+        q.schedule(SimTime::from_secs(3), "b");
+        assert_eq!(
+            q.pop_before(SimTime::from_secs(3)),
+            Some((SimTime::from_secs(1), "a"))
+        );
+        // Due exactly at the limit: the caller's own event goes first.
+        assert_eq!(q.pop_before(SimTime::from_secs(3)), None);
+        assert_eq!(
+            (q.now(), q.processed(), q.len()),
+            (SimTime::from_secs(1), 1, 1)
+        );
+        q.advance_to(SimTime::from_secs(3));
+        assert_eq!(
+            (q.now(), q.processed(), q.len()),
+            (SimTime::from_secs(3), 1, 1)
+        );
+        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
+    }
+
+    #[test]
+    #[should_panic(expected = "in the past")]
+    fn an_advanced_clock_refuses_what_is_behind_it() {
+        // Nothing was popped: without `advance_to` the clock would
+        // still read zero and this `schedule` would go through.
+        let mut q = EventQueue::new();
+        q.advance_to(SimTime::from_secs(5));
+        q.schedule(SimTime::from_secs(4), ());
+    }
+
+    #[test]
+    #[should_panic(expected = "clock moved into the past")]
+    fn advancing_backwards_panics() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.advance_to(SimTime::from_secs(5));
+        q.advance_to(SimTime::from_secs(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "clock moved past a pending event")]
+    fn advancing_past_a_pending_event_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(2), ());
+        q.advance_to(SimTime::from_secs(2)); // a tie is the caller's
+        q.advance_to(SimTime::from_secs(3));
+    }
+
+    #[test]
     fn empty_and_len() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
@@ -337,6 +423,10 @@ mod proptests {
         Pop,
         /// `pop_through` now + the offset.
         PopThrough(i128),
+        /// One step of a merge with a stream whose next event is at
+        /// now + the offset: `pop_before` it, and if nothing comes
+        /// before it, `advance_to` it.
+        Merge(i128),
     }
 
     /// Offsets from a few values, so that equal-time bursts are the
@@ -350,14 +440,15 @@ mod proptests {
             Just(Op::Pop),
             Just(Op::Pop),
             (0i128..6).prop_map(Op::PopThrough),
+            (0i128..6).prop_map(Op::Merge),
         ]
     }
 
     /// What is scheduled before the first pop: nothing; a sorted bulk
-    /// script (the graph executor's pattern — everything dynamic then
-    /// lands before the run's last entry); one far-future event (the
-    /// run is stuck behind it and everything else takes the heap);
-    /// or the far-future event and then the script.
+    /// script (a simulation that schedules its arrivals up front —
+    /// everything dynamic then lands before the run's last entry); one
+    /// far-future event (the run is stuck behind it and everything else
+    /// takes the heap); or the far-future event and then the script.
     fn preload() -> impl Strategy<Value = Vec<i128>> {
         let script = || {
             prop::collection::vec(0i128..300, 1..80).prop_map(|mut v| {
@@ -420,6 +511,29 @@ mod proptests {
             Ok(())
         }
 
+        /// One merge step on both sides: the model delivers its first
+        /// event if that is due strictly before `t`, and otherwise its
+        /// clock moves to `t` with nothing delivered.
+        fn merge(&mut self, t: SimTime) -> Result<(), TestCaseError> {
+            let first = self.model.first_key_value().map(|(&(due, _), _)| due);
+            let want = match first {
+                Some(due) if due < t => self.model.pop_first().map(|((due, _), id)| (due, id)),
+                _ => None,
+            };
+            prop_assert_eq!(self.q.pop_before(t), want);
+            match want {
+                Some((due, _)) => {
+                    self.now = due;
+                    self.processed += 1;
+                }
+                None => {
+                    self.q.advance_to(t);
+                    self.now = t;
+                }
+            }
+            Ok(())
+        }
+
         fn check(&self) -> Result<(), TestCaseError> {
             prop_assert_eq!(self.q.len(), self.model.len());
             prop_assert_eq!(self.q.is_empty(), self.model.is_empty());
@@ -437,9 +551,12 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Differential: under any interleaving of `schedule`,
-        /// `schedule_in`, `pop` and `pop_through`, the two-lane queue
-        /// delivers exactly what one `(time, seq)`-ordered map would,
-        /// and its observers agree with the model at every step.
+        /// `schedule_in`, `pop`, `pop_through` and merge steps
+        /// (`pop_before`, then `advance_to` when nothing came before),
+        /// the two-lane queue delivers exactly what one
+        /// `(time, seq)`-ordered map would, and its observers — the
+        /// clock an advance moved included — agree with the model at
+        /// every step.
         #[test]
         fn two_lanes_match_a_btreemap_model(
             preload in preload(),
@@ -462,6 +579,7 @@ mod proptests {
                     Op::In(dt) => p.schedule(SimDuration::from_millis(dt), true),
                     Op::Pop => p.pop(None)?,
                     Op::PopThrough(dt) => p.pop(Some(p.now + SimDuration::from_millis(dt)))?,
+                    Op::Merge(dt) => p.merge(p.now + SimDuration::from_millis(dt))?,
                 }
                 p.check()?;
             }

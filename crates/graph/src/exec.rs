@@ -19,15 +19,29 @@
 //!
 //! # Determinism
 //!
-//! Everything is ordered: the [`des::EventQueue`] delivers equal-time
-//! events FIFO by schedule order, injections are sorted by
-//! `(time, entry node, uid)` before scheduling (then churns, then TCP
-//! starts), node dispatch is batch-order-preserving, and no step
+//! Everything is ordered: scripted injections fire in
+//! `(time, entry node, uid)` order and ahead of anything else due at
+//! their instant, the [`des::EventQueue`] delivers equal-time events
+//! FIFO by schedule order (churns, then TCP starts, then whatever the
+//! run schedules), node dispatch is batch-order-preserving, and no step
 //! iterates an unordered map. The executor is therefore a
 //! deterministic function of (topology, sources, churns) — the
 //! property that makes a sync-port graph the *oracle* for the
 //! identical graph built on threaded ports (see `docs/graph.md` for
 //! the full identity argument and the same-instant ordering rules).
+//!
+//! # One record, one event
+//!
+//! A packet is stored once, in its [`Transit`], from the moment it is
+//! scripted: the run orders 16-byte keys and walks the order, it never
+//! copies the script. And a delivered packet costs the queue one event,
+//! its transmission completion: injections are merged in by a cursor,
+//! and a completed packet crossing a zero-delay wire is dispatched in
+//! place whenever its arrival event would have been the next one
+//! popped anyway (`docs/graph.md`, "Same-instant event order").
+
+// Panic-free outside tests, like `sfq-core` (docs/robustness.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::arena::{ArenaAudit, PktArena};
 use crate::node::{GraphNode, OutPort};
@@ -39,7 +53,8 @@ use sfq_core::{FlowId, FlowMap, Packet, PacketFactory, PktRef};
 use simtime::{Bytes, SimDuration, SimTime};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::ops::Range;
+use std::fmt;
+use std::ops::{Deref, Range};
 
 /// One node of the wired graph.
 pub enum NodeKind {
@@ -73,10 +88,13 @@ enum TcpEv {
 }
 
 enum Ev {
-    /// Inject pre-grouped script range `groups[i]`.
+    /// The pre-scheduling oracle's injection of the script group that
+    /// starts at `order[i]`; [`Graph::run`] walks the order by cursor.
+    #[cfg(test)]
     Inject(usize),
-    /// One packet crossing a wire lands at `node`: every port's
-    /// transmission hand-off, and any lone emission on a delayed wire.
+    /// One packet crossing a wire lands at `node`: a lone emission on a
+    /// delayed wire, or a port's transmission hand-off that could not
+    /// be done in place.
     Arrive { node: usize, h: PktRef },
     /// A batch of two or more crossing a delayed wire lands at `node`.
     ArriveBatch { node: usize, pkts: Box<[PktRef]> },
@@ -88,15 +106,64 @@ enum Ev {
     Tcp(FlowId, TcpEv),
 }
 
+/// A journey's hops, `(port node, transmission-completion time)` in
+/// path order: a slice, read through `Deref`. Most journeys cross one
+/// port, and that hop lives in the record itself; the list moves to
+/// the heap at the second.
+#[derive(Clone, Default)]
+pub struct Hops(HopList);
+
+#[derive(Clone, Default)]
+enum HopList {
+    #[default]
+    None,
+    One((usize, SimTime)),
+    Many(Vec<(usize, SimTime)>),
+}
+
+impl Hops {
+    fn push(&mut self, hop: (usize, SimTime)) {
+        match &mut self.0 {
+            HopList::None => self.0 = HopList::One(hop),
+            HopList::One(first) => self.0 = HopList::Many(vec![*first, hop]),
+            HopList::Many(hops) => hops.push(hop),
+        }
+    }
+}
+
+impl Deref for Hops {
+    type Target = [(usize, SimTime)];
+
+    fn deref(&self) -> &Self::Target {
+        match &self.0 {
+            HopList::None => &[],
+            HopList::One(hop) => std::slice::from_ref(hop),
+            HopList::Many(hops) => hops,
+        }
+    }
+}
+
+impl PartialEq for Hops {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Hops {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// One packet's journey through the graph.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Transit {
     /// The packet as minted (original arrival stamp): a scripted
     /// injection, a TCP segment, or an MTU fragment.
     pub pkt: Packet,
     /// `(port node, transmission-completion time)` per traversed port,
     /// in path order.
-    pub port_departures: Vec<(usize, SimTime)>,
+    pub port_departures: Hops,
     /// Terminal sink and the time the packet reached it, if it
     /// survived to one. Fragments never do: they are absorbed by
     /// reassembly and the original packet is delivered in their place.
@@ -104,6 +171,7 @@ pub struct Transit {
 }
 
 /// Everything a graph run produced.
+#[derive(Debug, PartialEq)]
 pub struct GraphReport {
     /// Per-packet journeys, indexed by uid (== mint order: scripted
     /// sources in `add_*_source` order, then run-time TCP segments and
@@ -151,66 +219,72 @@ struct TcpEndpoint {
 }
 
 /// The packet mint: the factory plus the per-uid journey table, so
-/// `transits[uid]` is every packet's record however and whenever it
-/// was minted. Scripted packets are minted up front and their journeys
-/// opened in one allocation when the run starts; [`Mint::make`] is the
-/// run-time path (TCP segments, fragments) and extends the table.
+/// `transits[uid]` is every packet's record — its one copy outside the
+/// arena — however and whenever it was minted: scripted packets as
+/// their source is added, TCP segments and fragments during the run.
 struct Mint {
     pf: PacketFactory,
     transits: Vec<Transit>,
 }
 
 impl Mint {
-    fn open(pkt: Packet) -> Transit {
-        Transit {
-            pkt,
-            port_departures: Vec::new(),
-            delivered: None,
-        }
-    }
-
     fn make(&mut self, flow: FlowId, len: Bytes, at: SimTime) -> Packet {
         let pkt = self.pf.make(flow, len, at);
         debug_assert_eq!(pkt.uid as usize, self.transits.len());
-        self.transits.push(Self::open(pkt));
+        self.transits.push(Transit {
+            pkt,
+            port_departures: Hops::default(),
+            delivered: None,
+        });
         pkt
     }
 }
 
-/// One scripted injection: `(entry node, strict priority?, packet)`.
-type Scripted = (usize, bool, Packet);
+/// Where scripted packet `uid` enters: `(entry node, strict
+/// priority?)`, the column beside `transits[uid]`.
+type Origin = (u32, bool);
 
-/// Order a script, still in mint order, by `(arrival, entry node,
-/// uid)`.
+/// The order a script fires in: its packets' uids by `(arrival, entry
+/// node, uid)`. `script` is the scripted head of the journey table,
+/// which is in mint order, so a packet's index is its uid.
 ///
 /// Comparing exact times cross-multiplies rationals tens of thousands
-/// of times over 72-byte tuples, so the arrivals are first put on one
-/// integer lattice ([`lattice_keys`]) and the 16-byte keys sorted
-/// instead; mint order is uid order, so a key's script index stands in
-/// for the uid and makes every key distinct. A script no `u64` lattice
-/// holds is ordered by comparing the times themselves. Which of the
-/// two runs depends on the arrivals' denominators and on nothing else,
-/// and both produce the same order.
-fn sort_script(script: &mut Vec<Scripted>) {
-    debug_assert!(script.windows(2).all(|w| w[0].2.uid < w[1].2.uid));
-    match lattice_keys(script) {
+/// of times, so the arrivals are first put on one integer lattice
+/// ([`lattice_keys`]) and the 16-byte keys sorted instead; the index
+/// in a key makes every key distinct. A script no `u64` lattice holds
+/// is ordered by comparing the times themselves. Which of the two runs
+/// depends on the arrivals' denominators and on nothing else, and both
+/// produce the same order.
+fn sort_script(script: &[Transit], origins: &[Origin]) -> Vec<u32> {
+    debug_assert_eq!(script.len(), origins.len());
+    debug_assert!(script
+        .iter()
+        .enumerate()
+        .all(|(i, t)| t.pkt.uid == i as u64));
+    let Ok(n) = u32::try_from(script.len()) else {
+        panic!("a script holds at most 2^32 packets");
+    };
+    match lattice_keys(script, origins) {
         Some(mut keys) => {
             keys.sort_unstable();
-            *script = keys.iter().map(|&(_, _, i)| script[i as usize]).collect();
+            keys.iter().map(|&(_, _, i)| i).collect()
         }
-        None => script.sort_by_key(|&(entry, _, ref p)| (p.arrival, entry, p.uid)),
+        None => {
+            let mut order: Vec<u32> = (0..n).collect();
+            order.sort_by_key(|&i| (script[i as usize].pkt.arrival, origins[i as usize].0, i));
+            order
+        }
     }
 }
 
 /// `(arrival in ticks of 1/L, entry node, script index)` per scripted
 /// packet, where `L` is the least common multiple of the arrivals'
 /// denominators. `None` when `L` or a tick count does not fit a `u64`
-/// (or an arrival is negative, or an index does not fit a `u32`).
-fn lattice_keys(script: &[Scripted]) -> Option<Vec<(u64, u32, u32)>> {
-    u32::try_from(script.len()).ok()?;
+/// (or an arrival is negative).
+fn lattice_keys(script: &[Transit], origins: &[Origin]) -> Option<Vec<(u64, u32, u32)>> {
     let mut lattice = 1u64;
-    for (_, _, p) in script {
-        let den = u64::try_from(p.arrival.as_ratio().denom()).ok()?;
+    for t in script {
+        let den = u64::try_from(t.pkt.arrival.as_ratio().denom()).ok()?;
         // Nearly always true: a nanosecond script settles on 10^9
         // within its first few packets.
         if !lattice.is_multiple_of(den) {
@@ -223,12 +297,13 @@ fn lattice_keys(script: &[Scripted]) -> Option<Vec<(u64, u32, u32)>> {
     }
     script
         .iter()
+        .zip(origins)
         .enumerate()
-        .map(|(i, &(entry, _, ref p))| {
-            let at = p.arrival.as_ratio();
+        .map(|(i, (t, &(entry, _)))| {
+            let at = t.pkt.arrival.as_ratio();
             let per_unit = lattice / at.denom() as u64;
             let ticks = u64::try_from(at.numer()).ok()?.checked_mul(per_unit)?;
-            Some((ticks, u32::try_from(entry).ok()?, i as u32))
+            Some((ticks, entry, i as u32))
         })
         .collect()
 }
@@ -240,8 +315,9 @@ pub struct Graph {
     wires: Vec<Vec<Edge>>,
     arena: PktArena,
     mint: Mint,
-    /// The scripted injections, in mint order until the run sorts them.
-    script: Vec<Scripted>,
+    /// Scripted packet `uid`'s origin; the scripted packets are the
+    /// first `origins.len()` the mint made.
+    origins: Vec<Origin>,
     churns: Vec<(SimTime, usize, FlowId)>,
     removed: HashSet<(usize, FlowId)>,
     tcp: FlowMap<TcpEndpoint>,
@@ -259,7 +335,7 @@ pub struct Graph {
 /// allocates only when a buffer grows past its high-water mark.
 #[derive(Default)]
 struct Scratch {
-    /// The ingress batch of an `Inject` or TCP event.
+    /// The ingress batch of an injection or TCP event.
     ingress: Vec<PktRef>,
     /// Pending `(node, batch)` work of the dispatch in flight; a batch
     /// is a range of `batches`.
@@ -292,6 +368,8 @@ impl Graph {
     /// out-wire.
     pub fn with_arena(mut nodes: Vec<NodeKind>, wires: Vec<Vec<Edge>>, arena: PktArena) -> Self {
         assert_eq!(nodes.len(), wires.len(), "one wire vector per node");
+        // A node index is a `u32` in the script's origin column.
+        assert!(u32::try_from(nodes.len()).is_ok(), "over 2^32 nodes");
         for (n, (node, out)) in nodes.iter_mut().zip(&wires).enumerate() {
             if let Some(e) = out.iter().find(|e| e.to >= wires.len()) {
                 panic!("node {n}: wire to missing node {}", e.to);
@@ -319,7 +397,7 @@ impl Graph {
                 pf: PacketFactory::new(),
                 transits: Vec::new(),
             },
-            script: Vec::new(),
+            origins: Vec::new(),
             churns: Vec::new(),
             removed: HashSet::new(),
             tcp: FlowMap::new(),
@@ -348,9 +426,17 @@ impl Graph {
         flow: FlowId,
         arrivals: &[(SimTime, Bytes)],
     ) {
+        // Scripted packets are the mint's first: the origin column
+        // runs beside the head of the journey table.
+        assert!(!self.ran, "sources are added before the run");
+        debug_assert_eq!(self.origins.len(), self.mint.transits.len());
+        self.origins.reserve(arrivals.len());
+        self.mint.transits.reserve(arrivals.len());
         for &(at, len) in arrivals {
-            let pkt = self.mint.pf.make(flow, len, at);
-            self.script.push((entry, priority, pkt));
+            self.mint.make(flow, len, at);
+            // `entry` is a node index: checked by the caller, and
+            // `with_arena` holds those to 32 bits.
+            self.origins.push((entry as u32, priority));
         }
     }
 
@@ -425,31 +511,61 @@ impl Graph {
     /// once: the run consumes the script and hands the journey table
     /// to the report, so a second call panics instead of re-injecting
     /// on top of the first run's leftovers.
+    ///
+    /// The loop merges two sorted streams: the script, walked by a
+    /// cursor, and the event queue. The script wins ties — had its
+    /// injections been scheduled up front, ahead of everything else,
+    /// each would carry a smaller sequence number than any queued event
+    /// of its instant — so the merge fires exactly what one queue
+    /// holding both would pop.
     pub fn run(&mut self, horizon: SimTime) -> GraphReport {
+        let order = self.script_order();
+        let mut q = EventQueue::new();
+        self.schedule_faults_and_starts(&mut q);
+        // When the group at the cursor is due: `None` once the script
+        // is spent, or past the horizon — an injection out there never
+        // fires, and nothing behind it in the order can.
+        let due_at = |g: &Graph, cursor: usize| {
+            let first = *order.get(cursor)?;
+            Some(g.mint.transits[first as usize].pkt.arrival).filter(|&at| at <= horizon)
+        };
+        let mut cursor = 0;
+        let mut due = due_at(self, cursor);
+        let mut churn_discarded = 0u64;
+        loop {
+            let popped = match due {
+                Some(at) => q.pop_before(at),
+                None => q.pop_through(horizon),
+            };
+            match (popped, due) {
+                (Some((now, ev)), _) => self.on_event(now, ev, &mut q, &mut churn_discarded),
+                (None, Some(at)) => {
+                    // The queue's clock follows the script too, so that
+                    // scheduling behind this instant stays a panic.
+                    q.advance_to(at);
+                    cursor = self.inject(at, &order, cursor, &mut q);
+                    due = due_at(self, cursor);
+                }
+                (None, None) => break,
+            }
+        }
+        self.arena.fold_returns();
+        self.build_report(churn_discarded)
+    }
+
+    /// Start of a run: refuse a second one, and order the script.
+    fn script_order(&mut self) -> Vec<u32> {
         assert!(
             !std::mem::replace(&mut self.ran, true),
             "Graph::run called twice on the same graph"
         );
-        // The script is still in mint (uid) order: open its journeys.
-        let mut script = std::mem::take(&mut self.script);
-        self.mint.transits = script.iter().map(|&(_, _, p)| Mint::open(p)).collect();
-        // Group injections by (time, entry, class) so each group is
-        // one run-to-completion ingress batch.
-        sort_script(&mut script);
-        let mut groups: Vec<Range<usize>> = Vec::new();
-        let mut q = EventQueue::new();
-        let mut i = 0;
-        while i < script.len() {
-            let (entry, priority, Packet { arrival, .. }) = script[i];
-            let start = i;
-            while script.get(i).is_some_and(|&(e, p, ref pkt)| {
-                e == entry && p == priority && pkt.arrival == arrival
-            }) {
-                i += 1;
-            }
-            q.schedule(arrival, Ev::Inject(groups.len()));
-            groups.push(start..i);
-        }
+        sort_script(&self.mint.transits, &self.origins)
+    }
+
+    /// Schedule every churn by `(time, node, flow)`, then every TCP
+    /// start by `(time, flow)`: at any instant they fire in that order,
+    /// after the script and before anything the run schedules.
+    fn schedule_faults_and_starts(&mut self, q: &mut EventQueue<Ev>) {
         self.churns
             .sort_by_key(|&(at, node, flow)| (at, node, flow.0));
         for &(at, node, flow) in &self.churns {
@@ -461,55 +577,111 @@ impl Graph {
         for (at, flow) in starts {
             q.schedule(at, Ev::Tcp(flow, TcpEv::Start));
         }
+    }
 
-        let mut churn_discarded = 0u64;
-        while let Some((now, ev)) = q.pop_through(horizon) {
-            match ev {
-                Ev::Inject(g) => {
-                    let range = groups[g].clone();
-                    let (entry, priority, _) = script[range.start];
-                    let mut batch = std::mem::take(&mut self.scratch.ingress);
-                    batch.clear();
-                    for &(_, _, pkt) in &script[range] {
-                        match self.arena.try_alloc(pkt) {
-                            Some(h) => batch.push(h),
-                            None => self.arena_refused += 1,
-                        }
-                    }
-                    if priority {
-                        let port = Self::port_of(&mut self.nodes, entry);
-                        for &h in &batch {
-                            port.offer_priority(now, &mut self.arena, h);
-                        }
-                        self.kick(entry, now, &mut q);
-                    } else {
-                        self.dispatch_into(now, entry, &batch, &mut q);
-                    }
-                    self.scratch.ingress = batch;
-                }
-                Ev::Arrive { node, h } => self.dispatch_into(now, node, &[h], &mut q),
-                Ev::ArriveBatch { node, pkts } => self.dispatch_into(now, node, &pkts, &mut q),
-                Ev::TxDone { node, h } => {
-                    let uid = self.arena.get(h).uid;
-                    Self::port_of(&mut self.nodes, node).complete(now);
-                    self.mint.transits[uid as usize]
-                        .port_departures
-                        .push((node, now));
-                    let edge = self.wires[node][0];
-                    q.schedule(now + edge.prop, Ev::Arrive { node: edge.to, h });
-                    self.kick(node, now, &mut q);
-                }
-                Ev::Churn { node, flow } => {
-                    let port = Self::port_of(&mut self.nodes, node);
-                    churn_discarded += port.force_remove(now, &mut self.arena, flow) as u64;
-                    self.removed.insert((node, flow));
-                }
-                Ev::Tcp(flow, ev) => self.tcp_event(now, flow, ev, &mut q),
+    /// End of the script group that starts at `order[start]`: the
+    /// maximal run of one `(arrival, entry, class)`, which is one
+    /// run-to-completion ingress batch.
+    fn group_end(&self, order: &[u32], start: usize) -> usize {
+        let of = |i: u32| {
+            (
+                self.mint.transits[i as usize].pkt.arrival,
+                self.origins[i as usize],
+            )
+        };
+        let group = of(order[start]);
+        let more = order[start + 1..].iter().take_while(|&&i| of(i) == group);
+        start + 1 + more.count()
+    }
+
+    /// Fire the script group at `order[start]`, due `now`; returns the
+    /// start of the next one.
+    fn inject(
+        &mut self,
+        now: SimTime,
+        order: &[u32],
+        start: usize,
+        q: &mut EventQueue<Ev>,
+    ) -> usize {
+        let end = self.group_end(order, start);
+        let (entry, priority) = self.origins[order[start] as usize];
+        let entry = entry as usize;
+        let mut batch = std::mem::take(&mut self.scratch.ingress);
+        batch.clear();
+        for &i in &order[start..end] {
+            match self.arena.try_alloc(self.mint.transits[i as usize].pkt) {
+                Some(h) => batch.push(h),
+                None => self.arena_refused += 1,
             }
         }
+        if priority {
+            let port = Self::port_of(&mut self.nodes, entry);
+            for &h in &batch {
+                port.offer_priority(now, &mut self.arena, h);
+            }
+            self.kick(entry, now, q);
+        } else {
+            self.dispatch_into(now, entry, &batch, q);
+        }
+        self.scratch.ingress = batch;
+        end
+    }
 
-        self.arena.fold_returns();
-        self.build_report(churn_discarded)
+    /// One queued event, run to completion.
+    fn on_event(
+        &mut self,
+        now: SimTime,
+        ev: Ev,
+        q: &mut EventQueue<Ev>,
+        churn_discarded: &mut u64,
+    ) {
+        match ev {
+            #[cfg(test)]
+            Ev::Inject(_) => unreachable!("the oracle loop fires its own injections"),
+            Ev::Arrive { node, h } => self.dispatch_into(now, node, &[h], q),
+            Ev::ArriveBatch { node, pkts } => self.dispatch_into(now, node, &pkts, q),
+            Ev::TxDone { node, h } => {
+                let edge = self.complete(now, node, h);
+                // The hand-off is the packet's arrival at the next
+                // node, an event of this instant scheduled here, ahead
+                // of the restarted link's completion. If nothing else
+                // is due by `now` it would be the next event popped —
+                // the script is no rival: the merge pops a queued event
+                // only once every injection up to its instant has fired
+                // — so it is dispatched in place instead, once the link
+                // is restarted, which is where the pop would have found
+                // it. Judged before the kick: a zero-length packet's
+                // completion lands at `now` too, but behind the arrival.
+                debug_assert_eq!(q.now(), now);
+                let in_place =
+                    edge.prop == SimDuration::ZERO && q.peek_time().is_none_or(|due| due > now);
+                if !in_place {
+                    q.schedule(now + edge.prop, Ev::Arrive { node: edge.to, h });
+                }
+                self.kick(node, now, q);
+                if in_place {
+                    self.dispatch_into(now, edge.to, &[h], q);
+                }
+            }
+            Ev::Churn { node, flow } => {
+                let port = Self::port_of(&mut self.nodes, node);
+                *churn_discarded += port.force_remove(now, &mut self.arena, flow) as u64;
+                self.removed.insert((node, flow));
+            }
+            Ev::Tcp(flow, ev) => self.tcp_event(now, flow, ev, q),
+        }
+    }
+
+    /// `node`'s link finished the packet in slot `h`: book the
+    /// departure at the port and in the packet's journey, and return
+    /// the wire it leaves on.
+    fn complete(&mut self, now: SimTime, node: usize, h: PktRef) -> Edge {
+        let uid = self.arena.get(h).uid;
+        Self::port_of(&mut self.nodes, node).complete(now);
+        self.mint.transits[uid as usize]
+            .port_departures
+            .push((node, now));
+        self.wires[node][0]
     }
 
     /// The one copy of the TCP glue: hand `ev` to `flow`'s sender,
@@ -696,6 +868,8 @@ impl Graph {
         }
     }
 
+    /// The logs move into the report: a graph runs once, and nothing
+    /// reads them off the nodes after it.
     fn build_report(&mut self, churn_discarded: u64) -> GraphReport {
         let mut sink_departures = Vec::new();
         let mut port_refusals = Vec::new();
@@ -704,11 +878,11 @@ impl Graph {
         let mut port_strays = 0u64;
         let mut policer_dropped = 0u64;
         let mut unrouted = 0u64;
-        for (n, node) in self.nodes.iter().enumerate() {
+        for (n, node) in self.nodes.iter_mut().enumerate() {
             match node {
-                NodeKind::Sink(s) => sink_departures.push((n, s.departures().to_vec())),
+                NodeKind::Sink(s) => sink_departures.push((n, s.take_departures())),
                 NodeKind::Port(p) => {
-                    port_refusals.push((n, p.refusals().to_vec()));
+                    port_refusals.push((n, p.take_refusals()));
                     port_drops.push((n, p.drops_total()));
                     evicted += p.evicted();
                     port_strays += p.strays();
@@ -746,20 +920,27 @@ mod tests {
     /// A script in mint order over arrivals `num / den`: few distinct
     /// numerators and entries, so that ties at every level of the key
     /// are common.
-    fn script_of(arrivals: &[(i128, i128, usize)]) -> Vec<Scripted> {
-        let mut pf = PacketFactory::new();
-        let script = arrivals.iter().map(|&(num, den, entry)| {
+    fn script_of(arrivals: &[(i128, i128, usize)]) -> (Vec<Transit>, Vec<Origin>) {
+        let mut mint = Mint {
+            pf: PacketFactory::new(),
+            transits: Vec::new(),
+        };
+        let origins = arrivals.iter().map(|&(num, den, entry)| {
             let at = SimTime::from_ratio(Ratio::new(num, den));
-            (entry, num % 2 == 0, pf.make(FlowId(7), Bytes::new(64), at))
+            mint.make(FlowId(7), Bytes::new(64), at);
+            (entry as u32, num % 2 == 0)
         });
-        script.collect()
+        let origins = origins.collect();
+        (mint.transits, origins)
     }
 
-    fn assert_sorts_like_the_comparison(mut script: Vec<Scripted>) {
-        let mut by_comparison = script.clone();
-        by_comparison.sort_by_key(|&(entry, _, ref p)| (p.arrival, entry, p.uid));
-        sort_script(&mut script);
-        assert_eq!(script, by_comparison);
+    fn assert_sorts_like_the_comparison((script, origins): (Vec<Transit>, Vec<Origin>)) {
+        let mut by_comparison: Vec<u32> = (0..script.len() as u32).collect();
+        by_comparison.sort_by_key(|&i| {
+            let p = script[i as usize].pkt;
+            (p.arrival, origins[i as usize].0, p.uid)
+        });
+        assert_eq!(sort_script(&script, &origins), by_comparison);
     }
 
     proptest! {
@@ -774,9 +955,9 @@ mod tests {
                 0..200,
             ),
         ) {
-            let script = script_of(&arrivals);
-            prop_assert!(lattice_keys(&script).is_some());
-            assert_sorts_like_the_comparison(script);
+            let (script, origins) = script_of(&arrivals);
+            prop_assert!(lattice_keys(&script, &origins).is_some());
+            assert_sorts_like_the_comparison((script, origins));
         }
 
         /// Pairwise coprime 21-bit denominators (no `u64` holds the
@@ -799,7 +980,10 @@ mod tests {
 
     #[test]
     fn the_sort_falls_back_exactly_when_no_u64_lattice_fits() {
-        let fits = |arrivals: &[(i128, i128, usize)]| lattice_keys(&script_of(arrivals)).is_some();
+        let fits = |arrivals: &[(i128, i128, usize)]| {
+            let (script, origins) = script_of(arrivals);
+            lattice_keys(&script, &origins).is_some()
+        };
         let dens = [1_000_003, 1_000_033, 1_000_037, 1_000_039];
         // Three coprime 21-bit denominators make a 60-bit lattice; the
         // fourth does not fit.
@@ -812,6 +996,254 @@ mod tests {
         assert!(!fits(&[(-1, 1_000, 0)]));
         assert!(!fits(&[(1, (1 << 64) + 1, 0)]));
         assert!(fits(&[]));
+    }
+
+    impl Graph {
+        /// The event loop [`Graph::run`] replaced, kept as its oracle:
+        /// every script group is an event of its own, scheduled up
+        /// front ahead of the churns and TCP starts, and every
+        /// transmission hand-off is an arrival event, zero-delay wire
+        /// or not. One queue, popped in `(time, seq)` order, is the
+        /// definition of the order the merged loop has to produce.
+        fn run_prescheduled(&mut self, horizon: SimTime) -> GraphReport {
+            let order = self.script_order();
+            let mut q = EventQueue::new();
+            let mut start = 0;
+            while let Some(&first) = order.get(start) {
+                let at = self.mint.transits[first as usize].pkt.arrival;
+                q.schedule(at, Ev::Inject(start));
+                start = self.group_end(&order, start);
+            }
+            self.schedule_faults_and_starts(&mut q);
+            let mut churn_discarded = 0u64;
+            while let Some((now, ev)) = q.pop_through(horizon) {
+                match ev {
+                    Ev::Inject(start) => {
+                        self.inject(now, &order, start, &mut q);
+                    }
+                    Ev::TxDone { node, h } => {
+                        let edge = self.complete(now, node, h);
+                        q.schedule(now + edge.prop, Ev::Arrive { node: edge.to, h });
+                        self.kick(node, now, &mut q);
+                    }
+                    ev => self.on_event(now, ev, &mut q, &mut churn_discarded),
+                }
+            }
+            self.arena.fold_returns();
+            self.build_report(churn_discarded)
+        }
+    }
+
+    /// A routed spec and its traffic on a half-millisecond lattice —
+    /// 2 Mb/s links, lengths in multiples of 125 B — so that
+    /// injections, completions, delayed arrivals, churns and ACKs keep
+    /// landing on one another's instants.
+    /// `(arrival in half-milliseconds, length in 125 B units — zero
+    /// included)` per packet.
+    type Script = Vec<(i128, u64)>;
+
+    /// `(shared cap, per-flow cap, policy, MTU in 125 B units, out-wire
+    /// delay in half-milliseconds)`.
+    type LinkCase = (Option<usize>, Option<usize>, DropPolicy, Option<u64>, i128);
+
+    #[derive(Clone, Debug)]
+    struct Case {
+        links: Vec<LinkCase>,
+        /// Per scripted flow: its route and its script.
+        flows: Vec<(Vec<usize>, Script)>,
+        /// A strict-priority script at link 0.
+        priority: Script,
+        /// TCP endpoint over every link: `(start, ACK delay)` in
+        /// half-milliseconds.
+        tcp: Option<(i128, i128)>,
+        /// `(link, scripted flow index, instant)` churn faults.
+        churns: Vec<(usize, usize, i128)>,
+        horizon: i128,
+        engine_ports: bool,
+    }
+
+    const HALF_MS_NS: i128 = 500_000;
+
+    fn case() -> impl Strategy<Value = Case> {
+        let cap = || prop_oneof![Just(None), (1usize..6).prop_map(Some)];
+        let link = move || {
+            let policy = prop_oneof![
+                Just(DropPolicy::TailDrop),
+                Just(DropPolicy::HeadDrop),
+                Just(DropPolicy::LowestWeightPressure),
+            ];
+            let mtu = prop_oneof![Just(None), Just(None), (1u64..4).prop_map(Some)];
+            (cap(), cap(), policy, mtu, 0i128..3)
+        };
+        let script = || prop::collection::vec((0i128..40, 0u64..5), 0..24);
+        (1usize..4, 0u8..2).prop_flat_map(move |(k, engine_ports)| {
+            let route = prop::collection::vec(0..k, 1..k + 1).prop_map(|mut r| {
+                // No link twice; a route may skip links and run
+                // against their numbering.
+                let mut seen = HashSet::new();
+                r.retain(|l| seen.insert(*l));
+                r
+            });
+            (
+                prop::collection::vec(link(), k),
+                prop::collection::vec((route, script()), 1..5),
+                script(),
+                prop::option::of((0i128..10, 0i128..4)),
+                prop::collection::vec((0..k, 0usize..4, 0i128..40), 0..3),
+                20i128..120,
+            )
+                .prop_map(move |(links, flows, priority, tcp, churns, horizon)| Case {
+                    links,
+                    flows,
+                    priority,
+                    tcp,
+                    churns,
+                    horizon,
+                    engine_ports: engine_ports == 1,
+                })
+        })
+    }
+
+    impl Case {
+        fn at(half_ms: i128) -> SimTime {
+            SimTime::from_nanos(half_ms * HALF_MS_NS)
+        }
+
+        fn arrivals(script: &[(i128, u64)]) -> Vec<(SimTime, Bytes)> {
+            // Scripts are generated unsorted: same-instant packets and
+            // out-of-order ones within a source are both legal.
+            let arrival = |&(t, units): &(i128, u64)| (Self::at(t), Bytes::new(units * 125));
+            script.iter().map(arrival).collect()
+        }
+
+        /// The case as a graph ready to run; building it twice gives
+        /// two graphs in the same state.
+        fn build(&self) -> Graph {
+            const TCP_FLOW: FlowId = FlowId(100);
+            let k = self.links.len();
+            let mut routes: Vec<(FlowId, Vec<usize>)> = self
+                .flows
+                .iter()
+                .enumerate()
+                .map(|(f, (route, _))| (FlowId(f as u32 + 1), route.clone()))
+                .collect();
+            // The priority flow needs a way out of link 0.
+            routes.push((FlowId(99), vec![0]));
+            if self.tcp.is_some() {
+                routes.push((TCP_FLOW, (0..k).collect()));
+            }
+            let links = self.links.iter().enumerate().map(|(l, link)| {
+                let &(shared_cap, per_flow_cap, policy, mtu, prop) = link;
+                let crossing = routes.iter().filter(|(f, r)| f.0 != 99 && r.contains(&l));
+                let flows = crossing.map(|(f, _)| (*f, Rate::kbps(100 + 50 * (f.0 as u64 % 3))));
+                let mut port = PortSpec::new(RateProfile::constant(Rate::mbps(2)), flows.collect());
+                port.shared_cap = shared_cap;
+                port.per_flow_cap = per_flow_cap;
+                port.policy = policy;
+                port.mtu = mtu.map(|units| Bytes::new(units * 125));
+                (port, SimDuration::from_nanos(prop * HALF_MS_NS))
+            });
+            let spec = GraphSpec::routed(links.collect(), &routes);
+            let kind = if self.engine_ports {
+                PortKind::EngineSync(sfq_engine::EngineConfig::new(2))
+            } else {
+                PortKind::Sfq
+            };
+            let mut g = spec.build(kind);
+            for (f, (route, script)) in self.flows.iter().enumerate() {
+                g.add_source(route[0], FlowId(f as u32 + 1), &Self::arrivals(script));
+            }
+            g.add_priority_source(0, FlowId(99), &Self::arrivals(&self.priority));
+            if let Some((start, ack)) = self.tcp {
+                let cfg = TcpConfig {
+                    mss: Bytes::new(125),
+                    limit: Some(24),
+                    ..TcpConfig::default()
+                };
+                let ack = SimDuration::from_nanos(ack * HALF_MS_NS);
+                g.add_tcp_source(0, TCP_FLOW, cfg, ack, Self::at(start));
+            }
+            for &(link, f, at) in &self.churns {
+                let flow = FlowId((f % self.flows.len()) as u32 + 1);
+                g.schedule_churn(link, flow, Self::at(at));
+            }
+            g
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The merged loop against the pre-scheduling one: random
+        /// routed specs — caps, drop policies, MTUs, delayed and
+        /// zero-delay wires, a priority source, a TCP endpoint, churn,
+        /// zero-length packets, a horizon that cuts the run short — on
+        /// one coarse lattice. The whole report is compared: every
+        /// journey, sink sequence, refusal sequence and book.
+        #[test]
+        fn merged_loop_matches_the_prescheduled_loop(case in case()) {
+            let horizon = Case::at(case.horizon);
+            let merged = case.build().run(horizon);
+            let prescheduled = case.build().run_prescheduled(horizon);
+            prop_assert!(merged.audit.balanced());
+            prop_assert_eq!(merged, prescheduled);
+        }
+    }
+
+    /// The horizon rule at its edge: an injection exactly at the
+    /// horizon fires — its packet is minted into the arena and is still
+    /// queued, `in_use`, when the run stops — and one a nanosecond past
+    /// it never allocates. Same books from the pre-scheduling loop.
+    #[test]
+    fn injection_at_the_horizon_fires_and_one_past_it_does_not() {
+        // 125 B take the 8 kb/s link 125 ms.
+        let horizon = SimTime::from_millis(200);
+        let script = [
+            (SimTime::from_millis(1), Bytes::new(125)),
+            (horizon, Bytes::new(125)),
+            (horizon + SimDuration::from_nanos(1), Bytes::new(125)),
+            (SimTime::from_millis(300), Bytes::new(125)),
+        ];
+        let build = || {
+            let mut g = incast_spec(None, DropPolicy::TailDrop).build(PortKind::Sfq);
+            g.add_source(0, FlowId(1), &script);
+            g
+        };
+        let r = build().run(horizon);
+        assert_eq!(r.transits.len(), 4, "every scripted packet has a journey");
+        assert_eq!((r.audit.allocated, r.audit.in_use), (2, 1));
+        assert!(r.audit.balanced());
+        assert_eq!(r.arena_refused, 0);
+        let delivered: Vec<u64> = r.sink_departures[0].1.iter().map(|d| d.uid).collect();
+        assert_eq!(delivered, [0]);
+        assert_eq!(r, build().run_prescheduled(horizon));
+    }
+
+    /// A journey is the one per-packet record, so its size is what a
+    /// scripted packet costs in memory. Its three fields are 16-aligned
+    /// (they hold `i128`s): the packet's 52 bytes of fields, and a
+    /// 40-byte `(node, time)` each for the hop kept in place and for the
+    /// delivery plus a discriminant that no `usize` or `i128` has a
+    /// spare bit pattern for. Each rounds up to 64; with the hop list a
+    /// heap `Vec` it was 160.
+    #[test]
+    fn a_journey_is_192_bytes_and_its_first_hop_is_in_it() {
+        assert_eq!(std::mem::size_of::<Transit>(), 192);
+        assert_eq!(std::mem::size_of::<Hops>(), 64);
+        let hop = |n: usize| (n, SimTime::from_millis(n as i128));
+        let mut hops = Hops::default();
+        assert!(hops.is_empty());
+        hops.push(hop(4));
+        assert!(matches!(hops.0, HopList::One(_)));
+        assert_eq!(*hops, [hop(4)]);
+        hops.push(hop(5));
+        hops.push(hop(6));
+        assert_eq!(*hops, [hop(4), hop(5), hop(6)]);
+        // Equality is the slice's, whichever state holds it.
+        let mut spilled = Hops(HopList::Many(vec![hop(4)]));
+        assert_eq!(spilled, Hops(HopList::One(hop(4))));
+        spilled.push(hop(5));
+        assert_ne!(spilled, Hops(HopList::One(hop(4))));
     }
 
     fn arrivals(n: usize, gap_ms: i128, len: u64) -> Vec<(SimTime, Bytes)> {

@@ -39,7 +39,7 @@ mod port;
 pub mod topo;
 
 pub use arena::{ArenaAudit, PktArena};
-pub use exec::{Edge, Graph, GraphReport, NodeKind, Transit};
+pub use exec::{Edge, Graph, GraphReport, Hops, NodeKind, Transit};
 pub use node::{GraphNode, OutPort};
 pub use nodes::{Classifier, Departure, Policer, TokenBucket, TxSink};
 pub use port::PortNode;

@@ -257,6 +257,12 @@ impl TxSink {
         &self.departures
     }
 
+    /// Move the departure log out, leaving it empty: the executor's
+    /// report takes it when the run ends.
+    pub(crate) fn take_departures(&mut self) -> Vec<Departure> {
+        std::mem::take(&mut self.departures)
+    }
+
     /// Re-point the sink at another return lane. The executor calls
     /// this at graph construction so every sink frees into the graph
     /// arena's lane, whatever placeholder it was built with.

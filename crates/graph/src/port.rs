@@ -232,6 +232,12 @@ impl PortNode {
         &self.refused
     }
 
+    /// Move the refusal sequence out, leaving it empty: the executor's
+    /// report takes it when the run ends.
+    pub(crate) fn take_refusals(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.refused)
+    }
+
     /// Previously admitted packets evicted by a drop policy.
     pub fn evicted(&self) -> u64 {
         self.evicted

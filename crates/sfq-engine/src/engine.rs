@@ -140,9 +140,26 @@ pub(crate) struct Shard<L> {
     /// Packets ingested but not yet drained, discarded or lost: ring
     /// residue plus scheduler backlog at every synchronous point.
     pub(crate) pending: usize,
+    /// Packets pushed since [`Engine::pump`] last visited this shard:
+    /// zero means the ring holds nothing a pump could move. Only
+    /// [`Shard::push`] raises it and only the pump clears it, so a
+    /// drain or a forced removal that folded the residue first leaves
+    /// it stale-high, which costs the next pump one empty visit.
+    unpumped: usize,
 }
 
 impl<L: ShardLink> Shard<L> {
+    /// A shard with nothing pending, over `link` and the producer end
+    /// of its ring.
+    pub(crate) fn new(link: L, prod: SpscProducer<Packet>) -> Self {
+        Shard {
+            link,
+            prod,
+            pending: 0,
+            unpumped: 0,
+        }
+    }
+
     /// Push one accepted packet; the caller has checked `pending`.
     pub(crate) fn push(&mut self, pkt: Packet) {
         let flow = pkt.flow;
@@ -150,6 +167,7 @@ impl<L: ShardLink> Shard<L> {
             .push(pkt)
             .unwrap_or_else(|_| unreachable!("pending < capacity implies ring has room"));
         self.pending += 1;
+        self.unpumped += 1;
         self.link.pushed(flow);
     }
 }
@@ -202,11 +220,7 @@ impl<L: ShardLink> Engine<L> {
         let cfg = cfg.validated();
         let shards = (0..cfg.shards).map(|i| {
             let (link, prod) = link(i);
-            Shard {
-                link,
-                prod,
-                pending: 0,
-            }
+            Shard::new(link, prod)
         });
         Engine {
             cfg,
@@ -391,11 +405,19 @@ impl<L: ShardLink> Engine<L> {
     /// virtual time, which moves at dequeues), so deferring a pump
     /// never changes an ordering decision — only observer timestamps.
     /// A link that runs its shard elsewhere returns without waiting.
+    ///
+    /// Only shards pushed to since the last pump are visited: the
+    /// `Scheduler` facade pumps on every enqueue and again inside every
+    /// dequeue, and all but one of those visits would find an empty
+    /// ring (or, over a worker link, send a command that moves
+    /// nothing).
     pub fn pump(&mut self, now: SimTime) -> Result<(), SchedError> {
-        let scratch = &mut self.scratch;
-        self.shards
-            .iter_mut()
-            .try_for_each(|shard| shard.link.pump(now, scratch))
+        for shard in &mut self.shards {
+            if std::mem::take(&mut shard.unpumped) > 0 {
+                shard.link.pump(now, &mut self.scratch)?;
+            }
+        }
+        Ok(())
     }
 
     /// Drain up to `max` packets at `now` into `out`, batch by batch:
@@ -643,5 +665,135 @@ impl<L: ShardLink> Scheduler for Engine<L> {
 
     fn name(&self) -> &'static str {
         L::NAME
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ring::{spsc, SpscConsumer};
+    use sfq_core::PacketFactory;
+    use simtime::Bytes;
+
+    /// A link that keeps the ring's consumer end and a log of the
+    /// calls that reach it: `(pumps, packets those pumps moved)`.
+    struct Tally {
+        cons: SpscConsumer<Packet>,
+        queued: Vec<Packet>,
+        pumps: usize,
+    }
+
+    impl ShardLink for Tally {
+        const NAME: &'static str = "TALLY";
+
+        fn add_flow(&mut self, _flow: FlowId, _weight: Rate) -> Result<(), SchedError> {
+            Ok(())
+        }
+
+        fn set_weight(&mut self, _flow: FlowId, _weight: Rate) -> Result<(), LinkError> {
+            Ok(())
+        }
+
+        fn pushed(&mut self, _flow: FlowId) {}
+
+        fn pump(&mut self, _now: SimTime, _scratch: &mut Vec<Packet>) -> Result<(), SchedError> {
+            self.pumps += 1;
+            self.queued.extend(std::iter::from_fn(|| self.cons.pop()));
+            Ok(())
+        }
+
+        fn drain_into(
+            &mut self,
+            _now: SimTime,
+            max: usize,
+            out: &mut Vec<Packet>,
+        ) -> Result<usize, LinkError> {
+            let n = max.min(self.queued.len());
+            out.extend(self.queued.drain(..n));
+            Ok(n)
+        }
+
+        fn force_remove(&mut self, flow: FlowId) -> Result<usize, LinkError> {
+            self.queued.extend(std::iter::from_fn(|| self.cons.pop()));
+            let before = self.queued.len();
+            self.queued.retain(|p| p.flow != flow);
+            Ok(before - self.queued.len())
+        }
+
+        fn drop_head(&mut self, _flow: FlowId) -> Result<Option<Packet>, LinkError> {
+            Ok(None)
+        }
+
+        fn backlog(&self, flow: FlowId) -> usize {
+            self.queued.iter().filter(|p| p.flow == flow).count()
+        }
+
+        fn attach_telemetry(&mut self, _sink: TelemetrySink) {}
+    }
+
+    /// The coordinator calls a link's `pump` only when it pushed to
+    /// that shard since its last pump — whichever link it is, since the
+    /// coordinator is `pump`'s only caller — and a pump it does make
+    /// moves everything pushed before it.
+    #[test]
+    fn a_pump_visits_only_the_shards_pushed_to_since_the_last_one() {
+        let cfg = EngineConfig::new(4);
+        let mut eng = Engine::assemble(cfg, |_| {
+            let (prod, cons) = spsc(cfg.validated().ring_capacity);
+            let link = Tally {
+                cons,
+                queued: Vec::new(),
+                pumps: 0,
+            };
+            (link, prod)
+        });
+        let pumps = |eng: &Engine<Tally>| -> Vec<usize> {
+            eng.shards.iter().map(|s| s.link.pumps).collect()
+        };
+        let flows: Vec<FlowId> = (0..16).map(FlowId).collect();
+        for &f in &flows {
+            eng.try_add_flow(f, Rate::kbps(64)).unwrap();
+        }
+        let t0 = SimTime::ZERO;
+        let mut pf = PacketFactory::new();
+        let mut make = |f: FlowId| pf.make(f, Bytes::new(100), t0);
+
+        // Nothing pushed: no link is called, by `pump` or by the pump
+        // inside `drain`.
+        eng.pump(t0).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(eng.drain(t0, 8, &mut out), Ok(0));
+        assert_eq!(pumps(&eng), [0; 4]);
+
+        // One packet: its home shard is visited, once, and no other.
+        let home = eng.shard_of(flows[0]);
+        eng.try_ingest(make(flows[0])).unwrap();
+        eng.pump(t0).unwrap();
+        eng.pump(t0).unwrap();
+        let mut want = [0; 4];
+        want[home] = 1;
+        assert_eq!(pumps(&eng), want);
+        assert_eq!(eng.shards[home].link.queued.len(), 1);
+
+        // The facade pumps on every enqueue and again in every
+        // dequeue: one visit per packet, not two per shard.
+        let before: usize = pumps(&eng).iter().sum();
+        for &f in &flows {
+            eng.try_enqueue(t0, make(f)).unwrap();
+        }
+        while eng.try_dequeue(t0).unwrap().is_some() {}
+        assert_eq!(pumps(&eng).iter().sum::<usize>(), before + flows.len());
+        assert!(eng.is_empty());
+
+        // A forced removal folds the residue itself and leaves the
+        // count stale-high: the next pump pays one empty visit.
+        eng.try_ingest(make(flows[1])).unwrap();
+        let home = eng.shard_of(flows[1]);
+        let before = eng.shards[home].link.pumps;
+        assert_eq!(eng.force_remove_flow(flows[1]), 1);
+        eng.pump(t0).unwrap();
+        eng.pump(t0).unwrap();
+        assert_eq!(eng.shards[home].link.pumps, before + 1);
+        assert!(eng.is_empty());
     }
 }

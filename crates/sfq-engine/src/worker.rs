@@ -458,11 +458,7 @@ fn rebuild(
         link.send(Cmd::AddFlow(flow, weight));
     }
     let shard = &mut eng.shards[s];
-    *shard = Shard {
-        link,
-        prod,
-        pending: 0,
-    };
+    *shard = Shard::new(link, prod);
     let kept = salvaged.len();
     for p in salvaged {
         shard.push(p); // the fresh ring holds the old ring's residue
@@ -596,5 +592,47 @@ impl Drop for Worker {
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sfq_core::PacketFactory;
+    use simtime::Bytes;
+
+    /// A pump with nothing pushed sends no command: every worker's
+    /// command channel is swapped for one the test reads, and after the
+    /// flow registrations the only traffic on them is one `Pump` to the
+    /// shard that was pushed to.
+    #[test]
+    fn an_idle_pump_sends_no_command() {
+        let mut eng = ThreadedEngine::new(EngineConfig::new(4));
+        let taps: Vec<Receiver<Cmd>> = eng
+            .shards
+            .iter_mut()
+            .map(|s| {
+                // The worker sees its channel close and exits; `Drop`
+                // joins it.
+                let (tx, rx) = channel();
+                s.link.cmd = tx;
+                rx
+            })
+            .collect();
+        let flow = FlowId(7);
+        eng.try_add_flow(flow, Rate::kbps(64)).unwrap();
+        let home = eng.shard_of(flow);
+        assert!(matches!(taps[home].try_recv(), Ok(Cmd::AddFlow(..))));
+
+        let t0 = SimTime::ZERO;
+        eng.pump(t0).unwrap();
+        assert!(taps.iter().all(|rx| rx.try_recv().is_err()));
+
+        let pkt = PacketFactory::new().make(flow, Bytes::new(100), t0);
+        eng.try_ingest(pkt).unwrap();
+        eng.pump(t0).unwrap();
+        eng.pump(t0).unwrap();
+        assert!(matches!(taps[home].try_recv(), Ok(Cmd::Pump { n: 1, .. })));
+        assert!(taps.iter().all(|rx| rx.try_recv().is_err()));
     }
 }

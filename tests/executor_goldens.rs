@@ -3,11 +3,13 @@
 //! they were ported onto `graph::Graph`, plus one digest of a scripted
 //! matrix run on the graph executor of that same commit, plus two
 //! policed matrices over engine ports captured at the commit before
-//! the policer's and the root arbiter's arithmetic went unreduced. The
-//! graph-backed code must reproduce every one of them bit for bit: a
-//! golden that moves means the executor's same-instant event order
-//! changed (see docs/graph.md, "Same-instant event order"), and is to
-//! be explained, never silently re-pinned.
+//! the policer's and the root arbiter's arithmetic went unreduced, plus
+//! a same-instant torture run captured at the commit before scripted
+//! injections left the event queue and zero-delay hand-offs went in
+//! place. The graph-backed code must reproduce every one of them bit
+//! for bit: a golden that moves means the executor's same-instant
+//! event order changed (see docs/graph.md, "Same-instant event
+//! order"), and is to be explained, never silently re-pinned.
 
 use bench::exp_fig1b::{fig1b, Discipline};
 use bench::exp_tandem::{tandem, tandem_mixed};
@@ -422,5 +424,166 @@ fn coprime_lattice_script_is_unchanged() {
     assert_eq!(
         policed_fingerprint(&run(true), &run(false)),
         (0x104b_bf5e_399c_180c, [844, 127, 3, 16])
+    );
+}
+
+/// Same-instant torture: everything on one half-millisecond lattice, so
+/// that nearly every event shares its instant with another. Ports A
+/// (node 0) and B (node 1) run at one rate under identical scripts and
+/// complete at the same instants into port C (node 2) over zero-delay
+/// wires; C's exit classifier (node 3) sends flows 1, 3, 5 and the
+/// priority flow 9 to sink 5 over a zero-delay wire and flows 2 and 4
+/// over a 3 ms wire to port D (node 4), whose own out-wire to sink 6
+/// takes 2 ms. Zero-length packets (finish time == start time: the
+/// restarted link completes at `now` again) ride flows 2, 4 and 9; a
+/// TCP connection on the lattice (MSS 125 B, 1 ms ACK path) enters at
+/// A; a flow is churned at C and another at D at completion instants;
+/// C sheds under a head-drop shared buffer and A refuses under a
+/// per-flow cap.
+fn same_instant_torture(kind: PortKind) -> GraphReport {
+    use graph::{Edge, NodeSpec};
+    let port = |bps: u64, flows: &[u32]| {
+        let flows = flows.iter().map(|&f| (FlowId(f), Rate::bps(bps / 5)));
+        PortSpec::new(RateProfile::constant(Rate::bps(bps)), flows.collect())
+    };
+    let wire = |to: usize, ms: i128| Edge {
+        to,
+        prop: SimDuration::from_millis(ms),
+    };
+    let mut a = port(1_000_000, &[1, 2, 5]);
+    a.per_flow_cap = Some(3);
+    let b = port(1_000_000, &[3, 4]);
+    let mut c = port(1_000_000, &[1, 2, 3, 4, 5]);
+    c.shared_cap = Some(5);
+    c.policy = DropPolicy::HeadDrop;
+    let d = port(1_000_000, &[2, 4]);
+    let exit = NodeSpec::Classify {
+        routes: vec![(FlowId(2), 1), (FlowId(4), 1)],
+        default: Some(0),
+    };
+    let spec = GraphSpec {
+        nodes: vec![
+            NodeSpec::Port(a),
+            NodeSpec::Port(b),
+            NodeSpec::Port(c),
+            exit,
+            NodeSpec::Port(d),
+            NodeSpec::Sink,
+            NodeSpec::Sink,
+        ],
+        wires: vec![
+            vec![wire(2, 0)],
+            vec![wire(2, 0)],
+            vec![wire(3, 0)],
+            vec![wire(5, 0), wire(4, 3)],
+            vec![wire(6, 2)],
+            vec![],
+            vec![],
+        ],
+    };
+    let mut g = spec.build(kind);
+    let script = |n: i128, gap_ms: i128, len: &dyn Fn(i128) -> u64| -> Vec<(SimTime, Bytes)> {
+        (0..n)
+            .map(|i| (SimTime::from_millis(gap_ms * i), Bytes::new(len(i))))
+            .collect()
+    };
+    // A and B see the same arrivals at the same instants.
+    g.add_source(0, FlowId(1), &script(24, 2, &|_| 125));
+    g.add_source(1, FlowId(3), &script(24, 2, &|_| 125));
+    g.add_source(
+        0,
+        FlowId(2),
+        &script(12, 4, &|i| [250, 0, 125][i as usize % 3]),
+    );
+    g.add_source(
+        1,
+        FlowId(4),
+        &script(12, 4, &|i| [250, 0, 125][i as usize % 3]),
+    );
+    // Bursts of three at one instant and entry, scheduled and priority.
+    g.add_source(0, FlowId(1), &script(3, 0, &|_| 125));
+    let vbr = script(16, 3, &|i| if i % 4 == 2 { 0 } else { 125 });
+    g.add_priority_source(2, FlowId(9), &vbr);
+    g.add_priority_source(2, FlowId(9), &script(3, 0, &|_| 0));
+    let tcp = TcpConfig {
+        mss: Bytes::new(125),
+        limit: Some(40),
+        ..TcpConfig::default()
+    };
+    g.add_tcp_source(
+        0,
+        FlowId(5),
+        tcp,
+        SimDuration::from_millis(1),
+        SimTime::from_millis(3),
+    );
+    g.schedule_churn(2, FlowId(3), SimTime::from_millis(9));
+    g.schedule_churn(4, FlowId(4), SimTime::from_millis(20));
+    g.run(SimTime::from_millis(400))
+}
+
+/// What the torture run is pinned by: sink `(uid, exact time)`
+/// sequences, per-port refusal sequences, every journey's per-port
+/// departure times, then the books.
+fn torture_fingerprint(r: &GraphReport) -> (u64, [u64; 8]) {
+    assert!(r.audit.balanced(), "arena books unbalanced: {:?}", r.audit);
+    let mut h = Fnv::new();
+    for (sink, deps) in &r.sink_departures {
+        h.word(*sink as u64);
+        for d in deps {
+            h.word(d.uid);
+            h.time(d.at);
+        }
+    }
+    for (port, uids) in &r.port_refusals {
+        h.word(*port as u64);
+        for u in uids {
+            h.word(*u);
+        }
+    }
+    for t in &r.transits {
+        h.word(t.pkt.uid);
+        for &(node, at) in t.port_departures.iter() {
+            h.word(node as u64);
+            h.time(at);
+        }
+        if let Some((sink, at)) = t.delivered {
+            h.word(sink as u64);
+            h.time(at);
+        }
+    }
+    let delivered: usize = r.sink_departures.iter().map(|(_, d)| d.len()).sum();
+    let refused: usize = r.port_refusals.iter().map(|(_, u)| u.len()).sum();
+    let books = [
+        r.transits.len() as u64,
+        delivered as u64,
+        refused as u64,
+        r.evicted,
+        r.churn_discarded,
+        r.churn_refused,
+        r.audit.in_use as u64,
+        r.port_strays + r.unrouted + r.arena_refused,
+    ];
+    (h.0, books)
+}
+
+/// Captured at the commit before injections left the event queue and
+/// zero-delay hand-offs went in place (ISSUE 20): the rules of
+/// docs/graph.md, "Same-instant event order", under the heaviest
+/// coincidence the executor supports.
+#[test]
+fn same_instant_torture_is_unchanged() {
+    let sfq = torture_fingerprint(&same_instant_torture(PortKind::Sfq));
+    let cfg = sfq_engine::EngineConfig::new(2);
+    let engine = torture_fingerprint(&same_instant_torture(PortKind::EngineSync(cfg)));
+    assert_eq!(
+        sfq,
+        (0x16a6_c2e4_f678_6001, [136, 92, 12, 6, 2, 24, 0, 0]),
+        "bare SFQ ports"
+    );
+    assert_eq!(
+        engine,
+        (0x87b2_1f43_d90f_1512, [136, 90, 10, 10, 1, 25, 0, 0]),
+        "2-shard sync-engine ports"
     );
 }
