@@ -14,8 +14,8 @@
 //! The headline figure is the amortization win of the engine's native
 //! batch path: a 4-shard engine drained in batches against the same
 //! engine architecture at 1 shard driven strictly per packet (one
-//! `drain(now, 1)` round trip per departure — the degenerate
-//! configuration every packet of the per-packet facade pays for). The
+//! `drain(now, 1)` per departure — the degenerate configuration every
+//! packet of the per-packet facade pays for). The
 //! plain single-`Sfq` per-packet loop is also recorded so the cost of
 //! the engine indirection itself stays visible across commits.
 //!
@@ -30,7 +30,7 @@ use graph::{GraphSpec, PortKind, PortSpec};
 use jsonline::{impl_to_json, ToJson};
 use servers::RateProfile;
 use sfq_core::{FlowId, Packet, PacketFactory, Scheduler, Sfq};
-use sfq_engine::{Engine, EngineConfig, ShardLink, SyncEngine, ThreadedEngine};
+use sfq_engine::{Engine, EngineConfig, ShardSched, SyncEngine};
 use simtime::{Bytes, Rate, SimTime};
 use std::hint::black_box;
 use std::io::Write;
@@ -59,7 +59,6 @@ const EXACT_SCALE_CAP: usize = 100_000;
 
 #[derive(Debug)]
 struct EnginePoint {
-    driver: String,
     drive: String,
     /// Shard scheduler: `"sfq"` (exact rational) or `"sfq_fast"`
     /// (u64 fixed-point). The root arbiter is exact in both cases.
@@ -70,14 +69,8 @@ struct EnginePoint {
     backlog_per_flow: usize,
     pkts_per_sec: f64,
     ns_per_pkt: f64,
-    /// Empty for a healthy point. `"per_packet_rpc_floor"` marks the
-    /// threaded batch=1 configurations, whose throughput is pinned to
-    /// the cross-thread round-trip latency rather than scheduler cost
-    /// — see `docs/engine.md` for the triage.
-    anomaly: String,
 }
 impl_to_json!(EnginePoint {
-    driver,
     drive,
     sched,
     shards,
@@ -85,8 +78,7 @@ impl_to_json!(EnginePoint {
     flows,
     backlog_per_flow,
     pkts_per_sec,
-    ns_per_pkt,
-    anomaly
+    ns_per_pkt
 });
 
 /// One forwarding-graph point: a full run-to-completion pass over a
@@ -96,8 +88,7 @@ impl_to_json!(EnginePoint {
 struct GraphPoint {
     /// `"incast_4to1"` or `"matrix_4x4"`.
     topology: String,
-    /// Port scheduler: `"sfq"`, `"sfq_fast"`, `"engine_sync"`,
-    /// `"engine_threaded"`.
+    /// Port scheduler: `"sfq"`, `"sfq_fast"`, `"engine_sync"`.
     port: String,
     ports: usize,
     flows: usize,
@@ -168,8 +159,8 @@ fn weight_of(f: usize) -> Rate {
 /// preloaded backlog; returns sustained drained packets per second.
 /// `per_packet` issues one `drain(now, 1)` per departure instead of
 /// one batched drain per cycle.
-fn measure_driver<L: ShardLink>(
-    mut eng: Engine<L>,
+fn measure_driver<S: ShardSched>(
+    mut eng: Engine<S>,
     per_packet: bool,
     warmup: Duration,
     win: Duration,
@@ -185,8 +176,8 @@ fn measure_driver<L: ShardLink>(
 
 /// Register `flows` flows and preload `depth` packets each; returns the
 /// packet factory positioned after the preload.
-fn eng_preloaded<L: ShardLink>(
-    eng: &mut Engine<L>,
+fn eng_preloaded<S: ShardSched>(
+    eng: &mut Engine<S>,
     flows: usize,
     depth: usize,
 ) -> (PacketFactory, usize) {
@@ -205,9 +196,9 @@ fn eng_preloaded<L: ShardLink>(
     (pf, flows)
 }
 
-fn measure_driver_at<L: ShardLink>(
+fn measure_driver_at<S: ShardSched>(
     (mut pf, flows): (PacketFactory, usize),
-    mut eng: Engine<L>,
+    mut eng: Engine<S>,
     per_packet: bool,
     warmup: Duration,
     win: Duration,
@@ -215,7 +206,7 @@ fn measure_driver_at<L: ShardLink>(
     let t0 = SimTime::ZERO;
     let mut out = Vec::with_capacity(CYCLE);
     let mut i = 0u32;
-    let mut cycle = |eng: &mut Engine<L>, pf: &mut PacketFactory, out: &mut Vec<Packet>| {
+    let mut cycle = |eng: &mut Engine<S>, pf: &mut PacketFactory, out: &mut Vec<Packet>| {
         for _ in 0..CYCLE {
             let f = FlowId(i % flows as u32);
             i = i.wrapping_add(1);
@@ -395,27 +386,9 @@ fn main() {
 
     eprintln!("enginesnap: sharded-engine steady-state drain throughput");
     let mut points = Vec::new();
-    let push = |points: &mut Vec<EnginePoint>,
-                driver: &str,
-                drive: &str,
-                sched: &str,
-                sh,
-                ba,
-                pps: f64| {
-        // Threaded batch=1 pays one cross-thread round trip per
-        // packet: the number is a latency floor, not scheduler
-        // cost. Label it so artifact diffs don't read it as a
-        // scheduler regression (triage in docs/engine.md).
-        let anomaly = if driver == "threaded" && ba == 1 {
-            "per_packet_rpc_floor"
-        } else {
-            ""
-        };
-        eprintln!(
-            "  {driver:>8} {drive:>10} {sched:>9}  {sh} shard(s)  batch {ba:>2}  {pps:>12.0} pkt/s"
-        );
+    let push = |points: &mut Vec<EnginePoint>, drive: &str, sched: &str, sh, ba, pps: f64| {
+        eprintln!("  {drive:>10} {sched:>9}  {sh} shard(s)  batch {ba:>2}  {pps:>12.0} pkt/s");
         points.push(EnginePoint {
-            driver: driver.to_string(),
             drive: drive.to_string(),
             sched: sched.to_string(),
             shards: sh,
@@ -424,84 +397,31 @@ fn main() {
             backlog_per_flow: DEPTH,
             pkts_per_sec: pps,
             ns_per_pkt: 1e9 / pps,
-            anomaly: anomaly.to_string(),
         });
     };
 
     for &sh in shards_axis {
         for &ba in batch_axis {
             let pps = measure_driver(SyncEngine::new(cfg(sh, ba)), false, warmup, win);
-            push(&mut points, "sync", "batched", "sfq", sh, ba, pps);
+            push(&mut points, "batched", "sfq", sh, ba, pps);
             let pps = measure_driver(SyncEngine::new_fast(cfg(sh, ba)), false, warmup, win);
-            push(&mut points, "sync", "batched", "sfq_fast", sh, ba, pps);
-            let pps = measure_driver(ThreadedEngine::new(cfg(sh, ba)), false, warmup, win);
-            push(&mut points, "threaded", "batched", "sfq", sh, ba, pps);
-            let pps = measure_driver(ThreadedEngine::new_fast(cfg(sh, ba)), false, warmup, win);
-            push(&mut points, "threaded", "batched", "sfq_fast", sh, ba, pps);
+            push(&mut points, "batched", "sfq_fast", sh, ba, pps);
         }
     }
 
     // The acceptance comparison: 4-shard batched engine vs the same
     // architecture at 1 shard driven strictly per packet.
-    let single_pp = measure_driver(ThreadedEngine::new(cfg(1, 1)), true, warmup, win);
-    push(
-        &mut points,
-        "threaded",
-        "per_packet",
-        "sfq",
-        1,
-        1,
-        single_pp,
-    );
+    let single_pp = measure_driver(SyncEngine::new(cfg(1, 1)), true, warmup, win);
+    push(&mut points, "per_packet", "sfq", 1, 1, single_pp);
     let point_of = |points: &Vec<EnginePoint>, sched: &str| {
         points
             .iter()
-            .find(|p| {
-                p.driver == "threaded"
-                    && p.drive == "batched"
-                    && p.sched == sched
-                    && p.shards == 4
-                    && p.batch == 32
-            })
+            .find(|p| p.drive == "batched" && p.sched == sched && p.shards == 4 && p.batch == 32)
             .map(|p| p.pkts_per_sec)
             .expect("axis includes (4, 32)")
     };
     let four_batched = point_of(&points, "sfq");
     let four_batched_fast = point_of(&points, "sfq_fast");
-
-    // Telemetry axis: the flagship 4-shard batched configuration with
-    // counter pages attached — each shard worker plain-writes its own
-    // page under the seqlock epoch while the coordinator books
-    // offered/refused on the engine page. Recorded as its own point
-    // (sched "sfq_pages") so the artifact keeps the pages-on cost
-    // visible next to the pages-off row across commits; the perfsnap
-    // `sfq_telemetry_on_vs_off` control check is the drift-cancelled
-    // version of the same comparison at scheduler level.
-    let four_batched_tele = {
-        let mut eng = ThreadedEngine::new(cfg(4, 32));
-        let hub = eng.attach_telemetry();
-        let preload = eng_preloaded(&mut eng, FLOWS, DEPTH);
-        let pps = measure_driver_at(preload, eng, false, warmup, win);
-        // The pages must have been live: fold them off-thread and
-        // check the shard dequeue totals saw the measured traffic.
-        let snap = sfq_telemetry::Aggregator::new(hub)
-            .snapshot(1 << 16)
-            .expect("pages quiescent after engine drop");
-        assert!(
-            snap.totals.dequeues > 0,
-            "telemetry pages missed the measured traffic"
-        );
-        pps
-    };
-    push(
-        &mut points,
-        "threaded",
-        "batched",
-        "sfq_pages",
-        4,
-        32,
-        four_batched_tele,
-    );
 
     // Flow-count scale axis: the batched sync engine with the default
     // pooled shard backends as the flow tables grow from hundreds to a
@@ -545,11 +465,10 @@ fn main() {
         }
         for (sched, pps) in runs {
             eprintln!(
-                "  {:>8} {:>10} {sched:>9}  {q:>9} flows  {pps:>12.0} pkt/s",
-                "sync", "batched"
+                "  {:>10} {sched:>9}  {q:>9} flows  {pps:>12.0} pkt/s",
+                "batched"
             );
             flow_scale.push(EnginePoint {
-                driver: "sync".to_string(),
                 drive: "batched".to_string(),
                 sched: sched.to_string(),
                 shards: SCALE_SHARDS,
@@ -558,7 +477,6 @@ fn main() {
                 backlog_per_flow: SCALE_DEPTH,
                 pkts_per_sec: pps,
                 ns_per_pkt: 1e9 / pps,
-                anomaly: String::new(),
             });
         }
     }
@@ -572,11 +490,10 @@ fn main() {
         // Rings sized past the whole t = 0 burst (like RING on the main
         // axes): this axis measures pipeline cost, not backpressure.
         let ecfg = EngineConfig::new(2).ring_capacity(RING);
-        let kinds: [(&str, PortKind); 4] = [
+        let kinds: [(&str, PortKind); 3] = [
             ("sfq", PortKind::Sfq),
             ("sfq_fast", PortKind::SfqFast),
             ("engine_sync", PortKind::EngineSync(ecfg)),
-            ("engine_threaded", PortKind::EngineThreaded(ecfg)),
         ];
         for (port, kind) in kinds {
             let pps = measure_graph(w, kind, warmup, win);
@@ -634,34 +551,29 @@ fn main() {
     eprintln!("wrote {}", out.display());
     report::print_table(
         "enginesnap (pkt/s)",
-        &[
-            "driver", "drive", "sched", "shards", "batch", "pkts/sec", "anomaly",
-        ],
+        &["drive", "sched", "shards", "batch", "pkts/sec"],
         &snapshot
             .points
             .iter()
             .map(|p| {
                 vec![
-                    p.driver.clone(),
                     p.drive.clone(),
                     p.sched.clone(),
                     p.shards.to_string(),
                     p.batch.to_string(),
                     format!("{:.0}", p.pkts_per_sec),
-                    p.anomaly.clone(),
                 ]
             })
             .collect::<Vec<_>>(),
     );
     report::print_table(
         "enginesnap flow-count scale axis (pkt/s)",
-        &["driver", "sched", "shards", "batch", "flows", "pkts/sec"],
+        &["sched", "shards", "batch", "flows", "pkts/sec"],
         &snapshot
             .flow_scale
             .iter()
             .map(|p| {
                 vec![
-                    p.driver.clone(),
                     p.sched.clone(),
                     p.shards.to_string(),
                     p.batch.to_string(),

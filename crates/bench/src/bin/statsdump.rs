@@ -1,9 +1,9 @@
-//! Live telemetry snapshot dump from a running [`ThreadedEngine`].
+//! Live telemetry snapshot dump from a running [`SyncEngine`].
 //!
-//! Drives a 4-shard threaded engine from the coordinator thread while a
-//! separate reader thread folds the counter pages through
+//! Drives a 4-shard engine from the main thread while a separate
+//! reader thread folds the counter pages through
 //! `sfq_telemetry::Aggregator` once per tick — the production shape of
-//! the telemetry plane: shard workers plain-write their own pages, the
+//! the telemetry plane: the engine's thread plain-writes the pages, the
 //! aggregator snapshots them off-thread under the seqlock protocol, and
 //! nothing the reader does can stall the data path. Each tick prints
 //! cumulative totals, the dequeue rate over the tick, queueing-delay
@@ -17,12 +17,12 @@
 //! ```
 //!
 //! `--smoke` shrinks the tick count and period so CI can exercise the
-//! whole path (live writers + off-thread reader + final conservation
+//! whole path (live writer + off-thread reader + final conservation
 //! check) in a fraction of a second.
 
 use bench::report;
 use sfq_core::{FlowId, PacketFactory};
-use sfq_engine::{EngineConfig, ThreadedEngine};
+use sfq_engine::{EngineConfig, SyncEngine};
 use sfq_telemetry::{Aggregator, EngineSnapshot, TelemetryHub};
 use simtime::{Bytes, Rate, SimDuration, SimTime};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,7 +38,7 @@ const PKT: u64 = 200;
 /// identity closes with zero refusals as well as zero gap.
 const RING: usize = 1 << 16;
 /// Seqlock retry budget per page snapshot — same figure the telemetry
-/// conformance preset proves sufficient under live writers.
+/// conformance preset uses for its reader thread.
 const SNAP_BUDGET: usize = 1 << 16;
 
 /// One rendered tick line from the reader thread.
@@ -70,21 +70,20 @@ fn render_tick(t: Duration, prev: &EngineSnapshot, cur: &EngineSnapshot, wall: D
 }
 
 /// Reader thread body: snapshot the hub once per `tick` until `stop`,
-/// rendering each snapshot as it lands. The budget is generous and the
-/// conformance preset proves it sufficient, so a torn result here is a
-/// real seqlock bug — fail loudly.
+/// rendering each snapshot as it lands. The budget is generous, so a
+/// torn result here is a real seqlock bug — fail loudly.
 fn reader(hub: Arc<TelemetryHub>, stop: Arc<AtomicBool>, tick: Duration) {
     let agg = Aggregator::new(hub);
     let started = Instant::now();
     let mut prev = agg
         .snapshot(SNAP_BUDGET)
-        .expect("snapshot within budget under live writers");
+        .expect("snapshot within budget beside a live writer");
     let mut last = Instant::now();
     while !stop.load(Ordering::Acquire) {
         std::thread::sleep(tick);
         let cur = agg
             .snapshot(SNAP_BUDGET)
-            .expect("snapshot within budget under live writers");
+            .expect("snapshot within budget beside a live writer");
         let now = Instant::now();
         render_tick(started.elapsed(), &prev, &cur, now - last);
         prev = cur;
@@ -101,7 +100,7 @@ fn main() {
     };
     let run_for = tick * ticks;
 
-    let mut eng = ThreadedEngine::new(EngineConfig::new(SHARDS).batch(BATCH).ring_capacity(RING));
+    let mut eng = SyncEngine::new(EngineConfig::new(SHARDS).batch(BATCH).ring_capacity(RING));
     let hub = eng.attach_telemetry();
     for f in 0..FLOWS as u32 {
         eng.try_add_flow(FlowId(f), Rate::kbps(64 + f as u64))
@@ -109,7 +108,7 @@ fn main() {
     }
 
     eprintln!(
-        "statsdump: {SHARDS}-shard threaded engine, {FLOWS} flows, \
+        "statsdump: {SHARDS}-shard engine, {FLOWS} flows, \
          off-thread aggregation every {}ms for {} ticks",
         tick.as_millis(),
         ticks
@@ -166,21 +165,13 @@ fn main() {
     let fin = agg.snapshot(SNAP_BUDGET).expect("quiescent snapshot");
     report::print_table(
         "statsdump final (per shard)",
-        &[
-            "shard",
-            "gen",
-            "enqueues",
-            "dequeues",
-            "deq_bytes",
-            "resident",
-        ],
+        &["shard", "enqueues", "dequeues", "deq_bytes", "resident"],
         &fin.shards
             .iter()
             .enumerate()
             .map(|(s, p)| {
                 vec![
                     s.to_string(),
-                    p.generation.to_string(),
                     p.enqueues.to_string(),
                     p.dequeues.to_string(),
                     p.deq_bytes.to_string(),

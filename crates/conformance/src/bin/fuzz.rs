@@ -124,9 +124,8 @@ fn check(sc: &Scenario) -> Option<String> {
             None
         }
         Preset::Engine => {
-            // Threaded sharded engine vs the single-threaded oracle:
-            // every run is a fresh OS interleaving of the same expected
-            // departure sequence.
+            // The sharded engine against a hand-driven bare Sfq (one
+            // shard) and against its own schedule with the pumps moved.
             run_engine_conformance(sc).err()
         }
         Preset::Fast => {
@@ -141,8 +140,8 @@ fn check(sc: &Scenario) -> Option<String> {
         }
         Preset::Graph => {
             // Multi-port forwarding graph: Theorem 6 on every path,
-            // Corollary 1, per-port Theorem 1, sync-vs-threaded port
-            // identity, and arena book balance — all in one runner.
+            // Corollary 1, per-port Theorem 1, engine-port packet
+            // accounting, and arena book balance — all in one runner.
             run_graph_conformance(sc).err().map(|e| {
                 // The runner embeds the replay line; strip it so the
                 // fuzzer's own suffix doesn't duplicate it.
@@ -150,9 +149,9 @@ fn check(sc: &Scenario) -> Option<String> {
             })
         }
         Preset::Chaos => {
-            // Live reconfiguration + shard kills: no-op bit-identity,
-            // driver identity, conservation under recovery policies,
-            // and fairness reconvergence — all in one runner.
+            // Live reconfiguration: no-op bit-identity, conservation
+            // and per-flow order under real weight changes, and
+            // fairness reconvergence — all in one runner.
             run_chaos_conformance(sc).err().map(|e| {
                 // The runner embeds the replay line; strip it so the
                 // fuzzer's own suffix doesn't duplicate it.
@@ -161,9 +160,8 @@ fn check(sc: &Scenario) -> Option<String> {
         }
         Preset::Telemetry => {
             // Counter pages vs the driver-side ledger: conservation as
-            // read purely from the pages, seqlock retry termination
-            // under live writers, driver page identity, and coherence
-            // under kills — all in one runner.
+            // read purely from the pages, from the driving thread and
+            // from a reader thread beside it — all in one runner.
             run_telemetry_conformance(sc).err().map(|e| {
                 // The runner embeds the replay line; strip it so the
                 // fuzzer's own suffix doesn't duplicate it.

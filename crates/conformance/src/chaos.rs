@@ -1,29 +1,23 @@
-//! Chaos conformance: live reconfiguration and shard-failure recovery.
+//! Chaos conformance: live reconfiguration.
 //!
 //! A [`Preset::Chaos`](crate::scenario::Preset::Chaos) scenario fixes
 //! the flow population; this module derives an *operational* schedule —
-//! ingest chunks, pumps, partial drains, `SetWeight` reconfigurations,
-//! and injected worker kills — from the same seed under
-//! [`CHAOS_DOMAIN`], and checks three properties in one run:
+//! ingest chunks, pumps, partial drains and `SetWeight`
+//! reconfigurations — from the same seed under [`CHAOS_DOMAIN`], and
+//! checks three properties in one run:
 //!
-//! 1. **Reconfig-only identity.** With kills stripped, the schedule is
-//!    replayed against `SyncEngine` (oracle) and `ThreadedEngine`:
-//!    departures and refusals must be bit-identical. Additionally, the
-//!    same schedule with every `SetWeight` made a *no-op* (the flow's
-//!    current weight) must be bit-identical to an *unreconfigured*
-//!    oracle on both drivers — the tag-rewrite rule's fixed-point
+//! 1. **A no-op reconfiguration is a fixed point.** The schedule with
+//!    every `SetWeight` made a *no-op* (the flow's current weight) must
+//!    be bit-identical on `SyncEngine` to the schedule with the
+//!    reconfigurations stripped — the tag-rewrite rule's fixed-point
 //!    property: rewriting a backlogged chain at its own rate reproduces
 //!    every tag exactly, because Eq. 4's max resolves to the flow term
 //!    (`S_j = F_{j-1}`) while the flow stays backlogged (see
 //!    `docs/robustness.md`).
-//! 2. **Conservation and liveness under kills.** The full schedule
-//!    (reconfigs + seeded worker kills mid-backlog) runs on a
-//!    `ThreadedEngine` under a seed-chosen [`RecoveryPolicy`]. At the
-//!    drained end: no global stall (`pending == 0`), and exact packet
-//!    conservation — `offered == departures + refusals +
-//!    RecoveryStats::dropped` — including one post-recovery probe per
-//!    flow, which under `Restart` must *depart* (the rebuilt shard
-//!    serves its flows again).
+//! 2. **Reconfigured runs keep their books.** The schedule with the
+//!    real weight changes drains without stalling, every
+//!    reconfiguration is accepted, every offered packet departs or was
+//!    refused at ingest, and each flow departs in FIFO order.
 //! 3. **Fairness reconvergence.** A two-flow leaf `Sfq` with
 //!    `FlowMetrics` attached takes a mid-backlog weight change; after
 //!    the settling window (one old-rate head packet per flow — the only
@@ -33,15 +27,12 @@
 //! Every failure message ends with the scenario's replay line
 //! (`preset=chaos seed=N`), so any fuzz hit reproduces from the log.
 
-use crate::engine::{
-    diff, flows_of, kill_worker, mint_packets, no_kills, replay, seeded_config, with_kills, Op,
-    Trace,
-};
+use crate::engine::{diff, flows_of, mint_packets, replay, seeded_config, Op, Trace};
 use crate::scenario::Scenario;
 use analysis::sfq_fairness_bound;
 use des::SimRng;
-use sfq_core::{FlowId, Packet, PacketFactory, ReconfigCmd, SchedError, Scheduler, Sfq, TieBreak};
-use sfq_engine::{Engine, RecoveryPolicy, ShardLink, SyncEngine, ThreadedEngine};
+use sfq_core::{FlowId, PacketFactory, ReconfigCmd, Scheduler, Sfq, TieBreak};
+use sfq_engine::SyncEngine;
 use sfq_obs::FlowMetrics;
 use simtime::{Bytes, Rate, Ratio, SimTime};
 use std::cell::RefCell;
@@ -66,66 +57,20 @@ enum WeightMode {
 /// Statistics of a passing chaos run.
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosOutcome {
-    /// Shards each engine ran.
+    /// Shards the engine ran.
     pub shards: usize,
-    /// Packets offered per replay (excluding post-recovery probes).
+    /// Packets offered per replay.
     pub offered: usize,
     /// `SetWeight` reconfigurations in the schedule.
     pub reconfigs: usize,
-    /// Worker kills injected in the chaos leg.
-    pub kills: usize,
-    /// Departures of the real-reconfiguration identity leg (identical
-    /// on both drivers by construction — or the run failed).
+    /// Departures of the real-reconfiguration leg.
     pub departures: usize,
-    /// Ingest refusals of the identity leg.
+    /// Ingest refusals of the real-reconfiguration leg.
     pub refusals: usize,
-    /// Recovery policy the chaos leg ran under.
-    pub policy: RecoveryPolicy,
-    /// Departures of the chaos (kill) leg, probes included.
-    pub chaos_departures: usize,
-    /// Packets the supervisor recorded as lost to dead workers.
-    pub chaos_dropped: u64,
-    /// Worker deaths detected and recovered from.
-    pub recoveries: u64,
     /// Post-reconfiguration fairness spread of the reconvergence leg.
     pub recovery_spread: Ratio,
     /// The Theorem 1 bound at the new weights.
     pub fairness_bound: Ratio,
-}
-
-/// Replay the schedule on one engine with its `SetWeight`s treated per
-/// `mode`. A reconfiguration refused because the flow's shard is down
-/// (degraded chaos leg) is expected; any other control error fails.
-fn replay_mode<L: ShardLink>(
-    eng: &mut Engine<L>,
-    sc: &Scenario,
-    packets: &[Packet],
-    ops: &[Op],
-    mode: WeightMode,
-    kill: &mut dyn FnMut(&mut Engine<L>, usize),
-) -> Result<Trace, String> {
-    let ops: Vec<Op> = ops
-        .iter()
-        .filter_map(|&op| match (op, mode) {
-            (Op::Reconfig(_), WeightMode::Strip) => None,
-            (Op::Reconfig(ReconfigCmd::SetWeight(flow, _)), WeightMode::Noop) => {
-                let current = sc.flows.iter().find(|f| f.id == flow.0)?.weight();
-                Some(Op::Reconfig(ReconfigCmd::SetWeight(flow, current)))
-            }
-            _ => Some(op),
-        })
-        .collect();
-    let tr = replay(
-        eng,
-        &flows_of(sc),
-        packets,
-        &ops,
-        sc.horizon(),
-        kill,
-        &mut || Ok(()),
-    )?;
-    tr.expect_no_control_errors(&ops)?;
-    Ok(tr)
 }
 
 /// Run the full chaos conformance for a scenario. `Ok` carries run
@@ -135,8 +80,7 @@ pub fn run_chaos_conformance(sc: &Scenario) -> Result<ChaosOutcome, String> {
     let fail = |msg: String| -> String { format!("{msg}\n  {}", sc.replay_line()) };
     let mut rng = SimRng::new(sc.seed ^ CHAOS_DOMAIN);
     let cfg = seeded_config(&mut rng);
-    let shards = cfg.shards;
-    let (packets, mut fac) = mint_packets(sc);
+    let (packets, _) = mint_packets(sc);
     let offered = packets.len();
 
     // Derive the operational schedule: ingest chunks interleaved with
@@ -164,145 +108,52 @@ pub fn run_chaos_conformance(sc: &Scenario) -> Result<ChaosOutcome, String> {
         }
     }
 
-    // Kill-augmented copy of the schedule for the chaos leg.
-    let (chaos_ops, policy, kills) = with_kills(&ops, shards, &mut rng);
-
-    // --- Leg 1a: no-op reconfigurations are bit-identical to the
-    // unreconfigured oracle, on both drivers.
-    let sync = |mode| {
-        replay_mode(
-            &mut SyncEngine::new(cfg),
-            sc,
-            &packets,
-            &ops,
-            mode,
-            &mut no_kills,
-        )
+    // Replay the schedule with its `SetWeight`s treated per `mode`; a
+    // refused reconfiguration or unbalanced books fail the replay.
+    let run = |mode: WeightMode| -> Result<Trace, String> {
+        let ops: Vec<Op> = ops
+            .iter()
+            .filter_map(|&op| match (op, mode) {
+                (Op::Reconfig(_), WeightMode::Strip) => None,
+                (Op::Reconfig(ReconfigCmd::SetWeight(flow, _)), WeightMode::Noop) => {
+                    let current = sc.flows.iter().find(|f| f.id == flow.0)?.weight();
+                    Some(Op::Reconfig(ReconfigCmd::SetWeight(flow, current)))
+                }
+                _ => Some(op),
+            })
+            .collect();
+        let mut eng = SyncEngine::new(cfg);
+        let (flows, end) = (flows_of(sc), sc.horizon());
+        let tr = replay(&mut eng, &flows, &packets, &ops, end, &mut || Ok(()))?;
+        tr.expect_no_control_errors()?;
+        tr.check_books(&packets)?;
+        Ok(tr)
     };
-    let threaded = |mode| {
-        replay_mode(
-            &mut ThreadedEngine::new(cfg),
-            sc,
-            &packets,
-            &ops,
-            mode,
-            &mut no_kills,
-        )
-    };
-    let plain = sync(WeightMode::Strip).map_err(|e| fail(format!("unreconfigured oracle: {e}")))?;
-    for (name, noop) in [
-        ("sync", sync(WeightMode::Noop)),
-        ("threaded", threaded(WeightMode::Noop)),
-    ] {
-        let noop = noop.map_err(|e| fail(format!("no-op {name} replay: {e}")))?;
-        if noop.departures != plain.departures || noop.refused != plain.refused {
-            let at = (noop.departures.iter().zip(&plain.departures)).position(|(a, b)| a != b);
-            return Err(fail(format!(
-                "no-op reconfiguration schedule diverged from the unreconfigured \
-                 oracle on the {name} driver (first differing departure index {at:?}, \
-                 refusals {} vs {}) — the tag rewrite is not a \
-                 fixed point at the current weight",
-                noop.refused.len(),
-                plain.refused.len()
-            )));
-        }
-    }
 
-    // --- Leg 1b: real reconfigurations, sync vs threaded identity.
-    let oracle = sync(WeightMode::Real).map_err(|e| fail(format!("reconfigured oracle: {e}")))?;
-    let thr = threaded(WeightMode::Real)
-        .map_err(|e| fail(format!("reconfigured threaded replay: {e}")))?;
-    diff(&oracle, &thr).map_err(|e| {
+    // --- Leg 1: no-op reconfigurations are bit-identical to the
+    // unreconfigured oracle.
+    let plain = run(WeightMode::Strip).map_err(|e| fail(format!("unreconfigured oracle: {e}")))?;
+    let noop = run(WeightMode::Noop).map_err(|e| fail(format!("no-op replay: {e}")))?;
+    diff(&plain, &noop).map_err(|e| {
         fail(format!(
-            "reconfigured schedule diverged between drivers: {e}"
+            "no-op reconfiguration schedule diverged from the unreconfigured oracle \
+             ({e}) — the tag rewrite is not a fixed point at the current weight"
         ))
     })?;
-    let (departures, sync_ref) = (oracle.departures.len(), oracle.refused.len());
-    if departures + sync_ref != offered {
-        return Err(fail(format!(
-            "identity-leg conservation broken: {offered} offered != {departures} \
-             departed + {sync_ref} refused"
-        )));
-    }
 
-    // --- Leg 2: worker kills under the seeded recovery policy.
-    let mut eng = ThreadedEngine::new(cfg.recovery(policy));
-    let chaos = replay_mode(
-        &mut eng,
-        sc,
-        &packets,
-        &chaos_ops,
-        WeightMode::Real,
-        &mut kill_worker,
-    )
-    .map_err(|e| fail(format!("chaos replay ({policy:?}): {e}")))?;
-    // Post-recovery probes: one fresh packet per flow. Under `Restart`
-    // every shard is alive again, so every probe must depart; degraded
-    // policies may refuse (parked flow) or drop (a kill detected by the
-    // probe's own drain), but never strand a packet.
-    let end = sc.horizon();
-    let mut probe_refused = 0usize;
-    let mut probes_in = 0usize;
-    for f in &sc.flows {
-        let p = fac.make(FlowId(f.id), f.max_len(), end);
-        match eng.try_ingest(p) {
-            Ok(()) => probes_in += 1,
-            Err(SchedError::ShardDown(_)) => probe_refused += 1,
-            Err(e) => return Err(fail(format!("probe ingest of flow {} failed: {e}", f.id))),
-        }
-    }
-    let mut probe_out: Vec<Packet> = Vec::new();
-    let mut guard = 0;
-    while eng.pending() > 0 {
-        let mut out = Vec::new();
-        eng.drain(end, 4096, &mut out)
-            .map_err(|e| fail(format!("probe drain failed: {e}")))?;
-        probe_out.extend(out);
-        guard += 1;
-        if guard > probes_in + 16 {
-            return Err(fail(format!(
-                "probe drain stalled with {} pending ({policy:?})",
-                eng.pending()
-            )));
-        }
-    }
-    let stats = eng.recovery_stats();
-    if policy == RecoveryPolicy::Restart && (probe_out.len() != probes_in || probe_refused != 0) {
-        return Err(fail(format!(
-            "restart policy did not restore service: {} of {probes_in} probes \
-             departed, {probe_refused} refused",
-            probe_out.len()
-        )));
-    }
-    // Conservation over the whole chaos leg, probes included: every
-    // offered packet either departed, was refused at ingest, or is in
-    // the supervisor's drop ledger. Anything else is a leak.
-    let total_offered = offered + sc.flows.len();
-    let total_departed = chaos.departures.len() + probe_out.len();
-    let total_refused = chaos.refused.len() + probe_refused;
-    if total_departed + total_refused + stats.dropped as usize != total_offered {
-        return Err(fail(format!(
-            "chaos conservation broken ({policy:?}, {kills} kills): {total_offered} \
-             offered != {total_departed} departed + {total_refused} refused + {} dropped",
-            stats.dropped
-        )));
-    }
+    // --- Leg 2: real reconfigurations keep the books.
+    let real = run(WeightMode::Real).map_err(|e| fail(format!("reconfigured replay: {e}")))?;
 
     // --- Leg 3: fairness reconvergence after a mid-backlog weight
     // change on a leaf scheduler with metrics attached.
     let (recovery_spread, fairness_bound) = reconvergence_leg(&mut rng).map_err(fail)?;
 
     Ok(ChaosOutcome {
-        shards,
+        shards: cfg.shards,
         offered,
         reconfigs,
-        kills,
-        departures,
-        refusals: sync_ref,
-        policy,
-        chaos_departures: total_departed,
-        chaos_dropped: stats.dropped,
-        recoveries: stats.recoveries,
+        departures: real.departures.len(),
+        refusals: real.refused.len(),
         recovery_spread,
         fairness_bound,
     })
@@ -392,7 +243,6 @@ mod tests {
             let out =
                 run_chaos_conformance(&sc).unwrap_or_else(|e| panic!("seed {seed} failed:\n{e}"));
             assert!(out.offered > 0, "seed {seed} generated an empty workload");
-            assert!(out.kills > 0);
             assert_eq!(out.departures + out.refusals, out.offered);
             assert!(
                 out.recovery_spread <= out.fairness_bound,

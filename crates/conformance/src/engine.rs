@@ -1,34 +1,42 @@
-//! Differential conformance for the sharded engine: replay one seeded
-//! API call schedule against `sfq_engine::SyncEngine` (single-threaded
-//! deterministic oracle) and `sfq_engine::ThreadedEngine` (one worker
-//! thread per shard) and require bit-identical behaviour.
+//! Conformance for the sharded engine: replay one seeded API call
+//! schedule on `sfq_engine::SyncEngine` and check it against oracles
+//! that are not the engine.
 //!
 //! The [`Preset::Engine`] scenario fixes the flow population; this
 //! module derives everything *operational* — shard count, batch size,
 //! ring capacity, and the interleaving of ingest / pump / drain calls —
 //! from the same seed under a separate domain separator, so one replay
-//! line reproduces both the workload and the exact call schedule. The
-//! threaded engine's claim (see its module docs) is that departures and
-//! backpressure refusals are a pure function of that call schedule, no
-//! matter how the OS schedules the shard workers; every run here is
-//! therefore a fresh adversarial interleaving of the same expected
-//! output.
+//! line reproduces both the workload and the exact call schedule. On
+//! top of conservation, per-flow FIFO order and the stall guard, two
+//! oracles judge the run:
 //!
-//! Both engines are one type, `sfq_engine::Engine<L>`, so the schedule
-//! executor is one function generic over the link ([`replay`]): it runs
-//! a list of [`Op`]s and returns a [`Trace`], and a differential is a
-//! [`diff`] of two traces. The `chaos` and `telemetry` presets and the
+//! 1. **One shard is the leaf.** The schedule replayed on a one-shard
+//!    engine (same batch, same ring capacity) must depart and refuse
+//!    exactly as a bare `Sfq` driven by hand ([`leaf_model`]): with one
+//!    class the root arbiter has nothing to decide, so all the engine
+//!    may add is the ring's deferral and the pending-count refusal.
+//! 2. **Pump placement is invisible.** At the seeded shard count, the
+//!    schedule as generated, the schedule with every [`Op::Pump`]
+//!    stripped, and the schedule with a pump after every ingest (what
+//!    the `Scheduler` facade does) must give equal departures and
+//!    refusals: Eq. 4 stamps against the virtual time, which moves only
+//!    at dequeues, and every drain pumps first. This holds on the
+//!    ingest / pump / drain alphabet only — a `SetWeight` or a
+//!    `DropHead` legitimately treats ring residue and queued packets
+//!    differently — so `chaos` and `telemetry` do not assert it.
+//!
+//! The schedule executor ([`replay`]) runs a list of [`Op`]s and
+//! returns a [`Trace`]; the `chaos` and `telemetry` presets and the
 //! proptests in `tests/engine_interleaving.rs` drive it too.
 //!
 //! [`Preset::Engine`]: crate::scenario::Preset::Engine
 
 use crate::scenario::Scenario;
 use des::SimRng;
-use sfq_core::{FlowId, Packet, PacketFactory, ReconfigCmd, SchedError, Scheduler};
-use sfq_engine::{
-    DegradedMode, Engine, EngineConfig, RecoveryPolicy, ShardLink, SyncEngine, ThreadedEngine,
-};
+use sfq_core::{FlowId, Packet, PacketFactory, ReconfigCmd, SchedError, Scheduler, Sfq};
+use sfq_engine::{Engine, EngineConfig, ShardSched, SyncEngine};
 use simtime::{Bytes, Rate, SimTime};
+use std::collections::HashMap;
 
 /// Domain separator for the operational schedule, so it never reuses
 /// the scenario-generation or arrival streams of the same seed.
@@ -49,24 +57,9 @@ pub enum Op {
     ForceRemove(FlowId),
     /// `Scheduler::drop_head`.
     DropHead(FlowId),
-    /// Kill this shard's worker, through the replay's `kill` hook.
-    Kill(usize),
 }
 
-/// What one [`Op`] did.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Step {
-    /// Packets the op moved: accepted (ingest), departed (drain),
-    /// discarded (force-remove, `RemoveFlow`), evicted (drop-head).
-    pub moved: usize,
-    /// The error a control op returned, if any.
-    pub err: Option<SchedError>,
-    /// `Engine::pending` after the op.
-    pub pending: usize,
-}
-
-/// Everything a replay observed. Two engines conform when their traces
-/// are equal.
+/// Everything a replay observed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     /// Departure uids, in order.
@@ -77,18 +70,42 @@ pub struct Trace {
     pub evicted: Vec<u64>,
     /// Packets discarded by `ForceRemove` and `Reconfig(RemoveFlow)`.
     pub discarded: usize,
-    /// One entry per op, then one per drain of the final drain-to-empty.
-    pub steps: Vec<Step>,
+    /// Every `Reconfig` that returned an error, in order.
+    pub control_errors: Vec<(ReconfigCmd, SchedError)>,
 }
 
 impl Trace {
-    /// `Err` naming the first of `ops` that returned an error other than
-    /// `ShardDown` — the one control error a degraded kill leg expects
-    /// (a reconfiguration or re-registration aimed at a parked shard).
-    pub(crate) fn expect_no_control_errors(&self, ops: &[Op]) -> Result<(), String> {
-        for (op, step) in ops.iter().zip(&self.steps) {
-            if let Some(e) = step.err.filter(|e| !matches!(e, SchedError::ShardDown(_))) {
-                return Err(format!("{op:?} failed: {e}"));
+    /// `Err` naming the first reconfiguration that was refused.
+    pub(crate) fn expect_no_control_errors(&self) -> Result<(), String> {
+        match self.control_errors.first() {
+            Some((cmd, e)) => Err(format!("{cmd:?} failed: {e}")),
+            None => Ok(()),
+        }
+    }
+
+    /// The two properties every replay of `packets` must have, whatever
+    /// its op alphabet. **Conservation:** each packet was refused,
+    /// departed, was discarded by a removal, or was evicted. **Per-flow
+    /// FIFO:** a flow's packets depart in the order they were offered
+    /// (`packets` is in offer order with increasing uids).
+    pub fn check_books(&self, packets: &[Packet]) -> Result<(), String> {
+        let (offered, refused) = (packets.len(), self.refused.len());
+        let (departed, evicted) = (self.departures.len(), self.evicted.len());
+        if offered != refused + departed + self.discarded + evicted {
+            return Err(format!(
+                "conservation broken: {offered} offered != {refused} refused + {departed} \
+                 departed + {} discarded + {evicted} evicted",
+                self.discarded
+            ));
+        }
+        let mut last: HashMap<FlowId, u64> = HashMap::new();
+        for &uid in &self.departures {
+            let at = packets
+                .binary_search_by_key(&uid, |p| p.uid)
+                .map_err(|_| format!("departure {uid} was never offered"))?;
+            let flow = packets[at].flow;
+            if last.insert(flow, uid).is_some_and(|prev| prev >= uid) {
+                return Err(format!("flow {flow} departed out of order at uid {uid}"));
             }
         }
         Ok(())
@@ -96,17 +113,15 @@ impl Trace {
 }
 
 /// Replay `ops` on `eng` after registering `flows`, then drain to empty
-/// at `end`. `kill` runs the [`Op::Kill`] steps (only a caller holding a
-/// `ThreadedEngine` has one); `after_op` runs after every op. A pump or
-/// drain error, or an engine that cannot drain, is an `Err`; refusals
-/// and control-op errors are recorded in the trace.
-pub fn replay<L: ShardLink>(
-    eng: &mut Engine<L>,
+/// at `end`; `after_op` runs after every op. A pump or drain error, or
+/// an engine that cannot drain, is an `Err`; refusals and control-op
+/// errors are recorded in the trace.
+pub fn replay<S: ShardSched>(
+    eng: &mut Engine<S>,
     flows: &[(FlowId, Rate)],
     packets: &[Packet],
     ops: &[Op],
     end: SimTime,
-    kill: &mut dyn FnMut(&mut Engine<L>, usize),
     after_op: &mut dyn FnMut() -> Result<(), String>,
 ) -> Result<Trace, String> {
     for &(flow, weight) in flows {
@@ -116,18 +131,15 @@ pub fn replay<L: ShardLink>(
     let mut now = SimTime::ZERO;
     let mut tr = Trace::default();
     let mut out = Vec::new();
-    let mut drain = |eng: &mut Engine<L>, tr: &mut Trace, now, max| -> Result<usize, String> {
+    let mut drain = |eng: &mut Engine<S>, tr: &mut Trace, now, max| -> Result<(), String> {
         out.clear();
-        let n = eng
-            .drain(now, max, &mut out)
+        eng.drain(now, max, &mut out)
             .map_err(|e| format!("drain failed: {e}"))?;
         tr.departures.extend(out.iter().map(|p| p.uid));
-        Ok(n)
+        Ok(())
     };
     for op in ops {
-        let before = eng.pending();
-        let mut err = None;
-        let moved = match *op {
+        match *op {
             Op::Ingest(a, b) => {
                 for &pkt in &packets[a..b] {
                     now = pkt.arrival;
@@ -135,55 +147,31 @@ pub fn replay<L: ShardLink>(
                         tr.refused.push((pkt.uid, e));
                     }
                 }
-                eng.pending() - before
             }
-            Op::Pump => {
-                eng.pump(now).map_err(|e| format!("pump failed: {e}"))?;
-                0
-            }
+            Op::Pump => eng.pump(now).map_err(|e| format!("pump failed: {e}"))?,
             Op::Drain(max) => drain(eng, &mut tr, now, max)?,
             Op::Reconfig(cmd) => {
-                err = eng.try_reconfig(cmd).err();
-                before - eng.pending()
+                let before = eng.pending();
+                if let Err(e) = eng.try_reconfig(cmd) {
+                    tr.control_errors.push((cmd, e));
+                }
+                if matches!(cmd, ReconfigCmd::RemoveFlow(_)) {
+                    tr.discarded += before - eng.pending();
+                }
             }
-            Op::ForceRemove(flow) => eng.force_remove_flow(flow),
-            Op::DropHead(flow) => {
-                let evicted = eng.drop_head(flow);
-                tr.evicted.extend(evicted.map(|p| p.uid));
-                evicted.is_some() as usize
-            }
-            Op::Kill(shard) => {
-                kill(eng, shard);
-                0
-            }
-        };
-        if matches!(
-            op,
-            Op::Reconfig(ReconfigCmd::RemoveFlow(_)) | Op::ForceRemove(_)
-        ) {
-            tr.discarded += moved;
+            Op::ForceRemove(flow) => tr.discarded += eng.force_remove_flow(flow),
+            Op::DropHead(flow) => tr.evicted.extend(eng.drop_head(flow).map(|p| p.uid)),
         }
-        let pending = eng.pending();
-        tr.steps.push(Step {
-            moved,
-            err,
-            pending,
-        });
         after_op()?;
     }
     let mut guard = 0;
     while eng.pending() > 0 {
-        let moved = drain(eng, &mut tr, end, 4096)?;
-        let pending = eng.pending();
-        tr.steps.push(Step {
-            moved,
-            err: None,
-            pending,
-        });
+        drain(eng, &mut tr, end, 4096)?;
         guard += 1;
         if guard > packets.len() + 16 {
             return Err(format!(
-                "engine stalled: {pending} packets pending after {guard} full drains"
+                "engine stalled: {} packets pending after {guard} full drains",
+                eng.pending()
             ));
         }
     }
@@ -196,7 +184,8 @@ fn first_diff<T: PartialEq>(a: &[T], b: &[T]) -> Option<usize> {
     common.or((a.len() != b.len()).then(|| a.len().min(b.len())))
 }
 
-/// Where `got` first departs from `oracle`, as a human-readable report.
+/// Where `got`'s refusals or departures first differ from `oracle`'s,
+/// as a human-readable report.
 pub fn diff(oracle: &Trace, got: &Trace) -> Result<(), String> {
     fn check<T: PartialEq + std::fmt::Debug>(what: &str, a: &[T], b: &[T]) -> Result<(), String> {
         let Some(at) = first_diff(a, b) else {
@@ -211,9 +200,70 @@ pub fn diff(oracle: &Trace, got: &Trace) -> Result<(), String> {
         ))
     }
     check("ingest refusal", &oracle.refused, &got.refused)?;
-    check("op", &oracle.steps, &got.steps)?;
-    check("departure", &oracle.departures, &got.departures)?;
-    check("eviction", &oracle.evicted, &got.evicted)
+    check("departure", &oracle.departures, &got.departures)
+}
+
+/// What a one-shard engine with `cfg`'s batch and ring capacity must do
+/// with an ingest / pump / drain schedule, written without the engine:
+/// a bare `Sfq` (rebasing as the engine enables it), a buffer standing
+/// in for the ring, and the pending-count refusal. An ingest is
+/// buffered unless `pending` has reached the ring capacity; a pump is
+/// one `try_enqueue_batch` of the buffer; a drain of `max` pumps, then
+/// takes `dequeue_batch` chunks of `min(batch, left)`.
+fn leaf_model(
+    cfg: EngineConfig,
+    flows: &[(FlowId, Rate)],
+    packets: &[Packet],
+    ops: &[Op],
+    end: SimTime,
+) -> Result<Trace, String> {
+    let mut sfq = Sfq::new();
+    if let Some(bits) = cfg.rebase_bits {
+        sfq.enable_rebasing(bits);
+    }
+    for &(flow, weight) in flows {
+        sfq.add_flow(flow, weight);
+    }
+    let mut tr = Trace::default();
+    let (mut ring, mut out) = (Vec::new(), Vec::new());
+    let mut pending = 0usize;
+    let mut now = SimTime::ZERO;
+    let final_drain = [Op::Drain(usize::MAX)];
+    for (i, op) in ops.iter().chain(&final_drain).enumerate() {
+        match *op {
+            Op::Ingest(a, b) => {
+                for &pkt in &packets[a..b] {
+                    now = pkt.arrival;
+                    if pending >= cfg.ring_capacity {
+                        tr.refused.push((pkt.uid, SchedError::BufferFull(pkt.flow)));
+                    } else {
+                        ring.push(pkt);
+                        pending += 1;
+                    }
+                }
+            }
+            Op::Pump | Op::Drain(_) => {
+                let at = if i == ops.len() { end } else { now };
+                sfq.try_enqueue_batch(at, &ring)
+                    .map_err(|e| format!("model enqueue failed: {e}"))?;
+                ring.clear();
+                let Op::Drain(max) = *op else { continue };
+                let mut left = max;
+                while left > 0 {
+                    out.clear();
+                    let k = sfq.dequeue_batch(at, cfg.batch.min(left), &mut out);
+                    if k == 0 {
+                        break;
+                    }
+                    tr.departures.extend(out.iter().map(|p| p.uid));
+                    pending -= k;
+                    left -= k;
+                }
+            }
+            _ => return Err(format!("{op:?} is outside the leaf model's alphabet")),
+        }
+    }
+    Ok(tr)
 }
 
 /// Shard count, batch size and ring capacity drawn from a preset's
@@ -254,58 +304,26 @@ pub(crate) fn mint_packets(sc: &Scenario) -> (Vec<Packet>, PacketFactory) {
     (packets, fac)
 }
 
-/// The kill leg of a schedule: a seed-chosen recovery policy and one to
-/// three [`Op::Kill`]s woven into a copy of `ops`.
-pub(crate) fn with_kills(
-    ops: &[Op],
-    shards: usize,
-    rng: &mut SimRng,
-) -> (Vec<Op>, RecoveryPolicy, usize) {
-    let policy = match rng.uniform_range(0, 3) {
-        0 => RecoveryPolicy::Restart,
-        1 => RecoveryPolicy::Degrade(DegradedMode::Redistribute),
-        _ => RecoveryPolicy::Degrade(DegradedMode::Park),
-    };
-    let kills = rng.uniform_range(1, 4) as usize;
-    let mut ops = ops.to_vec();
-    for _ in 0..kills {
-        let pos = rng.uniform_range(0, ops.len() as u64 + 1) as usize;
-        let shard = rng.uniform_range(0, shards as u64) as usize;
-        ops.insert(pos, Op::Kill(shard));
-    }
-    (ops, policy, kills)
-}
-
-/// The `kill` hook of a replay that has a worker to kill.
-pub(crate) fn kill_worker(eng: &mut ThreadedEngine, shard: usize) {
-    let _ = eng.inject_worker_panic(shard);
-}
-
-/// The `kill` hook of a replay whose schedule holds no [`Op::Kill`].
-pub fn no_kills<L: ShardLink>(_: &mut Engine<L>, _: usize) {
-    unreachable!("kills are only scheduled on the threaded kill legs");
-}
-
-/// Statistics of a passing engine-differential run.
+/// Statistics of a passing engine-conformance run.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineOutcome {
-    /// Shards each engine ran.
+    /// Shards of the seeded engine.
     pub shards: usize,
     /// Drain batch size.
     pub batch: usize,
     /// Per-shard ring capacity.
     pub ring_capacity: usize,
-    /// Packets offered to each engine.
+    /// Packets offered to each replay.
     pub offered: usize,
-    /// Packets that departed (identically) from both engines.
+    /// Packets that departed from the seeded engine.
     pub departures: usize,
-    /// Ingest refusals (identical in both engines).
+    /// Ingest refusals of the seeded engine.
     pub refusals: usize,
 }
 
-/// Replay the scenario's derived call schedule against both engine
-/// drivers. `Ok` carries run statistics; `Err` is a human-readable
-/// divergence report ending in the scenario's replay line.
+/// Replay the scenario's derived call schedule and judge it by the two
+/// oracles of the module docs. `Ok` carries run statistics; `Err` is a
+/// human-readable report ending in the scenario's replay line.
 pub fn run_engine_conformance(sc: &Scenario) -> Result<EngineOutcome, String> {
     let fail = |msg: String| -> String { format!("{msg}\n  {}", sc.replay_line()) };
     let mut rng = SimRng::new(sc.seed ^ OP_DOMAIN);
@@ -330,41 +348,46 @@ pub fn run_engine_conformance(sc: &Scenario) -> Result<EngineOutcome, String> {
     }
 
     let (flows, end) = (flows_of(sc), sc.horizon());
-    let oracle = replay(
-        &mut SyncEngine::new(cfg),
-        &flows,
-        &packets,
-        &ops,
-        end,
-        &mut no_kills,
-        &mut || Ok(()),
-    )
-    .map_err(|e| fail(format!("oracle: {e}")))?;
-    let threaded = replay(
-        &mut ThreadedEngine::new(cfg),
-        &flows,
-        &packets,
-        &ops,
-        end,
-        &mut no_kills,
-        &mut || Ok(()),
-    )
-    .map_err(|e| fail(format!("threaded engine: {e}")))?;
-    diff(&oracle, &threaded).map_err(|e| fail(format!("threaded engine vs oracle: {e}")))?;
+    let run = |name: &str, cfg: EngineConfig, ops: &[Op]| -> Result<Trace, String> {
+        let mut eng = SyncEngine::new(cfg);
+        let tr = replay(&mut eng, &flows, &packets, ops, end, &mut || Ok(()))
+            .and_then(|tr| tr.check_books(&packets).map(|()| tr))
+            .map_err(|e| fail(format!("{name}: {e}")))?;
+        Ok(tr)
+    };
+    let seeded = run("seeded schedule", cfg, &ops)?;
 
-    let (departures, refusals) = (oracle.departures.len(), oracle.refused.len());
-    if departures + refusals != offered {
-        return Err(fail(format!(
-            "conservation broken: {offered} offered != {departures} departed + {refusals} refused"
-        )));
+    // Pump placement: none but the drains' own, and the facade's.
+    let lazy: Vec<Op> = ops.iter().copied().filter(|op| *op != Op::Pump).collect();
+    let eager: Vec<Op> = lazy
+        .iter()
+        .flat_map(|&op| match op {
+            Op::Ingest(..) => vec![op, Op::Pump],
+            _ => vec![op],
+        })
+        .collect();
+    for (name, moved) in [("no pumps", &lazy), ("a pump after every ingest", &eager)] {
+        let got = run(name, cfg, moved)?;
+        diff(&seeded, &got)
+            .map_err(|e| fail(format!("pump placement changed the output ({name}): {e}")))?;
     }
+
+    // One shard against the hand-driven leaf.
+    let one = EngineConfig::new(1)
+        .batch(cfg.batch)
+        .ring_capacity(cfg.ring_capacity);
+    let model = leaf_model(one, &flows, &packets, &ops, end)
+        .map_err(|e| fail(format!("leaf model: {e}")))?;
+    let got = run("one-shard engine", one, &ops)?;
+    diff(&model, &got).map_err(|e| fail(format!("one-shard engine vs a bare Sfq: {e}")))?;
+
     Ok(EngineOutcome {
         shards: cfg.shards,
         batch: cfg.batch,
         ring_capacity: cfg.ring_capacity,
         offered,
-        departures,
-        refusals,
+        departures: seeded.departures.len(),
+        refusals: seeded.refused.len(),
     })
 }
 
@@ -396,14 +419,8 @@ mod tests {
 
     #[test]
     fn diff_names_the_first_divergence() {
-        let step = |moved| Step {
-            moved,
-            err: None,
-            pending: 0,
-        };
         let a = Trace {
             departures: vec![1, 2, 3],
-            steps: vec![step(3)],
             ..Trace::default()
         };
         assert_eq!(diff(&a, &a), Ok(()));
@@ -412,12 +429,38 @@ mod tests {
         assert!(diff(&a, &b)
             .unwrap_err()
             .starts_with("departure 1 diverged"));
-        b.steps[0] = step(2);
-        assert!(diff(&a, &b).unwrap_err().starts_with("op 0 diverged"));
+        b.refused.push((7, SchedError::BufferFull(FlowId(1))));
+        assert!(diff(&a, &b)
+            .unwrap_err()
+            .starts_with("ingest refusal 0 diverged"));
         b = a.clone();
         b.departures.pop();
         assert!(diff(&a, &b)
             .unwrap_err()
             .starts_with("departure 2 diverged"));
+    }
+
+    /// `check_books` catches what it exists for: a lost packet and a
+    /// flow served out of order.
+    #[test]
+    fn check_books_rejects_a_leak_and_a_reordering() {
+        let mut fac = PacketFactory::new();
+        let t0 = SimTime::ZERO;
+        let packets: Vec<Packet> = [1, 2, 1]
+            .map(|f| fac.make(FlowId(f), Bytes::new(100), t0))
+            .to_vec();
+        let trace = |departures: &[u64]| Trace {
+            departures: departures.to_vec(),
+            ..Trace::default()
+        };
+        assert_eq!(trace(&[1, 0, 2]).check_books(&packets), Ok(()));
+        assert!(trace(&[0, 1])
+            .check_books(&packets)
+            .unwrap_err()
+            .starts_with("conservation broken"));
+        assert!(trace(&[2, 1, 0])
+            .check_books(&packets)
+            .unwrap_err()
+            .contains("out of order"));
     }
 }

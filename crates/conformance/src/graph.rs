@@ -2,7 +2,7 @@
 //! the chain builder and the one Theorem 6 / Corollary 1 evaluation
 //! routine it shares with the tandem runner ([`crate::e2e`]).
 //!
-//! One scenario drives three proofs over the same `graph::GraphSpec`
+//! One scenario drives three checks over the same `graph::GraphSpec`
 //! chain (ports shared by multi-hop cross flows, policers in front of
 //! a deterministic subset of them, droops, churn, caps):
 //!
@@ -16,12 +16,11 @@
 //!    delivered-service fairness is not sacrificed by evictions)
 //!    Theorem 1 pairwise fairness at every port via the FlowMetrics
 //!    watermarks.
-//! 2. **Identity.** The same spec built on `EngineSync` ports vs
-//!    `EngineThreaded` ports (config derived from the seed) must be
-//!    departure- and refusal-identical: sink sequences, per-port
-//!    refusal orders, drop/eviction books, policer and churn counts.
-//!    The executor is fully ordered and both engine drivers share the
-//!    count-bounded pending rule, so any divergence is a driver bug.
+//! 2. **Engine ports.** The same spec built on `SyncEngine` ports
+//!    (config derived from the seed, rings tight enough to refuse)
+//!    must account for every injected packet: delivered, policed,
+//!    refused or evicted at a port, or churned — nothing unrouted,
+//!    nothing stray.
 //! 3. **Books.** After every run the packet arena's disposition books
 //!    balance exactly — no slot leaks however packets died mid-graph.
 //!
@@ -55,7 +54,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// Domain separator for the engine config drawn for the identity leg,
+/// Domain separator for the engine config drawn for the engine-port leg,
 /// so it never correlates with the scenario's own generation stream.
 const GRAPH_CFG_DOMAIN: u64 = 0x6A4F_0C49;
 
@@ -147,7 +146,7 @@ pub(crate) fn chain_spec(
 
 /// Materialize and run the spec once. Sources are added in flow-spec
 /// order, so packet uids are identical across every build of the same
-/// scenario — the property the identity comparison rides on.
+/// scenario.
 pub(crate) fn run_once(
     sc: &Scenario,
     spec: &GraphSpec,
@@ -307,37 +306,6 @@ pub fn embed_survivors(
     triples
 }
 
-/// Identity surface of one run: everything that must be bit-identical
-/// between the sync-oracle and threaded builds.
-#[derive(PartialEq, Eq, Debug)]
-struct Identity {
-    sink_departures: Vec<(usize, Vec<(u64, SimTime)>)>,
-    port_refusals: Vec<(usize, Vec<u64>)>,
-    port_drops: Vec<(usize, u64)>,
-    evicted: u64,
-    policer_dropped: u64,
-    churn_discarded: u64,
-    churn_refused: u64,
-}
-
-impl Identity {
-    fn of(r: &GraphReport) -> Identity {
-        Identity {
-            sink_departures: r
-                .sink_departures
-                .iter()
-                .map(|(n, d)| (*n, d.iter().map(|x| (x.uid, x.at)).collect()))
-                .collect(),
-            port_refusals: r.port_refusals.clone(),
-            port_drops: r.port_drops.clone(),
-            evicted: r.evicted,
-            policer_dropped: r.policer_dropped,
-            churn_discarded: r.churn_discarded,
-            churn_refused: r.churn_refused,
-        }
-    }
-}
-
 /// Run the full graph conformance check for a [`Preset::Graph`]
 /// scenario. `Err` carries a human-readable reason ending with the
 /// replay line.
@@ -436,44 +404,41 @@ pub fn run_graph_conformance(sc: &Scenario) -> Result<GraphOutcome, String> {
         }
     }
 
-    // --- Identity: sync-engine build vs threaded build. ---
+    // --- Engine ports: every injected packet accounted for. ---
     let mut rng = SimRng::new(sc.seed).fork(GRAPH_CFG_DOMAIN);
     let shards = rng.uniform_range(2, 6) as usize;
     let ring = rng.uniform_range(12, 49) as usize;
     let cfg = EngineConfig::new(shards).ring_capacity(ring);
-    let sync_rep = run_once(
+    let eng = run_once(
         sc,
         &spec,
         &inject,
         &mut |_| Box::new(sfq_engine::SyncEngine::new(cfg)),
         run_horizon,
     );
-    let thr_rep = run_once(
-        sc,
-        &spec,
-        &inject,
-        &mut |_| Box::new(sfq_engine::ThreadedEngine::new(cfg)),
-        run_horizon,
-    );
-    if !sync_rep.audit.balanced() || !thr_rep.audit.balanced() {
+    let delivered: u64 = eng
+        .sink_departures
+        .iter()
+        .map(|(_, d)| d.len() as u64)
+        .sum();
+    let refused: u64 = eng.port_refusals.iter().map(|(_, r)| r.len() as u64).sum();
+    let churned = eng.churn_discarded + eng.churn_refused;
+    let shed = eng.policer_dropped + refused + eng.evicted + churned;
+    if !eng.audit.balanced()
+        || eng.unrouted + eng.port_strays + eng.arena_refused != 0
+        || delivered + shed != eng.transits.len() as u64
+    {
         return Err(fail(format!(
-            "engine-port arena books unbalanced: sync {:?} threaded {:?}",
-            sync_rep.audit, thr_rep.audit
-        )));
-    }
-    let a = Identity::of(&sync_rep);
-    let b = Identity::of(&thr_rep);
-    if a != b {
-        let what = if a.sink_departures != b.sink_departures {
-            "sink departure sequences"
-        } else if a.port_refusals != b.port_refusals {
-            "port refusal sequences"
-        } else {
-            "drop/eviction/churn books"
-        };
-        return Err(fail(format!(
-            "threaded graph diverged from sync oracle in {what} \
-             (shards={shards} ring={ring})"
+            "engine-port build lost track of a packet (shards={shards} ring={ring}): \
+             {} injected, {delivered} delivered, {} policed, {refused} refused, {} evicted, \
+             {churned} churned, {} unrouted, {} stray, {} arena-refused, audit {:?}",
+            eng.transits.len(),
+            eng.policer_dropped,
+            eng.evicted,
+            eng.unrouted,
+            eng.port_strays,
+            eng.arena_refused,
+            eng.audit
         )));
     }
 

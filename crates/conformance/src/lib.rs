@@ -17,12 +17,12 @@
 //!   servers (`graph::GraphSpec::chain` with hop-local cross flows)
 //!   with injected capacity droop, flow churn, and buffer-cap drops —
 //!   built and evaluated by the same helpers as [`graph`],
-//! - [`engine`]: sharded-engine differential — one seeded API call
-//!   schedule replayed against `sfq_engine::SyncEngine` (oracle) and
-//!   `sfq_engine::ThreadedEngine`, requiring bit-identical departures
-//!   and refusals under real thread interleavings; also hosts the one
-//!   schedule executor (`engine::replay`, generic over the engine's
-//!   link) that `chaos` and `telemetry` share,
+//! - [`engine`]: sharded-engine conformance — one seeded API call
+//!   schedule replayed on `sfq_engine::SyncEngine` and judged by a
+//!   hand-driven bare `Sfq` (one shard) and by pump placement (seeded
+//!   shard count), plus conservation and per-flow order; also hosts
+//!   the one schedule executor (`engine::replay`) that `chaos` and
+//!   `telemetry` share,
 //! - [`fast`]: fixed-point fast-path differential — quantization-safe
 //!   workloads replayed against `SfqFast`/`ScfqFast` and their exact
 //!   rational counterparts, requiring bit-identical departures,
@@ -30,27 +30,23 @@
 //!   replayed on the slab-pooled `FlowFifos` backend against the owned
 //!   oracle backend, requiring bit-identical departures for all four
 //!   schedulers,
-//! - [`chaos`]: live-reconfiguration and shard-failure conformance —
-//!   seeded `SetWeight` reconfigurations and injected worker kills
-//!   mid-backlog, checking no-op tag-rewrite bit-identity against the
-//!   unreconfigured oracle on both engine drivers, sync-vs-threaded
-//!   identity for the reconfigured schedule, exact packet conservation
-//!   (`offered == departed + refused + dropped`) under every recovery
-//!   policy, and Theorem 1 reconvergence after a mid-backlog weight
-//!   change,
+//! - [`chaos`]: live-reconfiguration conformance — seeded `SetWeight`
+//!   reconfigurations mid-backlog, checking no-op tag-rewrite
+//!   bit-identity against the unreconfigured schedule, exact packet
+//!   conservation (`offered == departed + refused`) and per-flow order
+//!   under the real weight changes, and Theorem 1 reconvergence after
+//!   a mid-backlog weight change,
 //! - [`telemetry`]: telemetry-plane conformance — seeded operational
-//!   schedules (ingest chunks, pumps, partial drains, flow churn,
-//!   worker kills) replayed on both engine drivers with counter pages
-//!   attached, checking snapshot-vs-ledger conservation as read purely
-//!   from the pages, seqlock retry termination under live writers,
-//!   bit-identical pages across drivers on kill-free schedules, and
-//!   page coherence (generation bumps, exactly-once booking) under
-//!   every recovery policy,
+//!   schedules (ingest chunks, pumps, partial drains, flow churn)
+//!   replayed on an engine with counter pages attached, checking
+//!   snapshot-vs-ledger conservation as read purely from the pages,
+//!   and the seqlock protocol under a reader thread snapshotting
+//!   beside the driving thread,
 //! - [`graph`]: forwarding-graph conformance — a multi-port chain with
 //!   shared intermediate ports and ingress policers, checked for
 //!   Theorem 6 along every path, Corollary 1 for the shaped observed
-//!   flow, Theorem 1 fairness at every port, sync-vs-threaded port
-//!   identity, and exact packet-arena book balance.
+//!   flow, Theorem 1 fairness at every port, full packet accounting on
+//!   engine ports, and exact packet-arena book balance.
 //!
 //! Every failure anywhere in the harness prints
 //! `conformance replay: preset=<p> seed=<s>`; feeding that line to

@@ -39,12 +39,13 @@ pub enum Preset {
     /// churn + revive — the graceful-degradation / recovery preset (see
     /// `docs/robustness.md`).
     Soak,
-    /// Sharded-engine differential: a mixed flow population whose
-    /// packets are replayed as an identical ingest/pump/drain call
-    /// schedule against `sfq_engine::SyncEngine` (the deterministic
-    /// oracle) and `sfq_engine::ThreadedEngine`; any divergence in
-    /// departures or backpressure refusals under real thread
-    /// interleavings is a conformance failure (see [`crate::engine`]).
+    /// Sharded-engine conformance: a mixed flow population whose
+    /// packets are replayed as an ingest/pump/drain call schedule on
+    /// `sfq_engine::SyncEngine`, judged by a hand-driven bare `Sfq` (at
+    /// one shard) and by the same schedule with its pumps moved (at the
+    /// seeded shard count); any divergence in departures or
+    /// backpressure refusals is a conformance failure (see
+    /// [`crate::engine`]).
     Engine,
     /// Fixed-point fast-path differential: a quantization-safe
     /// workload — every weight an exact power of two no larger than
@@ -64,26 +65,22 @@ pub enum Preset {
     Pool,
     /// Control-plane chaos: the [`Preset::Engine`] workload shape with
     /// a seeded schedule of live reconfigurations (`SetWeight` under
-    /// the leaf tag-rewrite rule) and injected worker kills woven into
-    /// the ingest/pump/drain call stream. The chaos runner checks (a)
-    /// reconfig-only sync-vs-threaded identity, with a *no-op*
-    /// reconfiguration schedule additionally proven bit-identical to
-    /// an unreconfigured oracle on both drivers, (b) packet
-    /// conservation, no-global-stall, and post-recovery liveness under
-    /// seeded worker kills for every `RecoveryPolicy`, and (c)
-    /// post-reconfiguration fairness reconvergence against the
-    /// Theorem 1 bound at the new weights (see [`crate::chaos`]).
+    /// the leaf tag-rewrite rule) woven into the ingest/pump/drain call
+    /// stream. The chaos runner checks (a) that a *no-op*
+    /// reconfiguration schedule is bit-identical to the unreconfigured
+    /// one, (b) packet conservation, per-flow order and no stall under
+    /// the real weight changes, and (c) post-reconfiguration fairness
+    /// reconvergence against the Theorem 1 bound at the new weights
+    /// (see [`crate::chaos`]).
     Chaos,
-    /// Telemetry-plane differential: the [`Preset::Engine`] workload
+    /// Telemetry-plane conformance: the [`Preset::Engine`] workload
     /// shape replayed with per-shard counter pages attached, under a
-    /// seeded schedule of ingest chunks, pumps, partial drains, flow
-    /// churn (force-remove + revive), and — on the chaos leg — injected
-    /// worker kills. The runner checks the pages against a driver-side
-    /// ledger (offered == departures + refusals + drops as read purely
-    /// from the pages), proves the seqlock snapshot retry terminates
-    /// under live writers, and requires the sync and threaded drivers
-    /// to produce bit-identical pages for the same call schedule (see
-    /// [`crate::telemetry`]).
+    /// seeded schedule of ingest chunks, pumps, partial drains and flow
+    /// churn (force-remove + revive). The runner checks the pages
+    /// against a driver-side ledger (offered == departures + refusals +
+    /// drops as read purely from the pages), once snapshotting from the
+    /// driving thread after every operation and once with a reader
+    /// thread snapshotting beside it (see [`crate::telemetry`]).
     Telemetry,
     /// Multi-port forwarding graph: a chain of 2–5 scheduler ports
     /// with *shared* intermediate ports — unlike [`Preset::Tandem`],
@@ -93,8 +90,8 @@ pub enum Preset {
     /// runner builds the scenario as a `graph::GraphSpec::chain`,
     /// polices a deterministic subset of cross flows, checks Theorem 6
     /// along every flow's path plus Corollary 1 for the shaped
-    /// observed flow, proves the threaded-port build identical to the
-    /// sync-oracle build, and audits the packet-arena books (see
+    /// observed flow, accounts for every packet of an engine-port
+    /// build, and audits the packet-arena books (see
     /// [`crate::graph`]).
     Graph,
 }
@@ -889,12 +886,11 @@ fn gen_engine(seed: u64, rng: &mut SimRng) -> Scenario {
 }
 
 fn gen_chaos(seed: u64, rng: &mut SimRng) -> Scenario {
-    // Chaos runs replay the flow population through *six* engine
-    // instances (plain/no-op/real-reconfig oracles and their threaded
-    // counterparts, plus the kill run), so the population and horizon
-    // are kept a notch smaller than `engine`'s; the reconfiguration and
-    // kill schedule itself is derived by the runner from the same seed
-    // under `crate::chaos::CHAOS_DOMAIN`.
+    // Chaos runs replay the flow population through three engine
+    // instances (plain, no-op and real reconfigurations), so the
+    // population and horizon are kept a notch smaller than `engine`'s;
+    // the reconfiguration schedule itself is derived by the runner from
+    // the same seed under `crate::chaos::CHAOS_DOMAIN`.
     let link_bps = 1_000_000u64;
     let horizon_ms = rng.uniform_range(150, 501);
     let n = rng.uniform_range(4, 17);
@@ -933,13 +929,12 @@ fn gen_chaos(seed: u64, rng: &mut SimRng) -> Scenario {
 }
 
 fn gen_telemetry(seed: u64, rng: &mut SimRng) -> Scenario {
-    // Telemetry runs replay the flow population through three engine
-    // instances (sync, threaded, threaded + kills), each with counter
-    // pages attached and a snapshot taken after every operation, so
-    // the population stays a notch smaller than `engine`'s; the
-    // operational schedule (churn, kills, snapshots) is derived by the
-    // runner from the same seed under `crate::telemetry::
-    // TELEMETRY_DOMAIN`.
+    // Telemetry runs replay the flow population through two engine
+    // instances, each with counter pages attached and one with a
+    // snapshot taken after every operation, so the population stays a
+    // notch smaller than `engine`'s; the operational schedule (churn,
+    // snapshots) is derived by the runner from the same seed under
+    // `crate::telemetry::TELEMETRY_DOMAIN`.
     let link_bps = 1_000_000u64;
     let horizon_ms = rng.uniform_range(150, 451);
     let n = rng.uniform_range(4, 13);

@@ -1,70 +1,59 @@
 //! Telemetry conformance: the counter pages against a driver-side
-//! ledger, with the snapshot protocol exercised under live writers.
+//! ledger, with the snapshot protocol exercised by an off-thread reader.
 //!
 //! A [`Preset::Telemetry`](crate::scenario::Preset::Telemetry) scenario
 //! fixes the flow population; this module derives an operational
-//! schedule — ingest chunks, pumps, partial drains, flow churn
-//! (force-remove + revive), and injected worker kills — from the same
-//! seed under [`TELEMETRY_DOMAIN`], and checks four properties in one
-//! run:
+//! schedule — ingest chunks, pumps, partial drains and flow churn
+//! (force-remove + revive) — from the same seed under
+//! [`TELEMETRY_DOMAIN`], and replays it twice on a `SyncEngine` with
+//! pages attached:
 //!
-//! 1. **Snapshot-vs-ledger conservation.** Every replay keeps its own
-//!    ledger (offered, refused, departed, force-dropped) on the driving
-//!    thread. At the drained end the pages alone must reproduce it:
-//!    `offered == departures + refusals + recovery_drops + force_drops
-//!    + head_drops` as read *purely from the pages*
-//!    ([`EngineSnapshot::conservation_gap`] is zero), with every
-//!    individual ledger field bit-equal to its page counterpart and the
-//!    engine page's recovery ledger equal to the supervisor's
-//!    [`RecoveryStats`].
-//! 2. **Torn-snapshot retry termination.** A snapshot is taken after
-//!    *every* operation. The seqlock retry loop is terminating by
-//!    construction — each attempt either returns a consistent copy or
-//!    consumes one unit of the finite budget, so `snapshot(budget)`
-//!    returns after at most `budget` attempts — and the conformance
-//!    check is the stronger operational claim: under live worker
-//!    writers every mid-run snapshot *succeeds* within
-//!    [`SNAP_BUDGET`] attempts, and on the single-threaded sync driver
-//!    (no concurrent writer exists) within exactly one. Successive
-//!    snapshots must also be monotone field-by-field (counters are
-//!    cumulative plain stores; a torn read shows up as a counter going
-//!    backwards) and respect `enqueues <= offered - refused` and
-//!    `resident >= 0` per shard page at every observation point.
-//! 3. **Driver identity.** The kill-free schedule replayed on
-//!    `SyncEngine` and `ThreadedEngine` must leave bit-identical pages
-//!    — engine page, every shard page, and the folded totals — the
-//!    telemetry extension of the engines' determinism contract.
-//! 4. **Coherence under kills.** The same schedule with seeded worker
-//!    kills woven in, under a seed-chosen [`RecoveryPolicy`], must
-//!    still close the conservation identity at quiescence: generation
-//!    bumps instead of page resets, salvaged ring residue booked as an
-//!    enqueue exactly once, dead-scheduler backlog balanced by the
-//!    engine page's `recovery_drops`.
+//! 1. **Same thread.** A snapshot is taken after *every* operation by
+//!    the driving thread itself. No concurrent writer exists, so each
+//!    must succeed on its first attempt (budget 1), be monotone
+//!    field-by-field against the previous one (counters are cumulative
+//!    plain stores), and respect `enqueues + refused <= offered` and
+//!    `resident >= 0` per shard page.
+//! 2. **Reader thread.** The deployed shape: the driving thread replays
+//!    the schedule while a second thread loops
+//!    `Aggregator::snapshot(SNAP_BUDGET)` until told to stop. A
+//!    snapshot still torn after [`SNAP_BUDGET`] attempts fails the run,
+//!    as does any `Ok` snapshot that is non-monotone per page, has a
+//!    page with `resident < 0`, or breaks the one cross-page inequality
+//!    an off-thread reader can soundly assert ([`check_off_thread`]).
+//!    The driver waits at mid-schedule until the reader has taken a
+//!    snapshot there, so the leg cannot pass with a reader that never
+//!    ran beside the writer.
+//!
+//! At the drained end of either replay the pages alone must reproduce
+//! the ledger the driving thread kept (offered, refused, departed,
+//! force-dropped): every field bit-equal to its page counterpart,
+//! [`EngineSnapshot::conservation_gap`] zero, and each histogram
+//! summing to its counter.
 //!
 //! Every failure message ends with the scenario's replay line
 //! (`preset=telemetry seed=N`), so any fuzz hit reproduces from the
 //! log.
 
-use crate::engine::{
-    flows_of, kill_worker, mint_packets, no_kills, replay, seeded_config, with_kills, Op,
-};
+use crate::engine::{flows_of, mint_packets, replay, seeded_config, Op};
 use crate::scenario::Scenario;
 use des::SimRng;
 use sfq_core::{FlowId, Packet, ReconfigCmd};
-use sfq_engine::{Engine, RecoveryPolicy, ShardLink, SyncEngine, ThreadedEngine};
+use sfq_engine::{EngineConfig, SyncEngine};
 use sfq_telemetry::{Aggregator, EngineSnapshot, PageSnapshot};
 use simtime::Rate;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Domain separator for the telemetry operational schedule, distinct
 /// from the scenario-generation, arrival, and chaos streams of the same
 /// seed.
 pub const TELEMETRY_DOMAIN: u64 = 0x7E1E_3E7B;
 
-/// Seqlock retry budget for snapshots taken while workers may be
-/// writing. Any snapshot still torn after this many attempts is a
-/// conformance failure, not a retry candidate — a worker pins a page's
-/// epoch for the few plain stores of one record bracket, so a reader
-/// that loses this many races has found a liveness bug.
+/// Seqlock retry budget for snapshots taken off-thread. Any snapshot
+/// still torn after this many attempts is a conformance failure, not a
+/// retry candidate — the writer pins a page's epoch for the few plain
+/// stores of one write section, so a reader that loses this many races
+/// has found a liveness bug.
 pub const SNAP_BUDGET: usize = 1 << 16;
 
 /// What the driving thread itself observed — the ground truth every
@@ -80,33 +69,31 @@ struct Ledger {
 /// Statistics of a passing telemetry run.
 #[derive(Clone, Copy, Debug)]
 pub struct TelemetryOutcome {
-    /// Shards each engine ran.
+    /// Shards the engine ran.
     pub shards: usize,
     /// Packets offered per replay.
     pub offered: usize,
     /// Force-remove operations in the schedule.
     pub removals: usize,
-    /// Worker kills injected in the kill leg.
-    pub kills: usize,
-    /// Recovery policy the kill leg ran under.
-    pub policy: RecoveryPolicy,
-    /// Departures of the kill leg.
+    /// Departures of each replay.
     pub departures: u64,
-    /// Ingest refusals of the kill leg.
+    /// Ingest refusals of each replay.
     pub refusals: u64,
-    /// Packets the supervisor recorded as lost to dead workers.
-    pub recovery_drops: u64,
-    /// Mid-run snapshots taken across all three legs, each proven to
-    /// terminate within its retry budget.
+    /// Snapshots taken across both legs.
     pub snapshots: usize,
+    /// Snapshots the reader thread took while the driver was
+    /// mid-schedule (at least one, by construction).
+    pub live_snapshots: usize,
 }
 
 /// `true` when every cumulative counter of `cur` is at least its value
 /// in `prev` — the invariant plain-store counters guarantee to any
 /// consistent reader.
 fn monotone(prev: &PageSnapshot, cur: &PageSnapshot) -> bool {
-    prev.generation <= cur.generation
-        && prev.enqueues <= cur.enqueues
+    fn all_le(a: &[u64], b: &[u64]) -> bool {
+        a.iter().zip(b).all(|(a, b)| a <= b)
+    }
+    prev.enqueues <= cur.enqueues
         && prev.enq_bytes <= cur.enq_bytes
         && prev.dequeues <= cur.dequeues
         && prev.deq_bytes <= cur.deq_bytes
@@ -114,31 +101,16 @@ fn monotone(prev: &PageSnapshot, cur: &PageSnapshot) -> bool {
         && prev.force_drops <= cur.force_drops
         && prev.force_removals <= cur.force_removals
         && prev.offered <= cur.offered
-        && prev.recovery_drops <= cur.recovery_drops
-        && prev.recovered <= cur.recovered
-        && prev.refused.iter().zip(&cur.refused).all(|(a, b)| a <= b)
-        && prev
-            .class_bytes
-            .iter()
-            .zip(&cur.class_bytes)
-            .all(|(a, b)| a <= b)
-        && prev
-            .delay_hist
-            .iter()
-            .zip(&cur.delay_hist)
-            .all(|(a, b)| a <= b)
-        && prev
-            .backlog_hist
-            .iter()
-            .zip(&cur.backlog_hist)
-            .all(|(a, b)| a <= b)
+        && all_le(&prev.refused, &cur.refused)
+        && all_le(&prev.class_bytes, &cur.class_bytes)
+        && all_le(&prev.delay_hist, &cur.delay_hist)
+        && all_le(&prev.backlog_hist, &cur.backlog_hist)
 }
 
-/// Invariants every *mid-run* snapshot must satisfy, writers live or
-/// not. All ops are issued from the snapshotting thread, so `offered`
-/// and `refused` are stable while the pages are read; only worker-side
-/// counters (enqueues, dequeues, ...) may trail the coordinator's.
-fn check_midrun(prev: &Option<EngineSnapshot>, cur: &EngineSnapshot) -> Result<(), String> {
+/// What any `Ok` snapshot must satisfy, wherever it was taken from:
+/// each page is monotone against its predecessor and books no more
+/// departures and drops than enqueues.
+fn check_pages(prev: &Option<EngineSnapshot>, cur: &EngineSnapshot) -> Result<(), String> {
     if let Some(p) = prev {
         if !monotone(&p.engine, &cur.engine) {
             return Err("engine page counters went backwards between snapshots".into());
@@ -149,9 +121,21 @@ fn check_midrun(prev: &Option<EngineSnapshot>, cur: &EngineSnapshot) -> Result<(
             }
         }
     }
-    // Each accepted packet is enqueued at most once across all shard
-    // pages (salvaged ring residue was never enqueued pre-crash, so its
-    // re-push is that packet's only enqueue).
+    for (i, s) in cur.shards.iter().enumerate() {
+        if s.resident() < 0 {
+            return Err(format!(
+                "shard {i} page books more departures+drops than enqueues (resident {})",
+                s.resident()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The cross-page bound of a snapshot taken by the driving thread, with
+/// no op in flight: each accepted packet is enqueued at most once
+/// across all shard pages.
+fn check_same_thread(cur: &EngineSnapshot) -> Result<(), String> {
     if cur.totals.enqueues + cur.engine.refused_total() > cur.engine.offered {
         return Err(format!(
             "accounting overshoot: {} enqueues + {} refusals > {} offered",
@@ -160,13 +144,26 @@ fn check_midrun(prev: &Option<EngineSnapshot>, cur: &EngineSnapshot) -> Result<(
             cur.engine.offered
         ));
     }
-    for (i, s) in cur.shards.iter().enumerate() {
-        if s.resident() < 0 {
-            return Err(format!(
-                "shard {i} page books more departures+drops than enqueues (resident {})",
-                s.resident()
-            ));
-        }
+    Ok(())
+}
+
+/// The cross-page bound of a snapshot taken off-thread. The aggregator
+/// reads the engine page first and the shard pages after it, so every
+/// shard counter is at least what it was when `offered` and `refused`
+/// were read. That rules out `enqueues + refused <= offered` — the
+/// enqueues may belong to arrivals offered after the engine page was
+/// copied — and makes the opposite direction sound: what the engine
+/// page says was accepted, less what the shard pages say has left, is
+/// at most what the engine can hold (`shards × ring_capacity` pending)
+/// plus the one arrival whose fate ingest has not booked yet.
+fn check_off_thread(cur: &EngineSnapshot, cfg: EngineConfig) -> Result<(), String> {
+    let held = (cfg.shards * cfg.ring_capacity + 1) as i128;
+    if cur.conservation_gap() > held {
+        return Err(format!(
+            "the engine page is {} packets ahead of the shard pages read after it, \
+             more than the {held} the engine can hold",
+            cur.conservation_gap()
+        ));
     }
     Ok(())
 }
@@ -199,45 +196,21 @@ fn check_self_consistency(snap: &EngineSnapshot) -> Result<(), String> {
     Ok(())
 }
 
-/// Replay one schedule on one engine with pages attached, snapshotting
-/// after every operation. Returns the final quiescent snapshot (already
-/// checked against the driver-side ledger) and the snapshot count.
-fn replay_pages<L: ShardLink>(
-    mut eng: Engine<L>,
+/// Replay `ops` on a fresh engine with pages attached, `after_op`
+/// running after every operation, then check the drained pages against
+/// the driver-side ledger. Returns the ledger.
+fn replay_pages(
     sc: &Scenario,
+    eng: &mut SyncEngine,
+    agg: &Aggregator,
     packets: &[Packet],
     ops: &[Op],
-    mid_budget: usize,
-    kill: &mut dyn FnMut(&mut Engine<L>, usize),
-) -> Result<(Ledger, EngineSnapshot, usize), String> {
-    let agg = Aggregator::new(eng.attach_telemetry());
-    let mut prev: Option<EngineSnapshot> = None;
-    let mut snapshots = 0usize;
-    // The after-every-op snapshot: must land within the retry budget no
-    // matter what the workers are doing right now.
-    let mut snap_check = || {
-        let snap = agg
-            .snapshot(mid_budget)
-            .map_err(|e| format!("mid-run {e} (budget {mid_budget}) — retry did not settle"))?;
-        snapshots += 1;
-        check_midrun(&prev, &snap).map_err(|e| format!("mid-run snapshot incoherent: {e}"))?;
-        prev = Some(snap);
-        Ok(())
-    };
-    let flows = flows_of(sc);
-    let tr = replay(
-        &mut eng,
-        &flows,
-        packets,
-        ops,
-        sc.horizon(),
-        kill,
-        &mut snap_check,
-    )?;
-    // Backpressure, a removed flow, or a parked shard refuse a packet and
-    // conservation counts it; re-registering onto a parked shard is
-    // refused too — the flow simply stays gone. Nothing else may fail.
-    tr.expect_no_control_errors(ops)?;
+    after_op: &mut dyn FnMut() -> Result<(), String>,
+) -> Result<Ledger, String> {
+    let tr = replay(eng, &flows_of(sc), packets, ops, sc.horizon(), after_op)?;
+    // Backpressure or a removed flow refuse a packet and conservation
+    // counts it; no reconfiguration of the schedule may fail.
+    tr.expect_no_control_errors()?;
     let ledger = Ledger {
         offered: packets.len() as u64,
         refused: tr.refused.len() as u64,
@@ -246,14 +219,9 @@ fn replay_pages<L: ShardLink>(
     };
 
     // The quiescent differential: pages alone must reproduce the
-    // driver-side ledger and the supervisor's recovery books.
-    let snap = agg
-        .snapshot(mid_budget)
-        .map_err(|e| format!("quiescent {e}"))?;
-    snapshots += 1;
-    check_midrun(&prev, &snap).map_err(|e| format!("final snapshot incoherent: {e}"))?;
-    let stats = eng.recovery_stats();
-    let (recovered, dropped) = (stats.recovered, stats.dropped);
+    // driver-side ledger. This thread is the only writer, so one
+    // attempt suffices whoever else is reading.
+    let snap = agg.snapshot(1).map_err(|e| format!("quiescent {e}"))?;
     if snap.engine.offered != ledger.offered || snap.engine.refused_total() != ledger.refused {
         return Err(format!(
             "arrival books diverge from the ledger: pages say {} offered / {} refused, \
@@ -276,29 +244,50 @@ fn replay_pages<L: ShardLink>(
             snap.totals.force_drops, ledger.force_drops
         ));
     }
-    if snap.engine.recovered != recovered || snap.engine.recovery_drops != dropped {
-        return Err(format!(
-            "engine page recovery ledger ({} recovered / {} dropped) diverges from \
-             RecoveryStats ({recovered} / {dropped})",
-            snap.engine.recovered, snap.engine.recovery_drops
-        ));
-    }
     let gap = snap.conservation_gap();
     if gap != 0 {
         return Err(format!(
             "page conservation broken at quiescence: gap {gap} \
-             ({} offered, {} refused, {} dequeued, {} recovery-dropped, {} force-dropped, \
-             {} head-dropped)",
+             ({} offered, {} refused, {} dequeued, {} force-dropped, {} head-dropped)",
             snap.engine.offered,
             snap.engine.refused_total(),
             snap.totals.dequeues,
-            snap.engine.recovery_drops,
             snap.totals.force_drops,
             snap.totals.head_drops
         ));
     }
     check_self_consistency(&snap)?;
-    Ok((ledger, snap, snapshots))
+    Ok(ledger)
+}
+
+/// The reader thread: snapshot, check, yield, until the driver is
+/// `done`. Returns the snapshots taken; those taken wholly while the
+/// driver was mid-schedule are counted in `live` as they land.
+fn read_until_done(
+    agg: &Aggregator,
+    cfg: EngineConfig,
+    done: &AtomicBool,
+    live: &AtomicUsize,
+) -> Result<usize, String> {
+    let mut prev: Option<EngineSnapshot> = None;
+    let mut taken = 0;
+    loop {
+        let snap = agg
+            .snapshot(SNAP_BUDGET)
+            .map_err(|e| format!("off-thread {e} — retry did not settle"))?;
+        taken += 1;
+        check_pages(&prev, &snap)
+            .and_then(|()| check_off_thread(&snap, cfg))
+            .map_err(|e| format!("off-thread snapshot {taken} incoherent: {e}"))?;
+        prev = Some(snap);
+        // The flag only ever rises: still down after the snapshot
+        // means the whole snapshot was taken mid-schedule.
+        if done.load(Ordering::Acquire) {
+            return Ok(taken);
+        }
+        live.fetch_add(1, Ordering::Release);
+        std::thread::yield_now();
+    }
 }
 
 /// Run the full telemetry conformance for a scenario. `Ok` carries run
@@ -308,7 +297,6 @@ pub fn run_telemetry_conformance(sc: &Scenario) -> Result<TelemetryOutcome, Stri
     let fail = |msg: String| -> String { format!("{msg}\n  {}", sc.replay_line()) };
     let mut rng = SimRng::new(sc.seed ^ TELEMETRY_DOMAIN);
     let cfg = seeded_config(&mut rng);
-    let shards = cfg.shards;
     let (packets, _) = mint_packets(sc);
     let offered = packets.len();
 
@@ -346,74 +334,68 @@ pub fn run_telemetry_conformance(sc: &Scenario) -> Result<TelemetryOutcome, Stri
         }
     }
 
-    // Kill-augmented copy of the schedule for the chaos leg.
-    let (kill_ops, policy, kills) = with_kills(&ops, shards, &mut rng);
+    // --- Leg 1: the driving thread snapshots after every operation.
+    // No concurrent writer exists, so every snapshot must succeed on
+    // its first attempt (budget 1).
+    let mut eng = SyncEngine::new(cfg);
+    let agg = Aggregator::new(eng.attach_telemetry());
+    let mut prev: Option<EngineSnapshot> = None;
+    let mut same_thread = 0usize;
+    let ledger = replay_pages(sc, &mut eng, &agg, &packets, &ops, &mut || {
+        let snap = agg
+            .snapshot(1)
+            .map_err(|e| format!("mid-run {e} with no writer running"))?;
+        same_thread += 1;
+        check_pages(&prev, &snap)
+            .and_then(|()| check_same_thread(&snap))
+            .map_err(|e| format!("mid-run snapshot incoherent: {e}"))?;
+        prev = Some(snap);
+        Ok(())
+    })
+    .map_err(|e| fail(format!("same-thread leg: {e}")))?;
 
-    // --- Leg 1: sync oracle. No concurrent writer exists, so every
-    // snapshot must succeed on its first attempt (budget 1).
-    let (sync_ledger, sync_snap, snaps1) =
-        replay_pages(SyncEngine::new(cfg), sc, &packets, &ops, 1, &mut no_kills)
-            .map_err(|e| fail(format!("sync leg: {e}")))?;
-
-    // --- Leg 2: threaded, kill-free — the pages are part of the
-    // drivers' determinism contract, so they must be bit-identical to
-    // the sync oracle's.
-    let (thr_ledger, thr_snap, snaps2) = replay_pages(
-        ThreadedEngine::new(cfg),
-        sc,
-        &packets,
-        &ops,
-        SNAP_BUDGET,
-        &mut no_kills,
-    )
-    .map_err(|e| fail(format!("threaded leg: {e}")))?;
-    if thr_ledger != sync_ledger {
-        return Err(fail(format!(
-            "driver ledgers diverged on the kill-free schedule: sync {sync_ledger:?} \
-             vs threaded {thr_ledger:?}"
-        )));
-    }
-    if thr_snap.engine != sync_snap.engine {
+    // --- Leg 2: the same schedule with a reader thread snapshotting
+    // beside it. Half-way through, the driver waits for the reader to
+    // have taken a snapshot with the schedule under way.
+    let mut eng = SyncEngine::new(cfg);
+    let agg = Aggregator::new(eng.attach_telemetry());
+    let (done, live) = (AtomicBool::new(false), AtomicUsize::new(0));
+    let (live_ledger, off_thread) = std::thread::scope(|s| {
+        let reader = s.spawn(|| read_until_done(&agg, cfg, &done, &live));
+        let mut ops_done = 0;
+        let ledger = replay_pages(sc, &mut eng, &agg, &packets, &ops, &mut || {
+            ops_done += 1;
+            while ops_done == ops.len().div_ceil(2)
+                && live.load(Ordering::Acquire) == 0
+                && !reader.is_finished()
+            {
+                std::thread::yield_now();
+            }
+            Ok(())
+        });
+        done.store(true, Ordering::Release);
+        let read = reader
+            .join()
+            .map_err(|_| "reader thread panicked".to_string());
+        (ledger, read.and_then(|r| r))
+    });
+    let off_thread = off_thread.map_err(|e| fail(format!("reader-thread leg: {e}")))?;
+    live_ledger.map_err(|e| fail(format!("reader-thread leg: {e}")))?;
+    let live_snapshots = live.into_inner();
+    if live_snapshots == 0 {
         return Err(fail(
-            "engine pages diverged between drivers on the kill-free schedule".to_string(),
+            "the reader thread took no snapshot while the driver was mid-schedule".into(),
         ));
     }
-    if thr_snap.shards != sync_snap.shards {
-        let at = thr_snap
-            .shards
-            .iter()
-            .zip(&sync_snap.shards)
-            .position(|(a, b)| a != b);
-        return Err(fail(format!(
-            "shard pages diverged between drivers on the kill-free schedule \
-             (first differing shard {at:?})"
-        )));
-    }
-
-    // --- Leg 3: threaded with seeded worker kills under the seeded
-    // recovery policy. The replay's quiescent checks already prove the
-    // conservation identity and the RecoveryStats mirror; the pages are
-    // *not* compared to the oracle here (recovery is real divergence).
-    let (kill_ledger, kill_snap, snaps3) = replay_pages(
-        ThreadedEngine::new(cfg.recovery(policy)),
-        sc,
-        &packets,
-        &kill_ops,
-        SNAP_BUDGET,
-        &mut kill_worker,
-    )
-    .map_err(|e| fail(format!("kill leg ({policy:?}): {e}")))?;
 
     Ok(TelemetryOutcome {
-        shards,
+        shards: cfg.shards,
         offered,
         removals,
-        kills,
-        policy,
-        departures: kill_ledger.departed,
-        refusals: kill_ledger.refused,
-        recovery_drops: kill_snap.engine.recovery_drops,
-        snapshots: snaps1 + snaps2 + snaps3,
+        departures: ledger.departed,
+        refusals: ledger.refused,
+        snapshots: same_thread + off_thread,
+        live_snapshots,
     })
 }
 
@@ -429,7 +411,7 @@ mod tests {
             let out = run_telemetry_conformance(&sc)
                 .unwrap_or_else(|e| panic!("seed {seed} failed:\n{e}"));
             assert!(out.offered > 0, "seed {seed} generated an empty workload");
-            assert!(out.kills > 0);
+            assert!(out.live_snapshots > 0);
             assert!(
                 out.snapshots > out.offered / 64,
                 "seed {seed}: the after-every-op snapshot discipline was not exercised"

@@ -82,8 +82,8 @@ proptest! {
     }
 
     /// The chaos preset holds as a property over random seeds: every
-    /// seed's no-op identity, driver identity, conservation, and
-    /// reconvergence legs pass, and the workload is never degenerate.
+    /// seed's no-op identity, conservation, and reconvergence legs
+    /// pass, and the workload is never degenerate.
     #[test]
     fn chaos_conformance_over_random_seeds(seed in 0u64..1 << 48) {
         let sc = Scenario::from_seed(Preset::Chaos, seed);

@@ -25,10 +25,8 @@
 //! FIFO by schedule order (churns, then TCP starts, then whatever the
 //! run schedules), node dispatch is batch-order-preserving, and no step
 //! iterates an unordered map. The executor is therefore a
-//! deterministic function of (topology, sources, churns) — the
-//! property that makes a sync-port graph the *oracle* for the
-//! identical graph built on threaded ports (see `docs/graph.md` for
-//! the full identity argument and the same-instant ordering rules).
+//! deterministic function of (topology, sources, churns) (see
+//! `docs/graph.md` for the same-instant ordering rules).
 //!
 //! # One record, one event
 //!
@@ -1355,7 +1353,7 @@ mod tests {
     }
 
     #[test]
-    fn sync_and_threaded_ports_are_identical_end_to_end() {
+    fn engine_ports_are_deterministic_end_to_end() {
         use sfq_engine::EngineConfig;
         let run = |kind: PortKind| {
             let spec = incast_spec(Some(4), DropPolicy::TailDrop);
@@ -1373,12 +1371,12 @@ mod tests {
             (deps, refs, r.churn_discarded, r.audit.balanced())
         };
         let cfg = EngineConfig::new(3);
-        let (d_sync, r_sync, c_sync, b_sync) = run(PortKind::EngineSync(cfg));
-        let (d_thr, r_thr, c_thr, b_thr) = run(PortKind::EngineThreaded(cfg));
-        assert_eq!(d_sync, d_thr, "departure sequences diverged");
-        assert_eq!(r_sync, r_thr, "refusal sequences diverged");
-        assert_eq!(c_sync, c_thr);
-        assert!(b_sync && b_thr);
+        let first = run(PortKind::EngineSync(cfg));
+        assert_eq!(first, run(PortKind::EngineSync(cfg)), "two builds diverged");
+        let (deps, refs, _, balanced) = first;
+        assert!(balanced);
+        // A shared cap of 4 against 48 packets at once: both outcomes occur.
+        assert!(deps.iter().any(|d| !d.is_empty()) && refs.iter().any(|r| !r.is_empty()));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! statically wired DAG of [`GraphNode`]s — classification
 //! ([`Classifier`]), token-bucket regulation ([`Policer`]), scheduler
 //! ports ([`PortNode`]: a `SwitchCore` over any [`sfq_core::Scheduler`],
-//! including the sharded `sfq-engine` drivers), and transmit sinks
+//! including the sharded `sfq-engine`), and transmit sinks
 //! ([`TxSink`]) — executed run-to-completion per ingress batch by the
 //! deterministic [`Graph`] executor, with pooled packets
 //! ([`PktArena`]: slab slots plus a cross-thread `ReturnQueue` lane)
@@ -21,13 +21,12 @@
 //! ([`GraphSpec::incast`]), port-to-port traffic matrices
 //! ([`GraphSpec::matrix`]), and multi-hop paths that share
 //! intermediate ports with cross traffic.
-//! Because every execution step is ordered, a graph built on the
-//! sync-engine (or bare SFQ) ports is the *oracle* for the identical
-//! graph built on threaded ports: departures, refusals, and drop
-//! books must match exactly — the property the conformance `graph`
-//! preset and `tests/graph_*.rs` prove, alongside live Theorem 6 /
-//! Corollary 1 delay-bound checks across every multi-hop path. See
-//! `docs/graph.md`.
+//! Every execution step is ordered, so a run is a deterministic
+//! function of (topology, sources, churns): two builds of one spec
+//! give the same departures, refusals, and drop books — the property
+//! the conformance `graph` preset and `tests/graph_*.rs` check,
+//! alongside live Theorem 6 / Corollary 1 delay-bound checks across
+//! every multi-hop path. See `docs/graph.md`.
 
 #![warn(missing_docs)]
 

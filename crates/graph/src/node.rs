@@ -11,8 +11,8 @@
 //!   emitted twice is a double spend. The pool-accounting suite
 //!   catches both through [`ArenaAudit::balanced`](crate::ArenaAudit).
 //! - **Dispatch is deterministic**: output order is a pure function of
-//!   input order and node state. The executor relies on this for the
-//!   oracle-vs-threaded identity argument (see `docs/graph.md`).
+//!   input order and node state. The executor's determinism rests on
+//!   it (see `docs/graph.md`).
 //! - **Emissions preserve batch locality**: the executor keeps pairs
 //!   emitted to the same out-port in one downstream batch, so a burst
 //!   stays a burst across a wire.

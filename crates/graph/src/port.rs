@@ -17,7 +17,7 @@
 //!
 //! A refused arrival never enters the table: its slot is freed on the
 //! spot and the uid recorded in the port's refusal sequence, which is
-//! part of the oracle-vs-threaded identity surface.
+//! part of the run's determinism surface.
 
 // Panic-free outside tests, like `sfq-core` (docs/robustness.md).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

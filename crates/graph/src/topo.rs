@@ -1,10 +1,10 @@
 //! Topology builders and the traffic-matrix DSL.
 //!
 //! A [`GraphSpec`] is a declarative node/wire description that can be
-//! *built twice* — once with sync-oracle ports, once with threaded
-//! ports — which is what makes the departure/refusal identity argument
-//! checkable: both graphs see byte-identical topologies and scripts,
-//! so any divergence is a scheduler-driver bug, not a wiring artifact.
+//! built any number of times — with bare-`Sfq` oracle ports, with
+//! engine ports — which is what makes two runs comparable: both graphs
+//! see byte-identical topologies and scripts, so any difference is the
+//! port scheduler's, not a wiring artifact.
 //!
 //! Four canonical shapes cover the paper's network-level experiments
 //! and the scenario classes it only gestures at:
@@ -26,7 +26,7 @@ use crate::port::PortNode;
 use netsim::DropPolicy;
 use servers::RateProfile;
 use sfq_core::{FlowId, Scheduler, Sfq, SfqFast};
-use sfq_engine::{EngineConfig, SyncEngine, ThreadedEngine};
+use sfq_engine::{EngineConfig, SyncEngine};
 use simtime::{Bytes, Rate, SimDuration};
 
 /// Which scheduler runs inside every port of a built graph.
@@ -36,10 +36,8 @@ pub enum PortKind {
     Sfq,
     /// Bare fixed-point [`SfqFast`].
     SfqFast,
-    /// Sharded single-threaded [`SyncEngine`] (the oracle driver).
+    /// Sharded [`SyncEngine`] over exact-rational shards.
     EngineSync(EngineConfig),
-    /// Sharded multi-threaded [`ThreadedEngine`].
-    EngineThreaded(EngineConfig),
 }
 
 impl PortKind {
@@ -48,7 +46,6 @@ impl PortKind {
             PortKind::Sfq => Box::new(Sfq::new()),
             PortKind::SfqFast => Box::new(SfqFast::new()),
             PortKind::EngineSync(cfg) => Box::new(SyncEngine::new(cfg)),
-            PortKind::EngineThreaded(cfg) => Box::new(ThreadedEngine::new(cfg)),
         }
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::SwitchCore;
 use servers::RateProfile;
-use sfq_engine::{EngineConfig, SyncEngine, ThreadedEngine};
+use sfq_engine::{EngineConfig, SyncEngine};
 
 /// An output port scheduling its non-priority class with a sharded
 /// engine of `cfg.shards` SFQ leaves behind a hierarchical root
@@ -26,20 +26,6 @@ pub fn engine_port(
     per_flow_cap: Option<usize>,
 ) -> SwitchCore {
     SwitchCore::new(Box::new(SyncEngine::new(cfg)), link, per_flow_cap)
-}
-
-/// Same port, but the scheduled class is the *multi-threaded*
-/// [`ThreadedEngine`]: one worker thread per shard behind the same
-/// `Scheduler` facade. Departures, refusals, and evictions are
-/// bit-identical to [`engine_port`]'s for the same offered load (the
-/// engine's determinism protocol), which the graph conformance preset
-/// proves end to end through multi-port topologies.
-pub fn threaded_engine_port(
-    cfg: EngineConfig,
-    link: RateProfile,
-    per_flow_cap: Option<usize>,
-) -> SwitchCore {
-    SwitchCore::new(Box::new(ThreadedEngine::new(cfg)), link, per_flow_cap)
 }
 
 #[cfg(test)]
@@ -196,8 +182,7 @@ mod tests {
         // interleaved bursts whose upstream seq numbers are non-
         // monotone at the merge point. The port must serve the flow in
         // exactly its *port-arrival* order (per-flow FIFO over what the
-        // merge delivered — never re-sorting by seq, never dropping),
-        // identically on both engine drivers.
+        // merge delivered — never re-sorting by seq, never dropping).
         let mut interleaved = Vec::new();
         let mut pf = PacketFactory::new();
         let t0 = SimTime::ZERO;
@@ -213,75 +198,35 @@ mod tests {
             interleaved.extend_from_slice(&b[2 * i..2 * i + 2]);
             interleaved.extend_from_slice(&a[2 * i..2 * i + 2]);
         }
-        for mk in [engine_port, threaded_engine_port] {
-            let mut sw = mk(
-                EngineConfig::new(3),
-                RateProfile::constant(Rate::bps(8_000)),
-                None,
-            );
-            sw.add_flow(FlowId(1), Rate::bps(1_000));
-            sw.add_flow(FlowId(2), Rate::bps(1_000));
-            let mut now = t0;
-            for &p in &interleaved {
-                assert!(sw.offer(now, p));
-                // Cross traffic from a second ingress keeps the port
-                // from degenerating to a single-flow FIFO.
-                let cross = pf.make(FlowId(2), Bytes::new(125), now);
-                assert!(sw.offer(now, cross));
-            }
-            let mut served = Vec::new();
-            while let Some((p, done)) = sw.try_start(now) {
-                sw.complete(done);
-                now = done;
-                if p.flow == FlowId(1) {
-                    served.push(p.uid);
-                }
-            }
-            let offered: Vec<u64> = interleaved.iter().map(|p| p.uid).collect();
-            assert_eq!(
-                served,
-                offered,
-                "{}: flow 1 not served in port-arrival order under incast fan-in",
-                sw.discipline()
-            );
+        let mut sw = engine_port(
+            EngineConfig::new(3),
+            RateProfile::constant(Rate::bps(8_000)),
+            None,
+        );
+        sw.add_flow(FlowId(1), Rate::bps(1_000));
+        sw.add_flow(FlowId(2), Rate::bps(1_000));
+        let mut now = t0;
+        for &p in &interleaved {
+            assert!(sw.offer(now, p));
+            // Cross traffic from a second ingress keeps the port
+            // from degenerating to a single-flow FIFO.
+            let cross = pf.make(FlowId(2), Bytes::new(125), now);
+            assert!(sw.offer(now, cross));
         }
-    }
-
-    #[test]
-    fn threaded_port_matches_sync_port_order() {
-        // The threaded engine behind the same facade must transmit in
-        // exactly the sync oracle's order.
-        let mk_arrivals = |pf: &mut PacketFactory| {
-            let t0 = SimTime::ZERO;
-            (0..24)
-                .map(|i| pf.make(FlowId(1 + (i % 4)), Bytes::new(200 + 50 * i as u64), t0))
-                .collect::<Vec<_>>()
-        };
-        let drive = |sw: &mut SwitchCore, pkts: &[sfq_core::Packet]| {
-            let mut now = SimTime::ZERO;
-            for &p in pkts {
-                assert!(sw.offer(now, p));
-            }
-            let mut uids = Vec::new();
-            while let Some((p, done)) = sw.try_start(now) {
-                sw.complete(done);
-                now = done;
-                uids.push(p.uid);
-            }
-            uids
-        };
-        let link = RateProfile::constant(Rate::bps(8_000));
-        let mut sync = engine_port(EngineConfig::new(3), link.clone(), None);
-        let mut thr = threaded_engine_port(EngineConfig::new(3), link, None);
-        for sw in [&mut sync, &mut thr] {
-            for f in 1..=4u32 {
-                sw.add_flow(FlowId(f), Rate::bps(1_000 * f as u64));
+        let mut served = Vec::new();
+        while let Some((p, done)) = sw.try_start(now) {
+            sw.complete(done);
+            now = done;
+            if p.flow == FlowId(1) {
+                served.push(p.uid);
             }
         }
-        let mut pf_a = PacketFactory::new();
-        let want = drive(&mut sync, &mk_arrivals(&mut pf_a));
-        let mut pf_b = PacketFactory::new();
-        let got = drive(&mut thr, &mk_arrivals(&mut pf_b));
-        assert_eq!(got, want, "threaded port diverged from sync oracle");
+        let offered: Vec<u64> = interleaved.iter().map(|p| p.uid).collect();
+        assert_eq!(
+            served,
+            offered,
+            "{}: flow 1 not served in port-arrival order under incast fan-in",
+            sw.discipline()
+        );
     }
 }

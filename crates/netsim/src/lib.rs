@@ -22,6 +22,6 @@ mod engine_port;
 mod switch;
 mod tcp;
 
-pub use engine_port::{engine_port, threaded_engine_port};
+pub use engine_port::engine_port;
 pub use switch::{DropPolicy, SwitchCore};
 pub use tcp::{TcpConfig, TcpReceiver, TcpSender};

@@ -29,9 +29,9 @@
 //! another shard's pool posts the handle to that pool's return queue
 //! (a mutex-guarded vector — contended only at return bursts), and the
 //! owning shard folds returns back into its freelist the next time it
-//! allocates. Today's `ThreadedEngine` moves packets between shards by
-//! value over SPSC rings, so the queue is an extension point exercised
-//! by tests rather than the engine hot path.
+//! allocates. The engine runs all its shards on one thread and moves
+//! packets by value, so the queue is an extension point exercised by
+//! tests rather than the engine hot path.
 //!
 //! [`FlowMap`] is the dense companion for *control-plane* per-flow
 //! state (weights, drop counters): a slotmap-lite keyed by [`FlowId`]

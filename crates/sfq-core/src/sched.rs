@@ -41,11 +41,6 @@ pub enum SchedError {
     /// (e.g. [`Scheduler::try_set_weight`] on a baseline without live
     /// weight support). The scheduler state is untouched.
     Unsupported,
-    /// The flow's home shard is down and the engine's recovery policy
-    /// parks its flows instead of restarting or redistributing; the
-    /// operation is refused until the shard is repaired (see
-    /// `docs/robustness.md`).
-    ShardDown(FlowId),
     /// An engine-level command named a shard index that does not exist.
     UnknownShard(usize),
 }
@@ -59,7 +54,6 @@ impl fmt::Display for SchedError {
             SchedError::BufferFull(flow) => write!(f, "buffer full for flow {flow}"),
             SchedError::TagOverflow => write!(f, "tag arithmetic overflow"),
             SchedError::Unsupported => write!(f, "reconfiguration not supported"),
-            SchedError::ShardDown(flow) => write!(f, "home shard of flow {flow} is down"),
             SchedError::UnknownShard(s) => write!(f, "no shard {s}"),
         }
     }
@@ -257,9 +251,8 @@ pub trait Scheduler {
     /// Apply one typed [`ReconfigCmd`]. The default routes the
     /// flow-level commands to the corresponding trait methods and
     /// refuses [`ReconfigCmd::SetShardWeight`] (an engine-only
-    /// command) with [`SchedError::Unsupported`]; engine drivers
-    /// override the routing to thread commands through their shard
-    /// channels.
+    /// command) with [`SchedError::Unsupported`]; the engine overrides
+    /// the routing to reach its shards and its root arbiter.
     fn try_reconfig(&mut self, cmd: ReconfigCmd) -> Result<(), SchedError> {
         match cmd {
             ReconfigCmd::SetWeight(flow, weight) => self.try_set_weight(flow, weight),
@@ -295,8 +288,7 @@ pub trait Scheduler {
 /// Boxed schedulers forward every method to the inner discipline —
 /// including the defaulted ones, so a `Box<dyn Scheduler>` (or a boxed
 /// engine shard) keeps the inner type's overrides instead of falling
-/// back to the trait defaults. This is what lets the threaded engine's
-/// supervisor hold type-erased, rebuildable workers.
+/// back to the trait defaults.
 impl<T: Scheduler + ?Sized> Scheduler for Box<T> {
     fn add_flow(&mut self, flow: FlowId, weight: Rate) {
         (**self).add_flow(flow, weight)

@@ -1,233 +1,184 @@
-//! The engine coordinator: one flow table, one root arbiter, one
-//! backpressure rule and one pick → pull-batch → charge loop, generic
-//! over the one decision that differs between deployments — *how a
-//! coordinator command reaches a shard's scheduler, and whether that
-//! can fail* ([`ShardLink`]).
+//! The engine: one flow table, one root arbiter, one backpressure rule
+//! and one pick → pull-batch → charge loop over `N` shards, each a leaf
+//! scheduler behind a bounded ingress ring, all run in place on the
+//! calling thread.
 //!
-//! # Backpressure determinism
+//! # Backpressure
 //!
 //! Ingest refuses a packet (`SchedError::BufferFull`) when the shard's
 //! *pending* count — packets ingested but not yet drained, wherever
 //! they physically sit — has reached `ring_capacity`. The physical ring
 //! occupancy never exceeds the pending count (a drained packet was
 //! necessarily consumed from the ring first), so under this rule a
-//! `push` can never find the ring full, and — crucially — refusals
-//! depend only on the API call sequence, never on how far a worker
-//! thread happens to have progressed. The count lives here, not in a
-//! link, so refusal counts are part of the differential contract
-//! between links. Size `ring_capacity` as "maximum un-drained backlog
-//! per shard".
+//! `push` can never find the ring full, and refusals depend only on
+//! the API call sequence, never on where a pump happened to fall. Size
+//! `ring_capacity` as "maximum un-drained backlog per shard".
+//!
+//! # Enqueue errors
+//!
+//! Once a flow is registered only `TagOverflow` can refuse its packets.
+//! Such an error never panics: it poisons the shard — the ring is still
+//! consumed, nothing more is enqueued — the pump that hit it returns
+//! it, and every later drain that picks that shard reports it again.
 
-use crate::ring::SpscProducer;
+use crate::ring::{spsc, SpscConsumer, SpscProducer};
 use crate::root::RootSfq;
-use crate::worker::RecoveryStats;
-use crate::{shard_of, DegradedMode, EngineConfig, RecoveryPolicy};
-use sfq_core::{FlowId, FlowMap, Packet, ReconfigCmd, SchedError, Scheduler, TelemetrySink};
+use crate::{shard_of, EngineConfig, ShardSched};
+use sfq_core::obs::SchedObserver;
+use sfq_core::{
+    FlowId, FlowMap, NoopObserver, Packet, ReconfigCmd, SchedError, Scheduler, Sfq, SfqFast,
+};
 use sfq_telemetry::{RefuseCause, TelemetryHub};
 use simtime::{Rate, SimTime};
 use std::sync::Arc;
 
-/// Why a [`ShardLink`] call did not produce its value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkError {
-    /// The far end is gone (its worker died). Nothing was applied; the
-    /// coordinator answers by calling [`ShardLink::recover`].
-    Down,
-    /// The shard's scheduler refused the operation.
-    Sched(SchedError),
-}
-
-impl From<SchedError> for LinkError {
-    fn from(e: SchedError) -> Self {
-        LinkError::Sched(e)
-    }
-}
-
-/// How the coordinator reaches one shard's scheduler. The coordinator
-/// owns the producer end of the shard's ingress ring and every count
-/// the refusal rule reads; the link owns the scheduler and the
-/// consumer end, wherever they live.
-///
-/// Two rules make a link's departures a pure function of the call
-/// sequence, and any new link must keep them:
-///
-/// 1. **Count-bounded consumption.** `pump`, `drain_into` and
-///    `force_remove` move into the scheduler exactly the packets the
-///    coordinator reported through [`ShardLink::pushed`] before the
-///    call — never one pushed later, however threads interleave.
-/// 2. **Synchronous drains.** `drain_into` returns the batch itself, so
-///    the coordinator charges the root with the actual bits before it
-///    picks again.
-///
-/// **Enqueue errors.** Once a flow is registered only `TagOverflow` can
-/// refuse its packets. Such an error never panics: it poisons the
-/// shard — the ring is still consumed, nothing more is enqueued — and
-/// every later `drain_into` of that shard reports it, which the
-/// coordinator's `drain` passes up. A link that pumps in place also
-/// returns it from the `pump` that hit it.
-///
-/// **Link down.** Only the calls that wait for an answer
-/// (`set_weight`, `drain_into`, `force_remove`, `drop_head`) can find
-/// the link down; the fire-and-forget ones are rebuilt from
-/// coordinator state when [`ShardLink::recover`] runs.
-pub trait ShardLink: Sized {
-    /// [`Scheduler::name`] of an engine over this link.
-    const NAME: &'static str;
-
-    /// Register `flow` (or update its rate, queued tags untouched).
-    fn add_flow(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError>;
-
-    /// Live weight change under the leaf tag-rewrite rule.
-    fn set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), LinkError>;
-
-    /// The coordinator pushed one packet of `flow` onto this shard's
-    /// ring. Called once per accepted ingest, so it must stay trivial.
-    fn pushed(&mut self, flow: FlowId);
-
-    /// Move the ring residue into the scheduler as one batch, stamping
-    /// tags against the shard's current virtual time. `scratch` is the
-    /// coordinator's batch buffer, lent to a link that pumps in place.
-    fn pump(&mut self, now: SimTime, scratch: &mut Vec<Packet>) -> Result<(), SchedError>;
-
-    /// Move in whatever was reported since the last pump — the
-    /// coordinator pumps before it drains, so only residue a recovery
-    /// re-pushed — then append up to `max` departures to `out`; returns
-    /// how many.
-    fn drain_into(
-        &mut self,
-        now: SimTime,
-        max: usize,
-        out: &mut Vec<Packet>,
-    ) -> Result<usize, LinkError>;
-
-    /// The single forced-removal rule: fold the ring residue into the
-    /// scheduler, *then* discard `flow`'s backlog and unregister it, so
-    /// the returned count covers every packet of the flow ingest ever
-    /// accepted and no residue of an unregistered flow is left behind
-    /// to fail a later pump. Ring order is preserved and virtual time
-    /// cannot have moved since the last dequeue, so the other flows'
-    /// tags are what a lazy pump would have stamped.
-    fn force_remove(&mut self, flow: FlowId) -> Result<usize, LinkError>;
-
-    /// Evict `flow`'s oldest scheduler-resident packet; ring residue is
-    /// never evicted.
-    fn drop_head(&mut self, flow: FlowId) -> Result<Option<Packet>, LinkError>;
-
-    /// Packets of `flow` the link can vouch for without a round trip:
-    /// exact whenever the ring has been pumped, which the `Scheduler`
-    /// facade's eager pump guarantees.
-    fn backlog(&self, flow: FlowId) -> usize;
-
-    /// Record every later scheduler event of this shard on `sink`.
-    fn attach_telemetry(&mut self, sink: TelemetrySink);
-
-    /// `true` once the link was left down by a degraded recovery.
-    fn is_down(&self) -> bool {
-        false
-    }
-
-    /// The coordinator's reaction to [`LinkError::Down`] from shard
-    /// `shard`. Links that cannot go down keep the default.
-    fn recover(_engine: &mut Engine<Self>, _shard: usize) {
-        unreachable!("{} links never report down", Self::NAME)
-    }
-}
-
-/// One shard as the coordinator sees it.
-pub(crate) struct Shard<L> {
-    pub(crate) link: L,
-    pub(crate) prod: SpscProducer<Packet>,
-    /// Packets ingested but not yet drained, discarded or lost: ring
-    /// residue plus scheduler backlog at every synchronous point.
-    pub(crate) pending: usize,
+/// One shard: a leaf scheduler, both ends of its ingress ring, and the
+/// counts the refusal rule and the pump read.
+struct Shard<S> {
+    sched: S,
+    cons: SpscConsumer<Packet>,
+    prod: SpscProducer<Packet>,
+    /// First enqueue error; see the module docs on poisoning.
+    poisoned: Option<SchedError>,
+    /// Packets ingested but not yet drained or discarded: ring residue
+    /// plus scheduler backlog.
+    pending: usize,
     /// Packets pushed since [`Engine::pump`] last visited this shard:
     /// zero means the ring holds nothing a pump could move. Only
     /// [`Shard::push`] raises it and only the pump clears it, so a
-    /// drain or a forced removal that folded the residue first leaves
-    /// it stale-high, which costs the next pump one empty visit.
+    /// forced removal that folded the residue first leaves it
+    /// stale-high, which costs the next pump one empty visit.
     unpumped: usize,
 }
 
-impl<L: ShardLink> Shard<L> {
-    /// A shard with nothing pending, over `link` and the producer end
-    /// of its ring.
-    pub(crate) fn new(link: L, prod: SpscProducer<Packet>) -> Self {
+impl<S: ShardSched> Shard<S> {
+    /// A shard around `sched` (rebasing enabled per `cfg`, packet store
+    /// preallocated) with a fresh ring and nothing pending.
+    fn new(cfg: &EngineConfig, mut sched: S) -> Self {
+        if let Some(bits) = cfg.rebase_bits {
+            sched.enable_rebasing(bits);
+        }
+        sched.preallocate(cfg.ring_capacity);
+        let (prod, cons) = spsc(cfg.ring_capacity);
         Shard {
-            link,
+            sched,
+            cons,
             prod,
+            poisoned: None,
             pending: 0,
             unpumped: 0,
         }
     }
 
     /// Push one accepted packet; the caller has checked `pending`.
-    pub(crate) fn push(&mut self, pkt: Packet) {
-        let flow = pkt.flow;
+    fn push(&mut self, pkt: Packet) {
         self.prod
             .push(pkt)
             .unwrap_or_else(|_| unreachable!("pending < capacity implies ring has room"));
         self.pending += 1;
         self.unpumped += 1;
-        self.link.pushed(flow);
+    }
+
+    /// Move the ring residue into the scheduler as one batch through
+    /// `scratch`, stamping tags against the shard's current virtual
+    /// time. Returns the enqueue error, if any, that this very call
+    /// hit.
+    fn pump(&mut self, now: SimTime, scratch: &mut Vec<Packet>) -> Result<(), SchedError> {
+        scratch.clear();
+        scratch.extend(std::iter::from_fn(|| self.cons.pop()));
+        if self.poisoned.is_some() {
+            return Ok(());
+        }
+        let res = self.sched.try_enqueue_batch(now, scratch);
+        self.poisoned = res.err();
+        res
+    }
+
+    /// The single forced-removal rule: fold the ring residue into the
+    /// scheduler, each packet at its own arrival instant, *then*
+    /// discard `flow`'s backlog and unregister it, so the returned
+    /// count covers every packet of the flow ingest ever accepted and
+    /// no residue of an unregistered flow is left behind to fail a
+    /// later pump. Ring order is preserved and virtual time cannot have
+    /// moved since the last dequeue, so the other flows' tags are what
+    /// a lazy pump would have stamped.
+    fn force_remove(&mut self, flow: FlowId) -> usize {
+        while let Some(pkt) = self.cons.pop() {
+            if self.poisoned.is_none() {
+                self.poisoned = self.sched.try_enqueue(pkt.arrival, pkt).err();
+            }
+        }
+        self.sched.force_remove_flow(flow)
     }
 }
 
-/// What the coordinator knows about a registered flow: one lookup
-/// answers both "is it registered" and "where does it live".
+/// What the engine knows about a registered flow: one lookup answers
+/// both "is it registered" and "where does it live".
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct FlowRec {
-    pub(crate) weight: Rate,
-    /// Current home shard: [`shard_of`] until a degraded-mode
-    /// redistribution re-homes the flow.
-    pub(crate) home: usize,
+struct FlowRec {
+    weight: Rate,
+    /// [`shard_of`] the flow, kept so that ingest does not rehash.
+    home: usize,
 }
 
-/// Sharded SFQ engine over shard links of type `L`. [`SyncEngine`]
-/// (`Engine<Inline<S>>`) runs every shard in place on the calling
-/// thread; [`ThreadedEngine`] (`Engine<Worker>`) runs one worker thread
-/// per shard. Given the same API call sequence their departures,
-/// refusals and discard counts are identical. See the module docs and
-/// `docs/engine.md`.
-///
-/// [`SyncEngine`]: crate::SyncEngine
-/// [`ThreadedEngine`]: crate::ThreadedEngine
-pub struct Engine<L: ShardLink> {
-    pub(crate) cfg: EngineConfig,
-    pub(crate) shards: Vec<Shard<L>>,
-    pub(crate) root: RootSfq,
-    pub(crate) flows: FlowMap<FlowRec>,
-    pub(crate) stats: RecoveryStats,
+/// Sharded SFQ engine whose every shard runs the leaf discipline `S` in
+/// place on the calling thread, statically dispatched (exact-rational
+/// [`Sfq`] by default; [`Engine::new_fast`] swaps in the fixed-point
+/// [`SfqFast`]). The root arbiter is exact for every `S`. Every method
+/// is a deterministic function of the API call sequence. See the module
+/// docs and `docs/engine.md`.
+pub struct Engine<S: ShardSched> {
+    cfg: EngineConfig,
+    shards: Vec<Shard<S>>,
+    root: RootSfq,
+    flows: FlowMap<FlowRec>,
     backlogged: Vec<bool>,
     /// Batch buffer for [`Engine::pump`], shared by all shards.
     scratch: Vec<Packet>,
     /// Counter pages: shard page `i` written by shard `i`'s scheduler,
-    /// engine page written here (offered / refusals / recovery ledger).
-    /// `None` until [`Engine::attach_telemetry`]. Pages survive shard
-    /// rebuilds — the supervisor bumps the page generation instead of
-    /// replacing the page, so restart recovery never double-counts.
-    pub(crate) tele: Option<Arc<TelemetryHub>>,
+    /// engine page written here (offered / refusals). `None` until
+    /// [`Engine::attach_telemetry`].
+    tele: Option<Arc<TelemetryHub>>,
     /// Scratch for the single-packet `Scheduler` facade.
     one: Vec<Packet>,
 }
 
-impl<L: ShardLink> Engine<L> {
-    /// Coordinator over `cfg.shards` links, link `i` and the producer
-    /// end of its ring built by `link(i)`.
-    pub(crate) fn assemble(
-        cfg: EngineConfig,
-        mut link: impl FnMut(usize) -> (L, SpscProducer<Packet>),
-    ) -> Self {
+impl Engine<Sfq> {
+    /// Engine with exact-rational shards and no observers attached.
+    pub fn new(cfg: EngineConfig) -> Self {
+        Self::with_observer(cfg, NoopObserver)
+    }
+}
+
+impl Engine<SfqFast> {
+    /// Engine whose shards run the fixed-point [`SfqFast`] fast path at
+    /// the default tag shift; the root arbiter stays exact-rational.
+    pub fn new_fast(cfg: EngineConfig) -> Self {
+        Self::from_factory(cfg, |_| SfqFast::new())
+    }
+}
+
+impl<O: SchedObserver + Clone> Engine<Sfq<O>> {
+    /// Engine whose every shard scheduler carries a clone of `obs`.
+    /// Pass an `Rc<RefCell<...>>` observer to aggregate events from all
+    /// shards into one sink (as the fairness tests do with
+    /// `sfq_obs::FlowMetrics`).
+    pub fn with_observer(cfg: EngineConfig, obs: O) -> Self {
+        Self::from_factory(cfg, |_| Sfq::with_observer(Default::default(), obs.clone()))
+    }
+}
+
+impl<S: ShardSched> Engine<S> {
+    /// Engine whose shard scheduler `i` is built by `mk(i)`; the config
+    /// rebase threshold is then applied to each. This is the one
+    /// construction path — the named constructors all delegate here.
+    pub fn from_factory(cfg: EngineConfig, mut mk: impl FnMut(usize) -> S) -> Self {
         let cfg = cfg.validated();
-        let shards = (0..cfg.shards).map(|i| {
-            let (link, prod) = link(i);
-            Shard::new(link, prod)
-        });
         Engine {
             cfg,
-            shards: shards.collect(),
+            shards: (0..cfg.shards).map(|i| Shard::new(&cfg, mk(i))).collect(),
             root: RootSfq::new(cfg.shards, cfg.rebase_bits),
             flows: FlowMap::new(),
-            stats: RecoveryStats::default(),
             backlogged: vec![false; cfg.shards],
             scratch: Vec::new(),
             tele: None,
@@ -236,7 +187,7 @@ impl<L: ShardLink> Engine<L> {
     }
 
     /// Allocate one [`sfq_telemetry::StatPage`] per shard plus an
-    /// engine page, attach each shard page to its live scheduler, and
+    /// engine page, attach each shard page to its scheduler, and
     /// return the hub an off-thread [`sfq_telemetry::Aggregator`] can
     /// snapshot without touching the shards. Idempotent: a second call
     /// returns the existing hub unchanged, so counters are never reset
@@ -247,9 +198,7 @@ impl<L: ShardLink> Engine<L> {
         }
         let hub = TelemetryHub::new(self.shards.len());
         for (i, shard) in self.shards.iter_mut().enumerate() {
-            if !shard.link.is_down() {
-                shard.link.attach_telemetry(hub.shard(i).clone());
-            }
+            shard.sched.attach_telemetry(hub.shard(i).clone());
         }
         self.tele = Some(Arc::clone(&hub));
         hub
@@ -260,8 +209,7 @@ impl<L: ShardLink> Engine<L> {
         self.tele.as_ref()
     }
 
-    /// Number of shards (a shard left down by a degraded policy still
-    /// counts).
+    /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards.len()
     }
@@ -271,24 +219,9 @@ impl<L: ShardLink> Engine<L> {
         self.cfg.batch
     }
 
-    /// Shard owning `flow` right now: the hash home, unless a
-    /// degraded-mode redistribution re-homed it.
+    /// Shard owning `flow`: its hash home, [`shard_of`].
     pub fn shard_of(&self, flow: FlowId) -> usize {
-        self.flows
-            .get(flow)
-            .map_or_else(|| shard_of(flow, self.shards.len()), |rec| rec.home)
-    }
-
-    /// `true` when `shard`'s link went down under a degraded policy and
-    /// was not rebuilt.
-    pub fn shard_is_down(&self, shard: usize) -> bool {
-        self.shards.get(shard).is_some_and(|s| s.link.is_down())
-    }
-
-    /// Supervisor ledger: recoveries handled, packets salvaged, packets
-    /// lost. All zero on a link that cannot go down.
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.stats
+        shard_of(flow, self.shards.len())
     }
 
     /// Root arbiter state, for tests and diagnostics.
@@ -309,23 +242,15 @@ impl<L: ShardLink> Engine<L> {
     /// Register `flow` at rate `weight` on its home shard and fold the
     /// rate into the root arbiter's aggregate for that shard.
     /// Re-registration updates the weight, as for the leaf discipline.
-    /// A new flow whose hash home is down is re-homed (redistribute) or
-    /// refused with [`SchedError::ShardDown`] (park).
     pub fn try_add_flow(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
         if weight.as_bps() == 0 {
             return Err(SchedError::ZeroWeight(flow));
         }
-        let (home, old) = match self.flows.get(flow) {
-            Some(rec) => (rec.home, rec.weight.as_bps()),
-            None => (self.initial_home(flow)?, 0),
-        };
-        let link = &mut self.shards[home].link;
-        if link.is_down() {
-            return Err(SchedError::ShardDown(flow));
-        }
-        link.add_flow(flow, weight)?;
-        self.flows.insert(flow, FlowRec { weight, home });
-        self.root.reweigh(home, old, weight.as_bps());
+        let home = self.shard_of(flow);
+        self.shards[home].sched.try_add_flow(flow, weight)?;
+        let old = self.flows.insert(flow, FlowRec { weight, home });
+        self.root
+            .reweigh(home, old.map_or(0, |r| r.weight.as_bps()), weight.as_bps());
         Ok(())
     }
 
@@ -338,22 +263,19 @@ impl<L: ShardLink> Engine<L> {
         if weight.as_bps() == 0 {
             return Err(SchedError::ZeroWeight(flow));
         }
-        let (home, ()) = self
-            .on_home(flow, |link| link.set_weight(flow, weight))
-            .map_err(|e| match e {
-                LinkError::Sched(e) => e,
-                LinkError::Down => SchedError::ShardDown(flow),
-            })?;
-        let old = self.flows.insert(flow, FlowRec { weight, home });
-        self.root
-            .reweigh(home, old.map_or(0, |r| r.weight.as_bps()), weight.as_bps());
+        let Some(rec) = self.flows.get_mut(flow) else {
+            return Err(SchedError::UnknownFlow(flow));
+        };
+        self.shards[rec.home].sched.try_set_weight(flow, weight)?;
+        let old = std::mem::replace(&mut rec.weight, weight);
+        self.root.reweigh(rec.home, old.as_bps(), weight.as_bps());
         Ok(())
     }
 
     /// Override shard `shard`'s effective aggregate weight at the root
     /// arbiter, or clear the override with `None` — the
-    /// [`ReconfigCmd::SetShardWeight`] command. Pure coordinator state.
-    /// See [`RootSfq::set_shard_weight`].
+    /// [`ReconfigCmd::SetShardWeight`] command. Pure root state. See
+    /// [`RootSfq::set_shard_weight`].
     pub fn try_set_shard_weight(
         &mut self,
         shard: usize,
@@ -366,12 +288,11 @@ impl<L: ShardLink> Engine<L> {
     }
 
     /// Hand `pkt` to its home shard's ingress ring. Refuses with
-    /// [`SchedError::UnknownFlow`] for unregistered flows,
-    /// [`SchedError::ShardDown`] for flows parked on a dead shard, and
+    /// [`SchedError::UnknownFlow`] for unregistered flows and
     /// [`SchedError::BufferFull`] when the shard's pending count has
-    /// reached the ring capacity (see the module docs on backpressure
-    /// determinism). The packet is *not yet scheduled*: tags are
-    /// stamped at the next [`Engine::pump`] or drain.
+    /// reached the ring capacity (see the module docs on backpressure).
+    /// The packet is *not yet scheduled*: tags are stamped at the next
+    /// [`Engine::pump`] or drain.
     pub fn try_ingest(&mut self, pkt: Packet) -> Result<(), SchedError> {
         // Every arrival is booked as offered on the engine page —
         // accepted or refused — so the pages close the conservation
@@ -383,9 +304,7 @@ impl<L: ShardLink> Engine<L> {
             None => (RefuseCause::UnknownFlow, SchedError::UnknownFlow(pkt.flow)),
             Some(rec) => {
                 let shard = &mut self.shards[rec.home];
-                if shard.link.is_down() {
-                    (RefuseCause::ShardDown, SchedError::ShardDown(pkt.flow))
-                } else if shard.pending >= self.cfg.ring_capacity {
+                if shard.pending >= self.cfg.ring_capacity {
                     (RefuseCause::BufferFull, SchedError::BufferFull(pkt.flow))
                 } else {
                     shard.push(pkt);
@@ -404,17 +323,15 @@ impl<L: ShardLink> Engine<L> {
     /// virtual time. Tags do not depend on `now` (Eq. 4 reads only the
     /// virtual time, which moves at dequeues), so deferring a pump
     /// never changes an ordering decision — only observer timestamps.
-    /// A link that runs its shard elsewhere returns without waiting.
     ///
     /// Only shards pushed to since the last pump are visited: the
     /// `Scheduler` facade pumps on every enqueue and again inside every
     /// dequeue, and all but one of those visits would find an empty
-    /// ring (or, over a worker link, send a command that moves
-    /// nothing).
+    /// ring.
     pub fn pump(&mut self, now: SimTime) -> Result<(), SchedError> {
         for shard in &mut self.shards {
             if std::mem::take(&mut shard.unpumped) > 0 {
-                shard.link.pump(now, &mut self.scratch)?;
+                shard.pump(now, &mut self.scratch)?;
             }
         }
         Ok(())
@@ -424,26 +341,20 @@ impl<L: ShardLink> Engine<L> {
     /// pump all rings, then repeatedly let the root arbiter pick the
     /// backlogged shard with the least start tag, pull up to
     /// [`EngineConfig::batch`] packets from it, and charge the root
-    /// with the actual bits pulled. Returns the number drained. A link
-    /// found down is recovered inline and the loop goes on with the
-    /// shards that remain — no global stall.
+    /// with the actual bits pulled. Returns the number drained.
     pub fn drain(
         &mut self,
         now: SimTime,
         max: usize,
         out: &mut Vec<Packet>,
     ) -> Result<usize, SchedError> {
-        // The pump is load-bearing for reconfiguration identity: a
-        // later `SetWeight` must find the same scheduler-resident
-        // packet set on every link, and the tag-rewrite rule treats
-        // queued packets (head keeps its tags) differently from ring
-        // residue (enqueued wholly at the new rate).
+        // The pump is load-bearing for reconfiguration: the tag-rewrite
+        // rule of a later `SetWeight` treats queued packets (head keeps
+        // its tags) differently from ring residue (enqueued wholly at
+        // the new rate), so what a drain leaves in the scheduler must
+        // not depend on whether the caller pumped first.
         self.pump(now)?;
         let mut n = 0;
-        // Backstop against a shard whose rebuilt link keeps dying
-        // (impossible for injected faults, which are one-shot, but a
-        // deterministic scheduler bug could re-panic on re-ingest).
-        let mut recoveries = 0;
         while n < max {
             for (flag, shard) in self.backlogged.iter_mut().zip(&self.shards) {
                 *flag = shard.pending > 0;
@@ -453,19 +364,14 @@ impl<L: ShardLink> Engine<L> {
             };
             let take = self.cfg.batch.min(max - n);
             let before = out.len();
-            let k = match self.shards[s].link.drain_into(now, take, out) {
-                Ok(0) => break,
-                Ok(k) => k,
-                Err(LinkError::Sched(e)) => return Err(e),
-                Err(LinkError::Down) => {
-                    L::recover(self, s);
-                    recoveries += 1;
-                    if recoveries > self.shards.len() * 4 {
-                        break;
-                    }
-                    continue;
-                }
-            };
+            let shard = &mut self.shards[s];
+            if let Some(e) = shard.poisoned {
+                return Err(e);
+            }
+            let k = shard.sched.dequeue_batch(now, take, out);
+            if k == 0 {
+                break;
+            }
             let bits: u64 = out[before..].iter().map(|p| p.len.bits()).sum();
             self.root.charge(s, bits)?;
             self.shards[s].pending -= k;
@@ -476,67 +382,11 @@ impl<L: ShardLink> Engine<L> {
         }
         Ok(n)
     }
-
-    /// Run `call` on `flow`'s home link; if the link is found down, let
-    /// it recover and retry once on the new topology. Returns the home
-    /// shard the call succeeded on; `Err(Down)` when both attempts
-    /// found the link dead, `Err(Sched(ShardDown))` for a parked flow.
-    fn on_home<T>(
-        &mut self,
-        flow: FlowId,
-        mut call: impl FnMut(&mut L) -> Result<T, LinkError>,
-    ) -> Result<(usize, T), LinkError> {
-        for _attempt in 0..2 {
-            let Some(rec) = self.flows.get(flow) else {
-                return Err(SchedError::UnknownFlow(flow).into());
-            };
-            let home = rec.home;
-            let link = &mut self.shards[home].link;
-            if link.is_down() {
-                return Err(SchedError::ShardDown(flow).into());
-            }
-            match call(link) {
-                Ok(v) => return Ok((home, v)),
-                Err(LinkError::Down) => L::recover(self, home),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(LinkError::Down)
-    }
-
-    /// Hash home for a not-yet-registered flow, re-homed when the hash
-    /// target is down under a redistributing degraded policy.
-    fn initial_home(&self, flow: FlowId) -> Result<usize, SchedError> {
-        let s = shard_of(flow, self.shards.len());
-        if !self.shards[s].link.is_down() {
-            return Ok(s);
-        }
-        match self.cfg.recovery {
-            RecoveryPolicy::Degrade(DegradedMode::Redistribute) => self.rehome(flow),
-            _ => Err(SchedError::ShardDown(flow)),
-        }
-    }
-
-    /// Deterministic re-hash of `flow` over the surviving shards.
-    pub(crate) fn rehome(&self, flow: FlowId) -> Result<usize, SchedError> {
-        let alive: Vec<usize> = (0..self.shards.len())
-            .filter(|&i| !self.shards[i].link.is_down())
-            .collect();
-        if alive.is_empty() {
-            return Err(SchedError::UnknownShard(shard_of(flow, self.shards.len())));
-        }
-        Ok(alive[shard_of(flow, alive.len())])
-    }
 }
 
 /// The switch-port facade: lets `netsim`'s `SwitchCore` run a port
-/// whose scheduled class is a sharded engine over any link. Every
-/// method is a deterministic function of the API call sequence
-/// (count-bounded pumps, synchronous drains/evictions, coordinator-side
-/// refusals), so a threaded port's departures, refusals, and evictions
-/// are bit-identical to a sync port's for the same offered load — the
-/// property the graph conformance preset checks end to end.
-impl<L: ShardLink> Scheduler for Engine<L> {
+/// whose scheduled class is a sharded engine.
+impl<S: ShardSched> Scheduler for Engine<S> {
     fn add_flow(&mut self, flow: FlowId, weight: Rate) {
         if let Err(e) = self.try_add_flow(flow, weight) {
             panic!("sfq-engine: {e}");
@@ -596,42 +446,39 @@ impl<L: ShardLink> Scheduler for Engine<L> {
         self.pending()
     }
 
+    /// The home scheduler's own count: ring residue is not included, so
+    /// it is exact whenever the ring has been pumped, which the
+    /// facade's eager pump guarantees.
     fn backlog(&self, flow: FlowId) -> usize {
         self.flows
             .get(flow)
-            .map_or(0, |rec| self.shards[rec.home].link.backlog(flow))
+            .map_or(0, |rec| self.shards[rec.home].sched.backlog(flow))
     }
 
     /// Discard `flow`'s backlog on its home shard — ring residue
-    /// included, see [`ShardLink::force_remove`] — then unregister the
-    /// flow and subtract its rate from the root aggregate (the churn
-    /// fault). Returns the number of packets discarded; `0` for an
-    /// unknown flow, and for a flow parked on a dead shard, whose
-    /// backlog is already in the drop ledger.
+    /// included, folded in first (the forced-removal rule of
+    /// `docs/engine.md`) — then unregister the flow and subtract its
+    /// rate from the root aggregate (the churn fault). Returns the
+    /// number of packets discarded; `0` for an unknown flow.
     fn force_remove_flow(&mut self, flow: FlowId) -> usize {
-        let dropped = match self.on_home(flow, |link| link.force_remove(flow)) {
-            Ok((home, n)) => {
-                self.shards[home].pending -= n;
-                n
-            }
-            // Parked on a dead shard: just unregister.
-            Err(LinkError::Sched(SchedError::ShardDown(_))) => 0,
-            // Unknown flow, or its link died under both attempts: the
-            // flow stays as it is and nothing was removed.
-            Err(_) => return 0,
+        let Some(rec) = self.flows.remove(flow) else {
+            return 0;
         };
-        if let Some(rec) = self.flows.remove(flow) {
-            self.root.reweigh(rec.home, rec.weight.as_bps(), 0);
-        }
+        let shard = &mut self.shards[rec.home];
+        let dropped = shard.force_remove(flow);
+        shard.pending -= dropped;
+        self.root.reweigh(rec.home, rec.weight.as_bps(), 0);
         dropped
     }
 
     /// Evict the oldest scheduler-resident packet of `flow` from its
-    /// home shard (the HeadDrop/pressure eviction hook).
+    /// home shard (the HeadDrop/pressure eviction hook); ring residue
+    /// is never evicted.
     fn drop_head(&mut self, flow: FlowId) -> Option<Packet> {
-        let (home, evicted) = self.on_home(flow, |link| link.drop_head(flow)).ok()?;
-        self.shards[home].pending -= evicted.is_some() as usize;
-        evicted
+        let shard = &mut self.shards[self.flows.get(flow)?.home];
+        let evicted = shard.sched.drop_head(flow)?;
+        shard.pending -= 1;
+        Some(evicted)
     }
 
     fn try_set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
@@ -664,91 +511,72 @@ impl<L: ShardLink> Scheduler for Engine<L> {
     }
 
     fn name(&self) -> &'static str {
-        L::NAME
+        "SFQ-ENGINE"
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::{spsc, SpscConsumer};
-    use sfq_core::PacketFactory;
+    use sfq_core::{PacketFactory, TelemetrySink};
     use simtime::Bytes;
 
-    /// A link that keeps the ring's consumer end and a log of the
-    /// calls that reach it: `(pumps, packets those pumps moved)`.
-    struct Tally {
-        cons: SpscConsumer<Packet>,
-        queued: Vec<Packet>,
+    /// A shard scheduler that counts the batch enqueues reaching it:
+    /// one per pump visit, and none from anything else the engine does.
+    #[derive(Default)]
+    struct Counting {
+        inner: Sfq,
         pumps: usize,
     }
 
-    impl ShardLink for Tally {
-        const NAME: &'static str = "TALLY";
-
-        fn add_flow(&mut self, _flow: FlowId, _weight: Rate) -> Result<(), SchedError> {
-            Ok(())
+    impl Scheduler for Counting {
+        fn add_flow(&mut self, flow: FlowId, weight: Rate) {
+            self.inner.add_flow(flow, weight)
         }
-
-        fn set_weight(&mut self, _flow: FlowId, _weight: Rate) -> Result<(), LinkError> {
-            Ok(())
+        fn enqueue(&mut self, now: SimTime, pkt: Packet) {
+            self.inner.enqueue(now, pkt)
         }
-
-        fn pushed(&mut self, _flow: FlowId) {}
-
-        fn pump(&mut self, _now: SimTime, _scratch: &mut Vec<Packet>) -> Result<(), SchedError> {
+        fn try_enqueue_batch(&mut self, now: SimTime, pkts: &[Packet]) -> Result<(), SchedError> {
             self.pumps += 1;
-            self.queued.extend(std::iter::from_fn(|| self.cons.pop()));
-            Ok(())
+            self.inner.try_enqueue_batch(now, pkts)
         }
-
-        fn drain_into(
-            &mut self,
-            _now: SimTime,
-            max: usize,
-            out: &mut Vec<Packet>,
-        ) -> Result<usize, LinkError> {
-            let n = max.min(self.queued.len());
-            out.extend(self.queued.drain(..n));
-            Ok(n)
+        fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
+            self.inner.dequeue(now)
         }
-
-        fn force_remove(&mut self, flow: FlowId) -> Result<usize, LinkError> {
-            self.queued.extend(std::iter::from_fn(|| self.cons.pop()));
-            let before = self.queued.len();
-            self.queued.retain(|p| p.flow != flow);
-            Ok(before - self.queued.len())
+        fn is_empty(&self) -> bool {
+            self.inner.is_empty()
         }
-
-        fn drop_head(&mut self, _flow: FlowId) -> Result<Option<Packet>, LinkError> {
-            Ok(None)
+        fn len(&self) -> usize {
+            self.inner.len()
         }
-
         fn backlog(&self, flow: FlowId) -> usize {
-            self.queued.iter().filter(|p| p.flow == flow).count()
+            self.inner.backlog(flow)
         }
-
-        fn attach_telemetry(&mut self, _sink: TelemetrySink) {}
+        fn force_remove_flow(&mut self, flow: FlowId) -> usize {
+            self.inner.force_remove_flow(flow)
+        }
+        fn name(&self) -> &'static str {
+            "COUNTING"
+        }
     }
 
-    /// The coordinator calls a link's `pump` only when it pushed to
-    /// that shard since its last pump — whichever link it is, since the
-    /// coordinator is `pump`'s only caller — and a pump it does make
-    /// moves everything pushed before it.
+    impl ShardSched for Counting {
+        fn enable_rebasing(&mut self, bits: u32) {
+            self.inner.enable_rebasing(bits)
+        }
+        fn attach_telemetry(&mut self, sink: TelemetrySink) {
+            self.inner.attach_telemetry(sink)
+        }
+    }
+
+    /// The engine pumps a shard only when it pushed to that shard since
+    /// its last pump, and a pump it does make moves everything pushed
+    /// before it.
     #[test]
     fn a_pump_visits_only_the_shards_pushed_to_since_the_last_one() {
-        let cfg = EngineConfig::new(4);
-        let mut eng = Engine::assemble(cfg, |_| {
-            let (prod, cons) = spsc(cfg.validated().ring_capacity);
-            let link = Tally {
-                cons,
-                queued: Vec::new(),
-                pumps: 0,
-            };
-            (link, prod)
-        });
-        let pumps = |eng: &Engine<Tally>| -> Vec<usize> {
-            eng.shards.iter().map(|s| s.link.pumps).collect()
+        let mut eng = Engine::from_factory(EngineConfig::new(4), |_| Counting::default());
+        let pumps = |eng: &Engine<Counting>| -> Vec<usize> {
+            eng.shards.iter().map(|s| s.sched.pumps).collect()
         };
         let flows: Vec<FlowId> = (0..16).map(FlowId).collect();
         for &f in &flows {
@@ -758,7 +586,7 @@ mod tests {
         let mut pf = PacketFactory::new();
         let mut make = |f: FlowId| pf.make(f, Bytes::new(100), t0);
 
-        // Nothing pushed: no link is called, by `pump` or by the pump
+        // Nothing pushed: no shard is visited, by `pump` or by the pump
         // inside `drain`.
         eng.pump(t0).unwrap();
         let mut out = Vec::new();
@@ -773,7 +601,7 @@ mod tests {
         let mut want = [0; 4];
         want[home] = 1;
         assert_eq!(pumps(&eng), want);
-        assert_eq!(eng.shards[home].link.queued.len(), 1);
+        assert_eq!(eng.shards[home].sched.len(), 1);
 
         // The facade pumps on every enqueue and again in every
         // dequeue: one visit per packet, not two per shard.
@@ -789,11 +617,51 @@ mod tests {
         // count stale-high: the next pump pays one empty visit.
         eng.try_ingest(make(flows[1])).unwrap();
         let home = eng.shard_of(flows[1]);
-        let before = eng.shards[home].link.pumps;
+        let before = eng.shards[home].sched.pumps;
         assert_eq!(eng.force_remove_flow(flows[1]), 1);
         eng.pump(t0).unwrap();
         eng.pump(t0).unwrap();
-        assert_eq!(eng.shards[home].link.pumps, before + 1);
+        assert_eq!(eng.shards[home].sched.pumps, before + 1);
         assert!(eng.is_empty());
+    }
+
+    /// The poisoned-shard path keeps the page's books closed: a pump
+    /// whose batch is refused half-way has queued — and booked — the
+    /// packets before the refusal, and nothing after it.
+    #[test]
+    fn a_poisoned_pump_books_what_it_queued() {
+        let mut shard = Shard::new(&EngineConfig::new(1), SfqFast::new());
+        let sink = TelemetrySink::new();
+        shard.sched.attach_telemetry(sink.clone());
+        shard.sched.try_add_flow(FlowId(1), Rate::kbps(64)).unwrap();
+        // At 1 bit/s a 1 TiB packet spans past the u64 tag grid.
+        shard.sched.try_add_flow(FlowId(2), Rate::bps(1)).unwrap();
+        let t0 = SimTime::ZERO;
+        let mut fac = PacketFactory::new();
+        let mut pkts: Vec<Packet> = (0..9)
+            .map(|_| fac.make(FlowId(1), Bytes::new(500), t0))
+            .collect();
+        pkts.insert(5, fac.make(FlowId(2), Bytes::new(1 << 40), t0));
+        for p in pkts {
+            shard.push(p);
+        }
+        let mut scratch = Vec::new();
+        assert_eq!(shard.pump(t0, &mut scratch), Err(SchedError::TagOverflow));
+        shard.push(fac.make(FlowId(1), Bytes::new(500), t0));
+        assert_eq!(shard.pump(t0, &mut scratch), Ok(()));
+        assert!(
+            shard.cons.pop().is_none(),
+            "a poisoned shard still consumes its ring"
+        );
+
+        let snap = sink.snapshot(1).expect("no writer running");
+        assert_eq!(snap.enqueues, 5);
+        assert_eq!(snap.enqueues, shard.sched.len() as u64);
+        assert_eq!(snap.resident(), 5);
+        // What `conformance::telemetry::check_self_consistency` asks of
+        // the folded pages.
+        assert_eq!(snap.backlog_hist.iter().sum::<u64>(), snap.enqueues);
+        assert_eq!(snap.delay_hist.iter().sum::<u64>(), snap.dequeues);
+        assert_eq!(snap.class_bytes.iter().sum::<u64>(), snap.deq_bytes);
     }
 }

@@ -7,14 +7,9 @@
 //! hot path. Capacity is fixed at construction; a full ring refuses
 //! the push (backpressure) rather than overwriting.
 //!
-//! The same ring backs both engine drivers. [`SyncEngine`] keeps both
-//! endpoints on one thread (the ring is then just a FIFO with exact
-//! lengths); [`ThreadedEngine`] moves the consumer into the shard
-//! worker and bounds every consume by an explicit element count so the
-//! worker never races ahead of the coordinator's view.
-//!
-//! [`SyncEngine`]: crate::SyncEngine
-//! [`ThreadedEngine`]: crate::ThreadedEngine
+//! Inside [`Engine`](crate::Engine) both endpoints live on one thread
+//! and the ring is just a FIFO with exact lengths; the endpoints are
+//! `Send`, and the module's tests run them on two threads.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;

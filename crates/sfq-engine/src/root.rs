@@ -14,8 +14,7 @@
 //! are split: [`RootSfq::pick`] chooses the shard, [`RootSfq::charge`]
 //! stamps and bills the actual bits pulled. Between the two calls the
 //! root state is untouched, which keeps the pick/charge sequence a pure
-//! function of the drained bit counts — the property the threaded
-//! driver's determinism proof leans on.
+//! function of the drained bit counts.
 //!
 //! All state is a handful of scalars per shard, so rebasing (shifting
 //! every tag down by `⌊v⌋` once magnitudes grow) is trivial here and
@@ -33,9 +32,6 @@
 //! module's tests keep that arithmetic as the oracle).
 //!
 //! [`EngineConfig::rebase_bits`]: crate::EngineConfig::rebase_bits
-
-// Panic-free outside tests, like `sfq-core` (docs/robustness.md).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use sfq_core::SchedError;
 use simtime::{Rate, Ratio, Unreduced};
@@ -359,7 +355,7 @@ mod tests {
         }
     }
 
-    /// One step of a root's life, as the engine coordinator drives it.
+    /// One step of a root's life, as the engine drives it.
     #[derive(Clone, Debug)]
     enum Op {
         /// `pick` among the masked shards, optionally move a weight

@@ -1,95 +1,62 @@
-//! The coordinator's contract, as one table: every generic check below
-//! is stamped out over the four engines — `Inline<Sfq>`,
-//! `Inline<SfqFast>`, `Worker` over `Sfq`, `Worker` over `SfqFast` —
-//! because `Engine<L>` is one implementation and must behave as one
-//! whatever link or shard scheduler it runs over. The five hand-rolled
-//! smoke tests at the bottom predate the table. The heavy differential
-//! coverage (seeded scenarios, proptest interleavings) lives in the
-//! workspace-level `tests/engine_interleaving.rs` and the conformance
-//! `engine` preset; supervision in `supervisor.rs` and
-//! `telemetry_recovery.rs`.
+//! The engine's contract, as one table: every generic check below is
+//! stamped out over the two shipped shard schedulers — `Sfq` and
+//! `SfqFast` — because `Engine<S>` is one implementation and must
+//! behave as one whatever leaf discipline it runs over. The hand-rolled
+//! smoke tests at the bottom predate the table. The heavy coverage
+//! (seeded scenarios against a bare `Sfq`, proptest op interleavings)
+//! lives in the workspace-level `tests/engine_interleaving.rs` and the
+//! conformance `engine` preset.
 
 use sfq_core::{
     FlowId, Packet, PacketFactory, ReconfigCmd, ScfqFast, SchedError, Scheduler, Sfq, SfqFast,
 };
-use sfq_engine::{
-    shard_of, Engine, EngineConfig, Inline, ShardLink, ShardSched, SyncEngine, ThreadedEngine,
-    Worker,
-};
+use sfq_engine::{shard_of, Engine, EngineConfig, ShardSched, SyncEngine};
 use simtime::{Bytes, Rate, SimTime};
 
 const T0: SimTime = SimTime::ZERO;
 
-/// One row of the table: a link type and how to build an engine over
-/// it, plus the in-place engine over the same shard scheduler that
-/// serves as its oracle.
+/// One row of the table: a shard scheduler and how to build an engine
+/// over it.
 trait Kind {
-    type Link: ShardLink;
-    type Sched: ShardSched + Default;
-    fn engine(cfg: EngineConfig) -> Engine<Self::Link>;
-    fn oracle(cfg: EngineConfig) -> SyncEngine<Self::Sched> {
-        SyncEngine::from_factory(cfg, |_| Self::Sched::default())
-    }
+    type Sched: ShardSched;
+    fn engine(cfg: EngineConfig) -> Engine<Self::Sched>;
 }
 
-struct InlineSfq;
-struct InlineFast;
-struct WorkerSfq;
-struct WorkerFast;
+struct OverSfq;
+struct OverFast;
 
-impl Kind for InlineSfq {
-    type Link = Inline<Sfq>;
+impl Kind for OverSfq {
     type Sched = Sfq;
     fn engine(cfg: EngineConfig) -> SyncEngine {
         SyncEngine::new(cfg)
     }
 }
-impl Kind for InlineFast {
-    type Link = Inline<SfqFast>;
+impl Kind for OverFast {
     type Sched = SfqFast;
     fn engine(cfg: EngineConfig) -> SyncEngine<SfqFast> {
         SyncEngine::new_fast(cfg)
     }
 }
-impl Kind for WorkerSfq {
-    type Link = Worker;
-    type Sched = Sfq;
-    fn engine(cfg: EngineConfig) -> ThreadedEngine {
-        ThreadedEngine::new(cfg)
-    }
-}
-impl Kind for WorkerFast {
-    type Link = Worker;
-    type Sched = SfqFast;
-    fn engine(cfg: EngineConfig) -> ThreadedEngine {
-        ThreadedEngine::new_fast(cfg)
-    }
-}
 
-/// Stamp each generic check `fn name<K: Kind>()` out over the four rows.
-macro_rules! on_all_four {
+/// Stamp each generic check `fn name<K: Kind>()` out over the two rows.
+macro_rules! on_both {
     ($($name:ident),+ $(,)?) => {$(
         mod $name {
             use super::*;
             #[test]
-            fn inline_sfq() { super::$name::<InlineSfq>() }
+            fn sfq() { super::$name::<OverSfq>() }
             #[test]
-            fn inline_sfq_fast() { super::$name::<InlineFast>() }
-            #[test]
-            fn worker_sfq() { super::$name::<WorkerSfq>() }
-            #[test]
-            fn worker_sfq_fast() { super::$name::<WorkerFast>() }
+            fn sfq_fast() { super::$name::<OverFast>() }
         }
     )+};
 }
 
-on_all_four!(
+on_both!(
     refusals_are_strict_no_ops,
     buffer_full_fires_exactly_at_ring_capacity,
     re_registration_reweighs_the_root,
     reconfig_commands_reach_the_right_place,
     facade_counts_are_exact,
-    fixed_sequence_departs_like_the_in_place_oracle,
     forced_removal_folds_ring_residue,
 );
 
@@ -115,7 +82,7 @@ fn fixed_packets(fac: &mut PacketFactory) -> Vec<Packet> {
 
 /// Register the 16 fixed flows, ingest `pkts`, and drain in uneven
 /// chunks so batch boundaries get exercised; returns the uid order.
-fn run_fixed<L: ShardLink>(eng: &mut Engine<L>, pkts: &[Packet]) -> Vec<u64> {
+fn run_fixed<S: ShardSched>(eng: &mut Engine<S>, pkts: &[Packet]) -> Vec<u64> {
     for id in 0..16u32 {
         eng.try_add_flow(FlowId(id), weight(id)).unwrap();
     }
@@ -131,7 +98,7 @@ fn run_fixed<L: ShardLink>(eng: &mut Engine<L>, pkts: &[Packet]) -> Vec<u64> {
 }
 
 /// Drain everything; returns the uid order.
-fn drain_all<L: ShardLink>(eng: &mut Engine<L>) -> Vec<u64> {
+fn drain_all<S: ShardSched>(eng: &mut Engine<S>) -> Vec<u64> {
     let mut out = Vec::new();
     while eng.pending() > 0 {
         assert!(eng.drain(T0, 64, &mut out).unwrap() > 0, "engine stalled");
@@ -145,7 +112,7 @@ fn two_flows_on(shard: usize, shards: usize) -> (FlowId, FlowId) {
     (on.next().unwrap(), on.next().unwrap())
 }
 
-fn root_weights<L: ShardLink>(eng: &Engine<L>) -> Vec<u64> {
+fn root_weights<S: ShardSched>(eng: &Engine<S>) -> Vec<u64> {
     (0..eng.shards())
         .map(|s| eng.root().weight_bps(s))
         .collect()
@@ -216,7 +183,7 @@ fn buffer_full_fires_exactly_at_ring_capacity<K: Kind>() {
     let mut fac = PacketFactory::new();
     let f = FlowId(1);
     eng.try_add_flow(f, Rate::kbps(64)).unwrap();
-    let mut offer = |eng: &mut Engine<K::Link>| eng.try_ingest(fac.make(f, Bytes::new(100), T0));
+    let mut offer = |eng: &mut Engine<K::Sched>| eng.try_ingest(fac.make(f, Bytes::new(100), T0));
     for _ in 0..8 {
         assert_eq!(offer(&mut eng), Ok(()));
     }
@@ -291,7 +258,7 @@ fn reconfig_commands_reach_the_right_place<K: Kind>() {
 fn facade_counts_are_exact<K: Kind>() {
     let mut eng = K::engine(mk_cfg());
     let mut fac = PacketFactory::new();
-    assert_eq!(eng.name(), <K::Link as ShardLink>::NAME);
+    assert_eq!(eng.name(), "SFQ-ENGINE");
     let flows = [FlowId(7), FlowId(9), FlowId(12)];
     for (i, &f) in flows.iter().enumerate() {
         eng.add_flow(f, Rate::kbps(64 << i));
@@ -323,15 +290,6 @@ fn facade_counts_are_exact<K: Kind>() {
     assert!(Scheduler::is_empty(&eng));
 }
 
-/// The fixed sequence departs in exactly the order the in-place engine
-/// over the same shard scheduler produces.
-fn fixed_sequence_departs_like_the_in_place_oracle<K: Kind>() {
-    let pkts = fixed_packets(&mut PacketFactory::new());
-    let got = run_fixed(&mut K::engine(mk_cfg()), &pkts);
-    assert_eq!(got.len(), pkts.len());
-    assert_eq!(got, run_fixed(&mut K::oracle(mk_cfg()), &pkts));
-}
-
 /// Regression: removing a flow with un-pumped ring residue folds the
 /// ring first. The parent of PR 15 lost the *other* flow's two packets
 /// here on the in-place engine (`pump -> Err(UnknownFlow)`, then an
@@ -361,29 +319,21 @@ fn forced_removal_folds_ring_residue<K: Kind>() {
     assert_eq!((run(false), run(true)), (1, 1));
 }
 
+/// The fixed sequence drains completely over both shipped shard
+/// schedulers, every packet exactly once. (The smoke weights are
+/// multiples of 64 kbps but not powers of two, so this also runs the
+/// quantized-tag path of `SfqFast`, where fast and exact may
+/// legitimately order differently.)
 #[test]
-fn threaded_matches_sync_on_fixed_sequence() {
+fn fixed_sequence_drains_completely() {
     let pkts = fixed_packets(&mut PacketFactory::new());
-    let a = run_fixed(&mut SyncEngine::new(mk_cfg()), &pkts);
-    let b = run_fixed(&mut ThreadedEngine::new(mk_cfg()), &pkts);
-    assert_eq!(a.len(), pkts.len());
-    assert_eq!(a, b);
-}
-
-/// The fixed-point shard path under both drivers: `new_fast` sync and
-/// threaded engines agree with each other packet for packet, and —
-/// because the smoke weights are all multiples of 64 kbps but *not*
-/// powers of two — this also exercises the quantized-tag path where
-/// fast and exact may legitimately disagree, so we diff fast-vs-fast,
-/// not fast-vs-exact (that proof lives in the conformance `fast`
-/// preset on quantization-safe workloads).
-#[test]
-fn fast_threaded_matches_fast_sync_on_fixed_sequence() {
-    let pkts = fixed_packets(&mut PacketFactory::new());
-    let a = run_fixed(&mut SyncEngine::new_fast(mk_cfg()), &pkts);
-    let b = run_fixed(&mut ThreadedEngine::new_fast(mk_cfg()), &pkts);
-    assert_eq!(a.len(), pkts.len());
-    assert_eq!(a, b);
+    let exact = run_fixed(&mut SyncEngine::new(mk_cfg()), &pkts);
+    let fast = run_fixed(&mut SyncEngine::new_fast(mk_cfg()), &pkts);
+    for mut got in [exact, fast] {
+        assert_eq!(got.len(), pkts.len());
+        got.sort_unstable();
+        assert!(got.iter().zip(&pkts).all(|(uid, p)| *uid == p.uid));
+    }
 }
 
 /// `from_factory` accepts any `ShardSched` — here a per-shard mix is
@@ -409,26 +359,18 @@ fn from_factory_builds_scfq_fast_shards() {
 }
 
 #[test]
-fn backpressure_is_deterministic_and_identical() {
-    let cfg = EngineConfig::new(2).ring_capacity(8);
-    let mut sync = SyncEngine::new(cfg);
-    let mut thr = ThreadedEngine::new(cfg);
+fn backpressure_is_deterministic() {
+    let mut eng = SyncEngine::new(EngineConfig::new(2).ring_capacity(8));
     let mut fac = PacketFactory::new();
-    sync.try_add_flow(FlowId(1), Rate::kbps(64)).unwrap();
-    thr.try_add_flow(FlowId(1), Rate::kbps(64)).unwrap();
-    let mut refusals = (0, 0);
-    for _ in 0..20 {
-        let p = fac.make(FlowId(1), Bytes::new(100), T0);
-        if sync.try_ingest(p).is_err() {
-            refusals.0 += 1;
-        }
-        if thr.try_ingest(p).is_err() {
-            refusals.1 += 1;
-        }
-    }
-    // One flow -> one shard -> capacity 8: exactly 12 refusals each,
-    // regardless of worker progress.
-    assert_eq!(refusals, (12, 12));
+    eng.try_add_flow(FlowId(1), Rate::kbps(64)).unwrap();
+    let refusals = (0..20)
+        .filter(|_| {
+            eng.try_ingest(fac.make(FlowId(1), Bytes::new(100), T0))
+                .is_err()
+        })
+        .count();
+    // One flow -> one shard -> capacity 8: exactly 12 refusals.
+    assert_eq!(refusals, 12);
 }
 
 #[test]
@@ -500,39 +442,28 @@ impl ShardSched for Overflowing {
     }
 }
 
-/// The one enqueue-error rule (`ShardLink` docs): the error poisons its
-/// shard and every drain that picks that shard reports it, on both
-/// links; the in-place link also returns it from the pump that hit it.
+/// The one enqueue-error rule (`engine.rs` module docs): the error
+/// poisons its shard, the pump that hit it returns it, and every drain
+/// that picks that shard reports it again.
 #[test]
-fn enqueue_error_poisons_its_shard_on_both_links() {
-    fn check<L: ShardLink>(mut eng: Engine<L>, pump_reports: bool) {
-        let mut fac = PacketFactory::new();
-        let (bad, _) = two_flows_on(0, 2);
-        let (good, _) = two_flows_on(1, 2);
-        eng.try_add_flow(bad, Rate::kbps(64)).unwrap();
-        eng.try_add_flow(good, Rate::kbps(64)).unwrap();
-        eng.try_ingest(fac.make(good, Bytes::new(100), T0)).unwrap();
-        eng.pump(T0).unwrap();
-        eng.try_ingest(fac.make(bad, Bytes::new(POISON_LEN), T0))
-            .unwrap();
-        let hit = eng.pump(T0);
-        assert_eq!(hit.is_err(), pump_reports);
-        assert_eq!(eng.pump(T0), Ok(()), "reported at most once by pump");
-        let mut out = Vec::new();
-        // Both shards are backlogged and tie at the root, so shard 0 is
-        // picked first: the drain reports the poison, every time.
-        for _ in 0..2 {
-            assert_eq!(eng.drain(T0, 8, &mut out), Err(SchedError::TagOverflow));
-        }
-        assert!(out.is_empty());
+fn enqueue_error_poisons_its_shard() {
+    let mut eng = SyncEngine::from_factory(EngineConfig::new(2), |_| Overflowing::default());
+    let mut fac = PacketFactory::new();
+    let (bad, _) = two_flows_on(0, 2);
+    let (good, _) = two_flows_on(1, 2);
+    eng.try_add_flow(bad, Rate::kbps(64)).unwrap();
+    eng.try_add_flow(good, Rate::kbps(64)).unwrap();
+    eng.try_ingest(fac.make(good, Bytes::new(100), T0)).unwrap();
+    eng.pump(T0).unwrap();
+    eng.try_ingest(fac.make(bad, Bytes::new(POISON_LEN), T0))
+        .unwrap();
+    assert_eq!(eng.pump(T0), Err(SchedError::TagOverflow));
+    assert_eq!(eng.pump(T0), Ok(()), "reported at most once by pump");
+    let mut out = Vec::new();
+    // Both shards are backlogged and tie at the root, so shard 0 is
+    // picked first: the drain reports the poison, every time.
+    for _ in 0..2 {
+        assert_eq!(eng.drain(T0, 8, &mut out), Err(SchedError::TagOverflow));
     }
-    let cfg = EngineConfig::new(2);
-    check(
-        SyncEngine::from_factory(cfg, |_| Overflowing::default()),
-        true,
-    );
-    check(
-        ThreadedEngine::from_factory(cfg, |_| Overflowing::default()),
-        false,
-    );
+    assert!(out.is_empty());
 }

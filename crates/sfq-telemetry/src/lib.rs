@@ -6,7 +6,7 @@
 //! exact-rational tag conversions its events carry are precisely the
 //! cost the fixed-point fast path exists to avoid. This crate follows
 //! router practice instead (the R2-style counters design): each shard
-//! thread owns a [`StatPage`] of counters it updates with **plain
+//! owns a [`StatPage`] of counters its thread updates with **plain
 //! relaxed stores** — single writer, no read-modify-write, no lock
 //! prefix on the hot path — and a control-plane [`Aggregator`] folds
 //! the pages into engine totals from another thread, using a
@@ -14,10 +14,9 @@
 //!
 //! ## Coherence contract
 //!
-//! Counters are monotone within a page generation, and the whole page
-//! has exactly one writer at a time (ownership moves with the shard's
-//! worker thread; the thread-spawn/join edges order the handoff). A
-//! snapshot taken at a quiescent point — no writer mid-update — is
+//! Counters are monotone, and the whole page has exactly one writer
+//! (the thread driving the engine the page belongs to). A snapshot
+//! taken at a quiescent point — no writer mid-update — is
 //! exact, which is what the differential stats oracle in the
 //! conformance `telemetry` preset proves against the
 //! `CountingObserver`/conservation-ledger ground truth. A snapshot
@@ -26,9 +25,8 @@
 //! workload the retry terminates because the writer performs finitely
 //! many epoch bumps.
 //!
-//! See `docs/telemetry.md` for the page layout, the snapshot protocol,
-//! and the generation rule that keeps supervisor recovery from double
-//! counting.
+//! See `docs/telemetry.md` for the page layout and the snapshot
+//! protocol.
 
 #![warn(missing_docs)]
 
@@ -65,17 +63,14 @@ pub enum RefuseCause {
     BufferFull,
     /// The flow was not registered.
     UnknownFlow,
-    /// The flow's shard is down (degraded engine).
-    ShardDown,
     /// Any other refusal.
     Other,
 }
 
 /// Refusal causes, in slot order.
-pub const REFUSE_CAUSES: [RefuseCause; 4] = [
+pub const REFUSE_CAUSES: [RefuseCause; 3] = [
     RefuseCause::BufferFull,
     RefuseCause::UnknownFlow,
-    RefuseCause::ShardDown,
     RefuseCause::Other,
 ];
 
@@ -84,8 +79,7 @@ impl RefuseCause {
         match self {
             RefuseCause::BufferFull => 0,
             RefuseCause::UnknownFlow => 1,
-            RefuseCause::ShardDown => 2,
-            RefuseCause::Other => 3,
+            RefuseCause::Other => 2,
         }
     }
 }
@@ -105,15 +99,13 @@ const HEAD_DROPS: usize = 4;
 const FORCE_DROPS: usize = 5;
 const FORCE_REMOVALS: usize = 6;
 const OFFERED: usize = 7;
-const RECOVERY_DROPS: usize = 8;
-const RECOVERED: usize = 9;
-const REFUSED: usize = 10; // ..+4
-const CLASS_BYTES: usize = REFUSED + 4; // ..+FLOW_CLASSES
+const REFUSED: usize = 8; // ..+REFUSE_CAUSES.len()
+const CLASS_BYTES: usize = REFUSED + REFUSE_CAUSES.len(); // ..+FLOW_CLASSES
 const DELAY_HIST: usize = CLASS_BYTES + FLOW_CLASSES; // ..+DELAY_BUCKETS
 const BACKLOG_HIST: usize = DELAY_HIST + DELAY_BUCKETS; // ..+BACKLOG_BUCKETS
 const SLOTS: usize = BACKLOG_HIST + BACKLOG_BUCKETS;
 
-/// One shard's (or the coordinator's) counter page.
+/// One shard's (or the engine's) counter page.
 ///
 /// Cache-line aligned so adjacent pages never share a line; within a
 /// page there is no false sharing to avoid because the page has a
@@ -127,9 +119,6 @@ const SLOTS: usize = BACKLOG_HIST + BACKLOG_BUCKETS;
 pub struct StatPage {
     /// Seqlock epoch: odd while the writer is mid-update.
     seq: AtomicU64,
-    /// Restart generation, bumped by the coordinator when a shard
-    /// worker is rebuilt over this page (see `docs/telemetry.md`).
-    generation: AtomicU64,
     slots: [AtomicU64; SLOTS],
 }
 
@@ -140,11 +129,10 @@ impl Default for StatPage {
 }
 
 impl StatPage {
-    /// Fresh zeroed page at generation 0.
+    /// Fresh zeroed page.
     pub fn new() -> Self {
         StatPage {
             seq: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
             slots: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -245,7 +233,7 @@ impl StatPage {
         self.end(s);
     }
 
-    /// Coordinator-side: a packet was offered to the engine.
+    /// Engine page: a packet was offered to the engine.
     #[inline]
     pub fn record_offered(&self, n: u64) {
         let s = self.begin();
@@ -253,46 +241,12 @@ impl StatPage {
         self.end(s);
     }
 
-    /// Coordinator-side: an arrival was refused, by cause.
+    /// Engine page: an arrival was refused, by cause.
     #[inline]
     pub fn record_refusal(&self, cause: RefuseCause) {
         let s = self.begin();
         self.bump(REFUSED + cause.index(), 1);
         self.end(s);
-    }
-
-    /// Coordinator-side: the supervisor recorded `n` packets lost to a
-    /// dead worker (scheduler-resident state, or parked ring residue).
-    #[inline]
-    pub fn record_recovery_dropped(&self, n: u64) {
-        let s = self.begin();
-        self.bump(RECOVERY_DROPS, n);
-        self.end(s);
-    }
-
-    /// Coordinator-side: `n` ring-residue packets were salvaged and
-    /// re-ingested after a worker death.
-    #[inline]
-    pub fn record_recovered(&self, n: u64) {
-        let s = self.begin();
-        self.bump(RECOVERED, n);
-        self.end(s);
-    }
-
-    /// Bump the restart generation. Coordinator-only, and only while
-    /// the page's worker is provably not running (the supervisor holds
-    /// the joined worker's corpse when it rebuilds) — the page is
-    /// single-writer even across the bump.
-    pub fn bump_generation(&self) {
-        let s = self.begin();
-        let g = self.generation.load(Ordering::Relaxed);
-        self.generation.store(g + 1, Ordering::Relaxed);
-        self.end(s);
-    }
-
-    /// Current restart generation.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
     }
 
     /// The seqlock word: odd while a write section is open, advanced by
@@ -309,7 +263,6 @@ impl StatPage {
         if s1 & 1 == 1 {
             return Err(SnapshotError::Torn { attempts: 1 });
         }
-        let generation = self.generation.load(Ordering::Relaxed);
         let mut raw = [0u64; SLOTS];
         for (i, slot) in self.slots.iter().enumerate() {
             raw[i] = slot.load(Ordering::Relaxed);
@@ -322,7 +275,7 @@ impl StatPage {
         if s1 != s2 {
             return Err(SnapshotError::Torn { attempts: 1 });
         }
-        Ok(PageSnapshot::from_raw(generation, &raw))
+        Ok(PageSnapshot::from_raw(&raw))
     }
 
     /// Snapshot with bounded retry: up to `budget` attempts before
@@ -481,8 +434,6 @@ impl std::error::Error for SnapshotError {}
 /// A consistent copy of one [`StatPage`], plain integers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PageSnapshot {
-    /// Restart generation at snapshot time.
-    pub generation: u64,
     /// Successful scheduler enqueues.
     pub enqueues: u64,
     /// Bytes enqueued.
@@ -497,14 +448,10 @@ pub struct PageSnapshot {
     pub force_drops: u64,
     /// `force_remove_flow` calls that discarded a flow.
     pub force_removals: u64,
-    /// Packets offered to the engine (coordinator page only).
+    /// Packets offered to the engine (engine page only).
     pub offered: u64,
-    /// Packets the supervisor recorded as lost to dead workers.
-    pub recovery_drops: u64,
-    /// Ring-residue packets salvaged and re-ingested after a death.
-    pub recovered: u64,
     /// Refusals by cause, in [`REFUSE_CAUSES`] order.
-    pub refused: [u64; 4],
+    pub refused: [u64; REFUSE_CAUSES.len()],
     /// Bytes served per flow class (`flow mod FLOW_CLASSES`).
     pub class_bytes: [u64; FLOW_CLASSES],
     /// Log2 queueing-delay histogram (nanoseconds).
@@ -516,7 +463,6 @@ pub struct PageSnapshot {
 impl Default for PageSnapshot {
     fn default() -> Self {
         PageSnapshot {
-            generation: 0,
             enqueues: 0,
             enq_bytes: 0,
             dequeues: 0,
@@ -525,9 +471,7 @@ impl Default for PageSnapshot {
             force_drops: 0,
             force_removals: 0,
             offered: 0,
-            recovery_drops: 0,
-            recovered: 0,
-            refused: [0; 4],
+            refused: [0; REFUSE_CAUSES.len()],
             class_bytes: [0; FLOW_CLASSES],
             delay_hist: [0; DELAY_BUCKETS],
             backlog_hist: [0; BACKLOG_BUCKETS],
@@ -536,9 +480,8 @@ impl Default for PageSnapshot {
 }
 
 impl PageSnapshot {
-    fn from_raw(generation: u64, raw: &[u64; SLOTS]) -> Self {
+    fn from_raw(raw: &[u64; SLOTS]) -> Self {
         let mut snap = PageSnapshot {
-            generation,
             enqueues: raw[ENQUEUES],
             enq_bytes: raw[ENQ_BYTES],
             dequeues: raw[DEQUEUES],
@@ -547,11 +490,9 @@ impl PageSnapshot {
             force_drops: raw[FORCE_DROPS],
             force_removals: raw[FORCE_REMOVALS],
             offered: raw[OFFERED],
-            recovery_drops: raw[RECOVERY_DROPS],
-            recovered: raw[RECOVERED],
             ..PageSnapshot::default()
         };
-        snap.refused.copy_from_slice(&raw[REFUSED..REFUSED + 4]);
+        snap.refused.copy_from_slice(&raw[REFUSED..CLASS_BYTES]);
         snap.class_bytes
             .copy_from_slice(&raw[CLASS_BYTES..CLASS_BYTES + FLOW_CLASSES]);
         snap.delay_hist
@@ -567,10 +508,7 @@ impl PageSnapshot {
     }
 
     /// Packets still resident in the scheduler per this page's books:
-    /// `enqueues - dequeues - head_drops - force_drops`. On a page that
-    /// lost a worker mid-backlog this *includes* the lost packets until
-    /// the coordinator's `recovery_drops` are netted against it — see
-    /// the generation rule in `docs/telemetry.md`.
+    /// `enqueues - dequeues - head_drops - force_drops`.
     pub fn resident(&self) -> i128 {
         self.enqueues as i128
             - self.dequeues as i128
@@ -579,9 +517,8 @@ impl PageSnapshot {
     }
 
     /// Fold another page's counters into this one (histograms and
-    /// vectors add element-wise; `generation` takes the max).
+    /// vectors add element-wise).
     pub fn merge(&mut self, other: &PageSnapshot) {
-        self.generation = self.generation.max(other.generation);
         self.enqueues += other.enqueues;
         self.enq_bytes += other.enq_bytes;
         self.dequeues += other.dequeues;
@@ -590,9 +527,7 @@ impl PageSnapshot {
         self.force_drops += other.force_drops;
         self.force_removals += other.force_removals;
         self.offered += other.offered;
-        self.recovery_drops += other.recovery_drops;
-        self.recovered += other.recovered;
-        for i in 0..4 {
+        for i in 0..REFUSE_CAUSES.len() {
             self.refused[i] += other.refused[i];
         }
         for i in 0..FLOW_CLASSES {
@@ -630,8 +565,8 @@ impl PageSnapshot {
 ///
 /// Cloning shares the page; the single-writer discipline is the
 /// *caller's* contract — exactly one thread calls the record methods at
-/// a time (scheduler shards satisfy it by construction: a shard's
-/// scheduler lives on one worker thread).
+/// a time (scheduler shards satisfy it by construction: an engine and
+/// all its shards are driven by one thread).
 #[derive(Clone, Debug)]
 pub struct TelemetrySink {
     page: Arc<StatPage>,
@@ -669,10 +604,10 @@ impl std::ops::Deref for TelemetrySink {
     }
 }
 
-/// The coordinator-allocated page set of one engine: one engine-level
-/// page (offered / refusals / recovery accounting, written by the
-/// coordinator thread) plus one page per shard (written by the shard's
-/// worker). Shared with the off-thread [`Aggregator`] through an `Arc`.
+/// The page set of one engine: one engine-level page (offered /
+/// refusals, written at ingest) plus one page per shard (written by
+/// the shard's scheduler). Shared with the off-thread [`Aggregator`]
+/// through an `Arc`.
 #[derive(Debug)]
 pub struct TelemetryHub {
     engine: TelemetrySink,
@@ -688,7 +623,7 @@ impl TelemetryHub {
         })
     }
 
-    /// The coordinator's engine-level sink.
+    /// The engine-level sink.
     pub fn engine(&self) -> &TelemetrySink {
         &self.engine
     }
@@ -707,7 +642,7 @@ impl TelemetryHub {
 /// Everything one aggregation pass produced.
 #[derive(Clone, Debug)]
 pub struct EngineSnapshot {
-    /// The coordinator page.
+    /// The engine page.
     pub engine: PageSnapshot,
     /// Every shard page, in shard order.
     pub shards: Vec<PageSnapshot>,
@@ -717,8 +652,8 @@ pub struct EngineSnapshot {
 
 impl EngineSnapshot {
     /// The drained-state conservation identity, as read purely from the
-    /// pages: `offered - (refusals + dequeues + recovery_drops +
-    /// force_drops + head_drops)`. Zero at any quiescent point where
+    /// pages: `offered - (refusals + dequeues + force_drops +
+    /// head_drops)`. Zero at any quiescent point where
     /// the engine has fully drained (`pending() == 0`); the difference
     /// equals the packets still resident in rings + schedulers
     /// otherwise.
@@ -726,14 +661,13 @@ impl EngineSnapshot {
         self.engine.offered as i128
             - (self.engine.refused_total() as i128
                 + self.totals.dequeues as i128
-                + self.engine.recovery_drops as i128
                 + self.totals.force_drops as i128
                 + self.totals.head_drops as i128)
     }
 }
 
 /// Off-thread reader folding a [`TelemetryHub`]'s pages into engine
-/// totals without touching the workers.
+/// totals without touching the engine.
 #[derive(Clone, Debug)]
 pub struct Aggregator {
     hub: Arc<TelemetryHub>,
@@ -821,21 +755,6 @@ mod tests {
         page.end(s);
         let snap = page.try_snapshot().expect("write section closed");
         assert_eq!(snap.enqueues, 1);
-    }
-
-    #[test]
-    fn generation_bump_is_visible_and_keeps_counters() {
-        let sink = TelemetrySink::new();
-        record_enqueue(&sink, 100, 1);
-        assert_eq!(sink.generation(), 0);
-        sink.bump_generation();
-        assert_eq!(sink.generation(), 1);
-        let snap = sink.snapshot(8).unwrap();
-        assert_eq!(snap.generation, 1);
-        assert_eq!(
-            snap.enqueues, 1,
-            "counters are cumulative across generations"
-        );
     }
 
     #[test]

@@ -1,26 +1,25 @@
-//! Seeded-interleaving concurrency conformance: the threaded sharded
-//! engine must be departure-identical to the single-threaded
-//! `SyncEngine` oracle for *any* seeded call schedule, no matter how
-//! the OS interleaves the shard workers. Each proptest case spawns a
-//! fresh `ThreadedEngine` (fresh threads, fresh interleaving) and
-//! replays one `Preset::Engine` scenario differentially; a failure
-//! panics with the full divergence report, which ends in the standard
+//! Seeded call-schedule conformance for the sharded engine: for *any*
+//! seeded interleaving of ingest, pump and drain calls, `SyncEngine`
+//! must depart and refuse as its two oracles say — a hand-driven bare
+//! `Sfq` at one shard, and its own schedule with the pumps moved at the
+//! seeded shard count (`conformance::engine`). A failure panics with
+//! the full report, which ends in the standard
 //! `conformance replay: preset=engine seed=N` line for offline
 //! reproduction via the conformance fuzzer.
 //!
-//! The second proptest drives the same generic replay with the op
-//! alphabet the `engine` preset never generates: forced removals and
-//! head drops issued *with un-pumped ring residue*, re-adding a removed
-//! flow, weight changes between ingest and pump. Both engines are one
-//! coordinator over two links, so the whole trace — departures, every
-//! refusal and its cause, discard counts, `pending()` after every op —
-//! must be equal, and every accepted packet must be accounted for.
+//! The second proptest drives the same replay with the op alphabet the
+//! `engine` preset never generates: forced removals and head drops
+//! issued *with un-pumped ring residue*, re-adding a removed flow,
+//! weight changes between ingest and pump. Pump placement is visible
+//! to those ops, so what must hold is the books: every packet is
+//! refused, departs, is discarded by a removal or is evicted, and each
+//! flow departs in the order it was offered.
 
-use conformance::engine::{diff, no_kills, replay, Op};
+use conformance::engine::{replay, Op};
 use conformance::{run_engine_conformance, Preset, Scenario};
 use proptest::prelude::*;
 use sfq_core::{FlowId, PacketFactory, ReconfigCmd};
-use sfq_engine::{EngineConfig, SyncEngine, ThreadedEngine};
+use sfq_engine::{EngineConfig, SyncEngine};
 use simtime::{Bytes, Rate, SimTime};
 
 const FLOWS: u32 = 6;
@@ -64,7 +63,7 @@ fn act() -> impl Strategy<Value = Act> {
 
 proptest! {
     #[test]
-    fn control_ops_on_ring_residue_are_identical_across_links(
+    fn control_ops_on_ring_residue_keep_the_books(
         shards in 1usize..=3,
         batch in 1usize..=8,
         ring in 4usize..=32,
@@ -91,33 +90,23 @@ proptest! {
             })
             .collect();
         let end = SimTime::from_secs(1);
-        let run = |trace: Result<_, String>| trace.unwrap_or_else(|e| panic!("replay failed: {e}"));
-        let sync = run(replay(
-            &mut SyncEngine::new(cfg), &flows, &packets, &ops, end, &mut no_kills, &mut || Ok(()),
-        ));
-        let thr = run(replay(
-            &mut ThreadedEngine::new(cfg), &flows, &packets, &ops, end, &mut no_kills, &mut || Ok(()),
-        ));
-        if let Err(report) = diff(&sync, &thr) {
-            panic!("threaded engine diverged from the sync oracle: {report}\n  ops: {ops:?}");
+        let mut eng = SyncEngine::new(cfg);
+        let trace = replay(&mut eng, &flows, &packets, &ops, end, &mut || Ok(()))
+            .unwrap_or_else(|e| panic!("replay failed: {e}\n  ops: {ops:?}"));
+        if let Err(report) = trace.check_books(&packets) {
+            panic!("{report}\n  ops: {ops:?}");
         }
-        // Conservation on the oracle (hence on both): every accepted
-        // packet departed, was discarded by a removal, or was evicted.
-        prop_assert_eq!(
-            packets.len() - sync.refused.len(),
-            sync.departures.len() + sync.discarded + sync.evicted.len()
-        );
     }
 }
 
 proptest! {
     #[test]
-    fn threaded_departures_match_the_oracle(seed in 0u64..1_000_000) {
+    fn seeded_schedules_match_the_engine_oracles(seed in 0u64..1_000_000) {
         let sc = Scenario::from_seed(Preset::Engine, seed);
         if let Err(report) = run_engine_conformance(&sc) {
             // The report's last line is the replay line; the panic
             // carries it into the proptest failure output.
-            panic!("threaded engine diverged from the sync oracle:\n{report}");
+            panic!("engine diverged from an oracle:\n{report}");
         }
     }
 }

@@ -49,7 +49,7 @@ proptest! {
 
     /// The full graph conformance bundle — Theorem 6 along every
     /// flow's path, Corollary 1 for the shaped observed flow, per-port
-    /// Theorem 1 under tail-drop, sync-vs-threaded port identity, and
+    /// Theorem 1 under tail-drop, engine-port packet accounting, and
     /// arena book balance — holds over random scenarios.
     #[test]
     fn theorems_hold_over_random_graphs(seed in 0u64..1_000_000) {

@@ -1,7 +1,7 @@
 //! Acceptance scenarios from the forwarding-graph issue: a 4-ingress →
 //! 1-egress incast and a 4×4 port-to-port traffic matrix, run end to
-//! end with pooled packets, on bare SFQ and on both sharded engine
-//! drivers. Also pins the incast-reordering regression at graph level:
+//! end with pooled packets, on bare SFQ and on the sharded engine.
+//! Also pins the incast-reordering regression at graph level:
 //! a flow fanning in from several ingress points is served in *port
 //! arrival* order — never re-sorted, never dropped by the merge.
 
@@ -31,7 +31,6 @@ fn incast_4_to_1_end_to_end() {
         PortKind::Sfq,
         PortKind::SfqFast,
         PortKind::EngineSync(EngineConfig::new(2)),
-        PortKind::EngineThreaded(EngineConfig::new(2)),
     ] {
         let mut g: Graph = spec.build(kind);
         for f in 1..=4u32 {
@@ -83,11 +82,7 @@ fn matrix_4x4_end_to_end() {
         .collect();
     let spec = GraphSpec::matrix(4, ports, routes);
 
-    for kind in [
-        PortKind::Sfq,
-        PortKind::EngineSync(EngineConfig::new(3)),
-        PortKind::EngineThreaded(EngineConfig::new(3)),
-    ] {
+    for kind in [PortKind::Sfq, PortKind::EngineSync(EngineConfig::new(3))] {
         let mut g = spec.build(kind);
         for k in 0..16u32 {
             let ingress = (k / 4) as usize;
@@ -109,18 +104,14 @@ fn matrix_4x4_end_to_end() {
 
 /// Incast-reordering pin: one flow fanning in from two ingress points
 /// with interleaved, non-monotone upstream sequence numbers is served
-/// in exactly its port-arrival (merge) order on every driver.
+/// in exactly its port-arrival (merge) order on every port kind.
 #[test]
 fn incast_merge_preserves_arrival_order() {
     let flows = vec![(FlowId(1), Rate::bps(50_000))];
     let port = PortSpec::new(RateProfile::constant(Rate::bps(50_000)), flows);
     let spec = GraphSpec::incast(2, port);
 
-    for kind in [
-        PortKind::Sfq,
-        PortKind::EngineSync(EngineConfig::new(2)),
-        PortKind::EngineThreaded(EngineConfig::new(2)),
-    ] {
+    for kind in [PortKind::Sfq, PortKind::EngineSync(EngineConfig::new(2))] {
         let mut g = spec.build(kind);
         // Ingress 0 carries the odd milliseconds, ingress 1 the even
         // ones: the port sees a strict time-interleave of two streams.
