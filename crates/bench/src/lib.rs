@@ -31,5 +31,4 @@ pub mod exp_hier;
 pub mod exp_tandem;
 pub mod exp_tiebreak;
 pub mod exp_varrate;
-pub mod meta;
 pub mod report;

@@ -13,6 +13,8 @@
 //! guide's own advice on when not to use an async runtime).
 
 #![warn(missing_docs)]
+// Panic-free outside tests, like `sfq-core` (docs/robustness.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod queue;
 mod rng;

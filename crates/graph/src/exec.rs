@@ -38,9 +38,6 @@
 //! place whenever its arrival event would have been the next one
 //! popped anyway (`docs/graph.md`, "Same-instant event order").
 
-// Panic-free outside tests, like `sfq-core` (docs/robustness.md).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::arena::{ArenaAudit, PktArena};
 use crate::node::{GraphNode, OutPort};
 use crate::nodes::{Classifier, Departure, Policer, TxSink};

@@ -29,6 +29,8 @@
 //! every multi-hop path. See `docs/graph.md`.
 
 #![warn(missing_docs)]
+// Panic-free outside tests, like `sfq-core` (docs/robustness.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod arena;
 mod exec;

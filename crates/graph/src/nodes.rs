@@ -1,9 +1,6 @@
 //! Concrete forwarding nodes: classification, token-bucket policing,
 //! and transmit sinks. Scheduler ports live in [`crate::port`].
 
-// Panic-free outside tests, like `sfq-core` (docs/robustness.md).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::arena::PktArena;
 use crate::node::{GraphNode, OutPort};
 use sfq_core::{FlowId, FlowMap, PktRef, ReturnQueue};

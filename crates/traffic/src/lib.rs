@@ -13,6 +13,8 @@
 //! to nanoseconds, keeping downstream arithmetic exact.
 
 #![warn(missing_docs)]
+// Panic-free outside tests, like `sfq-core` (docs/robustness.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod leaky;
 mod pareto;
