@@ -2,29 +2,27 @@
 //!
 //! Every packet that enters the graph is allocated one slab slot
 //! ([`sfq_core::SlabPool`]) and travels node-to-node as a [`PktRef`]
-//! handle — no per-hop copies. Nodes that kill a packet mid-graph (a
-//! policer, a full port, a churned flow) free the slot synchronously
-//! through [`PktArena::free`]; transmit sinks instead post the handle
-//! to the arena's [`ReturnQueue`] lane, the cross-thread path a real
-//! NIC completion ring would use, and the arena folds those back
-//! lazily. The arena keeps the disposition books — every allocation is
-//! eventually a local free, a lane free, or still in use — and
-//! [`ArenaAudit`] states the balance, which the pool-accounting suite
-//! checks after every graph run.
+//! handle — no per-hop copies. A slot is freed synchronously by
+//! whichever node ends its packet's life: a node that kills it
+//! mid-graph (a policer, a full port, a churned flow) through
+//! [`PktArena::free`], a transmit sink that delivers it through
+//! [`PktArena::free_sink`]. The arena keeps the disposition books —
+//! every allocation is eventually a local free, a sink free, or still
+//! in use — and [`ArenaAudit`] states the balance, which the
+//! pool-accounting suite checks after every graph run.
 
-use sfq_core::{Packet, PktPool, PktRef, ReturnQueue, SlabPool};
-use std::sync::Arc;
+use sfq_core::{Packet, PktPool, PktRef, SlabPool};
 
 /// Slab-backed packet arena shared by every node of one graph.
 pub struct PktArena {
     pool: SlabPool<Packet>,
-    lane: Arc<ReturnQueue>,
     allocated: u64,
     freed_local: u64,
+    freed_sink: u64,
 }
 
 impl PktArena {
-    /// Unbounded arena with an attached return lane.
+    /// Unbounded arena.
     pub fn new() -> Self {
         Self::with_limit(None)
     }
@@ -35,25 +33,16 @@ impl PktArena {
     pub fn with_limit(limit: Option<usize>) -> Self {
         let mut pool = SlabPool::new();
         pool.set_limit(limit);
-        let lane = Arc::new(ReturnQueue::new());
-        pool.attach_return_queue(Arc::clone(&lane));
         PktArena {
             pool,
-            lane,
             allocated: 0,
             freed_local: 0,
+            freed_sink: 0,
         }
     }
 
-    /// The return lane transmit sinks free through. Cloning the `Arc`
-    /// hands a sink its own producer end.
-    pub fn lane(&self) -> Arc<ReturnQueue> {
-        Arc::clone(&self.lane)
-    }
-
     /// Allocate a slot for `pkt`, or `None` when the slot cap is
-    /// reached (after draining any lane returns — the pool does that
-    /// internally under allocation pressure).
+    /// reached.
     pub fn try_alloc(&mut self, pkt: Packet) -> Option<PktRef> {
         let h = self.pool.try_alloc(pkt)?;
         self.allocated += 1;
@@ -67,6 +56,13 @@ impl PktArena {
         self.pool.free(h)
     }
 
+    /// Free the slot of a delivered packet (a transmit sink's free),
+    /// returning the packet that occupied it.
+    pub fn free_sink(&mut self, h: PktRef) -> Packet {
+        self.freed_sink += 1;
+        self.pool.free(h)
+    }
+
     /// Read the packet in slot `h`.
     pub fn get(&self, h: PktRef) -> &Packet {
         self.pool.get(h)
@@ -77,20 +73,12 @@ impl PktArena {
         self.pool.get_mut(h)
     }
 
-    /// Fold lane-posted handles back into the freelist, returning how
-    /// many were folded this call.
-    pub fn fold_returns(&mut self) -> usize {
-        self.pool.drain_returns()
-    }
-
-    /// Snapshot the disposition books. Call [`PktArena::fold_returns`]
-    /// first for an end-of-run audit, so sink-freed handles have left
-    /// `in_use`.
+    /// Snapshot the disposition books.
     pub fn audit(&self) -> ArenaAudit {
         ArenaAudit {
             allocated: self.allocated,
             freed_local: self.freed_local,
-            freed_lane: self.pool.foreign_freed(),
+            freed_sink: self.freed_sink,
             in_use: self.pool.in_use(),
             slots: self.pool.slots(),
             high_water: self.pool.high_water(),
@@ -112,11 +100,9 @@ pub struct ArenaAudit {
     /// Slots freed synchronously by nodes (policer drops, port
     /// refusals/evictions, churn, unrouted packets).
     pub freed_local: u64,
-    /// Slots freed through the return lane (transmit sinks) and since
-    /// folded back.
-    pub freed_lane: u64,
-    /// Slots currently allocated (queued packets plus lane-posted
-    /// handles not yet folded).
+    /// Slots freed by transmit sinks on delivery.
+    pub freed_sink: u64,
+    /// Slots currently allocated (queued or in-flight packets).
     pub in_use: usize,
     /// Total slots the pool ever created.
     pub slots: usize,
@@ -125,12 +111,11 @@ pub struct ArenaAudit {
 }
 
 impl ArenaAudit {
-    /// The balance identity: every allocation is a local free, a lane
-    /// free, or still in use. Holds at *any* instant once lane returns
-    /// are folded; a violation means a node leaked or double-freed a
-    /// slot.
+    /// The balance identity: every allocation is a local free, a sink
+    /// free, or still in use. Holds at *any* instant; a violation means
+    /// a node leaked or double-freed a slot.
     pub fn balanced(&self) -> bool {
-        self.allocated == self.freed_local + self.freed_lane + self.in_use as u64
+        self.allocated == self.freed_local + self.freed_sink + self.in_use as u64
     }
 }
 
@@ -149,30 +134,25 @@ mod tests {
         let b = arena.try_alloc(mk(&mut pf)).unwrap();
         let c = arena.try_alloc(mk(&mut pf)).unwrap();
         arena.free(a);
-        arena.lane().give(b);
-        let audit = arena.audit();
-        // Lane-posted but unfolded: still in use, still balanced.
-        assert_eq!(audit.in_use, 2);
-        assert!(audit.balanced());
-        arena.fold_returns();
+        arena.free_sink(b);
         arena.free(c);
         let audit = arena.audit();
         assert_eq!(audit.in_use, 0);
         assert_eq!(audit.freed_local, 2);
-        assert_eq!(audit.freed_lane, 1);
+        assert_eq!(audit.freed_sink, 1);
         assert!(audit.balanced());
     }
 
     #[test]
-    fn slot_cap_refuses_then_recovers_via_lane() {
+    fn slot_cap_refuses_then_recovers() {
         let mut arena = PktArena::with_limit(Some(1));
         let mut pf = PacketFactory::new();
         let mk = |pf: &mut PacketFactory| pf.make(FlowId(1), Bytes::new(100), SimTime::ZERO);
         let a = arena.try_alloc(mk(&mut pf)).unwrap();
         assert!(arena.try_alloc(mk(&mut pf)).is_none());
-        // A lane return makes the slot allocatable again without
-        // growing the pool: allocation pressure drains the lane.
-        arena.lane().give(a);
+        // A sink free makes the slot allocatable again without growing
+        // the pool.
+        arena.free_sink(a);
         assert!(arena.try_alloc(mk(&mut pf)).is_some());
         assert_eq!(arena.audit().slots, 1);
     }

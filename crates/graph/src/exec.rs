@@ -361,11 +361,11 @@ impl Graph {
     /// exactly one out-wire, every policer has its out-port 0, and
     /// every classifier route (and default) names an existing
     /// out-wire.
-    pub fn with_arena(mut nodes: Vec<NodeKind>, wires: Vec<Vec<Edge>>, arena: PktArena) -> Self {
+    pub fn with_arena(nodes: Vec<NodeKind>, wires: Vec<Vec<Edge>>, arena: PktArena) -> Self {
         assert_eq!(nodes.len(), wires.len(), "one wire vector per node");
         // A node index is a `u32` in the script's origin column.
         assert!(u32::try_from(nodes.len()).is_ok(), "over 2^32 nodes");
-        for (n, (node, out)) in nodes.iter_mut().zip(&wires).enumerate() {
+        for (n, (node, out)) in nodes.iter().zip(&wires).enumerate() {
             if let Some(e) = out.iter().find(|e| e.to >= wires.len()) {
                 panic!("node {n}: wire to missing node {}", e.to);
             }
@@ -379,9 +379,7 @@ impl Graph {
                         panic!("classifier {n} routes to unwired out-port {p}");
                     }
                 }
-                // Every sink must free into *this* graph's arena lane,
-                // whatever lane it was constructed with.
-                NodeKind::Sink(s) => s.set_lane(arena.lane()),
+                NodeKind::Sink(_) => {}
             }
         }
         Graph {
@@ -544,7 +542,6 @@ impl Graph {
                 (None, None) => break,
             }
         }
-        self.arena.fold_returns();
         self.build_report(churn_discarded)
     }
 
@@ -1024,7 +1021,6 @@ mod tests {
                     ev => self.on_event(now, ev, &mut q, &mut churn_discarded),
                 }
             }
-            self.arena.fold_returns();
             self.build_report(churn_discarded)
         }
     }

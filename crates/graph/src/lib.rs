@@ -8,8 +8,8 @@
 //! including the sharded `sfq-engine`), and transmit sinks
 //! ([`TxSink`]) — executed run-to-completion per ingress batch by the
 //! deterministic [`Graph`] executor, with pooled packets
-//! ([`PktArena`]: slab slots plus a cross-thread `ReturnQueue` lane)
-//! handed node-to-node without copies.
+//! ([`PktArena`]: slab slots, each freed in place by the node that
+//! ends its packet) handed node-to-node without copies.
 //!
 //! Every topology of the reproduction is a [`GraphSpec`]: the paper's
 //! Figure 1 bottleneck (strict-priority VBR via

@@ -3,9 +3,8 @@
 
 use crate::arena::PktArena;
 use crate::node::{GraphNode, OutPort};
-use sfq_core::{FlowId, FlowMap, PktRef, ReturnQueue};
+use sfq_core::{FlowId, FlowMap, PktRef};
 use simtime::{Bytes, Rate, SimTime, Unreduced};
-use std::sync::Arc;
 
 /// Flow-id → out-port classification (the paper's per-flow path
 /// binding). Packets of unrouted flows with no default route are
@@ -231,22 +230,17 @@ pub struct Departure {
     pub at: SimTime,
 }
 
-/// Terminal transmit sink: records the departure and frees the slot
-/// through the arena's cross-thread [`ReturnQueue`] lane — the path a
-/// NIC completion ring would use — rather than a synchronous free, so
-/// graph runs exercise the pool's foreign-free accounting end to end.
+/// Terminal transmit sink: records the departure and frees the slot in
+/// place, booked as a sink free ([`PktArena::free_sink`]).
+#[derive(Default)]
 pub struct TxSink {
-    lane: Arc<ReturnQueue>,
     departures: Vec<Departure>,
 }
 
 impl TxSink {
-    /// Sink freeing into `lane` (use [`PktArena::lane`]).
-    pub fn new(lane: Arc<ReturnQueue>) -> Self {
-        TxSink {
-            lane,
-            departures: Vec::new(),
-        }
+    /// Sink with an empty departure log.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Everything transmitted so far, in service order.
@@ -258,13 +252,6 @@ impl TxSink {
     /// report takes it when the run ends.
     pub(crate) fn take_departures(&mut self) -> Vec<Departure> {
         std::mem::take(&mut self.departures)
-    }
-
-    /// Re-point the sink at another return lane. The executor calls
-    /// this at graph construction so every sink frees into the graph
-    /// arena's lane, whatever placeholder it was built with.
-    pub(crate) fn set_lane(&mut self, lane: Arc<ReturnQueue>) {
-        self.lane = lane;
     }
 }
 
@@ -284,7 +271,7 @@ impl GraphNode for TxSink {
                 len: pkt.len,
                 at: now,
             });
-            self.lane.give(h);
+            arena.free_sink(h);
         }
     }
 

@@ -28,7 +28,30 @@ use sfq_core::{FlowId, PktRef, ReconfigCmd, SchedError, Scheduler, TelemetrySink
 use simtime::{Bytes, Rate, SimTime};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
+
+/// Hasher of the uid side table: one multiply by the 64-bit golden
+/// ratio. Uids are minted by the graph, so nothing outside it picks the
+/// keys and SipHash's flooding resistance buys nothing.
+#[derive(Default)]
+struct UidHasher(u64);
+
+impl Hasher for UidHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_u64(bytes.iter().fold(self.0, |h, &b| h << 8 | b as u64));
+    }
+
+    fn write_u64(&mut self, uid: u64) {
+        self.0 = uid.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type UidMap = HashMap<u64, (FlowId, PktRef), BuildHasherDefault<UidHasher>>;
 
 /// Drop-observer sink capturing the uids the switch sheds (refusals
 /// *and* evictions both fire it), so the port can free the matching
@@ -55,7 +78,7 @@ fn restamp(arena: &mut PktArena, h: PktRef, now: SimTime) -> sfq_core::Packet {
 /// A scheduler port of the forwarding graph. See the module docs.
 pub struct PortNode {
     core: SwitchCore,
-    inflight: HashMap<u64, (FlowId, PktRef)>,
+    inflight: UidMap,
     shed: Rc<RefCell<ShedLog>>,
     refused: Vec<u64>,
     evicted: u64,
@@ -82,7 +105,7 @@ impl PortNode {
         core.set_drop_observer(Box::new(Rc::clone(&shed)));
         PortNode {
             core,
-            inflight: HashMap::new(),
+            inflight: UidMap::default(),
             shed,
             refused: Vec::new(),
             evicted: 0,

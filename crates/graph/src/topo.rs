@@ -151,8 +151,6 @@ impl GraphSpec {
     /// conformance layer uses to attach observers.
     pub fn build_with(&self, mk: &mut dyn FnMut(usize) -> Box<dyn Scheduler>) -> Graph {
         let nodes = self.make_nodes(mk);
-        // Sinks get a placeholder lane here; `Graph::with_arena`
-        // re-points them at the graph arena's lane.
         Graph::new(nodes, self.wires.clone())
     }
 
@@ -195,9 +193,7 @@ impl GraphSpec {
                     port.mtu = ps.mtu;
                     NodeKind::Port(Box::new(port))
                 }
-                NodeSpec::Sink => NodeKind::Sink(TxSink::new(std::sync::Arc::new(
-                    sfq_core::ReturnQueue::new(),
-                ))),
+                NodeSpec::Sink => NodeKind::Sink(TxSink::new()),
             })
             .collect()
     }

@@ -140,17 +140,17 @@ const SHARE_PCT: u64 = 60;
 
 #[test]
 fn run_allocates_within_budget_and_amortizes() {
-    // Capacity reservations are not per-packet memory: the arena's and
-    // the engine shards' packet pools each take a first chunk of 8 192
-    // slots (0.6 and 1.4 MB) with the first packet that reaches them,
-    // of which a run touches the few dozen slots its backlog needs.
-    // They cannot be told from tables by size (the arena's chunk is
-    // exactly the parent's journey table at 4 096 packets), so they are
-    // told by what they depend on: a script of one packet per flow
-    // reaches every pool the long scripts do and takes the same
-    // chunks, so what *it* allocates — reservations, maps and scratch
-    // buffers at their first sizes — is subtracted, and the rest is
-    // what scales with the script.
+    // Capacity reservations are not per-packet memory: the arena's
+    // packet pool takes a first chunk of 8 192 slots (0.6 MB) with the
+    // first packet, and the engine shards' pools, told their bound is
+    // under a chunk, grow from empty to what their backlog holds. They
+    // cannot be told from tables by size, so they are told by what they
+    // depend on: a script of one packet per flow reaches every pool the
+    // long scripts do, so what *it* allocates — reservations, maps and
+    // scratch at their first sizes — is subtracted, and the rest is
+    // what scales with the script. That floor is held too: a port
+    // allocates what it holds (≈ 10 MB when every shard took a ring and
+    // a chunk).
     let (n0, a0, b0) = run(1);
     let (n1, a1, b1) = run(128);
     let (n2, a2, b2) = run(256);
@@ -161,6 +161,7 @@ fn run_allocates_within_budget_and_amortizes() {
         per_pkt(n1, b1),
         per_pkt(n2, b2)
     );
+    assert!(b0 < 1_500_000, "{b0} bytes of reservations: over 1.5 MB");
     assert!(
         4 * a1 <= n1,
         "{a1} allocations for {n1} packets: over 0.25 per packet"

@@ -437,7 +437,7 @@ mod mesh {
         // 10 originals + 30 fragments were minted; every fragment's
         // slot was freed at reassembly, every original's at the sink.
         assert_eq!(r.transits.len(), 40);
-        assert_eq!((r.audit.freed_local, r.audit.freed_lane), (30, 10));
+        assert_eq!((r.audit.freed_local, r.audit.freed_sink), (30, 10));
         assert_eq!(r.audit.in_use, 0);
     }
 

@@ -52,6 +52,8 @@ pub struct SwitchCore {
     /// Flows currently under backpressure (cap reached and a packet
     /// shed since the backlog last drained below the cap).
     engaged: FlowMap<()>,
+    /// Scratch of [`SwitchCore::release_drained`], kept across calls.
+    released: Vec<FlowId>,
     busy: bool,
     drops: FlowMap<u64>,
     /// Drop hook: fires for packets the port refuses before the
@@ -81,6 +83,7 @@ impl SwitchCore {
             policy: DropPolicy::TailDrop,
             weights: FlowMap::new(),
             engaged: FlowMap::new(),
+            released: Vec::new(),
             busy: false,
             drops: FlowMap::new(),
             drop_obs: None,
@@ -337,20 +340,22 @@ impl SwitchCore {
         if self.engaged.is_empty() {
             return;
         }
+        let mut released = std::mem::take(&mut self.released);
         let shared_ok = self.shared_cap.is_none_or(|c| self.sched.len() < c);
-        let mut released: Vec<FlowId> = self
-            .engaged
-            .iter()
-            .map(|(f, _)| f)
-            .filter(|&f| shared_ok && self.per_flow_cap.is_none_or(|c| self.sched.backlog(f) < c))
-            .collect();
-        released.sort_by_key(|f| f.0);
-        for flow in released {
+        let drained = |f: &FlowId| self.per_flow_cap.is_none_or(|c| self.sched.backlog(*f) < c);
+        let engaged = self.engaged.iter().map(|(f, _)| f);
+        released.extend(engaged.filter(|f| shared_ok && drained(f)));
+        // Flow ids are unique: the unstable sort is the stable order
+        // and, unlike the stable one, never allocates.
+        released.sort_unstable_by_key(|f| f.0);
+        for &flow in &released {
             self.engaged.remove(flow);
             if let Some(obs) = &mut self.drop_obs {
                 obs.on_backpressure(now, flow, Backpressure::Release);
             }
         }
+        released.clear();
+        self.released = released;
     }
 
     /// If the link is free and a packet is queued, start transmitting:

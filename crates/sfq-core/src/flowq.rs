@@ -265,9 +265,9 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
     }
 
     /// Told to expect up to `packets` queued packets: lets the pooled
-    /// backend allocate its first packet chunk now instead of at the
-    /// first push (see [`SlabPool::preallocate`]). No-op on the owned
-    /// backend.
+    /// backend size its first packet chunk — allocated now for a deep
+    /// backlog, grown from empty for a shallow one (see
+    /// [`SlabPool::preallocate`]). No-op on the owned backend.
     pub fn preallocate(&mut self, packets: usize) {
         if let Inner::Pooled(p) = &mut self.inner {
             p.slab.preallocate(packets);

@@ -54,7 +54,7 @@ pub use flowq::FifoBackend;
 pub use hier::{ClassId, HierSfq};
 pub use obs::{Backpressure, FlowChange, NoopObserver, SchedEvent, SchedObserver};
 pub use packet::{FlowId, Packet, PacketFactory};
-pub use pool::{FlowMap, PktPool, PktRef, PoolStats, ReturnQueue, SlabPool};
+pub use pool::{FlowMap, PktPool, PktRef, PoolStats, SlabPool};
 pub use sched::{ReconfigCmd, SchedError, Scheduler, TieBreak};
 pub use tagsched::{FinishClock, Scfq, ScfqFast, Sfq, SfqFast, StartClock, TagSched, VtRule};
 // Counter-page telemetry handle the schedulers accept via

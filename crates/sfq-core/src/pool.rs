@@ -12,9 +12,12 @@
 //! Layout and invariants (see `docs/pooling.md` for the full story):
 //!
 //! - The slab is a vector of fixed-size chunks (`Vec<Vec<Slot>>`), each
-//!   allocated once at full capacity. Slots never move, so a `PktRef`
-//!   stays valid until freed; growing the pool appends a chunk and
-//!   relocates nothing.
+//!   allocated once at full capacity, so growing the pool appends a
+//!   chunk and relocates nothing. The one exception is the first chunk
+//!   of a pool told it will never hold a chunk's worth
+//!   ([`SlabPool::preallocate`]): it starts empty and doubles with use.
+//!   Either way a slot's *index* never changes, so a `PktRef` stays
+//!   valid until freed.
 //! - Each slot carries one `next: u32` field doing double duty: the
 //!   freelist chain while the slot is free, the intrusive per-flow FIFO
 //!   link while it is allocated. `NIL` (`u32::MAX`) terminates both.
@@ -24,15 +27,6 @@
 //! - Exhaustion (optional slot cap, or the `u32` index space) is
 //!   reported by `try_alloc` returning `None`; nothing panics.
 //!
-//! [`ReturnQueue`] implements the cross-thread return protocol for
-//! per-shard pools: a consumer that finishes with a packet owned by
-//! another shard's pool posts the handle to that pool's return queue
-//! (a mutex-guarded vector — contended only at return bursts), and the
-//! owning shard folds returns back into its freelist the next time it
-//! allocates. The engine runs all its shards on one thread and moves
-//! packets by value, so the queue is an extension point exercised by
-//! tests rather than the engine hot path.
-//!
 //! [`FlowMap`] is the dense companion for *control-plane* per-flow
 //! state (weights, drop counters): a slotmap-lite keyed by [`FlowId`]
 //! with `O(1)` lookup through [`IdIndex`] and cache-friendly iteration
@@ -40,16 +34,18 @@
 
 use crate::packet::FlowId;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 /// Chain terminator for freelist and intrusive FIFO links.
 pub(crate) const NIL: u32 = u32::MAX;
 
 /// Slots per arena chunk (2^13). Chunks are allocated at exactly this
-/// capacity so slot addresses are stable for the pool's lifetime.
+/// capacity, except a growing first chunk, which doubles up to it.
 const CHUNK_BITS: u32 = 13;
 const CHUNK: usize = 1 << CHUNK_BITS;
 const CHUNK_MASK: u32 = (CHUNK as u32) - 1;
+
+/// Slots a growing first chunk starts at (see [`SlabPool::preallocate`]).
+const FIRST_GROWTH: usize = 16;
 
 /// Opaque handle to a pooled packet slot.
 ///
@@ -57,7 +53,7 @@ const CHUNK_MASK: u32 = (CHUNK as u32) - 1;
 /// `free` that consumes it; the pool's generation-free contract is
 /// upheld by the flow table above it (stale *flow* references are
 /// generation-checked there, and packet handles are never shared
-/// outside the owning queue structure except via [`ReturnQueue`]).
+/// outside the owning queue structure).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PktRef(pub(crate) u32);
 
@@ -76,7 +72,7 @@ impl PktRef {
 /// FIFOs without touching any other storage.
 pub trait PktPool<T: Copy> {
     /// Allocate a slot holding `val`, or `None` when the pool is
-    /// exhausted (slot cap reached and no free or returned slots).
+    /// exhausted (slot cap reached and no free slots).
     fn try_alloc(&mut self, val: T) -> Option<PktRef>;
     /// Release a slot back to the freelist, returning its value.
     fn free(&mut self, r: PktRef) -> T;
@@ -88,8 +84,7 @@ pub trait PktPool<T: Copy> {
     fn link(&self, r: PktRef) -> Option<PktRef>;
     /// Chain (or unchain) the slot's intrusive successor.
     fn set_link(&mut self, r: PktRef, next: Option<PktRef>);
-    /// Slots currently allocated (including handles posted to a return
-    /// queue but not yet folded back by the owner).
+    /// Slots currently allocated.
     fn in_use(&self) -> usize;
     /// Total slots ever created (the pool's reserved footprint).
     fn slots(&self) -> usize;
@@ -103,52 +98,9 @@ struct Slot<T> {
     next: u32,
 }
 
-/// Cross-thread return lane for handles owned by another pool.
-///
-/// Multiple producers post handles with [`ReturnQueue::give`]; the
-/// owning pool drains the queue lazily (on allocation pressure or an
-/// explicit [`SlabPool::drain_returns`]). A posted handle counts as
-/// in-use until the owner folds it back.
-#[derive(Debug, Default)]
-pub struct ReturnQueue {
-    q: Mutex<Vec<u32>>,
-}
-
-impl ReturnQueue {
-    /// Empty queue, ready to be attached with
-    /// [`SlabPool::attach_return_queue`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Post a handle back to the owning pool (callable from any
-    /// thread).
-    pub fn give(&self, r: PktRef) {
-        self.lock().push(r.0);
-    }
-
-    /// Handles posted but not yet folded back by the owner.
-    pub fn pending(&self) -> usize {
-        self.lock().len()
-    }
-
-    fn take_into(&self, out: &mut Vec<u32>) {
-        out.append(&mut self.lock());
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<u32>> {
-        // A poisoned lock only means a panicking producer; the vector
-        // of plain indexes is still coherent, so keep serving.
-        match self.q.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
 /// Slab-backed packet pool: chunked fixed-capacity arenas, a LIFO
-/// freelist, an optional slot cap, and an optional cross-thread
-/// [`ReturnQueue`]. See the module docs for layout and invariants.
+/// freelist and an optional slot cap. See the module docs for layout
+/// and invariants.
 #[derive(Debug)]
 pub struct SlabPool<T> {
     chunks: Vec<Vec<Slot<T>>>,
@@ -158,10 +110,8 @@ pub struct SlabPool<T> {
     in_use: u32,
     hwm: u32,
     limit: Option<u32>,
-    returns: Option<Arc<ReturnQueue>>,
-    /// Scratch buffer reused across return-queue drains.
-    drain_buf: Vec<u32>,
-    foreign_freed: u64,
+    /// The first chunk grows from empty ([`SlabPool::preallocate`]).
+    grow_first: bool,
 }
 
 impl<T: Copy> SlabPool<T> {
@@ -174,9 +124,7 @@ impl<T: Copy> SlabPool<T> {
             in_use: 0,
             hwm: 0,
             limit: None,
-            returns: None,
-            drain_buf: Vec::new(),
-            foreign_freed: 0,
+            grow_first: false,
         }
     }
 
@@ -206,44 +154,21 @@ impl<T: Copy> SlabPool<T> {
         made
     }
 
-    /// Told to expect up to `slots` live slots: if that fills a chunk,
-    /// allocate the first chunk now (untouched, so it costs address
-    /// space only) rather than at the first packet. A pool built just
-    /// before a deep backlog then places its large allocation with the
-    /// rest of the set-up instead of in the middle of the data path.
+    /// Told to expect up to `slots` live slots, before the first
+    /// allocation. If that fills a chunk, allocate the first chunk now
+    /// (untouched, so it costs address space only) rather than in the
+    /// middle of the data path; if not, start the first chunk empty and
+    /// double it with use, so a pool that holds a few dozen packets
+    /// allocates a few dozen slots (docs/pooling.md).
     pub fn preallocate(&mut self, slots: usize) {
-        if slots >= CHUNK && self.chunks.is_empty() {
+        if !self.chunks.is_empty() {
+            return;
+        }
+        if slots >= CHUNK {
             self.chunks.push(Vec::with_capacity(CHUNK));
+        } else {
+            self.grow_first = true;
         }
-    }
-
-    /// Attach the pool's cross-thread return lane. Handles posted
-    /// there are folded back into the freelist lazily.
-    pub fn attach_return_queue(&mut self, q: Arc<ReturnQueue>) {
-        self.returns = Some(q);
-    }
-
-    /// Fold any posted returns back into the freelist now. Returns the
-    /// number folded. (Also happens automatically when allocation
-    /// finds the freelist empty.)
-    pub fn drain_returns(&mut self) -> usize {
-        let Some(rq) = self.returns.clone() else {
-            return 0;
-        };
-        let mut buf = std::mem::take(&mut self.drain_buf);
-        rq.take_into(&mut buf);
-        let n = buf.len();
-        for idx in buf.drain(..) {
-            self.free_raw(idx);
-            self.foreign_freed += 1;
-        }
-        self.drain_buf = buf;
-        n
-    }
-
-    /// Handles ever folded back from the return queue.
-    pub fn foreign_freed(&self) -> u64 {
-        self.foreign_freed
     }
 
     /// High-water mark of allocated slots.
@@ -270,9 +195,16 @@ impl<T: Copy> SlabPool<T> {
             .last()
             .is_none_or(|c: &Vec<Slot<T>>| c.len() == CHUNK)
         {
-            self.chunks.push(Vec::with_capacity(CHUNK));
+            let first = self.chunks.is_empty() && self.grow_first;
+            self.chunks
+                .push(Vec::with_capacity(if first { 0 } else { CHUNK }));
         }
         if let Some(c) = self.chunks.last_mut() {
+            if c.len() == c.capacity() {
+                // Only a growing first chunk is ever full below CHUNK:
+                // double it, moving its values, never past CHUNK.
+                c.reserve_exact(c.len().max(FIRST_GROWTH).min(CHUNK - c.len()));
+            }
             c.push(Slot { val, next: NIL });
         }
         self.slots += 1;
@@ -289,8 +221,8 @@ impl<T: Copy> SlabPool<T> {
         &mut self.chunks[(idx >> CHUNK_BITS) as usize][(idx & CHUNK_MASK) as usize]
     }
 
-    /// Allocate, preferring the freelist, then posted returns, then a
-    /// fresh slot. `None` only on exhaustion (cap or index space).
+    /// Allocate, preferring the freelist, then a fresh slot. `None`
+    /// only on exhaustion (cap or index space).
     #[inline]
     pub(crate) fn alloc_raw(&mut self, val: T) -> Option<u32> {
         let idx = if self.free_head != NIL {
@@ -302,9 +234,6 @@ impl<T: Copy> SlabPool<T> {
             self.free_head = next_free;
             idx
         } else {
-            if self.drain_returns() > 0 {
-                return self.alloc_raw(val); // freelist now non-empty
-            }
             if !self.can_grow() {
                 return None;
             }
@@ -321,14 +250,8 @@ impl<T: Copy> SlabPool<T> {
     /// lets callers order the capacity check before fallible tag
     /// arithmetic so an error leaves no state behind.
     #[inline]
-    pub(crate) fn can_alloc(&mut self) -> bool {
-        if self.free_head != NIL {
-            return true;
-        }
-        if self.drain_returns() > 0 {
-            return true;
-        }
-        self.can_grow()
+    pub(crate) fn can_alloc(&self) -> bool {
+        self.free_head != NIL || self.can_grow()
     }
 
     #[inline]
@@ -606,7 +529,6 @@ pub struct PoolStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn slab_alloc_free_reuses_lifo() {
@@ -699,24 +621,24 @@ mod tests {
         assert_eq!(*p.get(h), 7);
     }
 
+    /// Told its bound is under a chunk, a pool grows its first chunk by
+    /// doubling up to CHUNK, every value surviving each move, and then
+    /// appends full chunks as usual.
     #[test]
-    fn return_queue_folds_back_cross_thread() {
-        let mut p: SlabPool<u64> = SlabPool::new();
-        let rq = Arc::new(ReturnQueue::new());
-        p.attach_return_queue(Arc::clone(&rq));
-        p.set_limit(Some(1));
-        let a = p.try_alloc(7).unwrap();
-        assert_eq!(p.try_alloc(8), None);
-        let rq2 = Arc::clone(&rq);
-        std::thread::spawn(move || rq2.give(a)).join().unwrap();
-        assert_eq!(rq.pending(), 1);
-        // Allocation pressure folds the foreign return into the
-        // freelist and succeeds without growing.
-        let b = p.try_alloc(9).unwrap();
-        assert_eq!(b, a);
-        assert_eq!(rq.pending(), 0);
-        assert_eq!(p.foreign_freed(), 1);
-        assert_eq!(p.slots(), 1);
+    fn preallocate_under_a_chunk_grows_the_first_chunk_in_place() {
+        let mut p: SlabPool<u32> = SlabPool::new();
+        p.preallocate(64);
+        let mut caps = vec![0];
+        for i in 0..(CHUNK + CHUNK / 2) as u32 {
+            assert_eq!(p.try_alloc(i), Some(PktRef(i)));
+            if p.chunks[0].capacity() != caps[caps.len() - 1] {
+                caps.push(p.chunks[0].capacity());
+                assert!((0..=i).all(|j| *p.get(PktRef(j)) == j), "moved at {i}");
+            }
+        }
+        assert!(caps[1] == FIRST_GROWTH && caps[1..].windows(2).all(|w| w[1] == 2 * w[0]));
+        assert_eq!((caps.last(), p.chunks[1].capacity()), (Some(&CHUNK), CHUNK));
+        assert!((0..p.slots() as u32).all(|j| *p.get(PktRef(j)) == j));
     }
 
     #[test]
@@ -733,45 +655,6 @@ mod tests {
         assert_eq!(ix.remove(lo), None);
         assert_eq!(ix.remove(hi), Some(20));
         assert_eq!(ix.get(hi), None);
-    }
-
-    /// A consumer thread that dies mid-flight must not leak slots: any
-    /// handle it managed to post before panicking is recoverable via
-    /// `drain_returns`, the in-use count returns to zero, and
-    /// re-allocation reuses the recovered slots without growing the
-    /// slab (so the scheduler-level `PoolStats::pkts_in_use` invariant
-    /// survives consumer crashes).
-    #[test]
-    fn return_queue_survives_consumer_death_mid_flight() {
-        const N: usize = 8;
-        let mut p: SlabPool<u64> = SlabPool::new();
-        let rq = Arc::new(ReturnQueue::new());
-        p.attach_return_queue(Arc::clone(&rq));
-        let handles: Vec<PktRef> = (0..N as u64).map(|i| p.try_alloc(i).unwrap()).collect();
-        assert_eq!(p.in_use(), N);
-        let slots_before = p.slots();
-
-        let rq2 = Arc::clone(&rq);
-        let sent = handles.clone();
-        let consumer = std::thread::spawn(move || {
-            for r in sent {
-                rq2.give(r);
-            }
-            panic!("consumer dies mid-flight");
-        });
-        assert!(consumer.join().is_err(), "consumer must have panicked");
-
-        // The panic poisoned nothing the owner needs: every posted
-        // handle folds back, nothing stays in use, and reuse does not
-        // grow the slab.
-        assert_eq!(p.drain_returns(), N);
-        assert_eq!(p.in_use(), 0);
-        assert_eq!(p.foreign_freed(), N as u64);
-        for i in 0..N as u64 {
-            let r = p.try_alloc(100 + i).unwrap();
-            assert!(handles.contains(&r), "reuse recovered slots");
-        }
-        assert_eq!(p.slots(), slots_before);
     }
 
     #[test]

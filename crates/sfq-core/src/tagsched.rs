@@ -280,6 +280,8 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
     /// of at the first enqueue — for a scheduler built right before its
     /// load arrives (an engine shard), so the one large allocation sits
     /// with the rest of the set-up. Costs address space only until used.
+    /// A smaller bound makes the first chunk start empty and double with
+    /// use (see [`SlabPool::preallocate`](crate::SlabPool::preallocate)).
     pub fn preallocate(&mut self, packets: usize) {
         self.q.preallocate(packets);
     }

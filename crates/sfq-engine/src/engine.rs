@@ -1,27 +1,25 @@
 //! The engine: one flow table, one root arbiter, one backpressure rule
 //! and one pick → pull-batch → charge loop over `N` shards, each a leaf
-//! scheduler behind a bounded ingress ring, all run in place on the
-//! calling thread.
+//! scheduler behind a FIFO of ingested, not yet scheduled packets, all
+//! run in place on the calling thread.
 //!
 //! # Backpressure
 //!
 //! Ingest refuses a packet (`SchedError::BufferFull`) when the shard's
 //! *pending* count — packets ingested but not yet drained, wherever
-//! they physically sit — has reached `ring_capacity`. The physical ring
-//! occupancy never exceeds the pending count (a drained packet was
-//! necessarily consumed from the ring first), so under this rule a
-//! `push` can never find the ring full, and refusals depend only on
-//! the API call sequence, never on where a pump happened to fall. Size
-//! `ring_capacity` as "maximum un-drained backlog per shard".
+//! they physically sit — has reached `ring_capacity`, so refusals
+//! depend only on the API call sequence, never on where a pump happened
+//! to fall. Size `ring_capacity` as "maximum un-drained backlog per
+//! shard".
 //!
 //! # Enqueue errors
 //!
 //! Once a flow is registered only `TagOverflow` can refuse its packets.
-//! Such an error never panics: it poisons the shard — the ring is still
-//! consumed, nothing more is enqueued — the pump that hit it returns
-//! it, and every later drain that picks that shard reports it again.
+//! Such an error never panics: it poisons the shard — its queue is
+//! still consumed, nothing more is enqueued — the pump that hit it
+//! returns it, and every later drain that picks that shard reports it
+//! again.
 
-use crate::ring::{spsc, SpscConsumer, SpscProducer};
 use crate::root::RootSfq;
 use crate::{shard_of, EngineConfig, ShardSched};
 use sfq_core::obs::SchedObserver;
@@ -30,21 +28,23 @@ use sfq_core::{
 };
 use sfq_telemetry::{RefuseCause, TelemetryHub};
 use simtime::{Rate, SimTime};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// One shard: a leaf scheduler, both ends of its ingress ring, and the
-/// counts the refusal rule and the pump read.
+/// One shard: a leaf scheduler, the packets ingested into it but not
+/// yet pumped, and the counts the refusal rule and the pump read.
 struct Shard<S> {
     sched: S,
-    cons: SpscConsumer<Packet>,
-    prod: SpscProducer<Packet>,
+    /// Ingested, not yet pumped, in ingest order. Reserved at
+    /// `ring_capacity` by the first push.
+    queue: VecDeque<Packet>,
     /// First enqueue error; see the module docs on poisoning.
     poisoned: Option<SchedError>,
-    /// Packets ingested but not yet drained or discarded: ring residue
+    /// Packets ingested but not yet drained or discarded: queue residue
     /// plus scheduler backlog.
     pending: usize,
     /// Packets pushed since [`Engine::pump`] last visited this shard:
-    /// zero means the ring holds nothing a pump could move. Only
+    /// zero means the queue holds nothing a pump could move. Only
     /// [`Shard::push`] raises it and only the pump clears it, so a
     /// forced removal that folded the residue first leaves it
     /// stale-high, which costs the next pump one empty visit.
@@ -53,57 +53,64 @@ struct Shard<S> {
 
 impl<S: ShardSched> Shard<S> {
     /// A shard around `sched` (rebasing enabled per `cfg`, packet store
-    /// preallocated) with a fresh ring and nothing pending.
+    /// sized) with an empty queue and nothing pending.
     fn new(cfg: &EngineConfig, mut sched: S) -> Self {
         if let Some(bits) = cfg.rebase_bits {
             sched.enable_rebasing(bits);
         }
         sched.preallocate(cfg.ring_capacity);
-        let (prod, cons) = spsc(cfg.ring_capacity);
         Shard {
             sched,
-            cons,
-            prod,
+            queue: VecDeque::new(),
             poisoned: None,
             pending: 0,
             unpumped: 0,
         }
     }
 
-    /// Push one accepted packet; the caller has checked `pending`.
-    fn push(&mut self, pkt: Packet) {
-        self.prod
-            .push(pkt)
-            .unwrap_or_else(|_| unreachable!("pending < capacity implies ring has room"));
+    /// Push one accepted packet; the caller has checked `pending`
+    /// against `cap`, which the queue reserves on first use.
+    fn push(&mut self, pkt: Packet, cap: usize) {
+        if self.queue.capacity() == 0 {
+            self.queue.reserve_exact(cap);
+        }
+        self.queue.push_back(pkt);
         self.pending += 1;
         self.unpumped += 1;
     }
 
-    /// Move the ring residue into the scheduler as one batch through
-    /// `scratch`, stamping tags against the shard's current virtual
-    /// time. Returns the enqueue error, if any, that this very call
-    /// hit.
-    fn pump(&mut self, now: SimTime, scratch: &mut Vec<Packet>) -> Result<(), SchedError> {
-        scratch.clear();
-        scratch.extend(std::iter::from_fn(|| self.cons.pop()));
+    /// Move the queue residue into the scheduler as one batch, stamping
+    /// tags against the shard's current virtual time. Returns the
+    /// enqueue error, if any, that this very call hit.
+    fn pump(&mut self, now: SimTime) -> Result<(), SchedError> {
+        let mut queue = std::mem::take(&mut self.queue);
+        let res = self.enqueue_batch(now, queue.make_contiguous());
+        queue.clear();
+        self.queue = queue;
+        res
+    }
+
+    /// Hand `pkts` to the scheduler as one batch unless the shard is
+    /// poisoned, poisoning it on the error this call hits.
+    fn enqueue_batch(&mut self, now: SimTime, pkts: &[Packet]) -> Result<(), SchedError> {
         if self.poisoned.is_some() {
             return Ok(());
         }
-        let res = self.sched.try_enqueue_batch(now, scratch);
+        let res = self.sched.try_enqueue_batch(now, pkts);
         self.poisoned = res.err();
         res
     }
 
-    /// The single forced-removal rule: fold the ring residue into the
+    /// The single forced-removal rule: fold the queue residue into the
     /// scheduler, each packet at its own arrival instant, *then*
     /// discard `flow`'s backlog and unregister it, so the returned
     /// count covers every packet of the flow ingest ever accepted and
     /// no residue of an unregistered flow is left behind to fail a
-    /// later pump. Ring order is preserved and virtual time cannot have
-    /// moved since the last dequeue, so the other flows' tags are what
-    /// a lazy pump would have stamped.
+    /// later pump. Ingest order is preserved and virtual time cannot
+    /// have moved since the last dequeue, so the other flows' tags are
+    /// what a lazy pump would have stamped.
     fn force_remove(&mut self, flow: FlowId) -> usize {
-        while let Some(pkt) = self.cons.pop() {
+        while let Some(pkt) = self.queue.pop_front() {
             if self.poisoned.is_none() {
                 self.poisoned = self.sched.try_enqueue(pkt.arrival, pkt).err();
             }
@@ -133,8 +140,6 @@ pub struct Engine<S: ShardSched> {
     root: RootSfq,
     flows: FlowMap<FlowRec>,
     backlogged: Vec<bool>,
-    /// Batch buffer for [`Engine::pump`], shared by all shards.
-    scratch: Vec<Packet>,
     /// Counter pages: shard page `i` written by shard `i`'s scheduler,
     /// engine page written here (offered / refusals). `None` until
     /// [`Engine::attach_telemetry`].
@@ -180,7 +185,6 @@ impl<S: ShardSched> Engine<S> {
             root: RootSfq::new(cfg.shards, cfg.rebase_bits),
             flows: FlowMap::new(),
             backlogged: vec![false; cfg.shards],
-            scratch: Vec::new(),
             tele: None,
             one: Vec::new(),
         }
@@ -229,7 +233,8 @@ impl<S: ShardSched> Engine<S> {
         &self.root
     }
 
-    /// Total packets pending across all shards (rings plus queues).
+    /// Total packets pending across all shards (ingest residue plus
+    /// scheduler backlog).
     pub fn pending(&self) -> usize {
         self.shards.iter().map(|s| s.pending).sum()
     }
@@ -287,30 +292,33 @@ impl<S: ShardSched> Engine<S> {
         self.root.set_shard_weight(shard, rate)
     }
 
-    /// Hand `pkt` to its home shard's ingress ring. Refuses with
+    /// Hand `pkt` to its home shard's queue. Refuses with
     /// [`SchedError::UnknownFlow`] for unregistered flows and
     /// [`SchedError::BufferFull`] when the shard's pending count has
     /// reached the ring capacity (see the module docs on backpressure).
     /// The packet is *not yet scheduled*: tags are stamped at the next
     /// [`Engine::pump`] or drain.
     pub fn try_ingest(&mut self, pkt: Packet) -> Result<(), SchedError> {
-        // Every arrival is booked as offered on the engine page —
-        // accepted or refused — so the pages close the conservation
-        // identity `offered == departures + refusals + drops`.
+        let home = self.admit(pkt.flow)?;
+        self.shards[home].push(pkt, self.cfg.ring_capacity);
+        Ok(())
+    }
+
+    /// The admission rule of ingest and of the `Scheduler` facade: the
+    /// home shard of a packet of `flow`, or the refusal. Every arrival
+    /// is booked as offered on the engine page — accepted or refused —
+    /// and every refusal with its cause, so the pages close the
+    /// conservation identity `offered == departures + refusals + drops`.
+    fn admit(&mut self, flow: FlowId) -> Result<usize, SchedError> {
         if let Some(hub) = &self.tele {
             hub.engine().record_offered(1);
         }
-        let (cause, err) = match self.flows.get(pkt.flow) {
-            None => (RefuseCause::UnknownFlow, SchedError::UnknownFlow(pkt.flow)),
-            Some(rec) => {
-                let shard = &mut self.shards[rec.home];
-                if shard.pending >= self.cfg.ring_capacity {
-                    (RefuseCause::BufferFull, SchedError::BufferFull(pkt.flow))
-                } else {
-                    shard.push(pkt);
-                    return Ok(());
-                }
+        let (cause, err) = match self.flows.get(flow) {
+            None => (RefuseCause::UnknownFlow, SchedError::UnknownFlow(flow)),
+            Some(rec) if self.shards[rec.home].pending >= self.cfg.ring_capacity => {
+                (RefuseCause::BufferFull, SchedError::BufferFull(flow))
             }
+            Some(rec) => return Ok(rec.home),
         };
         if let Some(hub) = &self.tele {
             hub.engine().record_refusal(cause);
@@ -318,27 +326,24 @@ impl<S: ShardSched> Engine<S> {
         Err(err)
     }
 
-    /// Move every ring-resident packet into its shard scheduler as one
-    /// batch per shard, stamping tags against each shard's current
-    /// virtual time. Tags do not depend on `now` (Eq. 4 reads only the
-    /// virtual time, which moves at dequeues), so deferring a pump
-    /// never changes an ordering decision — only observer timestamps.
+    /// Move every queued packet into its shard scheduler as one batch
+    /// per shard, stamping tags against each shard's current virtual
+    /// time. Tags do not depend on `now` (Eq. 4 reads only the virtual
+    /// time, which moves at dequeues), so deferring a pump never changes
+    /// an ordering decision — only observer timestamps.
     ///
-    /// Only shards pushed to since the last pump are visited: the
-    /// `Scheduler` facade pumps on every enqueue and again inside every
-    /// dequeue, and all but one of those visits would find an empty
-    /// ring.
+    /// Only shards pushed to since the last pump are visited.
     pub fn pump(&mut self, now: SimTime) -> Result<(), SchedError> {
         for shard in &mut self.shards {
             if std::mem::take(&mut shard.unpumped) > 0 {
-                shard.pump(now, &mut self.scratch)?;
+                shard.pump(now)?;
             }
         }
         Ok(())
     }
 
     /// Drain up to `max` packets at `now` into `out`, batch by batch:
-    /// pump all rings, then repeatedly let the root arbiter pick the
+    /// pump all queues, then repeatedly let the root arbiter pick the
     /// backlogged shard with the least start tag, pull up to
     /// [`EngineConfig::batch`] packets from it, and charge the root
     /// with the actual bits pulled. Returns the number drained.
@@ -350,7 +355,7 @@ impl<S: ShardSched> Engine<S> {
     ) -> Result<usize, SchedError> {
         // The pump is load-bearing for reconfiguration: the tag-rewrite
         // rule of a later `SetWeight` treats queued packets (head keeps
-        // its tags) differently from ring residue (enqueued wholly at
+        // its tags) differently from ingest residue (enqueued wholly at
         // the new rate), so what a drain leaves in the scheduler must
         // not depend on whether the caller pumped first.
         self.pump(now)?;
@@ -404,9 +409,18 @@ impl<S: ShardSched> Scheduler for Engine<S> {
     }
 
     /// Ingest and immediately pump, so no packet sits uncounted in a
-    /// ring and `backlog` stays exact for the switch's admission logic.
+    /// queue and `backlog` stays exact for the switch's admission
+    /// logic. With no residue anywhere (the native API alone leaves
+    /// any), that pump is one batch of this packet to its home shard,
+    /// made here without the queue.
     fn try_enqueue(&mut self, now: SimTime, pkt: Packet) -> Result<(), SchedError> {
-        self.try_ingest(pkt)?;
+        let home = self.admit(pkt.flow)?;
+        if self.shards.iter().all(|s| s.unpumped == 0) {
+            let shard = &mut self.shards[home];
+            shard.pending += 1;
+            return shard.enqueue_batch(now, std::slice::from_ref(&pkt));
+        }
+        self.shards[home].push(pkt, self.cfg.ring_capacity);
         self.pump(now)
     }
 
@@ -446,8 +460,8 @@ impl<S: ShardSched> Scheduler for Engine<S> {
         self.pending()
     }
 
-    /// The home scheduler's own count: ring residue is not included, so
-    /// it is exact whenever the ring has been pumped, which the
+    /// The home scheduler's own count: queue residue is not included,
+    /// so it is exact whenever the queue has been pumped, which the
     /// facade's eager pump guarantees.
     fn backlog(&self, flow: FlowId) -> usize {
         self.flows
@@ -455,7 +469,7 @@ impl<S: ShardSched> Scheduler for Engine<S> {
             .map_or(0, |rec| self.shards[rec.home].sched.backlog(flow))
     }
 
-    /// Discard `flow`'s backlog on its home shard — ring residue
+    /// Discard `flow`'s backlog on its home shard — queue residue
     /// included, folded in first (the forced-removal rule of
     /// `docs/engine.md`) — then unregister the flow and subtract its
     /// rate from the root aggregate (the churn fault). Returns the
@@ -472,7 +486,7 @@ impl<S: ShardSched> Scheduler for Engine<S> {
     }
 
     /// Evict the oldest scheduler-resident packet of `flow` from its
-    /// home shard (the HeadDrop/pressure eviction hook); ring residue
+    /// home shard (the HeadDrop/pressure eviction hook); queue residue
     /// is never evicted.
     fn drop_head(&mut self, flow: FlowId) -> Option<Packet> {
         let shard = &mut self.shards[self.flows.get(flow)?.home];
@@ -643,15 +657,14 @@ mod tests {
             .collect();
         pkts.insert(5, fac.make(FlowId(2), Bytes::new(1 << 40), t0));
         for p in pkts {
-            shard.push(p);
+            shard.push(p, 16);
         }
-        let mut scratch = Vec::new();
-        assert_eq!(shard.pump(t0, &mut scratch), Err(SchedError::TagOverflow));
-        shard.push(fac.make(FlowId(1), Bytes::new(500), t0));
-        assert_eq!(shard.pump(t0, &mut scratch), Ok(()));
+        assert_eq!(shard.pump(t0), Err(SchedError::TagOverflow));
+        shard.push(fac.make(FlowId(1), Bytes::new(500), t0), 16);
+        assert_eq!(shard.pump(t0), Ok(()));
         assert!(
-            shard.cons.pop().is_none(),
-            "a poisoned shard still consumes its ring"
+            shard.queue.is_empty(),
+            "a poisoned shard still consumes its queue"
         );
 
         let snap = sink.snapshot(1).expect("no writer running");

@@ -5,7 +5,7 @@
 //! This crate scales the discipline out the way the paper itself
 //! suggests: hierarchically (Section 4). Flows are hash-partitioned
 //! across `N` independent leaf schedulers (*shards*), each fed by a
-//! bounded ingress ring, and a drainer allocates link capacity among
+//! bounded ingress queue, and a drainer allocates link capacity among
 //! the shards with a top-level SFQ node ([`RootSfq`]) whose "packets"
 //! are the batches it pulls from each shard. Because SFQ guarantees
 //! fairness on any Fluctuation Constrained server and itself *provides*
@@ -67,7 +67,8 @@ pub trait ShardSched: Scheduler {
     /// engine's refusal rule bounds it by [`EngineConfig::ring_capacity`]):
     /// a discipline may allocate its packet store for a deep backlog
     /// now, at construction, rather than in the middle of the first
-    /// burst. Called once per shard; the default does nothing.
+    /// burst, and size it to a shallow one. Called once per shard; the
+    /// default does nothing.
     fn preallocate(&mut self, _packets: usize) {}
 
     /// Attach a telemetry counter page: every later enqueue, dequeue,
@@ -101,9 +102,10 @@ pub struct EngineConfig {
     /// the shard it selects before re-running root selection, and the
     /// maximum root "packet" size in the cross-shard fairness bound.
     pub batch: usize,
-    /// Capacity of each shard's ingress ring; a full ring refuses the
-    /// packet with `SchedError::BufferFull` (backpressure, not loss —
-    /// the caller decides whether to drop).
+    /// Bound on each shard's un-drained backlog, queued or scheduled:
+    /// an ingest that finds it reached is refused with
+    /// `SchedError::BufferFull` (backpressure, not loss). The shard's
+    /// ingress queue is reserved at this size by its first ingest.
     pub ring_capacity: usize,
     /// When `Some(bits)`, enable virtual-time rebasing on every shard
     /// scheduler and on the root node once tag magnitudes exceed
@@ -129,7 +131,8 @@ impl EngineConfig {
         self
     }
 
-    /// Replace the per-shard ingress ring capacity.
+    /// Replace the per-shard backlog bound (see
+    /// [`EngineConfig::ring_capacity`]).
     pub fn ring_capacity(mut self, cap: usize) -> Self {
         self.ring_capacity = cap;
         self

@@ -2,14 +2,14 @@
 //!
 //! A classic Lamport queue: the producer owns `tail`, the consumer owns
 //! `head`, and each side only ever *reads* the other's index. One
-//! release/acquire pair per operation — no CAS, no locks — which is
-//! what makes per-shard ingress cheap enough for the batch engine's
-//! hot path. Capacity is fixed at construction; a full ring refuses
-//! the push (backpressure) rather than overwriting.
+//! release/acquire pair per operation — no CAS, no locks. Capacity is
+//! fixed at construction; a full ring refuses the push (backpressure)
+//! rather than overwriting.
 //!
-//! Inside [`Engine`](crate::Engine) both endpoints live on one thread
-//! and the ring is just a FIFO with exact lengths; the endpoints are
-//! `Send`, and the module's tests run them on two threads.
+//! The engine no longer uses it: a shard's ingress queue is a plain
+//! `VecDeque` on the engine's one thread. It is kept only because the
+//! benchmark's `engine.ring.push_pop_ns` probe times it; the endpoints
+//! are `Send`, and the module's tests run them on two threads.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;

@@ -7,11 +7,18 @@
 //! lives in the workspace-level `tests/engine_interleaving.rs` and the
 //! conformance `engine` preset.
 
+use proptest::prelude::*;
+use proptest::TestRng;
+use sfq_core::SchedError::{BufferFull, TagOverflow, UnknownFlow};
 use sfq_core::{
     FlowId, Packet, PacketFactory, ReconfigCmd, ScfqFast, SchedError, Scheduler, Sfq, SfqFast,
 };
 use sfq_engine::{shard_of, Engine, EngineConfig, ShardSched, SyncEngine};
+use sfq_obs::RingTracer;
+use sfq_telemetry::Aggregator;
 use simtime::{Bytes, Rate, SimTime};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const T0: SimTime = SimTime::ZERO;
 
@@ -319,6 +326,96 @@ fn forced_removal_folds_ring_residue<K: Kind>() {
     assert_eq!((run(false), run(true)), (1, 1));
 }
 
+/// One call of [`facade_is_ingest_then_pump`]; packets are
+/// `(flow, bytes)`.
+#[derive(Clone, Copy, Debug)]
+enum Call {
+    Enqueue(u32, u64),
+    Ingest(u32, u64),
+    Dequeue,
+    Pump,
+    Drain(usize),
+}
+
+/// Registered flows are `0..FLOWS`; flow `FLOWS` is not.
+const FLOWS: u32 = 6;
+const CAP: usize = 8;
+
+/// The facade is ingest + pump: random mixes of facade and native calls
+/// at 1, 2 and 4 shards give the results, departures, observer events
+/// and pages of a copy whose facade enqueue is `try_ingest` + `pump` and
+/// facade dequeue a one-packet `drain`. Every run ends in a tour: a
+/// facade enqueue over ingest residue, an unknown flow, one flow past
+/// the ring capacity, and a shard poisoned through the facade.
+#[test]
+fn facade_is_ingest_then_pump() {
+    check_facade(|obs| Marked(Sfq::with_observer(Default::default(), obs)));
+    check_facade(|obs| Marked(SfqFast::with_observer(Default::default(), obs)));
+}
+
+fn check_facade<S: ShardSched>(shard: impl Fn(Rc<RefCell<RingTracer>>) -> S) {
+    use Call::*;
+    let pkt = || (0..=FLOWS, prop_oneof![Just(64u64), Just(576), Just(1500)]);
+    // Repeated arms stand in for weights: packets about half the calls.
+    let call = prop_oneof![
+        pkt().prop_map(|(f, l)| Enqueue(f, l)),
+        pkt().prop_map(|(f, l)| Enqueue(f, l)),
+        pkt().prop_map(|(f, l)| Ingest(f, l)),
+        Just(Dequeue),
+        Just(Dequeue),
+        Just(Pump),
+        (1usize..6).prop_map(Drain),
+    ];
+    let tour: Vec<Call> = [Drain(64), Ingest(0, 300), Enqueue(1, 300)]
+        .into_iter()
+        .chain([Enqueue(FLOWS, 300)])
+        .chain([Enqueue(2, 100); CAP + 1])
+        .chain([Drain(64), Enqueue(3, POISON_LEN), Enqueue(3, 100)])
+        .chain([Ingest(3, 100), Dequeue, Pump, Drain(64)])
+        .collect();
+    let run = |shards: usize, calls: &[Call], facade: bool| {
+        let tracer = Rc::new(RefCell::new(RingTracer::with_capacity(1 << 12)));
+        let cfg = EngineConfig::new(shards).batch(3).ring_capacity(CAP);
+        let mut eng = Engine::from_factory(cfg, |_| shard(Rc::clone(&tracer)));
+        let hub = eng.attach_telemetry();
+        for f in 0..FLOWS {
+            eng.try_add_flow(FlowId(f), Rate::kbps(64 << (f % 3)))
+                .unwrap();
+        }
+        let mut fac = PacketFactory::new();
+        let mut results = Vec::new();
+        for (i, &call) in calls.iter().chain(&tour).enumerate() {
+            let now = SimTime::from_micros(i as i128);
+            let mut pkt = |f, len| fac.make(FlowId(f), Bytes::new(len), now);
+            let mut out = Vec::new();
+            let res = match call {
+                Enqueue(f, l) if facade => eng.try_enqueue(now, pkt(f, l)),
+                Enqueue(f, l) => eng.try_ingest(pkt(f, l)).and_then(|()| eng.pump(now)),
+                Ingest(f, l) => eng.try_ingest(pkt(f, l)),
+                Dequeue if facade => eng.try_dequeue(now).map(|p| out.extend(p)),
+                Dequeue => eng.drain(now, 1, &mut out).map(drop),
+                Pump => eng.pump(now),
+                Drain(n) => eng.drain(now, n, &mut out).map(drop),
+            };
+            results.push(res.map(|()| out.iter().map(|p| p.uid).collect::<Vec<_>>()));
+        }
+        let pages = Aggregator::new(hub).snapshot(1).unwrap();
+        let trace: Vec<_> = tracer.borrow().records().cloned().collect();
+        (results, trace, pages.engine, pages.shards, eng.pending())
+    };
+    let mut rng = TestRng::deterministic(std::any::type_name::<S>());
+    let script = proptest::collection::vec(call, 0..64);
+    for shards in [1, 2, 4].repeat(32) {
+        let calls = script.generate(&mut rng);
+        let got = run(shards, &calls, true);
+        assert_eq!(got, run(shards, &calls, false), "{calls:?}");
+        let errs: Vec<_> = got.0.into_iter().filter_map(Result::err).collect();
+        let met = |e| errs.contains(&e);
+        let toured = met(BufferFull(FlowId(2))) && met(UnknownFlow(FlowId(FLOWS)));
+        assert!(toured && met(TagOverflow), "{errs:?}");
+    }
+}
+
 /// The fixed sequence drains completely over both shipped shard
 /// schedulers, every packet exactly once. (The smoke weights are
 /// multiples of 64 kbps but not powers of two, so this also runs the
@@ -395,15 +492,19 @@ fn engine_implements_scheduler() {
     assert!(eng.is_empty());
 }
 
-/// A shard scheduler that refuses one marked packet length with
+/// `S`, except that it refuses one marked packet length with
 /// `TagOverflow` — the only enqueue error a registered flow can meet,
-/// and not one a test can provoke cheaply in a real `Sfq`.
+/// and not one a test can provoke cheaply in a real `Sfq`. Every call
+/// the engine makes is forwarded, batches included.
 #[derive(Default)]
-struct Overflowing(Sfq);
+struct Marked<S>(S);
+
+/// `Sfq`, marked.
+type Overflowing = Marked<Sfq>;
 
 const POISON_LEN: u64 = 666;
 
-impl Scheduler for Overflowing {
+impl<S: ShardSched> Scheduler for Marked<S> {
     fn add_flow(&mut self, flow: FlowId, weight: Rate) {
         self.0.add_flow(flow, weight)
     }
@@ -411,13 +512,22 @@ impl Scheduler for Overflowing {
         self.try_enqueue(now, pkt).unwrap()
     }
     fn try_enqueue(&mut self, now: SimTime, pkt: Packet) -> Result<(), SchedError> {
-        if pkt.len == Bytes::new(POISON_LEN) {
-            return Err(SchedError::TagOverflow);
+        self.try_enqueue_batch(now, &[pkt])
+    }
+    fn try_enqueue_batch(&mut self, now: SimTime, pkts: &[Packet]) -> Result<(), SchedError> {
+        let good = pkts.iter().take_while(|p| p.len != Bytes::new(POISON_LEN));
+        let good = good.count();
+        self.0.try_enqueue_batch(now, &pkts[..good])?;
+        if good < pkts.len() {
+            return Err(TagOverflow);
         }
-        self.0.try_enqueue(now, pkt)
+        Ok(())
     }
     fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
         self.0.dequeue(now)
+    }
+    fn dequeue_batch(&mut self, now: SimTime, max: usize, out: &mut Vec<Packet>) -> usize {
+        self.0.dequeue_batch(now, max, out)
     }
     fn is_empty(&self) -> bool {
         self.0.is_empty()
@@ -429,11 +539,11 @@ impl Scheduler for Overflowing {
         self.0.backlog(flow)
     }
     fn name(&self) -> &'static str {
-        "OVERFLOWING"
+        "MARKED"
     }
 }
 
-impl ShardSched for Overflowing {
+impl<S: ShardSched> ShardSched for Marked<S> {
     fn enable_rebasing(&mut self, bits: u32) {
         self.0.enable_rebasing(bits)
     }

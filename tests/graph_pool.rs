@@ -47,8 +47,8 @@ fn incast_overload_balances_under_every_drop_policy() {
         assert_eq!(delivered + shed, 40, "{policy:?}: disposition mismatch");
         assert_eq!(r.audit.in_use, 0, "{policy:?}: leaked slots");
         assert!(r.audit.balanced(), "{policy:?}: {:?}", r.audit);
-        // Lane accounting really ran: deliveries free via ReturnQueue.
-        assert_eq!(r.audit.freed_lane, delivered, "{policy:?}");
+        // Sink accounting really ran: deliveries free at the sink.
+        assert_eq!(r.audit.freed_sink, delivered, "{policy:?}");
     }
 }
 
