@@ -274,12 +274,13 @@ fn sort_script(script: &[Transit], origins: &[Origin]) -> Vec<u32> {
 
 /// `(arrival in ticks of 1/L, entry node, script index)` per scripted
 /// packet, where `L` is the least common multiple of the arrivals'
-/// denominators. `None` when `L` or a tick count does not fit a `u64`
-/// (or an arrival is negative).
+/// denominators as stored — equal instants are equal tick counts on
+/// any common lattice, so none of them is reduced. `None` when `L` or a
+/// tick count does not fit a `u64` (or an arrival is negative).
 fn lattice_keys(script: &[Transit], origins: &[Origin]) -> Option<Vec<(u64, u32, u32)>> {
     let mut lattice = 1u64;
     for t in script {
-        let den = u64::try_from(t.pkt.arrival.as_ratio().denom()).ok()?;
+        let den = u64::try_from(t.pkt.arrival.parts().1).ok()?;
         // Nearly always true: a nanosecond script settles on 10^9
         // within its first few packets.
         if !lattice.is_multiple_of(den) {
@@ -295,9 +296,9 @@ fn lattice_keys(script: &[Transit], origins: &[Origin]) -> Option<Vec<(u64, u32,
         .zip(origins)
         .enumerate()
         .map(|(i, (t, &(entry, _)))| {
-            let at = t.pkt.arrival.as_ratio();
-            let per_unit = lattice / at.denom() as u64;
-            let ticks = u64::try_from(at.numer()).ok()?.checked_mul(per_unit)?;
+            let (num, den) = t.pkt.arrival.parts();
+            let per_unit = lattice / den as u64;
+            let ticks = u64::try_from(num).ok()?.checked_mul(per_unit)?;
             Some((ticks, entry, i as u32))
         })
         .collect()

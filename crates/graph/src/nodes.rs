@@ -4,7 +4,7 @@
 use crate::arena::PktArena;
 use crate::node::{GraphNode, OutPort};
 use sfq_core::{FlowId, FlowMap, PktRef};
-use simtime::{Bytes, Rate, SimTime, Unreduced};
+use simtime::{Bytes, Rate, SimTime};
 
 /// Flow-id → out-port classification (the paper's per-flow path
 /// binding). Packets of unrouted flows with no default route are
@@ -99,11 +99,10 @@ pub struct TokenBucket {
 /// contract pass through untouched. Conforming traffic leaves on
 /// out-port 0.
 ///
-/// A TAT is compared with the clock and never read, so it is kept as
-/// an [`Unreduced`] fraction on the lattice of `ρ`, seated at the
-/// instant the flow last went from idle to busy: a busy flow's update
-/// is an integer add and both tests are cross-multiplications, with no
-/// gcd on any branch (docs/graph.md, "What a packet costs").
+/// A TAT is a [`SimTime`] on the lattice of `ρ`, seated at the instant
+/// the flow last went from idle to busy: a busy flow's update is an
+/// integer add and both tests are cross-multiplications with the clock,
+/// with no gcd on any branch (docs/graph.md, "What a packet costs").
 pub struct Policer {
     contracts: FlowMap<Contract>,
     total_dropped: u64,
@@ -116,7 +115,7 @@ struct Contract {
     /// σ in bits: stepping back by it takes TAT to `TAT − σ/ρ`.
     sigma_bits: i128,
     /// Theoretical arrival time of the flow's next conforming packet.
-    tat: Unreduced,
+    tat: SimTime,
     dropped: u64,
 }
 
@@ -126,16 +125,15 @@ impl Contract {
     /// conforms whatever σ is. Arithmetic that leaves `i128` — no
     /// instant or rate a simulation can hold gets there — reads as
     /// non-conforming: the policer fails closed rather than panic.
-    fn admit(&self, now: SimTime, len: Bytes) -> Option<Unreduced> {
-        let (now, rho) = (now.as_ratio(), self.rho.as_bps());
+    fn admit(&self, now: SimTime, len: Bytes) -> Option<SimTime> {
         let from = if self.tat <= now {
-            Unreduced::from(now)
-        } else if self.tat.advance(-self.sigma_bits, rho)? <= now {
+            now
+        } else if self.tat.advance(-self.sigma_bits, self.rho)? <= now {
             self.tat
         } else {
             return None;
         };
-        from.advance(len.bits() as i128, rho)
+        from.advance(len.bits() as i128, self.rho)
     }
 }
 
@@ -154,13 +152,13 @@ impl Policer {
     pub fn contract(&mut self, flow: FlowId, bucket: TokenBucket) {
         assert!(bucket.rho.as_bps() > 0, "transmission at zero rate");
         let prior = self.contracts.get(flow);
-        let tat = prior.map_or(Unreduced::ZERO, |c| c.tat);
+        let tat = prior.map_or(SimTime::ZERO, |c| c.tat);
         let fresh = Contract {
             rho: bucket.rho,
             sigma_bits: bucket.sigma.bits() as i128,
             // Seat the TAT on the new rate's lattice now (a step of
             // nothing), so that no packet pays for the move.
-            tat: tat.advance(0, bucket.rho.as_bps()).unwrap_or(tat),
+            tat: tat.advance(0, bucket.rho).unwrap_or(tat),
             dropped: prior.map_or(0, |c| c.dropped),
         };
         self.contracts.insert(flow, fresh);
@@ -379,7 +377,7 @@ mod tests {
                 p.dispatch(at, &mut arena, &[h], &mut out);
                 let conforms = old.conforms(at, len);
                 prop_assert_eq!(!out.is_empty(), conforms, "packet {} at {:?}", i, at);
-                let tat = p.contracts.get(flow).map(|c| c.tat.reduce());
+                let tat = p.contracts.get(flow).map(|c| c.tat.as_ratio());
                 prop_assert_eq!(tat, Some(old.tat.as_ratio()), "TAT after packet {}", i);
                 dropped += !conforms as u64;
             }

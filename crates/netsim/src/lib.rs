@@ -11,19 +11,14 @@
 //! - [`TcpSender`] / [`TcpReceiver`]: a compact TCP Reno model (slow
 //!   start, congestion avoidance, fast retransmit/recovery, adaptive
 //!   RTO) as pure state machines — `Graph::add_tcp_source` closes the
-//!   loop through a topology,
-//! - [`engine_port`]: a switch port whose scheduled class is the
-//!   sharded `sfq-engine` drainer (hierarchical SFQ composition,
-//!   Section 4) behind the ordinary [`SwitchCore`] machinery.
+//!   loop through a topology.
 
 #![warn(missing_docs)]
 // Panic-free outside tests, like `sfq-core` (docs/robustness.md).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-mod engine_port;
 mod switch;
 mod tcp;
 
-pub use engine_port::engine_port;
 pub use switch::{DropPolicy, SwitchCore};
 pub use tcp::{TcpConfig, TcpReceiver, TcpSender};

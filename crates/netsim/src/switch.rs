@@ -448,6 +448,26 @@ mod obs_tests {
         assert_eq!(log.borrow().drops, vec![(1, b.uid)]);
         assert_eq!(sw.drops(FlowId(1)), 1);
     }
+
+    #[test]
+    fn scheduler_level_refusal_hits_drop_books() {
+        // No switch caps: only the scheduler's one-slot pool refuses.
+        // Its BufferFull is a shed packet like a cap refusal — counted
+        // and observed, not passed through silently.
+        let mut s = Sfq::new();
+        s.add_flow(FlowId(1), Rate::bps(1_000));
+        s.set_pool_limit(Some(1));
+        let mut sw = SwitchCore::new(Box::new(s), RateProfile::constant(Rate::bps(1_000)), None);
+        let log = Rc::new(RefCell::new(DropLog::default()));
+        sw.set_drop_observer(Box::new(Rc::clone(&log)));
+        let mut pf = PacketFactory::new();
+        let t0 = SimTime::ZERO;
+        assert!(sw.offer(t0, pf.make(FlowId(1), Bytes::new(10), t0)));
+        let refused = pf.make(FlowId(1), Bytes::new(10), t0);
+        assert!(!sw.offer(t0, refused));
+        assert_eq!(sw.drops(FlowId(1)), 1, "refusal missing from drop books");
+        assert_eq!(log.borrow().drops, vec![(1, refused.uid)]);
+    }
 }
 
 #[cfg(test)]

@@ -24,37 +24,27 @@ pub struct RateProfile {
     segments: Vec<Segment>,
 }
 
-/// Exact time to serve `remaining` bits at the non-zero `rate`. A whole
-/// number of bits — every transmission that has not crossed a segment
-/// boundary at a fractional bit — is the single reduction of
-/// [`Rate::tx_time`]; only a fractional remainder divides rationals.
-fn drain_time(remaining: Ratio, rate: Rate) -> SimDuration {
-    SimDuration::from_ratio(if remaining.denom() == 1 {
-        Ratio::new(remaining.numer(), rate.as_bps() as i128)
-    } else {
-        remaining / rate.as_ratio()
-    })
-}
-
 impl RateProfile {
     /// Constant-rate server (`(C, 0)` Fluctuation Constrained).
     pub fn constant(rate: Rate) -> Self {
-        RateProfile {
-            segments: vec![Segment {
-                start: SimTime::ZERO,
-                rate,
-            }],
-        }
+        Self::from_segments(vec![Segment {
+            start: SimTime::ZERO,
+            rate,
+        }])
     }
 
     /// Build from explicit segments. Panics unless segments start at
-    /// t = 0 and are strictly increasing in time.
+    /// t = 0, are strictly increasing in time, and end at a non-zero
+    /// rate — a transmission the last segment has to finish would
+    /// otherwise never complete.
     pub fn from_segments(segments: Vec<Segment>) -> Self {
-        assert!(!segments.is_empty(), "profile needs at least one segment");
-        assert_eq!(
-            segments[0].start,
-            SimTime::ZERO,
-            "profile must start at t=0"
+        let (Some(first), Some(last)) = (segments.first(), segments.last()) else {
+            panic!("profile needs at least one segment");
+        };
+        assert_eq!(first.start, SimTime::ZERO, "profile must start at t=0");
+        assert!(
+            last.rate.as_bps() > 0,
+            "profile must end at a non-zero rate"
         );
         for w in segments.windows(2) {
             assert!(
@@ -111,9 +101,22 @@ impl RateProfile {
     }
 
     /// Exact time at which a transmission of `len` bytes beginning at
-    /// `t0` completes. Panics if the profile has zero rate forever
-    /// after the remaining work (the transmission would never finish).
+    /// `t0` completes.
+    ///
+    /// A whole number of bits at one rate is a step of `bits / rate`
+    /// ([`SimTime::advance`]): one multiply-add when `t0` is on the
+    /// rate's lattice, which a link's previous finish time is. Only a
+    /// transmission that crosses a segment boundary — at a fractional
+    /// bit, perhaps — divides rationals for the remainder.
     pub fn finish_time(&self, t0: SimTime, len: Bytes) -> SimTime {
+        // `t + remaining / rate`, for a non-zero rate; where the step
+        // overflows, the sum panics as reduced arithmetic does.
+        let drain = |t: SimTime, remaining: Ratio, rate: Rate| {
+            let whole = (remaining.denom() == 1).then(|| t.advance(remaining.numer(), rate));
+            whole
+                .flatten()
+                .unwrap_or_else(|| t + SimDuration::from_ratio(remaining / rate.as_ratio()))
+        };
         let mut remaining = len.bits_ratio();
         if remaining.is_zero() {
             return t0;
@@ -123,30 +126,22 @@ impl RateProfile {
             Err(i) => i.saturating_sub(1),
         };
         let mut t = t0;
-        for i in start_idx..self.segments.len() {
-            let seg = self.segments[i];
-            let seg_end = self.segments.get(i + 1).map(|n| n.start);
-            let rate = seg.rate.as_ratio();
-            match seg_end {
-                Some(end) if end > t => {
-                    let capacity = rate * (end - t).as_ratio();
-                    if capacity >= remaining && !rate.is_zero() {
-                        return t + drain_time(remaining, seg.rate);
-                    }
-                    remaining -= capacity;
-                    t = end;
-                }
-                Some(_) => continue,
-                None => {
-                    assert!(
-                        !rate.is_zero(),
-                        "transmission never completes: zero final rate"
-                    );
-                    return t + drain_time(remaining, seg.rate);
-                }
+        for (i, seg) in self.segments.iter().enumerate().skip(start_idx) {
+            // The last segment's rate is not zero (`from_segments`).
+            let Some(end) = self.segments.get(i + 1).map(|n| n.start) else {
+                return drain(t, remaining, seg.rate);
+            };
+            if end <= t {
+                continue;
             }
+            let capacity = seg.rate.as_ratio() * (end - t).as_ratio();
+            if capacity >= remaining && seg.rate.as_bps() > 0 {
+                return drain(t, remaining, seg.rate);
+            }
+            remaining -= capacity;
+            t = end;
         }
-        unreachable!("final segment handled above")
+        unreachable!("the last segment returns")
     }
 
     /// Average rate over `[0, horizon]`.
@@ -322,8 +317,14 @@ mod tests {
             stepped,
             on_off(),
         ];
+        // A finish time as a link leaves it, on the lattice 10^9 · C,
+        // and one more hop at a coprime rate, whose lattice no machine
+        // word holds.
+        let ns = SimTime::from_nanos(1_999_999_999);
+        let seated = ns.advance(12_000, Rate::bps(45_511_111)).unwrap();
+        let two_hop = seated.advance(4_608, Rate::bps(1_000_003)).unwrap();
         for p in &profiles {
-            for t0 in [SimTime::ZERO, third, SimTime::from_nanos(1_999_999_999)] {
+            for t0 in [SimTime::ZERO, third, ns, seated, two_hop] {
                 for len in [1, 2, 64, 1_500, 250_000] {
                     let len = Bytes::new(len);
                     assert_eq!(
@@ -406,6 +407,21 @@ mod tests {
             start: SimTime::from_secs(1),
             rate: Rate::bps(1),
         }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-zero rate")]
+    fn profile_must_not_end_at_zero_rate() {
+        let _ = RateProfile::from_segments(vec![
+            Segment {
+                start: SimTime::ZERO,
+                rate: Rate::bps(8),
+            },
+            Segment {
+                start: SimTime::from_secs(1),
+                rate: Rate::bps(0),
+            },
+        ]);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! shards of leaf discipline `S`, every one run in place on the calling
 //! thread and statically dispatched. It is a drop-in
 //! [`sfq_core::Scheduler`], so `netsim`'s switch can run a sharded port
-//! (see `netsim::engine_port`), and carries no `Send` bound, so
+//! (`graph::PortKind::EngineSync`), and carries no `Send` bound, so
 //! `Rc<RefCell<_>>` observers work. Nothing in it crosses a thread: to
 //! use more cores, run one engine per thread over a partition of the
 //! flows (`examples/engine_per_thread.rs`) — fairness is then per

@@ -23,9 +23,11 @@
 //! The tags are exact but not kept reduced: `pick` and `charge` only
 //! compare them, so each is an [`Unreduced`] fraction seated on the
 //! lattice of its class's rate. A class that stays ahead of `v` at an
-//! unchanged rate is charged by one integer add; a class that fell
-//! behind, or whose rate moved, reduces its start tag once and seats
-//! again. [`RootSfq::virtual_time`] reduces on read, and the rebase
+//! unchanged rate is charged by one divisibility test and one integer
+//! multiply-add; a class that fell behind, or whose rate moved, seats
+//! its start tag on the new lattice, reducing it first when the seat
+//! would leave a machine word ([`Unreduced::advance`]).
+//! [`RootSfq::virtual_time`] reduces on read, and the rebase
 //! rule reduces every tag before it judges magnitudes, so the
 //! observable sequence — picks, `v`, rebase count, the `TagOverflow`
 //! point — is the one reduced [`Ratio`] arithmetic produces (the

@@ -4,13 +4,16 @@
 //! packet lengths, rates/weights, real time, virtual time — is
 //! represented exactly:
 //!
-//! - [`Ratio`]: reduced `i128` rationals (no floats in scheduler logic),
-//! - [`Unreduced`]: the same exact values for state that is stepped
-//!   once per packet and only ever compared (a policer's TAT, an
-//!   arbiter's tags) — seated on the lattice of its rate, it advances
-//!   by integer adds and is reduced only when somebody reads it,
+//! - [`Ratio`]: `i128` rationals, always in lowest terms (no floats in
+//!   scheduler logic),
+//! - [`Unreduced`]: the representation of time — the same exact values,
+//!   kept on the lattice they were made on and reduced only when
+//!   somebody reads them. A step of `bits / rate` on that rate's
+//!   lattice is one multiply-add; equality, order and hash are by
+//!   value. It holds every instant and span, a policer's TAT and the
+//!   root arbiter's tags,
 //! - [`SimTime`] / [`SimDuration`]: absolute instants and spans in exact
-//!   rational seconds,
+//!   rational seconds, over [`Unreduced`],
 //! - [`Bytes`] / [`Rate`]: integer bytes and integer bits-per-second.
 //!
 //! This makes the discrete-event simulation deterministic and lets the

@@ -6,14 +6,14 @@
 //! gcd or three), a lossy division to `f64`, a `log2` — costs more
 //! than the scheduler the histogram watches, and is only approximately
 //! the quantity it names. [`SimTime::log2_nanos_since`] reads it off
-//! the two fractions instead. For `now = a/b` and `arrival = c/d` the
-//! span in nanoseconds is `n/m` with `n = (a·d − c·b)·10⁹` and
-//! `m = b·d`; the bit lengths of `n` and `m` place `⌊log2(n/m)⌋`
-//! within one, and a single comparison of `n` against `m` shifted
-//! settles it. Nothing is reduced, divided or rounded, so the result
-//! is exact for every pair of instants.
+//! the two fractions as stored instead. For `now = a/b` and
+//! `arrival = c/d` the span in nanoseconds is `n/m` with
+//! `n = (a·d − c·b)·10⁹` and `m = b·d`; the bit lengths of `n` and `m`
+//! place `⌊log2(n/m)⌋` within one, and a single comparison of `n`
+//! against `m` shifted settles it. Nothing is reduced, divided or
+//! rounded, so the result is exact for every pair of instants.
 //!
-//! Like [`Ratio`]'s own arithmetic it has a word-sized road and a wide
+//! Like [`Ratio`](crate::Ratio)'s own arithmetic it has a word-sized road and a wide
 //! one, chosen by the size of the operands and by nothing else. When
 //! all four parts fit an `i64` the cross products are single
 //! multiplications that cannot overflow, and when their difference is
@@ -26,7 +26,7 @@
 // Panic-free outside tests: it runs on the scheduler's data path.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::ratio::{wide, Ratio};
+use crate::ratio::wide;
 use crate::time::SimTime;
 
 const NANOS: u64 = 1_000_000_000;
@@ -39,8 +39,7 @@ impl SimTime {
     /// module docs.
     #[inline]
     pub fn log2_nanos_since(self, earlier: SimTime) -> u32 {
-        let (now, then) = (self.as_ratio(), earlier.as_ratio());
-        if let (Some((a, b)), Some((c, d))) = (now.narrow(), then.narrow()) {
+        if let (Some((a, b)), Some((c, d))) = (self.0.narrow(), earlier.0.narrow()) {
             let span = wide(a, d) - wide(c, b);
             if span <= 0 {
                 return 0;
@@ -52,7 +51,7 @@ impl SimTime {
                 return log2_quotient(bits(n), bits(m), |k| n >= (m << k));
             }
         }
-        log2_nanos_wide(now, then)
+        log2_nanos_wide(self, earlier)
     }
 }
 
@@ -136,21 +135,21 @@ fn limb_bits(x: &Limbs) -> u32 {
 
 /// [`SimTime::log2_nanos_since`] for operands of any width and sign.
 #[cold]
-fn log2_nanos_wide(now: Ratio, then: Ratio) -> u32 {
+fn log2_nanos_wide(now: SimTime, then: SimTime) -> u32 {
     if now <= then {
         return 0;
     }
+    let ((a, b), (c, d)) = (now.parts(), then.parts());
     let cross = |num: i128, den: i128| scale(times(limbs(num.unsigned_abs()), den as u128), NANOS);
-    let ad = cross(now.numer(), then.denom());
-    let cb = cross(then.numer(), now.denom());
+    let (ad, cb) = (cross(a, d), cross(c, b));
     // `now > then`: the signs say whether the two magnitudes add up to
     // the span or which of them is the larger.
-    let n = match (now.numer() < 0, then.numer() < 0) {
+    let n = match (a < 0, c < 0) {
         (false, false) => sub(ad, cb),
         (true, true) => sub(cb, ad),
         _ => add(ad, cb),
     };
-    let m = times(limbs(now.denom() as u128), then.denom() as u128);
+    let m = times(limbs(b as u128), d as u128);
     log2_quotient(limb_bits(&n), limb_bits(&m), |k| {
         n.iter().rev().ge(shl(m, k).iter().rev())
     })
@@ -159,6 +158,7 @@ fn log2_nanos_wide(now: Ratio, then: Ratio) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ratio::Ratio;
     use proptest::prelude::*;
 
     /// The definition, in the reduced arithmetic this module replaces:
@@ -180,7 +180,7 @@ mod tests {
         let got = now.log2_nanos_since(then);
         assert_eq!(
             got,
-            log2_nanos_wide(now.as_ratio(), then.as_ratio()),
+            log2_nanos_wide(now, then),
             "roads disagree: {now:?} since {then:?}"
         );
         if let Some(want) = oracle(now, then) {
@@ -207,6 +207,10 @@ mod tests {
             at(123_456_789, 1_000_003),
             at((1 << 50) + 5, (1 << 50) - 27),
             at(-5, 11),
+            // Stored unreduced, on a link's lattice: 10^9 · 13 511 111.
+            SimTime::from_nanos(999_999_937)
+                .advance(12_000, crate::Rate::bps(13_511_111))
+                .expect("fits"),
         ]
     }
 

@@ -549,7 +549,7 @@ impl Ratio {
 /// compare the reciprocals of the fractional parts with the order
 /// reversed (`ra/b < rc/d  <=>  d/rc < b/ra`). Terminates like the
 /// Euclidean algorithm and never multiplies large operands.
-fn cmp_frac(mut a: i128, mut b: i128, mut c: i128, mut d: i128) -> Ordering {
+pub(crate) fn cmp_frac(mut a: i128, mut b: i128, mut c: i128, mut d: i128) -> Ordering {
     loop {
         let qa = a.div_euclid(b);
         let qc = c.div_euclid(d);

@@ -5,117 +5,125 @@
 //! transmission completion times use this type, so the discrete-event
 //! engine is bit-for-bit deterministic and the paper's inequalities can
 //! be checked exactly.
+//!
+//! Both types hold an [`Unreduced`] fraction: the exact value on the
+//! lattice it was made on, put in lowest terms only when it is read
+//! ([`SimTime::as_ratio`], `Debug`). Equality, order and hash are by
+//! value, so nothing that compares, hashes or reads a time can tell.
 
 use crate::ratio::Ratio;
+use crate::units::Rate;
+use crate::unreduced::Unreduced;
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
 /// An absolute simulation instant (exact rational seconds since t = 0).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimTime(Ratio);
+pub struct SimTime(pub(crate) Unreduced);
 
 /// A span of simulation time (exact rational seconds; may be negative as
 /// the result of subtraction, though scheduling APIs require `>= 0`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimDuration(Ratio);
+pub struct SimDuration(Unreduced);
 
 impl SimTime {
     /// The simulation origin, t = 0.
-    pub const ZERO: SimTime = SimTime(Ratio::ZERO);
+    pub const ZERO: SimTime = SimTime(Unreduced::ZERO);
 
     /// Construct from an exact rational number of seconds.
     pub fn from_ratio(seconds: Ratio) -> Self {
-        SimTime(seconds)
+        SimTime(seconds.into())
     }
 
     /// Construct from whole seconds.
     pub fn from_secs(s: i128) -> Self {
-        SimTime(Ratio::from_int(s))
+        SimTime(Unreduced::over(s, 1))
     }
 
     /// Construct from whole milliseconds.
     pub fn from_millis(ms: i128) -> Self {
-        SimTime(Ratio::new(ms, 1_000))
+        SimTime(Unreduced::over(ms, 1_000))
     }
 
     /// Construct from whole microseconds.
     pub fn from_micros(us: i128) -> Self {
-        SimTime(Ratio::new(us, 1_000_000))
+        SimTime(Unreduced::over(us, 1_000_000))
     }
 
     /// Construct from whole nanoseconds.
     pub fn from_nanos(ns: i128) -> Self {
-        SimTime(Ratio::new(ns, 1_000_000_000))
+        SimTime(Unreduced::over(ns, 1_000_000_000))
     }
 
-    /// The exact rational seconds since simulation start.
+    /// The exact rational seconds since simulation start, in lowest
+    /// terms (one gcd).
     pub fn as_ratio(self) -> Ratio {
-        self.0
+        self.0.reduce()
+    }
+
+    /// Numerator and denominator as stored: the value is `num / den`
+    /// with `den > 0`, not necessarily in lowest terms.
+    pub fn parts(self) -> (i128, i128) {
+        self.0.parts()
     }
 
     /// Lossy seconds, for reporting only.
     pub fn as_secs_f64(self) -> f64 {
-        self.0.to_f64()
+        self.as_ratio().to_f64()
     }
 
-    /// Exact maximum of two instants.
-    pub fn max(self, other: Self) -> Self {
-        SimTime(self.0.max(other.0))
-    }
-
-    /// Exact minimum of two instants.
-    pub fn min(self, other: Self) -> Self {
-        SimTime(self.0.min(other.0))
+    /// `self + bits / rate`, exactly; `bits` may be negative. On the
+    /// lattice of `rate` — a denominator the rate divides, which every
+    /// instant this returns is on — one multiply-add
+    /// ([`Unreduced::advance`]). `None` where reduced [`Ratio`]
+    /// arithmetic overflows, and for a zero rate.
+    pub fn advance(self, bits: i128, rate: Rate) -> Option<SimTime> {
+        self.0.advance(bits, rate.as_bps()).map(SimTime)
     }
 }
 
 impl SimDuration {
     /// Zero-length span.
-    pub const ZERO: SimDuration = SimDuration(Ratio::ZERO);
+    pub const ZERO: SimDuration = SimDuration(Unreduced::ZERO);
 
     /// Construct from an exact rational number of seconds.
     pub fn from_ratio(seconds: Ratio) -> Self {
-        SimDuration(seconds)
+        SimDuration(seconds.into())
     }
 
     /// Construct from whole seconds.
     pub fn from_secs(s: i128) -> Self {
-        SimDuration(Ratio::from_int(s))
+        SimDuration(Unreduced::over(s, 1))
     }
 
     /// Construct from whole milliseconds.
     pub fn from_millis(ms: i128) -> Self {
-        SimDuration(Ratio::new(ms, 1_000))
+        SimDuration(Unreduced::over(ms, 1_000))
     }
 
     /// Construct from whole microseconds.
     pub fn from_micros(us: i128) -> Self {
-        SimDuration(Ratio::new(us, 1_000_000))
+        SimDuration(Unreduced::over(us, 1_000_000))
     }
 
     /// Construct from whole nanoseconds.
     pub fn from_nanos(ns: i128) -> Self {
-        SimDuration(Ratio::new(ns, 1_000_000_000))
+        SimDuration(Unreduced::over(ns, 1_000_000_000))
     }
 
-    /// The exact rational seconds.
+    /// The exact rational seconds, in lowest terms (one gcd).
     pub fn as_ratio(self) -> Ratio {
-        self.0
+        self.0.reduce()
     }
 
     /// Lossy seconds, for reporting only.
     pub fn as_secs_f64(self) -> f64 {
-        self.0.to_f64()
+        self.as_ratio().to_f64()
     }
 
     /// `true` if the span is negative (only possible via subtraction).
     pub fn is_negative(self) -> bool {
         self.0.is_negative()
-    }
-
-    /// Exact maximum.
-    pub fn max(self, other: Self) -> Self {
-        SimDuration(self.0.max(other.0))
     }
 }
 
@@ -128,7 +136,7 @@ impl Add<SimDuration> for SimTime {
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -148,7 +156,7 @@ impl Add for SimDuration {
 
 impl AddAssign for SimDuration {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -161,7 +169,7 @@ impl Sub for SimDuration {
 
 impl fmt::Debug for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t={}s", self.0)
+        write!(f, "t={}s", self.as_ratio())
     }
 }
 
@@ -173,7 +181,7 @@ impl fmt::Display for SimTime {
 
 impl fmt::Debug for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}s", self.0)
+        write!(f, "{}s", self.as_ratio())
     }
 }
 

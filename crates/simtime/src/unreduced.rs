@@ -1,43 +1,46 @@
-//! An exact fraction that is allowed to stay unreduced.
+//! Exact time, reduced on read.
 //!
 //! A [`Ratio`] pays a gcd or three for every addition so that it is
-//! always *the* reduced fraction — which is what lets `Eq` and `Hash`
-//! be derived and what an event time, printed and hashed by every
-//! golden, must be. Some exact values are never read that way. A
-//! policer's theoretical arrival time and an arbiter's finish tags
-//! advance by `bits / rate` once per packet and are only ever
-//! *compared*: nothing sees their numerator or denominator, so nothing
-//! needs them in lowest terms.
+//! always *the* reduced fraction. Time does not need that: lowest terms
+//! matter only to whoever prints a value or reads its numerator and
+//! denominator, and a reader can reduce for itself. So an instant — a
+//! [`SimTime`](crate::SimTime), a policer's TAT, an arbiter's tag — is
+//! an [`Unreduced`] `num / den`, the exact value on the lattice it was
+//! made on. Equality, order and hash are those of the value
+//! (`1/2 == 2/4`, and the two hash alike), and [`Unreduced::reduce`]
+//! gives the reduced [`Ratio`]. What is saved is the gcd:
 //!
-//! [`Unreduced`] is such a value. It is seated on a lattice: from an
-//! instant `a/q` and a rate `ρ` it becomes `(a·ρ)/(q·ρ)`, and on that
-//! denominator a step of `bits/ρ` is the integer `bits·q` added to the
-//! numerator — no gcd, no division, the HFSC trick of doing the
-//! division when the class is set up. Comparison is by
-//! cross-multiplication. Leaving the lattice — another rate, or
-//! integers that no longer fit — reduces once and seats again, and
-//! when even that does not fit the step is done in [`Ratio`]
-//! arithmetic, so an `Unreduced` computes exactly what a `Ratio` would
-//! have and returns `None` exactly where it would have.
+//! - `from_nanos` and its siblings store `ns / 10⁹` as given;
+//! - a sum whose denominators are equal, or one of which divides the
+//!   other, is integer adds on the larger of them;
+//! - a step of `bits / rate` on the lattice `den = unit · rate` adds
+//!   `bits · unit` to the numerator: one divisibility test and one
+//!   multiply-add, the HFSC trick of dividing when the class is set
+//!   up. A value off that lattice is *seated* on it first,
+//!   `(num · rate) / (den · rate)`, and a link's next finish time is on
+//!   it again.
+//!
+//! Anything else — a sum over unrelated denominators, integers that no
+//! longer fit, a seat past a machine word — reduces once and goes on
+//! from there, and when even that does not fit it is done in [`Ratio`]
+//! arithmetic. So an `Unreduced` computes what reduced arithmetic
+//! computes and fails (`None`, or the same panic) exactly where it does.
 
 // Panic-free outside tests, like `sfq-core` (docs/robustness.md).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::ratio::Ratio;
+use crate::ratio::{cmp_frac, wide, Ratio};
 use core::cmp::Ordering;
+use core::fmt;
+use core::hash::{Hash, Hasher};
+use core::ops::{Add, Sub};
 
 /// An exact `num / den` with `den > 0`, not kept in lowest terms. See
 /// the module docs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 pub struct Unreduced {
     num: i128,
     den: i128,
-    /// Numerator ticks per `1 / rate`: `den == unit * rate`. Zero with
-    /// `rate`, for a value on no lattice.
-    unit: i128,
-    /// Rate of the lattice the value is seated on; `0` when it is on
-    /// none, in which case `num / den` is in lowest terms.
-    rate: u64,
 }
 
 /// `a * b`, in one instruction when both are machine words (an `i128`
@@ -50,73 +53,127 @@ fn mul(a: i128, b: i128) -> Option<i128> {
     }
 }
 
-/// `a/b` against `c/d` for `b, d > 0` by cross-multiplication; `None`
-/// when a product leaves `i128`.
+/// `a / b` when `b` divides `a`, for `a, b > 0`: one division, on
+/// machine words when both are.
 #[inline]
-fn cross_cmp((a, b): (i128, i128), (c, d): (i128, i128)) -> Option<Ordering> {
-    if b == d {
-        return Some(a.cmp(&c));
+fn quotient(a: i128, b: i128) -> Option<i128> {
+    match (u64::try_from(a), u64::try_from(b)) {
+        (Ok(a), Ok(b)) => a.is_multiple_of(b).then(|| (a / b) as i128),
+        _ => (a % b == 0).then(|| a / b),
     }
-    Some(mul(a, d)?.cmp(&mul(c, b)?))
 }
 
 impl Unreduced {
     /// Zero.
-    pub const ZERO: Unreduced = Unreduced {
-        num: 0,
-        den: 1,
-        unit: 0,
-        rate: 0,
-    };
+    pub const ZERO: Unreduced = Unreduced { num: 0, den: 1 };
 
-    /// `at` on the lattice of `rate`: `(a·rate) / (q·rate)` for
-    /// `at = a/q`. `None` when a product leaves `i128`.
-    fn seat(at: Ratio, rate: u64) -> Option<Unreduced> {
-        Some(Unreduced {
-            num: mul(at.numer(), rate as i128)?,
-            den: mul(at.denom(), rate as i128)?,
-            unit: at.denom(),
-            rate,
-        })
+    /// `num / den` as given, for `den > 0`.
+    #[inline]
+    pub(crate) const fn over(num: i128, den: i128) -> Unreduced {
+        debug_assert!(den > 0, "Unreduced requires den > 0");
+        Unreduced { num, den }
+    }
+
+    /// Numerator and denominator as stored: `den > 0`, not necessarily
+    /// in lowest terms.
+    #[inline]
+    pub(crate) fn parts(self) -> (i128, i128) {
+        (self.num, self.den)
+    }
+
+    /// The stored parts as machine words, when both fit.
+    #[inline]
+    pub(crate) fn narrow(self) -> Option<(i64, i64)> {
+        Some((i64::try_from(self.num).ok()?, i64::try_from(self.den).ok()?))
+    }
+
+    /// `self + bits · unit / den`, which is `self + bits / rate` when
+    /// `den == unit · rate`.
+    #[inline]
+    fn step(self, bits: i128, unit: i128) -> Option<Unreduced> {
+        let num = self.num.checked_add(mul(bits, unit)?)?;
+        Some(Unreduced { num, den: self.den })
     }
 
     /// `self + bits / rate`, exactly; `bits` may be negative.
     ///
-    /// On the lattice of `rate` this is one multiplication and one
-    /// addition of integers. Anywhere else — a value seated at another
-    /// rate or at none, or a lattice whose integers ran out — the value
-    /// is reduced once and seated at `rate` first, and failing that the
-    /// sum is taken in [`Ratio`] arithmetic and left on no lattice.
-    /// `None` only where `self.reduce().checked_add(bits / rate)` is
-    /// `None`, and for a zero `rate`.
+    /// On the lattice of `rate` — a denominator `rate` divides — this is
+    /// one multiplication and one addition of integers. Off it the
+    /// value is seated there first: as stored while the seated
+    /// denominator stays a machine word, and reduced first otherwise,
+    /// so that lattices do not compound. Where the integers run out the
+    /// sum is taken in [`Ratio`] arithmetic. `None` only where
+    /// `self.reduce().checked_add(bits / rate)` is `None`, and for a
+    /// zero `rate`.
     pub fn advance(self, bits: i128, rate: u64) -> Option<Unreduced> {
         if rate == 0 {
             return None;
         }
-        let step = |s: Unreduced| {
-            let num = s.num.checked_add(mul(bits, s.unit)?)?;
-            Some(Unreduced { num, ..s })
-        };
-        if self.rate == rate {
-            if let Some(next) = step(self) {
-                return Some(next);
-            }
+        // On the lattice, `den / rate` is the numerator's ticks per
+        // `1 / rate`.
+        let unit = quotient(self.den, rate as i128);
+        if let Some(next) = unit.and_then(|unit| self.step(bits, unit)) {
+            return Some(next);
         }
-        let at = self.reduce();
-        Self::seat(at, rate).and_then(step).or_else(|| {
-            at.checked_add(Ratio::new(bits, rate as i128))
-                .map(Unreduced::from)
-        })
+        let seated = |at: Unreduced| {
+            let on = Unreduced {
+                num: mul(at.num, rate as i128)?,
+                den: mul(at.den, rate as i128)?,
+            };
+            on.step(bits, at.den)
+        };
+        let word = mul(self.den, rate as i128).is_some_and(|d| i64::try_from(d).is_ok());
+        word.then(|| seated(self))
+            .flatten()
+            .or_else(|| seated(self.reduce().into()))
+            .or_else(|| {
+                let step = Ratio::new(bits, rate as i128);
+                self.reduce().checked_add(step).map(Unreduced::from)
+            })
     }
 
-    /// The value as the reduced fraction it equals: one gcd, or none
-    /// for a value on no lattice.
-    pub fn reduce(self) -> Ratio {
-        if self.rate == 0 {
-            Ratio::raw(self.num, self.den)
-        } else {
-            Ratio::new(self.num, self.den)
+    /// `self + rhs` when the denominators are equal or one divides the
+    /// other: integer adds on the larger one. `None` otherwise, and when
+    /// the integers overflow.
+    #[inline]
+    fn add_on_lattice(self, rhs: Unreduced) -> Option<Unreduced> {
+        if self.den == rhs.den {
+            let num = self.num.checked_add(rhs.num)?;
+            return Some(Unreduced { num, den: self.den });
         }
+        let (hi, lo) = if self.den > rhs.den {
+            (self, rhs)
+        } else {
+            (rhs, self)
+        };
+        hi.step(lo.num, quotient(hi.den, lo.den)?)
+    }
+
+    /// `self + rhs`, exactly. Over one lattice no gcd is taken; over
+    /// two unrelated ones the sum is [`Ratio`]'s, of the reduced
+    /// operands. `None` exactly where that addition is `None`.
+    fn checked_add(self, rhs: Unreduced) -> Option<Unreduced> {
+        self.add_on_lattice(rhs)
+            .or_else(|| self.reduce().checked_add(rhs.reduce()).map(Unreduced::from))
+    }
+
+    /// `self − rhs`, exactly; `None` exactly where
+    /// [`Ratio::checked_sub`] of the reduced operands is `None`.
+    fn checked_sub(self, rhs: Unreduced) -> Option<Unreduced> {
+        let neg = rhs.num.checked_neg().map(|num| Unreduced { num, ..rhs });
+        neg.and_then(|neg| self.add_on_lattice(neg))
+            .or_else(|| self.reduce().checked_sub(rhs.reduce()).map(Unreduced::from))
+    }
+
+    /// The value as the reduced fraction it equals: one gcd, none for
+    /// an integer.
+    pub fn reduce(self) -> Ratio {
+        Ratio::new(self.num, self.den)
+    }
+
+    /// `true` if the value is strictly negative.
+    pub(crate) fn is_negative(self) -> bool {
+        self.num < 0
     }
 
     /// [`Ratio::magnitude_bits`] of the fraction *as stored*: never
@@ -128,21 +185,29 @@ impl Unreduced {
     }
 }
 
-/// The value of `r`, on no lattice.
+impl Default for Unreduced {
+    fn default() -> Self {
+        Unreduced::ZERO
+    }
+}
+
+/// The value of `r`, stored as its reduced parts.
 impl From<Ratio> for Unreduced {
     fn from(r: Ratio) -> Self {
         Unreduced {
             num: r.numer(),
             den: r.denom(),
-            unit: 0,
-            rate: 0,
         }
     }
 }
 
 /// Equality and order are those of the values: `1/2 == 2/4`.
 impl PartialEq for Unreduced {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
+        if self.den == other.den {
+            return self.num == other.num;
+        }
         self.cmp(other) == Ordering::Equal
     }
 }
@@ -150,32 +215,89 @@ impl PartialEq for Unreduced {
 impl Eq for Unreduced {}
 
 impl PartialOrd for Unreduced {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Unreduced {
-    /// By cross-multiplication; when a product leaves `i128` both
-    /// sides are reduced and compared as [`Ratio`]s, which cannot
-    /// overflow.
+    /// By cross-multiplication, of machine words when all four parts
+    /// are (`cmp_wide` otherwise).
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        cross_cmp((self.num, self.den), (other.num, other.den))
-            .unwrap_or_else(|| self.reduce().cmp(&other.reduce()))
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
+        match (self.narrow(), other.narrow()) {
+            (Some((a, b)), Some((c, d))) => wide(a, d).cmp(&wide(c, b)),
+            _ => self.cmp_wide(other),
+        }
+    }
+}
+
+impl Unreduced {
+    /// [`Ord::cmp`] for parts of any width: `i128` cross products, and
+    /// when one leaves `i128` the continued-fraction expansion
+    /// [`Ratio`] falls back to, which multiplies nothing and needs no
+    /// reduced operands.
+    #[cold]
+    #[inline(never)]
+    fn cmp_wide(&self, other: &Self) -> Ordering {
+        match (
+            self.num.checked_mul(other.den),
+            other.num.checked_mul(self.den),
+        ) {
+            (Some(lhs), Some(rhs)) => lhs.cmp(&rhs),
+            _ => cmp_frac(self.num, self.den, other.num, other.den),
+        }
+    }
+}
+
+/// The reduced value's hash, so that equal values hash alike whatever
+/// lattice they are on — and as a reduced [`Ratio`] of that value does.
+impl Hash for Unreduced {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.reduce().hash(state);
     }
 }
 
 impl PartialEq<Ratio> for Unreduced {
     fn eq(&self, other: &Ratio) -> bool {
-        self.partial_cmp(other) == Some(Ordering::Equal)
+        *self == Unreduced::from(*other)
     }
 }
 
 impl PartialOrd<Ratio> for Unreduced {
     fn partial_cmp(&self, other: &Ratio) -> Option<Ordering> {
-        let ord = cross_cmp((self.num, self.den), (other.numer(), other.denom()))
-            .unwrap_or_else(|| self.reduce().cmp(other));
-        Some(ord)
+        Some(self.cmp(&Unreduced::from(*other)))
+    }
+}
+
+impl Add for Unreduced {
+    type Output = Unreduced;
+    /// Panics where [`Ratio`] addition of the reduced values does, with
+    /// its message.
+    fn add(self, rhs: Unreduced) -> Unreduced {
+        self.checked_add(rhs)
+            .unwrap_or_else(|| (self.reduce() + rhs.reduce()).into())
+    }
+}
+
+impl Sub for Unreduced {
+    type Output = Unreduced;
+    /// Panics where [`Ratio`] subtraction of the reduced values does,
+    /// with its message.
+    fn sub(self, rhs: Unreduced) -> Unreduced {
+        self.checked_sub(rhs)
+            .unwrap_or_else(|| (self.reduce() - rhs.reduce()).into())
+    }
+}
+
+/// The reduced value.
+impl fmt::Debug for Unreduced {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.reduce(), f)
     }
 }
 
@@ -183,6 +305,7 @@ impl PartialOrd<Ratio> for Unreduced {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::hash_map::DefaultHasher;
 
     /// Integers around the widths the paths branch on — a machine
     /// word, where `mul` stops being one instruction, and `i128`
@@ -236,33 +359,50 @@ mod tests {
         // 1/3 s on the lattice of 1000 b/s is 1000/3000; 125 bytes
         // more is 3000 ticks, with the denominator untouched.
         let t = Unreduced::from(Ratio::new(1, 3)).advance(0, 1_000).unwrap();
-        assert_eq!((t.num, t.den, t.unit, t.rate), (1_000, 3_000, 3, 1_000));
+        assert_eq!(t.parts(), (1_000, 3_000));
         let t = t.advance(1_000, 1_000).unwrap();
-        assert_eq!((t.num, t.den), (4_000, 3_000));
+        assert_eq!(t.parts(), (4_000, 3_000));
         assert_eq!(t.reduce(), Ratio::new(4, 3));
-        // Another rate leaves the lattice: reduced, then seated again.
+        // Another rate: seated as stored while that stays a word.
         let t = t.advance(1, 7).unwrap();
-        assert_eq!((t.num, t.den, t.unit, t.rate), (31, 21, 3, 7));
+        assert_eq!(t.parts(), (31_000, 21_000));
         assert_eq!(t.advance(1, 0), None, "a zero rate has no lattice");
+        // A nanosecond instant on a link whose rate divides 10^9 is
+        // already on its lattice.
+        let ns = Unreduced::over(5, 1_000_000_000);
+        let step = ns.advance(3, 1_000).unwrap();
+        assert_eq!(step.parts(), (3_000_005, 1_000_000_000));
+        // 2/4 at 2^62 - 57: stored, the seat would be ≈ 2^64, past an
+        // i64, so 1/2 is seated instead.
+        let rate = (1u64 << 62) - 57;
+        let t = Unreduced::over(2, 4).advance(1, rate).unwrap();
+        assert_eq!(t.parts(), (rate as i128 + 2, 2 * rate as i128));
     }
 
     #[test]
     fn an_exhausted_lattice_falls_back_to_reduced_arithmetic() {
-        // 2/R + 5/R is 7/R in lowest terms, but seated on R = 2^64 - 1
-        // its denominator would be R^2, past i128: the sum is taken in
-        // `Ratio` arithmetic and left on no lattice.
+        // 2/R + 5/R at R = 2^64 - 1: 2/R is already on R's lattice, so
+        // the sum is 7/R by one add, where a seat would need R^2.
         let rate = u64::MAX;
         let at = Ratio::new(2, rate as i128);
-        assert!(Unreduced::seat(at, rate).is_none());
-        let sum = Unreduced::from(at).advance(5, rate).unwrap();
-        assert_eq!((sum.rate, sum.reduce()), (0, Ratio::new(7, rate as i128)));
+        let sum = Unreduced::from(at).advance(5, rate).map(Unreduced::reduce);
+        assert_eq!(sum, Some(Ratio::new(7, rate as i128)));
+        // 1/(9·2^60) + 5/(15·2^60): neither denominator divides the
+        // other and the seat, 135·2^120, is past i128, but the lcm is
+        // not: the sum is taken in `Ratio` arithmetic.
+        let (den, rate) = (9i128 << 60, 15u64 << 60);
+        let at = Ratio::new(1, den);
+        assert_eq!(den.checked_mul(rate as i128), None);
+        let sum = Unreduced::from(at).advance(5, rate).map(Unreduced::reduce);
+        assert_eq!(sum, at.checked_add(Ratio::new(5, rate as i128)));
+        assert!(sum.is_some());
         // A running lattice whose numerator runs out does the same.
         let quarter = Ratio::from_int(i128::MAX / 4);
         let near = Unreduced::from(quarter).advance(0, 3).unwrap();
-        assert_eq!(near.rate, 3);
+        assert_eq!(near.parts(), (3 * (i128::MAX / 4), 3));
         let sum = near.advance(i128::MAX / 2, 3).unwrap();
         let exact = quarter.checked_add(Ratio::new(i128::MAX / 2, 3));
-        assert_eq!((sum.rate, Some(sum.reduce())), (0, exact));
+        assert_eq!(Some(sum.reduce()), exact);
         // And where reduced arithmetic gives up, so does this.
         let max = Unreduced::from(Ratio::from_int(i128::MAX));
         assert_eq!(max.advance(1, 1), None);
@@ -276,14 +416,31 @@ mod tests {
         // cross product does.
         let a = Ratio::new((1 << 40) + 1, (1 << 62) - 57);
         let b = Ratio::new(1 << 40, (1 << 62) - 57);
-        let ua = Unreduced::seat(a, (1 << 61) - 1).unwrap();
-        let ub = Unreduced::seat(b, (1 << 63) - 25).unwrap();
-        assert_eq!(cross_cmp((ua.num, ua.den), (ub.num, ub.den)), None);
+        let ua = Unreduced::from(a).advance(0, (1 << 61) - 1).unwrap();
+        let ub = Unreduced::from(b).advance(0, (1 << 63) - 25).unwrap();
+        let ((an, ad), (bn, bd)) = (ua.parts(), ub.parts());
+        assert_eq!((an.checked_mul(bd), bn.checked_mul(ad)), (None, None));
         assert_eq!(ua.cmp(&ub), Ordering::Greater);
         assert_eq!(ub.cmp(&ua), Ordering::Less);
         assert_eq!(ua.cmp(&ua), Ordering::Equal);
+        // Equal values on different lattices, past i128 the same way.
+        assert_eq!(ua, Unreduced::from(a));
+        assert_eq!(Unreduced::from(b), ub);
         let wide = Ratio::new(1, i128::MAX);
         assert_eq!(ua.partial_cmp(&wide), Some(Ordering::Greater));
+    }
+
+    #[test]
+    fn sums_on_one_lattice_take_no_gcd() {
+        let ns = Unreduced::over(7, 1_000_000_000);
+        let us = Unreduced::over(3, 1_000_000);
+        assert_eq!((ns + us).parts(), (3_007, 1_000_000_000));
+        assert_eq!((us + ns).parts(), (3_007, 1_000_000_000));
+        assert_eq!((ns - us).parts(), (-2_993, 1_000_000_000));
+        assert_eq!((ns + ns).parts(), (14, 1_000_000_000));
+        // Unrelated denominators: the reduced sum.
+        let third = Unreduced::over(2, 6);
+        assert_eq!((third + Unreduced::over(2, 4)).parts(), (5, 6));
     }
 
     proptest! {
@@ -337,6 +494,83 @@ mod tests {
                     assert_is(u, r, start);
                 }
             }
+        }
+    }
+
+    /// A value as `from_nanos`, `from_micros`, `from_millis`, a third
+    /// of a second or a whole second makes it: any numerator, down to
+    /// `i128::MIN`, which has no negation.
+    fn on_a_lattice() -> impl Strategy<Value = Unreduced> {
+        const LATTICES: [i128; 5] = [1_000_000_000, 1_000_000, 1_000, 3, 1];
+        let num = prop_oneof![part(), Just(i128::MIN)];
+        (num, 0..LATTICES.len()).prop_map(|(n, i)| Unreduced::over(n, LATTICES[i]))
+    }
+
+    /// An operand of the differential test: a value on one of the
+    /// lattices time lives on — also seated on a 24- to 63-bit rate
+    /// after a step, stored as a multiple of its reduced parts, or
+    /// reduced — and the reduced `Ratio` it equals. Negative values
+    /// come with the numerators, negative spans with the steps.
+    fn operand() -> impl Strategy<Value = (Unreduced, Ratio)> {
+        let rate = (24u32..64).prop_flat_map(|k| (1u64 << (k - 1))..=(u64::MAX >> (64 - k)));
+        let seated = (on_a_lattice(), -(1i128 << 40)..(1i128 << 40), rate)
+            .prop_map(|(at, bits, rate)| at.advance(bits, rate).unwrap_or(at));
+        let scaled = (ratio(), 1i128..(1 << 40)).prop_map(|(r, k)| {
+            let parts = mul(r.numer(), k).zip(mul(r.denom(), k));
+            parts.map_or(r.into(), |(n, d)| Unreduced::over(n, d))
+        });
+        prop_oneof![
+            on_a_lattice(),
+            seated,
+            scaled,
+            ratio().prop_map(Unreduced::from)
+        ]
+        .prop_map(|u| (u, u.reduce()))
+    }
+
+    fn hash_of<T: Hash>(v: &T) -> u64 {
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    /// Runs `f`, turning a panic into `Err(message)`.
+    fn caught<T>(f: impl FnOnce() -> T + std::panic::UnwindSafe) -> Result<T, String> {
+        let text = |e: Box<dyn std::any::Any + Send>| e.downcast::<String>().map(|m| *m);
+        std::panic::catch_unwind(f).map_err(|e| text(e).unwrap_or_default())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Lazily reduced time against reduced `Ratio` arithmetic, over
+        /// mixed lattices: the same sums, differences, order, equality,
+        /// extrema and hashes, lowest terms on every read, and `None`
+        /// or a panic, with the same message, exactly where the reduced
+        /// arithmetic has them.
+        #[test]
+        fn lazily_reduced_time_is_reduced_arithmetic(a in operand(), b in operand()) {
+            let ((ua, ra), (ub, rb)) = (a, b);
+            for (u, r) in [(ua, ra), (ub, rb)] {
+                // `Ratio`'s `Eq` is by field: the read is in lowest terms.
+                prop_assert_eq!(u.reduce(), r);
+                prop_assert_eq!(hash_of(&u), hash_of(&r));
+                prop_assert_eq!(u.is_negative(), r.is_negative());
+            }
+            prop_assert_eq!(ua.cmp(&ub), ra.cmp(&rb));
+            prop_assert_eq!(ua == ub, ra == rb);
+            if ua == ub {
+                prop_assert_eq!(hash_of(&ua), hash_of(&ub));
+            }
+            prop_assert_eq!(ua.max(ub).reduce(), ra.max(rb));
+            prop_assert_eq!(ua.min(ub).reduce(), ra.min(rb));
+            prop_assert_eq!(ua.checked_add(ub).map(Unreduced::reduce), ra.checked_add(rb));
+            prop_assert_eq!(ua.checked_sub(ub).map(Unreduced::reduce), ra.checked_sub(rb));
+            prop_assert_eq!(ub.checked_sub(ua).map(Unreduced::reduce), rb.checked_sub(ra));
+            let sum = caught(|| (ua + ub).reduce());
+            prop_assert_eq!(sum, caught(|| ra + rb));
+            let diff = caught(|| (ua - ub).reduce());
+            prop_assert_eq!(diff, caught(|| ra - rb));
         }
     }
 }
