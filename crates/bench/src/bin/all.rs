@@ -1,158 +1,16 @@
-//! Runs every experiment in sequence with moderate parameters —
-//! regenerates the full paper-vs-measured record behind EXPERIMENTS.md
-//! in one command.
+//! Prints the paper record — every reproduced quantity of the paper,
+//! paper vs measured — as the markdown table EXPERIMENTS.md embeds.
 //!
-//! Usage: `cargo run --release -p bench --bin all [seed]`
+//! Usage: `cargo run --release -p bench --bin all`
 
-use simtime::SimTime;
+use std::io::{self, ErrorKind, Write};
 
-fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    println!("# SFQ reproduction — full experiment sweep (seed {seed})\n");
-
-    banner("Table 1 / Examples 1-2 / Eq. 57");
-    let rows = bench::exp_fairness::table1();
-    for r in &rows {
-        println!(
-            "  {:<14} gap {:>8.4}s  bound {:>6.4}s  x-lower-bound {:>6.2}",
-            r.discipline, r.measured_gap_s, r.sfq_bound_s, r.vs_lower_bound
-        );
+fn main() -> io::Result<()> {
+    let table = bench::record::render(&bench::record::rows());
+    let mut out = io::stdout().lock();
+    match out.write_all(table.as_bytes()).and_then(|()| out.flush()) {
+        // A reader that stopped early (`| head`) is not an error.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(()),
+        r => r,
     }
-    let e2 = bench::exp_fairness::example2(10);
-    for r in &e2 {
-        println!(
-            "  example2 {:<5} early {:>3} late {:>3}",
-            r.discipline, r.early_flow_pkts, r.late_flow_pkts
-        );
-    }
-    let g = bench::exp_fairness::scfq_delay_gap();
-    println!(
-        "  scfq-sfq gap: measured {:.3} ms, analytic {:.3} ms (paper ~24.4 ms)",
-        (g.scfq_max_delay_s - g.sfq_max_delay_s) * 1e3,
-        g.analytic_gap_s * 1e3
-    );
-
-    banner("Figure 1(b)");
-    for d in [
-        bench::exp_fig1b::Discipline::Wfq,
-        bench::exp_fig1b::Discipline::Sfq,
-    ] {
-        let r = bench::exp_fig1b::fig1b(d, seed, SimTime::from_secs(1));
-        println!(
-            "  {:<4} src2 {:>4}  src3 {:>4}  src3-first-435ms {:>4}",
-            r.discipline, r.src2_after_start3, r.src3_after_start3, r.src3_first_435ms
-        );
-    }
-
-    banner("Figure 2(a) (analytic, ms)");
-    for p in bench::exp_fig2::fig2a().iter().filter(|p| p.n_flows == 100) {
-        println!(
-            "  |Q|=100 rate {:>7} Kb/s: delta {:>8.3} ms",
-            p.rate_bps / 1000,
-            p.delta_s * 1e3
-        );
-    }
-
-    banner("Figure 2(b) (60 s horizon)");
-    for p in bench::exp_fig2::fig2b(&[2, 5, 8], SimTime::from_secs(60), seed) {
-        println!(
-            "  N={:<2} util {:>5.1}%  WFQ {:>8.3} ms  SFQ {:>8.3} ms",
-            p.n_low,
-            p.utilization * 100.0,
-            p.wfq_avg_delay_s * 1e3,
-            p.sfq_avg_delay_s * 1e3
-        );
-    }
-
-    banner("Figure 3(b)");
-    let f3 = bench::exp_fig3b::fig3b(1_000, true);
-    println!(
-        "  ratios all-active 1 : {:.2} : {:.2}; after f3 ends {:.2} : 1",
-        f3.ratio_all_active[1], f3.ratio_all_active[2], f3.ratio_after_f3
-    );
-
-    banner("Section 3 (hierarchy)");
-    let hs = bench::exp_hier::hier_share();
-    println!(
-        "  example3 P1: C {:.2} D {:.2}; P2: C {:.2} D {:.2} B {:.2} (Mb/s)",
-        hs.phase1_c_bps / 1e6,
-        hs.phase1_d_bps / 1e6,
-        hs.phase2_bps.0 / 1e6,
-        hs.phase2_bps.1 / 1e6,
-        hs.phase2_bps.2 / 1e6
-    );
-    let ds = bench::exp_hier::delay_shift();
-    println!(
-        "  delay shift: flat {:.1} ms -> hier {:.1} ms (Eq.73 predicts {})",
-        ds.flat_max_s * 1e3,
-        ds.hier_max_s * 1e3,
-        ds.predicted_improvement
-    );
-    let ed = bench::exp_hier::edd_over_fc();
-    println!(
-        "  EDD/FC: schedulable {}, violation {:.3} ms",
-        ed.schedulable,
-        ed.worst_violation_s * 1e3
-    );
-    let en = bench::exp_hier::edd_in_hierarchy();
-    println!(
-        "  EDD nested: delta_i {} bits, violation {:.3} ms",
-        en.virtual_delta_bits,
-        en.worst_violation_s * 1e3
-    );
-
-    banner("Appendix B (Fair Airport)");
-    for fluct in [false, true] {
-        let r = bench::exp_fa::fair_airport(fluct);
-        println!(
-            "  {}: FA gap {:.2}s (bound {:.2}s), VC gap {:.2}s, Thm9 viol {:.3}s",
-            if fluct { "FC server " } else { "constant  " },
-            r.fa_gap_s,
-            r.fa_bound_s,
-            r.vc_gap_s,
-            r.delay_violation_s
-        );
-    }
-
-    banner("Corollary 1 (tandem)");
-    for r in bench::exp_tandem::tandem(&[1, 3, 5], SimTime::from_secs(30), seed) {
-        println!(
-            "  K={} measured {:>7.3} ms <= bound {:>7.3} ms",
-            r.k,
-            r.measured_max_s * 1e3,
-            r.bound_s * 1e3
-        );
-    }
-
-    banner("Theorems 3/5 (EBF)");
-    let eb = bench::exp_ebf::ebf_tails(seed, 60);
-    for p in &eb.points {
-        println!(
-            "  gamma {:>6} bits: delay tail {:.5}, throughput tail {:.5}",
-            p.gamma_bits, p.delay_tail, p.throughput_tail
-        );
-    }
-
-    banner("Eq. 36 (variable rate) & tie-break ablation");
-    let vr = bench::exp_varrate::var_rate();
-    println!(
-        "  varrate: fixed {:.1} ms -> per-scene {:.1} ms (viol {:.3} ms)",
-        vr.fixed_max_delay_s * 1e3,
-        vr.var_max_delay_s * 1e3,
-        vr.bound_violation_s * 1e3
-    );
-    let tb = bench::exp_tiebreak::tiebreak();
-    println!(
-        "  tiebreak: interactive avg {:.2} ms (FIFO) -> {:.2} ms (low-weight-first)",
-        tb.fifo_avg_s * 1e3,
-        tb.low_first_avg_s * 1e3
-    );
-    println!("\nDone.");
-}
-
-fn banner(s: &str) {
-    println!("\n## {s}");
 }

@@ -13,7 +13,6 @@
 
 use analysis::{expected_arrival_times, sfq_delay_term};
 use des::SimRng;
-use jsonline::impl_to_json;
 use servers::{ebf_catch_up, run_server, Departure};
 use sfq_core::{FlowId, PacketFactory, Scheduler, Sfq};
 use simtime::{Bytes, Rate, SimDuration, SimTime};
@@ -31,12 +30,6 @@ pub struct EbfTailPoint {
     pub throughput_tail: f64,
 }
 
-impl_to_json!(EbfTailPoint {
-    gamma_bits,
-    delay_tail,
-    throughput_tail
-});
-
 /// Result of the EBF experiment.
 #[derive(Debug, Clone)]
 pub struct EbfResult {
@@ -45,8 +38,6 @@ pub struct EbfResult {
     /// Total packets observed.
     pub packets: usize,
 }
-
-impl_to_json!(EbfResult { points, packets });
 
 const LINK: u64 = 100_000;
 const SLOT_MS: i128 = 50;

@@ -4,7 +4,6 @@
 
 use analysis::{max_fairness_gap, max_guarantee_violation};
 use baselines::VirtualClock;
-use jsonline::impl_to_json;
 use servers::{fc_on_off, run_server, FcParams, RateProfile};
 use sfq_core::{FairAirport, FlowId, Packet, PacketFactory, Scheduler};
 use simtime::{Bytes, Rate, SimDuration, SimTime};
@@ -21,13 +20,6 @@ pub struct FaResult {
     /// Worst violation of the Theorem 9 delay bound (s); 0 = holds.
     pub delay_violation_s: f64,
 }
-
-impl_to_json!(FaResult {
-    fa_gap_s,
-    fa_bound_s,
-    vc_gap_s,
-    delay_violation_s
-});
 
 /// The "punished for using idle bandwidth" workload: flow 1 bursts
 /// alone first, then flow 2 joins and both stay backlogged.

@@ -3,7 +3,6 @@
 
 use analysis::{max_fairness_gap, packet_delays, sfq_fairness_bound};
 use baselines::{Drr, Fifo, Fqs, Scfq, VirtualClock, Wfq};
-use jsonline::impl_to_json;
 use servers::{run_server, Departure, RateProfile, Segment};
 use sfq_core::{FairAirport, FlowId, Packet, PacketFactory, Scheduler, Sfq};
 use simtime::{Bytes, Rate, Ratio, SimTime};
@@ -21,13 +20,6 @@ pub struct FairnessRow {
     /// Ratio measured / optimal-lower-bound (Golestani).
     pub vs_lower_bound: f64,
 }
-
-impl_to_json!(FairnessRow {
-    discipline,
-    measured_gap_s,
-    sfq_bound_s,
-    vs_lower_bound
-});
 
 const LMAX: u64 = 250;
 const WEIGHT: u64 = 1_000; // bps; 250 B => span 2 s
@@ -115,12 +107,6 @@ pub struct Example2Row {
     pub late_flow_pkts: usize,
 }
 
-impl_to_json!(Example2Row {
-    discipline,
-    early_flow_pkts,
-    late_flow_pkts
-});
-
 /// Example 2: actual server rate is 1 pkt/s during [0, 1) and C pkt/s
 /// during [1, 2); WFQ (fed the fixed capacity C) starves the late
 /// flow, SFQ splits evenly.
@@ -185,12 +171,6 @@ pub struct DelayGapResult {
     /// Analytic gap `l/r − l/C` (s).
     pub analytic_gap_s: f64,
 }
-
-impl_to_json!(DelayGapResult {
-    scfq_max_delay_s,
-    sfq_max_delay_s,
-    analytic_gap_s
-});
 
 /// SCFQ-vs-SFQ delay gap experiment: one 64 Kb/s flow sends a single
 /// 200-byte packet into a server busy with backlogged fast flows.

@@ -13,7 +13,6 @@
 //! sources receive packets at comparable rates immediately.
 
 use graph::{GraphSpec, PortSpec};
-use jsonline::impl_to_json;
 use netsim::TcpConfig;
 use servers::RateProfile;
 use sfq_core::{FlowId, Scheduler, Sfq};
@@ -33,10 +32,6 @@ pub enum Discipline {
 pub struct Fig1bResult {
     /// "SFQ" or "WFQ".
     pub discipline: String,
-    /// (time s, cumulative packets) samples for source 2.
-    pub src2_series: Vec<(f64, usize)>,
-    /// (time s, cumulative packets) samples for source 3.
-    pub src3_series: Vec<(f64, usize)>,
     /// Source 2 packets delivered within [0.5 s, 1.0 s].
     pub src2_after_start3: usize,
     /// Source 3 packets delivered within [0.5 s, 1.0 s].
@@ -45,15 +40,6 @@ pub struct Fig1bResult {
     /// "first 435 ms after source 3 started").
     pub src3_first_435ms: usize,
 }
-
-impl_to_json!(Fig1bResult {
-    discipline,
-    src2_series,
-    src3_series,
-    src2_after_start3,
-    src3_after_start3,
-    src3_first_435ms
-});
 
 /// Run Figure 1(b) with the given discipline and seed.
 pub fn fig1b(discipline: Discipline, seed: u64, horizon: SimTime) -> Fig1bResult {
@@ -95,27 +81,6 @@ pub fn fig1b(discipline: Discipline, seed: u64, horizon: SimTime) -> Fig1bResult
 
     let report = net.run(horizon);
     let deliveries = &report.sink_departures[0].1;
-    let series = |flow: u32| -> Vec<(f64, usize)> {
-        let mut out = Vec::new();
-        let mut n = 0usize;
-        for d in deliveries {
-            if d.flow == FlowId(flow) {
-                n += 1;
-                out.push((d.at.as_secs_f64(), n));
-            }
-        }
-        // Decimate to at most ~100 points (keep the last), enough to
-        // plot the Figure 1(b) curves without flooding reports.
-        let stride = (out.len() / 100).max(1);
-        let last = out.last().copied();
-        let mut dec: Vec<(f64, usize)> = out.into_iter().step_by(stride).collect();
-        if let (Some(l), Some(dl)) = (last, dec.last()) {
-            if *dl != l {
-                dec.push(l);
-            }
-        }
-        dec
-    };
     let count_in = |flow: u32, a: SimTime, b: SimTime| {
         deliveries
             .iter()
@@ -129,8 +94,6 @@ pub fn fig1b(discipline: Discipline, seed: u64, horizon: SimTime) -> Fig1bResult
             Discipline::Wfq => "WFQ",
         }
         .to_string(),
-        src2_series: series(2),
-        src3_series: series(3),
         src2_after_start3: count_in(2, t_half, SimTime::from_secs(1)),
         src3_after_start3: count_in(3, t_half, SimTime::from_secs(1)),
         src3_first_435ms: count_in(3, t_half, SimTime::from_millis(935)),

@@ -5,7 +5,6 @@
 use analysis::{delta_wfq_minus_sfq, packet_delays, DelaySummary};
 use baselines::Wfq;
 use des::SimRng;
-use jsonline::impl_to_json;
 use servers::{run_server, RateProfile};
 use sfq_core::{FlowId, PacketFactory, Scheduler, Sfq};
 use simtime::{Bytes, Rate, SimTime};
@@ -22,12 +21,6 @@ pub struct Fig2aPoint {
     /// Δ(p) in seconds (positive: SFQ delivers earlier).
     pub delta_s: f64,
 }
-
-impl_to_json!(Fig2aPoint {
-    n_flows,
-    rate_bps,
-    delta_s
-});
 
 /// Figure 2(a): sweep flow counts and rates (200-byte packets,
 /// C = 100 Mb/s as in the paper).
@@ -54,6 +47,17 @@ pub fn fig2a() -> Vec<Fig2aPoint> {
     out
 }
 
+/// Section 2.3's mixed population under Eq. 58: 70 flows at 1 Mb/s and
+/// 200 at 64 Kb/s, 200-byte packets, C = 100 Mb/s. Returns Δ(p) in
+/// seconds for a 64 Kb/s flow and for a 1 Mb/s flow (positive: SFQ
+/// delivers earlier).
+pub fn eq58_mix() -> (f64, f64) {
+    let l = Bytes::new(200);
+    let others = vec![l; 269];
+    let delta = |rate| delta_wfq_minus_sfq(l, rate, l, &others, Rate::mbps(100)).to_f64();
+    (delta(Rate::kbps(64)), delta(Rate::mbps(1)))
+}
+
 /// One point of Figure 2(b).
 #[derive(Debug, Clone)]
 pub struct Fig2bPoint {
@@ -65,25 +69,24 @@ pub struct Fig2bPoint {
     pub wfq_avg_delay_s: f64,
     /// Average delay of low-throughput packets under SFQ (s).
     pub sfq_avg_delay_s: f64,
-    /// Max delay under WFQ (s).
-    pub wfq_max_delay_s: f64,
-    /// Max delay under SFQ (s).
-    pub sfq_max_delay_s: f64,
 }
-
-impl_to_json!(Fig2bPoint {
-    n_low,
-    utilization,
-    wfq_avg_delay_s,
-    sfq_avg_delay_s,
-    wfq_max_delay_s,
-    sfq_max_delay_s
-});
 
 /// Figure 2(b): 7 Poisson flows at 100 Kb/s plus `n_low` Poisson flows
 /// at 32 Kb/s share a 1 Mb/s link; 200-byte packets. The paper runs
-/// 1000 s; pass a shorter `horizon` for quick runs.
+/// 1000 s; the paper record runs 60 s.
 pub fn fig2b(n_lows: &[usize], horizon: SimTime, seed: u64) -> Vec<Fig2bPoint> {
+    sweep(n_lows, horizon, seed, false)
+}
+
+/// Robustness variant of Figure 2(b): the low-throughput flows are
+/// heavy-tailed Pareto on-off instead of Poisson. SFQ's start-tag
+/// scheduling should keep its average-delay advantage for them.
+pub fn fig2b_pareto(n_lows: &[usize], horizon: SimTime, seed: u64) -> Vec<Fig2bPoint> {
+    sweep(n_lows, horizon, seed, true)
+}
+
+/// The Figure 2(b) sweep, its low-throughput flows Poisson or Pareto on-off.
+fn sweep(n_lows: &[usize], horizon: SimTime, seed: u64, pareto: bool) -> Vec<Fig2bPoint> {
     let link = Rate::mbps(1);
     let len = Bytes::new(200);
     let high_rate = Rate::kbps(100);
@@ -92,60 +95,6 @@ pub fn fig2b(n_lows: &[usize], horizon: SimTime, seed: u64) -> Vec<Fig2bPoint> {
     for &n_low in n_lows {
         // Build one arrival schedule per point, shared by both
         // disciplines so the comparison is paired.
-        let mut pf = PacketFactory::new();
-        let mut rng = SimRng::new(seed ^ (n_low as u64) << 32);
-        let mut lists = Vec::new();
-        let mut flows = Vec::new();
-        for i in 0..7 {
-            let flow = FlowId(i);
-            flows.push((flow, high_rate));
-            let src = PoissonSource::with_rate(SimTime::ZERO, high_rate, len, rng.fork(i as u64));
-            lists.push(to_packets(&mut pf, flow, &arrivals_until(src, horizon)));
-        }
-        for i in 0..n_low {
-            let flow = FlowId(100 + i as u32);
-            flows.push((flow, low_rate));
-            let src =
-                PoissonSource::with_rate(SimTime::ZERO, low_rate, len, rng.fork(100 + i as u64));
-            lists.push(to_packets(&mut pf, flow, &arrivals_until(src, horizon)));
-        }
-        let arrivals = merge(lists);
-        let run = |sched: &mut dyn Scheduler| -> (f64, f64) {
-            for &(f, r) in &flows {
-                sched.add_flow(f, r);
-            }
-            let profile = RateProfile::constant(link);
-            let deps = run_server(&mut *sched, &profile, &arrivals, horizon);
-            let mut low_delays = Vec::new();
-            for i in 0..n_low {
-                low_delays.extend(packet_delays(&deps, FlowId(100 + i as u32)));
-            }
-            let s = DelaySummary::from_durations(&low_delays).expect("low flows saw packets");
-            (s.mean_s, s.max_s)
-        };
-        let (wfq_avg, wfq_max) = run(&mut Wfq::new(link));
-        let (sfq_avg, sfq_max) = run(&mut Sfq::new());
-        out.push(Fig2bPoint {
-            n_low,
-            utilization: (7.0 * 100_000.0 + n_low as f64 * 32_000.0) / 1_000_000.0,
-            wfq_avg_delay_s: wfq_avg,
-            sfq_avg_delay_s: sfq_avg,
-            wfq_max_delay_s: wfq_max,
-            sfq_max_delay_s: sfq_max,
-        });
-    }
-    out
-}
-
-/// Robustness variant of Figure 2(b): the low-throughput flows are
-/// heavy-tailed Pareto on-off instead of Poisson. SFQ's start-tag
-/// scheduling should keep its average-delay advantage for them.
-pub fn fig2b_pareto(n_lows: &[usize], horizon: SimTime, seed: u64) -> Vec<Fig2bPoint> {
-    let link = Rate::mbps(1);
-    let len = Bytes::new(200);
-    let high_rate = Rate::kbps(100);
-    let mut out = Vec::new();
-    for &n_low in n_lows {
         let mut pf = PacketFactory::new();
         let mut rng = SimRng::new(seed ^ ((n_low as u64) << 32));
         let mut lists = Vec::new();
@@ -157,23 +106,23 @@ pub fn fig2b_pareto(n_lows: &[usize], horizon: SimTime, seed: u64) -> Vec<Fig2bP
             lists.push(to_packets(&mut pf, flow, &arrivals_until(src, horizon)));
         }
         for i in 0..n_low {
-            let flow = FlowId(100 + i as u32);
-            flows.push((flow, Rate::kbps(32)));
-            // Pareto on-off with ~32 Kb/s mean: 64 Kb/s on-rate at 50%
-            // duty cycle, shape 1.5.
-            let src = ParetoOnOffSource::new(
-                SimTime::ZERO,
-                Rate::kbps(64).tx_time(len),
-                len,
-                0.4,
-                0.4,
-                1.5,
-                rng.fork(100 + i as u64),
-            );
-            lists.push(to_packets(&mut pf, flow, &arrivals_until(src, horizon)));
+            let (flow, rng) = (FlowId(100 + i as u32), rng.fork(100 + i as u64));
+            flows.push((flow, low_rate));
+            let arrivals = if pareto {
+                // ~32 Kb/s mean: 64 Kb/s on-rate at 50% duty cycle, shape 1.5.
+                let gap = Rate::kbps(64).tx_time(len);
+                let src = ParetoOnOffSource::new(SimTime::ZERO, gap, len, 0.4, 0.4, 1.5, rng);
+                arrivals_until(src, horizon)
+            } else {
+                arrivals_until(
+                    PoissonSource::with_rate(SimTime::ZERO, low_rate, len, rng),
+                    horizon,
+                )
+            };
+            lists.push(to_packets(&mut pf, flow, &arrivals));
         }
         let arrivals = merge(lists);
-        let run = |sched: &mut dyn Scheduler| -> (f64, f64) {
+        let run = |sched: &mut dyn Scheduler| -> f64 {
             for &(f, r) in &flows {
                 sched.add_flow(f, r);
             }
@@ -184,17 +133,13 @@ pub fn fig2b_pareto(n_lows: &[usize], horizon: SimTime, seed: u64) -> Vec<Fig2bP
                 low_delays.extend(packet_delays(&deps, FlowId(100 + i as u32)));
             }
             let s = DelaySummary::from_durations(&low_delays).expect("low flows saw packets");
-            (s.mean_s, s.max_s)
+            s.mean_s
         };
-        let (wfq_avg, wfq_max) = run(&mut Wfq::new(link));
-        let (sfq_avg, sfq_max) = run(&mut Sfq::new());
         out.push(Fig2bPoint {
             n_low,
             utilization: (7.0 * 100_000.0 + n_low as f64 * 32_000.0) / 1_000_000.0,
-            wfq_avg_delay_s: wfq_avg,
-            sfq_avg_delay_s: sfq_avg,
-            wfq_max_delay_s: wfq_max,
-            sfq_max_delay_s: sfq_max,
+            wfq_avg_delay_s: run(&mut Wfq::new(link)),
+            sfq_avg_delay_s: run(&mut Sfq::new()),
         });
     }
     out

@@ -10,7 +10,6 @@
 //! throughputs must stay in the ratio of their weights.
 
 use analysis::throughput_bps;
-use jsonline::impl_to_json;
 use servers::{fc_on_off, run_server, FcParams, RateProfile};
 use sfq_core::{FlowId, PacketFactory, Scheduler, Sfq};
 use simtime::{Bytes, Rate, SimTime};
@@ -18,8 +17,6 @@ use simtime::{Bytes, Rate, SimTime};
 /// Result of the interface experiment.
 #[derive(Debug, Clone)]
 pub struct Fig3bResult {
-    /// Per-window throughput samples: (window end s, per-flow Mb/s).
-    pub series: Vec<(f64, [f64; 3])>,
     /// Completion time of each connection (s).
     pub completion_s: [f64; 3],
     /// Throughput ratios measured while all three were active
@@ -30,16 +27,9 @@ pub struct Fig3bResult {
     pub ratio_after_f3: f64,
 }
 
-impl_to_json!(Fig3bResult {
-    series,
-    completion_s,
-    ratio_all_active,
-    ratio_after_f3
-});
-
 /// Run Figure 3(b). `packets_per_conn` scales the experiment (the
-/// paper used 500,000 4 KB packets per connection; the default binary
-/// uses fewer to keep runtime sane — ratios are scale-free).
+/// paper used 500,000 4 KB packets per connection; the paper record
+/// uses 5,000 to keep runtime sane — ratios are scale-free).
 pub fn fig3b(packets_per_conn: u64, fluctuating: bool) -> Fig3bResult {
     let mean = Rate::mbps(48);
     let len = Bytes::from_kib(4);
@@ -79,22 +69,6 @@ pub fn fig3b(packets_per_conn: u64, fluctuating: bool) -> Fig3bResult {
             .expect("flow completed")
     };
     let completion_t = [completion(1), completion(2), completion(3)];
-    // Sample throughput in 1/20 windows of flow 3's active period, and
-    // keep sampling until flow 1 finishes.
-    let total = completion_t[0].max(completion_t[1]).max(completion_t[2]);
-    let n_windows = 60usize;
-    let step_s = total.as_secs_f64() / n_windows as f64;
-    let mut series = Vec::new();
-    for w in 0..n_windows {
-        let a = SimTime::from_nanos((w as f64 * step_s * 1e9) as i128);
-        let b = SimTime::from_nanos(((w + 1) as f64 * step_s * 1e9) as i128);
-        let tp = [
-            throughput_bps(&deps, FlowId(1), a, b) / 1e6,
-            throughput_bps(&deps, FlowId(2), a, b) / 1e6,
-            throughput_bps(&deps, FlowId(3), a, b) / 1e6,
-        ];
-        series.push((b.as_secs_f64(), tp));
-    }
     // Ratios while all three active: measure over [0, 90% of first
     // completion].
     let first_done = completion_t[0].min(completion_t[1]).min(completion_t[2]);
@@ -112,7 +86,6 @@ pub fn fig3b(packets_per_conn: u64, fluctuating: bool) -> Fig3bResult {
     let ratio_after =
         throughput_bps(&deps, FlowId(2), a, b) / throughput_bps(&deps, FlowId(1), a, b).max(1.0);
     Fig3bResult {
-        series,
         completion_s: [
             completion_t[0].as_secs_f64(),
             completion_t[1].as_secs_f64(),

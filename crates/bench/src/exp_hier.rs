@@ -4,7 +4,6 @@
 
 use analysis::{delay_shift_improves, edd_schedulable, max_guarantee_violation, packet_delays};
 use baselines::DelayEdd;
-use jsonline::impl_to_json;
 use servers::{fc_on_off, run_server, FcParams, RateProfile};
 use sfq_core::{FlowId, HierSfq, PacketFactory, Scheduler};
 use simtime::{Bytes, Rate, SimDuration, SimTime};
@@ -19,12 +18,6 @@ pub struct HierShareResult {
     /// Throughputs (C, D, B) while B active.
     pub phase2_bps: (f64, f64, f64),
 }
-
-impl_to_json!(HierShareResult {
-    phase1_c_bps,
-    phase1_d_bps,
-    phase2_bps
-});
 
 /// Example 3: root{A{C, D}, B}, equal weights; B idle during phase 1,
 /// active during phase 2. C and D must split A's (changing) share
@@ -77,12 +70,6 @@ pub struct DelayShiftResult {
     /// Measured max delay of the favored flow, hierarchical (s).
     pub hier_max_s: f64,
 }
-
-impl_to_json!(DelayShiftResult {
-    predicted_improvement,
-    flat_max_s,
-    hier_max_s
-});
 
 /// Delay shifting: |Q| = 12 equal CBR flows on a 12 Mb/s link. Flat
 /// SFQ vs a hierarchy with a small favored partition (2 flows, 50% of
@@ -163,13 +150,6 @@ pub struct EddResult {
     pub loose_flow_max_s: f64,
 }
 
-impl_to_json!(EddResult {
-    schedulable,
-    worst_violation_s,
-    tight_flow_max_s,
-    loose_flow_max_s
-});
-
 /// Separation of delay and throughput: two CBR flows with the *same*
 /// rate but very different deadlines, scheduled by Delay EDD on an FC
 /// server (the virtual server a hierarchical SFQ class provides,
@@ -249,14 +229,6 @@ pub struct EddHierResult {
     /// Max delay of the loose-deadline flow (s).
     pub loose_flow_max_s: f64,
 }
-
-impl_to_json!(EddHierResult {
-    schedulable,
-    virtual_delta_bits,
-    worst_violation_s,
-    tight_flow_max_s,
-    loose_flow_max_s
-});
 
 /// Run the nested-EDD experiment.
 pub fn edd_in_hierarchy() -> EddHierResult {

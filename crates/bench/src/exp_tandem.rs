@@ -5,7 +5,6 @@
 use analysis::{e2e_delay_bound, scfq_delay_term, sfq_delay_term, wfq_delay_term};
 use baselines::{Scfq, VirtualClock};
 use graph::{GraphSpec, PortSpec};
-use jsonline::impl_to_json;
 use servers::RateProfile;
 use sfq_core::{FlowId, Scheduler, Sfq};
 use simtime::{Bytes, Rate, SimDuration, SimTime};
@@ -21,12 +20,6 @@ pub struct TandemResult {
     /// Corollary 1 + A.5 deterministic bound (s).
     pub bound_s: f64,
 }
-
-impl_to_json!(TandemResult {
-    k,
-    measured_max_s,
-    bound_s
-});
 
 /// The shared setting of both experiments: the observed flow is
 /// `(σ, ρ)`-leaky-bucket-shaped Poisson traffic (64 Kb/s, 200-byte
@@ -144,12 +137,6 @@ pub struct MixedTandemResult {
     /// Corollary 1 bound composed from each discipline's own β (s).
     pub bound_s: f64,
 }
-
-impl_to_json!(MixedTandemResult {
-    disciplines,
-    measured_max_s,
-    bound_s
-});
 
 /// A 3-hop tandem running SFQ, SCFQ, and Virtual Clock in sequence.
 /// Each discipline contributes its own per-hop delay term β to the

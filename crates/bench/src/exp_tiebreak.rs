@@ -6,7 +6,6 @@
 //! periods, so bursts of start tags collide at every epoch.
 
 use analysis::{packet_delays, DelaySummary};
-use jsonline::impl_to_json;
 use servers::{run_server, RateProfile};
 use sfq_core::{FlowId, PacketFactory, Scheduler, Sfq, TieBreak};
 use simtime::{Bytes, Rate, SimTime};
@@ -21,12 +20,6 @@ pub struct TieBreakResult {
     /// Average delay of the bulk flows under low-weight-first (s).
     pub bulk_low_first_avg_s: f64,
 }
-
-impl_to_json!(TieBreakResult {
-    fifo_avg_s,
-    low_first_avg_s,
-    bulk_low_first_avg_s
-});
 
 /// Run the ablation: 4 bulk flows (200 Kb/s) + 8 interactive flows
 /// (16 Kb/s) on a 1 Mb/s link, all emitting synchronized bursts.

@@ -12,7 +12,6 @@
 //! and checks the generalized Theorem 4 bound with variable EAT.
 
 use analysis::{expected_arrival_times_var, sfq_delay_term};
-use jsonline::impl_to_json;
 use servers::{run_server_by, Departure, RateProfile};
 use sfq_core::{FlowId, Packet, PacketFactory, Scheduler, Sfq};
 use simtime::{Bytes, Rate, SimDuration, SimTime};
@@ -34,12 +33,6 @@ pub struct VarRateResult {
     /// Worst violation of the generalized Theorem 4 bound (s).
     pub bound_violation_s: f64,
 }
-
-impl_to_json!(VarRateResult {
-    fixed_max_delay_s,
-    var_max_delay_s,
-    bound_violation_s
-});
 
 /// The video's arrival pattern plus each packet's negotiated rate:
 /// scenes alternate HI/LO every `SCENE_MS`, sending CBR at the scene

@@ -1,7 +1,4 @@
-//! Tiny report helpers: aligned console tables plus machine-readable
-//! JSON lines, so EXPERIMENTS.md can be regenerated from runs.
-
-use jsonline::ToJson;
+//! Tiny report helper: aligned console tables.
 
 /// Print a titled, aligned table: `rows` of equal-length string cells.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
@@ -36,29 +33,5 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     );
     for row in rows {
         println!("{}", fmt_row(row.clone()));
-    }
-}
-
-/// Emit one JSON line tagged with the experiment id (for scripts that
-/// collect results into EXPERIMENTS.md).
-pub fn emit_json<T: ToJson>(experiment: &str, value: &T) {
-    let mut line = String::from("{\"experiment\":");
-    jsonline::push_json_str(experiment, &mut line);
-    line.push_str(",\"result\":");
-    value.push_json(&mut line);
-    line.push('}');
-    println!("JSON {line}");
-}
-
-/// Format seconds as milliseconds with 3 decimals.
-pub fn ms(seconds: f64) -> String {
-    format!("{:.3}", seconds * 1e3)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn ms_formats() {
-        assert_eq!(super::ms(0.0244), "24.400");
     }
 }

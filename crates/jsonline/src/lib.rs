@@ -1,11 +1,12 @@
-//! Dependency-free JSON emission for experiment reports.
+//! Dependency-free JSON emission for reports and traces.
 //!
-//! The bench binaries print one machine-readable JSON line per
-//! experiment so EXPERIMENTS.md can be regenerated from runs. The build
-//! environment has no registry access, so instead of serde this crate
-//! provides a tiny [`ToJson`] trait plus the [`impl_to_json!`] macro for
-//! report structs — the only serialization shape the workspace needs
-//! (flat-ish structs of numbers, strings, options, and vectors).
+//! `sfq-obs` exports its tracer records and metric summaries as JSON
+//! lines through this crate, and `analysis::DelaySummary` serializes
+//! with it. The build environment has no registry access, so instead of
+//! serde this crate provides a tiny [`ToJson`] trait plus the
+//! [`impl_to_json!`] macro for report structs — the only serialization
+//! shape the workspace needs (flat-ish structs of numbers, strings,
+//! options, and vectors).
 
 use std::collections::BTreeMap;
 

@@ -122,5 +122,5 @@ fn fig_experiments_are_seed_stable() {
     let b = fig1b(Discipline::Sfq, 9, SimTime::from_millis(700));
     assert_eq!(a.src2_after_start3, b.src2_after_start3);
     assert_eq!(a.src3_after_start3, b.src3_after_start3);
-    assert_eq!(a.src2_series, b.src2_series);
+    assert_eq!(a.src3_first_435ms, b.src3_first_435ms);
 }

@@ -1,8 +1,8 @@
-//! Documentation, CI and the verify skill may only name cargo targets
-//! that exist: every `--bin|--example|--test|--bench <name>` they cite
-//! must be a target file of the workspace (or of `benchmark/`), or a
-//! `[[bin]]`/`[[bench]]` name in a crate manifest. `CHANGES.md` and
-//! `ROADMAP.md` are history and are not scanned.
+//! Documentation, CI, the verify skill and Rust comments may only name
+//! cargo targets that exist: every `--bin|--example|--test|--bench
+//! <name>` they cite must be a target file of the workspace (or of
+//! `benchmark/`), or a `[[bin]]`/`[[bench]]` name in a crate manifest.
+//! `CHANGES.md` and `ROADMAP.md` are history and are not scanned.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -18,6 +18,14 @@ fn ls(dir: impl AsRef<Path>, ext: &str) -> Vec<PathBuf> {
     paths
         .filter(|p| p.extension().map_or(ext.is_empty(), |x| x == ext))
         .collect()
+}
+
+/// Every `.rs` file under `dir` (relative to the repository root), at
+/// any depth.
+fn rs_files(dir: impl AsRef<Path>) -> Vec<PathBuf> {
+    let mut files = ls(&dir, "rs");
+    files.extend(ls(&dir, "").into_iter().flat_map(rs_files));
+    files
 }
 
 #[test]
@@ -62,9 +70,25 @@ fn cited_cargo_targets_exist() {
     ] {
         docs.extend(ls(dir, ext));
     }
+    let mut texts: Vec<(PathBuf, String)> = docs
+        .into_iter()
+        .map(|doc| (doc.clone(), fs::read_to_string(doc).expect("readable")))
+        .collect();
+    // Rust sources count by their `//`, `///` and `//!` lines only.
+    let mut sources: Vec<PathBuf> = ["src", "tests", "examples"].map(PathBuf::from).into();
+    for sub in ["src", "tests", "benches"] {
+        sources.extend(crates.iter().map(|c| c.join(sub)));
+    }
+    for file in sources.into_iter().flat_map(rs_files) {
+        let text = fs::read_to_string(&file).expect("readable");
+        let comments = text
+            .lines()
+            .map(str::trim_start)
+            .filter(|l| l.starts_with("//"));
+        texts.push((file, comments.collect::<Vec<_>>().join("\n")));
+    }
     let mut missing = Vec::new();
-    for doc in &docs {
-        let text = fs::read_to_string(doc).expect("readable");
+    for (doc, text) in &texts {
         let mut words = text.split_whitespace();
         while let Some(flag) = words.next() {
             if !["--bin", "--example", "--test", "--bench"].contains(&flag) {

@@ -191,7 +191,7 @@ fn parking_lot_counts_match_the_old_mesh() {
 
 #[test]
 fn exp_tandem_delays_match_the_old_tandem() {
-    // `-p bench --bin tandem` defaults: 60 s, seed 11.
+    // The run behind the paper record's `tandem` rows: 60 s, seed 11.
     let res = tandem(&[1, 2, 3, 4, 5], SimTime::from_secs(60), 11);
     let measured: Vec<u64> = res.iter().map(|r| r.measured_max_s.to_bits()).collect();
     let golden = [0.03947287, 0.04247287, 0.04547287, 0.04847287, 0.05147287];
