@@ -4,15 +4,16 @@
 //!   simulation for `v(t)` (Eqs. 1–3),
 //! - [`Fqs`]: Fair Queuing based on Start-time (GPS tags, start-tag
 //!   order),
-//! - [`Scfq`]: Self-Clocked Fair Queuing — the finish-clock
-//!   instantiation of `sfq_core::TagSched`, re-exported here beside its
-//!   fellow comparators,
+//! - [`Scfq`]: Self-Clocked Fair Queuing,
 //! - [`VirtualClock`]: Zhang's Virtual Clock (unfair real-time
 //!   baseline; also the GSQ inside Fair Airport),
 //! - [`Drr`]: Deficit Round Robin,
 //! - [`DelayEdd`]: Delay Earliest-Due-Date (Eq. 66 / Theorem 7),
 //! - [`Fifo`]: the null discipline.
 //!
+//! [`Scfq`], [`VirtualClock`] and [`DelayEdd`] are rules of the one tag
+//! core, `sfq_core::TagSched` — SCFQ its finish clock, the other two its
+//! wall-clock rules — re-exported here beside their fellow comparators.
 //! All implement `sfq_core::Scheduler`, so the servers, network
 //! simulator, benches, and analysis treat them interchangeably with SFQ.
 
@@ -24,16 +25,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod drr;
-mod edd;
 mod fifo;
 mod gps;
-mod vc;
 mod wfq;
 
 pub use drr::{drr_quantum, Drr};
-pub use edd::DelayEdd;
 pub use fifo::Fifo;
 pub use gps::GpsClock;
-pub use sfq_core::Scfq;
-pub use vc::VirtualClock;
+pub use sfq_core::{DelayEdd, Scfq, VirtualClock};
 pub use wfq::{Fqs, Wfq};

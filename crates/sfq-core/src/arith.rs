@@ -2,7 +2,9 @@
 //!
 //! Eqs. 4/5 need five operations on tags — read `v(t)`, `max`, add a
 //! packet's span `l/r`, compare, and (for long-running servers) shift
-//! everything down by a baseline. [`TagArith`] names them; the
+//! everything down by a baseline — and the wall-clock rules two more:
+//! read an instant as a tag, and add Delay EDD's offset. [`TagArith`]
+//! names them; the
 //! scheduler core is written once against the trait and instantiated
 //! with
 //!
@@ -50,8 +52,8 @@ impl TieKey for () {
 
 /// Tag arithmetic for the Eq. 4/5 recurrence. See the module docs.
 pub trait TagArith: fmt::Debug {
-    /// A virtual-time tag.
-    type Tag: Copy + Ord + fmt::Debug;
+    /// A virtual-time tag; its default is zero.
+    type Tag: Copy + Ord + Default + fmt::Debug;
     /// What charging a packet needs beyond its rate and length,
     /// computed once per flow registration: nothing for [`Exact`], the
     /// inverse-rate increment for the fixed-point arithmetic.
@@ -82,6 +84,10 @@ pub trait TagArith: fmt::Debug {
     /// The larger tag.
     fn max(a: Self::Tag, b: Self::Tag) -> Self::Tag;
 
+    /// `tag + offset` (Delay EDD's deadline), or `None` when the sum
+    /// leaves the tag range.
+    fn add(tag: Self::Tag, offset: Self::Tag) -> Option<Self::Tag>;
+
     /// The lazy-GC safety horizon for virtual time `v`: an idle flow
     /// whose last finish tag is at or below it can never again win
     /// Eq. 4's `max`, so forgetting the flow changes no future tag.
@@ -101,6 +107,10 @@ pub trait TagArith: fmt::Debug {
     /// The tag's exact rational value, for observer events and the
     /// diagnostic accessors.
     fn to_ratio(&self, tag: Self::Tag) -> Ratio;
+
+    /// The tag for an exact value — a wall-clock instant, for the
+    /// wall-clock rules — or `None` if it is off the tag range.
+    fn tag(&self, r: Ratio) -> Option<Self::Tag>;
 }
 
 /// Exact rational tag arithmetic.
@@ -149,6 +159,11 @@ impl TagArith for Exact {
         a.max(b)
     }
 
+    #[inline]
+    fn add(tag: Ratio, offset: Ratio) -> Option<Ratio> {
+        tag.checked_add(offset)
+    }
+
     fn gc_horizon(v: Ratio) -> Ratio {
         Ratio::from_int(v.floor())
     }
@@ -170,5 +185,10 @@ impl TagArith for Exact {
     #[inline]
     fn to_ratio(&self, tag: Ratio) -> Ratio {
         tag
+    }
+
+    #[inline]
+    fn tag(&self, r: Ratio) -> Option<Ratio> {
+        Some(r)
     }
 }

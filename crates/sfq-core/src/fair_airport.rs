@@ -7,7 +7,10 @@
 //!    expected arrival time `EAT^RC(p_f^j, r_f)` (Eq. 120), computed
 //!    over the subsequence of packets serviced through the GSQ;
 //! 2. a **Guaranteed Service Queue (GSQ)** running Virtual Clock over
-//!    regulated packets, timestamping with `EAT^GSQ + l/r` ;
+//!    regulated packets, timestamping with `EAT^GSQ + l/r` — it *is* a
+//!    [`VirtualClock`], fed each released packet at its original
+//!    arrival, so its stamp `max(A, F_prev) + l/r` is exactly that and
+//!    its per-flow finish state is the regulator's chain;
 //! 3. an **Auxiliary Service Queue (ASQ)** running SFQ over *all*
 //!    unserved packets.
 //!
@@ -20,6 +23,7 @@
 use crate::obs::{FlowChange, NoopObserver, SchedEvent, SchedObserver};
 use crate::packet::{FlowId, Packet};
 use crate::sched::{SchedError, Scheduler};
+use crate::tagsched::VirtualClock;
 use simtime::{Rate, Ratio, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
@@ -27,22 +31,14 @@ use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 #[derive(Debug)]
 struct FaFlow {
     weight: Rate,
-    /// Unserved packets, FIFO. The first `gsq_ts.len()` of them have
-    /// passed the regulator and are awaiting GSQ service.
+    /// Unserved packets, FIFO. The first `gsq.backlog(flow)` of them
+    /// have passed the regulator and wait in the GSQ as well.
     queue: VecDeque<Packet>,
-    /// Virtual Clock timestamps of the admitted prefix of `queue`, in
-    /// order. Timestamps are strictly increasing within a flow (each is
-    /// `EAT + l/r` with `EAT >= chain`), so the front entry is the
-    /// flow's minimum and the GSQ heap only needs flow heads.
-    gsq_ts: VecDeque<SimTime>,
     /// ASQ (SFQ) start tag of the front unserved packet; valid while
     /// `queue` is non-empty.
     front_start: Ratio,
     /// ASQ finish-tag state for arrivals to an idle flow.
     last_finish: Ratio,
-    /// Regulator chain: earliest possible EAT for the next packet to
-    /// enter the GSQ (`EAT_prev + l_prev / r` over GSQ-served packets).
-    chain: SimTime,
 }
 
 /// Which queue served a packet — exposed for telemetry and tests.
@@ -79,14 +75,11 @@ pub enum ServedVia {
 #[derive(Debug)]
 pub struct FairAirport<O: SchedObserver = NoopObserver> {
     flows: HashMap<FlowId, FaFlow>,
-    flow_order: Vec<FlowId>,
     /// ASQ ready set: (front start tag, flow).
     asq_ready: BTreeSet<(Ratio, FlowId)>,
-    /// GSQ: Virtual Clock heap of (timestamp, uid, flow) over each
-    /// flow's *front admitted* packet only (head-of-flow structure —
-    /// per-flow timestamps are monotone, so the global minimum is
-    /// always some flow's front).
-    gsq: BinaryHeap<Reverse<(SimTime, u64, FlowId)>>,
+    /// GSQ: every flow's admitted packets, registered at the flow's
+    /// weight.
+    gsq: VirtualClock,
     /// Eligibility heap over each flow's *front pending* packet (the
     /// oldest packet not yet admitted to the GSQ): (EAT, uid, flow).
     /// Entries are lazily invalidated — an entry whose uid no longer
@@ -120,9 +113,8 @@ impl<O: SchedObserver> FairAirport<O> {
     pub fn with_observer(obs: O) -> Self {
         FairAirport {
             flows: HashMap::new(),
-            flow_order: Vec::new(),
             asq_ready: BTreeSet::new(),
-            gsq: BinaryHeap::new(),
+            gsq: VirtualClock::new(),
             pending: BinaryHeap::new(),
             v: Ratio::ZERO,
             in_service: None,
@@ -158,15 +150,19 @@ impl<O: SchedObserver> FairAirport<O> {
         self.last_served_via
     }
 
+    /// `flow`'s front pending packet — the oldest not yet admitted to
+    /// the GSQ — and its `EAT^GSQ`: its arrival, or the GSQ stamp of the
+    /// flow's last admitted packet if that is later.
+    fn front_pending(&self, flow: FlowId) -> Option<(Packet, SimTime)> {
+        let &p = self.flows.get(&flow)?.queue.get(self.gsq.backlog(flow))?;
+        let chain = self.gsq.flow_last_finish(flow).unwrap_or_default();
+        Some((p, p.arrival.max(SimTime::from_ratio(chain))))
+    }
+
     /// (Re)announce `flow`'s current front pending packet on the
     /// eligibility heap. Stale announcements are skipped at pop time.
     fn announce_pending(&mut self, flow: FlowId) {
-        let Some(fs) = self.flows.get(&flow) else {
-            return;
-        };
-        if fs.gsq_ts.len() < fs.queue.len() {
-            let p = fs.queue[fs.gsq_ts.len()];
-            let eat = p.arrival.max(fs.chain);
+        if let Some((p, eat)) = self.front_pending(flow) {
             self.pending.push(Reverse((eat, p.uid, flow)));
         }
     }
@@ -178,30 +174,18 @@ impl<O: SchedObserver> FairAirport<O> {
                 break;
             }
             let _ = self.pending.pop();
-            // A force-removed flow leaves its announcements behind:
-            // skip them like any other stale entry.
-            let Some(fs) = self.flows.get_mut(&flow) else {
+            // Skip stale announcements: the flow was force-removed, or
+            // the packet was ASQ-served or already admitted since.
+            let Some((p, _)) = self.front_pending(flow).filter(|(p, _)| p.uid == uid) else {
                 continue;
             };
-            // Skip stale announcements (the packet was ASQ-served or
-            // already admitted since).
-            let front = fs
-                .queue
-                .get(fs.gsq_ts.len())
-                .filter(|p| p.uid == uid && p.arrival.max(fs.chain) == eat);
-            let Some(&p) = front else { continue };
-            // Virtual Clock timestamp: EAT^GSQ + l/r (Eq. in rule 3).
-            let ts = eat + fs.weight.tx_time(p.len);
-            fs.chain = ts;
-            let was_gsq_idle = fs.gsq_ts.is_empty();
-            fs.gsq_ts.push_back(ts);
-            if was_gsq_idle {
-                // The flow's first admitted packet becomes its GSQ head;
-                // later admissions wait in the flow's own FIFO prefix.
-                self.gsq.push(Reverse((ts, p.uid, flow)));
+            // Rule 3: fed at its arrival, the GSQ stamps it
+            // EAT^GSQ + l/r. A stamp off the tag range leaves the packet
+            // to the ASQ.
+            if self.gsq.try_enqueue(p.arrival, p).is_ok() {
+                // The next pending packet (if any) becomes announceable.
+                self.announce_pending(flow);
             }
-            // The next pending packet (if any) becomes announceable.
-            self.announce_pending(flow);
         }
     }
 
@@ -246,7 +230,7 @@ impl<O: SchedObserver> FairAirport<O> {
             // The served packet was the flow's front *pending* packet
             // (GSQ priority guarantees nothing is admitted here):
             // announce the successor's eligibility.
-            debug_assert!(self.flows[&flow].gsq_ts.is_empty());
+            debug_assert_eq!(self.gsq.backlog(flow), 0);
             self.announce_pending(flow);
         }
         p
@@ -255,16 +239,17 @@ impl<O: SchedObserver> FairAirport<O> {
     /// Drop a flow and all of its queued packets immediately, without
     /// the idle-only guard of [`Scheduler::remove_flow`] — the "flow
     /// churn" fault of the conformance harness. Returns the number of
-    /// packets discarded. GSQ heap and regulator announcements for the
-    /// flow are left behind as stale entries and skipped lazily (by
-    /// flow-absence or head-uid mismatch) on later dequeues; the ASQ
-    /// virtual-time state is untouched, so removal is safe even while
-    /// one of the flow's packets is in service.
+    /// packets discarded. The GSQ drops the flow's admitted packets with
+    /// it; regulator announcements for the flow are left behind as
+    /// stale entries and skipped lazily (by flow-absence or uid
+    /// mismatch) on later dequeues; the ASQ virtual-time state is
+    /// untouched, so removal is safe even while one of the flow's
+    /// packets is in service.
     pub fn force_remove_flow(&mut self, flow: FlowId) -> usize {
         let Some(fs) = self.flows.remove(&flow) else {
             return 0;
         };
-        self.flow_order.retain(|f| *f != flow);
+        self.gsq.force_remove_flow(flow);
         let dropped = fs.queue.len();
         self.queued -= dropped;
         if !fs.queue.is_empty() {
@@ -285,22 +270,16 @@ impl Default for FairAirport {
 impl<O: SchedObserver> Scheduler for FairAirport<O> {
     fn add_flow(&mut self, flow: FlowId, weight: Rate) {
         assert!(weight.as_bps() > 0, "FA: flow weight must be positive");
-        if let Some(fs) = self.flows.get_mut(&flow) {
-            fs.weight = weight;
-        } else {
-            self.flows.insert(
-                flow,
-                FaFlow {
-                    weight,
-                    queue: VecDeque::new(),
-                    gsq_ts: VecDeque::new(),
-                    front_start: Ratio::ZERO,
-                    last_finish: Ratio::ZERO,
-                    chain: SimTime::ZERO,
-                },
-            );
-            self.flow_order.push(flow);
-        }
+        self.gsq.add_flow(flow, weight);
+        self.flows
+            .entry(flow)
+            .and_modify(|fs| fs.weight = weight)
+            .or_insert_with(|| FaFlow {
+                weight,
+                queue: VecDeque::new(),
+                front_start: Ratio::ZERO,
+                last_finish: Ratio::ZERO,
+            });
         self.obs.on_flow_change(flow, &FlowChange::Added { weight });
     }
 
@@ -330,7 +309,7 @@ impl<O: SchedObserver> Scheduler for FairAirport<O> {
             tags = (s, f);
         }
         fs.queue.push_back(pkt);
-        let is_front_pending = fs.queue.len() - fs.gsq_ts.len() == 1;
+        let is_front_pending = fs.queue.len() - self.gsq.backlog(pkt.flow) == 1;
         if was_empty {
             self.asq_ready.insert((tags.0, pkt.flow));
         }
@@ -355,27 +334,11 @@ impl<O: SchedObserver> Scheduler for FairAirport<O> {
             return None;
         }
         self.release_regulator(now);
-        // Priority to the GSQ (rule 6).
-        while let Some(Reverse((_ts, uid, flow))) = self.gsq.pop() {
-            // A force-removed (possibly since revived) flow leaves its
-            // GSQ entry behind: uids are never reused, so the entry is
-            // live exactly when it still names the flow's oldest
-            // unserved packet; anything else is stale and skipped.
-            let Some(fs) = self.flows.get_mut(&flow) else {
-                continue;
-            };
-            if fs.queue.front().map(|p| p.uid) != Some(uid) {
-                continue;
-            }
-            fs.gsq_ts.pop_front();
-            let pkt = self.remove_front(now, flow, ServedVia::Gsq);
-            // The flow's next admitted packet (now its queue front, if
-            // any) takes over as its GSQ head.
-            if let Some(fs) = self.flows.get(&flow) {
-                if let (Some(&ts), Some(next)) = (fs.gsq_ts.front(), fs.queue.front()) {
-                    self.gsq.push(Reverse((ts, next.uid, flow)));
-                }
-            }
+        // Priority to the GSQ (rule 6). It holds the admitted prefix of
+        // each flow's queue, so what it serves is its flow's front.
+        if let Some(p) = self.gsq.dequeue(now) {
+            let pkt = self.remove_front(now, p.flow, ServedVia::Gsq);
+            debug_assert_eq!(pkt.uid, p.uid);
             return Some(pkt);
         }
         // GSQ empty: serve the ASQ in SFQ order. The served packet is
@@ -411,7 +374,7 @@ impl<O: SchedObserver> Scheduler for FairAirport<O> {
         match self.flows.get(&flow) {
             Some(fs) if fs.queue.is_empty() => {
                 self.flows.remove(&flow);
-                self.flow_order.retain(|f| *f != flow);
+                self.gsq.remove_flow(flow);
                 self.obs.on_flow_change(flow, &FlowChange::Removed);
                 true
             }

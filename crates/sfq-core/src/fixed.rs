@@ -340,6 +340,10 @@ impl TagArith for Fixed {
         a.max(b)
     }
 
+    fn add(tag: FixedTag, offset: FixedTag) -> Option<FixedTag> {
+        tag.checked_add(offset.raw())
+    }
+
     #[inline]
     fn gc_horizon(v: FixedTag) -> FixedTag {
         v
@@ -362,6 +366,10 @@ impl TagArith for Fixed {
 
     fn to_ratio(&self, tag: FixedTag) -> Ratio {
         tag.to_ratio(self.shift)
+    }
+
+    fn tag(&self, r: Ratio) -> Option<FixedTag> {
+        FixedTag::from_ratio(r, self.shift)
     }
 }
 

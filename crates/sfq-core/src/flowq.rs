@@ -1,31 +1,32 @@
 //! Shared head-of-flow scheduling structure.
 //!
-//! PR 1 restructured `Sfq`, `Scfq`, and `VirtualClock` around the same
-//! shape — per-flow FIFO queues plus a priority heap holding **one
-//! entry per backlogged flow** (the key of that flow's head packet) —
-//! but each discipline carried its own copy of the mechanics. This
-//! module is the single implementation all three now share.
+//! Per-flow FIFO queues plus a priority heap holding **one entry per
+//! backlogged flow** (the key of that flow's head packet): the storage
+//! under the one tag core, [`crate::TagSched`], and so under every
+//! discipline that is one of its rules — SFQ, SCFQ, Virtual Clock and
+//! Delay EDD.
 //!
 //! The structure is sound for any discipline whose per-flow key
 //! sequence is strictly increasing in arrival order (true of the
-//! Eq. 4/5 tag recurrence and of Virtual Clock stamps, since the `l/r`
-//! span term is positive): a flow's minimum-key packet is always its
-//! FIFO head, so the global minimum is always some flow's head. Dequeue
-//! order is identical to a heap over all packets, but heap operations
-//! cost `O(log Q)` in *backlogged flows* rather than `O(log N)` in
-//! *queued packets*.
+//! Eq. 4/5 tag recurrence, of Virtual Clock stamps, since the `l/r`
+//! span term is positive, and of Delay EDD deadlines while a flow's
+//! `d_f` stands): a flow's minimum-key packet is always its FIFO head,
+//! so the global minimum is always some flow's head. Dequeue order is
+//! identical to a heap over all packets, but heap operations cost
+//! `O(log Q)` in *backlogged flows* rather than `O(log N)` in *queued
+//! packets*.
 //!
 //! The container is generic over three per-discipline types:
 //!
 //! - `K` — the heap ordering key (must embed the packet uid so that a
 //!   full-key comparison against the current FIFO head identifies
 //!   stale heap entries exactly; uids are never reused),
-//! - `E` — per-flow extension state (weight, `F(p_f^{j-1})`, auxVC …),
+//! - `E` — per-flow extension state (weight, `F(p_f^{j-1})`, `d_f` …),
 //! - `M` — per-packet metadata carried alongside the key (e.g. the
 //!   finish tag for SFQ, whose key orders by start tag).
 //!
 //! Tag arithmetic, virtual-time bookkeeping, and observer events stay
-//! in the disciplines — only the FIFO + heap mechanics live here.
+//! in `TagSched` — only the FIFO + heap mechanics live here.
 //!
 //! ## Backends
 //!

@@ -7,8 +7,9 @@
 //! - [`Sfq`]: the SFQ scheduler of Section 2, including the generalized
 //!   per-packet variable-rate form (Eq. 36) and pluggable tie-breaking
 //!   (Section 2.3) — one instantiation of [`TagSched`], the single
-//!   tag-scheduler core whose other three are the fixed-point
-//!   [`SfqFast`] and the SCFQ pair [`Scfq`] / [`ScfqFast`],
+//!   tag-scheduler core whose other five are the fixed-point
+//!   [`SfqFast`], the SCFQ pair [`Scfq`] / [`ScfqFast`], and the
+//!   wall-clock comparators [`VirtualClock`] and [`DelayEdd`],
 //! - [`HierSfq`]: the hierarchical link-sharing scheduler of Section 3,
 //! - [`FairAirport`]: the Fair Airport combination of Appendix B,
 //! - the [`Scheduler`] trait and [`Packet`] vocabulary shared with the
@@ -56,7 +57,10 @@ pub use obs::{Backpressure, FlowChange, NoopObserver, SchedEvent, SchedObserver}
 pub use packet::{FlowId, Packet, PacketFactory};
 pub use pool::{FlowMap, PktPool, PktRef, PoolStats, SlabPool};
 pub use sched::{ReconfigCmd, SchedError, Scheduler, TieBreak};
-pub use tagsched::{FinishClock, Scfq, ScfqFast, Sfq, SfqFast, StartClock, TagSched, VtRule};
+pub use tagsched::{
+    Deadline, DelayEdd, FinishClock, Scfq, ScfqFast, Sfq, SfqFast, StartClock, TagSched,
+    VirtualClock, VtRule, WallClock,
+};
 // Counter-page telemetry handle the schedulers accept via
 // `attach_telemetry` (see the `sfq-telemetry` crate and
 // docs/telemetry.md); re-exported so scheduler users need not name the

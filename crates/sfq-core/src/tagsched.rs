@@ -1,5 +1,6 @@
-//! The one tag-scheduler core: SFQ (Section 2 of the paper) and SCFQ as
-//! two virtual-time rules over one machine.
+//! The one tag-scheduler core: SFQ (Section 2 of the paper), SCFQ,
+//! Virtual Clock and Delay EDD as four virtual-time rules over one
+//! machine.
 //!
 //! Each arriving packet `p_f^j` is stamped with
 //!
@@ -18,12 +19,16 @@
 //!   busy period `v` becomes the maximum finish tag served.
 //!   [`FinishClock`] is SCFQ: serve in increasing **finish**-tag order,
 //!   `v(t)` = finish tag of the packet in service, kept after service.
-//!   Either way `v(t)` is O(1) to compute.
+//!   Either way `v(t)` is O(1) to compute. The two *wall-clock* rules
+//!   take `v(t)` = the caller's `now`: under it Eq. 4/5 is Virtual
+//!   Clock's stamp ([`WallClock`]) and Eq. 37's expected arrival time,
+//!   which Delay EDD offsets by the flow's `d_f` ([`Deadline`]).
 //! - `A:`[`TagArith`] — how tags are represented: [`Exact`] rationals
 //!   or the [`Fixed`] u64 grid (see [`crate::arith`], [`crate::fixed`]).
 //!
-//! The four disciplines are aliases: [`Sfq`], [`SfqFast`], [`Scfq`],
-//! [`ScfqFast`]. Everything else — per-flow FIFOs with a head-of-flow
+//! The six disciplines are aliases: [`Sfq`], [`SfqFast`], [`Scfq`],
+//! [`ScfqFast`], and, over the exact arithmetic only, [`VirtualClock`]
+//! and [`DelayEdd`]. Everything else — per-flow FIFOs with a head-of-flow
 //! heap ([`FlowFifos`]: heap cost is `O(log Q)` in *backlogged flows*,
 //! not queued packets), batch tagging, virtual-time rebasing, the
 //! tag-rewrite reconfiguration, lazy flow GC, counter-page telemetry,
@@ -40,11 +45,23 @@ use crate::pool::PoolStats;
 use crate::sched::{SchedError, Scheduler, TieBreak};
 use core::fmt;
 use sfq_telemetry::{DequeueTally, EnqueueTally, TelemetrySink};
-use simtime::{Rate, Ratio, SimTime};
+use simtime::{Rate, Ratio, SimDuration, SimTime};
 use std::cell::Cell;
 
 /// The virtual-time rule of a [`TagSched`]: which of a packet's two
 /// tags orders service and defines `v(t)`. See the module docs.
+///
+/// A **wall-clock** rule ([`VtRule::WALL_CLOCK`]: [`WallClock`],
+/// [`Deadline`]) reads `v(t)` as the caller's `now`, exactly — no pico
+/// snap, because packets reach a tandem hop off any fixed grid — and
+/// reports it as every observer event's `v`, a head drop's being the
+/// dropped packet's arrival. It keeps no virtual time of its own:
+/// `serve` leaves `v` at zero, so [`TagSched::virtual_time`] reads zero,
+/// a rebase finds no baseline and lazy GC reclaims nothing. It refuses
+/// [`Scheduler::try_set_weight`] with [`SchedError::Unsupported`]: the
+/// tag-rewrite rule assumes a backlogged flow's chain has `S_j =
+/// F_{j-1}`, and under a wall clock a packet arriving after its
+/// predecessor's finish starts at its arrival instead.
 pub trait VtRule: fmt::Debug {
     /// Discipline name over the exact arithmetic.
     const NAME: &'static str;
@@ -55,18 +72,37 @@ pub trait VtRule: fmt::Debug {
     /// use for the departure instant, so `on_departure` is a no-op — or
     /// waits for `on_departure`.
     const SETTLES_IN_DEQUEUE: bool;
+    /// Whether `v(t)` is the wall clock (see the trait docs).
+    const WALL_CLOCK: bool;
 
     /// Tie-break component of the heap key, given the arithmetic's key
     /// width `X`.
     type Tie<X: TieKey>: TieKey;
 
-    /// Split a packet's `(start, finish)` tags into `(heap key tag,
-    /// per-packet metadata)`. Each rule's mapping is its own inverse,
-    /// so the same call recovers `(start, finish)` from a popped
-    /// `(key tag, metadata)`.
-    fn key_meta<T>(start: T, finish: T) -> (T, T);
+    /// Per-flow rule state in tags `T`, set at every registration (to
+    /// the default by [`Scheduler::add_flow`]): Delay EDD's deadline
+    /// offset `d_f`; zero-sized for every other rule.
+    type FlowState<T: Copy + Default + fmt::Debug>: Copy + Default + fmt::Debug;
 
-    /// A packet tagged `(start, finish)` enters service: advance `v`
+    /// Split a packet's `(start, finish)` tags into `(heap key tag,
+    /// per-packet metadata)` for a flow in rule state `flow`, or `None`
+    /// when the key leaves the tag range.
+    fn stamp<A: TagArith>(
+        start: A::Tag,
+        finish: A::Tag,
+        flow: Self::FlowState<A::Tag>,
+    ) -> Option<(A::Tag, A::Tag)>;
+
+    /// The `(start, finish)` pair a queued packet's `(key tag,
+    /// metadata)` reports to observers and [`TagSched::tags_of`]: by
+    /// default the key is reported as the finish tag — the packet's own
+    /// finish tag, except under Delay EDD, whose key is the deadline.
+    #[inline]
+    fn tags<T>(key: T, meta: T) -> (T, T) {
+        (meta, key)
+    }
+
+    /// A packet reporting `(start, finish)` enters service: advance `v`
     /// and the maximum finish tag served so far.
     fn serve<A: TagArith>(
         v: &mut A::Tag,
@@ -85,12 +121,19 @@ impl VtRule for StartClock {
     const NAME: &'static str = "SFQ";
     const FAST_NAME: &'static str = "SFQ-FAST";
     const SETTLES_IN_DEQUEUE: bool = false;
+    const WALL_CLOCK: bool = false;
 
     type Tie<X: TieKey> = X;
+    type FlowState<T: Copy + Default + fmt::Debug> = ();
 
     #[inline]
-    fn key_meta<T>(start: T, finish: T) -> (T, T) {
-        (start, finish)
+    fn stamp<A: TagArith>(start: A::Tag, finish: A::Tag, (): ()) -> Option<(A::Tag, A::Tag)> {
+        Some((start, finish))
+    }
+
+    #[inline]
+    fn tags<T>(key: T, meta: T) -> (T, T) {
+        (key, meta)
     }
 
     #[inline]
@@ -113,12 +156,14 @@ impl VtRule for FinishClock {
     const NAME: &'static str = "SCFQ";
     const FAST_NAME: &'static str = "SCFQ-FAST";
     const SETTLES_IN_DEQUEUE: bool = true;
+    const WALL_CLOCK: bool = false;
 
     type Tie<X: TieKey> = ();
+    type FlowState<T: Copy + Default + fmt::Debug> = ();
 
     #[inline]
-    fn key_meta<T>(start: T, finish: T) -> (T, T) {
-        (finish, start)
+    fn stamp<A: TagArith>(start: A::Tag, finish: A::Tag, (): ()) -> Option<(A::Tag, A::Tag)> {
+        Some((finish, start))
     }
 
     #[inline]
@@ -126,6 +171,59 @@ impl VtRule for FinishClock {
         *v = finish;
         *mfs = finish;
     }
+}
+
+/// Virtual Clock's rule (Zhang '90), a wall-clock rule: a packet's
+/// stamp is Eq. 4/5's finish tag with `v(t)` = its arrival time,
+/// `max(A, F_prev) + l/r` — when it would leave had its flow streamed at
+/// exactly its reserved rate — and stamps order service, uid breaking
+/// ties. Events report `max(A, F_prev)` as the start tag.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WallClock;
+
+impl VtRule for WallClock {
+    const NAME: &'static str = "VirtualClock";
+    const FAST_NAME: &'static str = "VirtualClock-FAST";
+    const SETTLES_IN_DEQUEUE: bool = true;
+    const WALL_CLOCK: bool = true;
+
+    type Tie<X: TieKey> = ();
+    type FlowState<T: Copy + Default + fmt::Debug> = ();
+
+    #[inline]
+    fn stamp<A: TagArith>(start: A::Tag, finish: A::Tag, (): ()) -> Option<(A::Tag, A::Tag)> {
+        Some((finish, start))
+    }
+
+    #[inline]
+    fn serve<A: TagArith>(_: &mut A::Tag, _: &mut A::Tag, _: A::Tag, _: A::Tag) {}
+}
+
+/// Delay EDD's rule (Eq. 66), a wall-clock rule: under it Eq. 4/5 is
+/// Eq. 37's recurrence, so a packet's start tag is its expected arrival
+/// time `EAT = max(A, EAT_prev + l_prev/r)`, and its deadline
+/// `EAT + d_f` orders service, uid breaking ties. `d_f` is the flow's
+/// rule state, in seconds. Events report the deadline as the finish
+/// tag.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Deadline;
+
+impl VtRule for Deadline {
+    const NAME: &'static str = "DelayEDD";
+    const FAST_NAME: &'static str = "DelayEDD-FAST";
+    const SETTLES_IN_DEQUEUE: bool = true;
+    const WALL_CLOCK: bool = true;
+
+    type Tie<X: TieKey> = ();
+    type FlowState<T: Copy + Default + fmt::Debug> = T;
+
+    #[inline]
+    fn stamp<A: TagArith>(start: A::Tag, _: A::Tag, d: A::Tag) -> Option<(A::Tag, A::Tag)> {
+        Some((A::add(start, d)?, start))
+    }
+
+    #[inline]
+    fn serve<A: TagArith>(_: &mut A::Tag, _: &mut A::Tag, _: A::Tag, _: A::Tag) {}
 }
 
 /// Heap ordering key: the rule's primary tag, then the tie-break key,
@@ -148,23 +246,23 @@ struct Charge<I, X> {
 }
 
 #[derive(Debug)]
-struct FlowExt<A: TagArith, X> {
-    charge: Charge<A::Inc, X>,
+struct FlowExt<A: TagArith, V: VtRule> {
+    charge: ChargeOf<A, V>,
     /// `F(p_f^{j-1})`: finish tag of the flow's previous packet (zero
     /// before the first packet, per the paper).
     last_finish: A::Tag,
+    rule: V::FlowState<A::Tag>,
 }
 
 type TieOf<A, V> = <V as VtRule>::Tie<<A as TagArith>::Tie>;
 type ChargeOf<A, V> = Charge<<A as TagArith>::Inc, TieOf<A, V>>;
-type ExtOf<A, V> = FlowExt<A, TieOf<A, V>>;
 type Fifos<A, V> =
-    FlowFifos<Key<<A as TagArith>::Tag, TieOf<A, V>>, ExtOf<A, V>, <A as TagArith>::Tag>;
+    FlowFifos<Key<<A as TagArith>::Tag, TieOf<A, V>>, FlowExt<A, V>, <A as TagArith>::Tag>;
 
 /// A tag-based fair-queueing scheduler: the Eq. 4/5 recurrence under
 /// virtual-time rule `V`, in tag arithmetic `A`, reporting to observer
 /// `O`. See the module docs; use it through the [`Sfq`], [`SfqFast`],
-/// [`Scfq`] and [`ScfqFast`] aliases.
+/// [`Scfq`], [`ScfqFast`], [`VirtualClock`] and [`DelayEdd`] aliases.
 #[derive(Debug)]
 pub struct TagSched<A: TagArith, V: VtRule, O: SchedObserver = NoopObserver> {
     q: Fifos<A, V>,
@@ -308,18 +406,19 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
         self.obs
     }
 
-    /// The server virtual time `v(t)` right now, as an exact rational.
+    /// The server virtual time `v(t)` right now, as an exact rational
+    /// (zero under a wall-clock rule, see [`VtRule`]).
     pub fn virtual_time(&self) -> Ratio {
         self.arith.to_ratio(self.v)
     }
 
     /// Start/finish tags assigned to a still-queued packet, if present,
-    /// as exact rationals. Diagnostic accessor (tests/telemetry): scans
-    /// the per-flow FIFOs rather than taxing the enqueue/dequeue hot
-    /// path with a uid index.
+    /// as exact rationals (as [`VtRule::tags`] reports them).
+    /// Diagnostic accessor (tests/telemetry): scans the per-flow FIFOs
+    /// rather than taxing the enqueue/dequeue hot path with a uid index.
     pub fn tags_of(&self, uid: u64) -> Option<(Ratio, Ratio)> {
         self.q.find(uid).map(|(key, &meta)| {
-            let (start, finish) = V::key_meta(key.tag, meta);
+            let (start, finish) = V::tags(key.tag, meta);
             (self.arith.to_ratio(start), self.arith.to_ratio(finish))
         })
     }
@@ -396,6 +495,26 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
         A::snap(self.v)
     }
 
+    /// Register `flow` — or re-register it, keeping its tag chain — at
+    /// `weight` in rule state `rule`.
+    fn register(
+        &mut self,
+        flow: FlowId,
+        weight: Rate,
+        rule: V::FlowState<A::Tag>,
+    ) -> Result<(), SchedError> {
+        let charge = self.charge(flow, weight)?;
+        let ext = self.q.upsert_flow(flow, || FlowExt {
+            charge,
+            last_finish: A::ZERO,
+            rule: Default::default(),
+        });
+        ext.charge = charge;
+        ext.rule = rule;
+        self.obs.on_flow_change(flow, &FlowChange::Added { weight });
+        Ok(())
+    }
+
     /// Validate `rate` for `flow` and build its [`Charge`].
     fn charge(&self, flow: FlowId, rate: Rate) -> Result<ChargeOf<A, V>, SchedError> {
         Ok(Charge {
@@ -423,7 +542,14 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
         pkts: &[Packet],
         explicit: Option<ChargeOf<A, V>>,
     ) -> Result<(), SchedError> {
-        let v_now = self.arrival_v();
+        // A wall-clock rule reads `now`, exactly (see `VtRule`).
+        let v_now = if V::WALL_CLOCK {
+            self.arith
+                .tag(now.as_ratio())
+                .ok_or(SchedError::TagOverflow)?
+        } else {
+            self.arrival_v()
+        };
         let mut tally = self.tele.as_ref().map(|_| EnqueueTally::new());
         let res = pkts
             .iter()
@@ -450,8 +576,8 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
             let c = explicit.unwrap_or(ext.charge);
             let start = A::max(v_now, ext.last_finish);
             let finish = A::advance(start, c.rate, c.inc, pkt.len)?;
+            let (tag, meta) = V::stamp::<A>(start, finish, ext.rule)?;
             ext.last_finish = finish;
-            let (tag, meta) = V::key_meta(start, finish);
             let key = Key {
                 tag,
                 tie: c.tie,
@@ -463,7 +589,7 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
             tally.add(pkt.len.as_u64(), self.q.len());
         }
         if self.obs.active() {
-            let ev = event(&self.arith, now, &pkt, V::key_meta(key.tag, meta), v_now);
+            let ev = event::<A, V>(&self.arith, now, &pkt, V::tags(key.tag, meta), v_now);
             self.obs.on_enqueue(&ev);
         }
         Ok(())
@@ -496,8 +622,9 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
         &mut self,
         flow: FlowId,
         c: ChargeOf<A, V>,
+        rule: V::FlowState<A::Tag>,
         write: bool,
-        ext: impl FnOnce(&mut ExtOf<A, V>),
+        ext: impl FnOnce(&mut FlowExt<A, V>),
     ) -> Option<A::Tag> {
         let ok = Cell::new(true);
         let prev = Cell::new(A::ZERO);
@@ -505,16 +632,18 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
             flow,
             |pos, pkt, key, meta| {
                 if pos == 0 {
-                    prev.set(V::key_meta(key.tag, *meta).1);
+                    prev.set(V::tags(key.tag, *meta).1);
                     return;
                 }
                 let start = prev.get();
-                let Some(finish) = A::advance(start, c.rate, c.inc, pkt.len) else {
+                let stamped = A::advance(start, c.rate, c.inc, pkt.len)
+                    .and_then(|finish| Some((finish, V::stamp::<A>(start, finish, rule)?)));
+                let Some((finish, (tag, m))) = stamped else {
                     ok.set(false);
                     return;
                 };
                 if write {
-                    (key.tag, *meta) = V::key_meta(start, finish);
+                    (key.tag, *meta) = (tag, m);
                     key.tie = c.tie;
                 }
                 prev.set(finish);
@@ -525,8 +654,9 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
     }
 }
 
-/// Build the observer event for `pkt` tagged `(start, finish)`.
-fn event<A: TagArith>(
+/// Build the observer event for `pkt` reporting `(start, finish)` at
+/// `time`, with `v(t)` = `v`, or `time` itself under a wall-clock rule.
+fn event<A: TagArith, V: VtRule>(
     arith: &A,
     time: SimTime,
     pkt: &Packet,
@@ -540,7 +670,11 @@ fn event<A: TagArith>(
         len: pkt.len,
         start_tag: arith.to_ratio(start),
         finish_tag: arith.to_ratio(finish),
-        v: arith.to_ratio(v),
+        v: if V::WALL_CLOCK {
+            time.as_ratio()
+        } else {
+            arith.to_ratio(v)
+        },
     }
 }
 
@@ -551,15 +685,7 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> Scheduler for TagSched<A, V, O> {
     }
 
     fn try_add_flow(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        let charge = self.charge(flow, weight)?;
-        self.q
-            .upsert_flow(flow, || FlowExt {
-                charge,
-                last_finish: A::ZERO,
-            })
-            .charge = charge;
-        self.obs.on_flow_change(flow, &FlowChange::Added { weight });
-        Ok(())
+        self.register(flow, weight, Default::default())
     }
 
     fn enqueue(&mut self, now: SimTime, pkt: Packet) {
@@ -582,13 +708,13 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> Scheduler for TagSched<A, V, O> {
 
     fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
         let (pkt, key, meta) = self.q.pop_min()?;
-        let (start, finish) = V::key_meta(key.tag, meta);
+        let (start, finish) = V::tags(key.tag, meta);
         V::serve::<A>(&mut self.v, &mut self.max_finish_served, start, finish);
         if let Some(t) = &self.tele {
             t.record_dequeue(pkt.flow.0, pkt.len.as_u64(), pkt.arrival, now);
         }
         if self.obs.active() {
-            let ev = event(&self.arith, now, &pkt, (start, finish), self.v);
+            let ev = event::<A, V>(&self.arith, now, &pkt, (start, finish), self.v);
             self.obs.on_dequeue(&ev);
         }
         if V::SETTLES_IN_DEQUEUE {
@@ -611,13 +737,13 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> Scheduler for TagSched<A, V, O> {
         // the heap work is done.
         let mut tally = tele.as_ref().map(|_| DequeueTally::new(now));
         let n = q.pop_min_batch(max, |pkt, key, meta| {
-            let (start, finish) = V::key_meta(key.tag, meta);
+            let (start, finish) = V::tags(key.tag, meta);
             V::serve::<A>(v, max_finish_served, start, finish);
             if let Some(tally) = &mut tally {
                 tally.add(pkt.flow.0, pkt.len.as_u64(), pkt.arrival);
             }
             if obs.active() {
-                obs.on_dequeue(&event(arith, now, &pkt, (start, finish), *v));
+                obs.on_dequeue(&event::<A, V>(arith, now, &pkt, (start, finish), *v));
             }
             out.push(pkt);
         });
@@ -689,19 +815,23 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> Scheduler for TagSched<A, V, O> {
     /// while `v`, a *finish*-tag clock, has not overtaken the chain.
     ///
     /// All-or-nothing: a dry pass verifies every rewritten finish tag
-    /// fits in range before any state is mutated.
+    /// fits in range before any state is mutated. A wall-clock rule
+    /// refuses with [`SchedError::Unsupported`] (see [`VtRule`]).
     fn try_set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        let charge = self.charge(flow, weight)?;
-        if self.q.ext(flow).is_none() {
-            return Err(SchedError::UnknownFlow(flow));
+        if V::WALL_CLOCK {
+            return Err(SchedError::Unsupported);
         }
+        let charge = self.charge(flow, weight)?;
+        let Some(rule) = self.q.ext(flow).map(|ext| ext.rule) else {
+            return Err(SchedError::UnknownFlow(flow));
+        };
         let tail_finish = if self.q.backlog(flow) > 0 {
-            let dry = self.rechain(flow, charge, false, |_| {});
+            let dry = self.rechain(flow, charge, rule, false, |_| {});
             Some(dry.ok_or(SchedError::TagOverflow)?)
         } else {
             None
         };
-        self.rechain(flow, charge, true, |ext| {
+        self.rechain(flow, charge, rule, true, |ext| {
             ext.charge = charge;
             if let Some(finish) = tail_finish {
                 ext.last_finish = finish;
@@ -717,8 +847,8 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> Scheduler for TagSched<A, V, O> {
             t.record_head_drop();
         }
         if self.obs.active() {
-            let tags = V::key_meta(key.tag, meta);
-            let ev = event(&self.arith, pkt.arrival, &pkt, tags, self.v);
+            let tags = V::tags(key.tag, meta);
+            let ev = event::<A, V>(&self.arith, pkt.arrival, &pkt, tags, self.v);
             self.obs.on_drop(&ev);
         }
         Some(pkt)
@@ -983,6 +1113,80 @@ impl<O: SchedObserver> ScfqFast<O> {
     }
 }
 
+/// Virtual Clock (Zhang '90): the [`WallClock`] rule, exact arithmetic.
+///
+/// Each packet is stamped `max(A, VC_prev) + l/r` — its departure time
+/// had the flow streamed at exactly its reserved rate — and stamps
+/// order service. Virtual Clock gives WFQ's delay guarantee but is
+/// *unfair*: a flow that used idle bandwidth carries stamps far into
+/// the future and is punished for it later, which the paper cites to
+/// motivate fair schedulers for VBR video. It is also the GSQ inside
+/// [`FairAirport`](crate::FairAirport).
+pub type VirtualClock<O = NoopObserver> = TagSched<Exact, WallClock, O>;
+
+/// Delay Earliest-Due-Date (Section 3, Eq. 66; Theorem 7 over
+/// Fluctuation Constrained servers): the [`Deadline`] rule, exact
+/// arithmetic.
+///
+/// Packet `p_f^j` is due at `EAT(p_f^j, r_f) + d_f` — Eq. 37's expected
+/// arrival time plus the flow's deadline offset — and packets are
+/// served earliest deadline first. Delay EDD separates delay from
+/// throughput allocation (a small `d_f` with a small `r_f`), which flat
+/// SFQ cannot; the paper nests it inside a hierarchical SFQ class to add
+/// that capability. The schedulability condition (Eq. 67) lives in the
+/// `analysis` crate.
+pub type DelayEdd<O = NoopObserver> = TagSched<Exact, Deadline, O>;
+
+impl VirtualClock {
+    /// New Virtual Clock scheduler.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl<O: SchedObserver> VirtualClock<O> {
+    /// New Virtual Clock scheduler reporting events to `obs`: the
+    /// stamp as the finish tag, `max(A, VC_prev)` as the start tag and
+    /// the wall clock as `v`.
+    pub fn with_observer(obs: O) -> Self {
+        Self::build(Exact, TieBreak::Fifo, obs, FifoBackend::default())
+    }
+
+    /// Timestamp of a still-queued packet (diagnostic, like
+    /// [`TagSched::tags_of`]).
+    pub fn stamp_of(&self, uid: u64) -> Option<SimTime> {
+        self.q
+            .find(uid)
+            .map(|(key, _)| SimTime::from_ratio(key.tag))
+    }
+}
+
+impl DelayEdd {
+    /// New Delay EDD scheduler.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl<O: SchedObserver> DelayEdd<O> {
+    /// Register a flow with rate `r_f` and deadline offset `d_f`, or
+    /// re-register it, keeping its EAT chain; [`Scheduler::add_flow`]
+    /// registers with `d_f = 0`. A new `d_f` applies to later arrivals:
+    /// a flow's packets always leave in arrival order.
+    pub fn add_flow_with_deadline(&mut self, flow: FlowId, rate: Rate, d: SimDuration) {
+        self.register(flow, rate, d.as_ratio())
+            .unwrap_or_else(|e| panic!("{}: {e}", Self::NAME));
+    }
+
+    /// Deadline of a still-queued packet (diagnostic, like
+    /// [`TagSched::tags_of`]).
+    pub fn deadline_of(&self, uid: u64) -> Option<SimTime> {
+        self.q
+            .find(uid)
+            .map(|(key, _)| SimTime::from_ratio(key.tag))
+    }
+}
+
 /// The pooled hot-path record shapes of [`SfqFast`], the scheduler the
 /// scale workloads run.
 #[cfg(test)]
@@ -994,6 +1198,8 @@ pub(crate) fn sfq_fast_layout() -> crate::flowq::PooledLayout {
 mod tests {
     use super::*;
     use crate::flowq::PooledLayout;
+    use crate::packet::PacketFactory;
+    use simtime::Bytes;
 
     /// The dequeue look-ahead is written against these numbers
     /// (docs/pooling.md): a flow slot is one line's worth, a slab slot
@@ -1010,5 +1216,97 @@ mod tests {
                 heap_entry: (32, 8),
             }
         );
+    }
+
+    const T0: SimTime = SimTime::ZERO;
+
+    /// 125 B at 1 000 bit/s: one second per packet.
+    fn pkt(pf: &mut PacketFactory, flow: u32, at: SimTime) -> Packet {
+        pf.make(FlowId(flow), Bytes::new(125), at)
+    }
+
+    #[test]
+    fn vc_stamps_follow_reserved_rate() {
+        let mut vc = VirtualClock::new();
+        vc.add_flow(FlowId(1), Rate::bps(1_000));
+        let mut pf = PacketFactory::new();
+        let (a, b) = (pkt(&mut pf, 1, T0), pkt(&mut pf, 1, T0));
+        vc.enqueue(T0, a);
+        vc.enqueue(T0, b);
+        assert_eq!(vc.stamp_of(a.uid), Some(SimTime::from_secs(1)));
+        assert_eq!(vc.stamp_of(b.uid), Some(SimTime::from_secs(2)));
+    }
+
+    #[test]
+    fn vc_punishes_idle_bandwidth_usage() {
+        // The unfairness the paper cites: flow 1 bursts while alone and
+        // stamps 1..10 s. Flow 2 arriving at 1.5 s is stamped 2.5 s and
+        // jumps every flow-1 packet stamped 3 s and later.
+        let mut vc = VirtualClock::new();
+        vc.add_flow(FlowId(1), Rate::bps(1_000));
+        vc.add_flow(FlowId(2), Rate::bps(1_000));
+        let mut pf = PacketFactory::new();
+        for _ in 0..10 {
+            vc.enqueue(T0, pkt(&mut pf, 1, T0));
+        }
+        let t = SimTime::from_millis(1500);
+        let p2 = pkt(&mut pf, 2, t);
+        vc.enqueue(t, p2);
+        assert_eq!(vc.stamp_of(p2.uid), Some(SimTime::from_millis(2500)));
+        let order: Vec<u32> = std::iter::from_fn(|| vc.dequeue(t).map(|p| p.flow.0)).collect();
+        assert_eq!(order.iter().position(|&f| f == 2), Some(2));
+    }
+
+    #[test]
+    fn vc_arrival_after_idle_stamps_from_real_time() {
+        let mut vc = VirtualClock::new();
+        vc.add_flow(FlowId(1), Rate::bps(1_000));
+        let mut pf = PacketFactory::new();
+        vc.enqueue(T0, pkt(&mut pf, 1, T0));
+        let _ = vc.dequeue(T0);
+        let t9 = SimTime::from_secs(9);
+        let b = pkt(&mut pf, 1, t9);
+        vc.enqueue(t9, b);
+        assert_eq!(vc.stamp_of(b.uid), Some(SimTime::from_secs(10)));
+    }
+
+    #[test]
+    fn edd_deadline_is_eat_plus_offset() {
+        let mut e = DelayEdd::new();
+        e.add_flow_with_deadline(FlowId(1), Rate::bps(1_000), SimDuration::from_millis(50));
+        let mut pf = PacketFactory::new();
+        let (a, b) = (pkt(&mut pf, 1, T0), pkt(&mut pf, 1, T0)); // EAT 0 s, 1 s
+        e.enqueue(T0, a);
+        e.enqueue(T0, b);
+        assert_eq!(e.deadline_of(a.uid), Some(SimTime::from_millis(50)));
+        assert_eq!(e.deadline_of(b.uid), Some(SimTime::from_millis(1_050)));
+    }
+
+    #[test]
+    fn edd_small_deadline_flow_preempts_large() {
+        let mut e = DelayEdd::new();
+        e.add_flow_with_deadline(FlowId(1), Rate::bps(1_000), SimDuration::from_secs(10));
+        e.add_flow_with_deadline(FlowId(2), Rate::bps(1_000), SimDuration::from_millis(1));
+        let mut pf = PacketFactory::new();
+        e.enqueue(T0, pkt(&mut pf, 1, T0));
+        let urgent = pkt(&mut pf, 2, T0);
+        e.enqueue(T0, urgent);
+        assert_eq!(e.dequeue(T0).unwrap().uid, urgent.uid);
+    }
+
+    #[test]
+    fn edd_eat_follows_reserved_rate_not_arrival_burst() {
+        let mut e = DelayEdd::new();
+        e.add_flow_with_deadline(FlowId(1), Rate::bps(1_000), SimDuration::ZERO);
+        let mut pf = PacketFactory::new();
+        // A burst of 3 at t = 0: EATs 0, 1, 2 s.
+        let eats: Vec<SimTime> = (0..3)
+            .map(|_| {
+                let p = pkt(&mut pf, 1, T0);
+                e.enqueue(T0, p);
+                e.deadline_of(p.uid).unwrap()
+            })
+            .collect();
+        assert_eq!(eats, vec![T0, SimTime::from_secs(1), SimTime::from_secs(2)]);
     }
 }

@@ -1,13 +1,15 @@
 //! The tag-scheduler core, checked once per instantiation.
 //!
-//! `Sfq`, `SfqFast`, `Scfq` and `ScfqFast` are four aliases of one
-//! `TagSched<A, V>`, so their unit tests are one table: every check is
-//! a function generic over the arithmetic `A` and the virtual-time rule
-//! `V`, stamped out as four `#[test]`s by [`on_all_four!`]. Where the
-//! expected value depends on the rule (which tag orders service, what
-//! `v(t)` reads during service) or on the arithmetic (whether the
-//! eager-rebase threshold is clamped), the check says so through
-//! [`finish_ordered`] / `A::FIXED` instead of being copied per type.
+//! `Sfq`, `SfqFast`, `Scfq`, `ScfqFast`, `VirtualClock` and `DelayEdd`
+//! are six aliases of one `TagSched<A, V>`, so their unit tests are one
+//! table: every check is a function generic over the arithmetic `A` and
+//! the virtual-time rule `V`, stamped out as `#[test]`s by
+//! [`on_all_four!`] (the SFQ and SCFQ aliases) or [`on_all_six!`] (all
+//! six). Where the expected value depends on the rule (which tag orders
+//! service, what `v(t)` reads during service) or on the arithmetic
+//! (whether the eager-rebase threshold is clamped), the check says so
+//! through [`finish_ordered`] / `V::WALL_CLOCK` / `A::FIXED` instead of
+//! being copied per type.
 //!
 //! Weights are powers of two and lengths multiples of 128 bytes, so
 //! every `l/r` sits on the fixed-point grid and both arithmetics must
@@ -16,9 +18,9 @@
 use proptest::prelude::*;
 use sfq_core::obs::{SchedEvent, SchedObserver};
 use sfq_core::{
-    Exact, FinishClock, Fixed, FlowId, Packet, PacketFactory, ScfqFast, SchedError, Scheduler, Sfq,
-    SfqFast, StartClock, TagArith, TagSched, TelemetrySink, TieBreak, VtRule, MAX_REBASE_BITS,
-    MAX_SHIFT,
+    Deadline, Exact, FinishClock, Fixed, FlowId, Packet, PacketFactory, ScfqFast, SchedError,
+    Scheduler, Sfq, SfqFast, StartClock, TagArith, TagSched, TelemetrySink, TieBreak, VtRule,
+    WallClock, MAX_REBASE_BITS, MAX_SHIFT,
 };
 use simtime::{Bytes, Rate, Ratio, SimTime};
 use std::cmp::Reverse;
@@ -26,8 +28,8 @@ use std::collections::{BinaryHeap, HashMap};
 
 const T0: SimTime = SimTime::ZERO;
 
-/// Stamp each generic check `fn name<A, V>()` out over the four
-/// aliases. Attributes (`#[should_panic(..)]`) apply to all four.
+/// Stamp each generic check `fn name<A, V>()` out over the four SFQ and
+/// SCFQ aliases. Attributes (`#[should_panic(..)]`) apply to all four.
 macro_rules! on_all_four {
     ($($(#[$attr:meta])* $name:ident),+ $(,)?) => {$(
         mod $name {
@@ -44,10 +46,32 @@ macro_rules! on_all_four {
     )+};
 }
 
+/// [`on_all_four!`] plus the two wall-clock aliases, `VirtualClock` and
+/// `DelayEdd`, for the checks that do not read virtual time.
+macro_rules! on_all_six {
+    ($($(#[$attr:meta])* $name:ident),+ $(,)?) => {$(
+        mod $name {
+            use super::*;
+            #[test] $(#[$attr])*
+            fn sfq() { super::$name::<Exact, StartClock>() }
+            #[test] $(#[$attr])*
+            fn sfq_fast() { super::$name::<Fixed, StartClock>() }
+            #[test] $(#[$attr])*
+            fn scfq() { super::$name::<Exact, FinishClock>() }
+            #[test] $(#[$attr])*
+            fn scfq_fast() { super::$name::<Fixed, FinishClock>() }
+            #[test] $(#[$attr])*
+            fn vc() { super::$name::<Exact, WallClock>() }
+            #[test] $(#[$attr])*
+            fn edd() { super::$name::<Exact, Deadline>() }
+        }
+    )+};
+}
+
 /// Whether rule `V` serves in finish-tag order (SCFQ) rather than
 /// start-tag order (SFQ): read off the rule's own key mapping.
 fn finish_ordered<V: VtRule>() -> bool {
-    V::key_meta("start", "finish").0 == "finish"
+    V::tags("key", "meta").1 == "key"
 }
 
 fn int(n: i128) -> Ratio {
@@ -288,7 +312,8 @@ fn drop_head_then_force_remove<A: TagArith + Default, V: VtRule>() {
 }
 
 /// A zero weight is refused with a typed error — from registration and
-/// from reconfiguration alike — and leaves no trace.
+/// from reconfiguration alike (which a wall-clock rule refuses as such)
+/// — and leaves no trace.
 fn zero_weight_is_a_typed_strict_noop<A: TagArith + Default, V: VtRule>() {
     let (mut s, mut pf) = setup2::<A, V>();
     let a = pkt(&mut pf, 1, 128);
@@ -307,14 +332,19 @@ fn zero_weight_is_a_typed_strict_noop<A: TagArith + Default, V: VtRule>() {
     );
     assert_eq!(
         s.try_set_weight(FlowId(1), zero),
-        Err(SchedError::ZeroWeight(FlowId(1)))
+        Err(if V::WALL_CLOCK {
+            SchedError::Unsupported
+        } else {
+            SchedError::ZeroWeight(FlowId(1))
+        })
     );
     assert_eq!(s.live_flows(), 2, "refused flow was registered");
     assert_eq!((s.tags_of(a.uid), s.tags_of(b.uid)), before);
     // The registered weight still charges the next packet: span 1.
     let c = pkt(&mut pf, 1, 128);
     s.enqueue(T0, c);
-    assert_eq!(s.tags_of(c.uid), Some((int(2), int(3))));
+    assert_eq!(s.tags_of(c.uid).map(|t| t.0), Some(int(2)));
+    assert_eq!(s.flow_last_finish(FlowId(1)), Some(int(3)));
 }
 
 /// The observer sees every tag assignment with the same values the
@@ -462,14 +492,22 @@ fn counter_page_takes_one_write_section_per_call<A: TagArith + Default, V: VtRul
     assert_eq!(snap.resident(), s.len() as i128);
 }
 
+// SFQ/SCFQ only: these read virtual time — Eq. 4/5 tags off `v`, the
+// busy-period end, rebasing — which a wall-clock rule does not keep, or
+// name the rule by its key order alone.
 on_all_four!(
-    counter_page_takes_one_write_section_per_call,
     name_and_panic_prefix_come_from_the_instantiation,
     tags_follow_eq4_eq5,
     serves_in_key_tag_order_across_flows,
     virtual_time_is_key_tag_of_packet_in_service,
     busy_period_end_sets_v_to_max_finish_served,
     slow_flow_packet_position_depends_on_the_rule,
+    rebasing_shifts_tags_without_reordering,
+    eager_rebase_threshold_is_clamped_for_u64_tags_only,
+);
+
+on_all_six!(
+    counter_page_takes_one_write_section_per_call,
     backlog_counts_per_flow,
     heap_holds_one_entry_per_backlogged_flow,
     #[should_panic(expected = "unregistered flow")]
@@ -479,8 +517,6 @@ on_all_four!(
     drop_head_then_force_remove,
     zero_weight_is_a_typed_strict_noop,
     observer_reports_assigned_tags,
-    rebasing_shifts_tags_without_reordering,
-    eager_rebase_threshold_is_clamped_for_u64_tags_only,
     batch_api_is_bit_identical_to_singles,
 );
 

@@ -457,9 +457,8 @@ fn fair_airport_force_remove_mid_service_and_revive() {
     assert_eq!(fa.force_remove_flow(FlowId(9)), 0);
 }
 
-/// A force-removed flow's already-admitted GSQ head must not be served:
-/// its heap entry is stale (uid mismatch against a revived flow's new
-/// packets) and a later dequeue skips it.
+/// A force-removed flow's already-admitted GSQ head must not be served,
+/// not even once the flow is revived with new packets.
 #[test]
 fn fair_airport_stale_gsq_entry_never_serves_revived_flow() {
     let mut fa = FairAirport::new();
@@ -543,38 +542,77 @@ fn hier_force_remove_updates_ancestors_and_survives_mid_service() {
     assert_eq!(h.force_remove_flow(FlowId(9)), 0, "unknown flow no-op");
 }
 
-/// Force-removing a flow routed to a nested scheduler class delegates
-/// to the inner discipline and keeps every level's subtree accounting
-/// exact.
+/// Force-removing a flow routed to a nested scheduler class — SFQ or
+/// Delay EDD — delegates to the inner discipline and keeps every
+/// level's subtree accounting exact.
 #[test]
 fn hier_force_remove_delegates_to_scheduler_class() {
+    let mut sfq = Sfq::new();
+    let mut edd = DelayEdd::new();
+    for f in [1, 2] {
+        sfq.add_flow(FlowId(f), Rate::bps(1_000));
+        let d = SimDuration::from_millis(10 * f as i128);
+        edd.add_flow_with_deadline(FlowId(f), Rate::bps(1_000), d);
+    }
+    let inners: [Box<dyn Scheduler>; 2] = [Box::new(sfq), Box::new(edd)];
+    for inner in inners {
+        let name = inner.name();
+        let mut h = HierSfq::new();
+        let class = h.add_scheduler_class(h.root(), Rate::bps(1_000), inner);
+        h.attach_configured_flow(class, FlowId(1));
+        h.attach_configured_flow(class, FlowId(2));
+        h.add_flow(FlowId(3), Rate::bps(1_000));
+        let mut pf = PacketFactory::new();
+        let t0 = SimTime::ZERO;
+        for _ in 0..2 {
+            h.enqueue(t0, pf.make(FlowId(1), Bytes::new(125), t0));
+            h.enqueue(t0, pf.make(FlowId(2), Bytes::new(125), t0));
+            h.enqueue(t0, pf.make(FlowId(3), Bytes::new(125), t0));
+        }
+        assert_eq!(h.class_backlog(class), 4, "{name}");
+        assert_eq!(h.force_remove_flow(FlowId(1)), 2, "{name}");
+        assert_eq!(h.class_backlog(class), 2, "{name}");
+        assert_eq!(h.class_backlog(h.root()), 4, "{name}");
+        assert_eq!(h.len(), 4, "{name}");
+        let mut order = Vec::new();
+        while let Some(p) = h.dequeue(t0) {
+            assert_ne!(p.flow, FlowId(1), "{name}");
+            order.push(p.flow.0);
+            h.on_departure(t0);
+        }
+        assert_eq!(order.iter().filter(|&&f| f == 2).count(), 2, "{name}");
+        assert_eq!(order.iter().filter(|&&f| f == 3).count(), 2, "{name}");
+        assert!(h.is_empty(), "{name}");
+        assert_eq!(h.class_backlog(class), 0, "{name}");
+    }
+}
+
+/// A flow routed to a Delay EDD class that never registered it is
+/// refused through the fallible API with a typed error, not a panic,
+/// and leaves every count untouched.
+#[test]
+fn hier_edd_class_refuses_a_flow_it_never_registered() {
+    let mut edd = DelayEdd::new();
+    edd.add_flow_with_deadline(FlowId(1), Rate::bps(1_000), SimDuration::from_millis(10));
     let mut h = HierSfq::new();
-    let mut inner = sfq_repro::core::Sfq::new();
-    inner.add_flow(FlowId(1), Rate::bps(1_000));
-    inner.add_flow(FlowId(2), Rate::bps(1_000));
-    let class = h.add_scheduler_class(h.root(), Rate::bps(1_000), Box::new(inner));
+    let class = h.add_scheduler_class(h.root(), Rate::bps(1_000), Box::new(edd));
     h.attach_configured_flow(class, FlowId(1));
     h.attach_configured_flow(class, FlowId(2));
-    h.add_flow(FlowId(3), Rate::bps(1_000));
     let mut pf = PacketFactory::new();
     let t0 = SimTime::ZERO;
-    for _ in 0..2 {
-        h.enqueue(t0, pf.make(FlowId(1), Bytes::new(125), t0));
-        h.enqueue(t0, pf.make(FlowId(2), Bytes::new(125), t0));
-        h.enqueue(t0, pf.make(FlowId(3), Bytes::new(125), t0));
-    }
-    assert_eq!(h.class_backlog(class), 4);
-    assert_eq!(h.force_remove_flow(FlowId(1)), 2);
-    assert_eq!(h.class_backlog(class), 2);
-    assert_eq!(h.len(), 4);
-    let mut order = Vec::new();
-    while let Some(p) = h.dequeue(t0) {
-        assert_ne!(p.flow, FlowId(1));
-        order.push(p.flow.0);
-        h.on_departure(t0);
-    }
-    assert_eq!(order.iter().filter(|&&f| f == 2).count(), 2);
-    assert_eq!(order.iter().filter(|&&f| f == 3).count(), 2);
+    let p = pf.make(FlowId(1), Bytes::new(125), t0);
+    h.enqueue(t0, p);
+    let orphan = pf.make(FlowId(2), Bytes::new(125), t0);
+    assert_eq!(
+        h.try_enqueue(t0, orphan),
+        Err(SchedError::UnknownFlow(FlowId(2)))
+    );
+    assert_eq!(h.len(), 1);
+    assert_eq!(h.backlog(FlowId(2)), 0);
+    assert_eq!(h.class_backlog(class), 1);
+    assert_eq!(h.class_backlog(h.root()), 1);
+    assert_eq!(h.dequeue(t0).map(|q| q.uid), Some(p.uid));
+    h.on_departure(t0);
     assert!(h.is_empty());
 }
 
