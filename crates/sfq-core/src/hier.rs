@@ -2,13 +2,16 @@
 //!
 //! The link-sharing structure is a tree of *classes*; each node uses SFQ
 //! to schedule its children, treating every subclass as a flow. Flows
-//! are leaf classes. Scheduling is recursive: the root picks the
-//! backlogged child with the minimum start tag, that child picks among
-//! its own children, and so on down to a flow leaf whose head packet is
-//! transmitted. When the packet's length `l` is known, every node on the
-//! path charges its chosen child `F = S + l / r_child` and, if the child
-//! is still backlogged, re-admits it with start tag `F` — exactly the
-//! continuously-backlogged case of Eq. 4.
+//! are leaf classes. Every interior class runs the one class-level SFQ
+//! server, [`RootSfq`] — the server the sharded engine runs over its
+//! shards — with a child's position among its siblings as its class
+//! index, so ties go to the lower [`ClassId`]. Scheduling is recursive:
+//! the root picks the backlogged child with the minimum start tag, that
+//! child picks among its own children, and so on down to a leaf whose
+//! head packet is transmitted. When the packet's length `l` is known,
+//! every class on the path charges its chosen child `F = S + l /
+//! r_child`; a child still backlogged competes next at `S = F` —
+//! exactly the continuously-backlogged case of Eq. 4.
 //!
 //! Because SFQ is fair over servers of arbitrarily fluctuating rate
 //! (Theorem 1 makes no assumption on service times), each interior class
@@ -16,89 +19,73 @@
 //! divides its bandwidth between subclasses in proportion to weights.
 //! This is the property Example 3 shows WFQ lacks.
 //!
-//! The tree is head-of-flow structured throughout: each node's ready
-//! set ([`BTreeSet`]) holds one entry per backlogged *child*, never per
-//! packet, and leaf flows keep their packets in per-flow FIFOs
-//! ([`VecDeque`]) — the same shape as the flat [`crate::Sfq`], so
-//! per-packet cost scales with the number of backlogged classes on the
-//! root-to-leaf path, not with queue depth. Classes backed by a nested
-//! scheduler (`add_scheduler_class`) inherit the head-of-flow
-//! behaviour of whatever discipline they wrap.
+//! There are no ready sets. A class keeps one flag per child, raised
+//! while the child's subtree holds a packet, and its server stamps the
+//! flagged children when it picks (the start rule of [`RootSfq`]). Leaf
+//! flows keep their packets in per-flow FIFOs ([`VecDeque`]), so a
+//! dequeue costs the children scanned along the root-to-leaf path —
+//! never anything that grows with queue depth — and allocates nothing.
+//! Classes backed by a nested scheduler (`add_scheduler_class`) inherit
+//! the head-of-flow behaviour of whatever discipline they wrap.
 
 use crate::obs::{FlowChange, NoopObserver, SchedEvent, SchedObserver};
 use crate::packet::{FlowId, Packet};
+use crate::root::RootSfq;
 use crate::sched::{SchedError, Scheduler};
 use simtime::{Rate, Ratio, SimTime};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Identifier of a class in the link-sharing tree. The root is created
 /// by [`HierSfq::new`] and returned by [`HierSfq::root`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ClassId(pub u32);
 
-struct Node {
-    parent: Option<ClassId>,
-    weight: Rate,
-    /// Start tag of this node's current "packet" in its parent's tag
-    /// space (valid while in the parent's ready set or in service).
-    start: Ratio,
-    /// Finish tag of this node's previous service in the parent's tag
-    /// space (the `F(p^{j-1})` of Eq. 4, with the class as the flow).
-    finish: Ratio,
-    /// Whether this node currently sits in its parent's ready set.
-    in_ready: bool,
-    /// This node's own SFQ virtual-time state (interior nodes).
-    v: Ratio,
-    in_service: Option<Ratio>,
-    max_finish_served: Ratio,
-    /// Backlogged children ordered by (start tag, child id).
-    ready: BTreeSet<(Ratio, ClassId)>,
-    /// Number of packets queued in this subtree.
-    subtree_backlog: usize,
-    /// Leaf-only FIFO packet queue.
-    queue: VecDeque<Packet>,
-    is_leaf: bool,
-    /// Optional nested discipline: the class delegates the ordering of
-    /// its own packets to this scheduler (Section 3: different
-    /// services may use different resource-allocation methods).
-    inner: Option<Box<dyn Scheduler>>,
+/// What a leaf class sends from.
+enum Leaf {
+    /// A flow's FIFO.
+    Flow(VecDeque<Packet>),
+    /// A nested discipline ordering the class's own packets (Section 3:
+    /// different services may use different resource-allocation
+    /// methods).
+    Nested(Box<dyn Scheduler>),
 }
 
-impl std::fmt::Debug for Node {
+impl std::fmt::Debug for Leaf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Node")
-            .field("parent", &self.parent)
-            .field("weight", &self.weight)
-            .field("start", &self.start)
-            .field("finish", &self.finish)
-            .field("backlog", &self.subtree_backlog)
-            .field("is_leaf", &self.is_leaf)
-            .field("inner", &self.inner.as_ref().map(|s| s.name()))
-            .finish()
+        match self {
+            Leaf::Flow(queue) => write!(f, "Flow({} queued)", queue.len()),
+            Leaf::Nested(inner) => write!(f, "Nested({})", inner.name()),
+        }
     }
+}
+
+#[derive(Debug)]
+struct Node {
+    /// Parent class and this class's index in the parent's server;
+    /// `None` for the root.
+    parent: Option<(ClassId, usize)>,
+    /// Number of packets queued in this subtree.
+    subtree_backlog: usize,
+    /// SFQ server over the children, one class per child in `ClassId`
+    /// order; classless at a leaf.
+    server: RootSfq,
+    children: Vec<ClassId>,
+    /// Per child: its subtree holds a packet.
+    backlogged: Vec<bool>,
+    /// `None` for an interior class.
+    leaf: Option<Leaf>,
 }
 
 impl Node {
-    fn new(parent: Option<ClassId>, weight: Rate, is_leaf: bool) -> Self {
+    fn new(parent: Option<(ClassId, usize)>, leaf: Option<Leaf>) -> Self {
         Node {
             parent,
-            weight,
-            start: Ratio::ZERO,
-            finish: Ratio::ZERO,
-            in_ready: false,
-            v: Ratio::ZERO,
-            in_service: None,
-            max_finish_served: Ratio::ZERO,
-            ready: BTreeSet::new(),
             subtree_backlog: 0,
-            queue: VecDeque::new(),
-            is_leaf,
-            inner: None,
+            server: RootSfq::new(0, None),
+            children: Vec::new(),
+            backlogged: Vec::new(),
+            leaf,
         }
-    }
-
-    fn virtual_time(&self) -> Ratio {
-        self.in_service.unwrap_or(self.v)
     }
 }
 
@@ -135,17 +122,17 @@ impl Node {
 /// `HierSfq` reports *class-level* tags to its observer (see
 /// [`crate::obs`]): events carry the leaf class's start tag and finish
 /// tag in its parent's tag space, and `v` is the root server's virtual
-/// time. Enqueue events report the leaf's current head tag (`start`)
-/// and tag chain state (`F_prev` as `finish_tag`) — the hierarchy
+/// time. Enqueue and drop events report the start tag the leaf would be
+/// served at now and its last finish tag (`F_prev`) — the hierarchy
 /// charges classes at dequeue time, so a queued packet has no
 /// per-packet tag of its own.
 #[derive(Debug)]
 pub struct HierSfq<O: SchedObserver = NoopObserver> {
     nodes: Vec<Node>,
     flow_leaf: HashMap<FlowId, ClassId>,
-    /// Path of the most recent dequeue (root-to-leaf class ids), used by
-    /// `on_departure` to close per-class busy periods.
-    service_path: Vec<ClassId>,
+    /// Leaf of the most recent dequeue: `on_departure` walks up from it
+    /// to close the busy periods of the classes the packet emptied.
+    served: Option<ClassId>,
     obs: O,
 }
 
@@ -160,9 +147,9 @@ impl<O: SchedObserver> HierSfq<O> {
     /// New tree reporting events to `obs` (see [`crate::obs`]).
     pub fn with_observer(obs: O) -> Self {
         HierSfq {
-            nodes: vec![Node::new(None, Rate::bps(1), false)],
+            nodes: vec![Node::new(None, None)],
             flow_leaf: HashMap::new(),
-            service_path: Vec::new(),
+            served: None,
             obs,
         }
     }
@@ -187,28 +174,29 @@ impl<O: SchedObserver> HierSfq<O> {
         ClassId(0)
     }
 
+    /// Add a class of weight `weight` under `parent`, sending from
+    /// `leaf` (`None` for an interior class).
+    fn attach(&mut self, parent: ClassId, weight: Rate, leaf: Option<Leaf>) -> ClassId {
+        assert!(weight.as_bps() > 0, "class weight must be positive");
+        let id = ClassId(self.nodes.len() as u32);
+        let p = self.node_mut(parent);
+        assert!(p.leaf.is_none(), "cannot add a class under a flow leaf");
+        let slot = p.server.add_class(weight.as_bps());
+        p.children.push(id);
+        p.backlogged.push(false);
+        self.nodes.push(Node::new(Some((parent, slot)), leaf));
+        id
+    }
+
     /// Add an interior class under `parent` with the given weight.
     pub fn add_class(&mut self, parent: ClassId, weight: Rate) -> ClassId {
-        assert!(weight.as_bps() > 0, "class weight must be positive");
-        assert!(
-            !self.node(parent).is_leaf,
-            "cannot add a class under a flow leaf"
-        );
-        let id = ClassId(self.nodes.len() as u32);
-        self.nodes.push(Node::new(Some(parent), weight, false));
-        id
+        self.attach(parent, weight, None)
     }
 
     /// Attach a flow as a leaf of `parent`.
     pub fn add_flow_to(&mut self, parent: ClassId, flow: FlowId, weight: Rate) {
-        assert!(weight.as_bps() > 0, "flow weight must be positive");
-        assert!(
-            !self.node(parent).is_leaf,
-            "cannot attach a flow under a flow leaf"
-        );
         assert!(!self.flow_leaf.contains_key(&flow), "flow already attached");
-        let id = ClassId(self.nodes.len() as u32);
-        self.nodes.push(Node::new(Some(parent), weight, true));
+        let id = self.attach(parent, weight, Some(Leaf::Flow(VecDeque::new())));
         self.flow_leaf.insert(flow, id);
         self.obs.on_flow_change(flow, &FlowChange::Added { weight });
     }
@@ -223,16 +211,16 @@ impl<O: SchedObserver> HierSfq<O> {
         weight: Rate,
         inner: Box<dyn Scheduler>,
     ) -> ClassId {
-        assert!(weight.as_bps() > 0, "class weight must be positive");
-        assert!(
-            !self.node(parent).is_leaf,
-            "cannot add a class under a flow leaf"
-        );
-        let id = ClassId(self.nodes.len() as u32);
-        let mut node = Node::new(Some(parent), weight, true);
-        node.inner = Some(inner);
-        self.nodes.push(node);
-        id
+        self.attach(parent, weight, Some(Leaf::Nested(inner)))
+    }
+
+    /// The nested discipline of a scheduler class, panicking with
+    /// `what` for any other class.
+    fn nested_mut(&mut self, class: ClassId, what: &str) -> &mut dyn Scheduler {
+        match &mut self.node_mut(class).leaf {
+            Some(Leaf::Nested(inner)) => inner.as_mut(),
+            _ => panic!("{what} requires a scheduler class"),
+        }
     }
 
     /// Attach a flow to a scheduler class created with
@@ -240,11 +228,8 @@ impl<O: SchedObserver> HierSfq<O> {
     /// discipline at the given weight.
     pub fn add_flow_to_scheduler(&mut self, class: ClassId, flow: FlowId, weight: Rate) {
         assert!(!self.flow_leaf.contains_key(&flow), "flow already attached");
-        let node = self.node_mut(class);
-        let Some(inner) = node.inner.as_mut() else {
-            panic!("add_flow_to_scheduler requires a scheduler class")
-        };
-        inner.add_flow(flow, weight);
+        self.nested_mut(class, "add_flow_to_scheduler")
+            .add_flow(flow, weight);
         self.flow_leaf.insert(flow, class);
         self.obs.on_flow_change(flow, &FlowChange::Added { weight });
     }
@@ -255,16 +240,13 @@ impl<O: SchedObserver> HierSfq<O> {
     /// deadlines, which the plain `Scheduler::add_flow` cannot express).
     pub fn attach_configured_flow(&mut self, class: ClassId, flow: FlowId) {
         assert!(!self.flow_leaf.contains_key(&flow), "flow already attached");
-        assert!(
-            self.node(class).inner.is_some(),
-            "attach_configured_flow requires a scheduler class"
-        );
+        self.nested_mut(class, "attach_configured_flow");
         self.flow_leaf.insert(flow, class);
     }
 
     /// Virtual time of a class's own SFQ server (for tests/telemetry).
     pub fn class_virtual_time(&self, class: ClassId) -> Ratio {
-        self.node(class).virtual_time()
+        self.node(class).server.virtual_time()
     }
 
     /// Packets queued in a class's subtree.
@@ -272,28 +254,39 @@ impl<O: SchedObserver> HierSfq<O> {
         self.node(class).subtree_backlog
     }
 
-    /// Remove `dropped` packets' worth of backlog from `leaf` and every
-    /// ancestor, deactivating (withdrawing from the parent ready set)
-    /// any node whose subtree empties. Nodes currently mid-service are
-    /// not in any ready set; `on_departure` closes their busy period as
-    /// usual once the in-flight transmission completes.
-    fn shrink_backlog(&mut self, leaf: ClassId, dropped: usize) {
+    /// Add `delta` packets to the backlog of `leaf` and of every
+    /// ancestor, keeping each parent's flag for the child equal to
+    /// "its subtree holds a packet".
+    fn rebook(&mut self, leaf: ClassId, delta: isize) {
         let mut cur = leaf;
         loop {
-            self.node_mut(cur).subtree_backlog -= dropped;
-            let parent = self.node(cur).parent;
-            if self.node(cur).subtree_backlog == 0 && self.node(cur).in_ready {
-                let Some(p) = parent else {
-                    unreachable!("root is never in a ready set")
-                };
-                let start = self.node(cur).start;
-                self.node_mut(p).ready.remove(&(start, cur));
-                self.node_mut(cur).in_ready = false;
-            }
-            match parent {
-                Some(p) => cur = p,
-                None => break,
-            }
+            let node = self.node_mut(cur);
+            node.subtree_backlog = node.subtree_backlog.wrapping_add_signed(delta);
+            let busy = node.subtree_backlog > 0;
+            let Some((parent, slot)) = node.parent else {
+                return;
+            };
+            self.node_mut(parent).backlogged[slot] = busy;
+            cur = parent;
+        }
+    }
+
+    /// An event for `pkt` at `time` carrying `leaf`'s tags in its
+    /// parent's server (its start if served now, and its last finish)
+    /// and the root's virtual time.
+    fn event(&self, time: SimTime, pkt: &Packet, leaf: ClassId) -> SchedEvent {
+        let (start_tag, finish_tag) = match self.node(leaf).parent {
+            Some((parent, slot)) => self.node(parent).server.tags(slot),
+            None => (Ratio::ZERO, Ratio::ZERO),
+        };
+        SchedEvent {
+            time,
+            flow: pkt.flow,
+            uid: pkt.uid,
+            len: pkt.len,
+            start_tag,
+            finish_tag,
+            v: self.class_virtual_time(self.root()),
         }
     }
 
@@ -313,9 +306,8 @@ impl<O: SchedObserver> HierSfq<O> {
         let Some(&leaf) = self.flow_leaf.get(&flow) else {
             return 0;
         };
-        let node = self.node_mut(leaf);
-        let dropped = match node.inner.as_mut() {
-            Some(inner) => {
+        let dropped = match &mut self.node_mut(leaf).leaf {
+            Some(Leaf::Nested(inner)) => {
                 let dropped = inner.force_remove_flow(flow);
                 if inner.backlog(flow) > 0 {
                     // Inner discipline refused: keep the routing intact
@@ -324,16 +316,11 @@ impl<O: SchedObserver> HierSfq<O> {
                 }
                 dropped
             }
-            None => {
-                let dropped = node.queue.len();
-                node.queue.clear();
-                dropped
-            }
+            Some(Leaf::Flow(queue)) => queue.drain(..).count(),
+            None => 0,
         };
         self.flow_leaf.remove(&flow);
-        if dropped > 0 {
-            self.shrink_backlog(leaf, dropped);
-        }
+        self.rebook(leaf, -(dropped as isize));
         self.obs
             .on_flow_change(flow, &FlowChange::ForceRemoved { dropped });
         dropped
@@ -383,140 +370,69 @@ impl<O: SchedObserver> Scheduler for HierSfq<O> {
         let Some(&leaf) = self.flow_leaf.get(&pkt.flow) else {
             return Err(SchedError::UnknownFlow(pkt.flow));
         };
-        let leaf_node = self.node_mut(leaf);
-        match leaf_node.inner.as_mut() {
+        match &mut self.node_mut(leaf).leaf {
             // The nested discipline rejects before any tree state
             // changes, so a refused packet leaves the hierarchy intact.
-            Some(inner) => inner.try_enqueue(now, pkt)?,
-            None => leaf_node.queue.push_back(pkt),
+            Some(Leaf::Nested(inner)) => inner.try_enqueue(now, pkt)?,
+            Some(Leaf::Flow(queue)) => queue.push_back(pkt),
+            None => unreachable!("flows are routed to leaf classes"),
         }
-
-        // Activate newly-backlogged nodes bottom-up: a node that was
-        // invisible to its parent (empty subtree and not in the ready
-        // set) gets start tag max(v_parent, F_prev) — Eq. 4 with the
-        // class as the flow.
-        let mut child = leaf;
-        let mut activating = true;
-        loop {
-            let was_empty = self.node(child).subtree_backlog == 0;
-            self.node_mut(child).subtree_backlog += 1;
-            let Some(parent) = self.node(child).parent else {
-                break;
-            };
-            if activating && was_empty && !self.node(child).in_ready {
-                // Virtual time snapped at the read point (see
-                // Ratio::snap_pico) to bound tag-denominator growth.
-                let s = self
-                    .node(parent)
-                    .virtual_time()
-                    .snap_pico()
-                    .max(self.node(child).finish);
-                self.node_mut(child).start = s;
-                self.node_mut(child).in_ready = true;
-                self.node_mut(parent).ready.insert((s, child));
-            } else {
-                activating = false;
-            }
-            child = parent;
+        self.rebook(leaf, 1);
+        if self.obs.active() {
+            let ev = self.event(now, &pkt, leaf);
+            self.obs.on_enqueue(&ev);
         }
-        let ln = self.node(leaf);
-        self.obs.on_enqueue(&SchedEvent {
-            time: now,
-            flow: pkt.flow,
-            uid: pkt.uid,
-            len: pkt.len,
-            start_tag: ln.start,
-            finish_tag: ln.finish,
-            v: self.node(self.root()).virtual_time(),
-        });
         Ok(())
     }
 
     fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
-        if self.node(self.root()).subtree_backlog == 0 {
-            return None;
-        }
-        // Descend: each node serves the backlogged child with minimum
-        // start tag; its virtual time becomes that start tag.
-        let mut path: Vec<(ClassId, ClassId, Ratio)> = Vec::new(); // (parent, child, S_child)
+        // Descend: each class serves the backlogged child with the
+        // minimum start tag.
         let mut cur = self.root();
         let pkt = loop {
-            if self.node(cur).is_leaf {
-                let node = self.node_mut(cur);
-                break match node.inner.as_mut() {
-                    Some(inner) => {
-                        let Some(p) = inner.dequeue(now) else {
-                            unreachable!("backlogged scheduler class with empty discipline")
-                        };
-                        p
-                    }
-                    None => {
-                        let Some(p) = node.queue.pop_front() else {
-                            unreachable!("backlogged leaf with empty queue")
-                        };
-                        p
-                    }
-                };
+            let node = self.node_mut(cur);
+            match &mut node.leaf {
+                None => cur = node.children[node.server.pick(&node.backlogged)?],
+                Some(Leaf::Flow(queue)) => break queue.pop_front(),
+                Some(Leaf::Nested(inner)) => break inner.dequeue(now),
             }
-            let Some(&(s, child)) = self.node(cur).ready.iter().next() else {
-                unreachable!("backlogged interior class with empty ready set")
-            };
-            self.node_mut(cur).ready.remove(&(s, child));
-            self.node_mut(child).in_ready = false;
-            self.node_mut(cur).in_service = Some(s);
-            self.node_mut(cur).v = s;
-            path.push((cur, child, s));
-            cur = child;
-        };
-
-        // Unwind: charge every node on the path for the actual packet
-        // length and re-admit still-backlogged children at S = F.
-        for &(_, c, _) in path.iter() {
-            self.node_mut(c).subtree_backlog -= 1;
+        }?;
+        self.rebook(cur, -1);
+        self.served = Some(cur);
+        // Unwind: every class on the path charges its chosen child for
+        // the packet's actual length.
+        let mut child = cur;
+        while let Some((parent, slot)) = self.node(child).parent {
+            self.node_mut(parent)
+                .server
+                .charge(slot, pkt.len.bits())
+                .unwrap_or_else(|e| panic!("HierSfq: {e}"));
+            child = parent;
         }
-        self.node_mut(self.root()).subtree_backlog -= 1;
-        for &(parent, child, s) in path.iter().rev() {
-            let f = s + self.node(child).weight.tag_span(pkt.len);
-            self.node_mut(child).finish = f;
-            let pm = self.node_mut(parent);
-            pm.max_finish_served = pm.max_finish_served.max(f);
-            if self.node(child).subtree_backlog > 0 {
-                self.node_mut(child).start = f;
-                self.node_mut(child).in_ready = true;
-                self.node_mut(parent).ready.insert((f, child));
+        if self.obs.active() {
+            // The charge left the leaf's finish tag in place and moved
+            // its parent's clock to the leaf's start tag.
+            let mut ev = self.event(now, &pkt, cur);
+            if let Some((parent, _)) = self.node(cur).parent {
+                ev.start_tag = self.class_virtual_time(parent);
             }
-        }
-        self.service_path = std::iter::once(self.root())
-            .chain(path.iter().map(|&(_, c, _)| c))
-            .collect();
-        // Class-level event: the leaf's start tag and the finish tag
-        // just charged to it, with the root server's virtual time.
-        if let Some(&(_, leaf, s)) = path.last() {
-            self.obs.on_dequeue(&SchedEvent {
-                time: now,
-                flow: pkt.flow,
-                uid: pkt.uid,
-                len: pkt.len,
-                start_tag: s,
-                finish_tag: self.node(leaf).finish,
-                v: self.node(self.root()).virtual_time(),
-            });
+            self.obs.on_dequeue(&ev);
         }
         Some(pkt)
     }
 
     fn on_departure(&mut self, now: SimTime) {
-        let path = std::mem::take(&mut self.service_path);
-        for id in path {
-            let n = self.node_mut(id);
-            n.in_service = None;
-            if n.subtree_backlog == 0 {
+        let mut next = self.served.take();
+        while let Some(id) = next {
+            let node = self.node_mut(id);
+            if node.subtree_backlog == 0 {
                 // End of this class's busy period (algorithm step 2).
-                n.v = n.max_finish_served;
+                node.server.on_idle();
             }
-            if let Some(inner) = n.inner.as_mut() {
+            if let Some(Leaf::Nested(inner)) = &mut node.leaf {
                 inner.on_departure(now);
             }
+            next = node.parent.map(|(parent, _)| parent);
         }
     }
 
@@ -531,9 +447,9 @@ impl<O: SchedObserver> Scheduler for HierSfq<O> {
     fn backlog(&self, flow: FlowId) -> usize {
         self.flow_leaf.get(&flow).map_or(0, |&leaf| {
             let node = self.node(leaf);
-            match &node.inner {
-                Some(inner) => inner.backlog(flow),
-                None => node.subtree_backlog,
+            match &node.leaf {
+                Some(Leaf::Nested(inner)) => inner.backlog(flow),
+                _ => node.subtree_backlog,
             }
         })
     }
@@ -544,23 +460,16 @@ impl<O: SchedObserver> Scheduler for HierSfq<O> {
 
     fn drop_head(&mut self, flow: FlowId) -> Option<Packet> {
         let &leaf = self.flow_leaf.get(&flow)?;
-        let node = self.node_mut(leaf);
-        let pkt = match node.inner.as_mut() {
-            Some(inner) => inner.drop_head(flow)?,
-            None => node.queue.pop_front()?,
+        let pkt = match &mut self.node_mut(leaf).leaf {
+            Some(Leaf::Nested(inner)) => inner.drop_head(flow)?,
+            Some(Leaf::Flow(queue)) => queue.pop_front()?,
+            None => return None,
         };
-        self.shrink_backlog(leaf, 1);
-        let ln = self.node(leaf);
-        let (start, finish) = (ln.start, ln.finish);
-        self.obs.on_drop(&SchedEvent {
-            time: pkt.arrival,
-            flow: pkt.flow,
-            uid: pkt.uid,
-            len: pkt.len,
-            start_tag: start,
-            finish_tag: finish,
-            v: self.node(self.root()).virtual_time(),
-        });
+        self.rebook(leaf, -1);
+        if self.obs.active() {
+            let ev = self.event(pkt.arrival, &pkt, leaf);
+            self.obs.on_drop(&ev);
+        }
         Some(pkt)
     }
 

@@ -11,6 +11,8 @@
 //!   [`SfqFast`], the SCFQ pair [`Scfq`] / [`ScfqFast`], and the
 //!   wall-clock comparators [`VirtualClock`] and [`DelayEdd`],
 //! - [`HierSfq`]: the hierarchical link-sharing scheduler of Section 3,
+//!   each interior class a [`RootSfq`] — the one class-level SFQ
+//!   server, which the sharded engine runs over its shards,
 //! - [`FairAirport`]: the Fair Airport combination of Appendix B,
 //! - the [`Scheduler`] trait and [`Packet`] vocabulary shared with the
 //!   baseline disciplines in the `baselines` crate.
@@ -45,6 +47,7 @@ pub mod obs;
 mod packet;
 pub mod pool;
 pub mod prefetch;
+mod root;
 mod sched;
 mod tagsched;
 
@@ -56,6 +59,7 @@ pub use hier::{ClassId, HierSfq};
 pub use obs::{Backpressure, FlowChange, NoopObserver, SchedEvent, SchedObserver};
 pub use packet::{FlowId, Packet, PacketFactory};
 pub use pool::{FlowMap, PktPool, PktRef, PoolStats, SlabPool};
+pub use root::RootSfq;
 pub use sched::{ReconfigCmd, SchedError, Scheduler, TieBreak};
 pub use tagsched::{
     Deadline, DelayEdd, FinishClock, Scfq, ScfqFast, Sfq, SfqFast, StartClock, TagSched,

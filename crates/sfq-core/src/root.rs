@@ -1,69 +1,96 @@
-//! Top-level hierarchical-SFQ node allocating link capacity to shards.
+//! The SFQ server an interior class runs over its children (Section 3).
 //!
-//! The cross-shard drainer treats each shard as one flow of a root SFQ
-//! server whose "packets" are the batches it pulls. Selecting a shard
-//! stamps the batch with a start tag `S_i = max(v, F_i)` (Eq. 4 with
-//! the root's own virtual time), serving it advances `v := S_i` and
-//! charges `F_i := S_i + bits / R_i` (Eq. 5), where `R_i` is the sum
-//! of the weights of the flows registered on shard `i`. When every
-//! shard drains empty the busy period ends and `v` resets to the
-//! maximum finish tag served, exactly like the leaf discipline.
+//! Hierarchical SFQ treats each child of a class as a flow of one SFQ
+//! server. [`RootSfq`] is that server: the sharded engine runs one over
+//! its shards, whose "packets" are the batches it pulls, and every
+//! interior class of [`HierSfq`](crate::HierSfq) runs one over its
+//! subclasses. Serving class `i` stamps it with the start tag
 //!
-//! Batch sizes are only known *after* the shard is drained (a shard may
-//! hold fewer packets than the batch budget), so selection and charging
-//! are split: [`RootSfq::pick`] chooses the shard, [`RootSfq::charge`]
-//! stamps and bills the actual bits pulled. Between the two calls the
-//! root state is untouched, which keeps the pick/charge sequence a pure
-//! function of the drained bit counts.
+//! ```text
+//! S_i = F_i                      if F_i > v
+//!     = max(snap_pico(v), F_i)   otherwise
+//! ```
 //!
-//! All state is a handful of scalars per shard, so rebasing (shifting
-//! every tag down by `⌊v⌋` once magnitudes grow) is trivial here and
-//! enabled by default through [`EngineConfig::rebase_bits`].
+//! — Eq. 4 with the server's own virtual time, snapped to the
+//! picosecond grid where a class starts from it, as `Sfq`'s exact
+//! arithmetic does ([`Ratio::snap_pico`]: unsnapped, coprime weights
+//! grow the tags' denominators until they leave `i128`) — then sets
+//! `v := S_i` and `F_i := S_i + bits / R_i` (Eq. 5), `R_i` being the
+//! class's weight (for a shard, the sum of its flows' rates). When every
+//! class drains empty the busy period ends and `v` becomes the maximum
+//! finish tag served, as in the leaf discipline.
 //!
-//! The tags are exact but not kept reduced: `pick` and `charge` only
-//! compare them, so each is an [`Unreduced`] fraction seated on the
-//! lattice of its class's rate. A class that stays ahead of `v` at an
-//! unchanged rate is charged by one divisibility test and one integer
-//! multiply-add; a class that fell behind, or whose rate moved, seats
-//! its start tag on the new lattice, reducing it first when the seat
-//! would leave a machine word ([`Unreduced::advance`]).
-//! [`RootSfq::virtual_time`] reduces on read, and the rebase
-//! rule reduces every tag before it judges magnitudes, so the
-//! observable sequence — picks, `v`, rebase count, the `TagOverflow`
-//! point — is the one reduced [`Ratio`] arithmetic produces (the
-//! module's tests keep that arithmetic as the oracle).
+//! The start is computed when the class is served, not fixed when it
+//! becomes backlogged. Fixed then, it would be `max(snap_pico(v), F_i)`
+//! for every class, including one with `F_i = v` (the class whose finish
+//! ended the last busy period), which is why only `F_i > v` skips the
+//! snap; `v` moves only to the start of a served class, so the two
+//! readings differ only when `F_i` lies strictly between `v` and
+//! `snap_pico(v)`, a gap under half a picosecond.
 //!
-//! [`EngineConfig::rebase_bits`]: crate::EngineConfig::rebase_bits
+//! A batch's size is only known after its shard is drained, so selection
+//! and charging are split: [`RootSfq::pick`] chooses the class and
+//! [`RootSfq::charge`] bills the bits taken. Between the two the state is
+//! untouched and both apply the one start rule, so the sequence is a pure
+//! function of the bits charged. Rebasing (shifting every tag down by
+//! `⌊min tag⌋` once magnitudes grow) commutes with the snap.
+//!
+//! The tags are exact but not kept reduced: each is an [`Unreduced`]
+//! fraction seated on the lattice of its class's rate, so a class that
+//! stays ahead of `v` at an unchanged rate is charged by one
+//! divisibility test and one multiply-add ([`Unreduced::advance`]). A
+//! snap reduces `v`, a gcd, only when the rates charged so far have no
+//! common multiple within `10¹²`; otherwise it provably changes nothing.
+//! [`RootSfq::virtual_time`] reduces on read, and the rebase rule reduces
+//! every tag before it judges magnitudes, so the observable sequence —
+//! picks, `v`, rebase count, the `TagOverflow` point — is the one reduced
+//! [`Ratio`] arithmetic produces (the module's tests keep that
+//! arithmetic as the oracle).
 
-use sfq_core::SchedError;
+use crate::packet::FlowId;
+use crate::sched::SchedError;
 use simtime::{Rate, Ratio, Unreduced};
 
-#[derive(Clone, Copy, Debug)]
-struct ShardClass {
-    /// Aggregate weight `R_i`: sum of registered flow rates, in bps.
+/// The picosecond grid's denominator.
+const PICO: u64 = 1_000_000_000_000;
+
+#[derive(Clone, Copy, Debug, Default)]
+struct Class {
+    /// Aggregate weight `R_i`, in bps: for a shard, the sum of its
+    /// registered flow rates.
     weight_bps: u64,
     /// Administrative override of `R_i` (the `SetShardWeight`
-    /// reconfiguration command); `None` uses the flow-sum aggregate.
+    /// reconfiguration command); `None` uses the aggregate.
     override_bps: Option<u64>,
-    /// Finish tag of the shard's most recent batch.
+    /// Finish tag of the class's most recent service.
     last_finish: Unreduced,
+    /// The effective rate last joined to the server's lattice (0:
+    /// none yet).
+    lattice_bps: u64,
 }
 
-impl ShardClass {
-    /// Effective `R_i`: the override when set, else the flow-sum.
+impl Class {
+    /// Effective `R_i`: the override when set, else the aggregate.
     fn effective_bps(&self) -> u64 {
         self.override_bps.unwrap_or(self.weight_bps)
     }
 }
 
-/// The cross-shard SFQ arbiter. See the module docs for the algorithm.
+/// The SFQ server of one interior class. See the module docs for the
+/// algorithm.
 #[derive(Clone, Debug)]
 pub struct RootSfq {
-    classes: Vec<ShardClass>,
-    /// Root virtual time: start tag of the batch most recently served.
+    classes: Vec<Class>,
+    /// Virtual time: start tag of the class most recently served.
     v: Unreduced,
-    /// Running max of finish tags served; becomes `v` when the root
-    /// busy period ends.
+    /// A common denominator of every tag, while one within the
+    /// picosecond grid is known: the lcm of the rates charged so far,
+    /// `None` once that passes `10¹²`. Each tag is then a multiple of
+    /// `1 / lattice`, its reduced denominator is within the grid, and
+    /// `snap_pico` would return it unchanged: the start rule skips it.
+    lattice: Option<u64>,
+    /// Running max of finish tags served; becomes `v` when the busy
+    /// period ends.
     max_finish_served: Unreduced,
     /// No tag is stored wider than this many bits: raised by every
     /// finish tag written, made exact again whenever a rebase looks.
@@ -73,18 +100,12 @@ pub struct RootSfq {
 }
 
 impl RootSfq {
-    /// Root node over `shards` classes, all initially weightless.
-    pub fn new(shards: usize, rebase_bits: Option<u32>) -> Self {
+    /// Server over `classes` classes, all initially weightless.
+    pub fn new(classes: usize, rebase_bits: Option<u32>) -> Self {
         RootSfq {
-            classes: vec![
-                ShardClass {
-                    weight_bps: 0,
-                    override_bps: None,
-                    last_finish: Unreduced::ZERO,
-                };
-                shards
-            ],
+            classes: vec![Class::default(); classes],
             v: Unreduced::ZERO,
+            lattice: Some(1),
             max_finish_served: Unreduced::ZERO,
             widest_bits: 1,
             rebase_bits,
@@ -92,16 +113,26 @@ impl RootSfq {
         }
     }
 
-    /// Adjust shard `i`'s aggregate weight by a flow's rate moving from
-    /// `old_bps` (0 for a new flow) to `new_bps`.
-    pub fn reweigh(&mut self, shard: usize, old_bps: u64, new_bps: u64) {
-        let c = &mut self.classes[shard];
+    /// Append a class of weight `weight_bps` with no service history;
+    /// returns its index.
+    pub(crate) fn add_class(&mut self, weight_bps: u64) -> usize {
+        self.classes.push(Class {
+            weight_bps,
+            ..Class::default()
+        });
+        self.classes.len() - 1
+    }
+
+    /// Adjust class `class`'s aggregate weight by a flow's rate moving
+    /// from `old_bps` (0 for a new flow) to `new_bps`.
+    pub fn reweigh(&mut self, class: usize, old_bps: u64, new_bps: u64) {
+        let c = &mut self.classes[class];
         c.weight_bps = c.weight_bps - old_bps + new_bps;
     }
 
-    /// Aggregate weight `R_i` of shard `shard`, in bps.
-    pub fn weight_bps(&self, shard: usize) -> u64 {
-        self.classes[shard].weight_bps
+    /// Aggregate weight `R_i` of class `class`, in bps.
+    pub fn weight_bps(&self, class: usize) -> u64 {
+        self.classes[class].weight_bps
     }
 
     /// Override shard `shard`'s effective aggregate weight with a fixed
@@ -118,7 +149,7 @@ impl RootSfq {
         };
         if let Some(r) = rate {
             if r.as_bps() == 0 {
-                return Err(SchedError::ZeroWeight(sfq_core::FlowId(shard as u32)));
+                return Err(SchedError::ZeroWeight(FlowId(shard as u32)));
             }
         }
         c.override_bps = rate.map(|r| r.as_bps());
@@ -130,7 +161,7 @@ impl RootSfq {
         self.classes.get(shard).and_then(|c| c.override_bps)
     }
 
-    /// Current root virtual time, reduced for the reader.
+    /// Current virtual time, reduced for the reader.
     pub fn virtual_time(&self) -> Ratio {
         self.v.reduce()
     }
@@ -140,17 +171,37 @@ impl RootSfq {
         self.rebases
     }
 
-    /// Choose the next shard to drain among those with
-    /// `backlogged[i] == true`: minimum start tag `max(v, F_i)`, shard
-    /// index breaking ties. Returns `None` when nothing is backlogged.
+    /// The start tag `c` is stamped with if served now (module docs).
+    #[inline]
+    fn start(&self, c: &Class) -> Unreduced {
+        if c.last_finish > self.v {
+            return c.last_finish;
+        }
+        let snapped = match self.lattice {
+            Some(_) => self.v,
+            None => self.v.reduce().snap_pico().into(),
+        };
+        snapped.max(c.last_finish)
+    }
+
+    /// Class `class`'s start tag if served now and its finish tag,
+    /// reduced for an observer.
+    pub(crate) fn tags(&self, class: usize) -> (Ratio, Ratio) {
+        let c = &self.classes[class];
+        (self.start(c).reduce(), c.last_finish.reduce())
+    }
+
+    /// Choose the next class to serve among those with
+    /// `backlogged[i] == true` (a mask shorter than the classes leaves
+    /// the rest out): minimum start tag, class index breaking ties.
+    /// Returns `None` when nothing is backlogged.
     pub fn pick(&self, backlogged: &[bool]) -> Option<usize> {
-        debug_assert_eq!(backlogged.len(), self.classes.len());
         let mut best: Option<(Unreduced, usize)> = None;
-        for (i, c) in self.classes.iter().enumerate() {
-            if !backlogged[i] || c.effective_bps() == 0 {
+        for (i, (c, &busy)) in self.classes.iter().zip(backlogged).enumerate() {
+            if !busy || c.effective_bps() == 0 {
                 continue;
             }
-            let start = self.v.max(c.last_finish);
+            let start = self.start(c);
             if best.is_none_or(|b| (start, i) < b) {
                 best = Some((start, i));
             }
@@ -158,25 +209,27 @@ impl RootSfq {
         best.map(|(_, i)| i)
     }
 
-    /// Serve a `bits`-sized batch from `shard`: stamp `S = max(v, F_i)`,
-    /// set `v := S` and `F_i := S + bits / R_i`. Errors with
+    /// Serve `bits` from class `class`: stamp its start tag `S`, set
+    /// `v := S` and `F_i := S + bits / R_i`. Errors with
     /// [`SchedError::TagOverflow`] only if tag arithmetic leaves `i128`
-    /// range despite rebasing, leaving the root untouched.
-    pub fn charge(&mut self, shard: usize, bits: u64) -> Result<(), SchedError> {
+    /// range despite rebasing, leaving the server untouched.
+    pub fn charge(&mut self, class: usize, bits: u64) -> Result<(), SchedError> {
         self.maybe_rebase();
-        let c = self.classes[shard];
-        debug_assert!(c.effective_bps() > 0, "charging a weightless shard");
-        // A class still ahead of `v` starts from its own finish tag,
-        // which sits on its own rate's lattice.
-        let start = if c.last_finish >= self.v {
-            c.last_finish
-        } else {
-            self.v
-        };
+        let c = self.classes[class];
+        debug_assert!(c.effective_bps() > 0, "charging a weightless class");
+        let rate = c.effective_bps().max(1);
+        let start = self.start(&c);
         let finish = start
-            .advance(bits as i128, c.effective_bps().max(1))
+            .advance(bits as i128, rate)
             .ok_or(SchedError::TagOverflow)?;
-        self.classes[shard].last_finish = finish;
+        if rate != c.lattice_bps {
+            self.lattice = self.lattice.and_then(|l| {
+                let lcm = (l / gcd(l, rate)).checked_mul(rate)?;
+                (lcm <= PICO).then_some(lcm)
+            });
+            self.classes[class].lattice_bps = rate;
+        }
+        self.classes[class].last_finish = finish;
         self.widest_bits = self.widest_bits.max(finish.magnitude_bits());
         self.v = start;
         if finish > self.max_finish_served {
@@ -185,14 +238,14 @@ impl RootSfq {
         Ok(())
     }
 
-    /// The root busy period ended (every shard drained empty): reset
-    /// `v` to the maximum finish tag served, the leaf rule of Eq. 4's
+    /// The busy period ended (every class drained empty): reset `v` to
+    /// the maximum finish tag served, the leaf rule of Eq. 4's
     /// companion invariant.
     pub fn on_idle(&mut self) {
         self.v = self.max_finish_served;
     }
 
-    /// Every tag the root holds: the classes' finish tags, then `v`,
+    /// Every tag the server holds: the classes' finish tags, then `v`,
     /// then the running maximum.
     fn tags_mut(&mut self) -> impl Iterator<Item = &mut Unreduced> {
         let finishes = self.classes.iter_mut().map(|c| &mut c.last_finish);
@@ -231,25 +284,33 @@ impl RootSfq {
     }
 }
 
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The root arbiter as it was while every tag was a reduced
-    /// [`Ratio`]: what [`RootSfq`] has to stay indistinguishable from.
+    /// The server in reduced [`Ratio`] arithmetic, written from the
+    /// start rule of the module docs: what [`RootSfq`] has to stay
+    /// indistinguishable from.
     mod oracle {
         use super::super::SchedError;
         use simtime::Ratio;
 
         #[derive(Clone, Copy, Debug)]
-        struct ShardClass {
+        struct Class {
             weight_bps: u64,
             override_bps: Option<u64>,
             last_finish: Ratio,
         }
 
-        impl ShardClass {
+        impl Class {
             fn effective_bps(&self) -> u64 {
                 self.override_bps.unwrap_or(self.weight_bps)
             }
@@ -257,7 +318,7 @@ mod tests {
 
         #[derive(Clone, Debug)]
         pub struct RootSfq {
-            classes: Vec<ShardClass>,
+            classes: Vec<Class>,
             v: Ratio,
             max_finish_served: Ratio,
             rebase_bits: Option<u32>,
@@ -266,7 +327,7 @@ mod tests {
 
         impl RootSfq {
             pub fn new(shards: usize, rebase_bits: Option<u32>) -> Self {
-                let idle = ShardClass {
+                let idle = Class {
                     weight_bps: 0,
                     override_bps: None,
                     last_finish: Ratio::ZERO,
@@ -297,13 +358,25 @@ mod tests {
                 self.rebases
             }
 
+            /// Eq. 4 over the server's clock: a class whose last finish
+            /// is ahead of `v` continues from it; any other restarts from
+            /// `v` on the picosecond grid, or from its own finish should
+            /// the snap round below it.
+            fn start(&self, c: &Class) -> Ratio {
+                if c.last_finish <= self.v {
+                    self.v.snap_pico().max(c.last_finish)
+                } else {
+                    c.last_finish
+                }
+            }
+
             pub fn pick(&self, backlogged: &[bool]) -> Option<usize> {
                 let mut best: Option<(Ratio, usize)> = None;
                 for (i, c) in self.classes.iter().enumerate() {
                     if !backlogged[i] || c.effective_bps() == 0 {
                         continue;
                     }
-                    let start = self.v.max(c.last_finish);
+                    let start = self.start(c);
                     if best.is_none_or(|b| (start, i) < b) {
                         best = Some((start, i));
                     }
@@ -314,7 +387,7 @@ mod tests {
             pub fn charge(&mut self, shard: usize, bits: u64) -> Result<(), SchedError> {
                 self.maybe_rebase();
                 let c = self.classes[shard];
-                let start = self.v.max(c.last_finish);
+                let start = self.start(&c);
                 let span = Ratio::new(bits as i128, c.effective_bps().max(1) as i128);
                 let finish = start.checked_add(span).ok_or(SchedError::TagOverflow)?;
                 self.classes[shard].last_finish = finish;
@@ -511,8 +584,11 @@ mod tests {
             assert_matches_oracle(rebase, [weights.0, weights.1, weights.2], &ops)?;
         }
 
-        /// The same with weights that take the tags past `i128`: the
-        /// same `TagOverflow` points, the root untouched at each.
+        /// The same with weights of up to 63 bits and charges of up to
+        /// 2^62 bits: a class behind `v` starts on the picosecond grid,
+        /// but its finish tag still needs `10¹² · R_i` as denominator,
+        /// and the numerators run past `i128` after a few such charges —
+        /// at the same `TagOverflow` points, the root untouched at each.
         #[test]
         fn unreduced_root_overflows_where_the_oracle_does(
             weights in (bps(true), bps(true), bps(true)),
@@ -524,11 +600,11 @@ mod tests {
     }
 
     #[test]
-    fn coprime_giant_weights_overflow_where_the_oracle_does() {
+    fn coprime_giant_weights_complete_where_the_oracle_does() {
         // Three pairwise coprime 61- to 63-bit weights, no rebasing,
-        // each class starting from the one before's finish tag: the
-        // third needs a denominator past `i128`, in lowest terms as
-        // much as seated. The root then carries on from where it was.
+        // each class starting from the one before's finish tag. Exact,
+        // the third would need a denominator past `i128`; snapped, each
+        // start is on the picosecond grid and the run completes.
         let serve = |mask| Op::Serve {
             mask,
             bits: (1 << 50) + 1,
@@ -537,7 +613,7 @@ mod tests {
         let ops = [serve(1), Op::Idle, serve(2), Op::Idle, serve(4), serve(3)];
         let weights = [(1 << 61) - 1, (1 << 62) - 57, (1 << 63) - 25];
         let overflows = assert_matches_oracle(None, weights, &ops).unwrap();
-        assert!(overflows > 0, "the witness no longer overflows");
+        assert_eq!(overflows, 0, "the snap no longer bounds the witness");
     }
 
     #[test]
@@ -610,5 +686,77 @@ mod tests {
         root.charge(0, 5000).unwrap();
         root.on_idle();
         assert_eq!(root.virtual_time(), Ratio::new(5000, 1000));
+    }
+
+    #[test]
+    fn a_class_behind_v_starts_from_v_on_the_pico_grid() {
+        // Two prime weights just over 10^6: one bit from each puts `v`
+        // on a denominator past 10^12, and the class that fell behind
+        // restarts from `v` rounded to the picosecond.
+        let mut root = RootSfq::new(2, None);
+        root.reweigh(0, 0, 1_000_003);
+        root.reweigh(1, 0, 1_000_033);
+        root.charge(0, 1).unwrap();
+        root.on_idle();
+        root.charge(1, 1).unwrap();
+        root.on_idle();
+        let v = root.virtual_time();
+        assert!(v.denom() > 1_000_000_000_000, "v = {v}");
+        assert_eq!(root.pick(&[true, true]), Some(0));
+        root.charge(0, 1).unwrap();
+        let start = root.virtual_time();
+        assert_eq!(start, v.snap_pico());
+        assert_eq!(1_000_000_000_000 % start.denom(), 0, "start = {start}");
+        assert!((start - v).abs() <= Ratio::new(1, 2_000_000_000_000));
+    }
+
+    #[test]
+    fn a_lattice_within_the_grid_skips_only_snaps_that_change_nothing() {
+        // Two primes whose product is just under 10^12: every tag is a
+        // multiple of 1 / (999 983 · 1 000 003), stored over products
+        // past 10^12 once classes restart from each other's tags. The
+        // server skips those snaps; the oracle takes each one.
+        let weights = [999_983, 1_000_003, 999_983];
+        let ops: Vec<Op> = (0..400u64)
+            .map(|k| match k % 5 {
+                0 | 3 => Op::Serve {
+                    mask: (k % 7 + 1) as u8,
+                    bits: 512 + 37 * k,
+                    between: None,
+                },
+                1 => Op::Idle,
+                2 => Op::Serve {
+                    mask: 7,
+                    bits: 12_000 + k,
+                    between: None,
+                },
+                _ => Op::Serve {
+                    mask: (k % 3 + 1) as u8,
+                    bits: 1,
+                    between: None,
+                },
+            })
+            .collect();
+        for rebase in [None, Some(20)] {
+            assert_matches_oracle(rebase, weights, &ops).unwrap();
+        }
+        let mut root = RootSfq::new(3, None);
+        for (s, &w) in weights.iter().enumerate() {
+            root.reweigh(s, 0, w);
+            root.charge(s, 1).unwrap();
+        }
+        assert_eq!(root.lattice, Some(999_983 * 1_000_003));
+    }
+
+    #[test]
+    fn a_short_mask_leaves_the_missing_classes_out() {
+        let mut root = RootSfq::new(3, None);
+        for s in 0..3 {
+            root.reweigh(s, 0, 1000);
+        }
+        assert_eq!(root.pick(&[]), None);
+        assert_eq!(root.pick(&[false, true]), Some(1));
+        root.charge(1, 1000).unwrap();
+        assert_eq!(root.pick(&[true]), Some(0));
     }
 }

@@ -182,10 +182,10 @@ pub trait Scheduler {
         n
     }
 
-    /// Fallible dequeue. Selection involves only comparisons and maxima
-    /// of existing tags, so for every discipline in this workspace it
-    /// cannot fail; the `Result` keeps the fallible control plane
-    /// uniform for drivers that thread `?` through each scheduler call.
+    /// Fallible dequeue. A bare discipline only compares existing tags
+    /// and cannot fail; the default never does. The sharded engine's
+    /// facade can: it reports a poisoned shard's enqueue error or its
+    /// root's [`SchedError::TagOverflow`] here, where `dequeue` panics.
     fn try_dequeue(&mut self, now: SimTime) -> Result<Option<Packet>, SchedError> {
         Ok(self.dequeue(now))
     }

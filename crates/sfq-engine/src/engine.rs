@@ -20,11 +20,11 @@
 //! returns it, and every later drain that picks that shard reports it
 //! again.
 
-use crate::root::RootSfq;
 use crate::{shard_of, EngineConfig, ShardSched};
 use sfq_core::obs::SchedObserver;
 use sfq_core::{
-    FlowId, FlowMap, NoopObserver, Packet, ReconfigCmd, SchedError, Scheduler, Sfq, SfqFast,
+    FlowId, FlowMap, NoopObserver, Packet, ReconfigCmd, RootSfq, SchedError, Scheduler, Sfq,
+    SfqFast,
 };
 use sfq_telemetry::{RefuseCause, TelemetryHub};
 use simtime::{Rate, SimTime};
@@ -131,7 +131,8 @@ struct FlowRec {
 /// Sharded SFQ engine whose every shard runs the leaf discipline `S` in
 /// place on the calling thread, statically dispatched (exact-rational
 /// [`Sfq`] by default; [`Engine::new_fast`] swaps in the fixed-point
-/// [`SfqFast`]). The root arbiter is exact for every `S`. Every method
+/// [`SfqFast`]). The root arbiter is exact, up to the same picosecond
+/// snap as [`Sfq`], for every `S`. Every method
 /// is a deterministic function of the API call sequence. See the module
 /// docs and `docs/engine.md`.
 pub struct Engine<S: ShardSched> {
@@ -157,7 +158,7 @@ impl Engine<Sfq> {
 
 impl Engine<SfqFast> {
     /// Engine whose shards run the fixed-point [`SfqFast`] fast path at
-    /// the default tag shift; the root arbiter stays exact-rational.
+    /// the default tag shift; the root arbiter stays exact.
     pub fn new_fast(cfg: EngineConfig) -> Self {
         Self::from_factory(cfg, |_| SfqFast::new())
     }
@@ -377,10 +378,11 @@ impl<S: ShardSched> Engine<S> {
             if k == 0 {
                 break;
             }
-            let bits: u64 = out[before..].iter().map(|p| p.len.bits()).sum();
-            self.root.charge(s, bits)?;
+            // The batch has left the shard whatever the charge says.
             self.shards[s].pending -= k;
             n += k;
+            let bits: u64 = out[before..].iter().map(|p| p.len.bits()).sum();
+            self.root.charge(s, bits)?;
         }
         if self.is_empty() {
             self.root.on_idle();

@@ -6,8 +6,9 @@
 //! suggests: hierarchically (Section 4). Flows are hash-partitioned
 //! across `N` independent leaf schedulers (*shards*), each fed by a
 //! bounded ingress queue, and a drainer allocates link capacity among
-//! the shards with a top-level SFQ node ([`RootSfq`]) whose "packets"
-//! are the batches it pulls from each shard. Because SFQ guarantees
+//! the shards with a top-level SFQ node ([`RootSfq`], the class-level
+//! server `sfq_core::HierSfq` runs at every interior class) whose
+//! "packets" are the batches it pulls from each shard. Because SFQ guarantees
 //! fairness on any Fluctuation Constrained server and itself *provides*
 //! an FC server to each class (Theorem 10), the composition inherits a
 //! two-level fairness bound: within a shard the per-flow Theorem 1
@@ -34,11 +35,10 @@
 
 mod engine;
 pub mod ring;
-pub mod root;
 
 pub use engine::Engine;
 pub use ring::{spsc, SpscConsumer, SpscProducer};
-pub use root::RootSfq;
+pub use sfq_core::RootSfq;
 
 /// [`Engine`] under the name it has always been built by, with the
 /// exact-rational [`Sfq`] as the default leaf discipline.
@@ -52,10 +52,10 @@ use sfq_core::{FlowId, Scheduler, Sfq, TagArith, TagSched, TelemetrySink, VtRule
 /// which the engine wires to [`EngineConfig::rebase_bits`] at
 /// construction time.
 ///
-/// The root arbiter stays exact-rational regardless of the shard type —
-/// it charges batch-sized "packets" at a far lower rate than the leaf
-/// schedulers stamp tags, so it is never the bottleneck the fixed-point
-/// fast path exists to remove.
+/// The root arbiter is exact (up to the same picosecond snap as `Sfq`)
+/// regardless of the shard type — it charges batch-sized "packets" at a
+/// far lower rate than the leaf schedulers stamp tags, so it is never
+/// the bottleneck the fixed-point fast path exists to remove.
 pub trait ShardSched: Scheduler {
     /// Enable periodic virtual-time rebasing once tag magnitudes exceed
     /// `threshold_bits`. Fixed-point shards clamp the threshold to

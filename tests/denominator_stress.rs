@@ -69,3 +69,47 @@ fn wide_weight_spread_also_survives() {
         std::hint::black_box(p.uid);
     }
 }
+
+/// The engine's root arbiter is the same kind of server: shards of
+/// distinct 17-bit prime weights, each falling behind and restarting
+/// from the root's virtual time every round. Unsnapped, the root's tags
+/// grow like the product of the primes crossed, and a charge overflows
+/// within a few dozen rounds.
+#[test]
+fn sync_engine_survives_coprime_shard_weights() {
+    use sfq_engine::{shard_of, EngineConfig, SyncEngine};
+    const SHARDS: usize = 8;
+    const PRIMES: [u64; SHARDS] = [
+        65_537, 65_539, 65_543, 65_551, 65_557, 65_563, 65_579, 65_581,
+    ];
+    let mut eng = SyncEngine::new_fast(EngineConfig::new(SHARDS));
+    // One flow per shard: the first id that hashes there.
+    let flows: Vec<FlowId> = (0..SHARDS)
+        .map(|s| {
+            (0..)
+                .map(FlowId)
+                .find(|&f| shard_of(f, SHARDS) == s)
+                .expect("every shard owns some id")
+        })
+        .collect();
+    for (&f, &bps) in flows.iter().zip(&PRIMES) {
+        eng.try_add_flow(f, Rate::bps(bps)).unwrap();
+    }
+    let mut rng = SimRng::new(29);
+    let mut pf = PacketFactory::new();
+    let t0 = SimTime::ZERO;
+    let mut out = Vec::new();
+    for round in 0..2_000 {
+        let mask = rng.uniform_range(0, 1 << SHARDS);
+        for (s, &f) in flows.iter().enumerate() {
+            if mask >> s & 1 == 1 {
+                let len = Bytes::new(rng.uniform_range(64, 1_464));
+                eng.try_ingest(pf.make(f, len, t0)).unwrap();
+            }
+        }
+        out.clear();
+        let drained = eng.drain(t0, usize::MAX, &mut out);
+        assert!(drained.is_ok(), "round {round}: {drained:?}");
+    }
+    assert_eq!(eng.pending(), 0);
+}
