@@ -10,7 +10,7 @@
 //! maximum delay depends on the sum of all other flows' quanta.
 
 use sfq_core::obs::{FlowChange, NoopObserver, SchedEvent, SchedObserver};
-use sfq_core::{FlowId, Packet, Scheduler};
+use sfq_core::{FlowId, Packet, SchedError, Scheduler};
 use simtime::{Bytes, Rate, Ratio, SimTime};
 use std::collections::{HashMap, VecDeque};
 
@@ -129,10 +129,15 @@ impl<O: SchedObserver> Scheduler for Drr<O> {
     }
 
     fn enqueue(&mut self, now: SimTime, pkt: Packet) {
+        self.try_enqueue(now, pkt)
+            .unwrap_or_else(|e| panic!("DRR: {e}"));
+    }
+
+    fn try_enqueue(&mut self, now: SimTime, pkt: Packet) -> Result<(), SchedError> {
         let fs = self
             .flows
             .get_mut(&pkt.flow)
-            .unwrap_or_else(|| panic!("DRR: unregistered flow {}", pkt.flow));
+            .ok_or(SchedError::UnknownFlow(pkt.flow))?;
         fs.queue.push_back(pkt);
         if !fs.active {
             fs.active = true;
@@ -148,6 +153,7 @@ impl<O: SchedObserver> Scheduler for Drr<O> {
             finish_tag: Ratio::ZERO,
             v: Ratio::ZERO,
         });
+        Ok(())
     }
 
     fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
@@ -327,6 +333,20 @@ mod tests {
         assert!(!d.is_empty());
         let _ = d.dequeue(SimTime::ZERO).unwrap();
         assert!(d.is_empty());
+    }
+
+    /// An unregistered flow is refused with a typed error and leaves no
+    /// trace; `enqueue` panics with the same message.
+    #[test]
+    fn unregistered_flow_is_a_typed_refusal() {
+        let mut d = Drr::new();
+        let p = PacketFactory::new().make(FlowId(9), Bytes::new(100), SimTime::ZERO);
+        let err = d.try_enqueue(SimTime::ZERO, p);
+        assert_eq!(err, Err(SchedError::UnknownFlow(FlowId(9))));
+        assert!(d.is_empty());
+        let panic = std::panic::catch_unwind(move || d.enqueue(SimTime::ZERO, p));
+        let msg = *panic.unwrap_err().downcast::<String>().unwrap();
+        assert_eq!(msg, format!("DRR: unregistered flow {}", FlowId(9)));
     }
 }
 

@@ -1,7 +1,7 @@
 //! # baselines — every comparator discipline the SFQ paper discusses
 //!
 //! - [`Wfq`]: Weighted Fair Queuing / PGPS with an exact GPS fluid
-//!   simulation for `v(t)` (Eqs. 1–3),
+//!   simulation for `v(t)` (Eqs. 1–3, [`GpsClock`]),
 //! - [`Fqs`]: Fair Queuing based on Start-time (GPS tags, start-tag
 //!   order),
 //! - [`Scfq`]: Self-Clocked Fair Queuing,
@@ -11,9 +11,11 @@
 //! - [`DelayEdd`]: Delay Earliest-Due-Date (Eq. 66 / Theorem 7),
 //! - [`Fifo`]: the null discipline.
 //!
-//! [`Scfq`], [`VirtualClock`] and [`DelayEdd`] are rules of the one tag
-//! core, `sfq_core::TagSched` — SCFQ its finish clock, the other two its
-//! wall-clock rules — re-exported here beside their fellow comparators.
+//! [`Wfq`], [`Fqs`], [`Scfq`], [`VirtualClock`] and [`DelayEdd`] are
+//! rules of the one tag core, `sfq_core::TagSched` — WFQ and FQS its GPS
+//! rules, SCFQ its finish clock, the other two its wall-clock rules —
+//! re-exported here beside their fellow comparators; this crate keeps
+//! only the two disciplines that stamp no tags, [`Drr`] and [`Fifo`].
 //! All implement `sfq_core::Scheduler`, so the servers, network
 //! simulator, benches, and analysis treat them interchangeably with SFQ.
 
@@ -26,11 +28,8 @@
 
 mod drr;
 mod fifo;
-mod gps;
 mod wfq;
 
 pub use drr::{drr_quantum, Drr};
 pub use fifo::Fifo;
-pub use gps::GpsClock;
-pub use sfq_core::{DelayEdd, Scfq, VirtualClock};
-pub use wfq::{Fqs, Wfq};
+pub use sfq_core::{DelayEdd, Fqs, GpsClock, Scfq, VirtualClock, Wfq};

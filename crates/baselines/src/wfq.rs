@@ -1,299 +1,11 @@
-//! Weighted Fair Queuing (WFQ / PGPS) and Fair Queuing based on
-//! Start-time (FQS).
-//!
-//! Both stamp packets with the GPS-derived tags of Eqs. 1–2, using the
-//! exact fluid simulation in [`crate::GpsClock`] for `v(t)` (Eq. 3).
-//! WFQ serves in increasing *finish*-tag order; FQS (Greenberg &
-//! Madras) serves in increasing *start*-tag order. Both assume a fixed
-//! server capacity `C` when computing `v(t)` — the assumption Example 2
-//! of the paper exploits to show WFQ's unfairness on variable-rate
-//! servers.
-
-use crate::gps::GpsClock;
-use sfq_core::obs::{FlowChange, NoopObserver, SchedEvent, SchedObserver};
-use sfq_core::{FlowId, Packet, Scheduler};
-use simtime::{Rate, Ratio, SimTime};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-
-/// Which GPS tag orders service.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Order {
-    /// Increasing finish tags: WFQ.
-    Finish,
-    /// Increasing start tags: FQS.
-    Start,
-}
-
-#[derive(Debug)]
-struct GpsScheduler<O: SchedObserver> {
-    gps: GpsClock,
-    order: Order,
-    name: &'static str,
-    last_finish: HashMap<FlowId, Ratio>,
-    weights: HashMap<FlowId, Rate>,
-    backlog: HashMap<FlowId, usize>,
-    heap: BinaryHeap<Reverse<(Ratio, u64, HeapPacket)>>,
-    tags: HashMap<u64, (Ratio, Ratio)>,
-    queued: usize,
-    obs: O,
-}
-
-/// Wrapper so the heap tuple is fully ordered without requiring Ord on
-/// `Packet` fields beyond the uid already present in the key.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct HeapPacket(Packet);
-
-impl PartialOrd for HeapPacket {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapPacket {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.uid.cmp(&other.0.uid)
-    }
-}
-
-impl<O: SchedObserver> GpsScheduler<O> {
-    fn new(capacity: Rate, order: Order, name: &'static str, obs: O) -> Self {
-        GpsScheduler {
-            gps: GpsClock::new(capacity),
-            order,
-            name,
-            last_finish: HashMap::new(),
-            weights: HashMap::new(),
-            backlog: HashMap::new(),
-            heap: BinaryHeap::new(),
-            tags: HashMap::new(),
-            queued: 0,
-            obs,
-        }
-    }
-
-    fn tags_of(&self, uid: u64) -> Option<(Ratio, Ratio)> {
-        self.tags.get(&uid).copied()
-    }
-}
-
-impl<O: SchedObserver> Scheduler for GpsScheduler<O> {
-    fn add_flow(&mut self, flow: FlowId, weight: Rate) {
-        self.gps.add_flow(flow, weight);
-        self.weights.insert(flow, weight);
-        self.last_finish.entry(flow).or_insert(Ratio::ZERO);
-        self.backlog.entry(flow).or_insert(0);
-        self.obs.on_flow_change(flow, &FlowChange::Added { weight });
-    }
-
-    fn enqueue(&mut self, now: SimTime, pkt: Packet) {
-        let weight = *self
-            .weights
-            .get(&pkt.flow)
-            .unwrap_or_else(|| panic!("{}: unregistered flow {}", self.name, pkt.flow));
-        let lf = self.last_finish[&pkt.flow];
-        let span = weight.tag_span(pkt.len);
-        let (start, finish) = self.gps.on_arrival(now, pkt.flow, span, lf);
-        self.last_finish.insert(pkt.flow, finish);
-        if let Some(n) = self.backlog.get_mut(&pkt.flow) {
-            *n += 1;
-        }
-        let key = match self.order {
-            Order::Finish => finish,
-            Order::Start => start,
-        };
-        self.tags.insert(pkt.uid, (start, finish));
-        self.heap.push(Reverse((key, pkt.uid, HeapPacket(pkt))));
-        self.queued += 1;
-        // v here is the GPS fluid clock, already advanced to `now` by
-        // on_arrival.
-        self.obs.on_enqueue(&SchedEvent {
-            time: now,
-            flow: pkt.flow,
-            uid: pkt.uid,
-            len: pkt.len,
-            start_tag: start,
-            finish_tag: finish,
-            v: self.gps.peek_v(),
-        });
-    }
-
-    fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
-        let Reverse((_key, uid, HeapPacket(pkt))) = self.heap.pop()?;
-        self.queued -= 1;
-        // Every queued uid was tagged at enqueue; the zero fallback
-        // only shows to observers if that invariant is ever broken.
-        let (start, finish) = self.tags.remove(&uid).unwrap_or((Ratio::ZERO, Ratio::ZERO));
-        if let Some(n) = self.backlog.get_mut(&pkt.flow) {
-            *n -= 1;
-        }
-        self.obs.on_dequeue(&SchedEvent {
-            time: now,
-            flow: pkt.flow,
-            uid,
-            len: pkt.len,
-            start_tag: start,
-            finish_tag: finish,
-            v: self.gps.peek_v(),
-        });
-        Some(pkt)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.queued == 0
-    }
-
-    fn len(&self) -> usize {
-        self.queued
-    }
-
-    fn backlog(&self, flow: FlowId) -> usize {
-        self.backlog.get(&flow).copied().unwrap_or(0)
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-/// Weighted Fair Queuing (PGPS): GPS tags, served by finish tag.
-///
-/// Generic over an observer (see [`sfq_core::obs`]); events report the
-/// GPS start/finish tags and the fluid clock `v(t)`.
-#[derive(Debug)]
-pub struct Wfq<O: SchedObserver = NoopObserver>(GpsScheduler<O>);
-
-impl Wfq {
-    /// WFQ emulating a fluid server of capacity `assumed_capacity`.
-    pub fn new(assumed_capacity: Rate) -> Self {
-        Self::with_observer(assumed_capacity, NoopObserver)
-    }
-}
-
-impl<O: SchedObserver> Wfq<O> {
-    /// WFQ emulating a fluid server of capacity `assumed_capacity`,
-    /// reporting events to `obs`.
-    pub fn with_observer(assumed_capacity: Rate, obs: O) -> Self {
-        Wfq(GpsScheduler::new(
-            assumed_capacity,
-            Order::Finish,
-            "WFQ",
-            obs,
-        ))
-    }
-
-    /// GPS start/finish tags of a queued packet (tests/telemetry).
-    pub fn tags_of(&self, uid: u64) -> Option<(Ratio, Ratio)> {
-        self.0.tags_of(uid)
-    }
-
-    /// Current GPS virtual time (advanced lazily; for tests).
-    pub fn gps_v(&self) -> Ratio {
-        self.0.gps.peek_v()
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        &self.0.obs
-    }
-
-    /// The attached observer, mutably.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.0.obs
-    }
-
-    /// Consume the scheduler, returning the observer.
-    pub fn into_observer(self) -> O {
-        self.0.obs
-    }
-}
-
-/// Fair Queuing based on Start-time: GPS tags, served by start tag.
-///
-/// Generic over an observer (see [`sfq_core::obs`]); events report the
-/// GPS start/finish tags and the fluid clock `v(t)`.
-#[derive(Debug)]
-pub struct Fqs<O: SchedObserver = NoopObserver>(GpsScheduler<O>);
-
-impl Fqs {
-    /// FQS emulating a fluid server of capacity `assumed_capacity`.
-    pub fn new(assumed_capacity: Rate) -> Self {
-        Self::with_observer(assumed_capacity, NoopObserver)
-    }
-}
-
-impl<O: SchedObserver> Fqs<O> {
-    /// FQS emulating a fluid server of capacity `assumed_capacity`,
-    /// reporting events to `obs`.
-    pub fn with_observer(assumed_capacity: Rate, obs: O) -> Self {
-        Fqs(GpsScheduler::new(
-            assumed_capacity,
-            Order::Start,
-            "FQS",
-            obs,
-        ))
-    }
-
-    /// GPS start/finish tags of a queued packet (tests/telemetry).
-    pub fn tags_of(&self, uid: u64) -> Option<(Ratio, Ratio)> {
-        self.0.tags_of(uid)
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        &self.0.obs
-    }
-
-    /// The attached observer, mutably.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.0.obs
-    }
-
-    /// Consume the scheduler, returning the observer.
-    pub fn into_observer(self) -> O {
-        self.0.obs
-    }
-}
-
-macro_rules! delegate_scheduler {
-    ($ty:ident) => {
-        impl<O: SchedObserver> Scheduler for $ty<O> {
-            fn add_flow(&mut self, flow: FlowId, weight: Rate) {
-                self.0.add_flow(flow, weight)
-            }
-            fn enqueue(&mut self, now: SimTime, pkt: Packet) {
-                self.0.enqueue(now, pkt)
-            }
-            fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
-                self.0.dequeue(now)
-            }
-            fn on_departure(&mut self, now: SimTime) {
-                self.0.on_departure(now)
-            }
-            fn is_empty(&self) -> bool {
-                self.0.is_empty()
-            }
-            fn len(&self) -> usize {
-                self.0.len()
-            }
-            fn backlog(&self, flow: FlowId) -> usize {
-                self.0.backlog(flow)
-            }
-            fn name(&self) -> &'static str {
-                self.0.name()
-            }
-        }
-    };
-}
-
-delegate_scheduler!(Wfq);
-delegate_scheduler!(Fqs);
+//! WFQ / PGPS and FQS — the tag core's GPS rules, re-exported at the
+//! crate root — checked on the paper's Examples 1 and 2.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use sfq_core::PacketFactory;
-    use simtime::Bytes;
+    use crate::{Fqs, Wfq};
+    use sfq_core::{FlowId, PacketFactory, Scheduler};
+    use simtime::{Bytes, Rate, Ratio, SimTime};
 
     /// Example 1 of the paper: flows f and m with l^max/r equal; f sends
     /// 2 full-size packets, m sends one full-size and two half-size; a

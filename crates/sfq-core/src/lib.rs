@@ -7,9 +7,10 @@
 //! - [`Sfq`]: the SFQ scheduler of Section 2, including the generalized
 //!   per-packet variable-rate form (Eq. 36) and pluggable tie-breaking
 //!   (Section 2.3) — one instantiation of [`TagSched`], the single
-//!   tag-scheduler core whose other five are the fixed-point
-//!   [`SfqFast`], the SCFQ pair [`Scfq`] / [`ScfqFast`], and the
-//!   wall-clock comparators [`VirtualClock`] and [`DelayEdd`],
+//!   tag-scheduler core whose other seven are the fixed-point
+//!   [`SfqFast`], the SCFQ pair [`Scfq`] / [`ScfqFast`], the
+//!   wall-clock comparators [`VirtualClock`] and [`DelayEdd`], and the
+//!   GPS comparators [`Wfq`] and [`Fqs`] over the fluid [`GpsClock`],
 //! - [`HierSfq`]: the hierarchical link-sharing scheduler of Section 3,
 //!   each interior class a [`RootSfq`] — the one class-level SFQ
 //!   server, which the sharded engine runs over its shards,
@@ -41,6 +42,7 @@ pub mod arith;
 mod fair_airport;
 pub mod fixed;
 pub mod flowq;
+mod gps;
 mod headheap;
 mod hier;
 pub mod obs;
@@ -55,6 +57,7 @@ pub use arith::{Exact, TagArith, TieKey};
 pub use fair_airport::{FairAirport, ServedVia};
 pub use fixed::{Fixed, FixedInc, FixedTag, DEFAULT_SHIFT, ISM_SHIFT, MAX_REBASE_BITS, MAX_SHIFT};
 pub use flowq::FifoBackend;
+pub use gps::GpsClock;
 pub use hier::{ClassId, HierSfq};
 pub use obs::{Backpressure, FlowChange, NoopObserver, SchedEvent, SchedObserver};
 pub use packet::{FlowId, Packet, PacketFactory};
@@ -62,8 +65,8 @@ pub use pool::{FlowMap, PktPool, PktRef, PoolStats, SlabPool};
 pub use root::RootSfq;
 pub use sched::{ReconfigCmd, SchedError, Scheduler, TieBreak};
 pub use tagsched::{
-    Deadline, DelayEdd, FinishClock, Scfq, ScfqFast, Sfq, SfqFast, StartClock, TagSched,
-    VirtualClock, VtRule, WallClock,
+    Deadline, DelayEdd, FinishClock, Fqs, GpsFinish, GpsStart, Scfq, ScfqFast, Sfq, SfqFast,
+    StartClock, TagSched, VirtualClock, VtClock, VtRule, WallClock, WallTime, Wfq,
 };
 // Counter-page telemetry handle the schedulers accept via
 // `attach_telemetry` (see the `sfq-telemetry` crate and

@@ -1,6 +1,6 @@
 //! The one tag-scheduler core: SFQ (Section 2 of the paper), SCFQ,
-//! Virtual Clock and Delay EDD as four virtual-time rules over one
-//! machine.
+//! Virtual Clock, Delay EDD, WFQ and FQS as six virtual-time rules over
+//! one machine.
 //!
 //! Each arriving packet `p_f^j` is stamped with
 //!
@@ -10,8 +10,9 @@
 //! ```
 //!
 //! with `F(p_f^0) = 0`. The paper's own framing is that SFQ *is* SCFQ's
-//! machinery with a different definition of `v(t)`; [`TagSched`] is
-//! that machinery, written once, with two seams:
+//! machinery with a different definition of `v(t)`, and WFQ's Eqs. 1–2
+//! are the same recurrence again; [`TagSched`] is that machinery,
+//! written once, with two seams:
 //!
 //! - `V:`[`VtRule`] — what `v(t)` is and which tag orders service.
 //!   [`StartClock`] is SFQ: serve in increasing **start**-tag order,
@@ -19,26 +20,31 @@
 //!   busy period `v` becomes the maximum finish tag served.
 //!   [`FinishClock`] is SCFQ: serve in increasing **finish**-tag order,
 //!   `v(t)` = finish tag of the packet in service, kept after service.
-//!   Either way `v(t)` is O(1) to compute. The two *wall-clock* rules
-//!   take `v(t)` = the caller's `now`: under it Eq. 4/5 is Virtual
-//!   Clock's stamp ([`WallClock`]) and Eq. 37's expected arrival time,
-//!   which Delay EDD offsets by the flow's `d_f` ([`Deadline`]).
+//!   Either way `v(t)` is O(1) to compute. The other four rules read
+//!   `v(t)` off a clock outside the scheduler ([`VtRule::Clock`]). The
+//!   two *wall-clock* rules take the caller's `now`: under it Eq. 4/5
+//!   is Virtual Clock's stamp ([`WallClock`]) and Eq. 37's expected
+//!   arrival time, which Delay EDD offsets by the flow's `d_f`
+//!   ([`Deadline`]). The two *GPS* rules take Eq. 3's fluid clock
+//!   ([`GpsClock`]) advanced to the arrival, and serve by finish tag
+//!   (WFQ, [`GpsFinish`]) or by start tag (FQS, [`GpsStart`]).
 //! - `A:`[`TagArith`] — how tags are represented: [`Exact`] rationals
 //!   or the [`Fixed`] u64 grid (see [`crate::arith`], [`crate::fixed`]).
 //!
-//! The six disciplines are aliases: [`Sfq`], [`SfqFast`], [`Scfq`],
-//! [`ScfqFast`], and, over the exact arithmetic only, [`VirtualClock`]
-//! and [`DelayEdd`]. Everything else — per-flow FIFOs with a head-of-flow
-//! heap ([`FlowFifos`]: heap cost is `O(log Q)` in *backlogged flows*,
-//! not queued packets), batch tagging, virtual-time rebasing, the
-//! tag-rewrite reconfiguration, lazy flow GC, counter-page telemetry,
-//! observer events ([`crate::obs`]; the default [`NoopObserver`]
-//! compiles away) and the fallible control plane — exists here exactly
-//! once.
+//! The eight disciplines are aliases: [`Sfq`], [`SfqFast`], [`Scfq`],
+//! [`ScfqFast`], and, over the exact arithmetic only, [`VirtualClock`],
+//! [`DelayEdd`], [`Wfq`] and [`Fqs`]. Everything else — per-flow FIFOs
+//! with a head-of-flow heap ([`FlowFifos`]: heap cost is `O(log Q)` in
+//! *backlogged flows*, not queued packets), batch tagging, virtual-time
+//! rebasing, the tag-rewrite reconfiguration, lazy flow GC, counter-page
+//! telemetry, observer events ([`crate::obs`]; the default
+//! [`NoopObserver`] compiles away) and the fallible control plane —
+//! exists here exactly once.
 
 use crate::arith::{Exact, TagArith, TieKey};
 use crate::fixed::{Fixed, FixedTag};
 use crate::flowq::{FifoBackend, FlowFifos, GC_BUDGET};
+use crate::gps::GpsClock;
 use crate::obs::{FlowChange, NoopObserver, SchedEvent, SchedObserver};
 use crate::packet::{FlowId, Packet};
 use crate::pool::PoolStats;
@@ -48,20 +54,75 @@ use sfq_telemetry::{DequeueTally, EnqueueTally, TelemetrySink};
 use simtime::{Rate, Ratio, SimDuration, SimTime};
 use std::cell::Cell;
 
-/// The virtual-time rule of a [`TagSched`]: which of a packet's two
-/// tags orders service and defines `v(t)`. See the module docs.
+/// Where a [`VtRule`]'s `v(t)` comes from: `()` for a rule that keeps
+/// its own (SFQ, SCFQ), [`WallTime`] for the wall-clock rules,
+/// [`GpsClock`] for the GPS rules.
 ///
-/// A **wall-clock** rule ([`VtRule::WALL_CLOCK`]: [`WallClock`],
-/// [`Deadline`]) reads `v(t)` as the caller's `now`, exactly — no pico
+/// An **external** clock ([`VtClock::EXTERNAL`]) is read once per
+/// arriving packet, never once per batch: the fluid clock read twice at
+/// one instant moves when a fluid exit lies under half a picosecond
+/// ahead of `v`. Under it the scheduler keeps no virtual time of its
+/// own: `serve` leaves `v` at zero, a rebase finds no baseline and lazy
+/// GC reclaims nothing. It refuses [`Scheduler::try_set_weight`] with
+/// [`SchedError::Unsupported`]: the tag-rewrite rule assumes a
+/// backlogged flow's chain has `S_j = F_{j-1}`, and under an external
+/// clock a packet arriving after its predecessor's finish starts at
+/// `v(A)` instead.
+pub trait VtClock: fmt::Debug {
+    /// Whether `v(t)` is read off this clock (see the trait docs).
+    const EXTERNAL: bool;
+
+    /// `v(A)` for a packet arriving at `now`, read only when
+    /// [`VtClock::EXTERNAL`]: by default `now` itself.
+    #[inline]
+    fn arrival(&mut self, now: SimTime) -> Ratio {
+        now.as_ratio()
+    }
+
+    /// A packet of `flow`, charged at `rate`, was queued and moved the
+    /// flow's last finish tag from `prev` to `finish`. A no-op but for
+    /// the fluid clock, whose flow backlog it extends.
+    #[inline]
+    fn extend(&mut self, _flow: FlowId, _rate: Rate, _prev: Ratio, _finish: Ratio) {}
+
+    /// The `v` an observer event at `time` reports, given the
+    /// scheduler's own `v`.
+    #[inline]
+    fn event_v(&self, own: Ratio, _time: SimTime) -> Ratio {
+        own
+    }
+
+    /// [`TagSched::virtual_time`], given the scheduler's own `v`.
+    #[inline]
+    fn virtual_time(&self, own: Ratio) -> Ratio {
+        own
+    }
+}
+
+/// No clock: the rule keeps `v(t)` itself, in `serve`.
+impl VtClock for () {
+    const EXTERNAL: bool = false;
+}
+
+/// The wall clock: `v(A)` is the arrival instant, exactly — no pico
 /// snap, because packets reach a tandem hop off any fixed grid — and
-/// reports it as every observer event's `v`, a head drop's being the
-/// dropped packet's arrival. It keeps no virtual time of its own:
-/// `serve` leaves `v` at zero, so [`TagSched::virtual_time`] reads zero,
-/// a rebase finds no baseline and lazy GC reclaims nothing. It refuses
-/// [`Scheduler::try_set_weight`] with [`SchedError::Unsupported`]: the
-/// tag-rewrite rule assumes a backlogged flow's chain has `S_j =
-/// F_{j-1}`, and under a wall clock a packet arriving after its
-/// predecessor's finish starts at its arrival instead.
+/// every observer event reports its own instant as `v`, a head drop's
+/// being the dropped packet's arrival.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WallTime;
+
+impl VtClock for WallTime {
+    const EXTERNAL: bool = true;
+
+    #[inline]
+    fn event_v(&self, _own: Ratio, time: SimTime) -> Ratio {
+        time.as_ratio()
+    }
+}
+
+/// The virtual-time rule of a [`TagSched`]: which of a packet's two
+/// tags orders service and defines `v(t)`, and which clock `v(t)` is
+/// read off. See the module docs.
 pub trait VtRule: fmt::Debug {
     /// Discipline name over the exact arithmetic.
     const NAME: &'static str;
@@ -72,8 +133,9 @@ pub trait VtRule: fmt::Debug {
     /// use for the departure instant, so `on_departure` is a no-op — or
     /// waits for `on_departure`.
     const SETTLES_IN_DEQUEUE: bool;
-    /// Whether `v(t)` is the wall clock (see the trait docs).
-    const WALL_CLOCK: bool;
+
+    /// Where `v(t)` comes from (see [`VtClock`]).
+    type Clock: VtClock;
 
     /// Tie-break component of the heap key, given the arithmetic's key
     /// width `X`.
@@ -86,12 +148,16 @@ pub trait VtRule: fmt::Debug {
 
     /// Split a packet's `(start, finish)` tags into `(heap key tag,
     /// per-packet metadata)` for a flow in rule state `flow`, or `None`
-    /// when the key leaves the tag range.
+    /// when the key leaves the tag range: by default the finish tag
+    /// orders service.
+    #[inline]
     fn stamp<A: TagArith>(
         start: A::Tag,
         finish: A::Tag,
-        flow: Self::FlowState<A::Tag>,
-    ) -> Option<(A::Tag, A::Tag)>;
+        _flow: Self::FlowState<A::Tag>,
+    ) -> Option<(A::Tag, A::Tag)> {
+        Some((finish, start))
+    }
 
     /// The `(start, finish)` pair a queued packet's `(key tag,
     /// metadata)` reports to observers and [`TagSched::tags_of`]: by
@@ -103,13 +169,16 @@ pub trait VtRule: fmt::Debug {
     }
 
     /// A packet reporting `(start, finish)` enters service: advance `v`
-    /// and the maximum finish tag served so far.
+    /// and the maximum finish tag served so far. By default neither
+    /// moves: a rule on an external clock keeps no `v`.
+    #[inline]
     fn serve<A: TagArith>(
-        v: &mut A::Tag,
-        max_finish_served: &mut A::Tag,
-        start: A::Tag,
-        finish: A::Tag,
-    );
+        _v: &mut A::Tag,
+        _max_finish_served: &mut A::Tag,
+        _start: A::Tag,
+        _finish: A::Tag,
+    ) {
+    }
 }
 
 /// SFQ's rule: start-tag order, `v(t)` = start tag of the packet in
@@ -121,8 +190,8 @@ impl VtRule for StartClock {
     const NAME: &'static str = "SFQ";
     const FAST_NAME: &'static str = "SFQ-FAST";
     const SETTLES_IN_DEQUEUE: bool = false;
-    const WALL_CLOCK: bool = false;
 
+    type Clock = ();
     type Tie<X: TieKey> = X;
     type FlowState<T: Copy + Default + fmt::Debug> = ();
 
@@ -156,15 +225,10 @@ impl VtRule for FinishClock {
     const NAME: &'static str = "SCFQ";
     const FAST_NAME: &'static str = "SCFQ-FAST";
     const SETTLES_IN_DEQUEUE: bool = true;
-    const WALL_CLOCK: bool = false;
 
+    type Clock = ();
     type Tie<X: TieKey> = ();
     type FlowState<T: Copy + Default + fmt::Debug> = ();
-
-    #[inline]
-    fn stamp<A: TagArith>(start: A::Tag, finish: A::Tag, (): ()) -> Option<(A::Tag, A::Tag)> {
-        Some((finish, start))
-    }
 
     #[inline]
     fn serve<A: TagArith>(v: &mut A::Tag, mfs: &mut A::Tag, _start: A::Tag, finish: A::Tag) {
@@ -185,18 +249,10 @@ impl VtRule for WallClock {
     const NAME: &'static str = "VirtualClock";
     const FAST_NAME: &'static str = "VirtualClock-FAST";
     const SETTLES_IN_DEQUEUE: bool = true;
-    const WALL_CLOCK: bool = true;
 
+    type Clock = WallTime;
     type Tie<X: TieKey> = ();
     type FlowState<T: Copy + Default + fmt::Debug> = ();
-
-    #[inline]
-    fn stamp<A: TagArith>(start: A::Tag, finish: A::Tag, (): ()) -> Option<(A::Tag, A::Tag)> {
-        Some((finish, start))
-    }
-
-    #[inline]
-    fn serve<A: TagArith>(_: &mut A::Tag, _: &mut A::Tag, _: A::Tag, _: A::Tag) {}
 }
 
 /// Delay EDD's rule (Eq. 66), a wall-clock rule: under it Eq. 4/5 is
@@ -212,8 +268,8 @@ impl VtRule for Deadline {
     const NAME: &'static str = "DelayEDD";
     const FAST_NAME: &'static str = "DelayEDD-FAST";
     const SETTLES_IN_DEQUEUE: bool = true;
-    const WALL_CLOCK: bool = true;
 
+    type Clock = WallTime;
     type Tie<X: TieKey> = ();
     type FlowState<T: Copy + Default + fmt::Debug> = T;
 
@@ -221,9 +277,47 @@ impl VtRule for Deadline {
     fn stamp<A: TagArith>(start: A::Tag, _: A::Tag, d: A::Tag) -> Option<(A::Tag, A::Tag)> {
         Some((A::add(start, d)?, start))
     }
+}
+
+/// WFQ's rule (PGPS, Section 1.2), a GPS rule: Eqs. 1–2 are Eq. 4/5
+/// with `v(t)` = Eq. 3's fluid clock ([`GpsClock`]) advanced to the
+/// arrival, and finish tags order service, uid breaking ties.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct GpsFinish;
+
+impl VtRule for GpsFinish {
+    const NAME: &'static str = "WFQ";
+    const FAST_NAME: &'static str = "WFQ-FAST";
+    const SETTLES_IN_DEQUEUE: bool = true;
+
+    type Clock = GpsClock;
+    type Tie<X: TieKey> = ();
+    type FlowState<T: Copy + Default + fmt::Debug> = ();
+}
+
+/// FQS's rule (Greenberg & Madras), a GPS rule: [`GpsFinish`]'s tags,
+/// served in start-tag order, uid breaking ties.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct GpsStart;
+
+impl VtRule for GpsStart {
+    const NAME: &'static str = "FQS";
+    const FAST_NAME: &'static str = "FQS-FAST";
+    const SETTLES_IN_DEQUEUE: bool = true;
+
+    type Clock = GpsClock;
+    type Tie<X: TieKey> = ();
+    type FlowState<T: Copy + Default + fmt::Debug> = ();
 
     #[inline]
-    fn serve<A: TagArith>(_: &mut A::Tag, _: &mut A::Tag, _: A::Tag, _: A::Tag) {}
+    fn stamp<A: TagArith>(start: A::Tag, finish: A::Tag, (): ()) -> Option<(A::Tag, A::Tag)> {
+        Some((start, finish))
+    }
+
+    #[inline]
+    fn tags<T>(key: T, meta: T) -> (T, T) {
+        (key, meta)
+    }
 }
 
 /// Heap ordering key: the rule's primary tag, then the tie-break key,
@@ -262,7 +356,8 @@ type Fifos<A, V> =
 /// A tag-based fair-queueing scheduler: the Eq. 4/5 recurrence under
 /// virtual-time rule `V`, in tag arithmetic `A`, reporting to observer
 /// `O`. See the module docs; use it through the [`Sfq`], [`SfqFast`],
-/// [`Scfq`], [`ScfqFast`], [`VirtualClock`] and [`DelayEdd`] aliases.
+/// [`Scfq`], [`ScfqFast`], [`VirtualClock`], [`DelayEdd`], [`Wfq`] and
+/// [`Fqs`] aliases.
 #[derive(Debug)]
 pub struct TagSched<A: TagArith, V: VtRule, O: SchedObserver = NoopObserver> {
     q: Fifos<A, V>,
@@ -274,6 +369,8 @@ pub struct TagSched<A: TagArith, V: VtRule, O: SchedObserver = NoopObserver> {
     v: A::Tag,
     /// Maximum finish tag assigned to any packet serviced so far.
     max_finish_served: A::Tag,
+    /// The rule's clock (zero-sized unless it is the fluid clock).
+    clock: V::Clock,
     /// Virtual-time rebasing threshold in magnitude bits, or `None`
     /// when rebasing is disabled (tags grow without bound and
     /// arithmetic reports `TagOverflow` at the edge of the tag range).
@@ -291,13 +388,14 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
     /// [`FlowFifos`] label.
     const NAME: &'static str = if A::FIXED { V::FAST_NAME } else { V::NAME };
 
-    fn build(arith: A, tie: TieBreak, obs: O, backend: FifoBackend) -> Self {
+    fn build(arith: A, tie: TieBreak, obs: O, backend: FifoBackend, clock: V::Clock) -> Self {
         TagSched {
             q: FlowFifos::new_with(Self::NAME, backend),
             arith,
             tie,
             v: A::ZERO,
             max_finish_served: A::ZERO,
+            clock,
             rebase_bits: None,
             rebases: 0,
             obs,
@@ -406,10 +504,11 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
         self.obs
     }
 
-    /// The server virtual time `v(t)` right now, as an exact rational
-    /// (zero under a wall-clock rule, see [`VtRule`]).
+    /// The server virtual time `v(t)` right now, as an exact rational:
+    /// the fluid clock's under a GPS rule, zero under a wall-clock rule
+    /// (see [`VtClock`]).
     pub fn virtual_time(&self) -> Ratio {
-        self.arith.to_ratio(self.v)
+        self.clock.virtual_time(self.arith.to_ratio(self.v))
     }
 
     /// Start/finish tags assigned to a still-queued packet, if present,
@@ -525,7 +624,8 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
     }
 
     /// One enqueue call: `pkts` all read `v(t)` once
-    /// ([`TagSched::arrival_v`]) and are stamped and queued in order,
+    /// ([`TagSched::arrival_v`]), or each reads it off an external clock
+    /// ([`TagSched::push_clocked`]), and are stamped and queued in order,
     /// stopping at the first one refused. The counter page takes the
     /// whole call in one write section, opened after the last push —
     /// never held across heap work — and a call refused half-way still
@@ -542,18 +642,19 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
         pkts: &[Packet],
         explicit: Option<ChargeOf<A, V>>,
     ) -> Result<(), SchedError> {
-        // A wall-clock rule reads `now`, exactly (see `VtRule`).
-        let v_now = if V::WALL_CLOCK {
-            self.arith
-                .tag(now.as_ratio())
-                .ok_or(SchedError::TagOverflow)?
+        let v_now = if <V::Clock as VtClock>::EXTERNAL {
+            A::ZERO
         } else {
             self.arrival_v()
         };
         let mut tally = self.tele.as_ref().map(|_| EnqueueTally::new());
-        let res = pkts
-            .iter()
-            .try_for_each(|&pkt| self.push_tagged(now, pkt, v_now, explicit, tally.as_mut()));
+        let res = pkts.iter().try_for_each(|&pkt| {
+            if <V::Clock as VtClock>::EXTERNAL {
+                self.push_clocked(now, pkt, explicit, tally.as_mut())
+            } else {
+                self.push_tagged(now, pkt, v_now, explicit, tally.as_mut())
+            }
+        });
         if let (Some(sink), Some(tally)) = (&self.tele, &tally) {
             sink.book_enqueues(tally);
         }
@@ -589,8 +690,37 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
             tally.add(pkt.len.as_u64(), self.q.len());
         }
         if self.obs.active() {
-            let ev = event::<A, V>(&self.arith, now, &pkt, V::tags(key.tag, meta), v_now);
+            let v = self.clock.event_v(self.arith.to_ratio(v_now), now);
+            let ev = event(&self.arith, now, &pkt, V::tags(key.tag, meta), v);
             self.obs.on_enqueue(&ev);
+        }
+        Ok(())
+    }
+
+    /// [`TagSched::push_tagged`] under an external clock: `pkt` reads
+    /// `v(A)` off the clock for itself alone, and the clock is told
+    /// the flow's new last finish tag once the packet is queued. An
+    /// unregistered flow is refused before the clock is read; a packet
+    /// refused later leaves the clock advanced to `now`.
+    #[inline]
+    fn push_clocked(
+        &mut self,
+        now: SimTime,
+        pkt: Packet,
+        explicit: Option<ChargeOf<A, V>>,
+        tally: Option<&mut EnqueueTally>,
+    ) -> Result<(), SchedError> {
+        let flow = pkt.flow;
+        let prev = self
+            .flow_last_finish(flow)
+            .ok_or(SchedError::UnknownFlow(flow))?;
+        let v_now = self.clock.arrival(now);
+        let v_now = self.arith.tag(v_now).ok_or(SchedError::TagOverflow)?;
+        self.push_tagged(now, pkt, v_now, explicit, tally)?;
+        if let Some(ext) = self.q.ext(flow) {
+            let rate = explicit.unwrap_or(ext.charge).rate;
+            self.clock
+                .extend(flow, rate, prev, self.arith.to_ratio(ext.last_finish));
         }
         Ok(())
     }
@@ -654,14 +784,14 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
     }
 }
 
-/// Build the observer event for `pkt` reporting `(start, finish)` at
-/// `time`, with `v(t)` = `v`, or `time` itself under a wall-clock rule.
-fn event<A: TagArith, V: VtRule>(
+/// Build the observer event for `pkt` reporting `(start, finish)` and
+/// `v(t)` = `v` at `time`.
+fn event<A: TagArith>(
     arith: &A,
     time: SimTime,
     pkt: &Packet,
     (start, finish): (A::Tag, A::Tag),
-    v: A::Tag,
+    v: Ratio,
 ) -> SchedEvent {
     SchedEvent {
         time,
@@ -670,11 +800,7 @@ fn event<A: TagArith, V: VtRule>(
         len: pkt.len,
         start_tag: arith.to_ratio(start),
         finish_tag: arith.to_ratio(finish),
-        v: if V::WALL_CLOCK {
-            time.as_ratio()
-        } else {
-            arith.to_ratio(v)
-        },
+        v,
     }
 }
 
@@ -714,7 +840,8 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> Scheduler for TagSched<A, V, O> {
             t.record_dequeue(pkt.flow.0, pkt.len.as_u64(), pkt.arrival, now);
         }
         if self.obs.active() {
-            let ev = event::<A, V>(&self.arith, now, &pkt, (start, finish), self.v);
+            let v = self.clock.event_v(self.arith.to_ratio(self.v), now);
+            let ev = event(&self.arith, now, &pkt, (start, finish), v);
             self.obs.on_dequeue(&ev);
         }
         if V::SETTLES_IN_DEQUEUE {
@@ -729,6 +856,7 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> Scheduler for TagSched<A, V, O> {
             arith,
             v,
             max_finish_served,
+            clock,
             obs,
             tele,
             ..
@@ -736,17 +864,33 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> Scheduler for TagSched<A, V, O> {
         // The page takes the batch in one write section, opened once
         // the heap work is done.
         let mut tally = tele.as_ref().map(|_| DequeueTally::new(now));
-        let n = q.pop_min_batch(max, |pkt, key, meta| {
-            let (start, finish) = V::tags(key.tag, meta);
-            V::serve::<A>(v, max_finish_served, start, finish);
-            if let Some(tally) = &mut tally {
-                tally.add(pkt.flow.0, pkt.len.as_u64(), pkt.arrival);
-            }
-            if obs.active() {
-                obs.on_dequeue(&event::<A, V>(arith, now, &pkt, (start, finish), *v));
-            }
-            out.push(pkt);
-        });
+        let n = if <V::Clock as VtClock>::EXTERNAL {
+            // No `v` to serve, and the clock's stands still within the
+            // call. Captured below, the clock would grow every closure.
+            let v = clock.event_v(arith.to_ratio(*v), now);
+            q.pop_min_batch(max, |pkt, key, meta| {
+                if let Some(tally) = &mut tally {
+                    tally.add(pkt.flow.0, pkt.len.as_u64(), pkt.arrival);
+                }
+                if obs.active() {
+                    obs.on_dequeue(&event(arith, now, &pkt, V::tags(key.tag, meta), v));
+                }
+                out.push(pkt);
+            })
+        } else {
+            q.pop_min_batch(max, |pkt, key, meta| {
+                let (start, finish) = V::tags(key.tag, meta);
+                V::serve::<A>(v, max_finish_served, start, finish);
+                if let Some(tally) = &mut tally {
+                    tally.add(pkt.flow.0, pkt.len.as_u64(), pkt.arrival);
+                }
+                if obs.active() {
+                    let ev_v = arith.to_ratio(*v);
+                    obs.on_dequeue(&event(arith, now, &pkt, (start, finish), ev_v));
+                }
+                out.push(pkt);
+            })
+        };
         if let (Some(sink), Some(tally)) = (tele, &tally) {
             sink.book_dequeues(tally);
         }
@@ -815,10 +959,10 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> Scheduler for TagSched<A, V, O> {
     /// while `v`, a *finish*-tag clock, has not overtaken the chain.
     ///
     /// All-or-nothing: a dry pass verifies every rewritten finish tag
-    /// fits in range before any state is mutated. A wall-clock rule
-    /// refuses with [`SchedError::Unsupported`] (see [`VtRule`]).
+    /// fits in range before any state is mutated. A rule on an external
+    /// clock refuses with [`SchedError::Unsupported`] (see [`VtClock`]).
     fn try_set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        if V::WALL_CLOCK {
+        if <V::Clock as VtClock>::EXTERNAL {
             return Err(SchedError::Unsupported);
         }
         let charge = self.charge(flow, weight)?;
@@ -848,7 +992,8 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> Scheduler for TagSched<A, V, O> {
         }
         if self.obs.active() {
             let tags = V::tags(key.tag, meta);
-            let ev = event::<A, V>(&self.arith, pkt.arrival, &pkt, tags, self.v);
+            let v = self.clock.event_v(self.arith.to_ratio(self.v), pkt.arrival);
+            let ev = event(&self.arith, pkt.arrival, &pkt, tags, v);
             self.obs.on_drop(&ev);
         }
         Some(pkt)
@@ -859,7 +1004,10 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> Scheduler for TagSched<A, V, O> {
     }
 }
 
-impl<A: TagArith + Default, V: VtRule, O: SchedObserver + Default> Default for TagSched<A, V, O> {
+impl<A: TagArith + Default, V: VtRule, O: SchedObserver + Default> Default for TagSched<A, V, O>
+where
+    V::Clock: Default,
+{
     /// FIFO tie-breaking, the arithmetic's default grid, the pooled
     /// backend.
     fn default() -> Self {
@@ -868,6 +1016,7 @@ impl<A: TagArith + Default, V: VtRule, O: SchedObserver + Default> Default for T
             TieBreak::Fifo,
             O::default(),
             FifoBackend::default(),
+            Default::default(),
         )
     }
 }
@@ -978,7 +1127,7 @@ impl<O: SchedObserver> Sfq<O> {
     /// differential oracle (`tests/pool_identity.rs`); production
     /// callers take the pooled default.
     pub fn with_parts(tie: TieBreak, obs: O, backend: FifoBackend) -> Self {
-        Self::build(Exact, tie, obs, backend)
+        Self::build(Exact, tie, obs, backend, ())
     }
 
     /// Enqueue charging the packet at an explicit rate `r_f^j`
@@ -1029,7 +1178,7 @@ impl<O: SchedObserver> SfqFast<O> {
     /// New fixed-point SFQ reporting events to `obs` at
     /// [`DEFAULT_SHIFT`](crate::DEFAULT_SHIFT).
     pub fn with_observer(tie: TieBreak, obs: O) -> Self {
-        Self::build(Fixed::default(), tie, obs, FifoBackend::default())
+        Self::build(Fixed::default(), tie, obs, FifoBackend::default(), ())
     }
 
     /// New fixed-point SFQ with custom shift and observer; see
@@ -1047,7 +1196,7 @@ impl<O: SchedObserver> SfqFast<O> {
         obs: O,
         backend: FifoBackend,
     ) -> Result<Self, SchedError> {
-        Ok(Self::build(Fixed::new(shift)?, tie, obs, backend))
+        Ok(Self::build(Fixed::new(shift)?, tie, obs, backend, ()))
     }
 }
 
@@ -1067,7 +1216,7 @@ impl<O: SchedObserver> Scfq<O> {
     /// New SCFQ scheduler with an explicit [`FifoBackend`] (owned =
     /// differential oracle).
     pub fn with_parts(obs: O, backend: FifoBackend) -> Self {
-        Self::build(Exact, TieBreak::Fifo, obs, backend)
+        Self::build(Exact, TieBreak::Fifo, obs, backend, ())
     }
 }
 
@@ -1093,6 +1242,7 @@ impl<O: SchedObserver> ScfqFast<O> {
             TieBreak::Fifo,
             obs,
             FifoBackend::default(),
+            (),
         )
     }
 
@@ -1109,6 +1259,7 @@ impl<O: SchedObserver> ScfqFast<O> {
             TieBreak::Fifo,
             obs,
             backend,
+            (),
         ))
     }
 }
@@ -1149,7 +1300,7 @@ impl<O: SchedObserver> VirtualClock<O> {
     /// stamp as the finish tag, `max(A, VC_prev)` as the start tag and
     /// the wall clock as `v`.
     pub fn with_observer(obs: O) -> Self {
-        Self::build(Exact, TieBreak::Fifo, obs, FifoBackend::default())
+        Self::build(Exact, TieBreak::Fifo, obs, FifoBackend::default(), WallTime)
     }
 
     /// Timestamp of a still-queued packet (diagnostic, like
@@ -1184,6 +1335,38 @@ impl<O: SchedObserver> DelayEdd<O> {
         self.q
             .find(uid)
             .map(|(key, _)| SimTime::from_ratio(key.tag))
+    }
+}
+
+/// Weighted Fair Queuing (PGPS): the [`GpsFinish`] rule, exact
+/// arithmetic.
+///
+/// Packets carry Eqs. 1–2's GPS tags and leave in finish-tag order.
+/// `v(t)` is the fluid clock of a server of fixed capacity `C`, the
+/// assumption Example 2 of the paper exploits to show WFQ's unfairness
+/// on variable-rate servers. Events report the fluid clock as `v`, as
+/// it stood at the last arrival.
+pub type Wfq<O = NoopObserver> = TagSched<Exact, GpsFinish, O>;
+
+/// Fair Queuing based on Start-time (Greenberg & Madras): the
+/// [`GpsStart`] rule, exact arithmetic — [`Wfq`]'s tags, served in
+/// start-tag order.
+pub type Fqs<O = NoopObserver> = TagSched<Exact, GpsStart, O>;
+
+impl<V: VtRule<Clock = GpsClock>> TagSched<Exact, V> {
+    /// WFQ or FQS emulating a fluid server of capacity
+    /// `assumed_capacity`.
+    pub fn new(assumed_capacity: Rate) -> Self {
+        Self::with_observer(assumed_capacity, NoopObserver)
+    }
+}
+
+impl<V: VtRule<Clock = GpsClock>, O: SchedObserver> TagSched<Exact, V, O> {
+    /// WFQ or FQS emulating a fluid server of capacity
+    /// `assumed_capacity`, reporting events to `obs`.
+    pub fn with_observer(assumed_capacity: Rate, obs: O) -> Self {
+        let clock = GpsClock::new(assumed_capacity);
+        Self::build(Exact, TieBreak::Fifo, obs, FifoBackend::default(), clock)
     }
 }
 
@@ -1308,5 +1491,27 @@ mod tests {
             })
             .collect();
         assert_eq!(eats, vec![T0, SimTime::from_secs(1), SimTime::from_secs(2)]);
+    }
+
+    /// A flow re-registered while fluid-backlogged leaves the fluid
+    /// system at the rate it entered with. C = 2 000 b/s: flow 1's span
+    /// of 10 drains by 5 s, flow 2's span of 100 from v = 10 at 100 s
+    /// runs at slope C / r_2 = 2, so flow 3 arriving at 101 s starts at
+    /// 12. Draining at the new rate started it at 110.
+    #[test]
+    fn wfq_reregistration_applies_from_the_next_arrival() {
+        let mut w = Wfq::new(Rate::bps(2_000));
+        for flow in 1..=3 {
+            w.add_flow(FlowId(flow), Rate::bps(1_000));
+        }
+        let mut pf = PacketFactory::new();
+        w.enqueue(T0, pf.make(FlowId(1), Bytes::new(1_250), T0));
+        w.add_flow(FlowId(1), Rate::bps(4_000));
+        let t = SimTime::from_secs(100);
+        w.enqueue(t, pf.make(FlowId(2), Bytes::new(12_500), t));
+        let t = SimTime::from_secs(101);
+        let p3 = pkt(&mut pf, 3, t);
+        w.enqueue(t, p3);
+        assert_eq!(w.tags_of(p3.uid).map(|t| t.0), Some(Ratio::from_int(12)));
     }
 }

@@ -1,26 +1,26 @@
 //! The tag-scheduler core, checked once per instantiation.
 //!
-//! `Sfq`, `SfqFast`, `Scfq`, `ScfqFast`, `VirtualClock` and `DelayEdd`
-//! are six aliases of one `TagSched<A, V>`, so their unit tests are one
-//! table: every check is a function generic over the arithmetic `A` and
-//! the virtual-time rule `V`, stamped out as `#[test]`s by
-//! [`on_all_four!`] (the SFQ and SCFQ aliases) or [`on_all_six!`] (all
-//! six). Where the expected value depends on the rule (which tag orders
-//! service, what `v(t)` reads during service) or on the arithmetic
-//! (whether the eager-rebase threshold is clamped), the check says so
-//! through [`finish_ordered`] / `V::WALL_CLOCK` / `A::FIXED` instead of
-//! being copied per type.
+//! `Sfq`, `SfqFast`, `Scfq`, `ScfqFast`, `VirtualClock`, `DelayEdd`,
+//! `Wfq` and `Fqs` are eight aliases of one `TagSched<A, V>`, so their
+//! unit tests are one table: every check is a function generic over the
+//! arithmetic `A` and the virtual-time rule `V`, stamped out as
+//! `#[test]`s by [`table!`] over the SFQ and SCFQ aliases, or over all
+//! eight. Where the expected value depends on the rule (which tag orders
+//! service, what `v(t)` reads during service, whether its clock is
+//! external) or on the arithmetic (whether the eager-rebase threshold is
+//! clamped), the check says so through [`finish_ordered`] /
+//! `VtClock::EXTERNAL` / `A::FIXED` instead of being copied per type.
 //!
 //! Weights are powers of two and lengths multiples of 128 bytes, so
 //! every `l/r` sits on the fixed-point grid and both arithmetics must
 //! produce the *same* tags: 128 B at 1024 bit/s spans exactly 1.
 
 use proptest::prelude::*;
-use sfq_core::obs::{SchedEvent, SchedObserver};
+use sfq_core::obs::{NoopObserver, SchedEvent, SchedObserver};
 use sfq_core::{
-    Deadline, Exact, FinishClock, Fixed, FlowId, Packet, PacketFactory, ScfqFast, SchedError,
-    Scheduler, Sfq, SfqFast, StartClock, TagArith, TagSched, TelemetrySink, TieBreak, VtRule,
-    WallClock, MAX_REBASE_BITS, MAX_SHIFT,
+    Deadline, Exact, FinishClock, Fixed, FlowId, Fqs, GpsFinish, GpsStart, Packet, PacketFactory,
+    ScfqFast, SchedError, Scheduler, Sfq, SfqFast, StartClock, TagArith, TagSched, TelemetrySink,
+    TieBreak, VtClock, VtRule, WallClock, Wfq, MAX_REBASE_BITS, MAX_SHIFT,
 };
 use simtime::{Bytes, Rate, Ratio, SimTime};
 use std::cmp::Reverse;
@@ -28,44 +28,54 @@ use std::collections::{BinaryHeap, HashMap};
 
 const T0: SimTime = SimTime::ZERO;
 
-/// Stamp each generic check `fn name<A, V>()` out over the four SFQ and
-/// SCFQ aliases. Attributes (`#[should_panic(..)]`) apply to all four.
-macro_rules! on_all_four {
-    ($($(#[$attr:meta])* $name:ident),+ $(,)?) => {$(
+/// Stamp each generic check `fn name<A, V>()` out as one `#[test]` per
+/// row `row: A V` of the bracketed list.
+macro_rules! table {
+    ($rows:tt $($name:ident),+ $(,)?) => {$( table!(@check $rows $name); )+};
+    (@check [$($row:ident: $a:ident $v:ident),+] $name:ident) => {
         mod $name {
             use super::*;
-            #[test] $(#[$attr])*
-            fn sfq() { super::$name::<Exact, StartClock>() }
-            #[test] $(#[$attr])*
-            fn sfq_fast() { super::$name::<Fixed, StartClock>() }
-            #[test] $(#[$attr])*
-            fn scfq() { super::$name::<Exact, FinishClock>() }
-            #[test] $(#[$attr])*
-            fn scfq_fast() { super::$name::<Fixed, FinishClock>() }
+            $( #[test] fn $row() { super::$name::<$a, $v>() } )+
+        }
+    };
+}
+
+/// How a check builds its scheduler under rule `V`: by default, or
+/// around a fluid server for a GPS rule.
+trait Fresh<A: TagArith>: VtRule + Sized {
+    fn fresh<O: SchedObserver + Default>() -> TagSched<A, Self, O>;
+}
+
+macro_rules! fresh_by_default {
+    ($($v:ident),+) => {$(
+        impl<A: TagArith + Default> Fresh<A> for $v {
+            fn fresh<O: SchedObserver + Default>() -> TagSched<A, Self, O> {
+                TagSched::default()
+            }
         }
     )+};
 }
 
-/// [`on_all_four!`] plus the two wall-clock aliases, `VirtualClock` and
-/// `DelayEdd`, for the checks that do not read virtual time.
-macro_rules! on_all_six {
-    ($($(#[$attr:meta])* $name:ident),+ $(,)?) => {$(
-        mod $name {
-            use super::*;
-            #[test] $(#[$attr])*
-            fn sfq() { super::$name::<Exact, StartClock>() }
-            #[test] $(#[$attr])*
-            fn sfq_fast() { super::$name::<Fixed, StartClock>() }
-            #[test] $(#[$attr])*
-            fn scfq() { super::$name::<Exact, FinishClock>() }
-            #[test] $(#[$attr])*
-            fn scfq_fast() { super::$name::<Fixed, FinishClock>() }
-            #[test] $(#[$attr])*
-            fn vc() { super::$name::<Exact, WallClock>() }
-            #[test] $(#[$attr])*
-            fn edd() { super::$name::<Exact, Deadline>() }
-        }
-    )+};
+fresh_by_default!(StartClock, FinishClock, WallClock, Deadline);
+
+/// The GPS rules' fluid server. Their checks run at `T0`, so the fluid
+/// clock reads zero throughout.
+const CAPACITY: Rate = Rate::bps(1 << 14);
+
+impl Fresh<Exact> for GpsFinish {
+    fn fresh<O: SchedObserver + Default>() -> Wfq<O> {
+        Wfq::with_observer(CAPACITY, O::default())
+    }
+}
+
+impl Fresh<Exact> for GpsStart {
+    fn fresh<O: SchedObserver + Default>() -> Fqs<O> {
+        Fqs::with_observer(CAPACITY, O::default())
+    }
+}
+
+fn fresh<A: TagArith, V: Fresh<A>>() -> TagSched<A, V> {
+    V::fresh::<NoopObserver>()
 }
 
 /// Whether rule `V` serves in finish-tag order (SCFQ) rather than
@@ -79,8 +89,8 @@ fn int(n: i128) -> Ratio {
 }
 
 /// Scheduler with flows 1 and 2 at 1024 bit/s (span of 128 B = 1).
-fn setup2<A: TagArith + Default, V: VtRule>() -> (TagSched<A, V>, PacketFactory) {
-    let mut s = TagSched::<A, V>::default();
+fn setup2<A: TagArith, V: Fresh<A>>() -> (TagSched<A, V>, PacketFactory) {
+    let mut s = fresh::<A, V>();
     s.add_flow(FlowId(1), Rate::bps(1 << 10));
     s.add_flow(FlowId(2), Rate::bps(1 << 10));
     (s, PacketFactory::new())
@@ -100,14 +110,14 @@ fn drain<S: Scheduler>(s: &mut S) -> Vec<u64> {
     .collect()
 }
 
-fn name_and_panic_prefix_come_from_the_instantiation<A: TagArith + Default, V: VtRule>() {
+fn name_and_panic_prefix_come_from_the_instantiation<A: TagArith, V: Fresh<A>>() {
     let expected = match (A::FIXED, finish_ordered::<V>()) {
         (false, false) => "SFQ",
         (true, false) => "SFQ-FAST",
         (false, true) => "SCFQ",
         (true, true) => "SCFQ-FAST",
     };
-    let mut s = TagSched::<A, V>::default();
+    let mut s = fresh::<A, V>();
     assert_eq!(s.name(), expected);
     let mut pf = PacketFactory::new();
     let p = pkt(&mut pf, 9, 10);
@@ -116,7 +126,7 @@ fn name_and_panic_prefix_come_from_the_instantiation<A: TagArith + Default, V: V
     assert_eq!(msg, format!("{expected}: unregistered flow {}", FlowId(9)));
 }
 
-fn tags_follow_eq4_eq5<A: TagArith + Default, V: VtRule>() {
+fn tags_follow_eq4_eq5<A: TagArith, V: Fresh<A>>() {
     let (mut s, mut pf) = setup2::<A, V>();
     let p1 = pkt(&mut pf, 1, 128);
     let p2 = pkt(&mut pf, 1, 128);
@@ -128,7 +138,7 @@ fn tags_follow_eq4_eq5<A: TagArith + Default, V: VtRule>() {
     assert_eq!(s.tags_of(p2.uid), Some((int(1), int(2))));
 }
 
-fn serves_in_key_tag_order_across_flows<A: TagArith + Default, V: VtRule>() {
+fn serves_in_key_tag_order_across_flows<A: TagArith, V: Fresh<A>>() {
     // Equal weights: flow 1 holds tags (0,1),(1,2), flow 2 (0,1). By
     // start tag or by finish tag, a and c tie (uid decides) and b is
     // last.
@@ -143,7 +153,7 @@ fn serves_in_key_tag_order_across_flows<A: TagArith + Default, V: VtRule>() {
     // Unequal weights separate the rules: a = (0,1), b = (0,1/2). Start
     // order ties on 0 and serves a (older uid) first; finish order
     // serves b first.
-    let mut s = TagSched::<A, V>::default();
+    let mut s = fresh::<A, V>();
     s.add_flow(FlowId(1), Rate::bps(1 << 10));
     s.add_flow(FlowId(2), Rate::bps(1 << 11));
     let a = pkt(&mut pf, 1, 128);
@@ -158,7 +168,7 @@ fn serves_in_key_tag_order_across_flows<A: TagArith + Default, V: VtRule>() {
     assert_eq!(drain(&mut s), expected);
 }
 
-fn virtual_time_is_key_tag_of_packet_in_service<A: TagArith + Default, V: VtRule>() {
+fn virtual_time_is_key_tag_of_packet_in_service<A: TagArith, V: Fresh<A>>() {
     let (mut s, mut pf) = setup2::<A, V>();
     let a = pkt(&mut pf, 1, 128); // (0, 1)
     let b = pkt(&mut pf, 1, 128); // (1, 2)
@@ -183,7 +193,7 @@ fn virtual_time_is_key_tag_of_packet_in_service<A: TagArith + Default, V: VtRule
     assert_eq!(s.tags_of(c.uid).unwrap().0, int(v_b));
 }
 
-fn busy_period_end_sets_v_to_max_finish_served<A: TagArith + Default, V: VtRule>() {
+fn busy_period_end_sets_v_to_max_finish_served<A: TagArith, V: Fresh<A>>() {
     let (mut s, mut pf) = setup2::<A, V>();
     let a = pkt(&mut pf, 1, 128);
     s.enqueue(T0, a);
@@ -201,8 +211,8 @@ fn busy_period_end_sets_v_to_max_finish_served<A: TagArith + Default, V: VtRule>
 /// A slow flow's lone packet against a fast flow's burst: SFQ serves it
 /// first (start tag 0, older uid); SCFQ's pathology makes it wait
 /// behind every later arrival with a smaller finish tag.
-fn slow_flow_packet_position_depends_on_the_rule<A: TagArith + Default, V: VtRule>() {
-    let mut s = TagSched::<A, V>::default();
+fn slow_flow_packet_position_depends_on_the_rule<A: TagArith, V: Fresh<A>>() {
+    let mut s = fresh::<A, V>();
     s.add_flow(FlowId(1), Rate::bps(1 << 7)); // slow: span 8
     s.add_flow(FlowId(2), Rate::bps(1 << 10)); // fast: span 1
     let mut pf = PacketFactory::new();
@@ -225,7 +235,7 @@ fn slow_flow_packet_position_depends_on_the_rule<A: TagArith + Default, V: VtRul
     }
 }
 
-fn backlog_counts_per_flow<A: TagArith + Default, V: VtRule>() {
+fn backlog_counts_per_flow<A: TagArith, V: Fresh<A>>() {
     let (mut s, mut pf) = setup2::<A, V>();
     assert!(s.dequeue(T0).is_none());
     assert!(s.is_empty());
@@ -240,7 +250,7 @@ fn backlog_counts_per_flow<A: TagArith + Default, V: VtRule>() {
     assert!(!s.is_empty());
 }
 
-fn heap_holds_one_entry_per_backlogged_flow<A: TagArith + Default, V: VtRule>() {
+fn heap_holds_one_entry_per_backlogged_flow<A: TagArith, V: Fresh<A>>() {
     let (mut s, mut pf) = setup2::<A, V>();
     for _ in 0..10 {
         s.enqueue(T0, pkt(&mut pf, 1, 128));
@@ -256,13 +266,24 @@ fn heap_holds_one_entry_per_backlogged_flow<A: TagArith + Default, V: VtRule>() 
     assert_eq!(s.head_heap_len(), 2, "flow 1 still backlogged");
 }
 
-fn unregistered_flow_panics<A: TagArith + Default, V: VtRule>() {
-    let mut s = TagSched::<A, V>::default();
+fn unregistered_flow_is_refused_and_panics<A: TagArith, V: Fresh<A>>() {
+    let mut s = fresh::<A, V>();
     let mut pf = PacketFactory::new();
-    s.enqueue(T0, pkt(&mut pf, 9, 10));
+    let p = pkt(&mut pf, 9, 10);
+    assert_eq!(
+        s.try_enqueue(T0, p),
+        Err(SchedError::UnknownFlow(FlowId(9)))
+    );
+    assert!(s.is_empty());
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.enqueue(T0, p)));
+    let msg = *panic.unwrap_err().downcast::<String>().unwrap();
+    assert!(
+        msg.ends_with(&format!("unregistered flow {}", FlowId(9))),
+        "{msg}"
+    );
 }
 
-fn remove_flow_only_when_idle<A: TagArith + Default, V: VtRule>() {
+fn remove_flow_only_when_idle<A: TagArith, V: Fresh<A>>() {
     let (mut s, mut pf) = setup2::<A, V>();
     s.enqueue(T0, pkt(&mut pf, 1, 128));
     assert!(!s.remove_flow(FlowId(1)), "backlogged flow stays");
@@ -278,7 +299,7 @@ fn remove_flow_only_when_idle<A: TagArith + Default, V: VtRule>() {
     assert_eq!(s.flow_last_finish(FlowId(1)), Some(int(0)));
 }
 
-fn force_remove_discards_backlog_and_keeps_counts_exact<A: TagArith + Default, V: VtRule>() {
+fn force_remove_discards_backlog_and_keeps_counts_exact<A: TagArith, V: Fresh<A>>() {
     let (mut s, mut pf) = setup2::<A, V>();
     let a = pkt(&mut pf, 1, 128);
     s.enqueue(T0, a);
@@ -296,7 +317,7 @@ fn force_remove_discards_backlog_and_keeps_counts_exact<A: TagArith + Default, V
     assert_eq!(s.force_remove_flow(FlowId(9)), 0, "unknown flow is a no-op");
 }
 
-fn drop_head_then_force_remove<A: TagArith + Default, V: VtRule>() {
+fn drop_head_then_force_remove<A: TagArith, V: Fresh<A>>() {
     let (mut s, mut pf) = setup2::<A, V>();
     let a = pkt(&mut pf, 1, 128);
     s.enqueue(T0, a);
@@ -314,7 +335,7 @@ fn drop_head_then_force_remove<A: TagArith + Default, V: VtRule>() {
 /// A zero weight is refused with a typed error — from registration and
 /// from reconfiguration alike (which a wall-clock rule refuses as such)
 /// — and leaves no trace.
-fn zero_weight_is_a_typed_strict_noop<A: TagArith + Default, V: VtRule>() {
+fn zero_weight_is_a_typed_strict_noop<A: TagArith, V: Fresh<A>>() {
     let (mut s, mut pf) = setup2::<A, V>();
     let a = pkt(&mut pf, 1, 128);
     let b = pkt(&mut pf, 1, 128);
@@ -332,7 +353,7 @@ fn zero_weight_is_a_typed_strict_noop<A: TagArith + Default, V: VtRule>() {
     );
     assert_eq!(
         s.try_set_weight(FlowId(1), zero),
-        Err(if V::WALL_CLOCK {
+        Err(if <V::Clock as VtClock>::EXTERNAL {
             SchedError::Unsupported
         } else {
             SchedError::ZeroWeight(FlowId(1))
@@ -349,7 +370,7 @@ fn zero_weight_is_a_typed_strict_noop<A: TagArith + Default, V: VtRule>() {
 
 /// The observer sees every tag assignment with the same values the
 /// diagnostic accessors report.
-fn observer_reports_assigned_tags<A: TagArith + Default, V: VtRule>() {
+fn observer_reports_assigned_tags<A: TagArith, V: Fresh<A>>() {
     #[derive(Default)]
     struct Last(Vec<SchedEvent>);
     impl SchedObserver for Last {
@@ -357,7 +378,7 @@ fn observer_reports_assigned_tags<A: TagArith + Default, V: VtRule>() {
             self.0.push(*ev);
         }
     }
-    let mut s = TagSched::<A, V, Last>::default();
+    let mut s = V::fresh::<Last>();
     s.add_flow(FlowId(1), Rate::bps(1 << 10));
     let mut pf = PacketFactory::new();
     let p = pkt(&mut pf, 1, 128);
@@ -369,9 +390,9 @@ fn observer_reports_assigned_tags<A: TagArith + Default, V: VtRule>() {
     assert_eq!(ev.v, int(0));
 }
 
-fn rebasing_shifts_tags_without_reordering<A: TagArith + Default, V: VtRule>() {
-    let mut plain = TagSched::<A, V>::default();
-    let mut rebased = TagSched::<A, V>::default();
+fn rebasing_shifts_tags_without_reordering<A: TagArith, V: Fresh<A>>() {
+    let mut plain = fresh::<A, V>();
+    let mut rebased = fresh::<A, V>();
     rebased.enable_rebasing(0); // rebase at every opportunity
     for s in [&mut plain, &mut rebased] {
         s.add_flow(FlowId(1), Rate::bps(1 << 10));
@@ -402,8 +423,8 @@ fn rebasing_shifts_tags_without_reordering<A: TagArith + Default, V: VtRule>() {
 /// `MAX_REBASE_BITS` (a u64 tag would wrap long before 96 bits) and
 /// must rebase; the exact arithmetic takes it at face value and is
 /// nowhere near it.
-fn eager_rebase_threshold_is_clamped_for_u64_tags_only<A: TagArith + Default, V: VtRule>() {
-    let mut s = TagSched::<A, V>::default();
+fn eager_rebase_threshold_is_clamped_for_u64_tags_only<A: TagArith, V: Fresh<A>>() {
+    let mut s = fresh::<A, V>();
     s.enable_rebasing(96);
     s.add_flow(FlowId(1), Rate::bps(1 << 10));
     let mut pf = PacketFactory::new();
@@ -426,9 +447,9 @@ fn eager_rebase_threshold_is_clamped_for_u64_tags_only<A: TagArith + Default, V:
     }
 }
 
-fn batch_api_is_bit_identical_to_singles<A: TagArith + Default, V: VtRule>() {
+fn batch_api_is_bit_identical_to_singles<A: TagArith, V: Fresh<A>>() {
     let mk = || {
-        let mut s = TagSched::<A, V>::default();
+        let mut s = fresh::<A, V>();
         s.add_flow(FlowId(1), Rate::bps(1 << 10));
         s.add_flow(FlowId(2), Rate::bps(1 << 13));
         s
@@ -463,7 +484,7 @@ fn batch_api_is_bit_identical_to_singles<A: TagArith + Default, V: VtRule>() {
 /// An attached counter page is written in one seqlock section per
 /// scheduler call — the epoch moves by 2 — whether the call moved one
 /// packet or thirty-two, and not at all by a call that moved none.
-fn counter_page_takes_one_write_section_per_call<A: TagArith + Default, V: VtRule>() {
+fn counter_page_takes_one_write_section_per_call<A: TagArith, V: Fresh<A>>() {
     let (mut s, mut pf) = setup2::<A, V>();
     let sink = TelemetrySink::new();
     s.attach_telemetry(sink.clone());
@@ -493,9 +514,10 @@ fn counter_page_takes_one_write_section_per_call<A: TagArith + Default, V: VtRul
 }
 
 // SFQ/SCFQ only: these read virtual time — Eq. 4/5 tags off `v`, the
-// busy-period end, rebasing — which a wall-clock rule does not keep, or
-// name the rule by its key order alone.
-on_all_four!(
+// busy-period end, rebasing — which a rule on an external clock does not
+// keep, or name the rule by its key order alone.
+table!(
+    [sfq: Exact StartClock, sfq_fast: Fixed StartClock, scfq: Exact FinishClock, scfq_fast: Fixed FinishClock]
     name_and_panic_prefix_come_from_the_instantiation,
     tags_follow_eq4_eq5,
     serves_in_key_tag_order_across_flows,
@@ -506,12 +528,16 @@ on_all_four!(
     eager_rebase_threshold_is_clamped_for_u64_tags_only,
 );
 
-on_all_six!(
+table!(
+    [
+        sfq: Exact StartClock, sfq_fast: Fixed StartClock, scfq: Exact FinishClock,
+        scfq_fast: Fixed FinishClock, vc: Exact WallClock, edd: Exact Deadline,
+        wfq: Exact GpsFinish, fqs: Exact GpsStart
+    ]
     counter_page_takes_one_write_section_per_call,
     backlog_counts_per_flow,
     heap_holds_one_entry_per_backlogged_flow,
-    #[should_panic(expected = "unregistered flow")]
-    unregistered_flow_panics,
+    unregistered_flow_is_refused_and_panics,
     remove_flow_only_when_idle,
     force_remove_discards_backlog_and_keeps_counts_exact,
     drop_head_then_force_remove,
@@ -551,9 +577,9 @@ fn a_batch_refused_half_way_books_what_it_queued() {
 /// (`tests/fixed_point_identity.rs`): interleaved enqueues/dequeues
 /// across 4 flows with 2^k weights must dequeue bit-identically under
 /// the two arithmetics, whichever rule orders service.
-fn fixed_matches_exact_on_power_of_two_weights<V: VtRule>() {
-    let mut fast = TagSched::<Fixed, V>::default();
-    let mut exact = TagSched::<Exact, V>::default();
+fn fixed_matches_exact_on_power_of_two_weights<V: Fresh<Fixed> + Fresh<Exact>>() {
+    let mut fast = fresh::<Fixed, V>();
+    let mut exact = fresh::<Exact, V>();
     for (i, k) in [10u32, 12, 14, 17].iter().enumerate() {
         let w = Rate::bps(1 << k);
         fast.add_flow(FlowId(i as u32), w);
@@ -680,8 +706,8 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 /// its assignment; finish > start; dequeues come out in non-decreasing
 /// key-tag order within a busy period (v(t) during service *is* the
 /// served packet's key tag).
-fn tag_invariants<A: TagArith + Default, V: VtRule>(ops: &[Op]) -> Result<(), TestCaseError> {
-    let mut s = TagSched::<A, V>::default();
+fn tag_invariants<A: TagArith, V: Fresh<A>>(ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut s = fresh::<A, V>();
     for f in 0..4u32 {
         s.add_flow(FlowId(f), Rate::bps(1_000 + 500 * f as u64));
     }
@@ -720,10 +746,10 @@ fn tag_invariants<A: TagArith + Default, V: VtRule>(ops: &[Op]) -> Result<(), Te
 }
 
 /// Flow finish-tag chains are strictly increasing per flow.
-fn per_flow_finish_chain_increases<A: TagArith + Default, V: VtRule>(
+fn per_flow_finish_chain_increases<A: TagArith, V: Fresh<A>>(
     lens: &[u64],
 ) -> Result<(), TestCaseError> {
-    let mut s = TagSched::<A, V>::default();
+    let mut s = fresh::<A, V>();
     s.add_flow(FlowId(1), Rate::bps(8_000));
     let mut pf = PacketFactory::new();
     let mut prev = Ratio::ZERO;

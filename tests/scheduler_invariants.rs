@@ -321,6 +321,10 @@ proptest! {
             &run_one(Wfq::with_observer(Rate::kbps(64), obs()), &w).0,
         )?;
         same(
+            &run_one(Fqs::new(Rate::kbps(64)), &w).0,
+            &run_one(Fqs::with_observer(Rate::kbps(64), obs()), &w).0,
+        )?;
+        same(
             &run_one(Fifo::new(), &w).0,
             &run_one(Fifo::with_observer(obs()), &w).0,
         )?;
