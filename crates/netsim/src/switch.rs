@@ -47,7 +47,8 @@ pub struct SwitchCore {
     policy: DropPolicy,
     /// Registered weights, for the pressure victim search. Dense
     /// (`FlowMap`) so a port tracks flows without hashing; iteration
-    /// order is insertion-dependent, so every scan below sorts by id.
+    /// order is insertion-dependent, so the victim search breaks ties
+    /// by id.
     weights: FlowMap<Rate>,
     /// Flows currently under backpressure (cap reached and a packet
     /// shed since the backlog last drained below the cap).
@@ -252,21 +253,20 @@ impl SwitchCore {
 
     /// The flow whose backlog is largest relative to its weight
     /// (`argmax backlog/weight`, compared by cross products so the
-    /// search stays exact). Ties break toward the smaller flow id.
+    /// search stays exact). Ties break toward the smaller flow id, so
+    /// one pass in the table's own order decides, allocating nothing.
     fn pressure_victim(&self) -> Option<FlowId> {
-        let mut best: Option<(FlowId, u128, u64)> = None;
-        let mut flows: Vec<_> = self.weights.iter().collect();
-        flows.sort_by_key(|(f, _)| f.0);
-        for (flow, &w) in flows {
+        let mut best: Option<(FlowId, u128, u128)> = None;
+        for (flow, &w) in self.weights.iter() {
             let backlog = self.sched.backlog(flow) as u128;
             if backlog == 0 {
                 continue;
             }
-            let wbps = w.as_bps().max(1);
-            let better = match best {
-                None => true,
-                Some((_, b_backlog, b_w)) => backlog * b_w as u128 > b_backlog * wbps as u128,
-            };
+            let wbps = u128::from(w.as_bps().max(1));
+            let better = best.is_none_or(|(b_flow, b_backlog, b_w)| {
+                let (ours, theirs) = (backlog * b_w, b_backlog * wbps);
+                ours > theirs || (ours == theirs && flow < b_flow)
+            });
             if better {
                 best = Some((flow, backlog, wbps));
             }
@@ -473,6 +473,7 @@ mod obs_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use servers::RateProfile;
     use sfq_core::{PacketFactory, Sfq};
     use simtime::{Bytes, Rate};
@@ -586,6 +587,50 @@ mod tests {
         assert_eq!(sw.drops(FlowId(2)), 1);
         assert_eq!(sw.drops(FlowId(1)), 0);
         assert_eq!(sw.queued(), 4);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass victim search picks what the sort-based rule it
+        /// replaced picks: scan every flow in id order, keep the first
+        /// strictly greater `backlog/weight`. Backlogs and weights come
+        /// from small ranges, so equal pressures (2/2 against 1/1) are
+        /// common, and flows register in random id order.
+        #[test]
+        fn pressure_victim_matches_the_sorted_scan(
+            flows in prop::collection::vec((0u32..12, 0u64..4, 1u64..5), 1..10),
+        ) {
+            let mut sw = SwitchCore::new(
+                Box::new(Sfq::new()),
+                RateProfile::constant(Rate::bps(1_000)),
+                None,
+            );
+            let mut pf = PacketFactory::new();
+            let t0 = SimTime::ZERO;
+            let mut registered: Vec<(u32, u64, u64)> = Vec::new();
+            for &(id, backlog, w) in &flows {
+                if registered.iter().any(|r| r.0 == id) {
+                    continue;
+                }
+                sw.add_flow(FlowId(id), Rate::bps(w * 1_000));
+                for _ in 0..backlog {
+                    prop_assert!(sw.offer(t0, pf.make(FlowId(id), Bytes::new(10), t0)));
+                }
+                registered.push((id, backlog, w * 1_000));
+            }
+            registered.sort_by_key(|r| r.0);
+            let mut want: Option<(u32, u64, u64)> = None;
+            for (id, backlog, w) in registered {
+                if backlog == 0 {
+                    continue;
+                }
+                if want.is_none_or(|(_, b, bw)| backlog * bw > b * w) {
+                    want = Some((id, backlog, w));
+                }
+            }
+            prop_assert_eq!(sw.pressure_victim(), want.map(|(id, _, _)| FlowId(id)));
+        }
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //!
 //! The container is generic over three per-discipline types:
 //!
-//! - `K` — the heap ordering key (must embed the packet uid so that a
-//!   full-key comparison against the current FIFO head identifies
-//!   stale heap entries exactly; uids are never reused),
+//! - `K` — the heap ordering key. Keys need not be unique: the heap
+//!   orders entries by `(K, uid)`, the uid read off the packet the
+//!   record already holds, so equal keys leave in ascending uid order
+//!   and a stale heap entry is one whose `(K, uid)` is not the flow's
+//!   current head's (uids are never reused),
 //! - `E` — per-flow extension state (weight, `F(p_f^{j-1})`, `d_f` …),
 //! - `M` — per-packet metadata carried alongside the key (e.g. the
 //!   finish tag for SFQ, whose key orders by start tag).
@@ -44,10 +46,10 @@
 //!   path is differenced against (`tests/pool_identity.rs`, the
 //!   conformance `pool` preset).
 //!
-//! Dequeue order is bit-identical across backends: keys embed the
-//! packet uid so every live key is unique, the heap therefore pops a
+//! Dequeue order is bit-identical across backends: both heaps order by
+//! `(K, uid)`, which is unique among live packets, so each pops a
 //! totally-ordered sequence regardless of internal layout, and stale
-//! entries are skipped by exact key (owned) or generation + key
+//! entries are skipped by `(K, uid)` (owned) or generation + `(K, uid)`
 //! (pooled) mismatch — conditions that hold in exactly the same cases.
 //!
 //! ## The heap
@@ -83,6 +85,7 @@ use crate::pool::{IdIndex, PoolStats, SlabPool, NIL};
 use crate::prefetch::prefetch_value;
 use crate::sched::SchedError;
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
 
 pub use crate::headheap::HeadHeap;
 
@@ -108,11 +111,46 @@ pub enum FifoBackend {
 /// A packet in its flow's FIFO with the key/metadata assigned at
 /// arrival, so dequeue needs no recomputation. Also the pooled
 /// backend's slab record.
-#[derive(Clone, Copy, Debug)]
+///
+/// Packed to 8: `Packet` is 16-aligned (its `SimTime` holds `i128`s),
+/// and at 16 the slab slot — this record plus a 4-byte link — rounds up
+/// to 112 bytes for `SfqFast` where 96 hold it. Fields are therefore
+/// only ever read and written by value, never borrowed.
+#[derive(Clone, Copy)]
+#[repr(C, packed(8))]
 struct Entry<K, M> {
     pkt: Packet,
     key: K,
     meta: M,
+}
+
+/// Shows the packet only: a packed record's fields are read by copy,
+/// and the containers that derive `Debug` do not bound `K` and `M` by
+/// `Copy`.
+impl<K, M> fmt::Debug for Entry<K, M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pkt = self.pkt;
+        f.debug_struct("Entry")
+            .field("pkt", &pkt)
+            .finish_non_exhaustive()
+    }
+}
+
+/// What the head-of-flow heaps order by: a head packet's key, then its
+/// uid.
+type HeadKey<K> = (K, u64);
+
+impl<K: Copy, M: Copy> Entry<K, M> {
+    fn head_key(&self) -> HeadKey<K> {
+        (self.key, self.pkt.uid)
+    }
+
+    /// Let `f` rewrite the key and metadata, through copies.
+    fn retag(&mut self, f: impl FnOnce(&Packet, &mut K, &mut M)) {
+        let (pkt, mut key, mut meta) = (self.pkt, self.key, self.meta);
+        f(&pkt, &mut key, &mut meta);
+        (self.key, self.meta) = (key, meta);
+    }
 }
 
 /// One flow's backlog plus the discipline's extension state (owned
@@ -131,7 +169,7 @@ struct OwnedFifos<K, E, M> {
     /// At most one live entry per backlogged flow, keyed by the flow's
     /// head packet. Entries for force-removed flows are stale and
     /// skipped lazily in `pop_min`.
-    heap: HeadHeap<(K, FlowId)>,
+    heap: HeadHeap<(HeadKey<K>, FlowId)>,
     queued: usize,
 }
 
@@ -173,9 +211,9 @@ impl<E> FlowSlot<E> {
 
     /// Unlink the head packet, whose record the caller frees: the
     /// second packet becomes the head and its link the new second.
-    /// Returns the new head's key, `None` when the flow drained.
+    /// Returns the new head's heap key, `None` when the flow drained.
     #[inline(always)]
-    fn advance<K: Copy, M: Copy>(&mut self, slab: &SlabPool<Entry<K, M>>) -> Option<K> {
+    fn advance<K: Copy, M: Copy>(&mut self, slab: &SlabPool<Entry<K, M>>) -> Option<HeadKey<K>> {
         let next = self.second;
         self.head = next;
         self.len -= 1;
@@ -184,7 +222,7 @@ impl<E> FlowSlot<E> {
             return None;
         }
         self.second = slab.link_raw(next);
-        Some(slab.val_raw(next).key)
+        Some(slab.val_raw(next).head_key())
     }
 
     /// Debug builds: `second` is the head record's link. Called
@@ -209,10 +247,10 @@ struct PooledFifos<K, E, M> {
     flows: Vec<FlowSlot<E>>,
     free_flows: Vec<u32>,
     ids: IdIndex,
-    /// `(head key, flow slot, slot generation)` — at most one live
-    /// entry per backlogged flow; stale entries are skipped by
-    /// generation or key mismatch.
-    heap: HeadHeap<(K, u32, u32)>,
+    /// `((head key, head uid), flow slot, slot generation)` — at most
+    /// one live entry per backlogged flow; stale entries are skipped by
+    /// generation or `(key, uid)` mismatch.
+    heap: HeadHeap<(HeadKey<K>, u32, u32)>,
     queued: usize,
     /// GC candidate hints `(slot, generation)`, present only once
     /// [`FlowFifos::enable_gc`] has been called.
@@ -409,7 +447,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                     // The flow joins the backlogged set: its head (this
                     // packet) enters the heap. A non-idle flow's head
                     // is unchanged.
-                    o.heap.push((key, pkt.flow));
+                    o.heap.push(((key, pkt.uid), pkt.flow));
                 }
                 o.queued += 1;
                 Ok((key, meta))
@@ -418,13 +456,14 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
         }
     }
 
-    /// Remove and return the minimum-key head packet, with its key and
-    /// metadata. Stale heap entries — left behind by
-    /// [`FlowFifos::force_remove_flow`] or flow GC — are detected by a
-    /// full-key mismatch against the flow's current head (uids are
-    /// never reused, so a leftover key can never equal a later head's;
-    /// the pooled backend additionally checks the slot generation) and
-    /// skipped without disturbing the exact `queued` count.
+    /// Remove and return the minimum-key head packet (the lowest uid
+    /// among equal keys), with its key and metadata. Stale heap entries
+    /// — left behind by [`FlowFifos::force_remove_flow`] or flow GC —
+    /// are detected by a `(key, uid)` mismatch against the flow's
+    /// current head (uids are never reused, so a leftover entry can
+    /// never match a later head; the pooled backend additionally checks
+    /// the slot generation) and skipped without disturbing the exact
+    /// `queued` count.
     pub fn pop_min(&mut self) -> Option<(Packet, K, M)> {
         match &mut self.inner {
             Inner::Owned(o) => loop {
@@ -432,7 +471,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                 let Some(fq) = o.flows.get_mut(&flow) else {
                     continue;
                 };
-                if fq.queue.front().map(|e| e.key) != Some(key) {
+                if fq.queue.front().map(Entry::head_key) != Some(key) {
                     continue;
                 }
                 let Some(e) = fq.queue.pop_front() else {
@@ -440,7 +479,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                     continue;
                 };
                 if let Some(next) = fq.queue.front() {
-                    o.heap.push((next.key, flow));
+                    o.heap.push((next.head_key(), flow));
                 }
                 o.queued -= 1;
                 return Some((e.pkt, e.key, e.meta));
@@ -453,7 +492,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
     /// invoking `each` for every one. Returns the number popped.
     ///
     /// Order is bit-identical to `max` successive [`FlowFifos::pop_min`]
-    /// calls (keys embed the packet uid, so live keys are unique and the
+    /// calls (`(key, uid)` is unique among live packets, so the
     /// comparison is total), but consecutive wins by the *same* flow are
     /// detected without heap traffic: after serving a flow's head, if
     /// its next head key precedes every heap entry it is served directly
@@ -473,7 +512,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                     let Some(fq) = o.flows.get_mut(&flow) else {
                         continue;
                     };
-                    if fq.queue.front().map(|e| e.key) != Some(key) {
+                    if fq.queue.front().map(Entry::head_key) != Some(key) {
                         continue;
                     }
                     let Some(e) = fq.queue.pop_front() else {
@@ -484,11 +523,11 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                     n += 1;
                     each(e.pkt, e.key, e.meta);
                     // Run path: keep serving this flow while its head
-                    // beats the heap top (live entries' keys are
-                    // unique, so a strict comparison decides; a stale
-                    // top with a smaller key only sends us back through
-                    // the heap path, which skips it).
-                    while let Some(next_key) = fq.queue.front().map(|e| e.key) {
+                    // beats the heap top (live entries' `(key, uid)`
+                    // are unique, so a strict comparison decides; a
+                    // stale top that compares lower only sends us back
+                    // through the heap path, which skips it).
+                    while let Some(next_key) = fq.queue.front().map(Entry::head_key) {
                         let beats_heap = match o.heap.peek() {
                             Some(&(top, _)) => next_key < top,
                             None => true,
@@ -551,14 +590,14 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
     /// Key and metadata of a still-queued packet, if present.
     /// Diagnostic accessor (tests/telemetry): scans the per-flow FIFOs
     /// rather than taxing the hot path with a uid index.
-    pub fn find(&self, uid: u64) -> Option<(&K, &M)> {
+    pub fn find(&self, uid: u64) -> Option<(K, M)> {
         match &self.inner {
             Inner::Owned(o) => o
                 .flows
                 .values()
                 .flat_map(|f| f.queue.iter())
                 .find(|e| e.pkt.uid == uid)
-                .map(|e| (&e.key, &e.meta)),
+                .map(|e| (e.key, e.meta)),
             Inner::Pooled(p) => {
                 for s in &p.flows {
                     if s.ext.is_none() {
@@ -568,7 +607,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                     while cur != NIL {
                         let e = p.slab.val_raw(cur);
                         if e.pkt.uid == uid {
-                            return Some((&e.key, &e.meta));
+                            return Some((e.key, e.meta));
                         }
                         cur = p.slab.link_raw(cur);
                     }
@@ -590,7 +629,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                 let fq = o.flows.get_mut(&flow)?;
                 let e = fq.queue.pop_front()?;
                 if let Some(next) = fq.queue.front() {
-                    o.heap.push((next.key, flow));
+                    o.heap.push((next.head_key(), flow));
                 }
                 o.queued -= 1;
                 Some((e.pkt, e.key, e.meta))
@@ -617,9 +656,9 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                 heap.rebuild(flows.iter_mut().filter_map(|(&flow, fq)| {
                     ext(&mut fq.ext);
                     for e in fq.queue.iter_mut() {
-                        entry(&mut e.key, &mut e.meta);
+                        e.retag(|_, key, meta| entry(key, meta));
                     }
-                    fq.queue.front().map(|front| (front.key, flow))
+                    fq.queue.front().map(|front| (front.head_key(), flow))
                 }));
             }
             Inner::Pooled(p) => p.retag_all(entry, ext),
@@ -653,14 +692,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                 };
                 ext(&mut fq.ext);
                 for (pos, e) in fq.queue.iter_mut().enumerate() {
-                    #[cfg(debug_assertions)]
-                    let before = e.key;
-                    entry(pos, &e.pkt, &mut e.key, &mut e.meta);
-                    #[cfg(debug_assertions)]
-                    debug_assert!(
-                        pos > 0 || e.key == before,
-                        "retag_flow must keep the head key"
-                    );
+                    retag_at(pos, e, &mut entry);
                 }
                 true
             }
@@ -679,15 +711,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                 let mut cur = head;
                 let mut pos = 0usize;
                 while cur != NIL {
-                    let e = p.slab.val_mut_raw(cur);
-                    #[cfg(debug_assertions)]
-                    let before = e.key;
-                    entry(pos, &e.pkt, &mut e.key, &mut e.meta);
-                    #[cfg(debug_assertions)]
-                    debug_assert!(
-                        pos > 0 || e.key == before,
-                        "retag_flow must keep the head key"
-                    );
+                    retag_at(pos, p.slab.val_mut_raw(cur), &mut entry);
                     cur = p.slab.link_raw(cur);
                     pos += 1;
                 }
@@ -757,8 +781,8 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
             ),
             slab_slot: SlabPool::<Entry<K, M>>::slot_layout(),
             heap_entry: (
-                std::mem::size_of::<(K, u32, u32)>(),
-                std::mem::align_of::<(K, u32, u32)>(),
+                std::mem::size_of::<(HeadKey<K>, u32, u32)>(),
+                std::mem::align_of::<(HeadKey<K>, u32, u32)>(),
             ),
         }
     }
@@ -840,7 +864,7 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
         if s.head == NIL {
             s.head = slot;
             s.tail = slot;
-            self.heap.push((key, idx as u32, s.gen));
+            self.heap.push(((key, pkt.uid), idx as u32, s.gen));
         } else {
             let tail = s.tail;
             s.tail = slot;
@@ -878,7 +902,7 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
                     return None; // slot released/reused since the push
                 }
                 let head = s.head;
-                if slab.val_raw(head).key != key {
+                if slab.val_raw(head).head_key() != key {
                     return None; // head changed (drop_front) since the push
                 }
                 let e = slab.free_raw(head);
@@ -918,13 +942,13 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
                 if s.gen != gen || s.head == NIL {
                     return None; // slot released/reused since the push
                 }
-                if slab.val_raw(s.head).key != key {
+                if slab.val_raw(s.head).head_key() != key {
                     return None; // head changed (drop_front) since the push
                 }
                 // Run path: serve this flow's head, then keep serving it
                 // while its next head beats the rest of the heap —
-                // identical decisions to the owned backend (keys are
-                // unique).
+                // identical decisions to the owned backend (`(key, uid)`
+                // is unique).
                 loop {
                     let e = slab.free_raw(s.head);
                     let next_key = s.advance(slab);
@@ -975,11 +999,10 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
                 ext_f(s.ext.as_mut()?);
                 let mut cur = s.head;
                 while cur != NIL {
-                    let e = slab.val_mut_raw(cur);
-                    entry(&mut e.key, &mut e.meta);
+                    slab.val_mut_raw(cur).retag(|_, key, meta| entry(key, meta));
                     cur = slab.link_raw(cur);
                 }
-                (s.head != NIL).then(|| (slab.val_raw(s.head).key, fidx as u32, s.gen))
+                (s.head != NIL).then(|| (slab.val_raw(s.head).head_key(), fidx as u32, s.gen))
             }));
     }
 
@@ -1059,6 +1082,22 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
     }
 }
 
+/// [`FlowFifos::retag_flow`]'s step for the packet at `pos`, which
+/// (debug builds check) must keep the head's key.
+fn retag_at<K: Copy + PartialEq, M: Copy>(
+    pos: usize,
+    e: &mut Entry<K, M>,
+    entry: &mut impl FnMut(usize, &Packet, &mut K, &mut M),
+) {
+    let before = e.key;
+    e.retag(|pkt, key, meta| entry(pos, pkt, key, meta));
+    let after = e.key;
+    debug_assert!(
+        pos > 0 || after == before,
+        "retag_flow must keep the head key"
+    );
+}
+
 /// Flow slot `fidx` (`s`) just drained to empty: list it as a GC
 /// candidate (once), when GC is on.
 fn note_drained<E>(gc: &mut Option<VecDeque<(u32, u32)>>, s: &mut FlowSlot<E>, fidx: u32) {
@@ -1080,7 +1119,7 @@ fn note_drained<E>(gc: &mut Option<VecDeque<(u32, u32)>>, s: &mut FlowSlot<E>, f
 /// dequeue ago.
 #[inline(always)]
 fn look_ahead<K: Ord + Copy, E, M: Copy>(
-    heap: &HeadHeap<(K, u32, u32)>,
+    heap: &HeadHeap<(HeadKey<K>, u32, u32)>,
     flows: &[FlowSlot<E>],
     slab: &SlabPool<Entry<K, M>>,
 ) {
@@ -1113,7 +1152,7 @@ mod tests {
         }
     }
 
-    fn both() -> [FlowFifos<u64, u64, ()>; 2] {
+    fn both<K: Ord + Copy>() -> [FlowFifos<K, u64, ()>; 2] {
         [
             FlowFifos::new_with("t", FifoBackend::Pooled),
             FlowFifos::new_with("t", FifoBackend::Owned),
@@ -1126,8 +1165,7 @@ mod tests {
             for f in 0..4u32 {
                 q.upsert_flow(FlowId(f), || 0u64);
             }
-            // Keys interleave flows; uid embedded in key keeps them
-            // unique.
+            // Keys interleave flows and are unique here.
             let mut uid = 0u64;
             for round in 0..5u64 {
                 for f in 0..4u32 {
@@ -1145,6 +1183,29 @@ mod tests {
                 last = Some(k);
             }
             assert!(q.is_empty());
+        }
+    }
+
+    /// Two flows whose heads share `(tag, tie)`: the lower uid leaves
+    /// first, though it was queued second, one at a time and in a batch.
+    #[test]
+    fn equal_heads_serve_the_lower_uid_first() {
+        for batch in [false, true] {
+            for mut q in both::<(u64, i64)>() {
+                q.upsert_flow(FlowId(1), || 0);
+                q.upsert_flow(FlowId(2), || 0);
+                q.push_with(pkt(1, 9), |_| ((5, -1), ()));
+                q.push_with(pkt(2, 4), |_| ((5, -1), ()));
+                let mut uids = Vec::new();
+                if batch {
+                    q.pop_min_batch(2, |p, _, ()| uids.push(p.uid));
+                } else {
+                    while let Some((p, _, ())) = q.pop_min() {
+                        uids.push(p.uid);
+                    }
+                }
+                assert_eq!(uids, [4, 9], "{:?}, batch {batch}", q.backend());
+            }
         }
     }
 
@@ -1292,6 +1353,146 @@ mod tests {
                 last = ka;
             }
             assert!(pushed.is_empty() && rebuilt.is_empty());
+        }
+    }
+
+    mod ties {
+        use super::*;
+        use proptest::prelude::*;
+
+        const FLOWS: u32 = 4;
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            /// Queue a packet on the flow, its key this much past the
+            /// least it may take (see [`Model::key`]).
+            Push(u32, u64),
+            Pop,
+            Batch(usize),
+            DropFront(u32),
+            /// Force-remove the flow and register it again: its keys
+            /// start over, under its stale heap entry's.
+            Reset(u32),
+        }
+
+        fn ops() -> impl Strategy<Value = Vec<Op>> {
+            prop::collection::vec(
+                // The shim's prop_oneof! is unweighted: repeat the common
+                // arms. Mostly `d = 0`, the key every waiting flow shares.
+                prop_oneof![
+                    (0..FLOWS).prop_map(|f| Op::Push(f, 0)),
+                    (0..FLOWS).prop_map(|f| Op::Push(f, 0)),
+                    (0..FLOWS, 0u64..2).prop_map(|(f, d)| Op::Push(f, d)),
+                    (0..FLOWS, 0u64..2).prop_map(|(f, d)| Op::Push(f, d)),
+                    Just(Op::Pop),
+                    (1usize..5).prop_map(Op::Batch),
+                    (0..FLOWS).prop_map(Op::DropFront),
+                    (0..FLOWS).prop_map(Op::Reset),
+                ],
+                1..200,
+            )
+        }
+
+        /// The packets queued, as `(key, uid)` per flow.
+        struct Model {
+            flows: Vec<VecDeque<(u64, u64)>>,
+            /// The least key each flow may take next (its keys rise).
+            next: Vec<u64>,
+            /// The key last served.
+            v: u64,
+        }
+
+        impl Model {
+            /// An SFQ-shaped key: `max(v, next) + d`, `d` in `{0, 1}`.
+            /// Flows that wait for service all key at or just past `v`,
+            /// so heads with equal keys on different flows are the rule.
+            fn key(&mut self, f: u32, d: u64) -> u64 {
+                let key = self.v.max(self.next[f as usize]) + d;
+                self.next[f as usize] = key + 1;
+                key
+            }
+
+            /// The head the container must serve: least `(key, uid)`.
+            fn pop(&mut self) -> Option<(u64, u64)> {
+                let f = (0..self.flows.len())
+                    .filter(|&f| !self.flows[f].is_empty())
+                    .min_by_key(|&f| self.flows[f][0])?;
+                let head = self.flows[f].pop_front()?;
+                self.v = head.0;
+                Some(head)
+            }
+        }
+
+        /// Runs `ops` on one backend, checking every departure against
+        /// the model; returns the departures as `(key, uid)`.
+        fn run(backend: FifoBackend, ops: &[Op]) -> Result<Vec<(u64, u64)>, TestCaseError> {
+            let mut q: FlowFifos<u64, (), ()> = FlowFifos::new_with("t", backend);
+            let mut m = Model {
+                flows: vec![VecDeque::new(); FLOWS as usize],
+                next: vec![0; FLOWS as usize],
+                v: 0,
+            };
+            for f in 0..FLOWS {
+                q.upsert_flow(FlowId(f), || ());
+            }
+            let mut out = Vec::new();
+            let mut uid = 0u64;
+            for op in ops {
+                match *op {
+                    Op::Push(f, d) => {
+                        let key = m.key(f, d);
+                        q.push_with(pkt(f, uid), |_| (key, ()));
+                        m.flows[f as usize].push_back((key, uid));
+                        uid += 1;
+                    }
+                    Op::Pop => {
+                        let got = q.pop_min().map(|(p, k, ())| (k, p.uid));
+                        prop_assert_eq!(got, m.pop());
+                        out.extend(got);
+                    }
+                    Op::Batch(n) => {
+                        let mut got = Vec::new();
+                        q.pop_min_batch(n, |p, k, ()| got.push((k, p.uid)));
+                        let want: Vec<_> = (0..n).map_while(|_| m.pop()).collect();
+                        prop_assert_eq!(&got, &want);
+                        out.extend(got);
+                    }
+                    Op::DropFront(f) => {
+                        let got = q.drop_front(FlowId(f)).map(|(p, k, ())| (k, p.uid));
+                        prop_assert_eq!(got, m.flows[f as usize].pop_front());
+                    }
+                    Op::Reset(f) => {
+                        q.force_remove_flow(FlowId(f));
+                        q.upsert_flow(FlowId(f), || ());
+                        m.flows[f as usize].clear();
+                        m.next[f as usize] = 0;
+                    }
+                }
+                prop_assert_eq!(q.len(), m.flows.iter().map(VecDeque::len).sum::<usize>());
+            }
+            // Drained with nothing arriving, departures rise strictly in
+            // `(key, uid)`: equal keys leave in ascending uid order.
+            let drain: Vec<_> = std::iter::from_fn(|| q.pop_min())
+                .map(|(p, k, ())| (k, p.uid))
+                .collect();
+            prop_assert!(drain.windows(2).all(|w| w[0] < w[1]), "{:?}", drain);
+            prop_assert_eq!(&drain, &std::iter::from_fn(|| m.pop()).collect::<Vec<_>>());
+            out.extend(drain);
+            Ok(out)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Keys from a tiny domain: both backends serve the model's
+            /// least `(key, uid)` at every departure, so their sequences
+            /// are identical.
+            #[test]
+            fn equal_keys_leave_in_uid_order_on_both_backends(ops in ops()) {
+                let pooled = run(FifoBackend::Pooled, &ops)?;
+                let owned = run(FifoBackend::Owned, &ops)?;
+                prop_assert_eq!(pooled, owned);
+            }
         }
     }
 }

@@ -23,8 +23,9 @@
 //! binary-not-4-ary, the two constants and the fused operation.
 //!
 //! The pop *order* does not depend on any of this: it is the sorted
-//! order of the elements, and ties (never present in `FlowFifos`, whose
-//! keys embed the packet uid) may come out in any order.
+//! order of the elements, and ties may come out in any order. There are
+//! none in `FlowFifos`, whose entries pair each head's key with its
+//! packet's uid.
 
 use crate::prefetch::prefetch_span;
 

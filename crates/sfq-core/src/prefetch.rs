@@ -30,8 +30,8 @@ const LINE: usize = 64;
 /// to `align` such that every 64-byte line the value overlaps is hit,
 /// wherever the alignment lets it sit: one offset per `LINE` from the
 /// first byte, plus the last byte when the value can straddle one line
-/// more than `size / LINE` rounds to (a 112-byte, 16-aligned slab slot
-/// at line offset 32 covers three lines, not two). Both conditions are
+/// more than `size / LINE` rounds to (a 96-byte, 8-aligned slab slot
+/// at line offset 40 covers three lines, not two). Both conditions are
 /// compile-time constants at every call site.
 #[inline(always)]
 fn for_each_line_offset(size: usize, align: usize, mut touch: impl FnMut(usize)) {
@@ -136,7 +136,7 @@ mod tests {
         assert_eq!(count(128, 64), 2);
         assert_eq!(count(32, 8), 2); // a 32-byte heap entry can straddle
         assert_eq!(count(64, 8), 2); // a flow slot can straddle
-        assert_eq!(count(112, 16), 3); // and so can a slab slot
+        assert_eq!(count(96, 8), 3); // and so can a slab slot
         assert_eq!(count(0, 1), 0);
     }
 

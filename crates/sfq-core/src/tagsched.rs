@@ -320,13 +320,13 @@ impl VtRule for GpsStart {
     }
 }
 
-/// Heap ordering key: the rule's primary tag, then the tie-break key,
-/// then packet uid for full determinism.
+/// Heap ordering key: the rule's primary tag, then the tie-break key.
+/// [`FlowFifos`] breaks the ties left with the packet uid, for full
+/// determinism.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 struct Key<T, X> {
     tag: T,
     tie: X,
-    uid: u64,
 }
 
 /// What tagging a packet takes from its flow: the charging rate `r_f`,
@@ -516,7 +516,7 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
     /// Diagnostic accessor (tests/telemetry): scans the per-flow FIFOs
     /// rather than taxing the enqueue/dequeue hot path with a uid index.
     pub fn tags_of(&self, uid: u64) -> Option<(Ratio, Ratio)> {
-        self.q.find(uid).map(|(key, &meta)| {
+        self.q.find(uid).map(|(key, meta)| {
             let (start, finish) = V::tags(key.tag, meta);
             (self.arith.to_ratio(start), self.arith.to_ratio(finish))
         })
@@ -679,12 +679,7 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
             let finish = A::advance(start, c.rate, c.inc, pkt.len)?;
             let (tag, meta) = V::stamp::<A>(start, finish, ext.rule)?;
             ext.last_finish = finish;
-            let key = Key {
-                tag,
-                tie: c.tie,
-                uid: pkt.uid,
-            };
-            Some((key, meta))
+            Some((Key { tag, tie: c.tie }, meta))
         })?;
         if let Some(tally) = tally {
             tally.add(pkt.len.as_u64(), self.q.len());
@@ -1388,14 +1383,17 @@ mod tests {
     /// (docs/pooling.md): a flow slot is one line's worth, a slab slot
     /// at most three lines, two heap entries one line's worth. A
     /// toolchain that moves them (the alignment of `i128` already did
-    /// once) should fail here, not cost a line silently.
+    /// once) should fail here, not cost a line silently. The packet is
+    /// two thirds of the slab slot: a new field, or an alignment that
+    /// rounds it up, fails on its own line.
     #[test]
     fn sfq_fast_hot_records_have_the_layout_the_look_ahead_is_written_against() {
+        assert_eq!(std::mem::size_of::<Packet>(), 64, "packet");
         assert_eq!(
             sfq_fast_layout(),
             PooledLayout {
                 flow_slot: (64, 8),
-                slab_slot: (112, 16),
+                slab_slot: (96, 8),
                 heap_entry: (32, 8),
             }
         );
