@@ -491,9 +491,10 @@ impl Graph {
     }
 
     /// Schedule a churn fault: force-remove `flow` from the port at
-    /// `node` at time `at`. Stragglers of the flow reaching that port
-    /// afterwards are refused at the graph level. Panics if `node` is
-    /// not a port.
+    /// `node` at time `at`, discarding its queued packets in both of the
+    /// port's classes. Stragglers of the flow reaching that port
+    /// afterwards, scheduled or strict-priority, are refused at the
+    /// graph level. Panics if `node` is not a port.
     pub fn schedule_churn(&mut self, node: usize, flow: FlowId, at: SimTime) {
         Self::port_of(&mut self.nodes, node);
         self.churns.push((at, node, flow));
@@ -610,7 +611,14 @@ impl Graph {
         if priority {
             let port = Self::port_of(&mut self.nodes, entry);
             for &h in &batch {
-                port.offer_priority(now, &mut self.arena, h);
+                // A churned flow's later priority packets are refused
+                // like its scheduled stragglers.
+                if self.removed.contains(&(entry, self.arena.get(h).flow)) {
+                    self.arena.free(h);
+                    self.churn_refused += 1;
+                } else {
+                    port.offer_priority(now, &mut self.arena, h);
+                }
             }
             self.kick(entry, now, q);
         } else {

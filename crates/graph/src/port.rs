@@ -12,8 +12,9 @@
 //! - **eviction** — HeadDrop/pressure policies drop a *previously
 //!   admitted* packet; the switch reports it through its drop
 //!   observer, and the port frees the matching slot;
-//! - **churn** — `force_remove` discards the flow's whole backlog; the
-//!   port frees every remaining slot of that flow.
+//! - **churn** — `force_remove` discards the flow's whole backlog,
+//!   scheduled and strict-priority alike; the port frees every
+//!   remaining slot of that flow.
 //!
 //! A refused arrival never enters the table: its slot is freed on the
 //! spot and the uid recorded in the port's refusal sequence, which is
@@ -199,9 +200,10 @@ impl PortNode {
         self.core.complete(now);
     }
 
-    /// Churn fault: discard the flow's queued backlog, free the
-    /// matching slots, and unregister the flow. Returns the number of
-    /// packets discarded.
+    /// Churn fault: discard the flow's queued backlog in both classes
+    /// (see [`SwitchCore::force_remove_flow`]), free the matching
+    /// slots, and unregister the flow. Returns the number of packets
+    /// discarded.
     pub fn force_remove(&mut self, now: SimTime, arena: &mut PktArena, flow: FlowId) -> usize {
         let dropped = self.core.force_remove_flow(now, flow);
         let mut uids: Vec<u64> = self

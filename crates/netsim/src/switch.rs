@@ -138,15 +138,19 @@ impl SwitchCore {
         self.weights.get(flow).copied()
     }
 
-    /// Force-remove a scheduled flow mid-backlog (the churn fault):
-    /// delegates to [`Scheduler::force_remove_flow`], returning the
-    /// number of queued packets discarded (0 if the discipline does
-    /// not support removal). Any backpressure on the flow is released,
-    /// stamped at `now` — fan-in surfaced that the old zero-argument
-    /// form stamped these observer events at `SimTime::ZERO`, making
-    /// multi-port backpressure timelines regress mid-run.
+    /// Force-remove a flow mid-backlog (the churn fault): discards its
+    /// scheduled backlog through [`Scheduler::force_remove_flow`] (none
+    /// if the discipline does not support removal) and any of its
+    /// packets waiting in the strict-priority FIFO, returning the number
+    /// of queued packets discarded from both classes. Any backpressure
+    /// on the flow is released, stamped at `now` — fan-in surfaced that
+    /// the old zero-argument form stamped these observer events at
+    /// `SimTime::ZERO`, making multi-port backpressure timelines regress
+    /// mid-run.
     pub fn force_remove_flow(&mut self, now: SimTime, flow: FlowId) -> usize {
-        let dropped = self.sched.force_remove_flow(flow);
+        let queued = self.priority.len();
+        self.priority.retain(|p| p.flow != flow);
+        let dropped = queued - self.priority.len() + self.sched.force_remove_flow(flow);
         self.weights.remove(flow);
         self.release_drained(now);
         if self.engaged.remove(flow).is_some() {

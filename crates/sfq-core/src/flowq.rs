@@ -19,8 +19,8 @@
 //! The container is generic over three per-discipline types:
 //!
 //! - `K` — the heap ordering key. Keys need not be unique: the heap
-//!   orders entries by `(K, uid)`, the uid read off the packet the
-//!   record already holds, so equal keys leave in ascending uid order
+//!   orders entries by `(K, uid)`, the uid read off the packet's
+//!   record, so equal keys leave in ascending uid order
 //!   and a stale heap entry is one whose `(K, uid)` is not the flow's
 //!   current head's (uids are never reused),
 //! - `E` — per-flow extension state (weight, `F(p_f^{j-1})`, `d_f` …),
@@ -84,6 +84,7 @@ use crate::packet::{FlowId, Packet};
 use crate::pool::{IdIndex, PoolStats, SlabPool, NIL};
 use crate::prefetch::prefetch_value;
 use crate::sched::SchedError;
+use simtime::{Bytes, SimTime};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
@@ -112,26 +113,35 @@ pub enum FifoBackend {
 /// arrival, so dequeue needs no recomputation. Also the pooled
 /// backend's slab record.
 ///
-/// Packed to 8: `Packet` is 16-aligned (its `SimTime` holds `i128`s),
-/// and at 16 the slab slot — this record plus a 4-byte link — rounds up
-/// to 112 bytes for `SfqFast` where 96 hold it. Fields are therefore
-/// only ever read and written by value, never borrowed.
+/// The packet is stored without its flow id, which the FIFO holding the
+/// record already names (the pooled backend's [`FlowSlot::id`], the
+/// owned backend's map key): [`Entry::packet`] puts it back on every
+/// way out. Its fields are flattened in rather than nested, because a
+/// nested `Packet` keeps its 64 bytes with or without the id.
+///
+/// Packed to 8: `arrival` is 16-aligned (`SimTime` holds `i128`s), and
+/// at 16 the slab slot — this record plus a 4-byte link — rounds up to
+/// 96 bytes for `SfqFast` where 88 hold it. The 16-aligned field is
+/// therefore only ever read and written by value, never borrowed.
 #[derive(Clone, Copy)]
 #[repr(C, packed(8))]
 struct Entry<K, M> {
-    pkt: Packet,
+    seq: u64,
+    len: Bytes,
+    arrival: SimTime,
+    uid: u64,
     key: K,
     meta: M,
 }
 
-/// Shows the packet only: a packed record's fields are read by copy,
-/// and the containers that derive `Debug` do not bound `K` and `M` by
-/// `Copy`.
+/// Shows the packet's uid only: a packed record's fields are read by
+/// copy, and the containers that derive `Debug` do not bound `K` and
+/// `M` by `Copy`.
 impl<K, M> fmt::Debug for Entry<K, M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let pkt = self.pkt;
+        let uid = self.uid;
         f.debug_struct("Entry")
-            .field("pkt", &pkt)
+            .field("uid", &uid)
             .finish_non_exhaustive()
     }
 }
@@ -141,14 +151,46 @@ impl<K, M> fmt::Debug for Entry<K, M> {
 type HeadKey<K> = (K, u64);
 
 impl<K: Copy, M: Copy> Entry<K, M> {
+    /// `pkt`'s record, its flow id left to the FIFO it joins.
+    #[inline(always)]
+    fn new(pkt: Packet, key: K, meta: M) -> Self {
+        Entry {
+            seq: pkt.seq,
+            len: pkt.len,
+            arrival: pkt.arrival,
+            uid: pkt.uid,
+            key,
+            meta,
+        }
+    }
+
+    /// The packet as it entered, given the flow whose FIFO holds it.
+    #[inline(always)]
+    fn packet(&self, flow: FlowId) -> Packet {
+        Packet {
+            flow,
+            seq: self.seq,
+            len: self.len,
+            arrival: self.arrival,
+            uid: self.uid,
+        }
+    }
+
+    /// The packet of `flow`'s FIFO with its key and metadata: what every
+    /// exit hands back.
+    #[inline(always)]
+    fn into_parts(self, flow: FlowId) -> (Packet, K, M) {
+        (self.packet(flow), self.key, self.meta)
+    }
+
     fn head_key(&self) -> HeadKey<K> {
-        (self.key, self.pkt.uid)
+        (self.key, self.uid)
     }
 
     /// Let `f` rewrite the key and metadata, through copies.
-    fn retag(&mut self, f: impl FnOnce(&Packet, &mut K, &mut M)) {
-        let (pkt, mut key, mut meta) = (self.pkt, self.key, self.meta);
-        f(&pkt, &mut key, &mut meta);
+    fn retag(&mut self, f: impl FnOnce(&mut K, &mut M)) {
+        let (mut key, mut meta) = (self.key, self.meta);
+        f(&mut key, &mut meta);
         (self.key, self.meta) = (key, meta);
     }
 }
@@ -182,7 +224,8 @@ struct OwnedFifos<K, E, M> {
 /// slot has `ext == None` and sits on the `free_flows` list.
 ///
 /// Six words and the extension state: 64 bytes for `SfqFast`, one
-/// cache line's worth (pinned by a test in `tagsched.rs`).
+/// cache line's worth (pinned by a test in `tagsched.rs`). `id` is also
+/// the flow of every packet in the FIFO: the records do not repeat it.
 #[derive(Debug)]
 struct FlowSlot<E> {
     id: FlowId,
@@ -442,7 +485,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                     .ok_or(SchedError::UnknownFlow(pkt.flow))?;
                 let (key, meta) = tag(&mut fq.ext).ok_or(SchedError::TagOverflow)?;
                 let was_idle = fq.queue.is_empty();
-                fq.queue.push_back(Entry { pkt, key, meta });
+                fq.queue.push_back(Entry::new(pkt, key, meta));
                 if was_idle {
                     // The flow joins the backlogged set: its head (this
                     // packet) enters the heap. A non-idle flow's head
@@ -482,7 +525,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                     o.heap.push((next.head_key(), flow));
                 }
                 o.queued -= 1;
-                return Some((e.pkt, e.key, e.meta));
+                return Some(e.into_parts(flow));
             },
             Inner::Pooled(p) => p.pop_min(),
         }
@@ -521,7 +564,8 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                     };
                     o.queued -= 1;
                     n += 1;
-                    each(e.pkt, e.key, e.meta);
+                    let (pkt, key, meta) = e.into_parts(flow);
+                    each(pkt, key, meta);
                     // Run path: keep serving this flow while its head
                     // beats the heap top (live entries' `(key, uid)`
                     // are unique, so a strict comparison decides; a
@@ -544,7 +588,8 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                         };
                         o.queued -= 1;
                         n += 1;
-                        each(e.pkt, e.key, e.meta);
+                        let (pkt, key, meta) = e.into_parts(flow);
+                        each(pkt, key, meta);
                     }
                 }
                 n
@@ -596,7 +641,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                 .flows
                 .values()
                 .flat_map(|f| f.queue.iter())
-                .find(|e| e.pkt.uid == uid)
+                .find(|e| e.uid == uid)
                 .map(|e| (e.key, e.meta)),
             Inner::Pooled(p) => {
                 for s in &p.flows {
@@ -606,7 +651,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                     let mut cur = s.head;
                     while cur != NIL {
                         let e = p.slab.val_raw(cur);
-                        if e.pkt.uid == uid {
+                        if e.uid == uid {
                             return Some((e.key, e.meta));
                         }
                         cur = p.slab.link_raw(cur);
@@ -632,7 +677,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                     o.heap.push((next.head_key(), flow));
                 }
                 o.queued -= 1;
-                Some((e.pkt, e.key, e.meta))
+                Some(e.into_parts(flow))
             }
             Inner::Pooled(p) => p.drop_front(flow),
         }
@@ -656,7 +701,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                 heap.rebuild(flows.iter_mut().filter_map(|(&flow, fq)| {
                     ext(&mut fq.ext);
                     for e in fq.queue.iter_mut() {
-                        e.retag(|_, key, meta| entry(key, meta));
+                        e.retag(&mut entry);
                     }
                     fq.queue.front().map(|front| (front.head_key(), flow))
                 }));
@@ -692,7 +737,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                 };
                 ext(&mut fq.ext);
                 for (pos, e) in fq.queue.iter_mut().enumerate() {
-                    retag_at(pos, e, &mut entry);
+                    retag_at(pos, flow, e, &mut entry);
                 }
                 true
             }
@@ -711,7 +756,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                 let mut cur = head;
                 let mut pos = 0usize;
                 while cur != NIL {
-                    retag_at(pos, p.slab.val_mut_raw(cur), &mut entry);
+                    retag_at(pos, flow, p.slab.val_mut_raw(cur), &mut entry);
                     cur = p.slab.link_raw(cur);
                     pos += 1;
                 }
@@ -856,7 +901,7 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
             return Err(SchedError::UnknownFlow(pkt.flow));
         };
         let (key, meta) = tag(ext).ok_or(SchedError::TagOverflow)?;
-        let Some(slot) = self.slab.alloc_raw(Entry { pkt, key, meta }) else {
+        let Some(slot) = self.slab.alloc_raw(Entry::new(pkt, key, meta)) else {
             // can_alloc() above guarantees success; fail closed anyway.
             return Err(SchedError::BufferFull(pkt.flow));
         };
@@ -907,7 +952,7 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
                 }
                 let e = slab.free_raw(head);
                 *queued -= 1;
-                served = Some((e.pkt, e.key, e.meta));
+                served = Some(e.into_parts(s.id));
                 let next_key = s.advance(slab);
                 s.debug_check_second(slab);
                 if next_key.is_none() {
@@ -955,7 +1000,8 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
                     s.debug_check_second(slab);
                     *queued -= 1;
                     n += 1;
-                    each(e.pkt, e.key, e.meta);
+                    let (pkt, key, meta) = e.into_parts(s.id);
+                    each(pkt, key, meta);
                     let Some(next_key) = next_key else {
                         note_drained(gc, s, fidx);
                         return None;
@@ -989,7 +1035,7 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
             None => note_drained(&mut self.gc, s, fidx),
         }
         s.debug_check_second(&self.slab);
-        Some((e.pkt, e.key, e.meta))
+        Some(e.into_parts(flow))
     }
 
     fn retag_all(&mut self, mut entry: impl FnMut(&mut K, &mut M), mut ext_f: impl FnMut(&mut E)) {
@@ -999,7 +1045,7 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
                 ext_f(s.ext.as_mut()?);
                 let mut cur = s.head;
                 while cur != NIL {
-                    slab.val_mut_raw(cur).retag(|_, key, meta| entry(key, meta));
+                    slab.val_mut_raw(cur).retag(&mut entry);
                     cur = slab.link_raw(cur);
                 }
                 (s.head != NIL).then(|| (slab.val_raw(s.head).head_key(), fidx as u32, s.gen))
@@ -1082,15 +1128,17 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
     }
 }
 
-/// [`FlowFifos::retag_flow`]'s step for the packet at `pos`, which
-/// (debug builds check) must keep the head's key.
+/// [`FlowFifos::retag_flow`]'s step for `flow`'s packet at `pos`,
+/// which (debug builds check) must keep the head's key.
 fn retag_at<K: Copy + PartialEq, M: Copy>(
     pos: usize,
+    flow: FlowId,
     e: &mut Entry<K, M>,
     entry: &mut impl FnMut(usize, &Packet, &mut K, &mut M),
 ) {
     let before = e.key;
-    e.retag(|pkt, key, meta| entry(pos, pkt, key, meta));
+    let pkt = e.packet(flow);
+    e.retag(|key, meta| entry(pos, &pkt, key, meta));
     let after = e.key;
     debug_assert!(
         pos > 0 || after == before,
@@ -1353,6 +1401,256 @@ mod tests {
                 last = ka;
             }
             assert!(pushed.is_empty() && rebuilt.is_empty());
+        }
+    }
+
+    /// The record stores a packet without its flow id, and every exit
+    /// puts one back: these check that it is the id the packet entered
+    /// with, and that the other fields come back bit for bit.
+    mod round_trip {
+        use super::*;
+        use proptest::prelude::*;
+        use simtime::Ratio;
+
+        /// Flow ids in play: more than the flows usually registered at
+        /// once, so a released slot is often taken by another id.
+        const IDS: u32 = 6;
+
+        /// What `retag_all` adds to every key.
+        const SHIFT: u64 = 1 << 32;
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            Register(u32),
+            /// Queue a packet: flow, seq, len, and the arrival's stored
+            /// pair (numerator, lattice index).
+            Push(u32, u64, u64, i128, usize),
+            Pop,
+            Batch(usize),
+            DropFront(u32),
+            ForceRemove(u32),
+            RetagAll,
+            RetagFlow(u32),
+            /// A GC step that finds every drained flow safe.
+            Gc,
+        }
+
+        fn ops() -> impl Strategy<Value = Vec<Op>> {
+            let push = (
+                0..IDS,
+                0..u64::MAX,
+                0u64..70_000,
+                -1_000_000i128..1_000_000,
+                0usize..4,
+            )
+                .prop_map(|(f, seq, len, n, d)| Op::Push(f, seq, len, n, d));
+            prop::collection::vec(
+                // The shim's prop_oneof! is unweighted: repeat the
+                // common arms.
+                prop_oneof![
+                    (0..IDS).prop_map(Op::Register),
+                    (0..IDS).prop_map(Op::Register),
+                    push.clone(),
+                    push.clone(),
+                    push,
+                    Just(Op::Pop),
+                    (1usize..6).prop_map(Op::Batch),
+                    (0..IDS).prop_map(Op::DropFront),
+                    (0..IDS).prop_map(Op::ForceRemove),
+                    Just(Op::RetagAll),
+                    (0..IDS).prop_map(Op::RetagFlow),
+                    Just(Op::Gc),
+                ],
+                1..200,
+            )
+        }
+
+        /// An arrival stored on one of four lattices, left unreduced.
+        fn arrival(n: i128, lattice: usize) -> SimTime {
+            match lattice {
+                0 => SimTime::from_nanos(n),
+                1 => SimTime::from_millis(n),
+                2 => SimTime::from_secs(n),
+                _ => SimTime::from_ratio(Ratio::new(n, 7)),
+            }
+        }
+
+        /// The packets queued per flow id (`None` while unregistered),
+        /// and what `retag_all` has added to every key so far: a packet
+        /// is keyed `uid + offset`, with metadata `!uid`.
+        struct Model {
+            flows: Vec<Option<VecDeque<Packet>>>,
+            offset: u64,
+        }
+
+        impl Model {
+            /// The head the container must serve: the least uid.
+            fn pop(&mut self) -> Option<Packet> {
+                let f = (0..self.flows.len())
+                    .filter_map(|f| Some((self.flows[f].as_ref()?.front()?.uid, f)))
+                    .min()?
+                    .1;
+                self.flows[f].as_mut()?.pop_front()
+            }
+
+            fn len(&self) -> usize {
+                self.flows.iter().flatten().map(VecDeque::len).sum()
+            }
+        }
+
+        /// `got` is `want` with the key and metadata it was queued
+        /// under, the arrival stored exactly as it entered.
+        fn check(
+            got: Option<(Packet, u64, u64)>,
+            want: Option<Packet>,
+            offset: u64,
+        ) -> Result<(), TestCaseError> {
+            let got_pkt = got.map(|(p, _, _)| p);
+            prop_assert_eq!(got_pkt, want);
+            if let (Some((p, key, meta)), Some(w)) = (got, want) {
+                prop_assert_eq!(p.arrival.parts(), w.arrival.parts());
+                prop_assert_eq!((key, meta), (w.uid + offset, !w.uid));
+            }
+            Ok(())
+        }
+
+        /// Runs `ops` on one backend against the model; returns the pool
+        /// stats at the end (`None` on the owned backend).
+        fn run(backend: FifoBackend, ops: &[Op]) -> Result<Option<PoolStats>, TestCaseError> {
+            let mut q: FlowFifos<u64, FlowId, u64> = FlowFifos::new_with("t", backend);
+            q.enable_gc();
+            let mut m = Model {
+                flows: vec![None; IDS as usize],
+                offset: 0,
+            };
+            let mut uid = 0u64;
+            for op in ops {
+                match *op {
+                    Op::Register(f) => {
+                        let id = FlowId(f);
+                        prop_assert_eq!(*q.upsert_flow(id, || id), id);
+                        m.flows[f as usize].get_or_insert_with(VecDeque::new);
+                    }
+                    Op::Push(f, seq, len, n, lattice) => {
+                        let pkt = Packet {
+                            flow: FlowId(f),
+                            seq,
+                            len: Bytes::new(len),
+                            arrival: arrival(n, lattice),
+                            uid,
+                        };
+                        let (key, meta) = (uid + m.offset, !uid);
+                        let got = q.try_push_with(pkt, |ext| {
+                            assert_eq!(*ext, FlowId(f), "pushed into another flow's slot");
+                            Some((key, meta))
+                        });
+                        match m.flows[f as usize].as_mut() {
+                            Some(fifo) => {
+                                prop_assert_eq!(got, Ok((key, meta)));
+                                fifo.push_back(pkt);
+                                uid += 1;
+                            }
+                            None => prop_assert_eq!(got, Err(SchedError::UnknownFlow(FlowId(f)))),
+                        }
+                    }
+                    Op::Pop => check(q.pop_min(), m.pop(), m.offset)?,
+                    Op::Batch(n) => {
+                        let mut got = Vec::new();
+                        q.pop_min_batch(n, |p, k, meta| got.push((p, k, meta)));
+                        let want: Vec<_> = (0..n).map_while(|_| m.pop()).collect();
+                        prop_assert_eq!(got.len(), want.len());
+                        for (g, w) in got.into_iter().zip(want) {
+                            check(Some(g), Some(w), m.offset)?;
+                        }
+                    }
+                    Op::DropFront(f) => {
+                        let want = m.flows[f as usize].as_mut().and_then(VecDeque::pop_front);
+                        check(q.drop_front(FlowId(f)), want, m.offset)?;
+                    }
+                    Op::ForceRemove(f) => {
+                        let want = m.flows[f as usize].take().map(|fifo| fifo.len());
+                        prop_assert_eq!(q.force_remove_flow(FlowId(f)), want);
+                    }
+                    Op::RetagAll => {
+                        m.offset += SHIFT;
+                        q.retag_all(|key, _| *key += SHIFT, |_| ());
+                    }
+                    Op::RetagFlow(f) => {
+                        let mut seen = Vec::new();
+                        let known = q.retag_flow(FlowId(f), |_, p, _, _| seen.push(*p), |_| ());
+                        let want = m.flows[f as usize].as_ref();
+                        prop_assert_eq!(known, want.is_some());
+                        let want: Vec<_> = want.into_iter().flatten().copied().collect();
+                        prop_assert_eq!(&seen, &want);
+                        for (s, w) in seen.iter().zip(&want) {
+                            prop_assert_eq!(s.arrival.parts(), w.arrival.parts());
+                        }
+                    }
+                    Op::Gc => {
+                        q.gc_step(IDS as usize, |_| true);
+                        for f in 0..IDS {
+                            if q.ext(FlowId(f)).is_none() {
+                                let fifo = m.flows[f as usize].take();
+                                prop_assert!(
+                                    fifo.is_none_or(|q| q.is_empty()),
+                                    "GC took a backlogged flow"
+                                );
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(q.len(), m.len());
+            }
+            let drain: Vec<_> = std::iter::from_fn(|| q.pop_min()).collect();
+            let want: Vec<_> = std::iter::from_fn(|| m.pop()).collect();
+            prop_assert_eq!(drain.len(), want.len());
+            for (g, w) in drain.into_iter().zip(want) {
+                check(Some(g), Some(w), m.offset)?;
+            }
+            Ok(q.pool_stats())
+        }
+
+        /// A flow force-removed, and one reclaimed by GC, each leave a
+        /// slot that a different flow id takes next: its packets leave
+        /// under their own id, not the slot's previous occupant's.
+        #[test]
+        fn a_reused_slot_hands_out_its_new_flow_id() {
+            let push = |f, uid: i128| Op::Push(f, 7, 100, uid, 1);
+            let ops = [
+                Op::Register(1),
+                push(1, 0),
+                push(1, 1),
+                Op::ForceRemove(1),
+                Op::Register(2),
+                push(2, 2),
+                Op::Pop,
+                Op::Gc,
+                Op::Register(3),
+                push(3, 3),
+                push(3, 4),
+                Op::RetagFlow(3),
+                Op::Batch(2),
+            ];
+            for backend in [FifoBackend::Pooled, FifoBackend::Owned] {
+                let stats = run(backend, &ops).expect("round trip");
+                if let Some(st) = stats {
+                    assert_eq!((st.flow_slots, st.flows_reclaimed), (1, 1), "{st:?}");
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Every packet leaves — served one at a time or in a batch,
+            /// head-dropped, or seen by a retag — with exactly the flow,
+            /// seq, len, arrival and uid it entered with, on both
+            /// backends, through force-removals, GC and slot reuse.
+            #[test]
+            fn packets_leave_as_they_entered_on_both_backends(ops in ops()) {
+                run(FifoBackend::Pooled, &ops)?;
+                run(FifoBackend::Owned, &ops)?;
+            }
         }
     }
 

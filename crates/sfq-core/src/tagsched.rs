@@ -1380,12 +1380,12 @@ mod tests {
     use simtime::Bytes;
 
     /// The dequeue look-ahead is written against these numbers
-    /// (docs/pooling.md): a flow slot is one line's worth, a slab slot
-    /// at most three lines, two heap entries one line's worth. A
-    /// toolchain that moves them (the alignment of `i128` already did
-    /// once) should fail here, not cost a line silently. The packet is
-    /// two thirds of the slab slot: a new field, or an alignment that
-    /// rounds it up, fails on its own line.
+    /// (docs/pooling.md): a flow slot is a line's worth, a slab slot at
+    /// most three lines, two heap entries a line's worth. A toolchain
+    /// that moves them (the alignment of `i128` already did once)
+    /// should fail here, not cost a line silently. The slab slot holds
+    /// a packet without its flow id: a new packet field, or an
+    /// alignment that rounds the packet up, fails on its own line.
     #[test]
     fn sfq_fast_hot_records_have_the_layout_the_look_ahead_is_written_against() {
         assert_eq!(std::mem::size_of::<Packet>(), 64, "packet");
@@ -1393,7 +1393,7 @@ mod tests {
             sfq_fast_layout(),
             PooledLayout {
                 flow_slot: (64, 8),
-                slab_slot: (96, 8),
+                slab_slot: (88, 8),
                 heap_entry: (32, 8),
             }
         );

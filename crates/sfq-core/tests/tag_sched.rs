@@ -18,9 +18,10 @@
 use proptest::prelude::*;
 use sfq_core::obs::{NoopObserver, SchedEvent, SchedObserver};
 use sfq_core::{
-    Deadline, Exact, FinishClock, Fixed, FlowId, Fqs, GpsFinish, GpsStart, Packet, PacketFactory,
-    ScfqFast, SchedError, Scheduler, Sfq, SfqFast, StartClock, TagArith, TagSched, TelemetrySink,
-    TieBreak, VtClock, VtRule, WallClock, Wfq, MAX_REBASE_BITS, MAX_SHIFT,
+    Deadline, Exact, FifoBackend, FinishClock, Fixed, FlowId, Fqs, GpsFinish, GpsStart, Packet,
+    PacketFactory, ScfqFast, SchedError, Scheduler, Sfq, SfqFast, StartClock, TagArith, TagSched,
+    TelemetrySink, TieBreak, VtClock, VtRule, WallClock, Wfq, DEFAULT_SHIFT, MAX_REBASE_BITS,
+    MAX_SHIFT,
 };
 use simtime::{Bytes, Rate, Ratio, SimTime};
 use std::cmp::Reverse;
@@ -766,7 +767,9 @@ fn per_flow_finish_chain_increases<A: TagArith, V: Fresh<A>>(
 /// heap holding *every* queued packet, with the same Eq. 4/5 tag
 /// recurrence and the same (start, tie, uid) ordering key. Kept as a
 /// test oracle: the head-of-flow `Sfq` must reproduce its dequeue
-/// sequence bit for bit.
+/// sequence bit for bit. Every key carries the tie key of the rate its
+/// packet was charged at, computed when the key is: at arrival, or when
+/// the tag-rewrite rule restamps it.
 struct GlobalHeapSfq {
     flows: HashMap<FlowId, (Rate, Ratio)>,
     heap: BinaryHeap<Reverse<(OracleKey, OraclePkt)>>,
@@ -811,26 +814,66 @@ impl GlobalHeapSfq {
         }
     }
 
+    /// Register `flow`, or re-register it at `weight` keeping its tag
+    /// chain.
     fn add_flow(&mut self, flow: FlowId, weight: Rate) {
-        self.flows.insert(flow, (weight, Ratio::ZERO));
+        self.flows.entry(flow).or_insert((weight, Ratio::ZERO)).0 = weight;
     }
 
     fn enqueue(&mut self, pkt: Packet) {
+        let weight = self.flows[&pkt.flow].0;
+        self.enqueue_with_rate(pkt, weight);
+    }
+
+    /// Eq. 36: `pkt` charged at `rate` for its finish tag and its tie
+    /// key, whatever its flow's weight.
+    fn enqueue_with_rate(&mut self, pkt: Packet, rate: Rate) {
         let v_now = self.in_service.unwrap_or(self.v).snap_pico();
-        let (weight, last_finish) = self.flows[&pkt.flow];
+        let last_finish = self.flows[&pkt.flow].1;
         let start = v_now.max(last_finish);
-        let finish = start + weight.tag_span(pkt.len);
+        let finish = start + rate.tag_span(pkt.len);
         self.flows.get_mut(&pkt.flow).unwrap().1 = finish;
-        let key = (start, self.tie.key(weight), pkt.uid);
+        let key = (start, self.tie.key(rate), pkt.uid);
         self.heap.push(Reverse((key, OraclePkt { pkt, finish })));
     }
 
+    /// The tag-rewrite rule of `Scheduler::try_set_weight`: every queued
+    /// packet of `flow` behind its head is restamped at `weight` —
+    /// `S_j := F_{j-1}`, `F_j := S_j + l_j / weight`, tie key at
+    /// `weight` — and the flow's last finish tag becomes the tail's.
+    fn set_weight(&mut self, flow: FlowId, weight: Rate) {
+        let mut all = std::mem::take(&mut self.heap).into_vec();
+        let mut mine: Vec<_> = all
+            .iter_mut()
+            .map(|Reverse(entry)| entry)
+            .filter(|(_, rec)| rec.pkt.flow == flow)
+            .collect();
+        mine.sort_by_key(|(_, rec)| rec.pkt.uid);
+        if let Some(((_, head), rest)) = mine.split_first_mut() {
+            let mut prev = head.finish;
+            for (key, rec) in rest.iter_mut() {
+                let finish = prev + weight.tag_span(rec.pkt.len);
+                *key = (prev, self.tie.key(weight), rec.pkt.uid);
+                rec.finish = finish;
+                prev = finish;
+            }
+            self.flows.get_mut(&flow).unwrap().1 = prev;
+        }
+        self.flows.get_mut(&flow).unwrap().0 = weight;
+        self.heap = all.into();
+    }
+
     fn dequeue(&mut self) -> Option<Packet> {
+        self.dequeue_tagged().map(|(pkt, ..)| pkt)
+    }
+
+    /// The next packet with its start and finish tags.
+    fn dequeue_tagged(&mut self) -> Option<(Packet, Ratio, Ratio)> {
         let Reverse(((start, _, _), rec)) = self.heap.pop()?;
         self.in_service = Some(start);
         self.v = start;
         self.max_finish_served = self.max_finish_served.max(rec.finish);
-        Some(rec.pkt)
+        Some((rec.pkt, start, rec.finish))
     }
 
     fn on_departure(&mut self) {
@@ -838,6 +881,20 @@ impl GlobalHeapSfq {
         if self.heap.is_empty() {
             self.v = self.max_finish_served;
         }
+    }
+
+    /// Serve and complete up to `n` packets, returning them as `(uid,
+    /// start tag, finish tag)`.
+    fn serve(&mut self, n: usize) -> Vec<(u64, Ratio, Ratio)> {
+        let mut out = Vec::new();
+        while out.len() < n {
+            let Some((p, start, finish)) = self.dequeue_tagged() else {
+                break;
+            };
+            self.on_departure();
+            out.push((p.uid, start, finish));
+        }
+        out
     }
 }
 
@@ -917,6 +974,159 @@ proptest! {
             let backlogged =
                 (0..4u32).filter(|&f| fast.backlog(FlowId(f)) > 0).count();
             prop_assert_eq!(fast.head_heap_len(), backlogged);
+        }
+    }
+}
+
+/// What tie keys are made of: the rate a packet is charged at, which
+/// registration, re-registration, `try_set_weight` and Eq. 36's
+/// per-packet rate each set.
+#[derive(Clone, Debug)]
+enum RateOp {
+    /// Enqueue (flow index, length in 128-byte units).
+    Enq(u8, u64),
+    /// Enqueue charged at `2^w` bit/s (`Sfq::enqueue_with_rate`).
+    EnqAt(u8, u64, u32),
+    /// Reweigh to `2^w` bit/s through the tag-rewrite rule.
+    SetWeight(u8, u32),
+    /// Register again at `2^w` bit/s, keeping the tag chain.
+    Reregister(u8, u32),
+    /// Dequeue one packet and complete its transmission.
+    Deq,
+    /// Dequeue up to this many through `dequeue_batch`.
+    DeqBatch(usize),
+}
+
+/// Rates are powers of two and lengths multiples of 128 bytes, so the
+/// fixed-point scheduler's tags equal the oracle's exact ones.
+fn rate_ops() -> impl Strategy<Value = Vec<RateOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            (0u8..4, 1u64..12).prop_map(|(f, k)| RateOp::Enq(f, k)),
+            (0u8..4, 1u64..12).prop_map(|(f, k)| RateOp::Enq(f, k)),
+            (0u8..4, 1u64..12, 10u32..14).prop_map(|(f, k, w)| RateOp::EnqAt(f, k, w)),
+            (0u8..4, 10u32..14).prop_map(|(f, w)| RateOp::SetWeight(f, w)),
+            (0u8..4, 10u32..14).prop_map(|(f, w)| RateOp::Reregister(f, w)),
+            Just(RateOp::Deq),
+            Just(RateOp::Deq),
+            (1usize..5).prop_map(RateOp::DeqBatch),
+        ],
+        1..150,
+    )
+}
+
+/// Departures as `(uid, start tag, finish tag)`.
+#[derive(Debug, Default)]
+struct Departures(Vec<(u64, Ratio, Ratio)>);
+
+impl SchedObserver for Departures {
+    fn on_dequeue(&mut self, ev: &SchedEvent) {
+        self.0.push((ev.uid, ev.start_tag, ev.finish_tag));
+    }
+}
+
+/// Drive `s` and the global-heap oracle through `ops`, serving `EnqAt`
+/// through `enq_at`; after every op the departures so far must match the
+/// oracle's. Returns the oracle's departures with their tags.
+fn against_global_heap<A: TagArith>(
+    s: &mut TagSched<A, StartClock, Departures>,
+    tie: TieBreak,
+    ops: &[RateOp],
+    mut enq_at: impl FnMut(&mut TagSched<A, StartClock, Departures>, Packet, Rate),
+) -> Result<Vec<(u64, Ratio, Ratio)>, TestCaseError> {
+    let mut oracle = GlobalHeapSfq::new(tie);
+    for f in 0..4u32 {
+        let w = Rate::bps(1 << (10 + f));
+        s.add_flow(FlowId(f), w);
+        oracle.add_flow(FlowId(f), w);
+    }
+    let mut pf = PacketFactory::new();
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for op in ops {
+        match *op {
+            RateOp::Enq(f, k) => {
+                let p = pkt(&mut pf, f.into(), 128 * k);
+                s.enqueue(T0, p);
+                oracle.enqueue(p);
+            }
+            RateOp::EnqAt(f, k, w) => {
+                let p = pkt(&mut pf, f.into(), 128 * k);
+                enq_at(s, p, Rate::bps(1 << w));
+                oracle.enqueue_with_rate(p, Rate::bps(1 << w));
+            }
+            RateOp::SetWeight(f, w) => {
+                let flow = FlowId(f.into());
+                prop_assert_eq!(s.try_set_weight(flow, Rate::bps(1 << w)), Ok(()));
+                oracle.set_weight(flow, Rate::bps(1 << w));
+            }
+            RateOp::Reregister(f, w) => {
+                s.add_flow(FlowId(f.into()), Rate::bps(1 << w));
+                oracle.add_flow(FlowId(f.into()), Rate::bps(1 << w));
+            }
+            RateOp::Deq => {
+                got.extend(s.dequeue(T0).map(|p| p.uid));
+                s.on_departure(T0);
+                want.extend(oracle.serve(1));
+            }
+            RateOp::DeqBatch(n) => {
+                let mut out = Vec::new();
+                s.dequeue_batch(T0, n, &mut out);
+                got.extend(out.iter().map(|p| p.uid));
+                want.extend(oracle.serve(n));
+            }
+        }
+        let want_uids: Vec<u64> = want.iter().map(|d| d.0).collect();
+        prop_assert_eq!(
+            &got,
+            &want_uids,
+            "departures diverged from the global-heap oracle"
+        );
+    }
+    while let Some(p) = s.dequeue(T0) {
+        s.on_departure(T0);
+        got.push(p.uid);
+    }
+    want.extend(oracle.serve(usize::MAX));
+    let want_uids: Vec<u64> = want.iter().map(|d| d.0).collect();
+    prop_assert_eq!(&got, &want_uids, "drains diverged");
+    Ok(want)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A packet's tie key is that of the rate it is charged at: under
+    /// every tie-break rule, with reweighing (the tag rewrite restamps
+    /// ties), re-registration (later arrivals tie at the new rate,
+    /// queued ones keep theirs) and Eq. 36's per-packet rate in the mix,
+    /// `Sfq` and `SfqFast` on both backends serve the global-heap
+    /// oracle's order and report its tags. `SfqFast` has no per-packet
+    /// rate: its runs leave `EnqAt` out.
+    #[test]
+    fn tie_keys_follow_the_charged_rate_through_rate_changes(
+        ops in rate_ops(),
+        tie_sel in 0u8..3,
+    ) {
+        let tie = match tie_sel {
+            0 => TieBreak::Fifo,
+            1 => TieBreak::LowWeightFirst,
+            _ => TieBreak::HighWeightFirst,
+        };
+        let fixed_ops: Vec<RateOp> =
+            ops.iter().filter(|op| !matches!(op, RateOp::EnqAt(..))).cloned().collect();
+        for backend in [FifoBackend::Pooled, FifoBackend::Owned] {
+            let mut exact = Sfq::with_parts(tie, Departures::default(), backend);
+            let want = against_global_heap(&mut exact, tie, &ops, |s, p, r| {
+                s.enqueue_with_rate(T0, p, r)
+            })?;
+            prop_assert_eq!(&exact.observer().0, &want, "Sfq tags, {:?}", backend);
+
+            let mut fixed = SfqFast::with_parts(tie, DEFAULT_SHIFT, Departures::default(), backend)
+                .expect("default shift");
+            let want = against_global_heap(&mut fixed, tie, &fixed_ops, |_, _, _| {
+                unreachable!("no per-packet rate on SfqFast")
+            })?;
+            prop_assert_eq!(&fixed.observer().0, &want, "SfqFast tags, {:?}", backend);
         }
     }
 }

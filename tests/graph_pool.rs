@@ -73,6 +73,28 @@ fn churn_mid_overload_frees_every_slot() {
     }
 }
 
+/// Churning a strict-priority flow: its packets still waiting in the
+/// port's priority FIFO are discarded with its scheduled backlog, and
+/// its priority arrivals after the churn are refused. 10 × 125 B at
+/// t = 0 over an 8 kb/s link leave one per 125 ms, so at 300 ms three
+/// have left or are on the wire and seven wait; two more arrive at 1 s.
+/// Every packet is delivered, discarded or refused exactly once, no
+/// packet leaves the switch without its slot, and the arena balances.
+#[test]
+fn churning_a_priority_flow_discards_its_queue_and_refuses_stragglers() {
+    let mut g = incast_spec(DropPolicy::TailDrop).build(PortKind::Sfq);
+    let mut arrivals = burst(10, 125);
+    arrivals.extend([(SimTime::from_secs(1), Bytes::new(125)); 2]);
+    g.add_priority_source(4, FlowId(9), &arrivals);
+    g.schedule_churn(4, FlowId(9), SimTime::from_millis(300));
+    let r = g.run(SimTime::from_secs(600));
+    let delivered: u64 = r.sink_departures.iter().map(|(_, d)| d.len() as u64).sum();
+    assert_eq!(r.port_strays, 0, "packets left the switch without a slot");
+    assert_eq!((delivered, r.churn_discarded, r.churn_refused), (3, 7, 2));
+    assert_eq!(r.audit.in_use, 0, "leaked slots");
+    assert!(r.audit.balanced(), "{:?}", r.audit);
+}
+
 /// A slot-capped arena refuses injections while full, then recovers as
 /// the sink's lane returns slots; refusals are counted, not leaked.
 #[test]
