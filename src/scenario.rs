@@ -131,7 +131,7 @@ fn err(line: usize, msg: impl Into<String>) -> ParseError {
     }
 }
 
-/// Parse `12mbps` / `64kbps` / `800bps`.
+/// Parse `12mbps` / `64kbps` / `800bps`; `None` past `u64::MAX` b/s.
 pub fn parse_rate(s: &str) -> Option<Rate> {
     let lower = s.to_ascii_lowercase();
     let (num, mult) = if let Some(v) = lower.strip_suffix("mbps") {
@@ -143,20 +143,21 @@ pub fn parse_rate(s: &str) -> Option<Rate> {
     } else {
         return None;
     };
-    num.parse::<u64>().ok().map(|v| Rate::bps(v * mult))
+    num.parse::<u64>().ok()?.checked_mul(mult).map(Rate::bps)
 }
 
-/// Parse `10s` / `500ms` / `25us`.
+/// Parse `10s` / `500ms` / `25us`; `None` for a negative duration.
 pub fn parse_duration(s: &str) -> Option<SimDuration> {
     let lower = s.to_ascii_lowercase();
+    let whole = |v: &str| v.parse::<u64>().ok().map(i128::from);
     if let Some(v) = lower.strip_suffix("ms") {
-        return v.parse::<i128>().ok().map(SimDuration::from_millis);
+        return whole(v).map(SimDuration::from_millis);
     }
     if let Some(v) = lower.strip_suffix("us") {
-        return v.parse::<i128>().ok().map(SimDuration::from_micros);
+        return whole(v).map(SimDuration::from_micros);
     }
     if let Some(v) = lower.strip_suffix('s') {
-        return v.parse::<i128>().ok().map(SimDuration::from_secs);
+        return whole(v).map(SimDuration::from_secs);
     }
     None
 }
@@ -182,6 +183,33 @@ fn get<'m>(
         .ok_or_else(|| err(line, format!("missing `{key}=`")))
 }
 
+/// A `key=<rate>` entry. Every rate in a scenario divides a length
+/// (a link's or a flow's transmission time, a tag span, a source's
+/// spacing), so zero is refused here rather than by a panic later.
+fn rate_of(map: &HashMap<String, String>, key: &str, line: usize) -> Result<Rate, ParseError> {
+    match parse_rate(get(map, key, line)?) {
+        Some(r) if r.as_bps() > 0 => Ok(r),
+        Some(_) => Err(err(line, format!("{key} must be positive"))),
+        None => Err(err(line, format!("bad {key}"))),
+    }
+}
+
+/// A `key=<duration>` entry, positive when `positive` is set.
+fn duration_of(
+    map: &HashMap<String, String>,
+    key: &str,
+    line: usize,
+    positive: bool,
+) -> Result<SimDuration, ParseError> {
+    match parse_duration(get(map, key, line)?) {
+        Some(d) if positive && d == SimDuration::ZERO => {
+            Err(err(line, format!("{key} must be positive")))
+        }
+        Some(d) => Ok(d),
+        None => Err(err(line, format!("bad {key}"))),
+    }
+}
+
 impl Scenario {
     /// Parse a scenario file's contents.
     pub fn parse(text: &str) -> Result<Scenario, ParseError> {
@@ -189,6 +217,7 @@ impl Scenario {
         let mut fc_delta_bits = 0u64;
         let mut sched = None;
         let mut flows = Vec::new();
+        let mut flow_lines = HashMap::new();
         let mut horizon = None;
         for (i, raw) in text.lines().enumerate() {
             let line_no = i + 1;
@@ -202,10 +231,7 @@ impl Scenario {
             match directive {
                 "link" => {
                     let map = kv_map(&rest, line_no)?;
-                    link = Some(
-                        parse_rate(get(&map, "rate", line_no)?)
-                            .ok_or_else(|| err(line_no, "bad rate"))?,
-                    );
+                    link = Some(rate_of(&map, "rate", line_no)?);
                     if let Some(d) = map.get("fc_delta_bits") {
                         fc_delta_bits = d.parse().map_err(|_| err(line_no, "bad fc_delta_bits"))?;
                     }
@@ -221,18 +247,25 @@ impl Scenario {
                     let id: u32 = get(&map, "id", line_no)?
                         .parse()
                         .map_err(|_| err(line_no, "bad id"))?;
-                    let weight = parse_rate(get(&map, "weight", line_no)?)
-                        .ok_or_else(|| err(line_no, "bad weight"))?;
+                    if let Some(first) = flow_lines.insert(id, line_no) {
+                        return Err(err(
+                            line_no,
+                            format!("flow id {id} already defined on line {first}"),
+                        ));
+                    }
+                    let weight = rate_of(&map, "weight", line_no)?;
                     let deadline = match map.get("deadline") {
-                        Some(d) => parse_duration(d).ok_or_else(|| err(line_no, "bad deadline"))?,
+                        Some(_) => duration_of(&map, "deadline", line_no, false)?,
                         None => SimDuration::from_millis(100),
                     };
+                    // At least one byte, and few enough that its bit count
+                    // fits a `u64`.
                     let len = || -> Result<Bytes, ParseError> {
-                        Ok(Bytes::new(
-                            get(&map, "len", line_no)?
-                                .parse()
-                                .map_err(|_| err(line_no, "bad len"))?,
-                        ))
+                        match get(&map, "len", line_no)?.parse::<u32>() {
+                            Ok(0) => Err(err(line_no, "len must be positive")),
+                            Ok(n) => Ok(Bytes::new(u64::from(n))),
+                            Err(_) => Err(err(line_no, "bad len")),
+                        }
                     };
                     let seed = || -> Result<u64, ParseError> {
                         Ok(match map.get("seed") {
@@ -242,13 +275,11 @@ impl Scenario {
                     };
                     let source = match get(&map, "source", line_no)? {
                         "cbr" => SourceDef::Cbr {
-                            rate: parse_rate(get(&map, "rate", line_no)?)
-                                .ok_or_else(|| err(line_no, "bad rate"))?,
+                            rate: rate_of(&map, "rate", line_no)?,
                             len: len()?,
                         },
                         "poisson" => SourceDef::Poisson {
-                            rate: parse_rate(get(&map, "rate", line_no)?)
-                                .ok_or_else(|| err(line_no, "bad rate"))?,
+                            rate: rate_of(&map, "rate", line_no)?,
                             len: len()?,
                             seed: seed()?,
                         },
@@ -259,24 +290,18 @@ impl Scenario {
                             len: len()?,
                             at: SimTime::ZERO
                                 + match map.get("at") {
-                                    Some(a) => {
-                                        parse_duration(a).ok_or_else(|| err(line_no, "bad at"))?
-                                    }
+                                    Some(_) => duration_of(&map, "at", line_no, false)?,
                                     None => SimDuration::ZERO,
                                 },
                         },
                         "onoff" => SourceDef::OnOff {
-                            on: parse_duration(get(&map, "on", line_no)?)
-                                .ok_or_else(|| err(line_no, "bad on"))?,
-                            off: parse_duration(get(&map, "off", line_no)?)
-                                .ok_or_else(|| err(line_no, "bad off"))?,
-                            interval: parse_duration(get(&map, "interval", line_no)?)
-                                .ok_or_else(|| err(line_no, "bad interval"))?,
+                            on: duration_of(&map, "on", line_no, true)?,
+                            off: duration_of(&map, "off", line_no, false)?,
+                            interval: duration_of(&map, "interval", line_no, true)?,
                             len: len()?,
                         },
                         "vbr" => SourceDef::Vbr {
-                            rate: parse_rate(get(&map, "rate", line_no)?)
-                                .ok_or_else(|| err(line_no, "bad rate"))?,
+                            rate: rate_of(&map, "rate", line_no)?,
                             len: len()?,
                             seed: seed()?,
                         },
@@ -458,6 +483,43 @@ horizon 10s
         let bad =
             "link rate=1mbps\nsched sfq\nflow id=1 weight=1kbps source=warp len=1\nhorizon 1s\n";
         assert!(Scenario::parse(bad).unwrap_err().msg.contains("warp"));
+    }
+
+    #[test]
+    fn inputs_that_would_panic_are_parse_errors() {
+        // Each of these panicked, looped or counted a flow twice once past
+        // `parse`.
+        let rejected = |text: &str| Scenario::parse(&format!("{text}horizon 1s\n")).unwrap_err();
+        // A flow line's arguments -> the error on that line, the third.
+        for case in [
+            "weight=0bps source=burst count=1 len=1 -> weight must be positive",
+            "weight=1kbps source=cbr rate=1kbps len=0 -> len must be positive",
+            "weight=1kbps source=cbr rate=0bps len=1 -> rate must be positive",
+            "weight=1kbps source=poisson rate=0bps len=1 -> rate must be positive",
+            "weight=1kbps source=poisson rate=1kbps len=0 -> len must be positive",
+            "weight=1kbps source=burst count=1 len=0 -> len must be positive",
+            "weight=1kbps source=burst count=1 len=1 at=-1s -> bad at",
+            "weight=1kbps source=burst count=1 len=1 deadline=-1s -> bad deadline",
+            "weight=1kbps source=vbr rate=0bps len=1 -> rate must be positive",
+            "weight=1kbps source=vbr rate=1kbps len=0 -> len must be positive",
+            "weight=1kbps source=vbr rate=1kbps len=4294967296 -> bad len",
+            "weight=1kbps source=onoff on=1s off=0s interval=0s len=1 -> interval must be positive",
+            "weight=1kbps source=onoff on=0s off=0s interval=1s len=1 -> on must be positive",
+            "weight=1kbps source=onoff on=1s off=-1s interval=1s len=1 -> bad off",
+        ] {
+            let (args, msg) = case.split_once(" -> ").expect("a case");
+            let e = rejected(&format!("link rate=1mbps\nsched sfq\nflow id=1 {args}\n"));
+            assert_eq!(e, err(3, msg), "{args}");
+        }
+        let e = rejected("link rate=0bps\nsched sfq\n");
+        assert_eq!(e, err(1, "rate must be positive"));
+        let e = rejected("link rate=20000000000000mbps\nsched sfq\n");
+        assert_eq!(e, err(1, "bad rate"));
+        let twice = "flow id=1 weight=1kbps source=burst count=1 len=1\n".repeat(2);
+        for sched in ["sfq", "hsfq"] {
+            let e = rejected(&format!("link rate=1mbps\nsched {sched}\n{twice}"));
+            assert_eq!(e, err(4, "flow id 1 already defined on line 3"));
+        }
     }
 
     #[test]
