@@ -134,7 +134,7 @@ fn main() {
             let f = FlowId(i % FLOWS as u32);
             i = i.wrapping_add(1);
             eng.try_ingest(pf.make(f, Bytes::new(PKT), now))
-                .expect("ring sized for the backlog");
+                .expect("backlog bound sized for the backlog");
         }
         out.clear();
         // Drain slightly under the offered rate while the backlog is

@@ -11,19 +11,19 @@
 //! oracles judge the run:
 //!
 //! 1. **One shard is the leaf.** The schedule replayed on a one-shard
-//!    engine (same batch, same ring capacity) must depart and refuse
+//!    engine (same batch, same backlog bound) must depart and refuse
 //!    exactly as a bare `Sfq` driven by hand ([`leaf_model`]): with one
 //!    class the root arbiter has nothing to decide, so all the engine
-//!    may add is the ring's deferral and the pending-count refusal.
+//!    may add is the backlog-bound refusal and the batch loop. The
+//!    model buffers ingests and stamps them at the next pump or drain,
+//!    which the engine does not, so this also checks that Eq. 4's tags
+//!    do not depend on when a packet is stamped between two dequeues.
 //! 2. **Pump placement is invisible.** At the seeded shard count, the
 //!    schedule as generated, the schedule with every [`Op::Pump`]
-//!    stripped, and the schedule with a pump after every ingest (what
-//!    the `Scheduler` facade does) must give equal departures and
-//!    refusals: Eq. 4 stamps against the virtual time, which moves only
-//!    at dequeues, and every drain pumps first. This holds on the
-//!    ingest / pump / drain alphabet only — a `SetWeight` or a
-//!    `DropHead` legitimately treats ring residue and queued packets
-//!    differently — so `chaos` and `telemetry` do not assert it.
+//!    stripped, and the schedule with a pump after every ingest must
+//!    give equal departures and refusals. Since `try_ingest` schedules
+//!    each packet at once, `pump` is a no-op and this holds trivially;
+//!    the oracle stays as a guard against a deferral coming back.
 //!
 //! The schedule executor ([`replay`]) runs a list of [`Op`]s and
 //! returns a [`Trace`]; the `chaos` and `telemetry` presets and the
@@ -203,13 +203,14 @@ pub fn diff(oracle: &Trace, got: &Trace) -> Result<(), String> {
     check("departure", &oracle.departures, &got.departures)
 }
 
-/// What a one-shard engine with `cfg`'s batch and ring capacity must do
+/// What a one-shard engine with `cfg`'s batch and backlog bound must do
 /// with an ingest / pump / drain schedule, written without the engine:
-/// a bare `Sfq` (rebasing as the engine enables it), a buffer standing
-/// in for the ring, and the pending-count refusal. An ingest is
-/// buffered unless `pending` has reached the ring capacity; a pump is
+/// a bare `Sfq` (rebasing as the engine enables it), a buffer of
+/// accepted, not yet stamped packets, and the pending-count refusal. An
+/// ingest is buffered unless `pending` has reached the bound; a pump is
 /// one `try_enqueue_batch` of the buffer; a drain of `max` pumps, then
-/// takes `dequeue_batch` chunks of `min(batch, left)`.
+/// takes `dequeue_batch` chunks of `min(batch, left)`. The deferral is
+/// the model's own: the engine stamps each packet as it accepts it.
 fn leaf_model(
     cfg: EngineConfig,
     flows: &[(FlowId, Rate)],

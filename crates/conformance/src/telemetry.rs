@@ -302,9 +302,8 @@ pub fn run_telemetry_conformance(sc: &Scenario) -> Result<TelemetryOutcome, Stri
 
     // Derive the operational schedule: ingest chunks interleaved with
     // pumps, partial drains, and flow churn. Every removal is preceded
-    // by a `Pump`, as this schedule always was (forced removal folds
-    // ring residue by itself; `tests/engine_interleaving.rs` covers the
-    // un-pumped case).
+    // by a `Pump`, as this schedule always was; pumps are no-ops now and
+    // stay so that a seed replays the schedule it always did.
     let mut ops: Vec<Op> = Vec::new();
     let mut removals = 0usize;
     let mut i = 0;

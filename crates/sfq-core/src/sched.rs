@@ -184,8 +184,8 @@ pub trait Scheduler {
 
     /// Fallible dequeue. A bare discipline only compares existing tags
     /// and cannot fail; the default never does. The sharded engine's
-    /// facade can: it reports a poisoned shard's enqueue error or its
-    /// root's [`SchedError::TagOverflow`] here, where `dequeue` panics.
+    /// facade can: it reports its root arbiter's
+    /// [`SchedError::TagOverflow`] here, where `dequeue` panics.
     fn try_dequeue(&mut self, now: SimTime) -> Result<Option<Packet>, SchedError> {
         Ok(self.dequeue(now))
     }

@@ -1,24 +1,29 @@
 //! The engine: one flow table, one root arbiter, one backpressure rule
-//! and one pick → pull-batch → charge loop over `N` shards, each a leaf
-//! scheduler behind a FIFO of ingested, not yet scheduled packets, all
-//! run in place on the calling thread.
+//! and one pick → pull-batch → charge loop over `N` shard schedulers,
+//! all run in place on the calling thread.
+//!
+//! # Admission
+//!
+//! [`Engine::try_ingest`] and the `Scheduler` facade's `try_enqueue` are
+//! one routine: look the flow up, refuse the packet if its home shard
+//! already holds `ring_capacity` packets, and otherwise enqueue it there
+//! at once, its tags stamped against the shard's virtual time (Eq. 4).
+//! A packet the engine accepted is scheduled; nothing sits between
+//! ingest and drain.
 //!
 //! # Backpressure
 //!
-//! Ingest refuses a packet (`SchedError::BufferFull`) when the shard's
-//! *pending* count — packets ingested but not yet drained, wherever
-//! they physically sit — has reached `ring_capacity`, so refusals
-//! depend only on the API call sequence, never on where a pump happened
-//! to fall. Size `ring_capacity` as "maximum un-drained backlog per
-//! shard".
+//! Ingest refuses a packet (`SchedError::BufferFull`) when the home
+//! shard's scheduler holds `ring_capacity` packets, so refusals depend
+//! only on the API call sequence. Size `ring_capacity` as "maximum
+//! un-drained backlog per shard".
 //!
 //! # Enqueue errors
 //!
 //! Once a flow is registered only `TagOverflow` can refuse its packets.
-//! Such an error never panics: it poisons the shard — its queue is
-//! still consumed, nothing more is enqueued — the pump that hit it
-//! returns it, and every later drain that picks that shard reports it
-//! again.
+//! Such an error refuses that one packet: it is returned to the caller,
+//! booked on the engine page as `RefuseCause::Other`, and changes
+//! nothing else.
 
 use crate::{shard_of, EngineConfig, ShardSched};
 use sfq_core::obs::SchedObserver;
@@ -28,96 +33,7 @@ use sfq_core::{
 };
 use sfq_telemetry::{RefuseCause, TelemetryHub};
 use simtime::{Rate, SimTime};
-use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// One shard: a leaf scheduler, the packets ingested into it but not
-/// yet pumped, and the counts the refusal rule and the pump read.
-struct Shard<S> {
-    sched: S,
-    /// Ingested, not yet pumped, in ingest order. Reserved at
-    /// `ring_capacity` by the first push.
-    queue: VecDeque<Packet>,
-    /// First enqueue error; see the module docs on poisoning.
-    poisoned: Option<SchedError>,
-    /// Packets ingested but not yet drained or discarded: queue residue
-    /// plus scheduler backlog.
-    pending: usize,
-    /// Packets pushed since [`Engine::pump`] last visited this shard:
-    /// zero means the queue holds nothing a pump could move. Only
-    /// [`Shard::push`] raises it and only the pump clears it, so a
-    /// forced removal that folded the residue first leaves it
-    /// stale-high, which costs the next pump one empty visit.
-    unpumped: usize,
-}
-
-impl<S: ShardSched> Shard<S> {
-    /// A shard around `sched` (rebasing enabled per `cfg`, packet store
-    /// sized) with an empty queue and nothing pending.
-    fn new(cfg: &EngineConfig, mut sched: S) -> Self {
-        if let Some(bits) = cfg.rebase_bits {
-            sched.enable_rebasing(bits);
-        }
-        sched.preallocate(cfg.ring_capacity);
-        Shard {
-            sched,
-            queue: VecDeque::new(),
-            poisoned: None,
-            pending: 0,
-            unpumped: 0,
-        }
-    }
-
-    /// Push one accepted packet; the caller has checked `pending`
-    /// against `cap`, which the queue reserves on first use.
-    fn push(&mut self, pkt: Packet, cap: usize) {
-        if self.queue.capacity() == 0 {
-            self.queue.reserve_exact(cap);
-        }
-        self.queue.push_back(pkt);
-        self.pending += 1;
-        self.unpumped += 1;
-    }
-
-    /// Move the queue residue into the scheduler as one batch, stamping
-    /// tags against the shard's current virtual time. Returns the
-    /// enqueue error, if any, that this very call hit.
-    fn pump(&mut self, now: SimTime) -> Result<(), SchedError> {
-        let mut queue = std::mem::take(&mut self.queue);
-        let res = self.enqueue_batch(now, queue.make_contiguous());
-        queue.clear();
-        self.queue = queue;
-        res
-    }
-
-    /// Hand `pkts` to the scheduler as one batch unless the shard is
-    /// poisoned, poisoning it on the error this call hits.
-    fn enqueue_batch(&mut self, now: SimTime, pkts: &[Packet]) -> Result<(), SchedError> {
-        if self.poisoned.is_some() {
-            return Ok(());
-        }
-        let res = self.sched.try_enqueue_batch(now, pkts);
-        self.poisoned = res.err();
-        res
-    }
-
-    /// The single forced-removal rule: fold the queue residue into the
-    /// scheduler, each packet at its own arrival instant, *then*
-    /// discard `flow`'s backlog and unregister it, so the returned
-    /// count covers every packet of the flow ingest ever accepted and
-    /// no residue of an unregistered flow is left behind to fail a
-    /// later pump. Ingest order is preserved and virtual time cannot
-    /// have moved since the last dequeue, so the other flows' tags are
-    /// what a lazy pump would have stamped.
-    fn force_remove(&mut self, flow: FlowId) -> usize {
-        while let Some(pkt) = self.queue.pop_front() {
-            if self.poisoned.is_none() {
-                self.poisoned = self.sched.try_enqueue(pkt.arrival, pkt).err();
-            }
-        }
-        self.sched.force_remove_flow(flow)
-    }
-}
 
 /// What the engine knows about a registered flow: one lookup answers
 /// both "is it registered" and "where does it live".
@@ -137,7 +53,7 @@ struct FlowRec {
 /// docs and `docs/engine.md`.
 pub struct Engine<S: ShardSched> {
     cfg: EngineConfig,
-    shards: Vec<Shard<S>>,
+    shards: Vec<S>,
     root: RootSfq,
     flows: FlowMap<FlowRec>,
     backlogged: Vec<bool>,
@@ -176,13 +92,22 @@ impl<O: SchedObserver + Clone> Engine<Sfq<O>> {
 
 impl<S: ShardSched> Engine<S> {
     /// Engine whose shard scheduler `i` is built by `mk(i)`; the config
-    /// rebase threshold is then applied to each. This is the one
+    /// rebase threshold is then applied to each, and each is told its
+    /// backlog bound ([`ShardSched::preallocate`]). This is the one
     /// construction path — the named constructors all delegate here.
     pub fn from_factory(cfg: EngineConfig, mut mk: impl FnMut(usize) -> S) -> Self {
         let cfg = cfg.validated();
+        let shard = |i| {
+            let mut sched = mk(i);
+            if let Some(bits) = cfg.rebase_bits {
+                sched.enable_rebasing(bits);
+            }
+            sched.preallocate(cfg.ring_capacity);
+            sched
+        };
         Engine {
             cfg,
-            shards: (0..cfg.shards).map(|i| Shard::new(&cfg, mk(i))).collect(),
+            shards: (0..cfg.shards).map(shard).collect(),
             root: RootSfq::new(cfg.shards, cfg.rebase_bits),
             flows: FlowMap::new(),
             backlogged: vec![false; cfg.shards],
@@ -203,7 +128,7 @@ impl<S: ShardSched> Engine<S> {
         }
         let hub = TelemetryHub::new(self.shards.len());
         for (i, shard) in self.shards.iter_mut().enumerate() {
-            shard.sched.attach_telemetry(hub.shard(i).clone());
+            shard.attach_telemetry(hub.shard(i).clone());
         }
         self.tele = Some(Arc::clone(&hub));
         hub
@@ -234,15 +159,15 @@ impl<S: ShardSched> Engine<S> {
         &self.root
     }
 
-    /// Total packets pending across all shards (ingest residue plus
-    /// scheduler backlog).
+    /// Total packets pending across all shards: the shard schedulers'
+    /// backlogs.
     pub fn pending(&self) -> usize {
-        self.shards.iter().map(|s| s.pending).sum()
+        self.shards.iter().map(S::len).sum()
     }
 
     /// `true` when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.pending() == 0
+        self.shards.iter().all(S::is_empty)
     }
 
     /// Register `flow` at rate `weight` on its home shard and fold the
@@ -253,7 +178,7 @@ impl<S: ShardSched> Engine<S> {
             return Err(SchedError::ZeroWeight(flow));
         }
         let home = self.shard_of(flow);
-        self.shards[home].sched.try_add_flow(flow, weight)?;
+        self.shards[home].try_add_flow(flow, weight)?;
         let old = self.flows.insert(flow, FlowRec { weight, home });
         self.root
             .reweigh(home, old.map_or(0, |r| r.weight.as_bps()), weight.as_bps());
@@ -272,7 +197,7 @@ impl<S: ShardSched> Engine<S> {
         let Some(rec) = self.flows.get_mut(flow) else {
             return Err(SchedError::UnknownFlow(flow));
         };
-        self.shards[rec.home].sched.try_set_weight(flow, weight)?;
+        self.shards[rec.home].try_set_weight(flow, weight)?;
         let old = std::mem::replace(&mut rec.weight, weight);
         self.root.reweigh(rec.home, old.as_bps(), weight.as_bps());
         Ok(())
@@ -293,93 +218,81 @@ impl<S: ShardSched> Engine<S> {
         self.root.set_shard_weight(shard, rate)
     }
 
-    /// Hand `pkt` to its home shard's queue. Refuses with
-    /// [`SchedError::UnknownFlow`] for unregistered flows and
-    /// [`SchedError::BufferFull`] when the shard's pending count has
-    /// reached the ring capacity (see the module docs on backpressure).
-    /// The packet is *not yet scheduled*: tags are stamped at the next
-    /// [`Engine::pump`] or drain.
+    /// Schedule `pkt` on its home shard at once, stamped at
+    /// `pkt.arrival`. Refuses with [`SchedError::UnknownFlow`] for
+    /// unregistered flows, [`SchedError::BufferFull`] when the shard
+    /// holds `ring_capacity` packets (see the module docs on
+    /// backpressure), and with the shard's own enqueue error, which
+    /// changes nothing else. Once accepted, the packet counts in
+    /// [`Engine::pending`] and `backlog`, and `drop_head` and
+    /// `force_remove_flow` reach it.
     pub fn try_ingest(&mut self, pkt: Packet) -> Result<(), SchedError> {
-        let home = self.admit(pkt.flow)?;
-        self.shards[home].push(pkt, self.cfg.ring_capacity);
-        Ok(())
+        self.admit(pkt.arrival, pkt)
     }
 
-    /// The admission rule of ingest and of the `Scheduler` facade: the
-    /// home shard of a packet of `flow`, or the refusal. Every arrival
-    /// is booked as offered on the engine page — accepted or refused —
-    /// and every refusal with its cause, so the pages close the
-    /// conservation identity `offered == departures + refusals + drops`.
-    fn admit(&mut self, flow: FlowId) -> Result<usize, SchedError> {
-        if let Some(hub) = &self.tele {
-            hub.engine().record_offered(1);
+    /// The one admit-and-enqueue routine of ingest and of the
+    /// `Scheduler` facade. Every arrival is booked as offered on the
+    /// engine page — accepted or refused — and every refusal with its
+    /// cause, so the pages close the conservation identity
+    /// `offered == departures + refusals + drops`.
+    fn admit(&mut self, now: SimTime, pkt: Packet) -> Result<(), SchedError> {
+        let page = self.tele.as_deref().map(TelemetryHub::engine);
+        if let Some(page) = page {
+            page.record_offered(1);
         }
-        let (cause, err) = match self.flows.get(flow) {
-            None => (RefuseCause::UnknownFlow, SchedError::UnknownFlow(flow)),
-            Some(rec) if self.shards[rec.home].pending >= self.cfg.ring_capacity => {
-                (RefuseCause::BufferFull, SchedError::BufferFull(flow))
+        let res = match self.flows.get(pkt.flow) {
+            None => Err(SchedError::UnknownFlow(pkt.flow)),
+            Some(rec) => {
+                let shard = &mut self.shards[rec.home];
+                if shard.len() >= self.cfg.ring_capacity {
+                    Err(SchedError::BufferFull(pkt.flow))
+                } else {
+                    shard.try_enqueue(now, pkt)
+                }
             }
-            Some(rec) => return Ok(rec.home),
         };
-        if let Some(hub) = &self.tele {
-            hub.engine().record_refusal(cause);
+        if let (Some(page), Err(e)) = (page, &res) {
+            page.record_refusal(match e {
+                SchedError::UnknownFlow(_) => RefuseCause::UnknownFlow,
+                SchedError::BufferFull(_) => RefuseCause::BufferFull,
+                _ => RefuseCause::Other,
+            });
         }
-        Err(err)
+        res
     }
 
-    /// Move every queued packet into its shard scheduler as one batch
-    /// per shard, stamping tags against each shard's current virtual
-    /// time. Tags do not depend on `now` (Eq. 4 reads only the virtual
-    /// time, which moves at dequeues), so deferring a pump never changes
-    /// an ordering decision — only observer timestamps.
-    ///
-    /// Only shards pushed to since the last pump are visited.
-    pub fn pump(&mut self, now: SimTime) -> Result<(), SchedError> {
-        for shard in &mut self.shards {
-            if std::mem::take(&mut shard.unpumped) > 0 {
-                shard.pump(now)?;
-            }
-        }
+    /// No-op, kept for callers of the ingest / pump / drain API: since
+    /// [`Engine::try_ingest`] schedules each packet as it accepts it,
+    /// there is nothing left to pump. Always `Ok(())`.
+    pub fn pump(&mut self, _now: SimTime) -> Result<(), SchedError> {
         Ok(())
     }
 
     /// Drain up to `max` packets at `now` into `out`, batch by batch:
-    /// pump all queues, then repeatedly let the root arbiter pick the
-    /// backlogged shard with the least start tag, pull up to
-    /// [`EngineConfig::batch`] packets from it, and charge the root
-    /// with the actual bits pulled. Returns the number drained.
+    /// repeatedly let the root arbiter pick the backlogged shard with
+    /// the least start tag, pull up to [`EngineConfig::batch`] packets
+    /// from it, and charge the root with the actual bits pulled.
+    /// Returns the number drained.
     pub fn drain(
         &mut self,
         now: SimTime,
         max: usize,
         out: &mut Vec<Packet>,
     ) -> Result<usize, SchedError> {
-        // The pump is load-bearing for reconfiguration: the tag-rewrite
-        // rule of a later `SetWeight` treats queued packets (head keeps
-        // its tags) differently from ingest residue (enqueued wholly at
-        // the new rate), so what a drain leaves in the scheduler must
-        // not depend on whether the caller pumped first.
-        self.pump(now)?;
         let mut n = 0;
         while n < max {
             for (flag, shard) in self.backlogged.iter_mut().zip(&self.shards) {
-                *flag = shard.pending > 0;
+                *flag = !shard.is_empty();
             }
             let Some(s) = self.root.pick(&self.backlogged) else {
                 break;
             };
             let take = self.cfg.batch.min(max - n);
             let before = out.len();
-            let shard = &mut self.shards[s];
-            if let Some(e) = shard.poisoned {
-                return Err(e);
-            }
-            let k = shard.sched.dequeue_batch(now, take, out);
+            let k = self.shards[s].dequeue_batch(now, take, out);
             if k == 0 {
                 break;
             }
-            // The batch has left the shard whatever the charge says.
-            self.shards[s].pending -= k;
             n += k;
             let bits: u64 = out[before..].iter().map(|p| p.len.bits()).sum();
             self.root.charge(s, bits)?;
@@ -410,20 +323,10 @@ impl<S: ShardSched> Scheduler for Engine<S> {
         }
     }
 
-    /// Ingest and immediately pump, so no packet sits uncounted in a
-    /// queue and `backlog` stays exact for the switch's admission
-    /// logic. With no residue anywhere (the native API alone leaves
-    /// any), that pump is one batch of this packet to its home shard,
-    /// made here without the queue.
+    /// [`Engine::try_ingest`] stamped at `now`: the same admission,
+    /// refusals and booking.
     fn try_enqueue(&mut self, now: SimTime, pkt: Packet) -> Result<(), SchedError> {
-        let home = self.admit(pkt.flow)?;
-        if self.shards.iter().all(|s| s.unpumped == 0) {
-            let shard = &mut self.shards[home];
-            shard.pending += 1;
-            return shard.enqueue_batch(now, std::slice::from_ref(&pkt));
-        }
-        self.shards[home].push(pkt, self.cfg.ring_capacity);
-        self.pump(now)
+        self.admit(now, pkt)
     }
 
     fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
@@ -462,39 +365,32 @@ impl<S: ShardSched> Scheduler for Engine<S> {
         self.pending()
     }
 
-    /// The home scheduler's own count: queue residue is not included,
-    /// so it is exact whenever the queue has been pumped, which the
-    /// facade's eager pump guarantees.
+    /// The home scheduler's own count: every accepted, undrained
+    /// packet of `flow`.
     fn backlog(&self, flow: FlowId) -> usize {
         self.flows
             .get(flow)
-            .map_or(0, |rec| self.shards[rec.home].sched.backlog(flow))
+            .map_or(0, |rec| self.shards[rec.home].backlog(flow))
     }
 
-    /// Discard `flow`'s backlog on its home shard — queue residue
-    /// included, folded in first (the forced-removal rule of
-    /// `docs/engine.md`) — then unregister the flow and subtract its
-    /// rate from the root aggregate (the churn fault). Returns the
-    /// number of packets discarded; `0` for an unknown flow.
+    /// Discard `flow`'s backlog on its home shard, then unregister the
+    /// flow and subtract its rate from the root aggregate (the churn
+    /// fault). Returns the number of packets discarded — every packet
+    /// of the flow ingest accepted and no drain took; `0` for an
+    /// unknown flow.
     fn force_remove_flow(&mut self, flow: FlowId) -> usize {
         let Some(rec) = self.flows.remove(flow) else {
             return 0;
         };
-        let shard = &mut self.shards[rec.home];
-        let dropped = shard.force_remove(flow);
-        shard.pending -= dropped;
+        let dropped = self.shards[rec.home].force_remove_flow(flow);
         self.root.reweigh(rec.home, rec.weight.as_bps(), 0);
         dropped
     }
 
-    /// Evict the oldest scheduler-resident packet of `flow` from its
-    /// home shard (the HeadDrop/pressure eviction hook); queue residue
-    /// is never evicted.
+    /// Evict the oldest packet of `flow` from its home shard (the
+    /// HeadDrop/pressure eviction hook).
     fn drop_head(&mut self, flow: FlowId) -> Option<Packet> {
-        let shard = &mut self.shards[self.flows.get(flow)?.home];
-        let evicted = shard.sched.drop_head(flow)?;
-        shard.pending -= 1;
-        Some(evicted)
+        self.shards[self.flows.get(flow)?.home].drop_head(flow)
     }
 
     fn try_set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
@@ -528,155 +424,5 @@ impl<S: ShardSched> Scheduler for Engine<S> {
 
     fn name(&self) -> &'static str {
         "SFQ-ENGINE"
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sfq_core::{PacketFactory, TelemetrySink};
-    use simtime::Bytes;
-
-    /// A shard scheduler that counts the batch enqueues reaching it:
-    /// one per pump visit, and none from anything else the engine does.
-    #[derive(Default)]
-    struct Counting {
-        inner: Sfq,
-        pumps: usize,
-    }
-
-    impl Scheduler for Counting {
-        fn add_flow(&mut self, flow: FlowId, weight: Rate) {
-            self.inner.add_flow(flow, weight)
-        }
-        fn enqueue(&mut self, now: SimTime, pkt: Packet) {
-            self.inner.enqueue(now, pkt)
-        }
-        fn try_enqueue_batch(&mut self, now: SimTime, pkts: &[Packet]) -> Result<(), SchedError> {
-            self.pumps += 1;
-            self.inner.try_enqueue_batch(now, pkts)
-        }
-        fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
-            self.inner.dequeue(now)
-        }
-        fn is_empty(&self) -> bool {
-            self.inner.is_empty()
-        }
-        fn len(&self) -> usize {
-            self.inner.len()
-        }
-        fn backlog(&self, flow: FlowId) -> usize {
-            self.inner.backlog(flow)
-        }
-        fn force_remove_flow(&mut self, flow: FlowId) -> usize {
-            self.inner.force_remove_flow(flow)
-        }
-        fn name(&self) -> &'static str {
-            "COUNTING"
-        }
-    }
-
-    impl ShardSched for Counting {
-        fn enable_rebasing(&mut self, bits: u32) {
-            self.inner.enable_rebasing(bits)
-        }
-        fn attach_telemetry(&mut self, sink: TelemetrySink) {
-            self.inner.attach_telemetry(sink)
-        }
-    }
-
-    /// The engine pumps a shard only when it pushed to that shard since
-    /// its last pump, and a pump it does make moves everything pushed
-    /// before it.
-    #[test]
-    fn a_pump_visits_only_the_shards_pushed_to_since_the_last_one() {
-        let mut eng = Engine::from_factory(EngineConfig::new(4), |_| Counting::default());
-        let pumps = |eng: &Engine<Counting>| -> Vec<usize> {
-            eng.shards.iter().map(|s| s.sched.pumps).collect()
-        };
-        let flows: Vec<FlowId> = (0..16).map(FlowId).collect();
-        for &f in &flows {
-            eng.try_add_flow(f, Rate::kbps(64)).unwrap();
-        }
-        let t0 = SimTime::ZERO;
-        let mut pf = PacketFactory::new();
-        let mut make = |f: FlowId| pf.make(f, Bytes::new(100), t0);
-
-        // Nothing pushed: no shard is visited, by `pump` or by the pump
-        // inside `drain`.
-        eng.pump(t0).unwrap();
-        let mut out = Vec::new();
-        assert_eq!(eng.drain(t0, 8, &mut out), Ok(0));
-        assert_eq!(pumps(&eng), [0; 4]);
-
-        // One packet: its home shard is visited, once, and no other.
-        let home = eng.shard_of(flows[0]);
-        eng.try_ingest(make(flows[0])).unwrap();
-        eng.pump(t0).unwrap();
-        eng.pump(t0).unwrap();
-        let mut want = [0; 4];
-        want[home] = 1;
-        assert_eq!(pumps(&eng), want);
-        assert_eq!(eng.shards[home].sched.len(), 1);
-
-        // The facade pumps on every enqueue and again in every
-        // dequeue: one visit per packet, not two per shard.
-        let before: usize = pumps(&eng).iter().sum();
-        for &f in &flows {
-            eng.try_enqueue(t0, make(f)).unwrap();
-        }
-        while eng.try_dequeue(t0).unwrap().is_some() {}
-        assert_eq!(pumps(&eng).iter().sum::<usize>(), before + flows.len());
-        assert!(eng.is_empty());
-
-        // A forced removal folds the residue itself and leaves the
-        // count stale-high: the next pump pays one empty visit.
-        eng.try_ingest(make(flows[1])).unwrap();
-        let home = eng.shard_of(flows[1]);
-        let before = eng.shards[home].sched.pumps;
-        assert_eq!(eng.force_remove_flow(flows[1]), 1);
-        eng.pump(t0).unwrap();
-        eng.pump(t0).unwrap();
-        assert_eq!(eng.shards[home].sched.pumps, before + 1);
-        assert!(eng.is_empty());
-    }
-
-    /// The poisoned-shard path keeps the page's books closed: a pump
-    /// whose batch is refused half-way has queued — and booked — the
-    /// packets before the refusal, and nothing after it.
-    #[test]
-    fn a_poisoned_pump_books_what_it_queued() {
-        let mut shard = Shard::new(&EngineConfig::new(1), SfqFast::new());
-        let sink = TelemetrySink::new();
-        shard.sched.attach_telemetry(sink.clone());
-        shard.sched.try_add_flow(FlowId(1), Rate::kbps(64)).unwrap();
-        // At 1 bit/s a 1 TiB packet spans past the u64 tag grid.
-        shard.sched.try_add_flow(FlowId(2), Rate::bps(1)).unwrap();
-        let t0 = SimTime::ZERO;
-        let mut fac = PacketFactory::new();
-        let mut pkts: Vec<Packet> = (0..9)
-            .map(|_| fac.make(FlowId(1), Bytes::new(500), t0))
-            .collect();
-        pkts.insert(5, fac.make(FlowId(2), Bytes::new(1 << 40), t0));
-        for p in pkts {
-            shard.push(p, 16);
-        }
-        assert_eq!(shard.pump(t0), Err(SchedError::TagOverflow));
-        shard.push(fac.make(FlowId(1), Bytes::new(500), t0), 16);
-        assert_eq!(shard.pump(t0), Ok(()));
-        assert!(
-            shard.queue.is_empty(),
-            "a poisoned shard still consumes its queue"
-        );
-
-        let snap = sink.snapshot(1).expect("no writer running");
-        assert_eq!(snap.enqueues, 5);
-        assert_eq!(snap.enqueues, shard.sched.len() as u64);
-        assert_eq!(snap.resident(), 5);
-        // What `conformance::telemetry::check_self_consistency` asks of
-        // the folded pages.
-        assert_eq!(snap.backlog_hist.iter().sum::<u64>(), snap.enqueues);
-        assert_eq!(snap.delay_hist.iter().sum::<u64>(), snap.dequeues);
-        assert_eq!(snap.class_bytes.iter().sum::<u64>(), snap.deq_bytes);
     }
 }

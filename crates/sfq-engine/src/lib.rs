@@ -4,8 +4,8 @@
 //! every enqueue reads the virtual time and every dequeue updates it.
 //! This crate scales the discipline out the way the paper itself
 //! suggests: hierarchically (Section 4). Flows are hash-partitioned
-//! across `N` independent leaf schedulers (*shards*), each fed by a
-//! bounded ingress queue, and a drainer allocates link capacity among
+//! across `N` independent leaf schedulers (*shards*), each holding at
+//! most a bounded backlog, and a drainer allocates link capacity among
 //! the shards with a top-level SFQ node ([`RootSfq`], the class-level
 //! server `sfq_core::HierSfq` runs at every interior class) whose
 //! "packets" are the batches it pulls from each shard. Because SFQ guarantees
@@ -17,7 +17,7 @@
 //! `tests/engine_fairness.rs` measure it.
 //!
 //! That composition is one type, [`Engine`]`<S>` (also spelled
-//! [`SyncEngine`]): the flow table, the root arbiter, the pending-count
+//! [`SyncEngine`]): the flow table, the root arbiter, the backlog-bound
 //! backpressure rule and the pick → pull-batch → charge drain loop over
 //! shards of leaf discipline `S`, every one run in place on the calling
 //! thread and statically dispatched. It is a drop-in
@@ -102,10 +102,11 @@ pub struct EngineConfig {
     /// the shard it selects before re-running root selection, and the
     /// maximum root "packet" size in the cross-shard fairness bound.
     pub batch: usize,
-    /// Bound on each shard's un-drained backlog, queued or scheduled:
-    /// an ingest that finds it reached is refused with
-    /// `SchedError::BufferFull` (backpressure, not loss). The shard's
-    /// ingress queue is reserved at this size by its first ingest.
+    /// Bound on each shard's un-drained backlog: an ingest that finds
+    /// it reached is refused with `SchedError::BufferFull`
+    /// (backpressure, not loss). The name is that of the ingress ring
+    /// the bound once sized; the engine passes it to each shard's
+    /// [`ShardSched::preallocate`] and reserves nothing else by it.
     pub ring_capacity: usize,
     /// When `Some(bits)`, enable virtual-time rebasing on every shard
     /// scheduler and on the root node once tag magnitudes exceed
@@ -115,7 +116,7 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// Config with `shards` shards and the defaults used throughout the
-    /// test-suite: batch 32, ring capacity 4096, rebasing at 96 bits.
+    /// test-suite: batch 32, backlog bound 4096, rebasing at 96 bits.
     pub fn new(shards: usize) -> Self {
         EngineConfig {
             shards,

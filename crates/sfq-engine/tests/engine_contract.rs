@@ -65,6 +65,7 @@ on_both!(
     reconfig_commands_reach_the_right_place,
     facade_counts_are_exact,
     forced_removal_folds_ring_residue,
+    ingest_schedules_at_once,
 );
 
 fn mk_cfg() -> EngineConfig {
@@ -326,6 +327,30 @@ fn forced_removal_folds_ring_residue<K: Kind>() {
     assert_eq!((run(false), run(true)), (1, 1));
 }
 
+/// A packet is scheduled the moment `try_ingest` accepts it: with no
+/// `pump` anywhere, `backlog` counts it, `drop_head` evicts it and
+/// `force_remove_flow` returns it.
+fn ingest_schedules_at_once<K: Kind>() {
+    let mut eng = K::engine(mk_cfg());
+    let mut fac = PacketFactory::new();
+    let (a, b) = two_flows_on(1, 4);
+    eng.try_add_flow(a, Rate::kbps(64)).unwrap();
+    eng.try_add_flow(b, Rate::kbps(64)).unwrap();
+    let mut offer = |eng: &mut Engine<K::Sched>, f| {
+        let pkt = fac.make(f, Bytes::new(100), T0);
+        eng.try_ingest(pkt).unwrap();
+        pkt.uid
+    };
+    let ours: Vec<u64> = (0..3).map(|_| offer(&mut eng, a)).collect();
+    let theirs = offer(&mut eng, b);
+    assert_eq!((eng.backlog(a), eng.backlog(b)), (3, 1));
+    assert_eq!(eng.drop_head(a).map(|p| p.uid), Some(ours[0]));
+    assert_eq!(eng.backlog(a), 2);
+    assert_eq!(eng.force_remove_flow(a), 2);
+    assert_eq!((eng.backlog(a), eng.pending()), (0, 1));
+    assert_eq!(drain_all(&mut eng), [theirs]);
+}
+
 /// One call of [`facade_is_ingest_then_pump`]; packets are
 /// `(flow, bytes)`.
 #[derive(Clone, Copy, Debug)]
@@ -499,9 +524,6 @@ fn engine_implements_scheduler() {
 #[derive(Default)]
 struct Marked<S>(S);
 
-/// `Sfq`, marked.
-type Overflowing = Marked<Sfq>;
-
 const POISON_LEN: u64 = 666;
 
 impl<S: ShardSched> Scheduler for Marked<S> {
@@ -552,28 +574,49 @@ impl<S: ShardSched> ShardSched for Marked<S> {
     }
 }
 
-/// The one enqueue-error rule (`engine.rs` module docs): the error
-/// poisons its shard, the pump that hit it returns it, and every drain
-/// that picks that shard reports it again.
+/// The one enqueue-error rule (`engine.rs` module docs): a
+/// `TagOverflow` refuses that one packet and changes nothing else. A
+/// 1 TiB packet of a 1 b/s flow spans past `SfqFast`'s u64 tag grid;
+/// the packets of another flow on the same shard, before and after it,
+/// all drain, nothing stays pending, and the counter pages close. The
+/// `Scheduler` facade gives the same result, and its `len` never counts
+/// the refused packet.
 #[test]
-fn enqueue_error_poisons_its_shard() {
-    let mut eng = SyncEngine::from_factory(EngineConfig::new(2), |_| Overflowing::default());
-    let mut fac = PacketFactory::new();
-    let (bad, _) = two_flows_on(0, 2);
-    let (good, _) = two_flows_on(1, 2);
-    eng.try_add_flow(bad, Rate::kbps(64)).unwrap();
-    eng.try_add_flow(good, Rate::kbps(64)).unwrap();
-    eng.try_ingest(fac.make(good, Bytes::new(100), T0)).unwrap();
-    eng.pump(T0).unwrap();
-    eng.try_ingest(fac.make(bad, Bytes::new(POISON_LEN), T0))
-        .unwrap();
-    assert_eq!(eng.pump(T0), Err(SchedError::TagOverflow));
-    assert_eq!(eng.pump(T0), Ok(()), "reported at most once by pump");
-    let mut out = Vec::new();
-    // Both shards are backlogged and tie at the root, so shard 0 is
-    // picked first: the drain reports the poison, every time.
-    for _ in 0..2 {
-        assert_eq!(eng.drain(T0, 8, &mut out), Err(SchedError::TagOverflow));
-    }
-    assert!(out.is_empty());
+fn a_tag_overflow_refuses_one_packet_and_nothing_else() {
+    let run = |facade: bool| {
+        let mut eng = SyncEngine::new_fast(EngineConfig::new(2));
+        let hub = eng.attach_telemetry();
+        let (slow, fast) = two_flows_on(0, 2);
+        eng.try_add_flow(slow, Rate::bps(1)).unwrap();
+        eng.try_add_flow(fast, Rate::kbps(64)).unwrap();
+        let mut fac = PacketFactory::new();
+        let mut results = Vec::new();
+        for i in 0..7 {
+            let pkt = match i {
+                3 => fac.make(slow, Bytes::new(1 << 40), T0),
+                _ => fac.make(fast, Bytes::new(500), T0),
+            };
+            results.push(match facade {
+                true => eng.try_enqueue(T0, pkt),
+                false => eng.try_ingest(pkt),
+            });
+            assert_eq!(eng.len(), i + usize::from(i < 3), "after offer {i}");
+        }
+        let mut departed = Vec::new();
+        while let Some(p) = eng.try_dequeue(T0).unwrap() {
+            departed.push(p.uid);
+        }
+        assert_eq!(eng.pending(), 0);
+        let pages = Aggregator::new(hub).snapshot(1).unwrap();
+        assert_eq!(pages.conservation_gap(), 0);
+        // Booked under `RefuseCause::Other`, the third slot.
+        assert_eq!(pages.engine.refused, [0, 0, 1]);
+        (results, departed)
+    };
+    let (results, departed) = run(false);
+    let mut want = vec![Ok(()); 7];
+    want[3] = Err(TagOverflow);
+    assert_eq!(results, want);
+    assert_eq!(departed, [0, 1, 2, 4, 5, 6]);
+    assert_eq!(run(true), (results, departed));
 }

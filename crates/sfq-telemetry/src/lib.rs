@@ -657,8 +657,7 @@ impl EngineSnapshot {
     /// pages: `offered - (refusals + dequeues + force_drops +
     /// head_drops)`. Zero at any quiescent point where
     /// the engine has fully drained (`pending() == 0`); the difference
-    /// equals the packets still resident in rings + schedulers
-    /// otherwise.
+    /// equals the packets still resident in the schedulers otherwise.
     pub fn conservation_gap(&self) -> i128 {
         self.engine.offered as i128
             - (self.engine.refused_total() as i128

@@ -37,7 +37,7 @@ fn transmit(eng: &mut SyncEngine<SfqFast>, flows: &[FlowId], fault: &mut bool) -
         let now = SimTime::from_micros(100 * round as i128);
         for &f in flows {
             eng.try_ingest(pf.make(f, Bytes::new(200), now))
-                .expect("the ring holds a round");
+                .expect("the shard holds a round");
         }
         if round == ROUNDS / 2 && std::mem::take(fault) {
             resume_unwind(Box::new("injected fault")); // a panic, minus the stderr report

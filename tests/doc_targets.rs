@@ -2,6 +2,8 @@
 //! cargo targets that exist: every `--bin|--example|--test|--bench
 //! <name>` they cite must be a target file of the workspace (or of
 //! `benchmark/`), or a `[[bin]]`/`[[bench]]` name in a crate manifest.
+//! The documents may only cite items that exist: every `<file>.rs::<name>`
+//! must name a Rust file of the workspace and an item in it.
 //! `CHANGES.md` and `ROADMAP.md` are history and are not scanned.
 
 use std::collections::BTreeSet;
@@ -20,11 +22,11 @@ fn ls(dir: impl AsRef<Path>, ext: &str) -> Vec<PathBuf> {
         .collect()
 }
 
-/// Every `.rs` file under `dir` (relative to the repository root), at
-/// any depth.
-fn rs_files(dir: impl AsRef<Path>) -> Vec<PathBuf> {
-    let mut files = ls(&dir, "rs");
-    files.extend(ls(&dir, "").into_iter().flat_map(rs_files));
+/// Every file with extension `ext` under `dir` (relative to the
+/// repository root), at any depth.
+fn files_under(dir: impl AsRef<Path>, ext: &str) -> Vec<PathBuf> {
+    let mut files = ls(&dir, ext);
+    files.extend(ls(&dir, "").into_iter().flat_map(|d| files_under(d, ext)));
     files
 }
 
@@ -79,7 +81,7 @@ fn cited_cargo_targets_exist() {
     for sub in ["src", "tests", "benches"] {
         sources.extend(crates.iter().map(|c| c.join(sub)));
     }
-    for file in sources.into_iter().flat_map(rs_files) {
+    for file in sources.into_iter().flat_map(|d| files_under(d, "rs")) {
         let text = fs::read_to_string(&file).expect("readable");
         let comments = text
             .lines()
@@ -108,5 +110,111 @@ fn cited_cargo_targets_exist() {
         missing.is_empty(),
         "cargo targets cited that are not in the tree:\n{}",
         missing.join("\n")
+    );
+}
+
+/// The Markdown documents whose `<file>.rs::<name>` citations are
+/// checked: the top-level ones, `docs/` and every crate's.
+fn cited_docs() -> Vec<PathBuf> {
+    let mut docs: Vec<PathBuf> = [
+        "README.md",
+        "EXPERIMENTS.md",
+        "DESIGN.md",
+        "CONTRIBUTING.md",
+    ]
+    .map(PathBuf::from)
+    .into();
+    docs.extend(ls("docs", "md"));
+    docs.extend(files_under("crates", "md"));
+    docs
+}
+
+/// Every `<path>.rs::<name>` in `text`: the path as written (any prefix
+/// of a workspace path ending in `.rs`) and the name, which may end in
+/// `*` to mean a prefix.
+fn item_citations(text: &str) -> Vec<(&str, &str)> {
+    let path_char = |c: char| c.is_ascii_alphanumeric() || "_/.-".contains(c);
+    let name_char = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '*';
+    let mut found = Vec::new();
+    for (at, _) in text.match_indices(".rs::") {
+        let start = text[..at].rfind(|c| !path_char(c)).map_or(0, |i| i + 1);
+        let rest = &text[at + ".rs::".len()..];
+        let name = &rest[..rest.find(|c| !name_char(c)).unwrap_or(rest.len())];
+        if start < at && !name.is_empty() {
+            found.push((&text[start..at + ".rs".len()], name));
+        }
+    }
+    found
+}
+
+/// The names Rust source `text` declares: every identifier after `fn`,
+/// `struct`, `enum`, `mod`, `trait`, `type`, `const`, `static` or
+/// `macro_rules!`.
+fn items(text: &str) -> BTreeSet<&str> {
+    const KEYWORDS: [&str; 9] = [
+        "fn",
+        "struct",
+        "enum",
+        "mod",
+        "trait",
+        "type",
+        "const",
+        "static",
+        "macro_rules",
+    ];
+    let mut words = text
+        .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+        .filter(|w| !w.is_empty());
+    let mut names = BTreeSet::new();
+    while let Some(word) = words.next() {
+        if KEYWORDS.contains(&word) {
+            names.extend(words.next());
+        }
+    }
+    names
+}
+
+#[test]
+fn cited_items_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sources: Vec<(String, String)> = ["src", "tests", "examples", "crates", "benchmark/src"]
+        .into_iter()
+        .flat_map(|d| files_under(d, "rs"))
+        .map(|file| {
+            let rel = file.strip_prefix(root).expect("under the root");
+            let text = fs::read_to_string(&file).expect("readable");
+            (rel.to_string_lossy().into_owned(), text)
+        })
+        .collect();
+    let (mut stale, mut checked) = (Vec::new(), 0);
+    for doc in cited_docs() {
+        let text = fs::read_to_string(root.join(&doc)).expect("readable");
+        let doc = doc.strip_prefix(root).unwrap_or(&doc);
+        for (path, name) in item_citations(&text) {
+            checked += 1;
+            // A bare file name may match several files; any will do.
+            let files: Vec<&str> = (sources.iter())
+                .filter(|(rel, _)| rel == path || rel.ends_with(&format!("/{path}")))
+                .map(|(_, text)| text.as_str())
+                .collect();
+            let declares = |source| {
+                let declared = items(source);
+                match name.strip_suffix('*') {
+                    Some(prefix) => declared.iter().any(|item| item.starts_with(prefix)),
+                    None => declared.contains(name),
+                }
+            };
+            if files.is_empty() {
+                stale.push(format!("{}: {path}::{name}: no such file", doc.display()));
+            } else if !files.into_iter().any(declares) {
+                stale.push(format!("{}: {path}::{name}: no such item", doc.display()));
+            }
+        }
+    }
+    assert!(checked > 0, "no `<file>.rs::<name>` citation found");
+    assert!(
+        stale.is_empty(),
+        "items cited that are not in the tree:\n{}",
+        stale.join("\n")
     );
 }
