@@ -2,21 +2,16 @@
 //! and one pick → pull-batch → charge loop over `N` shard schedulers,
 //! all run in place on the calling thread.
 //!
-//! # Admission
+//! # Admission and backpressure
 //!
 //! [`Engine::try_ingest`] and the `Scheduler` facade's `try_enqueue` are
-//! one routine: look the flow up, refuse the packet if its home shard
-//! already holds `ring_capacity` packets, and otherwise enqueue it there
-//! at once, its tags stamped against the shard's virtual time (Eq. 4).
-//! A packet the engine accepted is scheduled; nothing sits between
-//! ingest and drain.
-//!
-//! # Backpressure
-//!
-//! Ingest refuses a packet (`SchedError::BufferFull`) when the home
-//! shard's scheduler holds `ring_capacity` packets, so refusals depend
-//! only on the API call sequence. Size `ring_capacity` as "maximum
-//! un-drained backlog per shard".
+//! one routine: look the flow up, refuse the packet
+//! (`SchedError::BufferFull`) if its home shard already holds
+//! `ring_capacity` packets, and otherwise enqueue it there at once, its
+//! tags stamped against the shard's virtual time (Eq. 4). Refusals
+//! depend only on the API call sequence: size `ring_capacity` as
+//! "maximum un-drained backlog per shard". A packet the engine accepted
+//! is scheduled; nothing sits between ingest and drain.
 //!
 //! # Enqueue errors
 //!
@@ -222,7 +217,7 @@ impl<S: ShardSched> Engine<S> {
     /// `pkt.arrival`. Refuses with [`SchedError::UnknownFlow`] for
     /// unregistered flows, [`SchedError::BufferFull`] when the shard
     /// holds `ring_capacity` packets (see the module docs on
-    /// backpressure), and with the shard's own enqueue error, which
+    /// admission), and with the shard's own enqueue error, which
     /// changes nothing else. Once accepted, the packet counts in
     /// [`Engine::pending`] and `backlog`, and `drop_head` and
     /// `force_remove_flow` reach it.
@@ -358,7 +353,7 @@ impl<S: ShardSched> Scheduler for Engine<S> {
     fn on_departure(&mut self, _now: SimTime) {}
 
     fn is_empty(&self) -> bool {
-        self.pending() == 0
+        Engine::is_empty(self)
     }
 
     fn len(&self) -> usize {

@@ -10,6 +10,14 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+/// The documents at the repository root that both checks scan.
+const TOP_LEVEL_DOCS: [&str; 4] = [
+    "README.md",
+    "EXPERIMENTS.md",
+    "DESIGN.md",
+    "CONTRIBUTING.md",
+];
+
 /// The entries of `dir` (relative to the repository root) whose
 /// extension is `ext` (`""`: those with none, i.e. the directories);
 /// none when there is no such directory.
@@ -56,14 +64,8 @@ fn cited_cargo_targets_exist() {
         }
     }
 
-    let mut docs: Vec<PathBuf> = [
-        "README.md",
-        "EXPERIMENTS.md",
-        "DESIGN.md",
-        "CONTRIBUTING.md",
-    ]
-    .map(|f| Path::new(env!("CARGO_MANIFEST_DIR")).join(f))
-    .into();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut docs: Vec<PathBuf> = TOP_LEVEL_DOCS.map(|f| root.join(f)).into();
     for (dir, ext) in [
         ("docs", "md"),
         (".github/workflows", "yml"),
@@ -116,14 +118,7 @@ fn cited_cargo_targets_exist() {
 /// The Markdown documents whose `<file>.rs::<name>` citations are
 /// checked: the top-level ones, `docs/` and every crate's.
 fn cited_docs() -> Vec<PathBuf> {
-    let mut docs: Vec<PathBuf> = [
-        "README.md",
-        "EXPERIMENTS.md",
-        "DESIGN.md",
-        "CONTRIBUTING.md",
-    ]
-    .map(PathBuf::from)
-    .into();
+    let mut docs: Vec<PathBuf> = TOP_LEVEL_DOCS.map(PathBuf::from).into();
     docs.extend(ls("docs", "md"));
     docs.extend(files_under("crates", "md"));
     docs

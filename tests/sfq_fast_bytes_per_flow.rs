@@ -99,11 +99,11 @@ fn sfq_fast() -> (usize, i64) {
 }
 
 /// `Engine::new_fast` over 4 shards, preloaded through `try_ingest`:
-/// 380.0. When ingest parked packets in a per-shard queue reserved at
-/// `ring_capacity` 64-byte packets, the same state read 636.0 once
-/// pumped (the queues' 256 bytes per flow stayed reserved) and 423.0
-/// before the pump. The 104
-/// above the bare core's 276, all measured by taking the layers apart:
+/// 380.0, budget 400. When ingest parked packets in a per-shard queue
+/// reserved at `ring_capacity` 64-byte packets, the same state read
+/// 636.0 once pumped (the queues' 256 bytes per flow stayed reserved)
+/// and 423.0 before the pump. The 104 above the bare core's 276, all
+/// measured by taking the layers apart:
 /// - 28: the engine's flow table, a 4-byte id index entry and a 24-byte
 ///   `(FlowId, FlowRec)` record;
 /// - 17: four id indexes instead of one, each over the whole id range
