@@ -3,7 +3,8 @@
 //! Walks seeds from a starting point, running each preset's strongest
 //! check, until the budget expires or a failure is found. Every failing
 //! scenario's replay line is printed and appended to the output file —
-//! the artifact CI's nightly job uploads.
+//! the artifact CI's nightly job uploads. `single-ebf` has no check and
+//! is refused with a non-zero exit.
 //!
 //! ```text
 //! conformance-fuzz [--budget-secs N] [--preset NAME] [--start-seed S] [--out PATH]
@@ -168,17 +169,32 @@ fn check(sc: &Scenario) -> Option<String> {
                 e.lines().next().unwrap_or(&e).to_string()
             })
         }
-        Preset::SingleEbf | Preset::FairAirport => None, // covered by tier-1 tests
+        Preset::FairAirport => {
+            if let Some(b) = check_against_bound(sc, SchedKind::FairAirport) {
+                if b.violation > SimDuration::ZERO {
+                    return Some(format!("Theorem 9 violated by {:?}", b.violation));
+                }
+            }
+            let rep = diff_schedulers(sc, SchedKind::FairAirport, SchedKind::FairAirport);
+            rep.divergence
+                .map(|d| format!("self-diff diverged:\n{}", d.detail))
+        }
+        Preset::SingleEbf => unreachable!("refused in main"),
     }
 }
 
 fn main() {
     let opts = parse_args();
+    if opts.preset == Some(Preset::SingleEbf) {
+        eprintln!("conformance-fuzz: no fuzz check for this preset (single-ebf)");
+        std::process::exit(2);
+    }
     let presets: Vec<Preset> = match opts.preset {
         Some(p) => vec![p],
         None => vec![
             Preset::Tandem,
             Preset::SingleFc,
+            Preset::FairAirport,
             Preset::Soak,
             Preset::Engine,
             Preset::Fast,

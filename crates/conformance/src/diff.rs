@@ -6,14 +6,14 @@
 use crate::exec::{faults_from, materialize_packets, register_flows, run_faulted};
 use crate::faults::{effective_delta_bits, hop_profile};
 use crate::scenario::{other_lmax_at, Scenario, OBSERVED_FLOW};
-use analysis::{max_guarantee_violation, scfq_delay_term, sfq_delay_term};
+use analysis::{max_guarantee_violation, scfq_delay_term, sfq_delay_term, wfq_delay_term};
 use baselines::{Fifo, Scfq, VirtualClock};
 use servers::Departure;
 use sfq_core::{
     FairAirport, FifoBackend, ScfqFast, Scheduler, Sfq, SfqFast, TieBreak, DEFAULT_SHIFT,
 };
 use sfq_obs::RingTracer;
-use simtime::{SimDuration, SimTime};
+use simtime::{Bytes, Ratio, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -287,8 +287,9 @@ pub fn diff_schedulers(sc: &Scenario, a: SchedKind, b: SchedKind) -> DiffReport 
 /// Scheduler-vs-analytical-bound oracle: run `kind` on the scenario's
 /// (possibly faulted) profile and measure the worst violation of its
 /// own delay theorem for the observed flow. Droops are folded into the
-/// effective δ. Supported for SFQ (Theorem 4) and SCFQ (Eq. 56);
-/// returns `None` for disciplines without a transcribed bound.
+/// effective δ. Supported for SFQ (Theorem 4), SCFQ (Eq. 56) and Fair
+/// Airport (Theorem 9); returns `None` for disciplines without a
+/// transcribed bound.
 pub struct BoundCheck {
     /// Worst violation (zero = theorem holds).
     pub violation: SimDuration,
@@ -316,6 +317,14 @@ pub fn check_against_bound(sc: &Scenario, kind: SchedKind) -> Option<BoundCheck>
                 return None; // Eq. 56 is a constant-rate statement.
             }
             scfq_delay_term(&others, obs.max_len(), obs.weight(), sc.link())
+        }
+        SchedKind::FairAirport => {
+            // Theorem 9: WFQ's term `l/r + l_max/C`, plus `δ/C`.
+            let lmax = others.iter().copied().fold(obs.max_len(), Bytes::max);
+            let delta = effective_delta_bits(sc, &profile, horizon);
+            let c = sc.link();
+            wfq_delay_term(obs.max_len(), obs.weight(), lmax, c)
+                + SimDuration::from_ratio(Ratio::new(delta as i128, c.as_bps() as i128))
         }
         _ => return None,
     };
@@ -361,6 +370,34 @@ mod tests {
         assert!(d.detail.contains("trace sfq"));
         assert!(d.detail.contains("trace fifo"));
         assert!(d.detail.contains("schedules diverge at departure"));
+    }
+
+    /// Theorem 9's term on the `fair-airport` preset: 250-byte packets,
+    /// 1 kb/s flows on a 2 kb/s link, so `l/r + l/C` is 3 s, plus `δ/C`.
+    #[test]
+    fn fair_airport_bound_oracle_holds() {
+        for seed in 0u64..8 {
+            let sc = Scenario::from_seed(Preset::FairAirport, seed);
+            let check = check_against_bound(&sc, SchedKind::FairAirport).expect("fa bound");
+            let delta = match sc.server {
+                crate::scenario::ServerSpec::Fc { delta_bits } => delta_bits,
+                _ => 0,
+            };
+            let want = SimDuration::from_secs(3)
+                + SimDuration::from_ratio(Ratio::new(delta as i128, 2_000));
+            let in_range = SimDuration::from_secs(3) <= check.term && check.term <= want;
+            assert!(
+                in_range,
+                "term {:?}, δ {delta}\n  {}",
+                check.term, check.replay
+            );
+            assert_eq!(
+                check.violation,
+                SimDuration::ZERO,
+                "Theorem 9\n  {}",
+                check.replay
+            );
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use crate::scenario::Scenario;
 use des::SimRng;
 use sfq_core::{FlowId, Packet, PacketFactory, ReconfigCmd, SchedError, Scheduler, Sfq};
-use sfq_engine::{Engine, EngineConfig, ShardSched, SyncEngine};
+use sfq_engine::{Engine, EngineConfig, ShardSched, SyncEngine, REBASE_BITS};
 use simtime::{Bytes, Rate, SimTime};
 use std::collections::HashMap;
 
@@ -219,9 +219,7 @@ fn leaf_model(
     end: SimTime,
 ) -> Result<Trace, String> {
     let mut sfq = Sfq::new();
-    if let Some(bits) = cfg.rebase_bits {
-        sfq.enable_rebasing(bits);
-    }
+    sfq.enable_rebasing(REBASE_BITS);
     for &(flow, weight) in flows {
         sfq.add_flow(flow, weight);
     }

@@ -1,51 +1,20 @@
 //! Single-server execution with timed fault injection.
 //!
 //! [`run_faulted`] is `servers::run_server` plus a third event stream:
-//! a sorted schedule of [`TimedFault`]s. A `ForceRemove` discards the
-//! flow's backlog mid-run (the scheduler's churn hook); until a
-//! matching `Revive`, further arrivals of that flow are refused at the
-//! door — exactly what a real switch does after tearing down a
-//! reservation. Event order at one instant: completion, faults,
-//! arrivals, service start — so a packet arriving at the removal
-//! instant is already refused, matching the `graph::Graph` executor
-//! (churn events are scheduled ahead of any same-instant arrival).
+//! a sorted schedule of [`TimedFault`]s, run by the one single-server
+//! loop, [`servers::run_server_faulted`] (see it for the fault
+//! semantics and the event order at one instant, which matches the
+//! `graph::Graph` executor: churn events are scheduled ahead of any
+//! same-instant arrival).
 
 use crate::scenario::{Scenario, SourceKind};
-use servers::{Departure, RateProfile};
+use servers::{run_server_faulted, RateProfile};
+pub use servers::{ExecReport, FaultAction, TimedFault};
 use sfq_core::{FlowId, Packet, PacketFactory, SchedError, Scheduler};
-use simtime::{Rate, SimTime};
-use std::collections::HashSet;
+#[cfg(test)]
+use simtime::Rate;
+use simtime::SimTime;
 use traffic::{merge, to_packets};
-
-/// What a timed fault does.
-#[derive(Clone, Copy, Debug)]
-pub enum FaultAction {
-    /// Force-remove the flow, discarding its backlog.
-    ForceRemove(FlowId),
-    /// Re-register the flow at the given weight; subsequent arrivals
-    /// are accepted again (with fresh tag state, like a new flow).
-    Revive(FlowId, Rate),
-}
-
-/// A fault at a point in time.
-#[derive(Clone, Copy, Debug)]
-pub struct TimedFault {
-    /// When the fault fires.
-    pub at: SimTime,
-    /// What it does.
-    pub action: FaultAction,
-}
-
-/// Outcome of a faulted run.
-#[derive(Debug)]
-pub struct ExecReport {
-    /// Departure schedule of every packet served by the horizon.
-    pub departures: Vec<Departure>,
-    /// Backlogged packets discarded by force-removals.
-    pub discarded: u64,
-    /// Arrivals refused because their flow was removed at the time.
-    pub refused: u64,
-}
 
 /// Run `sched` over `profile` with `arrivals` (sorted by time) and the
 /// fault schedule (sorted by time). Mirrors `servers::run_server` when
@@ -78,85 +47,13 @@ pub fn run_faulted_checked(
     horizon: SimTime,
     replay: &str,
 ) -> Result<ExecReport, SchedError> {
-    run_faulted_inner(sched, profile, arrivals, faults, horizon).inspect_err(|e| {
+    run_server_faulted(sched, profile, arrivals, faults, horizon, |s, now, pkt| {
+        s.try_enqueue(now, pkt)
+    })
+    .inspect_err(|e| {
         if !replay.is_empty() {
             eprintln!("scheduler error ({e})\n  {replay}");
         }
-    })
-}
-
-fn run_faulted_inner(
-    sched: &mut dyn Scheduler,
-    profile: &RateProfile,
-    arrivals: &[Packet],
-    faults: &[TimedFault],
-    horizon: SimTime,
-) -> Result<ExecReport, SchedError> {
-    for w in arrivals.windows(2) {
-        debug_assert!(w[0].arrival <= w[1].arrival, "arrivals must be sorted");
-    }
-    for w in faults.windows(2) {
-        debug_assert!(w[0].at <= w[1].at, "faults must be sorted");
-    }
-    let mut departures = Vec::with_capacity(arrivals.len());
-    let mut next_arrival = 0usize;
-    let mut next_fault = 0usize;
-    let mut removed: HashSet<FlowId> = HashSet::new();
-    let mut discarded = 0u64;
-    let mut refused = 0u64;
-    let mut in_flight: Option<(SimTime, SimTime, Packet)> = None;
-
-    loop {
-        let arr_t = arrivals.get(next_arrival).map(|p| p.arrival);
-        let fault_t = faults.get(next_fault).map(|f| f.at);
-        let dep_t = in_flight.as_ref().map(|&(_, d, _)| d);
-        let next_t = [arr_t, fault_t, dep_t].into_iter().flatten().min();
-        let now = match next_t {
-            Some(t) if t <= horizon => t,
-            _ => break,
-        };
-        if dep_t == Some(now) {
-            let (s, d, pkt) = in_flight.take().expect("in flight");
-            sched.on_departure(now);
-            departures.push(Departure {
-                pkt,
-                service_start: s,
-                departure: d,
-            });
-        }
-        while next_fault < faults.len() && faults[next_fault].at == now {
-            match faults[next_fault].action {
-                FaultAction::ForceRemove(flow) => {
-                    discarded += sched.force_remove_flow(flow) as u64;
-                    removed.insert(flow);
-                }
-                FaultAction::Revive(flow, weight) => {
-                    sched.add_flow(flow, weight);
-                    removed.remove(&flow);
-                }
-            }
-            next_fault += 1;
-        }
-        while next_arrival < arrivals.len() && arrivals[next_arrival].arrival == now {
-            let pkt = arrivals[next_arrival];
-            next_arrival += 1;
-            if removed.contains(&pkt.flow) {
-                refused += 1;
-            } else {
-                sched.try_enqueue(now, pkt)?;
-            }
-        }
-        if in_flight.is_none() {
-            if let Some(pkt) = sched.try_dequeue(now)? {
-                let dep = profile.finish_time(now, pkt.len);
-                in_flight = Some((now, dep, pkt));
-            }
-        }
-    }
-    Ok(ExecReport {
-        departures,
-        discarded,
-        refused,
     })
 }
 

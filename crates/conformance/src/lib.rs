@@ -6,8 +6,9 @@
 //!   packet-size distributions, FC/EBF server profiles, and a
 //!   fault-injection schedule — generated from `(preset, seed)` and
 //!   replayable from a single printed line,
-//! - [`exec`]: a single-server executor with timed force-remove /
-//!   revive faults,
+//! - [`exec`]: single-server runs with timed force-remove / revive
+//!   faults, on the one single-server loop
+//!   (`servers::run_server_faulted`),
 //! - [`faults`]: droop materialization and exact effective-δ
 //!   recomputation, so analytical bounds stay theorems under faults,
 //! - [`diff`]: the differential oracle — two schedulers (or a

@@ -19,4 +19,6 @@ pub use fc::{
     ebf_catch_up, ebf_tail_estimate, fc_on_off, max_interval_deficit_bits, EbfParams, FcParams,
 };
 pub use profile::{RateProfile, Segment};
-pub use run::{run_server, run_server_by, Departure};
+pub use run::{
+    run_server, run_server_by, run_server_faulted, Departure, ExecReport, FaultAction, TimedFault,
+};

@@ -1,13 +1,16 @@
 //! Single-server simulation harness.
 //!
-//! Couples a scheduling discipline with a rate profile and a scripted
-//! arrival sequence, producing the exact departure schedule. This is
-//! the workhorse behind the fairness/delay experiments: Theorems 1–5
-//! are statements about precisely these outputs.
+//! Couples a scheduling discipline with a rate profile, a scripted
+//! arrival sequence and, optionally, timed flow faults, producing the
+//! exact departure schedule. This is the workhorse behind the
+//! fairness/delay experiments: Theorems 1–5 are statements about
+//! precisely these outputs. One loop ([`run_server_faulted`]) serves
+//! every entry point.
 
 use crate::profile::RateProfile;
-use sfq_core::{Packet, Scheduler};
-use simtime::SimTime;
+use sfq_core::{FlowId, Packet, SchedError, Scheduler};
+use simtime::{Rate, SimTime};
+use std::collections::HashSet;
 
 /// One served packet: when it arrived, began service, and departed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -18,6 +21,36 @@ pub struct Departure {
     pub service_start: SimTime,
     /// Time the last bit left the server.
     pub departure: SimTime,
+}
+
+/// What a timed fault does.
+#[derive(Clone, Copy, Debug)]
+pub enum FaultAction {
+    /// Force-remove the flow, discarding its backlog.
+    ForceRemove(FlowId),
+    /// Re-register the flow at the given weight; subsequent arrivals
+    /// are accepted again (with fresh tag state, like a new flow).
+    Revive(FlowId, Rate),
+}
+
+/// A fault at a point in time.
+#[derive(Clone, Copy, Debug)]
+pub struct TimedFault {
+    /// When the fault fires.
+    pub at: SimTime,
+    /// What it does.
+    pub action: FaultAction,
+}
+
+/// Outcome of a faulted run.
+#[derive(Debug)]
+pub struct ExecReport {
+    /// Departure schedule of every packet served by the horizon.
+    pub departures: Vec<Departure>,
+    /// Backlogged packets discarded by force-removals.
+    pub discarded: u64,
+    /// Arrivals refused because their flow was removed at the time.
+    pub refused: u64,
 }
 
 /// Run `scheduler` over `profile`, feeding it `arrivals` (must be
@@ -55,31 +88,63 @@ where
     S: Scheduler + ?Sized,
     F: FnMut(&mut S, SimTime, Packet),
 {
+    let run = run_server_faulted(scheduler, profile, arrivals, &[], horizon, |s, now, pkt| {
+        enqueue(s, now, pkt);
+        Ok(())
+    });
+    match run {
+        Ok(report) => report.departures,
+        Err(e) => panic!("{}: {e}", scheduler.name()),
+    }
+}
+
+/// [`run_server_by`] with a third event stream: `faults`, sorted by
+/// time. A `ForceRemove` discards the flow's backlog mid-run (the
+/// scheduler's churn hook); until a matching `Revive`, further
+/// arrivals of that flow are refused at the door — exactly what a real
+/// switch does after tearing down a reservation. Event order at one
+/// instant: completion, faults, arrivals, service start — so a packet
+/// arriving at the removal instant is already refused. The first error
+/// of `enqueue` or of [`Scheduler::try_dequeue`] ends the run and is
+/// returned.
+pub fn run_server_faulted<S, F>(
+    scheduler: &mut S,
+    profile: &RateProfile,
+    arrivals: &[Packet],
+    faults: &[TimedFault],
+    horizon: SimTime,
+    mut enqueue: F,
+) -> Result<ExecReport, SchedError>
+where
+    S: Scheduler + ?Sized,
+    F: FnMut(&mut S, SimTime, Packet) -> Result<(), SchedError>,
+{
     for w in arrivals.windows(2) {
         debug_assert!(
             w[0].arrival <= w[1].arrival,
             "arrivals must be sorted by time"
         );
     }
+    for w in faults.windows(2) {
+        debug_assert!(w[0].at <= w[1].at, "faults must be sorted by time");
+    }
     let mut departures = Vec::with_capacity(arrivals.len());
     let mut next_arrival = 0usize;
+    let mut next_fault = 0usize;
+    let mut removed: HashSet<FlowId> = HashSet::new();
+    let (mut discarded, mut refused) = (0u64, 0u64);
     // (service_start, departure, packet) of the in-flight transmission.
     let mut in_flight: Option<(SimTime, SimTime, Packet)> = None;
 
     loop {
-        // Next events: arrival and/or completion.
+        // Next events: completion, fault and/or arrival.
         let arr_t = arrivals.get(next_arrival).map(|p| p.arrival);
+        let fault_t = faults.get(next_fault).map(|f| f.at);
         let dep_t = in_flight.as_ref().map(|&(_, d, _)| d);
-        let next_t = match (arr_t, dep_t) {
-            (Some(a), Some(d)) => a.min(d),
-            (Some(a), None) => a,
-            (None, Some(d)) => d,
-            (None, None) => break,
+        let now = match [arr_t, fault_t, dep_t].into_iter().flatten().min() {
+            Some(t) if t <= horizon => t,
+            _ => break,
         };
-        if next_t > horizon {
-            break;
-        }
-        let now = next_t;
         // Completions strictly before new arrivals at the same instant:
         // the departing packet's transmission finished; an arrival at
         // the same time sees the server already free (and, for SFQ, the
@@ -92,20 +157,40 @@ where
                 departure: d,
             });
         }
-        while next_arrival < arrivals.len() && arrivals[next_arrival].arrival == now {
-            let pkt = arrivals[next_arrival];
+        while let Some(fault) = faults.get(next_fault).filter(|f| f.at == now) {
+            match fault.action {
+                FaultAction::ForceRemove(flow) => {
+                    discarded += scheduler.force_remove_flow(flow) as u64;
+                    removed.insert(flow);
+                }
+                FaultAction::Revive(flow, weight) => {
+                    scheduler.add_flow(flow, weight);
+                    removed.remove(&flow);
+                }
+            }
+            next_fault += 1;
+        }
+        while let Some(&pkt) = arrivals.get(next_arrival).filter(|p| p.arrival == now) {
             next_arrival += 1;
-            enqueue(scheduler, now, pkt);
+            if !removed.is_empty() && removed.contains(&pkt.flow) {
+                refused += 1;
+            } else {
+                enqueue(scheduler, now, pkt)?;
+            }
         }
         // Work conservation: start the next transmission if free.
         if in_flight.is_none() {
-            if let Some(pkt) = scheduler.dequeue(now) {
+            if let Some(pkt) = scheduler.try_dequeue(now)? {
                 let dep = profile.finish_time(now, pkt.len);
                 in_flight = Some((now, dep, pkt));
             }
         }
     }
-    departures
+    Ok(ExecReport {
+        departures,
+        discarded,
+        refused,
+    })
 }
 
 #[cfg(test)]

@@ -12,34 +12,33 @@
 //!    arrival, so its stamp `max(A, F_prev) + l/r` is exactly that and
 //!    its per-flow finish state is the regulator's chain;
 //! 3. an **Auxiliary Service Queue (ASQ)** running SFQ over *all*
-//!    unserved packets.
+//!    unserved packets — it *is* an [`Sfq`], and carries the observer.
 //!
 //! The server gives (non-preemptive) priority to the GSQ. A packet that
 //! became eligible in the GSQ is only removed from the ASQ once the GSQ
 //! serves it; on such a removal, the flow's next ASQ packet inherits the
-//! removed packet's start tag (rule 5), which is what keeps Lemmas 1–2
-//! valid for the ASQ and yields the fairness bound of Theorem 8.
+//! removed packet's start tag (rule 5,
+//! [`take_head_inheriting`](crate::TagSched::take_head_inheriting)),
+//! which is what keeps Lemmas 1–2 valid for the ASQ and yields the
+//! fairness bound of Theorem 8.
+//!
+//! Every unserved packet is in the ASQ, and the oldest ones of a flow
+//! that have passed the regulator are in the GSQ as well: a flow's
+//! *front held* packet, the first the regulator still holds, is its ASQ
+//! packet at the position its GSQ backlog names, and an eligibility
+//! heap announces it. The scheduler keeps no tags and no packets of its
+//! own. An ASQ service costs O(log Q): the ASQ's heap, plus announcing
+//! the flow's next packet. A GSQ service costs O(log Q + flow backlog):
+//! the heaps, the re-chain of the flow's ASQ tags behind the inherited
+//! start, and finding each held packet behind the admitted ones.
 
-use crate::obs::{FlowChange, NoopObserver, SchedEvent, SchedObserver};
+use crate::obs::{NoopObserver, SchedObserver};
 use crate::packet::{FlowId, Packet};
-use crate::sched::{SchedError, Scheduler};
-use crate::tagsched::VirtualClock;
+use crate::sched::{SchedError, Scheduler, TieBreak};
+use crate::tagsched::{Sfq, VirtualClock};
 use simtime::{Rate, Ratio, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
-
-#[derive(Debug)]
-struct FaFlow {
-    weight: Rate,
-    /// Unserved packets, FIFO. The first `gsq.backlog(flow)` of them
-    /// have passed the regulator and wait in the GSQ as well.
-    queue: VecDeque<Packet>,
-    /// ASQ (SFQ) start tag of the front unserved packet; valid while
-    /// `queue` is non-empty.
-    front_start: Ratio,
-    /// ASQ finish-tag state for arrivals to an idle flow.
-    last_finish: Ratio,
-}
+use std::collections::BinaryHeap;
 
 /// Which queue served a packet — exposed for telemetry and tests.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -74,26 +73,18 @@ pub enum ServedVia {
 /// ```
 #[derive(Debug)]
 pub struct FairAirport<O: SchedObserver = NoopObserver> {
-    flows: HashMap<FlowId, FaFlow>,
-    /// ASQ ready set: (front start tag, flow).
-    asq_ready: BTreeSet<(Ratio, FlowId)>,
+    /// ASQ: every unserved packet, registered at the flow's weight.
+    asq: Sfq<O>,
     /// GSQ: every flow's admitted packets, registered at the flow's
     /// weight.
     gsq: VirtualClock,
-    /// Eligibility heap over each flow's *front pending* packet (the
-    /// oldest packet not yet admitted to the GSQ): (EAT, uid, flow).
-    /// Entries are lazily invalidated — an entry whose uid no longer
-    /// matches the flow's current front pending packet is discarded at
-    /// pop time. Makes the regulator O(log Q) per dequeue instead of a
-    /// full flow scan.
+    /// Eligibility heap over each flow's *front held* packet: (EAT,
+    /// uid, flow). Entries are lazily invalidated — an entry whose uid
+    /// no longer matches the flow's current front held packet is
+    /// discarded at pop time. Makes the regulator O(log Q) per dequeue
+    /// instead of a full flow scan.
     pending: BinaryHeap<Reverse<(SimTime, u64, FlowId)>>,
-    /// ASQ virtual time state (SFQ rules).
-    v: Ratio,
-    in_service: Option<Ratio>,
-    max_finish_served: Ratio,
-    queued: usize,
     last_served_via: Option<ServedVia>,
-    obs: O,
 }
 
 impl FairAirport {
@@ -104,45 +95,41 @@ impl FairAirport {
 }
 
 impl<O: SchedObserver> FairAirport<O> {
-    /// New Fair Airport scheduler reporting events to `obs`. Events
-    /// carry ASQ (SFQ) tags: dequeues report the removed packet's ASQ
-    /// start tag and natural finish tag with `v` = the ASQ virtual
-    /// time; enqueues report the flow-head tag when the arrival starts
-    /// a new head (tags of deeper packets are assigned lazily and
-    /// reported as zero).
+    /// New Fair Airport scheduler reporting events to `obs`, all of them
+    /// the ASQ's (an [`Sfq`]'s): every enqueue reports the packet's ASQ
+    /// start and finish tags and `v` as the arrival read it; every
+    /// dequeue, through either queue, reports the packet's ASQ tags as
+    /// they stood when it left and `v` after the service — moved by an
+    /// ASQ service, left alone by a GSQ one (which re-chains the flow's
+    /// later tags, and reports nothing for them). Flow changes report
+    /// as [`Sfq`]'s do.
     pub fn with_observer(obs: O) -> Self {
         FairAirport {
-            flows: HashMap::new(),
-            asq_ready: BTreeSet::new(),
+            asq: Sfq::with_observer(TieBreak::Fifo, obs),
             gsq: VirtualClock::new(),
             pending: BinaryHeap::new(),
-            v: Ratio::ZERO,
-            in_service: None,
-            max_finish_served: Ratio::ZERO,
-            queued: 0,
             last_served_via: None,
-            obs,
         }
     }
 
     /// The attached observer.
     pub fn observer(&self) -> &O {
-        &self.obs
+        self.asq.observer()
     }
 
     /// The attached observer, mutably.
     pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.obs
+        self.asq.observer_mut()
     }
 
     /// Consume the scheduler, returning the observer.
     pub fn into_observer(self) -> O {
-        self.obs
+        self.asq.into_observer()
     }
 
     /// The ASQ's virtual time `v(t)` (SFQ semantics).
     pub fn asq_virtual_time(&self) -> Ratio {
-        self.in_service.unwrap_or(self.v)
+        self.asq.virtual_time()
     }
 
     /// Which queue the most recently dequeued packet came from.
@@ -150,19 +137,19 @@ impl<O: SchedObserver> FairAirport<O> {
         self.last_served_via
     }
 
-    /// `flow`'s front pending packet — the oldest not yet admitted to
-    /// the GSQ — and its `EAT^GSQ`: its arrival, or the GSQ stamp of the
+    /// `flow`'s front held packet — the oldest not yet admitted to the
+    /// GSQ — and its `EAT^GSQ`: its arrival, or the GSQ stamp of the
     /// flow's last admitted packet if that is later.
-    fn front_pending(&self, flow: FlowId) -> Option<(Packet, SimTime)> {
-        let &p = self.flows.get(&flow)?.queue.get(self.gsq.backlog(flow))?;
+    fn front_held(&self, flow: FlowId) -> Option<(Packet, SimTime)> {
+        let p = self.asq.queued(flow, self.gsq.backlog(flow))?;
         let chain = self.gsq.flow_last_finish(flow).unwrap_or_default();
         Some((p, p.arrival.max(SimTime::from_ratio(chain))))
     }
 
-    /// (Re)announce `flow`'s current front pending packet on the
+    /// (Re)announce `flow`'s current front held packet on the
     /// eligibility heap. Stale announcements are skipped at pop time.
-    fn announce_pending(&mut self, flow: FlowId) {
-        if let Some((p, eat)) = self.front_pending(flow) {
+    fn announce(&mut self, flow: FlowId) {
+        if let Some((p, eat)) = self.front_held(flow) {
             self.pending.push(Reverse((eat, p.uid, flow)));
         }
     }
@@ -176,64 +163,17 @@ impl<O: SchedObserver> FairAirport<O> {
             let _ = self.pending.pop();
             // Skip stale announcements: the flow was force-removed, or
             // the packet was ASQ-served or already admitted since.
-            let Some((p, _)) = self.front_pending(flow).filter(|(p, _)| p.uid == uid) else {
+            let Some((p, _)) = self.front_held(flow).filter(|(p, _)| p.uid == uid) else {
                 continue;
             };
             // Rule 3: fed at its arrival, the GSQ stamps it
             // EAT^GSQ + l/r. A stamp off the tag range leaves the packet
             // to the ASQ.
             if self.gsq.try_enqueue(p.arrival, p).is_ok() {
-                // The next pending packet (if any) becomes announceable.
-                self.announce_pending(flow);
+                // The next held packet (if any) becomes announceable.
+                self.announce(flow);
             }
         }
-    }
-
-    /// Remove the front unserved packet of `flow` and fix up the ASQ
-    /// bookkeeping, applying start-tag inheritance on GSQ removals.
-    fn remove_front(&mut self, now: SimTime, flow: FlowId, via: ServedVia) -> Packet {
-        let Some(fs) = self.flows.get_mut(&flow) else {
-            unreachable!("remove_front on unknown flow {flow}")
-        };
-        let removed_start = fs.front_start;
-        let Some(p) = fs.queue.pop_front() else {
-            unreachable!("remove_front on empty flow {flow}")
-        };
-        let natural_finish = removed_start + fs.weight.tag_span(p.len);
-        self.asq_ready.remove(&(removed_start, flow));
-        if let Some(_next) = fs.queue.front() {
-            fs.front_start = match via {
-                // Rule 5: the next packet inherits the removed packet's
-                // start tag.
-                ServedVia::Gsq => removed_start,
-                // Ordinary SFQ continuation: S = F of the predecessor.
-                ServedVia::Asq => natural_finish,
-            };
-            let new_start = fs.front_start;
-            self.asq_ready.insert((new_start, flow));
-        } else {
-            fs.last_finish = natural_finish;
-        }
-        self.max_finish_served = self.max_finish_served.max(natural_finish);
-        self.queued -= 1;
-        self.last_served_via = Some(via);
-        self.obs.on_dequeue(&SchedEvent {
-            time: now,
-            flow,
-            uid: p.uid,
-            len: p.len,
-            start_tag: removed_start,
-            finish_tag: natural_finish,
-            v: self.asq_virtual_time(),
-        });
-        if via == ServedVia::Asq {
-            // The served packet was the flow's front *pending* packet
-            // (GSQ priority guarantees nothing is admitted here):
-            // announce the successor's eligibility.
-            debug_assert_eq!(self.gsq.backlog(flow), 0);
-            self.announce_pending(flow);
-        }
-        p
     }
 
     /// Drop a flow and all of its queued packets immediately, without
@@ -246,18 +186,8 @@ impl<O: SchedObserver> FairAirport<O> {
     /// untouched, so removal is safe even while one of the flow's
     /// packets is in service.
     pub fn force_remove_flow(&mut self, flow: FlowId) -> usize {
-        let Some(fs) = self.flows.remove(&flow) else {
-            return 0;
-        };
         self.gsq.force_remove_flow(flow);
-        let dropped = fs.queue.len();
-        self.queued -= dropped;
-        if !fs.queue.is_empty() {
-            self.asq_ready.remove(&(fs.front_start, flow));
-        }
-        self.obs
-            .on_flow_change(flow, &FlowChange::ForceRemoved { dropped });
-        dropped
+        self.asq.force_remove_flow(flow)
     }
 }
 
@@ -269,18 +199,10 @@ impl Default for FairAirport {
 
 impl<O: SchedObserver> Scheduler for FairAirport<O> {
     fn add_flow(&mut self, flow: FlowId, weight: Rate) {
-        assert!(weight.as_bps() > 0, "FA: flow weight must be positive");
+        self.asq
+            .try_add_flow(flow, weight)
+            .unwrap_or_else(|e| panic!("FA: {e}"));
         self.gsq.add_flow(flow, weight);
-        self.flows
-            .entry(flow)
-            .and_modify(|fs| fs.weight = weight)
-            .or_insert_with(|| FaFlow {
-                weight,
-                queue: VecDeque::new(),
-                front_start: Ratio::ZERO,
-                last_finish: Ratio::ZERO,
-            });
-        self.obs.on_flow_change(flow, &FlowChange::Added { weight });
     }
 
     fn enqueue(&mut self, now: SimTime, pkt: Packet) {
@@ -289,97 +211,60 @@ impl<O: SchedObserver> Scheduler for FairAirport<O> {
     }
 
     fn try_enqueue(&mut self, now: SimTime, pkt: Packet) -> Result<(), SchedError> {
-        // Snapped at the read point (see Ratio::snap_pico).
-        let v_now = self.asq_virtual_time().snap_pico();
-        let fs = self
-            .flows
-            .get_mut(&pkt.flow)
-            .ok_or(SchedError::UnknownFlow(pkt.flow))?;
-        let was_empty = fs.queue.is_empty();
-        let mut tags = (Ratio::ZERO, Ratio::ZERO);
-        if was_empty {
-            // SFQ arrival to an idle flow: S = max(v(A), F_prev).
-            // Checked before any state changes so a tag overflow
-            // leaves no trace.
-            let s = v_now.max(fs.last_finish);
-            let f = s
-                .checked_add(fs.weight.tag_span(pkt.len))
-                .ok_or(SchedError::TagOverflow)?;
-            fs.front_start = s;
-            tags = (s, f);
+        self.asq.try_enqueue(now, pkt)?;
+        if self.asq.backlog(pkt.flow) - self.gsq.backlog(pkt.flow) == 1 {
+            // The flow's only held packet.
+            self.announce(pkt.flow);
         }
-        fs.queue.push_back(pkt);
-        let is_front_pending = fs.queue.len() - self.gsq.backlog(pkt.flow) == 1;
-        if was_empty {
-            self.asq_ready.insert((tags.0, pkt.flow));
-        }
-        self.queued += 1;
-        if is_front_pending {
-            self.announce_pending(pkt.flow);
-        }
-        self.obs.on_enqueue(&SchedEvent {
-            time: now,
-            flow: pkt.flow,
-            uid: pkt.uid,
-            len: pkt.len,
-            start_tag: tags.0,
-            finish_tag: tags.1,
-            v: v_now,
-        });
         Ok(())
     }
 
     fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
-        if self.queued == 0 {
+        if self.asq.is_empty() {
             return None;
         }
         self.release_regulator(now);
         // Priority to the GSQ (rule 6). It holds the admitted prefix of
-        // each flow's queue, so what it serves is its flow's front.
-        if let Some(p) = self.gsq.dequeue(now) {
-            let pkt = self.remove_front(now, p.flow, ServedVia::Gsq);
+        // each flow's packets, so what it serves is its flow's ASQ head.
+        let (pkt, via) = if let Some(p) = self.gsq.dequeue(now) {
+            let pkt = self.asq.take_head_inheriting(now, p.flow)?;
             debug_assert_eq!(pkt.uid, p.uid);
-            return Some(pkt);
-        }
-        // GSQ empty: serve the ASQ in SFQ order. The served packet is
-        // necessarily still in the regulator (its EAT is in the future),
-        // so it is removed from the regulator (rule 4) and never enters
-        // the GSQ chain.
-        let &(start, flow) = self.asq_ready.iter().next()?;
-        self.in_service = Some(start);
-        self.v = start;
-        Some(self.remove_front(now, flow, ServedVia::Asq))
+            (pkt, ServedVia::Gsq)
+        } else {
+            // GSQ empty: serve the ASQ in SFQ order. With nothing
+            // admitted, the served packet was its flow's front held one,
+            // its EAT still in the future: it leaves the regulator
+            // (rule 4) and never enters the GSQ chain.
+            let pkt = self.asq.dequeue(now)?;
+            self.announce(pkt.flow);
+            (pkt, ServedVia::Asq)
+        };
+        self.last_served_via = Some(via);
+        Some(pkt)
     }
 
-    fn on_departure(&mut self, _now: SimTime) {
-        self.in_service = None;
-        if self.queued == 0 {
-            self.v = self.max_finish_served;
-        }
+    fn on_departure(&mut self, now: SimTime) {
+        self.asq.on_departure(now);
     }
 
     fn is_empty(&self) -> bool {
-        self.queued == 0
+        self.asq.is_empty()
     }
 
     fn len(&self) -> usize {
-        self.queued
+        self.asq.len()
     }
 
     fn backlog(&self, flow: FlowId) -> usize {
-        self.flows.get(&flow).map_or(0, |f| f.queue.len())
+        self.asq.backlog(flow)
     }
 
     fn remove_flow(&mut self, flow: FlowId) -> bool {
-        match self.flows.get(&flow) {
-            Some(fs) if fs.queue.is_empty() => {
-                self.flows.remove(&flow);
-                self.gsq.remove_flow(flow);
-                self.obs.on_flow_change(flow, &FlowChange::Removed);
-                true
-            }
-            _ => false,
+        let removed = self.asq.remove_flow(flow);
+        if removed {
+            self.gsq.remove_flow(flow);
         }
+        removed
     }
 
     fn force_remove_flow(&mut self, flow: FlowId) -> usize {
@@ -394,6 +279,7 @@ impl<O: SchedObserver> Scheduler for FairAirport<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::SchedEvent;
     use crate::packet::PacketFactory;
     use simtime::Bytes;
 
@@ -468,10 +354,13 @@ mod tests {
         let b = pf.make(FlowId(1), Bytes::new(125), t0);
         fa.enqueue(t0, a);
         fa.enqueue(t0, b);
-        // Front start tag is 0. Serve a via GSQ: b inherits S = 0.
+        // b is stamped S = 1 behind a. Serve a via GSQ: b inherits S = 0.
+        assert_eq!(
+            fa.asq.tags_of(b.uid),
+            Some((Ratio::ONE, Ratio::from_int(2)))
+        );
         let _ = fa.dequeue(t0).unwrap();
-        let fs_start = fa.flows.get(&FlowId(1)).unwrap().front_start;
-        assert_eq!(fs_start, Ratio::ZERO);
+        assert_eq!(fa.asq.tags_of(b.uid), Some((Ratio::ZERO, Ratio::ONE)));
     }
 
     #[test]
@@ -486,9 +375,8 @@ mod tests {
         fa.enqueue(t0, c);
         let _ = fa.dequeue(t0); // a via GSQ; b inherits S=0
         fa.on_departure(t0);
-        let _ = fa.dequeue(t0); // b via ASQ at S=0; c gets S = F(b) = 1
-        let fs_start = fa.flows.get(&FlowId(1)).unwrap().front_start;
-        assert_eq!(fs_start, Ratio::ONE);
+        let _ = fa.dequeue(t0); // b via ASQ at S=0; c keeps S = F(b) = 1
+        assert_eq!(fa.asq.tags_of(c.uid).map(|t| t.0), Some(Ratio::ONE));
     }
 
     #[test]
@@ -548,6 +436,105 @@ mod tests {
             c[*f as usize] += 1;
             assert!((c[1] - c[2]).abs() <= 1, "imbalance in {order:?}");
         }
+    }
+
+    /// The observer's enqueue ('E') and dequeue ('D') events, as
+    /// (kind, uid, (start tag, finish tag)).
+    #[derive(Default)]
+    struct Events(Vec<(char, u64, (Ratio, Ratio))>);
+
+    impl SchedObserver for Events {
+        fn on_enqueue(&mut self, ev: &SchedEvent) {
+            self.0.push(('E', ev.uid, (ev.start_tag, ev.finish_tag)));
+        }
+        fn on_dequeue(&mut self, ev: &SchedEvent) {
+            self.0.push(('D', ev.uid, (ev.start_tag, ev.finish_tag)));
+        }
+    }
+
+    fn traced() -> (FairAirport<Events>, PacketFactory) {
+        let mut fa = FairAirport::with_observer(Events::default());
+        fa.add_flow(FlowId(1), Rate::bps(1_000));
+        fa.add_flow(FlowId(2), Rate::bps(1_000));
+        (fa, PacketFactory::new())
+    }
+
+    fn tags(start: i128, finish: i128) -> (Ratio, Ratio) {
+        (Ratio::from_int(start), Ratio::from_int(finish))
+    }
+
+    /// ASQ heads that tie on their start tag leave in uid order, the
+    /// tag core's rule, not in flow-id order.
+    #[test]
+    fn asq_ties_go_by_uid() {
+        let (mut fa, mut pf) = fa2();
+        let t0 = SimTime::ZERO;
+        let [a2, a1, b2, b1] = [2, 1, 2, 1].map(|f| pf.make(FlowId(f), Bytes::new(125), t0));
+        for p in [a2, a1, b2, b1] {
+            fa.enqueue(t0, p);
+        }
+        // a2 and a1 leave through the GSQ; b2 and b1 each inherit S = 0
+        // and wait for an EAT of 1 s.
+        for want in [a2, a1] {
+            assert_eq!(fa.dequeue(t0).map(|p| p.uid), Some(want.uid));
+            fa.on_departure(t0);
+        }
+        // Flow 2's head holds the lower uid.
+        assert_eq!(fa.dequeue(t0).map(|p| p.uid), Some(b2.uid));
+        assert_eq!(fa.last_served_via(), Some(ServedVia::Asq));
+    }
+
+    /// A packet queued behind its flow's head is stamped on arrival,
+    /// and its enqueue event carries those ASQ tags.
+    #[test]
+    fn enqueue_behind_the_head_reports_its_asq_tags() {
+        let (mut fa, mut pf) = traced();
+        let t0 = SimTime::ZERO;
+        let [a, b] = [(); 2].map(|()| pf.make(FlowId(1), Bytes::new(125), t0));
+        fa.enqueue(t0, a);
+        fa.enqueue(t0, b);
+        let want = [('E', a.uid, tags(0, 1)), ('E', b.uid, tags(1, 2))];
+        assert_eq!(fa.observer().0, want);
+    }
+
+    /// Re-registering a backlogged flow at a new weight follows
+    /// `Scheduler::add_flow`'s rule: the new weight charges the packets
+    /// that arrive afterwards. Queued packets keep the tags they were
+    /// stamped with (here, the ones the GSQ service before the
+    /// re-registration re-chained).
+    #[test]
+    fn reregistration_reweights_only_later_arrivals() {
+        let (mut fa, mut pf) = traced();
+        let t0 = SimTime::ZERO;
+        let [a, b, c] = [(); 3].map(|()| pf.make(FlowId(1), Bytes::new(125), t0));
+        for p in [a, b, c] {
+            fa.enqueue(t0, p);
+        }
+        // a leaves through the GSQ: b inherits S = 0, c follows at S = 1.
+        assert_eq!(fa.dequeue(t0).map(|p| p.uid), Some(a.uid));
+        fa.on_departure(t0);
+        // Half the weight: 2 s of virtual time per packet from now on.
+        fa.add_flow(FlowId(1), Rate::bps(500));
+        let d = pf.make(FlowId(1), Bytes::new(125), t0);
+        fa.enqueue(t0, d);
+        while fa.dequeue(t0).is_some() {
+            assert_eq!(fa.last_served_via(), Some(ServedVia::Asq));
+            fa.on_departure(t0);
+        }
+        let departed: Vec<_> = fa
+            .observer()
+            .0
+            .iter()
+            .filter(|e| e.0 == 'D')
+            .copied()
+            .collect();
+        let want = [
+            (a, tags(0, 1)),
+            (b, tags(0, 1)),
+            (c, tags(1, 2)),
+            (d, tags(2, 4)),
+        ];
+        assert_eq!(departed, want.map(|(p, tags)| ('D', p.uid, tags)));
     }
 
     #[test]

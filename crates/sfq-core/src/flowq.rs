@@ -662,6 +662,24 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
         }
     }
 
+    /// `flow`'s packet `n` places behind its head (`0`: the head), in
+    /// `O(n)`.
+    pub(crate) fn nth(&self, flow: FlowId, n: usize) -> Option<Packet> {
+        match &self.inner {
+            Inner::Owned(o) => o.flows.get(&flow)?.queue.get(n).map(|e| e.packet(flow)),
+            Inner::Pooled(p) => {
+                let mut cur = p.flows[p.ids.get(flow)? as usize].head;
+                for _ in 0..n {
+                    if cur == NIL {
+                        return None;
+                    }
+                    cur = p.slab.link_raw(cur);
+                }
+                (cur != NIL).then(|| p.slab.val_raw(cur).packet(flow))
+            }
+        }
+    }
+
     /// Discard `flow`'s head-of-line packet, returning it. The new head
     /// (if any) is pushed into the heap; the dropped head's entry —
     /// whether still in the heap or not — becomes stale and is skipped
@@ -1428,6 +1446,8 @@ mod tests {
             Pop,
             Batch(usize),
             DropFront(u32),
+            /// Read the flow's packet this many places behind its head.
+            Nth(u32, usize),
             ForceRemove(u32),
             RetagAll,
             RetagFlow(u32),
@@ -1456,6 +1476,7 @@ mod tests {
                     Just(Op::Pop),
                     (1usize..6).prop_map(Op::Batch),
                     (0..IDS).prop_map(Op::DropFront),
+                    (0..IDS, 0usize..4).prop_map(|(f, n)| Op::Nth(f, n)),
                     (0..IDS).prop_map(Op::ForceRemove),
                     Just(Op::RetagAll),
                     (0..IDS).prop_map(Op::RetagFlow),
@@ -1567,6 +1588,14 @@ mod tests {
                         let want = m.flows[f as usize].as_mut().and_then(VecDeque::pop_front);
                         check(q.drop_front(FlowId(f)), want, m.offset)?;
                     }
+                    Op::Nth(f, n) => {
+                        let want = m.flows[f as usize].as_ref().and_then(|q| q.get(n));
+                        let got = q.nth(FlowId(f), n);
+                        prop_assert_eq!(got.as_ref(), want);
+                        if let (Some(g), Some(w)) = (got, want) {
+                            prop_assert_eq!(g.arrival.parts(), w.arrival.parts());
+                        }
+                    }
                     Op::ForceRemove(f) => {
                         let want = m.flows[f as usize].take().map(|fifo| fifo.len());
                         prop_assert_eq!(q.force_remove_flow(FlowId(f)), want);
@@ -1643,9 +1672,10 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             /// Every packet leaves — served one at a time or in a batch,
-            /// head-dropped, or seen by a retag — with exactly the flow,
-            /// seq, len, arrival and uid it entered with, on both
-            /// backends, through force-removals, GC and slot reuse.
+            /// head-dropped, or seen by a retag or by `nth` — with
+            /// exactly the flow, seq, len, arrival and uid it entered
+            /// with, on both backends, through force-removals, GC and
+            /// slot reuse.
             #[test]
             fn packets_leave_as_they_entered_on_both_backends(ops in ops()) {
                 run(FifoBackend::Pooled, &ops)?;
@@ -1668,6 +1698,12 @@ mod tests {
             Pop,
             Batch(usize),
             DropFront(u32),
+            /// Move every key behind the flow's head down by the gap
+            /// behind the head, then drop the head: the next packet
+            /// leaves under the head's key, as after
+            /// `TagSched::take_head_inheriting` (`retag_flow`, then
+            /// `drop_front`).
+            Inherit(u32),
             /// Force-remove the flow and register it again: its keys
             /// start over, under its stale heap entry's.
             Reset(u32),
@@ -1685,6 +1721,7 @@ mod tests {
                     Just(Op::Pop),
                     (1usize..5).prop_map(Op::Batch),
                     (0..FLOWS).prop_map(Op::DropFront),
+                    (0..FLOWS).prop_map(Op::Inherit),
                     (0..FLOWS).prop_map(Op::Reset),
                 ],
                 1..200,
@@ -1758,6 +1795,30 @@ mod tests {
                     Op::DropFront(f) => {
                         let got = q.drop_front(FlowId(f)).map(|(p, k, ())| (k, p.uid));
                         prop_assert_eq!(got, m.flows[f as usize].pop_front());
+                    }
+                    Op::Inherit(f) => {
+                        let fifo = &mut m.flows[f as usize];
+                        let want = fifo.pop_front();
+                        if let (Some((head, _)), Some(&(next, _))) = (want, fifo.front()) {
+                            fifo.iter_mut().for_each(|e| e.0 -= next - head);
+                            m.next[f as usize] -= next - head;
+                        }
+                        let (mut head, mut gap) = (0, 0);
+                        q.retag_flow(
+                            FlowId(f),
+                            |pos, _, key, ()| match pos {
+                                0 => head = *key,
+                                _ => {
+                                    if pos == 1 {
+                                        gap = *key - head;
+                                    }
+                                    *key -= gap;
+                                }
+                            },
+                            |_| (),
+                        );
+                        let got = q.drop_front(FlowId(f)).map(|(p, k, ())| (k, p.uid));
+                        prop_assert_eq!(got, want);
                     }
                     Op::Reset(f) => {
                         q.force_remove_flow(FlowId(f));

@@ -14,7 +14,10 @@
 //! - [`HierSfq`]: the hierarchical link-sharing scheduler of Section 3,
 //!   each interior class a [`RootSfq`] — the one class-level SFQ
 //!   server, which the sharded engine runs over its shards,
-//! - [`FairAirport`]: the Fair Airport combination of Appendix B,
+//! - [`FairAirport`]: the Fair Airport combination of Appendix B, whose
+//!   two queues are instances of the core — an [`Sfq`] auxiliary queue,
+//!   Appendix B's rule 5 being [`TagSched::take_head_inheriting`], and a
+//!   [`VirtualClock`] guaranteed queue,
 //! - the [`Scheduler`] trait and [`Packet`] vocabulary shared with the
 //!   baseline disciplines in the `baselines` crate.
 //!

@@ -522,6 +522,12 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
         })
     }
 
+    /// `flow`'s packet `n` places behind its head (`0`: the head), in
+    /// `O(n)`.
+    pub(crate) fn queued(&self, flow: FlowId, n: usize) -> Option<Packet> {
+        self.q.nth(flow, n)
+    }
+
     /// The finish tag `F(p_f^{j-1})` state of a flow (0 before its first
     /// packet), as an exact rational.
     pub fn flow_last_finish(&self, flow: FlowId) -> Option<Ratio> {
@@ -740,10 +746,13 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
 
     /// Walk `flow`'s queue re-chaining every packet after the head at
     /// `c`: `S_j := F_{j-1}`, `F_j := S_j + l_j / r`, starting from the
-    /// head's (untouched) finish tag. Stores the new tags only when
-    /// `write`; `ext` runs on the flow's state first. Returns the tail
-    /// finish tag, or `None` if a step left the tag range.
-    fn rechain(
+    /// head's (untouched) finish tag — or, when `INHERIT`, from its
+    /// start tag, so that the packet behind the head takes the head's
+    /// start (a constant, so that each caller gets the walk it needs and
+    /// no other). Stores the new tags only when `write`; `ext` runs on
+    /// the flow's state first. Returns the tail finish tag, or `None`
+    /// if a step left the tag range.
+    fn rechain<const INHERIT: bool>(
         &mut self,
         flow: FlowId,
         c: ChargeOf<A, V>,
@@ -757,7 +766,8 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
             flow,
             |pos, pkt, key, meta| {
                 if pos == 0 {
-                    prev.set(V::tags(key.tag, *meta).1);
+                    let (start, finish) = V::tags(key.tag, *meta);
+                    prev.set(if INHERIT { start } else { finish });
                     return;
                 }
                 let start = prev.get();
@@ -776,6 +786,43 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
             ext,
         );
         ok.get().then(|| prev.get())
+    }
+
+    /// Appendix B's rule 5, the one rule Fair Airport's auxiliary queue
+    /// adds to SFQ: remove `flow`'s head as served elsewhere (by the
+    /// guaranteed queue). The head's finish tag joins the maximum
+    /// finish tag served but `v` does not move, and the observer sees
+    /// a dequeue event. The packet behind the head inherits the head's
+    /// start tag, and the rest of the flow is re-chained behind it at
+    /// the registered weight (`S_j := F_{j-1}`, as
+    /// [`Scheduler::try_set_weight`] re-chains) in `O(flow backlog)`;
+    /// should a re-chained tag leave the tag range, the chain stays as
+    /// it was. `None` when the flow has no backlog.
+    pub fn take_head_inheriting(&mut self, now: SimTime, flow: FlowId) -> Option<Packet> {
+        let ext = self.q.ext(flow)?;
+        let (charge, rule) = (ext.charge, ext.rule);
+        if self.q.backlog(flow) > 1 {
+            if let Some(tail) = self.rechain::<true>(flow, charge, rule, false, |_| {}) {
+                self.rechain::<true>(flow, charge, rule, true, |e| e.last_finish = tail);
+            }
+        }
+        // The new head's rewritten key enters the heap; the old head's
+        // entry goes stale.
+        let (pkt, key, meta) = self.q.drop_front(flow)?;
+        let (start, finish) = V::tags(key.tag, meta);
+        self.max_finish_served = A::max(self.max_finish_served, finish);
+        if let Some(t) = &self.tele {
+            t.record_dequeue(pkt.flow.0, pkt.len.as_u64(), pkt.arrival, now);
+        }
+        if self.obs.active() {
+            let v = self.clock.event_v(self.arith.to_ratio(self.v), now);
+            let ev = event(&self.arith, now, &pkt, (start, finish), v);
+            self.obs.on_dequeue(&ev);
+        }
+        if V::SETTLES_IN_DEQUEUE {
+            self.settle();
+        }
+        Some(pkt)
     }
 }
 
@@ -965,12 +1012,12 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> Scheduler for TagSched<A, V, O> {
             return Err(SchedError::UnknownFlow(flow));
         };
         let tail_finish = if self.q.backlog(flow) > 0 {
-            let dry = self.rechain(flow, charge, rule, false, |_| {});
+            let dry = self.rechain::<false>(flow, charge, rule, false, |_| {});
             Some(dry.ok_or(SchedError::TagOverflow)?)
         } else {
             None
         };
-        self.rechain(flow, charge, rule, true, |ext| {
+        self.rechain::<false>(flow, charge, rule, true, |ext| {
             ext.charge = charge;
             if let Some(finish) = tail_finish {
                 ext.last_finish = finish;
@@ -1028,7 +1075,8 @@ impl<V: VtRule, O: SchedObserver> TagSched<Fixed, V, O> {
     }
 }
 
-/// The Start-time Fair Queuing scheduler, exact arithmetic.
+/// The Start-time Fair Queuing scheduler, exact arithmetic. It is also
+/// the ASQ inside [`FairAirport`](crate::FairAirport).
 ///
 /// Supports the generalized per-packet variable-rate form (Eq. 36) via
 /// [`Sfq::enqueue_with_rate`]; plain [`Scheduler::enqueue`] charges each

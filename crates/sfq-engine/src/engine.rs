@@ -20,7 +20,7 @@
 //! booked on the engine page as `RefuseCause::Other`, and changes
 //! nothing else.
 
-use crate::{shard_of, EngineConfig, ShardSched};
+use crate::{shard_of, EngineConfig, ShardSched, REBASE_BITS};
 use sfq_core::obs::SchedObserver;
 use sfq_core::{
     FlowId, FlowMap, NoopObserver, Packet, ReconfigCmd, RootSfq, SchedError, Scheduler, Sfq,
@@ -86,24 +86,22 @@ impl<O: SchedObserver + Clone> Engine<Sfq<O>> {
 }
 
 impl<S: ShardSched> Engine<S> {
-    /// Engine whose shard scheduler `i` is built by `mk(i)`; the config
-    /// rebase threshold is then applied to each, and each is told its
-    /// backlog bound ([`ShardSched::preallocate`]). This is the one
+    /// Engine whose shard scheduler `i` is built by `mk(i)`; each is
+    /// then set to rebase at [`REBASE_BITS`] and told its backlog bound
+    /// ([`ShardSched::preallocate`]). This is the one
     /// construction path — the named constructors all delegate here.
     pub fn from_factory(cfg: EngineConfig, mut mk: impl FnMut(usize) -> S) -> Self {
         let cfg = cfg.validated();
         let shard = |i| {
             let mut sched = mk(i);
-            if let Some(bits) = cfg.rebase_bits {
-                sched.enable_rebasing(bits);
-            }
+            sched.enable_rebasing(REBASE_BITS);
             sched.preallocate(cfg.ring_capacity);
             sched
         };
         Engine {
             cfg,
             shards: (0..cfg.shards).map(shard).collect(),
-            root: RootSfq::new(cfg.shards, cfg.rebase_bits),
+            root: RootSfq::new(cfg.shards, Some(REBASE_BITS)),
             flows: FlowMap::new(),
             backlogged: vec![false; cfg.shards],
             tele: None,

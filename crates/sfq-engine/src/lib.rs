@@ -49,8 +49,7 @@ use sfq_core::{FlowId, Scheduler, Sfq, TagArith, TagSched, TelemetrySink, VtRule
 
 /// A scheduling discipline that can serve as an engine shard: the full
 /// [`sfq_core::Scheduler`] contract plus opt-in virtual-time rebasing,
-/// which the engine wires to [`EngineConfig::rebase_bits`] at
-/// construction time.
+/// which the engine turns on at [`REBASE_BITS`] at construction time.
 ///
 /// The root arbiter is exact (up to the same picosecond snap as `Sfq`)
 /// regardless of the shard type — it charges batch-sized "packets" at a
@@ -108,21 +107,22 @@ pub struct EngineConfig {
     /// the bound once sized; the engine passes it to each shard's
     /// [`ShardSched::preallocate`] and reserves nothing else by it.
     pub ring_capacity: usize,
-    /// When `Some(bits)`, enable virtual-time rebasing on every shard
-    /// scheduler and on the root node once tag magnitudes exceed
-    /// `bits` (see `docs/robustness.md`).
-    pub rebase_bits: Option<u32>,
 }
+
+/// Every engine rebases virtual time, on every shard scheduler and on
+/// the root node, once tag magnitudes exceed this many bits (see
+/// `docs/robustness.md`): far from the exact arithmetic's 127-bit edge,
+/// and clamped by fixed-point shards to their own envelope.
+pub const REBASE_BITS: u32 = 96;
 
 impl EngineConfig {
     /// Config with `shards` shards and the defaults used throughout the
-    /// test-suite: batch 32, backlog bound 4096, rebasing at 96 bits.
+    /// test-suite: batch 32, backlog bound 4096.
     pub fn new(shards: usize) -> Self {
         EngineConfig {
             shards,
             batch: 32,
             ring_capacity: 4096,
-            rebase_bits: Some(96),
         }
     }
 
@@ -136,12 +136,6 @@ impl EngineConfig {
     /// [`EngineConfig::ring_capacity`]).
     pub fn ring_capacity(mut self, cap: usize) -> Self {
         self.ring_capacity = cap;
-        self
-    }
-
-    /// Replace the rebase threshold (`None` disables rebasing).
-    pub fn rebase_bits(mut self, bits: Option<u32>) -> Self {
-        self.rebase_bits = bits;
         self
     }
 

@@ -1,5 +1,7 @@
 //! Memory budget of a backlogged `SfqFast`, bare and as the shards of
-//! an `Engine`: live heap bytes per flow, one budget row each.
+//! an `Engine`, and of the schedulers built around the tag core
+//! (`HierSfq`, `FairAirport`): live heap bytes per flow, one budget row
+//! each.
 //!
 //! At a million flows the scheduler's own records are most of a
 //! process's memory: per flow, a 64-byte flow slot, a 32-byte heap
@@ -19,7 +21,7 @@
 //! One test only: the counter is per thread, but the allocator is the
 //! whole test binary's.
 
-use sfq_core::{FlowId, Packet, Scheduler, SfqFast};
+use sfq_core::{FairAirport, FlowId, HierSfq, Packet, Scheduler, SfqFast};
 use sfq_engine::{Engine, EngineConfig};
 use simtime::{Bytes, Rate, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -125,6 +127,54 @@ fn engine_fast() -> (usize, i64) {
     (eng.pending(), live() - before)
 }
 
+/// `Engine::new_fast` over 1 shard, `ring_capacity` 2^18 (the whole
+/// preload), preloaded through `try_ingest`: 304.0, budget 310. The 28
+/// above the bare core's 276 are the engine's flow table, as in the
+/// 4-shard row; one shard needs no second id index, and its vectors
+/// hold exactly 2^17 flows and 2^18 packets, so none doubles past what
+/// the core alone allocates.
+fn engine_fast_one_shard() -> (usize, i64) {
+    let before = live();
+    let mut eng = Engine::new_fast(EngineConfig::new(1).ring_capacity(1 << 18));
+    for f in 0..FLOWS {
+        eng.try_add_flow(FlowId(f), Rate::bps(1_000)).unwrap();
+    }
+    preload(|pkt| eng.try_ingest(pkt).unwrap());
+    (eng.pending(), live() - before)
+}
+
+/// `HierSfq` with every flow a leaf of one class under the root: 823.0,
+/// budget 830. Every leaf flow is a whole `Node` — its own empty
+/// `RootSfq`, two empty `Vec`s and a `VecDeque<Packet>` of the two
+/// 64-byte packets, grown to four — plus a class in its parent's
+/// `RootSfq` and an entry in the flow-to-class map.
+fn hier_one_class() -> (usize, i64) {
+    let before = live();
+    let mut h = HierSfq::new();
+    let class = h.add_class(h.root(), Rate::mbps(1));
+    for f in 0..FLOWS {
+        h.add_flow_to(class, FlowId(f), Rate::bps(1_000));
+    }
+    preload(|pkt| h.enqueue(SimTime::ZERO, pkt));
+    (h.len(), live() - before)
+}
+
+/// `FairAirport`, nothing dequeued: 632.0, budget 640 (754.9 when it
+/// kept its own tags and a `VecDeque<Packet>` per flow). 484 are its
+/// ASQ, an exact `Sfq` holding every packet; 100 its GSQ, a
+/// `VirtualClock` with every flow registered and nothing yet admitted;
+/// 48 the regulator's eligibility heap, one 48-byte entry per flow.
+/// Held packets are not copied: the regulator reads them off the ASQ.
+fn fair_airport() -> (usize, i64) {
+    let before = live();
+    let mut fa = FairAirport::new();
+    for f in 0..FLOWS {
+        fa.add_flow(FlowId(f), Rate::bps(1_000));
+    }
+    preload(|pkt| fa.enqueue(SimTime::ZERO, pkt));
+    (fa.len(), live() - before)
+}
+
 /// Bytes this thread has allocated and not yet freed.
 fn live() -> i64 {
     LIVE.with(Cell::get)
@@ -135,9 +185,12 @@ fn live() -> i64 {
 type Build = fn() -> (usize, i64);
 
 /// Each row: a name, its build, and the live bytes per flow it may keep.
-const ROWS: [(&str, Build, f64); 2] = [
+const ROWS: [(&str, Build, f64); 5] = [
     ("SfqFast", sfq_fast, 280.0),
     ("Engine::new_fast, 4 shards", engine_fast, 400.0),
+    ("Engine::new_fast, 1 shard", engine_fast_one_shard, 310.0),
+    ("HierSfq, one class", hier_one_class, 830.0),
+    ("FairAirport", fair_airport, 640.0),
 ];
 
 #[test]
