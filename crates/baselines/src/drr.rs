@@ -11,7 +11,7 @@
 
 use sfq_core::obs::{FlowChange, NoopObserver, SchedEvent, SchedObserver};
 use sfq_core::{FlowId, Packet, SchedError, Scheduler};
-use simtime::{Bytes, Rate, Ratio, SimTime};
+use simtime::{Rate, Ratio, SimTime};
 use std::collections::{HashMap, VecDeque};
 
 #[derive(Debug)]
@@ -239,16 +239,11 @@ impl<O: SchedObserver> Scheduler for Drr<O> {
     }
 }
 
-/// Convenience: the byte quantum DRR will assign for a weight under the
-/// given scale (used by benches to reason about rounds).
-pub fn drr_quantum(weight: Rate, num: u64, den: u64) -> Bytes {
-    Bytes::new(((weight.as_bps() as u128 * num as u128 / den as u128).max(1)) as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sfq_core::PacketFactory;
+    use simtime::Bytes;
 
     fn drain(d: &mut Drr) -> Vec<u32> {
         std::iter::from_fn(|| d.dequeue(SimTime::ZERO).map(|p| p.flow.0)).collect()
@@ -355,6 +350,7 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
     use sfq_core::PacketFactory;
+    use simtime::Bytes;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]

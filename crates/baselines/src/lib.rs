@@ -30,6 +30,6 @@ mod drr;
 mod fifo;
 mod wfq;
 
-pub use drr::{drr_quantum, Drr};
+pub use drr::Drr;
 pub use fifo::Fifo;
 pub use sfq_core::{DelayEdd, Fqs, GpsClock, Scfq, VirtualClock, Wfq};

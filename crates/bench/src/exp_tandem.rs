@@ -111,7 +111,7 @@ impl Setting {
     }
 }
 
-/// Run the tandem experiment for each K in `ks` (see [`Setting`]).
+/// Run the tandem experiment for each K in `ks` (see `Setting`).
 pub fn tandem(ks: &[usize], horizon: SimTime, seed: u64) -> Vec<TandemResult> {
     let s = Setting::new(horizon, seed);
     // Per-hop β: Theorem 4 term with δ = 0 and 9 cross flows.

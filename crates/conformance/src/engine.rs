@@ -12,7 +12,7 @@
 //!
 //! 1. **One shard is the leaf.** The schedule replayed on a one-shard
 //!    engine (same batch, same backlog bound) must depart and refuse
-//!    exactly as a bare `Sfq` driven by hand ([`leaf_model`]): with one
+//!    exactly as a bare `Sfq` driven by hand (`leaf_model`): with one
 //!    class the root arbiter has nothing to decide, so all the engine
 //!    may add is the backlog-bound refusal and the batch loop. The
 //!    model buffers ingests and stamps them at the next pump or drain,

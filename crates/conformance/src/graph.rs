@@ -1,4 +1,4 @@
-//! Forwarding-graph conformance: the [`Preset::Graph`] runner, plus
+//! Forwarding-graph conformance: the [`Preset::Graph`](crate::Preset::Graph) runner, plus
 //! the chain builder and the one Theorem 6 / Corollary 1 evaluation
 //! routine it shares with the tandem runner ([`crate::e2e`]).
 //!
@@ -306,7 +306,7 @@ pub fn embed_survivors(
     triples
 }
 
-/// Run the full graph conformance check for a [`Preset::Graph`]
+/// Run the full graph conformance check for a [`Preset::Graph`](crate::Preset::Graph)
 /// scenario. `Err` carries a human-readable reason ending with the
 /// replay line.
 pub fn run_graph_conformance(sc: &Scenario) -> Result<GraphOutcome, String> {

@@ -14,12 +14,6 @@
 //! flow table. A failure message carries the first divergence's
 //! minimized observer trace plus the
 //! `conformance replay: preset=pool seed=N` line.
-//!
-//! Flow GC is deliberately left off on both sides here: the server
-//! harness does not re-register flows before every enqueue, and lazy
-//! reclamation is only identity-preserving under that discipline (see
-//! `docs/pooling.md`). GC transparency has its own differential suite
-//! in `tests/pool_identity.rs`.
 
 use crate::diff::{diff_schedulers, SchedKind};
 use crate::scenario::Scenario;

@@ -1,6 +1,6 @@
 //! Long-horizon overload soak: graceful degradation and recovery.
 //!
-//! [`run_soak`] drives a [`Preset::Soak`] scenario — a deliberately
+//! [`run_soak`] drives a [`Preset::Soak`](crate::Preset::Soak) scenario — a deliberately
 //! overbooked single hop with tight buffer caps — through a
 //! `netsim::SwitchCore` under the scenario's [`DropKind`], with the
 //! churn/revive fault schedule applied, and checks the recovery

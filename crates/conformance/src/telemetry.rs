@@ -20,7 +20,7 @@
 //!    snapshot still torn after [`SNAP_BUDGET`] attempts fails the run,
 //!    as does any `Ok` snapshot that is non-monotone per page, has a
 //!    page with `resident < 0`, or breaks the one cross-page inequality
-//!    an off-thread reader can soundly assert ([`check_off_thread`]).
+//!    an off-thread reader can soundly assert (`check_off_thread`).
 //!    The driver waits at mid-schedule until the reader has taken a
 //!    snapshot there, so the leg cannot pass with a reader that never
 //!    ran beside the writer.

@@ -124,16 +124,6 @@ impl GraphSpec {
             .collect()
     }
 
-    /// Node indices of every sink, in node order.
-    pub fn sinks(&self) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| matches!(n, NodeSpec::Sink))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Materialize the spec with every port running `kind`.
     pub fn build(&self, kind: PortKind) -> Graph {
         self.build_with(&mut |_ordinal| kind.build())
@@ -372,7 +362,7 @@ impl GraphSpec {
         spec
     }
 
-    /// Append an ingress [`Policer`](crate::Policer) node wired into
+    /// Append an ingress [`Policer`] node wired into
     /// `target` with zero delay, returning the new node's index.
     /// Sources whose flows are under contract inject at the returned
     /// node instead of at `target`.

@@ -88,11 +88,6 @@ pub trait TagArith: fmt::Debug {
     /// leaves the tag range.
     fn add(tag: Self::Tag, offset: Self::Tag) -> Option<Self::Tag>;
 
-    /// The lazy-GC safety horizon for virtual time `v`: an idle flow
-    /// whose last finish tag is at or below it can never again win
-    /// Eq. 4's `max`, so forgetting the flow changes no future tag.
-    fn gc_horizon(v: Self::Tag) -> Self::Tag;
-
     /// Whether `v` has grown past the eager-rebase threshold.
     fn outgrown(v: Self::Tag, threshold_bits: u32) -> bool;
 
@@ -119,8 +114,6 @@ pub trait TagArith: fmt::Debug {
 ///   which bounds tag denominators under adversarial weight mixes and
 ///   is a no-op at the scales the theorem tests run at (see
 ///   [`Ratio::snap_pico`]).
-/// - The GC horizon is floored: `⌊v⌋ ≤ snap(v')` for every `v' ≥ v`, so
-///   the horizon stays safe under later snaps.
 /// - A rebase subtracts `⌊v⌋`. An integer shift commutes exactly with
 ///   `max`, `+`, comparison and the snap, so dequeue order and every
 ///   observer-visible lag are bit-identical to the un-rebased run; it
@@ -162,10 +155,6 @@ impl TagArith for Exact {
     #[inline]
     fn add(tag: Ratio, offset: Ratio) -> Option<Ratio> {
         tag.checked_add(offset)
-    }
-
-    fn gc_horizon(v: Ratio) -> Ratio {
-        Ratio::from_int(v.floor())
     }
 
     #[inline]

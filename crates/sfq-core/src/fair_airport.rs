@@ -36,7 +36,7 @@ use crate::obs::{NoopObserver, SchedObserver};
 use crate::packet::{FlowId, Packet};
 use crate::sched::{SchedError, Scheduler, TieBreak};
 use crate::tagsched::{Sfq, VirtualClock};
-use simtime::{Rate, Ratio, SimTime};
+use simtime::{Rate, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -125,11 +125,6 @@ impl<O: SchedObserver> FairAirport<O> {
     /// Consume the scheduler, returning the observer.
     pub fn into_observer(self) -> O {
         self.asq.into_observer()
-    }
-
-    /// The ASQ's virtual time `v(t)` (SFQ semantics).
-    pub fn asq_virtual_time(&self) -> Ratio {
-        self.asq.virtual_time()
     }
 
     /// Which queue the most recently dequeued packet came from.
@@ -281,7 +276,7 @@ mod tests {
     use super::*;
     use crate::obs::SchedEvent;
     use crate::packet::PacketFactory;
-    use simtime::Bytes;
+    use simtime::{Bytes, Ratio};
 
     /// 125-byte packets, 1000 b/s weights: tag span and tx time both 1s.
     fn fa2() -> (FairAirport, PacketFactory) {

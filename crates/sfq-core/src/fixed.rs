@@ -268,9 +268,7 @@ impl FixedInc {
 /// - Tags are [`FixedTag`]s, the per-flow increment a [`FixedInc`], the
 ///   tie-break key an `i64`: a start-ordered heap key is 24 bytes
 ///   against the exact arithmetic's 64.
-/// - No snap at the `v(t)` read point and no floor on the GC horizon:
-///   tags already live on the grid and `v(t)` is non-decreasing, so
-///   `last_finish ≤ v` is revival-stable as it stands.
+/// - No snap at the `v(t)` read point: tags already live on the grid.
 /// - A rebase subtracts the whole-unit part of `v(t)` and saturates
 ///   instead of dry-checking: every tag live in the current busy period
 ///   is `≥ base`, and an idle flow's stale `last_finish < base` clamps
@@ -342,11 +340,6 @@ impl TagArith for Fixed {
 
     fn add(tag: FixedTag, offset: FixedTag) -> Option<FixedTag> {
         tag.checked_add(offset.raw())
-    }
-
-    #[inline]
-    fn gc_horizon(v: FixedTag) -> FixedTag {
-        v
     }
 
     #[inline]

@@ -38,9 +38,9 @@
 //! - [`FifoBackend::Pooled`] (the default) keeps packets in a slab
 //!   pool ([`crate::pool::SlabPool`]) chained into per-flow FIFOs by
 //!   intrusive next-indexes, with flows in a dense generation-checked
-//!   table addressed through a [`crate::pool::IdIndex`] — zero
-//!   allocation in steady state, and optional lazy flow GC
-//!   ([`FlowFifos::gc_step`]) for flow-churn workloads.
+//!   table addressed through an id index — zero allocation in steady
+//!   state. A flow leaves the table only through
+//!   [`FlowFifos::remove_flow`] (idle) or [`FlowFifos::force_remove_flow`].
 //! - [`FifoBackend::Owned`] is the original `HashMap` +
 //!   `VecDeque`-per-flow layout, retained as the oracle the pooled
 //!   path is differenced against (`tests/pool_identity.rs`, the
@@ -89,12 +89,6 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 pub use crate::headheap::HeadHeap;
-
-/// GC candidates examined per dequeue-side hook when lazy flow GC is
-/// enabled: amortizes reclamation (at most one flow drains per
-/// departure, so a budget of 2 keeps the candidate list bounded)
-/// without adding a scan to the hot path.
-pub const GC_BUDGET: usize = 2;
 
 /// Which internal layout a [`FlowFifos`] uses. Selectable per
 /// instance so differential tests can run both side by side.
@@ -217,8 +211,8 @@ struct OwnedFifos<K, E, M> {
 
 /// One slot of the pooled backend's dense flow table.
 ///
-/// `gen` increments every time the slot is released (idle removal,
-/// force-remove, GC), so heap entries — which carry the generation
+/// `gen` increments every time the slot is released (idle removal or
+/// force-remove), so heap entries — which carry the generation
 /// they were pushed under — from a previous occupant are recognized
 /// as stale even after the slot is reused by another flow. A free
 /// slot has `ext == None` and sits on the `free_flows` list.
@@ -238,20 +232,12 @@ struct FlowSlot<E> {
     /// it needs second without loading the first.
     second: u32,
     tail: u32,
-    /// Queued packets in the low 31 bits; [`LISTED`] on top.
+    /// Queued packets.
     len: u32,
     ext: Option<E>,
 }
 
-/// Bit of [`FlowSlot::len`]: already queued as a GC candidate (avoids
-/// duplicate hints).
-const LISTED: u32 = 1 << 31;
-
 impl<E> FlowSlot<E> {
-    fn backlog(&self) -> u32 {
-        self.len & !LISTED
-    }
-
     /// Unlink the head packet, whose record the caller frees: the
     /// second packet becomes the head and its link the new second.
     /// Returns the new head's heap key, `None` when the flow drained.
@@ -295,10 +281,6 @@ struct PooledFifos<K, E, M> {
     /// generation or `(key, uid)` mismatch.
     heap: HeadHeap<(HeadKey<K>, u32, u32)>,
     queued: usize,
-    /// GC candidate hints `(slot, generation)`, present only once
-    /// [`FlowFifos::enable_gc`] has been called.
-    gc: Option<VecDeque<(u32, u32)>>,
-    reclaimed: u64,
 }
 
 /// Per-flow FIFOs plus a head-of-flow heap. See the module docs for
@@ -339,8 +321,6 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                 ids: IdIndex::new(),
                 heap: HeadHeap::new(),
                 queued: 0,
-                gc: None,
-                reclaimed: 0,
             }),
         };
         FlowFifos { name, inner }
@@ -374,32 +354,6 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
         }
     }
 
-    /// Turn on lazy flow GC (pooled backend only): flows that drain to
-    /// empty are listed as candidates, and [`FlowFifos::gc_step`]
-    /// releases them once the discipline's safety predicate holds.
-    pub fn enable_gc(&mut self) {
-        if let Inner::Pooled(p) = &mut self.inner {
-            if p.gc.is_none() {
-                p.gc = Some(VecDeque::new());
-            }
-        }
-    }
-
-    /// Examine up to `budget` GC candidates, releasing each empty flow
-    /// whose extension state satisfies `safe` (the discipline's
-    /// bit-identity condition — e.g. "last finish tag ≤ current
-    /// virtual time", so a revived flow starting from fresh state
-    /// computes exactly the tags it would have anyway). Unsafe
-    /// candidates are re-queued for a later step. Returns the number
-    /// of flows released. Always 0 on the owned backend or before
-    /// [`FlowFifos::enable_gc`].
-    pub fn gc_step(&mut self, budget: usize, safe: impl FnMut(&E) -> bool) -> usize {
-        match &mut self.inner {
-            Inner::Owned(_) => 0,
-            Inner::Pooled(p) => p.gc_step(budget, safe),
-        }
-    }
-
     /// Pool accounting for the leak-freedom invariant suite; `None` on
     /// the owned backend.
     pub fn pool_stats(&self) -> Option<PoolStats> {
@@ -420,9 +374,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
     /// Register `flow` if absent (with `make()` as its initial
     /// extension state) and return its extension state for the caller
     /// to update — the `entry().and_modify().or_insert()` shape every
-    /// discipline's `add_flow` used. Re-registering also withdraws any
-    /// pending GC candidacy, so a flow the control plane just touched
-    /// cannot be reclaimed before its next packet arrives.
+    /// discipline's `add_flow` used.
     pub fn upsert_flow(&mut self, flow: FlowId, make: impl FnOnce() -> E) -> &mut E {
         match &mut self.inner {
             Inner::Owned(o) => {
@@ -501,12 +453,12 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
 
     /// Remove and return the minimum-key head packet (the lowest uid
     /// among equal keys), with its key and metadata. Stale heap entries
-    /// — left behind by [`FlowFifos::force_remove_flow`] or flow GC —
-    /// are detected by a `(key, uid)` mismatch against the flow's
-    /// current head (uids are never reused, so a leftover entry can
-    /// never match a later head; the pooled backend additionally checks
-    /// the slot generation) and skipped without disturbing the exact
-    /// `queued` count.
+    /// — left behind by [`FlowFifos::force_remove_flow`] or
+    /// [`FlowFifos::drop_front`] — are detected by a `(key, uid)`
+    /// mismatch against the flow's current head (uids are never reused,
+    /// so a leftover entry can never match a later head; the pooled
+    /// backend additionally checks the slot generation) and skipped
+    /// without disturbing the exact `queued` count.
     pub fn pop_min(&mut self) -> Option<(Packet, K, M)> {
         match &mut self.inner {
             Inner::Owned(o) => loop {
@@ -618,7 +570,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
             Inner::Pooled(p) => p
                 .ids
                 .get(flow)
-                .map_or(0, |i| p.flows[i as usize].backlog() as usize),
+                .map_or(0, |i| p.flows[i as usize].len as usize),
         }
     }
 
@@ -854,14 +806,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
 impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
     fn upsert_flow(&mut self, flow: FlowId, make: impl FnOnce() -> E) -> &mut E {
         let idx = match self.ids.get(flow) {
-            Some(i) => {
-                // Re-registration withdraws GC candidacy: the control
-                // plane just touched this flow, so reclaiming it
-                // before its next packet would turn a valid enqueue
-                // into UnknownFlow.
-                self.flows[i as usize].len &= !LISTED;
-                i
-            }
+            Some(i) => i,
             None => {
                 let i = match self.free_flows.pop() {
                     Some(i) => i,
@@ -910,9 +855,9 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
         // Capacity check BEFORE tag arithmetic: pool exhaustion must
         // leave the flow's tag chain untouched (no-state-change-on-
         // error, like every other failure of this method). A backlog
-        // that would carry into the `LISTED` bit counts as exhaustion.
+        // whose count would overflow counts as exhaustion.
         let s = &mut self.flows[idx];
-        if !self.slab.can_alloc() || s.backlog() == !LISTED {
+        if !self.slab.can_alloc() || s.len == u32::MAX {
             return Err(SchedError::BufferFull(pkt.flow));
         }
         let Some(ext) = s.ext.as_mut() else {
@@ -949,7 +894,6 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
                 flows,
                 slab,
                 queued,
-                gc,
                 ..
             } = self;
             let mut served = None;
@@ -973,9 +917,6 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
                 served = Some(e.into_parts(s.id));
                 let next_key = s.advance(slab);
                 s.debug_check_second(slab);
-                if next_key.is_none() {
-                    note_drained(gc, s, fidx);
-                }
                 next_key.map(|k| (k, fidx, gen))
             })?;
             look_ahead(heap, flows, slab);
@@ -991,7 +932,6 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
             flows,
             slab,
             queued,
-            gc,
             ..
         } = self;
         let mut n = 0;
@@ -1020,10 +960,7 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
                     n += 1;
                     let (pkt, key, meta) = e.into_parts(s.id);
                     each(pkt, key, meta);
-                    let Some(next_key) = next_key else {
-                        note_drained(gc, s, fidx);
-                        return None;
-                    };
+                    let next_key = next_key?;
                     if n >= max || top.is_some_and(|&(top, _, _)| next_key >= top) {
                         // Re-admit the flow's head and return to the
                         // heap path (or stop, leaving the invariant
@@ -1048,9 +985,8 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
         }
         let e = self.slab.free_raw(s.head);
         self.queued -= 1;
-        match s.advance(&self.slab) {
-            Some(key) => self.heap.push((key, fidx, s.gen)),
-            None => note_drained(&mut self.gc, s, fidx),
+        if let Some(key) = s.advance(&self.slab) {
+            self.heap.push((key, fidx, s.gen));
         }
         s.debug_check_second(&self.slab);
         Some(e.into_parts(flow))
@@ -1073,7 +1009,7 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
     fn force_remove_flow(&mut self, flow: FlowId) -> Option<usize> {
         let fidx = self.ids.get(flow)?;
         let s = &self.flows[fidx as usize];
-        let dropped = s.backlog() as usize;
+        let dropped = s.len as usize;
         let mut cur = s.head;
         while cur != NIL {
             let next = self.slab.link_raw(cur);
@@ -1086,9 +1022,8 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
     }
 
     /// Free a flow slot: bump the generation (staling any heap entries
-    /// or GC hints that reference the old occupancy), drop the
-    /// extension state, unlink the id, and push the slot onto the
-    /// flow freelist.
+    /// that reference the old occupancy), drop the extension state,
+    /// unlink the id, and push the slot onto the flow freelist.
     fn release_slot(&mut self, fidx: u32) {
         let s = &mut self.flows[fidx as usize];
         s.ext = None;
@@ -1096,42 +1031,10 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
         s.head = NIL;
         s.second = NIL;
         s.tail = NIL;
-        s.len = 0; // not listed either
+        s.len = 0;
         let id = s.id;
         self.ids.remove(id);
         self.free_flows.push(fidx);
-    }
-
-    fn gc_step(&mut self, budget: usize, mut safe: impl FnMut(&E) -> bool) -> usize {
-        let mut reclaimed = 0;
-        for _ in 0..budget {
-            let Some((fidx, gen)) = self.gc.as_mut().and_then(|gc| gc.pop_front()) else {
-                break;
-            };
-            let s = &self.flows[fidx as usize];
-            if s.gen != gen || s.len & LISTED == 0 {
-                continue; // slot released/reused or candidacy withdrawn
-            }
-            if s.head != NIL {
-                // Re-backlogged since listed: drop the hint (a future
-                // drain re-lists it).
-                self.flows[fidx as usize].len &= !LISTED;
-                continue;
-            }
-            let is_safe = s.ext.as_ref().is_some_and(&mut safe);
-            if !is_safe {
-                // Tags still ahead of virtual time: re-queue behind
-                // the other candidates and try again later.
-                if let Some(gc) = self.gc.as_mut() {
-                    gc.push_back((fidx, gen));
-                }
-                continue;
-            }
-            self.release_slot(fidx);
-            self.reclaimed += 1;
-            reclaimed += 1;
-        }
-        reclaimed
     }
 
     fn stats(&self) -> PoolStats {
@@ -1141,7 +1044,6 @@ impl<K: Ord + Copy, E, M: Copy> PooledFifos<K, E, M> {
             pkts_hwm: self.slab.high_water(),
             flows_live: self.flows.len() - self.free_flows.len(),
             flow_slots: self.flows.len(),
-            flows_reclaimed: self.reclaimed,
         }
     }
 }
@@ -1162,18 +1064,6 @@ fn retag_at<K: Copy + PartialEq, M: Copy>(
         pos > 0 || after == before,
         "retag_flow must keep the head key"
     );
-}
-
-/// Flow slot `fidx` (`s`) just drained to empty: list it as a GC
-/// candidate (once), when GC is on.
-fn note_drained<E>(gc: &mut Option<VecDeque<(u32, u32)>>, s: &mut FlowSlot<E>, fidx: u32) {
-    let Some(gc) = gc.as_mut() else {
-        return;
-    };
-    if s.ext.is_some() && s.len & LISTED == 0 {
-        s.len |= LISTED;
-        gc.push_back((fidx, s.gen));
-    }
 }
 
 /// The end of every pooled dequeue: ask for what the next one will read
@@ -1330,50 +1220,17 @@ mod tests {
     }
 
     #[test]
-    fn gc_reclaims_only_safe_empty_flows_and_respects_revival() {
-        let mut q: FlowFifos<u64, u64, ()> = FlowFifos::new("t");
-        q.enable_gc();
-        q.upsert_flow(FlowId(1), || 7);
-        q.upsert_flow(FlowId(2), || 7);
-        q.push_with(pkt(1, 0), |_| (0, ()));
-        q.push_with(pkt(2, 1), |_| (1, ()));
-        q.pop_min();
-        q.pop_min();
-        // Both flows drained; ext == 7. An unsafe predicate keeps them.
-        assert_eq!(q.gc_step(10, |_| false), 0);
-        assert_eq!(q.live_flows(), 2);
-        // Candidates were re-queued; a safe predicate reclaims both.
-        assert_eq!(q.gc_step(10, |&e| e == 7), 2);
-        assert_eq!(q.live_flows(), 0);
-        assert_eq!(q.pool_stats().unwrap().flows_reclaimed, 2);
-        // A reclaimed flow is unknown until re-registered.
-        assert!(matches!(
-            q.try_push_with(pkt(1, 2), |_| Some((2, ()))),
-            Err(SchedError::UnknownFlow(_))
-        ));
-        // upsert_flow between listing and gc_step withdraws candidacy.
-        q.upsert_flow(FlowId(3), || 7);
-        q.push_with(pkt(3, 3), |_| (3, ()));
-        q.pop_min();
-        q.upsert_flow(FlowId(3), || 7); // control plane touch
-        assert_eq!(q.gc_step(10, |_| true), 0, "withdrawn candidate");
-        assert_eq!(q.live_flows(), 1);
-    }
-
-    #[test]
     fn flow_slot_reuse_after_gc_keeps_table_dense() {
         let mut q: FlowFifos<u64, (), ()> = FlowFifos::new("t");
-        q.enable_gc();
         for round in 0..50u32 {
             let f = FlowId(round);
             q.upsert_flow(f, || ());
             q.push_with(pkt(round, round as u64), |_| (round as u64, ()));
             q.pop_min();
-            q.gc_step(4, |_| true);
+            assert!(q.remove_flow(f), "drained flow {round} is idle");
         }
         let st = q.pool_stats().unwrap();
-        assert!(st.flow_slots <= 3, "table grew to {}", st.flow_slots);
-        assert!(st.flows_reclaimed >= 47);
+        assert_eq!(st.flow_slots, 1, "table grew to {}", st.flow_slots);
         assert_eq!(st.pkts_in_use, 0);
     }
 
@@ -1451,8 +1308,8 @@ mod tests {
             ForceRemove(u32),
             RetagAll,
             RetagFlow(u32),
-            /// A GC step that finds every drained flow safe.
-            Gc,
+            /// `remove_flow` on every flow id: registered idle flows go.
+            RemoveIdle,
         }
 
         fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -1480,7 +1337,7 @@ mod tests {
                     (0..IDS).prop_map(Op::ForceRemove),
                     Just(Op::RetagAll),
                     (0..IDS).prop_map(Op::RetagFlow),
-                    Just(Op::Gc),
+                    Just(Op::RemoveIdle),
                 ],
                 1..200,
             )
@@ -1539,7 +1396,6 @@ mod tests {
         /// stats at the end (`None` on the owned backend).
         fn run(backend: FifoBackend, ops: &[Op]) -> Result<Option<PoolStats>, TestCaseError> {
             let mut q: FlowFifos<u64, FlowId, u64> = FlowFifos::new_with("t", backend);
-            q.enable_gc();
             let mut m = Model {
                 flows: vec![None; IDS as usize],
                 offset: 0,
@@ -1615,15 +1471,13 @@ mod tests {
                             prop_assert_eq!(s.arrival.parts(), w.arrival.parts());
                         }
                     }
-                    Op::Gc => {
-                        q.gc_step(IDS as usize, |_| true);
+                    Op::RemoveIdle => {
                         for f in 0..IDS {
-                            if q.ext(FlowId(f)).is_none() {
-                                let fifo = m.flows[f as usize].take();
-                                prop_assert!(
-                                    fifo.is_none_or(|q| q.is_empty()),
-                                    "GC took a backlogged flow"
-                                );
+                            let fifo = &mut m.flows[f as usize];
+                            let idle = fifo.as_ref().is_some_and(VecDeque::is_empty);
+                            prop_assert_eq!(q.remove_flow(FlowId(f)), idle, "flow {}", f);
+                            if idle {
+                                *fifo = None;
                             }
                         }
                     }
@@ -1639,7 +1493,7 @@ mod tests {
             Ok(q.pool_stats())
         }
 
-        /// A flow force-removed, and one reclaimed by GC, each leave a
+        /// A flow force-removed, and an idle one removed, each leave a
         /// slot that a different flow id takes next: its packets leave
         /// under their own id, not the slot's previous occupant's.
         #[test]
@@ -1653,7 +1507,7 @@ mod tests {
                 Op::Register(2),
                 push(2, 2),
                 Op::Pop,
-                Op::Gc,
+                Op::RemoveIdle,
                 Op::Register(3),
                 push(3, 3),
                 push(3, 4),
@@ -1663,7 +1517,7 @@ mod tests {
             for backend in [FifoBackend::Pooled, FifoBackend::Owned] {
                 let stats = run(backend, &ops).expect("round trip");
                 if let Some(st) = stats {
-                    assert_eq!((st.flow_slots, st.flows_reclaimed), (1, 1), "{st:?}");
+                    assert_eq!(st.flow_slots, 1, "{st:?}");
                 }
             }
         }
@@ -1674,8 +1528,8 @@ mod tests {
             /// Every packet leaves — served one at a time or in a batch,
             /// head-dropped, or seen by a retag or by `nth` — with
             /// exactly the flow, seq, len, arrival and uid it entered
-            /// with, on both backends, through force-removals, GC and
-            /// slot reuse.
+            /// with, on both backends, through force-removals, idle
+            /// removals and slot reuse.
             #[test]
             fn packets_leave_as_they_entered_on_both_backends(ops in ops()) {
                 run(FifoBackend::Pooled, &ops)?;

@@ -223,17 +223,6 @@ impl<O: SchedObserver> HierSfq<O> {
         }
     }
 
-    /// Attach a flow to a scheduler class created with
-    /// [`HierSfq::add_scheduler_class`], registering it with the nested
-    /// discipline at the given weight.
-    pub fn add_flow_to_scheduler(&mut self, class: ClassId, flow: FlowId, weight: Rate) {
-        assert!(!self.flow_leaf.contains_key(&flow), "flow already attached");
-        self.nested_mut(class, "add_flow_to_scheduler")
-            .add_flow(flow, weight);
-        self.flow_leaf.insert(flow, class);
-        self.obs.on_flow_change(flow, &FlowChange::Added { weight });
-    }
-
     /// Route a flow to a scheduler class *without* registering it —
     /// for nested disciplines configured before being handed to
     /// [`HierSfq::add_scheduler_class`] (e.g. Delay EDD with per-flow

@@ -29,8 +29,9 @@
 //!
 //! [`FlowMap`] is the dense companion for *control-plane* per-flow
 //! state (weights, drop counters): a slotmap-lite keyed by [`FlowId`]
-//! with `O(1)` lookup through [`IdIndex`] and cache-friendly iteration
-//! over a dense entry vector, replacing the per-driver `HashMap`s.
+//! with `O(1)` lookup through a flow-id index and cache-friendly
+//! iteration over a dense entry vector, in place of a `HashMap` per
+//! table.
 
 use crate::packet::FlowId;
 use std::collections::HashMap;
@@ -422,8 +423,8 @@ impl IdIndex {
 }
 
 /// Dense per-flow map for control-plane state (weights, drop counts,
-/// engagement flags): `O(1)` keyed access via [`IdIndex`], contiguous
-/// iteration, `swap_remove` deletion. Replaces the `HashMap<FlowId,_>`
+/// engagement flags): `O(1)` keyed access via a flow-id index,
+/// contiguous iteration, `swap_remove` deletion. Replaces the `HashMap<FlowId,_>`
 /// tables in `netsim::SwitchCore` and the engine drivers.
 #[derive(Debug, Default)]
 pub struct FlowMap<T> {
@@ -522,8 +523,6 @@ pub struct PoolStats {
     pub flows_live: usize,
     /// Flow-table slots ever created.
     pub flow_slots: usize,
-    /// Flows reclaimed by lazy GC over the structure's lifetime.
-    pub flows_reclaimed: u64,
 }
 
 #[cfg(test)]

@@ -36,14 +36,14 @@
 //! [`DelayEdd`], [`Wfq`] and [`Fqs`]. Everything else — per-flow FIFOs
 //! with a head-of-flow heap ([`FlowFifos`]: heap cost is `O(log Q)` in
 //! *backlogged flows*, not queued packets), batch tagging, virtual-time
-//! rebasing, the tag-rewrite reconfiguration, lazy flow GC, counter-page
-//! telemetry, observer events ([`crate::obs`]; the default
-//! [`NoopObserver`] compiles away) and the fallible control plane —
-//! exists here exactly once.
+//! rebasing, the tag-rewrite reconfiguration, counter-page telemetry,
+//! observer events ([`crate::obs`]; the default [`NoopObserver`]
+//! compiles away) and the fallible control plane — exists here exactly
+//! once.
 
 use crate::arith::{Exact, TagArith, TieKey};
-use crate::fixed::{Fixed, FixedTag};
-use crate::flowq::{FifoBackend, FlowFifos, GC_BUDGET};
+use crate::fixed::Fixed;
+use crate::flowq::{FifoBackend, FlowFifos};
 use crate::gps::GpsClock;
 use crate::obs::{FlowChange, NoopObserver, SchedEvent, SchedObserver};
 use crate::packet::{FlowId, Packet};
@@ -62,8 +62,8 @@ use std::cell::Cell;
 /// arriving packet, never once per batch: the fluid clock read twice at
 /// one instant moves when a fluid exit lies under half a picosecond
 /// ahead of `v`. Under it the scheduler keeps no virtual time of its
-/// own: `serve` leaves `v` at zero, a rebase finds no baseline and lazy
-/// GC reclaims nothing. It refuses [`Scheduler::try_set_weight`] with
+/// own: `serve` leaves `v` at zero and a rebase finds no baseline. It
+/// refuses [`Scheduler::try_set_weight`] with
 /// [`SchedError::Unsupported`]: the tag-rewrite rule assumes a
 /// backlogged flow's chain has `S_j = F_{j-1}`, and under an external
 /// clock a packet arriving after its predecessor's finish starts at
@@ -129,7 +129,7 @@ pub trait VtRule: fmt::Debug {
     /// Discipline name over the fixed-point arithmetic.
     const FAST_NAME: &'static str;
     /// Whether a packet's departure bookkeeping (busy-period end,
-    /// drain-time rebase, GC) runs inside `dequeue` — the rule has no
+    /// drain-time rebase) runs inside `dequeue` — the rule has no
     /// use for the departure instant, so `on_departure` is a no-op — or
     /// waits for `on_departure`.
     const SETTLES_IN_DEQUEUE: bool;
@@ -416,20 +416,6 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
     /// The attached telemetry sink, if any.
     pub fn telemetry(&self) -> Option<&TelemetrySink> {
         self.tele.as_ref()
-    }
-
-    /// Enable lazy flow GC (pooled backend only): a flow whose backlog
-    /// drains is reclaimed — id unlinked, table slot recycled — once
-    /// its `last_finish` tag falls at or below the arithmetic's safety
-    /// horizon ([`TagArith::gc_horizon`]: `⌊v(t)⌋` exact, `v(t)` fixed),
-    /// the point after which a revived flow starting from fresh state
-    /// (Eq. 4's `max` with `F(p_f^0) = 0`) computes exactly the tags it
-    /// would have computed anyway: dequeue order stays bit-identical
-    /// while the flow table stays bounded by the *live* flow set under
-    /// churn. A reclaimed flow must be re-registered before it can
-    /// enqueue again, matching [`Scheduler::remove_flow`] semantics.
-    pub fn enable_flow_gc(&mut self) {
-        self.q.enable_gc();
     }
 
     /// Cap the pooled backend's packet-slot footprint; see
@@ -730,8 +716,7 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
     /// period if it emptied the queue (step 2 of the algorithm
     /// definition — `v` becomes the max finish tag served — and the
     /// cheapest rebase point: no queued packets, only per-flow
-    /// `last_finish` state), then do a slice of GC work (a no-op until
-    /// [`TagSched::enable_flow_gc`]).
+    /// `last_finish` state).
     fn settle(&mut self) {
         if self.q.is_empty() {
             self.v = self.max_finish_served;
@@ -739,9 +724,6 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
                 self.rebase();
             }
         }
-        let v = self.v;
-        self.q
-            .gc_step(GC_BUDGET, |ext| ext.last_finish <= A::gc_horizon(v));
     }
 
     /// Walk `flow`'s queue re-chaining every packet after the head at
@@ -1067,11 +1049,6 @@ impl<V: VtRule, O: SchedObserver> TagSched<Fixed, V, O> {
     /// The tag grid's fractional bit count.
     pub fn shift(&self) -> u32 {
         self.arith.shift()
-    }
-
-    /// The server virtual time `v(t)` right now, in fixed point.
-    pub fn virtual_time_fixed(&self) -> FixedTag {
-        self.v
     }
 }
 

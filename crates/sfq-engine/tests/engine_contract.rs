@@ -298,10 +298,12 @@ fn facade_counts_are_exact<K: Kind>() {
     assert!(Scheduler::is_empty(&eng));
 }
 
-/// Regression: removing a flow with un-pumped ring residue folds the
-/// ring first. The parent of PR 15 lost the *other* flow's two packets
-/// here on the in-place engine (`pump -> Err(UnknownFlow)`, then an
-/// empty drain).
+/// Regression: removing a flow while another flow's packets are
+/// pending on the same shard discards only the removed flow's packet.
+/// An engine that buffered ingests until a pump once lost the *other*
+/// flow's two packets here (`pump -> Err(UnknownFlow)`, then an empty
+/// drain); ingest now schedules each packet at once, so the removal
+/// finds them already queued and leaves them.
 fn forced_removal_folds_ring_residue<K: Kind>() {
     let run = |reconfig: bool| {
         let mut eng = K::engine(EngineConfig::new(1));
@@ -369,9 +371,11 @@ const CAP: usize = 8;
 /// The facade is ingest + pump: random mixes of facade and native calls
 /// at 1, 2 and 4 shards give the results, departures, observer events
 /// and pages of a copy whose facade enqueue is `try_ingest` + `pump` and
-/// facade dequeue a one-packet `drain`. Every run ends in a tour: a
-/// facade enqueue over ingest residue, an unknown flow, one flow past
-/// the ring capacity, and a shard poisoned through the facade.
+/// facade dequeue a one-packet `drain` (`pump` is a no-op: ingest
+/// schedules at once). Every run ends in a tour: a facade enqueue right
+/// after an ingest, an unknown flow, one flow past its shard's
+/// `ring_capacity`, and, through the facade, a packet its shard refuses
+/// with its own error (`POISON_LEN`), which changes nothing else.
 #[test]
 fn facade_is_ingest_then_pump() {
     check_facade(|obs| Marked(Sfq::with_observer(Default::default(), obs)));

@@ -147,14 +147,6 @@ impl FlowMetrics {
             .collect()
     }
 
-    /// Current normalized-service lag `|W_f/r_f − W_m/r_m|` between two
-    /// flows (regardless of backlog state).
-    pub fn normalized_lag(&self, f: FlowId, m: FlowId) -> Option<Ratio> {
-        let a = self.flows.get(&f.0)?.norm_service;
-        let b = self.flows.get(&m.0)?.norm_service;
-        Some(if a >= b { a - b } else { b - a })
-    }
-
     /// Worst normalized-service spread observed for the pair over any
     /// interval in which both flows stayed backlogged — the measured
     /// left side of Theorem 1, maximized over intervals. `None` if the

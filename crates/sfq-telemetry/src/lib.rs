@@ -280,12 +280,14 @@ impl StatPage {
         Ok(PageSnapshot::from_raw(&raw))
     }
 
-    /// Snapshot with bounded retry: up to `budget` attempts before
-    /// giving up with [`SnapshotError::Torn`]. Against a writer that
-    /// eventually quiesces the retry terminates — every failed attempt
-    /// is caused by an epoch bump, and a finite workload performs
-    /// finitely many bumps (proven empirically by the conformance
-    /// `telemetry` preset's torn-retry leg).
+    /// Snapshot with bounded retry: at most `budget` attempts, then
+    /// [`SnapshotError::Torn`] carrying the count. That is the whole
+    /// guarantee: a reader never blocks and never returns a torn page
+    /// as `Ok`, but it is not wait-free. A writer preempted inside a
+    /// write section fails every attempt made meanwhile, so a reader
+    /// beside a live writer can exhaust any budget; the conformance
+    /// `telemetry` preset's reader-thread leg reproduces that
+    /// starvation. A protocol without it is ROADMAP item 2.
     pub fn snapshot(&self, budget: usize) -> Result<PageSnapshot, SnapshotError> {
         let mut attempts = 0;
         loop {
@@ -586,11 +588,6 @@ impl TelemetrySink {
         TelemetrySink {
             page: Arc::new(StatPage::new()),
         }
-    }
-
-    /// Sink over an existing page.
-    pub fn for_page(page: Arc<StatPage>) -> Self {
-        TelemetrySink { page }
     }
 
     /// The underlying page, for readers.

@@ -1,17 +1,19 @@
 //! Seeded call-schedule conformance for the sharded engine: for *any*
 //! seeded interleaving of ingest, pump and drain calls, `SyncEngine`
 //! must depart and refuse as its two oracles say — a hand-driven bare
-//! `Sfq` at one shard, and its own schedule with the pumps moved at the
-//! seeded shard count (`conformance::engine`). A failure panics with
+//! `Sfq` at one shard, and its own schedule with the pumps stripped or
+//! made eager at the seeded shard count (`conformance::engine`; `pump`
+//! is a no-op since ingest schedules each packet at once, so the second
+//! oracle holds by construction). A failure panics with
 //! the full report, which ends in the standard
 //! `conformance replay: preset=engine seed=N` line for offline
 //! reproduction via the conformance fuzzer.
 //!
 //! The second proptest drives the same replay with the op alphabet the
 //! `engine` preset never generates: forced removals and head drops
-//! issued *with un-pumped ring residue*, re-adding a removed flow,
-//! weight changes between ingest and pump. Pump placement is visible
-//! to those ops, so what must hold is the books: every packet is
+//! issued *between ingest and drain*, re-adding a removed flow, weight
+//! changes between ingest and drain. No oracle predicts what those ops
+//! leave queued, so what must hold is the books: every packet is
 //! refused, departs, is discarded by a removal or is evicted, and each
 //! flow departs in the order it was offered.
 

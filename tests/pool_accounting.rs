@@ -12,10 +12,11 @@
 //! allocated).
 //!
 //! The `million_flow_churn_smoke` test (ignored by default; CI runs it
-//! release-mode) drives 1M flows of churn through `SfqFast` with lazy
-//! GC and checks the three scale claims at once: leak-free slots,
-//! a flow table that stays dense (slots ≪ flows ever registered), and
-//! wall-clock / peak-RSS inside the CI caps.
+//! release-mode) drives 1M flows of churn through `SfqFast`, removing
+//! each wave's flows once drained, and checks the three scale claims at
+//! once: leak-free slots, a flow table that stays at one wave's slots
+//! (not the 1M flows ever registered), and wall-clock / peak-RSS inside
+//! the CI caps.
 
 use proptest::prelude::*;
 use sfq_repro::prelude::*;
@@ -72,8 +73,8 @@ fn churn_accounting<S: Scheduler>(mut sched: S, ops: &[Op], stats: impl Fn(&S) -
     for op in ops {
         match *op {
             Op::Enq(f, len) => {
-                // Register-before-enqueue so lazy GC reclamation can
-                // never surface as UnknownFlow (see pool_identity.rs).
+                // Register-before-enqueue, so a force-removed flow
+                // comes back with its next packet.
                 sched.add_flow(FlowId(f as u32 + 1), Rate::bps(ws[f]));
                 let pkt = pf.make(FlowId(f as u32 + 1), Bytes::new(len), now);
                 let _ = sched.try_enqueue(now, pkt);
@@ -108,30 +109,22 @@ proptest! {
 
     #[test]
     fn sfq_pool_books_balance_under_churn(ops in ops()) {
-        let mut s = Sfq::new();
-        s.enable_flow_gc();
-        churn_accounting(s, &ops, |s| s.pool_stats().expect("pooled default"));
+        churn_accounting(Sfq::new(), &ops, |s| s.pool_stats().expect("pooled default"));
     }
 
     #[test]
     fn sfq_fast_pool_books_balance_under_churn(ops in ops()) {
-        let mut s = SfqFast::new();
-        s.enable_flow_gc();
-        churn_accounting(s, &ops, |s| s.pool_stats().expect("pooled default"));
+        churn_accounting(SfqFast::new(), &ops, |s| s.pool_stats().expect("pooled default"));
     }
 
     #[test]
     fn scfq_pool_books_balance_under_churn(ops in ops()) {
-        let mut s = Scfq::new();
-        s.enable_flow_gc();
-        churn_accounting(s, &ops, |s| s.pool_stats().expect("pooled default"));
+        churn_accounting(Scfq::new(), &ops, |s| s.pool_stats().expect("pooled default"));
     }
 
     #[test]
     fn scfq_fast_pool_books_balance_under_churn(ops in ops()) {
-        let mut s = ScfqFast::new();
-        s.enable_flow_gc();
-        churn_accounting(s, &ops, |s| s.pool_stats().expect("pooled default"));
+        churn_accounting(ScfqFast::new(), &ops, |s| s.pool_stats().expect("pooled default"));
     }
 }
 
@@ -321,9 +314,9 @@ fn peak_rss_bytes() -> Option<u64> {
 
 /// Million-flow churn smoke (CI runs this `--release -- --ignored`):
 /// 20 waves of 50k fresh flows each, two packets per flow, drained
-/// between waves with lazy GC on. Checks leak-freedom, flow-table
-/// density (slots stay near one wave, not 1M), the wall-clock cap, and
-/// the peak-RSS cap.
+/// between waves, each wave's flows removed once drained. Checks
+/// leak-freedom, flow-table density (slots stay at one wave, not 1M),
+/// the wall-clock cap, and the peak-RSS cap.
 #[test]
 #[ignore = "scale smoke: run release-mode (CI million-flow job)"]
 fn million_flow_churn_smoke() {
@@ -333,7 +326,6 @@ fn million_flow_churn_smoke() {
     const RSS_CAP_BYTES: u64 = 1 << 30; // 1 GiB
     let started = std::time::Instant::now();
     let mut s = SfqFast::new();
-    s.enable_flow_gc();
     let mut pf = PacketFactory::new();
     let now = SimTime::ZERO;
     for wave in 0..WAVES {
@@ -347,21 +339,27 @@ fn million_flow_churn_smoke() {
         while s.dequeue(now).is_some() {
             s.on_departure(now);
         }
+        for i in 0..WAVE {
+            assert!(
+                s.remove_flow(FlowId(base + i)),
+                "wave {wave}: flow not idle"
+            );
+        }
         let st = s.pool_stats().expect("pooled default");
         assert_eq!(st.pkts_in_use, 0, "wave {wave}: slots leaked");
     }
     let st = s.pool_stats().expect("pooled default");
     assert_eq!(st.pkts_in_use, 0);
-    // GC keeps the flow table dense: far fewer slots than the 1M flows
-    // ever registered (each wave's flows are reclaimed as the next
-    // wave's departures advance v past their last finish tags).
-    assert!(
-        st.flow_slots < 3 * WAVE as usize,
+    // Removal keeps the flow table dense: each wave's flows take the
+    // slots the one before released, so one wave's worth serves the 1M
+    // flows ever registered.
+    assert_eq!(
+        st.flow_slots,
+        WAVE as usize,
         "flow table not dense: {} slots for {} flows ever",
         st.flow_slots,
         WAVES * WAVE
     );
-    assert!(st.flows_reclaimed > 0, "GC never reclaimed a flow");
     let elapsed = started.elapsed().as_secs();
     assert!(
         elapsed < WALL_CAP_S,

@@ -14,16 +14,9 @@
 //! re-registration, which exercises the pooled backend's generation
 //! checks).
 //!
-//! Lazy flow GC *does* change one observable: a reclaimed flow must be
-//! re-registered before its next packet (that is the point — the table
-//! forgets idle flows). Its identity obligation is therefore
-//! conditional: for callers that (re-)register a flow before every
-//! enqueue, a GC'ing pooled scheduler is bit-identical to a
-//! GC-less owned one, because the safe predicate (`last_finish ≤
-//! v(t)`) guarantees a revived flow's first start tag recomputes to
-//! exactly the value the retained `last_finish` would have produced
-//! (`max(v, 0) = v = max(v, last_finish)`). The `*_gc_transparent_*`
-//! tests check precisely that.
+//! The `*_reregistration_is_bit_identical` tests hold callers that
+//! re-register a flow before every enqueue and reweigh (an `add_flow`
+//! on a registered flow keeps its tag state) to the same identity.
 //!
 //! Failures replay through the conformance `pool` preset
 //! (`conformance replay: preset=pool seed=N`).
@@ -234,30 +227,11 @@ fn assert_identical(
     Ok(())
 }
 
-/// GC-transparency comparison: packet events (enqueue/dequeue/drop,
-/// tags included) must match; flow-*lifecycle* events are excluded
-/// because reclamation visibility is precisely what GC changes (a
-/// `force_remove_flow` of an already-collected flow reports nothing).
-fn assert_identical_packets(
-    a: (Vec<u64>, Vec<bool>, Vec<Event>),
-    b: (Vec<u64>, Vec<bool>, Vec<Event>),
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&a.0, &b.0, "dequeue orders diverged");
-    prop_assert_eq!(&a.1, &b.1, "enqueue outcomes diverged");
-    let pa: Vec<&Event> = a.2.iter().filter(|e| e.0 != 3).collect();
-    let pb: Vec<&Event> = b.2.iter().filter(|e| e.0 != 3).collect();
-    prop_assert_eq!(pa.len(), pb.len(), "packet event counts diverged");
-    for (i, (x, y)) in pa.iter().zip(&pb).enumerate() {
-        prop_assert_eq!(*x, *y, "packet event #{} diverged", i);
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sfq pooled vs owned: identity across tie-break rules, rebasing,
-    /// churn, and pooled-side GC.
+    /// Sfq pooled vs owned: identity across tie-break rules, rebasing
+    /// and churn.
     #[test]
     fn sfq_pooled_is_bit_identical_to_owned(
         tie in ties(), rebase in rebasing(), ws in weights(), ops in ops()
@@ -276,7 +250,7 @@ proptest! {
     }
 
     /// SfqFast pooled vs owned, same obligation on the fixed-point
-    /// path (where GC needs no floor because tags are never snapped).
+    /// path.
     #[test]
     fn sfq_fast_pooled_is_bit_identical_to_owned(
         tie in ties(), rebase in rebasing(), ws in weights(), ops in ops()
@@ -369,79 +343,69 @@ proptest! {
         assert_identical(rp, ro)?;
     }
 
-    /// Sfq with lazy GC on the pooled side vs a GC-less owned oracle,
-    /// under register-before-enqueue discipline: GC reclamation must be
-    /// invisible (revival stability of the safe predicate).
+    /// Sfq pooled vs owned under register-before-enqueue discipline.
     #[test]
-    fn sfq_gc_is_transparent_under_reregistration(
+    fn sfq_reregistration_is_bit_identical(
         tie in ties(), ws in weights(), ops in ops()
     ) {
         let tp = Rc::new(RefCell::new(Trace::default()));
         let to = Rc::new(RefCell::new(Trace::default()));
-        let mut pooled = Sfq::with_parts(tie, Rc::clone(&tp), FifoBackend::Pooled);
+        let pooled = Sfq::with_parts(tie, Rc::clone(&tp), FifoBackend::Pooled);
         let owned = Sfq::with_parts(tie, Rc::clone(&to), FifoBackend::Owned);
-        pooled.enable_flow_gc();
         let rp = run_ops_reregistering(pooled, tp, &ws, &ops);
         let ro = run_ops_reregistering(owned, to, &ws, &ops);
-        assert_identical_packets(rp, ro)?;
+        assert_identical(rp, ro)?;
     }
 
-    /// SfqFast, same GC-transparency obligation on the fixed-point
-    /// path (no pico-grid snap, so the predicate needs no floor).
+    /// SfqFast, same obligation on the fixed-point path.
     #[test]
-    fn sfq_fast_gc_is_transparent_under_reregistration(
+    fn sfq_fast_reregistration_is_bit_identical(
         tie in ties(), ws in weights(), ops in ops()
     ) {
         let tp = Rc::new(RefCell::new(Trace::default()));
         let to = Rc::new(RefCell::new(Trace::default()));
-        let mut pooled =
-            SfqFast::with_parts(tie, DEFAULT_SHIFT, Rc::clone(&tp), FifoBackend::Pooled)
-                .expect("default shift is valid");
+        let pooled = SfqFast::with_parts(tie, DEFAULT_SHIFT, Rc::clone(&tp), FifoBackend::Pooled)
+            .expect("default shift is valid");
         let owned = SfqFast::with_parts(tie, DEFAULT_SHIFT, Rc::clone(&to), FifoBackend::Owned)
             .expect("default shift is valid");
-        pooled.enable_flow_gc();
         let rp = run_ops_reregistering(pooled, tp, &ws, &ops);
         let ro = run_ops_reregistering(owned, to, &ws, &ops);
-        assert_identical_packets(rp, ro)?;
+        assert_identical(rp, ro)?;
     }
 
-    /// Scfq, same GC-transparency obligation (exact path: the floored
-    /// horizon keeps the predicate robust to the pico-grid snap).
+    /// Scfq, same obligation.
     #[test]
-    fn scfq_gc_is_transparent_under_reregistration(
+    fn scfq_reregistration_is_bit_identical(
         ws in weights(), ops in ops()
     ) {
         let tp = Rc::new(RefCell::new(Trace::default()));
         let to = Rc::new(RefCell::new(Trace::default()));
-        let mut pooled = Scfq::with_parts(Rc::clone(&tp), FifoBackend::Pooled);
+        let pooled = Scfq::with_parts(Rc::clone(&tp), FifoBackend::Pooled);
         let owned = Scfq::with_parts(Rc::clone(&to), FifoBackend::Owned);
-        pooled.enable_flow_gc();
         let rp = run_ops_reregistering(pooled, tp, &ws, &ops);
         let ro = run_ops_reregistering(owned, to, &ws, &ops);
-        assert_identical_packets(rp, ro)?;
+        assert_identical(rp, ro)?;
     }
 
-    /// ScfqFast, same GC-transparency obligation.
+    /// ScfqFast, same obligation.
     #[test]
-    fn scfq_fast_gc_is_transparent_under_reregistration(
+    fn scfq_fast_reregistration_is_bit_identical(
         ws in weights(), ops in ops()
     ) {
         let tp = Rc::new(RefCell::new(Trace::default()));
         let to = Rc::new(RefCell::new(Trace::default()));
-        let mut pooled = ScfqFast::with_parts(DEFAULT_SHIFT, Rc::clone(&tp), FifoBackend::Pooled)
+        let pooled = ScfqFast::with_parts(DEFAULT_SHIFT, Rc::clone(&tp), FifoBackend::Pooled)
             .expect("default shift is valid");
         let owned = ScfqFast::with_parts(DEFAULT_SHIFT, Rc::clone(&to), FifoBackend::Owned)
             .expect("default shift is valid");
-        pooled.enable_flow_gc();
         let rp = run_ops_reregistering(pooled, tp, &ws, &ops);
         let ro = run_ops_reregistering(owned, to, &ws, &ops);
-        assert_identical_packets(rp, ro)?;
+        assert_identical(rp, ro)?;
     }
 }
 
 /// Like [`run_ops`], but re-registers a flow immediately before every
-/// enqueue and reweigh — the discipline under which lazy GC must be
-/// transparent.
+/// enqueue and reweigh.
 fn run_ops_reregistering<S: Scheduler>(
     sched: S,
     trace: Rc<RefCell<Trace>>,
@@ -472,9 +436,10 @@ fn pool_preset_replay_line_reproduces_the_differential_check() {
 /// This drives that branch through the real scheduler: 200 000 flows
 /// two packets deep (6 MB of heap), a closed loop of served-then-
 /// re-offered flows, and every source of stale heap entries —
-/// `force_remove_flow`, `drop_head`, and lazy flow GC handing a freed
-/// slot (generation bumped) to the next flow registered — with the
-/// pooled backend held to the owned oracle's exact departure order.
+/// `force_remove_flow` handing its freed slot (generation bumped) to the
+/// flow registered next, `drop_head`, and `remove_flow` on flows that
+/// drained — with the pooled backend held to the owned oracle's exact
+/// departure order.
 #[test]
 fn sfq_fast_pooled_is_bit_identical_to_owned_at_200k_flows() {
     pooled_matches_owned_at_200k_flows(None);
@@ -498,14 +463,10 @@ fn pooled_matches_owned_at_200k_flows(batch: Option<usize>) {
     let run = |backend: FifoBackend| {
         let mut s = SfqFast::with_parts(TieBreak::Fifo, DEFAULT_SHIFT, NoopObserver, backend)
             .expect("default shift is valid");
-        if backend == FifoBackend::Pooled {
-            s.enable_flow_gc();
-        }
         let now = SimTime::ZERO;
         let mut uid = 0u64;
         let mut offer = |s: &mut SfqFast, f: u32| {
-            // Register-before-enqueue: the discipline under which lazy
-            // GC is transparent (see the module docs).
+            // Register-before-enqueue: a removed flow comes back.
             s.add_flow(FlowId(f), weight(f));
             let p = Packet {
                 flow: FlowId(f),
@@ -534,8 +495,7 @@ fn pooled_matches_owned_at_200k_flows(batch: Option<usize>) {
         }
         let stale_after_faults = s.head_heap_len() - FLOWS as usize;
         // Closed loop: every third departure's flow is re-offered, the
-        // others drain towards empty, get collected, and their slots
-        // go to whichever flow registers next.
+        // others drain towards empty and are removed once idle.
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         let mut served = 0usize;
         let mut out = Vec::new();
@@ -559,27 +519,27 @@ fn pooled_matches_owned_at_200k_flows(batch: Option<usize>) {
             !out.is_empty()
         };
         let mut i = 0;
+        let mut removed = 0usize;
         while i < 300_000 {
             assert!(serve(&mut s, &mut out), "backlog outlasts the loop");
             for p in &out {
                 if i % 3 == 0 {
                     offer(&mut s, p.flow.0);
+                } else {
+                    removed += usize::from(s.remove_flow(p.flow));
                 }
                 i += 1;
             }
         }
-        let reclaimed = s.pool_stats().map_or(0, |st| st.flows_reclaimed);
         while serve(&mut s, &mut out) {}
         assert_eq!(served + dropped, uid as usize, "every packet accounted for");
-        (digest, served, stale_after_faults, reclaimed)
+        (digest, served, stale_after_faults, removed)
     };
-    let (dp, np, stale_p, reclaimed) = run(FifoBackend::Pooled);
-    let (d_o, n_o, stale_o, _) = run(FifoBackend::Owned);
+    let (dp, np, stale_p, removed_p) = run(FifoBackend::Pooled);
+    let (d_o, n_o, stale_o, removed_o) = run(FifoBackend::Owned);
     assert_eq!((dp, np), (d_o, n_o), "departure order diverged");
     assert_eq!(stale_p, stale_o, "stale heap entries diverged");
     assert!(stale_p > 2_000, "the faults left stale entries: {stale_p}");
-    // Flow GC looks at two candidates per scheduler call, and a batch
-    // is one call.
-    let gc_floor = if batch.is_some() { 500 } else { 1_000 };
-    assert!(reclaimed > gc_floor, "flow GC ran: {reclaimed} reclaimed");
+    assert_eq!(removed_p, removed_o, "idle removals diverged");
+    assert!(removed_p > 1_000, "idle flows were removed: {removed_p}");
 }

@@ -1,7 +1,7 @@
-//! Memory budget of a backlogged `SfqFast`, bare and as the shards of
-//! an `Engine`, and of the schedulers built around the tag core
-//! (`HierSfq`, `FairAirport`): live heap bytes per flow, one budget row
-//! each.
+//! Memory budget of a backlogged `SfqFast`, bare, as the shards of an
+//! `Engine` and under a graph port, and of the schedulers built around
+//! the tag core (`HierSfq`, `FairAirport`): live heap bytes per flow,
+//! one budget row each.
 //!
 //! At a million flows the scheduler's own records are most of a
 //! process's memory: per flow, a 64-byte flow slot, a 32-byte heap
@@ -21,6 +21,9 @@
 //! One test only: the counter is per thread, but the allocator is the
 //! whole test binary's.
 
+use graph::{GraphNode, PktArena, PortNode};
+use netsim::DropPolicy;
+use servers::RateProfile;
 use sfq_core::{FairAirport, FlowId, HierSfq, Packet, Scheduler, SfqFast};
 use sfq_engine::{Engine, EngineConfig};
 use simtime::{Bytes, Rate, SimTime};
@@ -159,6 +162,53 @@ fn hier_one_class() -> (usize, i64) {
     (h.len(), live() - before)
 }
 
+/// `HierSfq` with the flows spread over 64 classes under the root, flow
+/// `f` in class `f % 64`: 823.0, budget 830, the same as one class.
+/// The per-leaf `Node` of the one-class row dominates; the 63 more
+/// classes add 4 392 bytes in all (their nodes and their places in the
+/// root's `RootSfq`), nothing per flow.
+fn hier_64_classes() -> (usize, i64) {
+    let before = live();
+    let mut h = HierSfq::new();
+    let classes: Vec<_> = (0..64)
+        .map(|_| h.add_class(h.root(), Rate::mbps(1)))
+        .collect();
+    for f in 0..FLOWS {
+        h.add_flow_to(classes[f as usize % 64], FlowId(f), Rate::bps(1_000));
+    }
+    preload(|pkt| h.enqueue(SimTime::ZERO, pkt));
+    (h.len(), live() - before)
+}
+
+/// A graph port over `SfqFast`, each packet allocated in a `PktArena`
+/// and handed to `PortNode::dispatch` as the executor does, no caps, the
+/// link never started: 524.0, budget 530. The 248 above the bare core's
+/// 276, measured by building the parts alone:
+/// - 160: the arena's slab, two 80-byte slots per flow (a 16-aligned
+///   64-byte `Packet` and its 4-byte link, padded), while the core
+///   holds its own 88-byte record of each packet too;
+/// - 68: the port's uid side table (uid to flow and slot), 2^18
+///   entries in 2^19 buckets of 16 bytes plus a control byte;
+/// - 20: the switch's per-flow books, the weight table's 16-byte
+///   `(FlowId, Rate)` entry and 4-byte id index entry.
+fn graph_port() -> (usize, i64) {
+    let before = live();
+    let mut arena = PktArena::new();
+    let link = RateProfile::constant(Rate::mbps(1));
+    let sched = Box::new(SfqFast::new());
+    let mut port = PortNode::new(sched, link, None, None, DropPolicy::TailDrop);
+    for f in 0..FLOWS {
+        port.add_flow(FlowId(f), Rate::bps(1_000));
+    }
+    let mut out = Vec::new();
+    preload(|pkt| {
+        let h = arena.try_alloc(pkt).unwrap();
+        port.dispatch(SimTime::ZERO, &mut arena, &[h], &mut out);
+    });
+    assert!(out.is_empty(), "a port emits nothing from dispatch");
+    (port.queued(), live() - before)
+}
+
 /// `FairAirport`, nothing dequeued: 632.0, budget 640 (754.9 when it
 /// kept its own tags and a `VecDeque<Packet>` per flow). 484 are its
 /// ASQ, an exact `Sfq` holding every packet; 100 its GSQ, a
@@ -185,11 +235,13 @@ fn live() -> i64 {
 type Build = fn() -> (usize, i64);
 
 /// Each row: a name, its build, and the live bytes per flow it may keep.
-const ROWS: [(&str, Build, f64); 5] = [
+const ROWS: [(&str, Build, f64); 7] = [
     ("SfqFast", sfq_fast, 280.0),
     ("Engine::new_fast, 4 shards", engine_fast, 400.0),
     ("Engine::new_fast, 1 shard", engine_fast_one_shard, 310.0),
     ("HierSfq, one class", hier_one_class, 830.0),
+    ("HierSfq, 64 classes", hier_64_classes, 830.0),
+    ("graph port over SfqFast", graph_port, 530.0),
     ("FairAirport", fair_airport, 640.0),
 ];
 
