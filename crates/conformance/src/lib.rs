@@ -20,8 +20,8 @@
 //!   built and evaluated by the same helpers as [`graph`],
 //! - [`engine`]: sharded-engine conformance — one seeded API call
 //!   schedule replayed on `sfq_engine::SyncEngine` and judged by a
-//!   hand-driven bare `Sfq` (one shard) and by pump placement (seeded
-//!   shard count), plus conservation and per-flow order; also hosts
+//!   hand-driven bare `Sfq` (one shard), plus conservation and
+//!   per-flow order; also hosts
 //!   the one schedule executor (`engine::replay`) that `chaos` and
 //!   `telemetry` share,
 //! - [`fast`]: fixed-point fast-path differential — quantization-safe

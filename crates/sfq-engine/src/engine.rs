@@ -1,6 +1,6 @@
-//! The engine: one flow table, one root arbiter, one backpressure rule
-//! and one pick → pull-batch → charge loop over `N` shard schedulers,
-//! all run in place on the calling thread.
+//! The engine: a depth-1 `HierSfq` over `N` shard schedulers — its flow
+//! table, root server and pick → pull-batch → charge loop — plus one
+//! backpressure rule, all run in place on the calling thread.
 //!
 //! # Admission and backpressure
 //!
@@ -23,41 +23,36 @@
 use crate::{shard_of, EngineConfig, ShardSched, REBASE_BITS};
 use sfq_core::obs::SchedObserver;
 use sfq_core::{
-    FlowId, FlowMap, NoopObserver, Packet, ReconfigCmd, RootSfq, SchedError, Scheduler, Sfq,
-    SfqFast,
+    ClassId, FlowId, HierSfq, NoopObserver, Packet, ReconfigCmd, RootSfq, SchedError, Scheduler,
+    Sfq, SfqFast,
 };
 use sfq_telemetry::{RefuseCause, TelemetryHub};
 use simtime::{Rate, SimTime};
 use std::sync::Arc;
 
-/// What the engine knows about a registered flow: one lookup answers
-/// both "is it registered" and "where does it live".
-#[derive(Clone, Copy, Debug)]
-struct FlowRec {
-    weight: Rate,
-    /// [`shard_of`] the flow, kept so that ingest does not rehash.
-    home: usize,
-}
-
 /// Sharded SFQ engine whose every shard runs the leaf discipline `S` in
 /// place on the calling thread, statically dispatched (exact-rational
 /// [`Sfq`] by default; [`Engine::new_fast`] swaps in the fixed-point
-/// [`SfqFast`]). The root arbiter is exact, up to the same picosecond
-/// snap as [`Sfq`], for every `S`. Every method
-/// is a deterministic function of the API call sequence. See the module
-/// docs and `docs/engine.md`.
+/// [`SfqFast`]). The shards are the scheduler classes of a depth-1
+/// [`HierSfq`], whose root server is exact, up to the same picosecond
+/// snap as [`Sfq`], for every `S`. Every method is a deterministic
+/// function of the API call sequence. See the module docs and
+/// `docs/engine.md`.
 pub struct Engine<S: ShardSched> {
     cfg: EngineConfig,
-    shards: Vec<S>,
-    root: RootSfq,
-    flows: FlowMap<FlowRec>,
-    backlogged: Vec<bool>,
+    /// Shard `i` is class `i + 1` under the root, weighted at the root
+    /// with the sum of its flows' rates; the tree's flow table routes
+    /// each flow to its [`shard_of`] home.
+    tree: HierSfq<NoopObserver, S>,
     /// Counter pages: shard page `i` written by shard `i`'s scheduler,
     /// engine page written here (offered / refusals). `None` until
     /// [`Engine::attach_telemetry`].
     tele: Option<Arc<TelemetryHub>>,
-    /// Scratch for the single-packet `Scheduler` facade.
-    one: Vec<Packet>,
+}
+
+/// The tree class of shard `shard`.
+fn class(shard: usize) -> ClassId {
+    ClassId(shard as u32 + 1)
 }
 
 impl Engine<Sfq> {
@@ -92,20 +87,19 @@ impl<S: ShardSched> Engine<S> {
     /// construction path — the named constructors all delegate here.
     pub fn from_factory(cfg: EngineConfig, mut mk: impl FnMut(usize) -> S) -> Self {
         let cfg = cfg.validated();
-        let shard = |i| {
+        let mut tree = HierSfq::nesting(NoopObserver);
+        let root = tree.root();
+        *tree.server_mut(root) = RootSfq::new(0, Some(REBASE_BITS));
+        for i in 0..cfg.shards {
             let mut sched = mk(i);
             sched.enable_rebasing(REBASE_BITS);
             sched.preallocate(cfg.ring_capacity);
-            sched
-        };
+            tree.add_scheduler_class(root, Rate::bps(0), sched);
+        }
         Engine {
             cfg,
-            shards: (0..cfg.shards).map(shard).collect(),
-            root: RootSfq::new(cfg.shards, Some(REBASE_BITS)),
-            flows: FlowMap::new(),
-            backlogged: vec![false; cfg.shards],
+            tree,
             tele: None,
-            one: Vec::new(),
         }
     }
 
@@ -119,22 +113,19 @@ impl<S: ShardSched> Engine<S> {
         if let Some(hub) = &self.tele {
             return Arc::clone(hub);
         }
-        let hub = TelemetryHub::new(self.shards.len());
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            shard.attach_telemetry(hub.shard(i).clone());
+        let hub = TelemetryHub::new(self.cfg.shards);
+        for i in 0..self.cfg.shards {
+            if let Ok(shard) = self.shard(i) {
+                shard.attach_telemetry(hub.shard(i).clone());
+            }
         }
         self.tele = Some(Arc::clone(&hub));
         hub
     }
 
-    /// The telemetry hub, if [`Engine::attach_telemetry`] ran.
-    pub fn telemetry(&self) -> Option<&Arc<TelemetryHub>> {
-        self.tele.as_ref()
-    }
-
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.cfg.shards
     }
 
     /// Drain batch size.
@@ -144,60 +135,64 @@ impl<S: ShardSched> Engine<S> {
 
     /// Shard owning `flow`: its hash home, [`shard_of`].
     pub fn shard_of(&self, flow: FlowId) -> usize {
-        shard_of(flow, self.shards.len())
+        shard_of(flow, self.cfg.shards)
     }
 
-    /// Root arbiter state, for tests and diagnostics.
+    /// The root server's state, for tests and diagnostics.
     pub fn root(&self) -> &RootSfq {
-        &self.root
+        self.tree.server(self.tree.root())
     }
 
-    /// Total packets pending across all shards: the shard schedulers'
-    /// backlogs.
+    /// Total packets pending across all shards.
     pub fn pending(&self) -> usize {
-        self.shards.iter().map(S::len).sum()
+        self.tree.len()
     }
 
     /// `true` when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(S::is_empty)
+        self.tree.is_empty()
+    }
+
+    /// Shard `i`'s scheduler.
+    fn shard(&mut self, i: usize) -> Result<&mut S, SchedError> {
+        self.tree
+            .scheduler_mut(class(i))
+            .ok_or(SchedError::UnknownShard(i))
+    }
+
+    /// Move `flow`'s rate in its home shard's aggregate weight at the
+    /// root from `old_bps` to `new_bps`.
+    fn reweigh(&mut self, flow: FlowId, old_bps: u64, new_bps: u64) {
+        let (home, root) = (self.shard_of(flow), self.tree.root());
+        self.tree.server_mut(root).reweigh(home, old_bps, new_bps);
     }
 
     /// Register `flow` at rate `weight` on its home shard and fold the
-    /// rate into the root arbiter's aggregate for that shard.
+    /// rate into that shard's aggregate weight at the root.
     /// Re-registration updates the weight, as for the leaf discipline.
     pub fn try_add_flow(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        if weight.as_bps() == 0 {
-            return Err(SchedError::ZeroWeight(flow));
-        }
         let home = self.shard_of(flow);
-        self.shards[home].try_add_flow(flow, weight)?;
-        let old = self.flows.insert(flow, FlowRec { weight, home });
-        self.root
-            .reweigh(home, old.map_or(0, |r| r.weight.as_bps()), weight.as_bps());
+        self.shard(home)?.try_add_flow(flow, weight)?;
+        let old = self.tree.route_flow(class(home), flow, weight);
+        self.reweigh(flow, old.map_or(0, Rate::as_bps), weight.as_bps());
         Ok(())
     }
 
     /// Live weight change for `flow` on its home shard, under the leaf
     /// discipline's tag-rewrite rule (see `Sfq::try_set_weight` and
-    /// `docs/robustness.md`), with the flow table and the root
-    /// arbiter's shard aggregate updated to match. Nothing changes on
-    /// any error path.
+    /// `docs/robustness.md`), with the flow table and the shard's
+    /// aggregate weight at the root updated to match. Nothing changes
+    /// on any error path.
     pub fn try_set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        if weight.as_bps() == 0 {
-            return Err(SchedError::ZeroWeight(flow));
-        }
-        let Some(rec) = self.flows.get_mut(flow) else {
-            return Err(SchedError::UnknownFlow(flow));
-        };
-        self.shards[rec.home].try_set_weight(flow, weight)?;
-        let old = std::mem::replace(&mut rec.weight, weight);
-        self.root.reweigh(rec.home, old.as_bps(), weight.as_bps());
+        let home = self.shard_of(flow);
+        self.shard(home)?.try_set_weight(flow, weight)?;
+        let old = self.tree.route_flow(class(home), flow, weight);
+        self.reweigh(flow, old.map_or(0, Rate::as_bps), weight.as_bps());
         Ok(())
     }
 
-    /// Override shard `shard`'s effective aggregate weight at the root
-    /// arbiter, or clear the override with `None` — the
+    /// Override shard `shard`'s effective aggregate weight at the root,
+    /// or clear the override with `None` — the
     /// [`ReconfigCmd::SetShardWeight`] command. Pure root state. See
     /// [`RootSfq::set_shard_weight`].
     pub fn try_set_shard_weight(
@@ -205,10 +200,8 @@ impl<S: ShardSched> Engine<S> {
         shard: usize,
         rate: Option<Rate>,
     ) -> Result<(), SchedError> {
-        if shard >= self.shards.len() {
-            return Err(SchedError::UnknownShard(shard));
-        }
-        self.root.set_shard_weight(shard, rate)
+        let root = self.tree.root();
+        self.tree.server_mut(root).set_shard_weight(shard, rate)
     }
 
     /// Schedule `pkt` on its home shard at once, stamped at
@@ -233,16 +226,12 @@ impl<S: ShardSched> Engine<S> {
         if let Some(page) = page {
             page.record_offered(1);
         }
-        let res = match self.flows.get(pkt.flow) {
+        let res = match self.tree.route(pkt.flow) {
             None => Err(SchedError::UnknownFlow(pkt.flow)),
-            Some(rec) => {
-                let shard = &mut self.shards[rec.home];
-                if shard.len() >= self.cfg.ring_capacity {
-                    Err(SchedError::BufferFull(pkt.flow))
-                } else {
-                    shard.try_enqueue(now, pkt)
-                }
+            Some((home, _)) if self.tree.class_backlog(home) >= self.cfg.ring_capacity => {
+                Err(SchedError::BufferFull(pkt.flow))
             }
+            Some(_) => self.tree.try_enqueue(now, pkt),
         };
         if let (Some(page), Err(e)) = (page, &res) {
             page.record_refusal(match e {
@@ -261,38 +250,21 @@ impl<S: ShardSched> Engine<S> {
         Ok(())
     }
 
-    /// Drain up to `max` packets at `now` into `out`, batch by batch:
-    /// repeatedly let the root arbiter pick the backlogged shard with
-    /// the least start tag, pull up to [`EngineConfig::batch`] packets
-    /// from it, and charge the root with the actual bits pulled.
-    /// Returns the number drained.
+    /// Drain up to `max` packets at `now` into `out`: the tree's batch
+    /// loop ([`HierSfq::drain`]), which lets the root pick the
+    /// backlogged shard with the least start tag, pulls up to
+    /// [`EngineConfig::batch`] packets from it and charges the root
+    /// with the bits pulled. A drain that leaves the engine empty ends
+    /// the root's busy period. Returns the number drained.
     pub fn drain(
         &mut self,
         now: SimTime,
         max: usize,
         out: &mut Vec<Packet>,
     ) -> Result<usize, SchedError> {
-        let mut n = 0;
-        while n < max {
-            for (flag, shard) in self.backlogged.iter_mut().zip(&self.shards) {
-                *flag = !shard.is_empty();
-            }
-            let Some(s) = self.root.pick(&self.backlogged) else {
-                break;
-            };
-            let take = self.cfg.batch.min(max - n);
-            let before = out.len();
-            let k = self.shards[s].dequeue_batch(now, take, out);
-            if k == 0 {
-                break;
-            }
-            n += k;
-            let bits: u64 = out[before..].iter().map(|p| p.len.bits()).sum();
-            self.root.charge(s, bits)?;
-        }
-        if self.is_empty() {
-            self.root.on_idle();
-        }
+        let n = self.tree.drain(now, max, self.cfg.batch, out)?;
+        // Nothing is in service: the walk is the root's alone.
+        self.tree.on_departure(now);
         Ok(n)
     }
 }
@@ -329,26 +301,21 @@ impl<S: ShardSched> Scheduler for Engine<S> {
         }
     }
 
+    /// A drain of one packet: it departs at once, so `on_departure`
+    /// is the trait's no-op.
     fn try_dequeue(&mut self, now: SimTime) -> Result<Option<Packet>, SchedError> {
-        let mut one = std::mem::take(&mut self.one);
-        one.clear();
-        let res = self.drain(now, 1, &mut one);
-        let pkt = one.pop();
-        self.one = one;
-        res.map(|_| pkt)
+        let pkt = self.tree.try_dequeue(now)?;
+        self.tree.on_departure(now);
+        Ok(pkt)
     }
 
     // The batch methods are deliberately NOT overridden: the engine's
     // amortized path is the native `drain`, which charges the root
-    // arbiter per *batch* — a coarser root granularity than the
-    // per-packet facade, so overriding `dequeue_batch` with it would
-    // break the trait's bit-identity contract (and the switch drives
-    // per-packet transmissions anyway). The trait defaults delegate to
+    // per *batch* — a coarser root granularity than the per-packet
+    // facade, so overriding `dequeue_batch` with it would break the
+    // trait's bit-identity contract (and the switch drives per-packet
+    // transmissions anyway). The trait defaults delegate to
     // `enqueue`/`dequeue` above, which are identical by construction.
-
-    /// No-op: batch draining folds transmission completion into
-    /// [`Engine::drain`], and the root arbiter is charged there.
-    fn on_departure(&mut self, _now: SimTime) {}
 
     fn is_empty(&self) -> bool {
         Engine::is_empty(self)
@@ -361,29 +328,29 @@ impl<S: ShardSched> Scheduler for Engine<S> {
     /// The home scheduler's own count: every accepted, undrained
     /// packet of `flow`.
     fn backlog(&self, flow: FlowId) -> usize {
-        self.flows
-            .get(flow)
-            .map_or(0, |rec| self.shards[rec.home].backlog(flow))
+        self.tree.backlog(flow)
     }
 
     /// Discard `flow`'s backlog on its home shard, then unregister the
-    /// flow and subtract its rate from the root aggregate (the churn
+    /// flow and subtract its rate from the shard's aggregate (the churn
     /// fault). Returns the number of packets discarded — every packet
     /// of the flow ingest accepted and no drain took; `0` for an
     /// unknown flow.
     fn force_remove_flow(&mut self, flow: FlowId) -> usize {
-        let Some(rec) = self.flows.remove(flow) else {
+        let Some((_, weight)) = self.tree.route(flow) else {
             return 0;
         };
-        let dropped = self.shards[rec.home].force_remove_flow(flow);
-        self.root.reweigh(rec.home, rec.weight.as_bps(), 0);
+        let dropped = self.tree.force_remove_flow(flow);
+        if self.tree.route(flow).is_none() {
+            self.reweigh(flow, weight.as_bps(), 0);
+        }
         dropped
     }
 
     /// Evict the oldest packet of `flow` from its home shard (the
     /// HeadDrop/pressure eviction hook).
     fn drop_head(&mut self, flow: FlowId) -> Option<Packet> {
-        self.shards[self.flows.get(flow)?.home].drop_head(flow)
+        self.tree.drop_head(flow)
     }
 
     fn try_set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
@@ -405,7 +372,7 @@ impl<S: ShardSched> Scheduler for Engine<S> {
                 Engine::try_add_flow(self, flow, weight)
             }
             ReconfigCmd::RemoveFlow(flow) => {
-                if !self.flows.contains(flow) {
+                if self.tree.route(flow).is_none() {
                     return Err(SchedError::UnknownFlow(flow));
                 }
                 self.force_remove_flow(flow);

@@ -17,10 +17,11 @@
 //! `tests/engine_fairness.rs` measure it.
 //!
 //! That composition is one type, [`Engine`]`<S>` (also spelled
-//! [`SyncEngine`]): the flow table, the root arbiter, the backlog-bound
-//! backpressure rule and the pick → pull-batch → charge drain loop over
-//! shards of leaf discipline `S`, every one run in place on the calling
-//! thread and statically dispatched. It is a drop-in
+//! [`SyncEngine`]): a depth-1 [`sfq_core::HierSfq`] — flow table, root
+//! server, pick → pull-batch → charge drain loop — whose scheduler
+//! classes are shards of leaf discipline `S`, plus the backlog-bound
+//! backpressure rule, every one run in place on the calling thread and
+//! statically dispatched. It is a drop-in
 //! [`sfq_core::Scheduler`], so `netsim`'s switch can run a sharded port
 //! (`graph::PortKind::EngineSync`), and carries no `Send` bound, so
 //! `Rc<RefCell<_>>` observers work. Nothing in it crosses a thread: to

@@ -1,10 +1,9 @@
 //! Seeded call-schedule conformance for the sharded engine: for *any*
 //! seeded interleaving of ingest, pump and drain calls, `SyncEngine`
-//! must depart and refuse as its two oracles say — a hand-driven bare
-//! `Sfq` at one shard, and its own schedule with the pumps stripped or
-//! made eager at the seeded shard count (`conformance::engine`; `pump`
-//! is a no-op since ingest schedules each packet at once, so the second
-//! oracle holds by construction). A failure panics with
+//! must depart and refuse as its oracle says — a hand-driven bare `Sfq`
+//! at one shard (`conformance::engine`; `pump` is a no-op since ingest
+//! schedules each packet at once, so where the pumps fall cannot
+//! matter and is not replayed). A failure panics with
 //! the full report, which ends in the standard
 //! `conformance replay: preset=engine seed=N` line for offline
 //! reproduction via the conformance fuzzer.

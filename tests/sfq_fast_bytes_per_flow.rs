@@ -104,13 +104,15 @@ fn sfq_fast() -> (usize, i64) {
 }
 
 /// `Engine::new_fast` over 4 shards, preloaded through `try_ingest`:
-/// 380.0, budget 400. When ingest parked packets in a per-shard queue
-/// reserved at `ring_capacity` 64-byte packets, the same state read
-/// 636.0 once pumped (the queues' 256 bytes per flow stayed reserved)
-/// and 423.0 before the pump. The 104 above the bare core's 276, all
-/// measured by taking the layers apart:
-/// - 28: the engine's flow table, a 4-byte id index entry and a 24-byte
-///   `(FlowId, FlowRec)` record;
+/// 372.0, budget 392 (380.0 when the engine kept a flow table of its
+/// own beside its shards). When ingest parked packets in a per-shard
+/// queue reserved at `ring_capacity` 64-byte packets, the same state
+/// read 636.0 once pumped (the queues' 256 bytes per flow stayed
+/// reserved) and 423.0 before the pump. The 96 above the bare core's
+/// 276, all measured by taking the layers apart:
+/// - 20: the one flow table, the engine's `HierSfq`'s: a 4-byte id
+///   index entry and a 16-byte `(FlowId, Route)` record (class and
+///   weight; 28 bytes when the engine's own `FlowRec` table held it);
 /// - 17: four id indexes instead of one, each over the whole id range
 ///   (12), grown from each shard's first id to just past 2^17 entries
 ///   (5);
@@ -131,11 +133,11 @@ fn engine_fast() -> (usize, i64) {
 }
 
 /// `Engine::new_fast` over 1 shard, `ring_capacity` 2^18 (the whole
-/// preload), preloaded through `try_ingest`: 304.0, budget 310. The 28
-/// above the bare core's 276 are the engine's flow table, as in the
-/// 4-shard row; one shard needs no second id index, and its vectors
-/// hold exactly 2^17 flows and 2^18 packets, so none doubles past what
-/// the core alone allocates.
+/// preload), preloaded through `try_ingest`: 296.0, budget 302 (304.0
+/// with the engine's own flow table). The 20 above the bare core's 276
+/// are the tree's flow table, as in the 4-shard row; one shard needs no
+/// second id index, and its vectors hold exactly 2^17 flows and 2^18
+/// packets, so none doubles past what the core alone allocates.
 fn engine_fast_one_shard() -> (usize, i64) {
     let before = live();
     let mut eng = Engine::new_fast(EngineConfig::new(1).ring_capacity(1 << 18));
@@ -146,11 +148,13 @@ fn engine_fast_one_shard() -> (usize, i64) {
     (eng.pending(), live() - before)
 }
 
-/// `HierSfq` with every flow a leaf of one class under the root: 823.0,
+/// `HierSfq` with every flow a leaf of one class under the root: 825.0,
 /// budget 830. Every leaf flow is a whole `Node` — its own empty
 /// `RootSfq`, two empty `Vec`s and a `VecDeque<Packet>` of the two
 /// 64-byte packets, grown to four — plus a class in its parent's
-/// `RootSfq` and an entry in the flow-to-class map.
+/// `RootSfq` and a route in the tree's flow table: a 16-byte
+/// `(FlowId, Route)` record and a 4-byte id index entry, 2 bytes more
+/// than the SipHash flow-to-class map it replaced (823.0).
 fn hier_one_class() -> (usize, i64) {
     let before = live();
     let mut h = HierSfq::new();
@@ -163,7 +167,7 @@ fn hier_one_class() -> (usize, i64) {
 }
 
 /// `HierSfq` with the flows spread over 64 classes under the root, flow
-/// `f` in class `f % 64`: 823.0, budget 830, the same as one class.
+/// `f` in class `f % 64`: 825.0, budget 830, the same as one class.
 /// The per-leaf `Node` of the one-class row dominates; the 63 more
 /// classes add 4 392 bytes in all (their nodes and their places in the
 /// root's `RootSfq`), nothing per flow.
@@ -237,8 +241,8 @@ type Build = fn() -> (usize, i64);
 /// Each row: a name, its build, and the live bytes per flow it may keep.
 const ROWS: [(&str, Build, f64); 7] = [
     ("SfqFast", sfq_fast, 280.0),
-    ("Engine::new_fast, 4 shards", engine_fast, 400.0),
-    ("Engine::new_fast, 1 shard", engine_fast_one_shard, 310.0),
+    ("Engine::new_fast, 4 shards", engine_fast, 392.0),
+    ("Engine::new_fast, 1 shard", engine_fast_one_shard, 302.0),
     ("HierSfq, one class", hier_one_class, 830.0),
     ("HierSfq, 64 classes", hier_64_classes, 830.0),
     ("graph port over SfqFast", graph_port, 530.0),
