@@ -12,8 +12,8 @@
 
 use conformance::{
     check_against_bound, diff_schedulers, run_chaos_conformance, run_engine_conformance,
-    run_fast_conformance, run_graph_conformance, run_pool_conformance, run_soak,
-    run_tandem_conformance, run_telemetry_conformance, Preset, Scenario, SchedKind,
+    run_graph_conformance, run_soak, run_tandem_conformance, run_telemetry_conformance,
+    run_twin_conformance, Preset, Scenario, SchedKind,
 };
 use simtime::SimDuration;
 use std::io::Write;
@@ -126,18 +126,18 @@ fn check(sc: &Scenario) -> Option<String> {
         }
         Preset::Engine => {
             // The sharded engine against a hand-driven bare Sfq (one
-            // shard) and against its own schedule with the pumps moved.
+            // shard), conservation and per-flow order.
             run_engine_conformance(sc).err()
         }
-        Preset::Fast => {
-            // Fixed-point fast path vs the exact-rational oracle on a
-            // quantization-safe workload: must be bit-identical.
-            run_fast_conformance(sc).err()
-        }
-        Preset::Pool => {
-            // Slab-pooled FlowFifos backend vs the owned oracle under
-            // flow churn: must be bit-identical, no caveats.
-            run_pool_conformance(sc).err()
+        Preset::Twin => {
+            // Every row of the twin table: each product bit-identical
+            // to its twin on the seed's op schedule.
+            run_twin_conformance(sc).err().map(|e| {
+                // The runner embeds the replay line; strip it so the
+                // fuzzer's own suffix doesn't duplicate it.
+                e.rsplit_once('\n')
+                    .map_or(e.clone(), |(head, _)| head.to_string())
+            })
         }
         Preset::Graph => {
             // Multi-port forwarding graph: Theorem 6 on every path,
@@ -197,11 +197,10 @@ fn main() {
             Preset::FairAirport,
             Preset::Soak,
             Preset::Engine,
-            Preset::Fast,
-            Preset::Pool,
             Preset::Chaos,
             Preset::Telemetry,
             Preset::Graph,
+            Preset::Twin,
         ],
     };
     let started = Instant::now();

@@ -9,9 +9,7 @@ use crate::scenario::{other_lmax_at, Scenario, OBSERVED_FLOW};
 use analysis::{max_guarantee_violation, scfq_delay_term, sfq_delay_term, wfq_delay_term};
 use baselines::{Fifo, Scfq, VirtualClock};
 use servers::Departure;
-use sfq_core::{
-    FairAirport, FifoBackend, ScfqFast, Scheduler, Sfq, SfqFast, TieBreak, DEFAULT_SHIFT,
-};
+use sfq_core::{FairAirport, Scheduler, Sfq, TieBreak};
 use sfq_obs::RingTracer;
 use simtime::{Bytes, Ratio, SimDuration, SimTime};
 use std::cell::RefCell;
@@ -31,18 +29,6 @@ pub enum SchedKind {
     FairAirport,
     /// FIFO — deliberately *not* fair; useful as a known-divergent peer.
     Fifo,
-    /// Fixed-point SFQ fast path (u64 tags, FIFO tie-break).
-    SfqFast,
-    /// Fixed-point SCFQ fast path (u64 tags).
-    ScfqFast,
-    /// SFQ on the owned `FlowFifos` backend (the pooled path's oracle).
-    SfqOwned,
-    /// SCFQ on the owned backend.
-    ScfqOwned,
-    /// Fixed-point SFQ on the owned backend.
-    SfqFastOwned,
-    /// Fixed-point SCFQ on the owned backend.
-    ScfqFastOwned,
 }
 
 impl SchedKind {
@@ -54,12 +40,6 @@ impl SchedKind {
             SchedKind::Vc => "vc",
             SchedKind::FairAirport => "fair-airport",
             SchedKind::Fifo => "fifo",
-            SchedKind::SfqFast => "sfq-fast",
-            SchedKind::ScfqFast => "scfq-fast",
-            SchedKind::SfqOwned => "sfq-owned",
-            SchedKind::ScfqOwned => "scfq-owned",
-            SchedKind::SfqFastOwned => "sfq-fast-owned",
-            SchedKind::ScfqFastOwned => "scfq-fast-owned",
         }
     }
 }
@@ -77,27 +57,6 @@ pub fn build_traced(
         SchedKind::Vc => Box::new(VirtualClock::with_observer(tracer.clone())),
         SchedKind::FairAirport => Box::new(FairAirport::with_observer(tracer.clone())),
         SchedKind::Fifo => Box::new(Fifo::with_observer(tracer.clone())),
-        SchedKind::SfqFast => Box::new(SfqFast::with_observer(TieBreak::Fifo, tracer.clone())),
-        SchedKind::ScfqFast => Box::new(ScfqFast::with_observer(tracer.clone())),
-        SchedKind::SfqOwned => Box::new(Sfq::with_parts(
-            TieBreak::Fifo,
-            tracer.clone(),
-            FifoBackend::Owned,
-        )),
-        SchedKind::ScfqOwned => Box::new(Scfq::with_parts(tracer.clone(), FifoBackend::Owned)),
-        SchedKind::SfqFastOwned => Box::new(
-            SfqFast::with_parts(
-                TieBreak::Fifo,
-                DEFAULT_SHIFT,
-                tracer.clone(),
-                FifoBackend::Owned,
-            )
-            .unwrap_or_else(|e| panic!("default shift rejected: {e}")),
-        ),
-        SchedKind::ScfqFastOwned => Box::new(
-            ScfqFast::with_parts(DEFAULT_SHIFT, tracer.clone(), FifoBackend::Owned)
-                .unwrap_or_else(|e| panic!("default shift rejected: {e}")),
-        ),
     };
     (sched, tracer)
 }

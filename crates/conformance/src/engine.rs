@@ -174,7 +174,7 @@ pub fn replay<S: ShardSched>(
 }
 
 /// Index of the first position where `a` and `b` differ.
-fn first_diff<T: PartialEq>(a: &[T], b: &[T]) -> Option<usize> {
+pub(crate) fn first_diff<T: PartialEq>(a: &[T], b: &[T]) -> Option<usize> {
     let common = a.iter().zip(b).position(|(x, y)| x != y);
     common.or((a.len() != b.len()).then(|| a.len().min(b.len())))
 }

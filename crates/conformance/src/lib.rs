@@ -24,13 +24,6 @@
 //!   per-flow order; also hosts
 //!   the one schedule executor (`engine::replay`) that `chaos` and
 //!   `telemetry` share,
-//! - [`fast`]: fixed-point fast-path differential — quantization-safe
-//!   workloads replayed against `SfqFast`/`ScfqFast` and their exact
-//!   rational counterparts, requiring bit-identical departures,
-//! - [`pool`]: pooled-backend differential — churn-heavy workloads
-//!   replayed on the slab-pooled `FlowFifos` backend against the owned
-//!   oracle backend, requiring bit-identical departures for all four
-//!   schedulers,
 //! - [`chaos`]: live-reconfiguration conformance — seeded `SetWeight`
 //!   reconfigurations mid-backlog, checking no-op tag-rewrite
 //!   bit-identity against the unreconfigured schedule, exact packet
@@ -47,7 +40,12 @@
 //!   shared intermediate ports and ingress policers, checked for
 //!   Theorem 6 along every path, Corollary 1 for the shaped observed
 //!   flow, Theorem 1 fairness at every port, full packet accounting on
-//!   engine ports, and exact packet-arena book balance.
+//!   engine ports, and exact packet-arena book balance,
+//! - [`twin`]: the twin table — every "bit-identical to its twin"
+//!   contract (pooled ≡ owned, fixed ≡ exact, batch ≡ per packet,
+//!   pages ≡ `CountingObserver`, a graph on engine ports built twice,
+//!   boxed ≡ unboxed) as one row each, run by one generator, driver,
+//!   recording observer and comparator.
 //!
 //! Every failure anywhere in the harness prints
 //! `conformance replay: preset=<p> seed=<s>`; feeding that line to
@@ -60,13 +58,12 @@ pub mod diff;
 pub mod e2e;
 pub mod engine;
 pub mod exec;
-pub mod fast;
 pub mod faults;
 pub mod graph;
-pub mod pool;
 pub mod scenario;
 pub mod soak;
 pub mod telemetry;
+pub mod twin;
 
 pub use chaos::{run_chaos_conformance, ChaosOutcome, CHAOS_DOMAIN};
 pub use diff::{
@@ -78,13 +75,12 @@ pub use exec::{
     faults_from, materialize_packets, register_flows, run_faulted, run_faulted_checked, ExecReport,
     FaultAction, TimedFault,
 };
-pub use fast::{run_fast_conformance, FastOutcome};
 pub use faults::{effective_delta_bits, hop_profile};
 pub use graph::{embed_survivors, run_graph_conformance, run_graph_oracle, GraphOutcome};
-pub use pool::{run_pool_conformance, PoolOutcome};
 pub use scenario::{
     other_lmax_at, Churn, Droop, DropKind, FlowSpec, Preset, Scenario, ServerSpec, SizeDist,
     SourceKind, OBSERVED_FLOW,
 };
 pub use soak::{drop_policy_of, run_soak, SoakOutcome};
 pub use telemetry::{run_telemetry_conformance, TelemetryOutcome, SNAP_BUDGET, TELEMETRY_DOMAIN};
+pub use twin::{run_twin_conformance, TWIN_DOMAIN};

@@ -42,27 +42,11 @@ pub enum Preset {
     /// Sharded-engine conformance: a mixed flow population whose
     /// packets are replayed as an ingest/pump/drain call schedule on
     /// `sfq_engine::SyncEngine`, judged by a hand-driven bare `Sfq` (at
-    /// one shard) and by the same schedule with its pumps moved (at the
-    /// seeded shard count); any divergence in departures or
-    /// backpressure refusals is a conformance failure (see
+    /// one shard) and, at the seeded shard count, by conservation,
+    /// per-flow order and the stall guard; any divergence in departures
+    /// or backpressure refusals is a conformance failure (see
     /// [`crate::engine`]).
     Engine,
-    /// Fixed-point fast-path differential: a quantization-safe
-    /// workload — every weight an exact power of two no larger than
-    /// `2^19` b/s, so every tag span is exactly representable in both
-    /// the `i128` rationals and the u64 fixed-point grid — replayed
-    /// against `SfqFast` vs exact `Sfq` and `ScfqFast` vs exact `Scfq`;
-    /// any departure divergence is a conformance failure (see
-    /// [`crate::fast`]).
-    Fast,
-    /// Pooled-backend differential: a mixed-weight workload with flow
-    /// churn (force-remove + revive) replayed through each scheduler
-    /// on the pooled `FlowFifos` backend vs the same scheduler on the
-    /// owned backend. The two backends run identical tag arithmetic,
-    /// so — unlike `fast` — identity is unconditional: any divergence
-    /// in departures is a bug in the slab pool, intrusive links, or
-    /// generation-checked flow table (see [`crate::pool`]).
-    Pool,
     /// Control-plane chaos: the [`Preset::Engine`] workload shape with
     /// a seeded schedule of live reconfigurations (`SetWeight` under
     /// the leaf tag-rewrite rule) woven into the ingest/pump/drain call
@@ -94,22 +78,27 @@ pub enum Preset {
     /// build, and audits the packet-arena books (see
     /// [`crate::graph`]).
     Graph,
+    /// The twin table: the seed, under [`crate::twin::TWIN_DOMAIN`],
+    /// draws a flow population and an op schedule over the whole
+    /// `Scheduler` surface, replayed on every row of
+    /// [`crate::twin::rows`] — each product against the twin it must be
+    /// bit-identical to (see [`crate::twin`]).
+    Twin,
 }
 
 impl Preset {
     /// Every preset, for fuzz drivers.
-    pub const ALL: [Preset; 11] = [
+    pub const ALL: [Preset; 10] = [
         Preset::SingleFc,
         Preset::SingleEbf,
         Preset::Tandem,
         Preset::FairAirport,
         Preset::Soak,
         Preset::Engine,
-        Preset::Fast,
-        Preset::Pool,
         Preset::Chaos,
         Preset::Telemetry,
         Preset::Graph,
+        Preset::Twin,
     ];
 
     /// Stable name used in replay lines.
@@ -121,11 +110,10 @@ impl Preset {
             Preset::FairAirport => "fair-airport",
             Preset::Soak => "soak",
             Preset::Engine => "engine",
-            Preset::Fast => "fast",
-            Preset::Pool => "pool",
             Preset::Chaos => "chaos",
             Preset::Telemetry => "telemetry",
             Preset::Graph => "graph",
+            Preset::Twin => "twin",
         }
     }
 
@@ -334,11 +322,10 @@ impl Scenario {
             Preset::FairAirport => gen_fair_airport(seed, &mut rng),
             Preset::Soak => gen_soak(seed, &mut rng),
             Preset::Engine => gen_engine(seed, &mut rng),
-            Preset::Fast => gen_fast(seed, &mut rng),
-            Preset::Pool => gen_pool(seed, &mut rng),
             Preset::Chaos => gen_chaos(seed, &mut rng),
             Preset::Telemetry => gen_telemetry(seed, &mut rng),
             Preset::Graph => gen_graph(seed, &mut rng),
+            Preset::Twin => gen_twin(seed, &mut rng),
         }
     }
 
@@ -844,45 +831,9 @@ fn gen_soak(seed: u64, rng: &mut SimRng) -> Scenario {
 fn gen_engine(seed: u64, rng: &mut SimRng) -> Scenario {
     // The engine runner replays these flows' packets as an explicit
     // ingest/pump/drain call schedule (derived from the same seed, see
-    // `crate::engine`), so no server profile or fault schedule applies:
-    // the scenario only fixes the flow population and arrival horizon.
-    // Short horizons keep a single case cheap; the fuzz driver covers
-    // breadth with many seeds.
-    let link_bps = 1_000_000u64;
-    let horizon_ms = rng.uniform_range(200, 801);
-    let n = rng.uniform_range(6, 33);
-    let mut flows = Vec::new();
-    for i in 0..n {
-        flows.push(FlowSpec {
-            id: i as u32 + 1,
-            weight_bps: (link_bps / n * rng.uniform_range(20, 101) / 100).max(4_000),
-            size: pick_size(rng, 1_200),
-            source: if rng.uniform() < 0.7 {
-                SourceKind::Cbr
-            } else {
-                SourceKind::Poisson
-            },
-            start_ms: rng.uniform_range(0, horizon_ms / 2),
-            entry: 0,
-            exit: 0,
-        });
-    }
-    Scenario {
-        preset: Preset::Engine,
-        seed,
-        link_bps,
-        server: ServerSpec::Constant,
-        hops: 1,
-        prop_ms: 0,
-        horizon_ms,
-        per_flow_cap: None,
-        shared_cap: None,
-        drop_policy: DropKind::Tail,
-        recovery_at_ms: None,
-        flows,
-        droops: Vec::new(),
-        churns: Vec::new(),
-    }
+    // `crate::engine`). Short horizons keep a single case cheap; the
+    // fuzz driver covers breadth with many seeds.
+    gen_population(Preset::Engine, seed, rng, (200, 801), (6, 33))
 }
 
 fn gen_chaos(seed: u64, rng: &mut SimRng) -> Scenario {
@@ -891,41 +842,7 @@ fn gen_chaos(seed: u64, rng: &mut SimRng) -> Scenario {
     // population and horizon are kept a notch smaller than `engine`'s;
     // the reconfiguration schedule itself is derived by the runner from
     // the same seed under `crate::chaos::CHAOS_DOMAIN`.
-    let link_bps = 1_000_000u64;
-    let horizon_ms = rng.uniform_range(150, 501);
-    let n = rng.uniform_range(4, 17);
-    let mut flows = Vec::new();
-    for i in 0..n {
-        flows.push(FlowSpec {
-            id: i as u32 + 1,
-            weight_bps: (link_bps / n * rng.uniform_range(20, 101) / 100).max(4_000),
-            size: pick_size(rng, 1_200),
-            source: if rng.uniform() < 0.7 {
-                SourceKind::Cbr
-            } else {
-                SourceKind::Poisson
-            },
-            start_ms: rng.uniform_range(0, horizon_ms / 2),
-            entry: 0,
-            exit: 0,
-        });
-    }
-    Scenario {
-        preset: Preset::Chaos,
-        seed,
-        link_bps,
-        server: ServerSpec::Constant,
-        hops: 1,
-        prop_ms: 0,
-        horizon_ms,
-        per_flow_cap: None,
-        shared_cap: None,
-        drop_policy: DropKind::Tail,
-        recovery_at_ms: None,
-        flows,
-        droops: Vec::new(),
-        churns: Vec::new(),
-    }
+    gen_population(Preset::Chaos, seed, rng, (150, 501), (4, 17))
 }
 
 fn gen_telemetry(seed: u64, rng: &mut SimRng) -> Scenario {
@@ -935,9 +852,30 @@ fn gen_telemetry(seed: u64, rng: &mut SimRng) -> Scenario {
     // notch smaller than `engine`'s; the operational schedule (churn,
     // snapshots) is derived by the runner from the same seed under
     // `crate::telemetry::TELEMETRY_DOMAIN`.
+    gen_population(Preset::Telemetry, seed, rng, (150, 451), (4, 13))
+}
+
+fn gen_twin(seed: u64, rng: &mut SimRng) -> Scenario {
+    // The twin table draws its flow population and op schedule from the
+    // seed under `crate::twin::TWIN_DOMAIN`: no flows here.
+    gen_population(Preset::Twin, seed, rng, (0, 1), (0, 1))
+}
+
+/// A flow population on one constant 1 Mb/s hop, for the presets whose
+/// runners replay it through a call schedule of their own (so no server
+/// profile or fault schedule applies): a horizon drawn from
+/// `horizon_ms` and as many flows as drawn from `flows`, each with a
+/// share of the link, mostly CBR, starting in the horizon's first half.
+fn gen_population(
+    preset: Preset,
+    seed: u64,
+    rng: &mut SimRng,
+    horizon_ms: (u64, u64),
+    flows: (u64, u64),
+) -> Scenario {
     let link_bps = 1_000_000u64;
-    let horizon_ms = rng.uniform_range(150, 451);
-    let n = rng.uniform_range(4, 13);
+    let horizon_ms = rng.uniform_range(horizon_ms.0, horizon_ms.1);
+    let n = rng.uniform_range(flows.0, flows.1);
     let mut flows = Vec::new();
     for i in 0..n {
         flows.push(FlowSpec {
@@ -955,7 +893,7 @@ fn gen_telemetry(seed: u64, rng: &mut SimRng) -> Scenario {
         });
     }
     Scenario {
-        preset: Preset::Telemetry,
+        preset,
         seed,
         link_bps,
         server: ServerSpec::Constant,
@@ -969,119 +907,6 @@ fn gen_telemetry(seed: u64, rng: &mut SimRng) -> Scenario {
         flows,
         droops: Vec::new(),
         churns: Vec::new(),
-    }
-}
-
-fn gen_fast(seed: u64, rng: &mut SimRng) -> Scenario {
-    // Quantization-safe by construction: every weight is 2^k b/s with
-    // 14 <= k <= 19. With the fixed-point shift at 24 (`sfq_core::
-    // DEFAULT_SHIFT`), a span `l / 2^k` lands exactly on the 2^-24
-    // grid, and on the exact side every tag denominator divides 2^19 —
-    // far below the pico-snap threshold — so fast and exact schedulers
-    // must produce *bit-identical* dequeue orders (see
-    // `docs/fixed_point.md`). The flow population may overbook the
-    // link: buffers are uncapped, and a deep standing backlog is
-    // exactly what stresses the fixed-point heap path.
-    let link_bps = 4_000_000u64;
-    let horizon_ms = rng.uniform_range(300, 1_201);
-    let n = rng.uniform_range(4, 17);
-    let mut flows = Vec::new();
-    for i in 0..n {
-        flows.push(FlowSpec {
-            id: i as u32 + 1,
-            weight_bps: 1u64 << rng.uniform_range(14, 20),
-            size: pick_size(rng, 1_000),
-            source: if rng.uniform() < 0.6 {
-                SourceKind::Cbr
-            } else {
-                SourceKind::Poisson
-            },
-            start_ms: rng.uniform_range(0, horizon_ms / 2),
-            entry: 0,
-            exit: 0,
-        });
-    }
-    Scenario {
-        preset: Preset::Fast,
-        seed,
-        link_bps,
-        server: ServerSpec::Constant,
-        hops: 1,
-        prop_ms: 0,
-        horizon_ms,
-        per_flow_cap: None,
-        shared_cap: None,
-        drop_policy: DropKind::Tail,
-        recovery_at_ms: None,
-        flows,
-        droops: Vec::new(),
-        churns: Vec::new(),
-    }
-}
-
-fn gen_pool(seed: u64, rng: &mut SimRng) -> Scenario {
-    // Pooled-vs-owned backend differential. Identity is unconditional
-    // (same tag arithmetic on both sides), so the weights are
-    // deliberately *arbitrary* — no quantization-safety constraint —
-    // and the workload includes flow churn with revival, the path that
-    // exercises the pooled backend's generation-checked flow table
-    // (stale heap entries for a removed flow, slot reuse by a revived
-    // or fresh flow). Modest overbooking keeps per-flow FIFOs deep so
-    // the intrusive-link walk, not just the heap, is on the hot path.
-    let link_bps = 1_000_000u64;
-    let horizon_ms = rng.uniform_range(300, 1_001);
-    let n = rng.uniform_range(4, 13);
-    let mut flows = Vec::new();
-    for i in 0..n {
-        flows.push(FlowSpec {
-            id: i as u32 + 1,
-            weight_bps: rng.uniform_range(500, 400_000),
-            size: pick_size(rng, 1_500),
-            source: if rng.uniform() < 0.6 {
-                SourceKind::Cbr
-            } else {
-                SourceKind::Poisson
-            },
-            start_ms: rng.uniform_range(0, horizon_ms / 2),
-            entry: 0,
-            exit: 0,
-        });
-    }
-    // Churn one or two mid-population flows; revive roughly half.
-    let n_churn = rng.uniform_range(1, 3);
-    let mut churns = Vec::new();
-    for c in 0..n_churn {
-        let flow = rng.uniform_range(1, n + 1) as u32;
-        if churns.iter().any(|ch: &Churn| ch.flow == flow) {
-            continue;
-        }
-        let at_ms = rng.uniform_range(horizon_ms / 4, horizon_ms * 3 / 4);
-        let revive_ms = if c % 2 == 0 {
-            Some(at_ms + rng.uniform_range(50, horizon_ms / 4 + 51))
-        } else {
-            None
-        };
-        churns.push(Churn {
-            flow,
-            at_ms,
-            revive_ms,
-        });
-    }
-    Scenario {
-        preset: Preset::Pool,
-        seed,
-        link_bps,
-        server: ServerSpec::Constant,
-        hops: 1,
-        prop_ms: 0,
-        horizon_ms,
-        per_flow_cap: None,
-        shared_cap: None,
-        drop_policy: DropKind::Tail,
-        recovery_at_ms: None,
-        flows,
-        droops: Vec::new(),
-        churns,
     }
 }
 

@@ -15,8 +15,8 @@
 //!   point with a precomputed per-flow inverse rate.
 //!
 //! The two implementations share nothing but this trait's signatures,
-//! which is what keeps the exact-vs-fixed differential suites
-//! (`tests/fixed_point_identity.rs`, the conformance `fast` preset) a
+//! which is what keeps the exact-vs-fixed differential checks (the
+//! fixed ≡ exact rows of the twin table, `conformance::twin`) a
 //! comparison of two independent arithmetics.
 
 use crate::packet::FlowId;

@@ -291,6 +291,40 @@ impl<O: SchedObserver, L: Scheduler> HierSfq<O, L> {
         &mut self.node_mut(class).server
     }
 
+    /// The tree's one enqueue routine, with a backlog bound: refuse
+    /// `pkt` with [`SchedError::UnknownFlow`] if its flow is not routed,
+    /// with [`SchedError::BufferFull`] if its leaf class already holds
+    /// `bound` packets, and otherwise queue it there. One flow-table
+    /// lookup serves both checks. `Scheduler::try_enqueue` is this
+    /// routine with no bound; the engine bounds each shard by its
+    /// `ring_capacity`.
+    pub fn try_enqueue_within(
+        &mut self,
+        now: SimTime,
+        pkt: Packet,
+        bound: usize,
+    ) -> Result<(), SchedError> {
+        let Some(&Route { class, .. }) = self.flows.get(pkt.flow) else {
+            return Err(SchedError::UnknownFlow(pkt.flow));
+        };
+        if self.class_backlog(class) >= bound {
+            return Err(SchedError::BufferFull(pkt.flow));
+        }
+        match &mut self.node_mut(class).leaf {
+            // The nested discipline rejects before any tree state
+            // changes, so a refused packet leaves the hierarchy intact.
+            Some(Leaf::Nested(inner)) => inner.try_enqueue(now, pkt)?,
+            Some(Leaf::Flow(queue)) => queue.push_back(pkt),
+            None => unreachable!("flows are routed to leaf classes"),
+        }
+        self.rebook(class, 1);
+        if self.obs.active() {
+            let ev = self.event(now, &pkt, class);
+            self.obs.on_enqueue(&ev);
+        }
+        Ok(())
+    }
+
     /// Packets queued in a class's subtree.
     pub fn class_backlog(&self, class: ClassId) -> usize {
         self.node(class).subtree_backlog
@@ -458,22 +492,7 @@ impl<O: SchedObserver, L: Scheduler> Scheduler for HierSfq<O, L> {
     }
 
     fn try_enqueue(&mut self, now: SimTime, pkt: Packet) -> Result<(), SchedError> {
-        let Some(&Route { class, .. }) = self.flows.get(pkt.flow) else {
-            return Err(SchedError::UnknownFlow(pkt.flow));
-        };
-        match &mut self.node_mut(class).leaf {
-            // The nested discipline rejects before any tree state
-            // changes, so a refused packet leaves the hierarchy intact.
-            Some(Leaf::Nested(inner)) => inner.try_enqueue(now, pkt)?,
-            Some(Leaf::Flow(queue)) => queue.push_back(pkt),
-            None => unreachable!("flows are routed to leaf classes"),
-        }
-        self.rebook(class, 1);
-        if self.obs.active() {
-            let ev = self.event(now, &pkt, class);
-            self.obs.on_enqueue(&ev);
-        }
-        Ok(())
+        self.try_enqueue_within(now, pkt, usize::MAX)
     }
 
     fn dequeue(&mut self, now: SimTime) -> Option<Packet> {

@@ -575,15 +575,22 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
     /// batch, bit-identically to one call per packet (if the check
     /// fires, the per-packet loop's first check would have fired
     /// identically and its later ones would see the shrunk `v` and
-    /// stay quiet).
+    /// stay quiet) — unless a checked rebase was refused, which
+    /// [`TagSched::push_run`] retries where the loop would.
     #[inline]
     fn arrival_v(&mut self) -> A::Tag {
-        if let Some(bits) = self.rebase_bits {
-            if A::outgrown(self.v, bits) {
-                self.rebase();
-            }
+        if self.rebase_due() {
+            self.rebase();
         }
         A::snap(self.v)
+    }
+
+    /// The eager-rebase check: rebasing is on and `v(t)` has outgrown
+    /// its threshold.
+    #[inline]
+    fn rebase_due(&self) -> bool {
+        self.rebase_bits
+            .is_some_and(|bits| A::outgrown(self.v, bits))
     }
 
     /// Register `flow` — or re-register it, keeping its tag chain — at
@@ -634,16 +641,23 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
         pkts: &[Packet],
         explicit: Option<ChargeOf<A, V>>,
     ) -> Result<(), SchedError> {
-        let v_now = if <V::Clock as VtClock>::EXTERNAL {
+        let mut v_now = if <V::Clock as VtClock>::EXTERNAL {
             A::ZERO
         } else {
             self.arrival_v()
         };
         let mut tally = self.tele.as_ref().map(|_| EnqueueTally::new());
-        let res = pkts.iter().try_for_each(|&pkt| {
+        let res = pkts.iter().enumerate().try_for_each(|(i, &pkt)| {
             if <V::Clock as VtClock>::EXTERNAL {
                 self.push_clocked(now, pkt, explicit, tally.as_mut())
             } else {
+                // A checked rebase refused at the read (a tag would not
+                // fit shifted) may fit once a queued packet has moved
+                // its flow's last finish tag on: the per-packet loop
+                // retries before every packet, and so does a batch.
+                if i > 0 && A::CHECKED_REBASE && self.rebase_due() {
+                    v_now = self.arrival_v();
+                }
                 self.push_tagged(now, pkt, v_now, explicit, tally.as_mut())
             }
         });
@@ -852,7 +866,12 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> Scheduler for TagSched<A, V, O> {
             .unwrap_or_else(|e| panic!("{}: {e}", Self::NAME));
     }
 
+    /// An empty batch is no call at all: it must not run the
+    /// eager-rebase check that reading `v(t)` does.
     fn try_enqueue_batch(&mut self, now: SimTime, pkts: &[Packet]) -> Result<(), SchedError> {
+        if pkts.is_empty() {
+            return Ok(());
+        }
         self.push_run(now, pkts, None)
     }
 
@@ -1094,8 +1113,8 @@ pub type Sfq<O = NoopObserver> = TagSched<Exact, StartClock, O>;
 /// - On *quantization-safe* workloads (every `l/r` exactly representable
 ///   on the `2^shift` grid — e.g. power-of-two rates `2^k`, `k ≤ shift`)
 ///   the dequeue order, every assigned tag, and every observer event are
-///   **bit-identical** to `Sfq` — enforced by the `fast` conformance
-///   preset and `tests/fixed_point_identity.rs`.
+///   **bit-identical** to `Sfq` — enforced by the fixed ≡ exact row of
+///   the twin table (`conformance::twin`).
 /// - On arbitrary workloads tags are truncated by `< 1.5·2^-shift` per
 ///   packet ([`crate::fixed`]), so a flow's tag error after `N`
 ///   dequeues is `< 1.5·N·2^-shift` virtual-time units and the observed
@@ -1144,7 +1163,8 @@ impl<O: SchedObserver> Sfq<O> {
 
     /// New SFQ scheduler with every knob explicit: tie-break rule,
     /// observer, and [`FifoBackend`]. The owned backend exists as the
-    /// differential oracle (`tests/pool_identity.rs`); production
+    /// differential oracle (the twin table's pooled ≡ owned rows,
+    /// `conformance::twin`); production
     /// callers take the pooled default.
     pub fn with_parts(tie: TieBreak, obs: O, backend: FifoBackend) -> Self {
         Self::build(Exact, tie, obs, backend, ())

@@ -448,6 +448,24 @@ fn eager_rebase_threshold_is_clamped_for_u64_tags_only<A: TagArith, V: Fresh<A>>
     }
 }
 
+/// An empty batch is no call: with eager rebasing on and a packet in
+/// service it leaves virtual time and the rebase count as they were
+/// (the per-packet loop it stands for makes no call that could rebase;
+/// under the start-tag rule `v(t)` sits past the threshold here).
+fn an_empty_batch_is_no_call<A: TagArith, V: Fresh<A>>() {
+    let (mut s, mut pf) = setup2::<A, V>();
+    s.enable_rebasing(0);
+    for _ in 0..2 {
+        s.enqueue(T0, pkt(&mut pf, 1, 1500));
+    }
+    s.dequeue(T0).unwrap();
+    s.on_departure(T0);
+    s.dequeue(T0).unwrap();
+    let before = (s.virtual_time(), s.rebases());
+    assert_eq!(s.try_enqueue_batch(T0, &[]), Ok(()));
+    assert_eq!((s.virtual_time(), s.rebases()), before);
+}
+
 fn batch_api_is_bit_identical_to_singles<A: TagArith, V: Fresh<A>>() {
     let mk = || {
         let mut s = fresh::<A, V>();
@@ -527,6 +545,7 @@ table!(
     slow_flow_packet_position_depends_on_the_rule,
     rebasing_shifts_tags_without_reordering,
     eager_rebase_threshold_is_clamped_for_u64_tags_only,
+    an_empty_batch_is_no_call,
 );
 
 table!(
@@ -574,8 +593,8 @@ fn a_batch_refused_half_way_books_what_it_queued() {
     assert_eq!(sink.epoch(), 2, "still one write section");
 }
 
-/// Deterministic smoke version of the proptest identity suite
-/// (`tests/fixed_point_identity.rs`): interleaved enqueues/dequeues
+/// Deterministic smoke version of the twin table's fixed ≡ exact rows
+/// (`conformance::twin`): interleaved enqueues/dequeues
 /// across 4 flows with 2^k weights must dequeue bit-identically under
 /// the two arithmetics, whichever rule orders service.
 fn fixed_matches_exact_on_power_of_two_weights<V: Fresh<Fixed> + Fresh<Exact>>() {

@@ -226,13 +226,9 @@ impl<S: ShardSched> Engine<S> {
         if let Some(page) = page {
             page.record_offered(1);
         }
-        let res = match self.tree.route(pkt.flow) {
-            None => Err(SchedError::UnknownFlow(pkt.flow)),
-            Some((home, _)) if self.tree.class_backlog(home) >= self.cfg.ring_capacity => {
-                Err(SchedError::BufferFull(pkt.flow))
-            }
-            Some(_) => self.tree.try_enqueue(now, pkt),
-        };
+        let res = self
+            .tree
+            .try_enqueue_within(now, pkt, self.cfg.ring_capacity);
         if let (Some(page), Err(e)) = (page, &res) {
             page.record_refusal(match e {
                 SchedError::UnknownFlow(_) => RefuseCause::UnknownFlow,

@@ -1,171 +1,29 @@
-//! The fixed-point fast path's correctness contract (see
-//! `docs/fixed_point.md`), checked differentially against the exact
-//! rational schedulers:
+//! The fixed-point fast path's error bound (see `docs/fixed_point.md`).
+//! Bit-identity on quantization-safe workloads — `SfqFast`/`ScfqFast`
+//! against `Sfq`/`Scfq`, exact observer events — is the fixed ≡ exact
+//! row of the twin table (`conformance::twin`, `tests/twin_table.rs`).
+//! This suite checks what holds off that regime:
 //!
-//! 1. **Bit-identity on quantization-safe workloads.** With every
-//!    weight a power of two `2^k` (`k <= 19`) and the default shift of
-//!    24, every tag span is exactly representable on the fixed-point
-//!    grid, so `SfqFast`/`ScfqFast` must reproduce `Sfq`/`Scfq` *bit
-//!    for bit*: same dequeue order and — via trace-collecting
-//!    observers — identical observer event streams, tags included.
-//!    (Rebasing stays off on both sides here: events carry pre-rebase
-//!    tags, and the fast floor-base rebase is checked separately in
-//!    `crates/sfq-core`.)
-//! 2. **Bounded lag watermark on arbitrary workloads.** With arbitrary
+//! 1. **Bounded lag watermark on arbitrary workloads.** With arbitrary
 //!    (non-power-of-two) weights, spans quantize, so orders may
 //!    legitimately diverge — but the `FlowMetrics` lag watermark of a
 //!    fast scheduler must still obey Theorem 1 inflated by the
 //!    documented quantization slack: after `N` dequeues each flow's
 //!    tag error is below `1.5 N 2^-24`, so the pairwise spread bound
 //!    `l_f/r_f + l_m/r_m` grows by at most `3 N 2^-24` seconds.
-//! 3. **The bound has teeth.** A pinned adversarial workload run at
+//! 2. **The bound has teeth.** A pinned adversarial workload run at
 //!    `shift = 4` (spans of small packets collapse into the 1/16 s
 //!    quantum) visibly violates the same bound that `shift = 24`
 //!    satisfies, and breaks bit-identity on a quantization-safe
-//!    workload. Any future failure of (1) or (2) is replayable: the
-//!    conformance `fast` preset reproduces the same obligation from a
-//!    `conformance replay: preset=fast seed=N` line.
+//!    workload.
 
 use proptest::prelude::*;
 use sfq_repro::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// One recorded observer event, tags as exact rationals. For the fast
-/// schedulers the tags pass through `FixedTag::to_ratio`, so equality
-/// here is equality of mathematical values, not of representations.
-type Event = (u8, SimTime, u32, u64, u64, Ratio, Ratio, Ratio);
-
-#[derive(Debug, Default)]
-struct Trace {
-    events: Vec<Event>,
-}
-
-impl Trace {
-    fn record(&mut self, kind: u8, ev: &SchedEvent) {
-        self.events.push((
-            kind,
-            ev.time,
-            ev.flow.0,
-            ev.uid,
-            ev.len.as_u64(),
-            ev.start_tag,
-            ev.finish_tag,
-            ev.v,
-        ));
-    }
-}
-
-impl SchedObserver for Trace {
-    fn on_enqueue(&mut self, ev: &SchedEvent) {
-        self.record(0, ev);
-    }
-    fn on_dequeue(&mut self, ev: &SchedEvent) {
-        self.record(1, ev);
-    }
-    fn on_drop(&mut self, ev: &SchedEvent) {
-        self.record(2, ev);
-    }
-}
-
-#[derive(Clone, Debug)]
-enum Op {
-    /// Enqueue a packet of the given length for flow index `0..4`.
-    Enq(usize, u64),
-    /// Dequeue one packet (if any) and complete its transmission.
-    Deq,
-}
-
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0usize..4, 64u64..1500).prop_map(|(f, l)| Op::Enq(f, l)),
-            Just(Op::Deq),
-        ],
-        1..200,
-    )
-}
-
-/// Power-of-two weight exponents: `2^k` b/s with `14 <= k <= 19` keeps
-/// every span exactly representable at shift 24 (quantization-safe).
-fn exponents() -> impl Strategy<Value = [u32; 4]> {
-    (14u32..20, 14u32..20, 14u32..20, 14u32..20).prop_map(|(a, b, c, d)| [a, b, c, d])
-}
-
-/// Drive `sched` through `ops` (flow ids 1..=4 at rates `2^ks[i]`),
-/// returning the dequeue order and the full observer trace.
-fn run_ops<S: Scheduler>(
-    mut sched: S,
-    trace: Rc<RefCell<Trace>>,
-    ks: &[u32; 4],
-    ops: &[Op],
-) -> (Vec<u64>, Vec<Event>) {
-    let mut pf = PacketFactory::new();
-    let now = SimTime::ZERO;
-    for (i, &k) in ks.iter().enumerate() {
-        sched.add_flow(FlowId(i as u32 + 1), Rate::bps(1 << k));
-    }
-    let mut order = Vec::new();
-    for op in ops {
-        match *op {
-            Op::Enq(f, len) => {
-                sched.enqueue(now, pf.make(FlowId(f as u32 + 1), Bytes::new(len), now));
-            }
-            Op::Deq => {
-                if let Some(p) = sched.dequeue(now) {
-                    sched.on_departure(now);
-                    order.push(p.uid);
-                }
-            }
-        }
-    }
-    while let Some(p) = sched.dequeue(now) {
-        sched.on_departure(now);
-        order.push(p.uid);
-    }
-    let events = std::mem::take(&mut trace.borrow_mut().events);
-    (order, events)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// SfqFast vs exact Sfq: identical dequeue order *and* identical
-    /// observer event streams on quantization-safe workloads.
-    #[test]
-    fn sfq_fast_is_bit_identical_on_power_of_two_weights(
-        ks in exponents(), ops in ops()
-    ) {
-        let te = Rc::new(RefCell::new(Trace::default()));
-        let tf = Rc::new(RefCell::new(Trace::default()));
-        let exact = Sfq::with_observer(TieBreak::Fifo, Rc::clone(&te));
-        let fast = SfqFast::with_observer(TieBreak::Fifo, Rc::clone(&tf));
-        let (oe, ee) = run_ops(exact, te, &ks, &ops);
-        let (of, ef) = run_ops(fast, tf, &ks, &ops);
-        prop_assert_eq!(&oe, &of, "dequeue orders diverged (ks {:?})", ks);
-        prop_assert_eq!(ee.len(), ef.len());
-        for (i, (a, b)) in ee.iter().zip(&ef).enumerate() {
-            prop_assert_eq!(a, b, "event #{} diverged (ks {:?})", i, ks);
-        }
-    }
-
-    /// ScfqFast vs exact Scfq, same obligation.
-    #[test]
-    fn scfq_fast_is_bit_identical_on_power_of_two_weights(
-        ks in exponents(), ops in ops()
-    ) {
-        let te = Rc::new(RefCell::new(Trace::default()));
-        let tf = Rc::new(RefCell::new(Trace::default()));
-        let exact = Scfq::with_observer(Rc::clone(&te));
-        let fast = ScfqFast::with_observer(Rc::clone(&tf));
-        let (oe, ee) = run_ops(exact, te, &ks, &ops);
-        let (of, ef) = run_ops(fast, tf, &ks, &ops);
-        prop_assert_eq!(&oe, &of, "dequeue orders diverged (ks {:?})", ks);
-        prop_assert_eq!(ee.len(), ef.len());
-        for (i, (a, b)) in ee.iter().zip(&ef).enumerate() {
-            prop_assert_eq!(a, b, "event #{} diverged (ks {:?})", i, ks);
-        }
-    }
 
     /// Arbitrary (non-power-of-two) weights: orders may diverge, but
     /// the fast scheduler's FlowMetrics lag watermark stays within
@@ -252,8 +110,9 @@ fn spread_of(metrics: &Rc<RefCell<FlowMetrics>>) -> Ratio {
 
 /// Pinned witness: shift 4 visibly violates the bound that shift 24
 /// (and the exact scheduler) satisfy, and breaks bit-identity on the
-/// same quantization-safe weights. This proves the differential suite
-/// above would catch a fixed-point layer with too little precision.
+/// same quantization-safe weights. This proves the twin table's
+/// fixed ≡ exact row would catch a fixed-point layer with too little
+/// precision.
 #[test]
 fn shift_4_witness_violates_the_bound_that_shift_24_satisfies() {
     let bound = sfq_fairness_bound(
@@ -291,19 +150,4 @@ fn shift_4_witness_violates_the_bound_that_shift_24_satisfies() {
     );
     // "Visibly": the violation is multiples of the bound, not epsilon.
     assert!(s4 > bound * Ratio::from_int(2), "spread {s4:?} not visible");
-}
-
-/// The same obligation as the proptests, reproduced from a conformance
-/// replay line — the failure-message round trip every fast-path report
-/// promises.
-#[test]
-fn fast_preset_replay_line_reproduces_the_differential_check() {
-    use conformance::{run_fast_conformance, Preset, Scenario};
-    let sc = Scenario::from_seed(Preset::Fast, 5);
-    assert_eq!(sc.replay_line(), "conformance replay: preset=fast seed=5");
-    let back = Scenario::from_replay_line(&sc.replay_line()).expect("round trip");
-    assert_eq!(back.preset, Preset::Fast);
-    assert_eq!(back.seed, 5);
-    let out = run_fast_conformance(&back).unwrap_or_else(|d| panic!("{d}"));
-    assert!(out.compared > 0);
 }
