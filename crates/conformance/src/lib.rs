@@ -84,3 +84,39 @@ pub use scenario::{
 pub use soak::{drop_policy_of, run_soak, SoakOutcome};
 pub use telemetry::{run_telemetry_conformance, TelemetryOutcome, SNAP_BUDGET, TELEMETRY_DOMAIN};
 pub use twin::{run_twin_conformance, TWIN_DOMAIN};
+
+/// Seed walks over the twin table's fixed ≡ exact rows.
+#[cfg(test)]
+mod fast {
+    mod tests {
+        use crate::twin::{check_rows, Contract, Schedule};
+
+        #[test]
+        fn fast_matches_exact_on_seeded_scenarios() {
+            for seed in [1u64, 7, 42] {
+                let sc = Schedule::pinned(seed, |_| {});
+                let compared = check_rows(&sc, Contract::Fixed, |_| true)
+                    .unwrap_or_else(|d| panic!("seed {seed}:\n{d}"));
+                assert!(compared > 0, "seed {seed} compared no call");
+            }
+        }
+    }
+}
+
+/// Seed walks over the twin table's pooled ≡ owned rows.
+#[cfg(test)]
+mod pool {
+    mod tests {
+        use crate::twin::{check_rows, Contract, Schedule};
+
+        #[test]
+        fn pooled_matches_owned_on_seeded_scenarios() {
+            for seed in [1u64, 7, 42] {
+                let sc = Schedule::pinned(seed, |_| {});
+                let compared = check_rows(&sc, Contract::Pool, |_| true)
+                    .unwrap_or_else(|d| panic!("seed {seed}:\n{d}"));
+                assert!(compared > 0, "seed {seed} compared no call");
+            }
+        }
+    }
+}

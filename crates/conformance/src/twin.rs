@@ -104,6 +104,13 @@ pub struct Schedule {
 }
 
 impl Schedule {
+    /// The schedule of twin seed `seed`, with `pin` applied to it.
+    pub fn pinned(seed: u64, pin: impl FnOnce(&mut Schedule)) -> Schedule {
+        let mut sc = Schedule::of(&Scenario::from_seed(crate::scenario::Preset::Twin, seed));
+        pin(&mut sc);
+        sc
+    }
+
     /// The schedule of a [`Preset::Twin`](crate::scenario::Preset::Twin)
     /// scenario, drawn from `sc.seed` under [`TWIN_DOMAIN`].
     pub fn of(sc: &Scenario) -> Schedule {
@@ -468,6 +475,25 @@ pub fn run_twin_conformance(sc: &Scenario) -> Result<usize, String> {
     checked.into_iter().try_fold(0, |n, (_, compared)| {
         Ok(n + compared.map_err(|e| format!("{e}\n  {}", sc.replay_line()))?)
     })
+}
+
+/// Check the rows of `contract` whose product `pick` keeps on `sc`, in
+/// table order: a pinned view of the table, for a schedule built by hand
+/// or one with a knob fixed (a tie-break rule, eager rebasing,
+/// re-registration before every enqueue). `Ok` carries the number of
+/// calls compared, `Err` the first divergence.
+pub fn check_rows(
+    sc: &Schedule,
+    contract: Contract,
+    pick: impl Fn(&str) -> bool,
+) -> Result<usize, String> {
+    let rows = rows();
+    let mut picked = rows
+        .iter()
+        .filter(|r| r.contract == contract && pick(&r.product))
+        .peekable();
+    assert!(picked.peek().is_some(), "no {contract:?} row picked");
+    picked.try_fold(0, |n, r| Ok(n + r.check(sc)?))
 }
 
 /// One recorded observer call.

@@ -1,232 +1,94 @@
-//! Batch-API identity: for every discipline that overrides the batch
-//! hot path (`Sfq`, `Scfq`, and the sharded `SyncEngine` itself), the
-//! batch calls must be *bit-identical* to the per-packet loop — same
-//! departures, same tags, same observer event stream, same residual
-//! state — under arbitrary interleavings of enqueue runs and dequeue
-//! runs. This is the same differential-oracle pattern as the PR 1
-//! head-of-flow restructuring (`sfq-core/src/sfq.rs` proptests): the
-//! per-packet path is the specification, the batch path the optimized
-//! implementation under test.
+//! Batch calls ≡ the per-packet loops that specify them:
+//! `try_enqueue_batch` must leave the scheduler exactly as `try_enqueue`
+//! of each packet (stopping at the first error), and `dequeue_batch(n)`
+//! exactly as `n` rounds of `dequeue` + `on_departure`. The contract is
+//! a row group of the twin table (`conformance::twin`,
+//! `tests/twin_table.rs`): packets, exact observer events and whole
+//! pages after every call. The tests below are pinned views of those
+//! rows — one per scheduler, with eager rebasing (threshold 0, the
+//! adversarial case for one rebase check per batch) and the weight-
+//! ordered tie-breaks pinned, and a three-shard engine.
 
+use conformance::twin::{check_rows, Contract::Batch, Op, Schedule};
 use proptest::prelude::*;
-use sfq_core::obs::{SchedEvent, SchedObserver};
-use sfq_core::{FlowId, Packet, PacketFactory, Scheduler, Sfq, TieBreak};
-use simtime::{Bytes, Rate, SimTime};
-use std::cell::RefCell;
-use std::rc::Rc;
+use sfq_repro::prelude::*;
 
-const FLOWS: usize = 6;
-
-fn weight_of(i: usize) -> Rate {
-    [
-        Rate::kbps(32),
-        Rate::kbps(64),
-        Rate::kbps(100),
-        Rate::kbps(250),
-        Rate::kbps(64),
-        Rate::kbps(640),
-    ][i]
+/// The batch row of `product` on twin seed `seed`, after `pin`.
+fn batch_row(
+    product: &str,
+    seed: u64,
+    pin: impl FnOnce(&mut Schedule),
+) -> Result<(), TestCaseError> {
+    let sc = Schedule::pinned(seed, pin);
+    check_rows(&sc, Batch, |p| p == product).map_err(TestCaseError::fail)?;
+    Ok(())
 }
 
-/// Observer recording every event verbatim; `SchedEvent` carries the
-/// exact rational tags, so comparing traces compares tag arithmetic
-/// bit for bit.
-#[derive(Clone, Default)]
-struct RecObs {
-    events: Rc<RefCell<Vec<(u8, SchedEvent)>>>,
-}
-
-impl SchedObserver for RecObs {
-    fn on_enqueue(&mut self, e: &SchedEvent) {
-        self.events.borrow_mut().push((0, *e));
-    }
-    fn on_dequeue(&mut self, e: &SchedEvent) {
-        self.events.borrow_mut().push((1, *e));
-    }
-    fn on_drop(&mut self, e: &SchedEvent) {
-        self.events.borrow_mut().push((2, *e));
-    }
-}
-
-/// A run-structured op sequence: enqueue bursts and dequeue bursts.
-/// The per-packet executor flattens each run into single calls; the
-/// batched executor issues one batch call per run.
-#[derive(Clone, Debug)]
-enum Run {
-    Enq(Vec<(u8, u64)>),
-    Deq(usize),
-}
-
-fn runs() -> impl Strategy<Value = Vec<Run>> {
-    prop::collection::vec(
-        prop_oneof![
-            prop::collection::vec((0u8..FLOWS as u8, 64u64..1500), 1..24).prop_map(Run::Enq),
-            (1usize..24).prop_map(Run::Deq),
-        ],
-        1..40,
-    )
-}
-
-fn register<S: Scheduler>(s: &mut S) {
-    for i in 0..FLOWS {
-        s.add_flow(FlowId(i as u32), weight_of(i));
-    }
-}
-
-/// Specification side: strict per-packet loop.
-fn run_per_packet<S: Scheduler>(s: &mut S, runs: &[Run]) -> Vec<Packet> {
-    let now = SimTime::ZERO;
-    let mut fac = PacketFactory::new();
-    let mut served = Vec::new();
-    for r in runs {
-        match r {
-            Run::Enq(pkts) => {
-                for &(f, len) in pkts {
-                    s.enqueue(now, fac.make(FlowId(f as u32), Bytes::new(len), now));
-                }
-            }
-            Run::Deq(k) => {
-                for _ in 0..*k {
-                    let Some(p) = s.dequeue(now) else { break };
-                    s.on_departure(now);
-                    served.push(p);
-                }
-            }
-        }
-    }
-    // Drain the residue per-packet too, so terminal busy-period state
-    // (virtual-time reset, rebase-at-empty) is part of the comparison.
-    while let Some(p) = s.dequeue(now) {
-        s.on_departure(now);
-        served.push(p);
-    }
-    served
-}
-
-/// Implementation side: one batch call per run.
-fn run_batched<S: Scheduler>(s: &mut S, runs: &[Run]) -> Vec<Packet> {
-    let now = SimTime::ZERO;
-    let mut fac = PacketFactory::new();
-    let mut served = Vec::new();
-    let mut batch = Vec::new();
-    for r in runs {
-        match r {
-            Run::Enq(pkts) => {
-                batch.clear();
-                for &(f, len) in pkts {
-                    batch.push(fac.make(FlowId(f as u32), Bytes::new(len), now));
-                }
-                s.enqueue_batch(now, &batch);
-            }
-            Run::Deq(k) => {
-                s.dequeue_batch(now, *k, &mut served);
-            }
-        }
-    }
-    while s.dequeue_batch(now, 64, &mut served) > 0 {}
-    served
-}
-
-/// Build both executions for a scheduler constructor and assert
-/// identity of departures and event traces.
-fn assert_identity<S, F>(label: &str, runs: &[Run], mk: F)
-where
-    S: Scheduler,
-    F: Fn(RecObs) -> S,
-{
-    let ref_obs = RecObs::default();
-    let mut reference = mk(ref_obs.clone());
-    register(&mut reference);
-    let ref_served = run_per_packet(&mut reference, runs);
-
-    let bat_obs = RecObs::default();
-    let mut batched = mk(bat_obs.clone());
-    register(&mut batched);
-    let bat_served = run_batched(&mut batched, runs);
-
-    assert_eq!(
-        ref_served, bat_served,
-        "{label}: departure sequences diverged"
-    );
-    let a = ref_obs.events.borrow();
-    let b = bat_obs.events.borrow();
-    assert_eq!(a.len(), b.len(), "{label}: event counts diverged");
-    for (i, (ea, eb)) in a.iter().zip(b.iter()).enumerate() {
-        assert_eq!(ea, eb, "{label}: event {i} diverged");
-    }
+/// Eager rebasing: the rebase predicate fires at every opportunity.
+fn eager(sc: &mut Schedule) {
+    sc.rebase = Some(0);
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
     #[test]
-    fn sfq_batch_is_bit_identical(runs in runs()) {
-        assert_identity("SFQ", &runs, |obs| {
-            Sfq::with_observer(TieBreak::Fifo, obs)
-        });
+    fn sfq_batch_is_bit_identical(seed in 0u64..u64::MAX) {
+        batch_row("Sfq, batch calls", seed, |_| {})?;
     }
 
     #[test]
-    fn sfq_batch_identity_survives_eager_rebasing(runs in runs()) {
-        // Threshold 0: the eager-rebase predicate fires at every
-        // opportunity, the adversarial case for the one-check-per-batch
-        // argument (v moves only at dequeues, so the per-packet loop's
-        // extra checks are no-ops).
-        assert_identity("SFQ+rebase", &runs, |obs| {
-            let mut s = Sfq::with_observer(TieBreak::Fifo, obs);
-            s.enable_rebasing(0);
-            s
-        });
+    fn sfq_batch_identity_survives_eager_rebasing(seed in 0u64..u64::MAX) {
+        batch_row("Sfq, batch calls", seed, eager)?;
     }
 
     #[test]
-    fn sfq_batch_identity_holds_under_tiebreaks(runs in runs()) {
-        assert_identity("SFQ+lwf", &runs, |obs| {
-            Sfq::with_observer(TieBreak::LowWeightFirst, obs)
-        });
+    fn sfq_batch_identity_holds_under_tiebreaks(seed in 0u64..u64::MAX) {
+        let tie = [TieBreak::LowWeightFirst, TieBreak::HighWeightFirst][seed as usize % 2];
+        batch_row("Sfq, batch calls", seed, |sc| sc.tie = tie)?;
     }
 
     #[test]
-    fn scfq_batch_is_bit_identical(runs in runs()) {
-        assert_identity("SCFQ", &runs, baselines::Scfq::with_observer);
+    fn scfq_batch_is_bit_identical(seed in 0u64..u64::MAX) {
+        batch_row("Scfq, batch calls", seed, |_| {})?;
     }
 
     #[test]
-    fn scfq_batch_identity_survives_eager_rebasing(runs in runs()) {
-        assert_identity("SCFQ+rebase", &runs, |obs| {
-            let mut s = baselines::Scfq::with_observer(obs);
-            s.enable_rebasing(0);
-            s
-        });
+    fn scfq_batch_identity_survives_eager_rebasing(seed in 0u64..u64::MAX) {
+        batch_row("Scfq, batch calls", seed, eager)?;
     }
 
+    /// The sharded engine's `Scheduler` facade: its batch calls must
+    /// match its own per-packet facade exactly.
     #[test]
-    fn engine_scheduler_facade_batch_is_identical(runs in runs()) {
-        // The sharded engine's `Scheduler` facade: its batch calls
-        // amortize ring pumps and root picks, but must still match its
-        // own per-packet facade exactly (observers aggregate across
-        // shards through the shared Rc sink).
-        assert_identity("SFQ-ENGINE", &runs, |obs| {
-            sfq_engine::SyncEngine::with_observer(
-                sfq_engine::EngineConfig::new(3).batch(4).ring_capacity(2048),
-                obs,
-            )
-        });
+    fn engine_scheduler_facade_batch_is_identical(seed in 0u64..u64::MAX) {
+        batch_row("engine, batch calls", seed, |sc| {
+            sc.shards = 3;
+            sc.ring = 2048;
+        })?;
     }
 }
 
-/// The default trait implementations themselves are the spec; a
-/// discipline with *no* override (here: FIFO) must trivially satisfy
-/// the same identity through the defaults.
+/// The trait's default `try_enqueue_batch`/`dequeue_batch` are per-packet
+/// loops by definition: a discipline with no override (here: FIFO)
+/// satisfies the identity through the defaults.
 #[test]
 fn default_batch_impls_match_per_packet_for_fifo() {
-    let runs = vec![
-        Run::Enq(vec![(0, 100), (1, 900), (0, 400)]),
-        Run::Deq(2),
-        Run::Enq(vec![(2, 700), (1, 120)]),
-        Run::Deq(10),
-    ];
-    let mut a = baselines::Fifo::new();
-    register(&mut a);
-    let mut b = baselines::Fifo::new();
-    register(&mut b);
-    assert_eq!(run_per_packet(&mut a, &runs), run_batched(&mut b, &runs));
+    let sc = Schedule {
+        seed: 0,
+        weights: vec![64_000, 128_000, 256_000, 8_000],
+        tie: TieBreak::Fifo,
+        rebase: None,
+        reregister: false,
+        shards: 1,
+        ring: 64,
+        ops: vec![
+            Op::EnqBatch(vec![(0, 100), (1, 900), (0, 400)]),
+            Op::DeqBatch(2),
+            Op::EnqBatch(vec![(2, 700), (1, 120)]),
+            Op::DeqBatch(10),
+        ],
+    };
+    let compared = check_rows(&sc, Batch, |p| p == "Fifo, batch calls");
+    assert!(compared.unwrap_or_else(|e| panic!("{e}")) >= sc.ops.len());
 }

@@ -1,8 +1,9 @@
-//! The fixed-point fast path's error bound (see `docs/fixed_point.md`).
+//! The fixed-point fast path (see `docs/fixed_point.md`).
 //! Bit-identity on quantization-safe workloads — `SfqFast`/`ScfqFast`
 //! against `Sfq`/`Scfq`, exact observer events — is the fixed ≡ exact
-//! row of the twin table (`conformance::twin`, `tests/twin_table.rs`).
-//! This suite checks what holds off that regime:
+//! row of the twin table (`conformance::twin`, `tests/twin_table.rs`);
+//! the first two proptests below are pinned views of those rows. The
+//! rest of this suite checks what holds off that regime:
 //!
 //! 1. **Bounded lag watermark on arbitrary workloads.** With arbitrary
 //!    (non-power-of-two) weights, spans quantize, so orders may
@@ -17,10 +18,54 @@
 //!    satisfies, and breaks bit-identity on a quantization-safe
 //!    workload.
 
+use conformance::twin::{check_rows, Contract::Fixed, Schedule};
+use conformance::{Preset, Scenario};
 use proptest::prelude::*;
 use sfq_repro::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// The fixed ≡ exact row of `product` on twin seed `seed`: every rate
+/// mapped onto the powers of two `2^14..=2^19` b/s, rebasing off.
+fn fixed_row(product: &str, seed: u64) -> Result<(), TestCaseError> {
+    let sc = Schedule::pinned(seed, |_| {});
+    check_rows(&sc, Fixed, |p| p == product).map_err(TestCaseError::fail)?;
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// SfqFast vs exact Sfq: identical packets *and* identical observer
+    /// event streams, exact tags, on quantization-safe workloads.
+    #[test]
+    fn sfq_fast_is_bit_identical_on_power_of_two_weights(seed in 0u64..u64::MAX) {
+        fixed_row("SfqFast", seed)?;
+    }
+
+    /// ScfqFast vs exact Scfq, same obligation.
+    #[test]
+    fn scfq_fast_is_bit_identical_on_power_of_two_weights(seed in 0u64..u64::MAX) {
+        fixed_row("ScfqFast", seed)?;
+    }
+}
+
+/// A fixed row's failure ends in the twin preset's replay line (the
+/// `fast` preset is folded into the twin table); the line round-trips
+/// to the same schedule and reproduces the fixed rows' check.
+#[test]
+fn fast_preset_replay_line_reproduces_the_differential_check() {
+    let sc = Scenario::from_seed(Preset::Twin, 5);
+    assert_eq!(sc.replay_line(), "conformance replay: preset=twin seed=5");
+    let back = Scenario::from_replay_line(&sc.replay_line()).expect("round trip");
+    assert_eq!((back.preset, back.seed), (Preset::Twin, 5));
+    let (first, again) = (Schedule::of(&sc), Schedule::of(&back));
+    assert_eq!(first.ops, again.ops);
+    let fixed = |sc| check_rows(sc, Fixed, |_| true).unwrap_or_else(|e| panic!("{e}"));
+    let compared = fixed(&first);
+    assert!(compared > 0);
+    assert_eq!(compared, fixed(&again));
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

@@ -1,14 +1,39 @@
-//! Graphs on engine ports beyond the twin table's graph row (a seeded
-//! workload built and run twice: equal reports, balanced arena books —
-//! `conformance::twin`, `tests/twin_table.rs`): tight ingress rings
+//! Graphs on engine ports. The twin table's graph row
+//! (`conformance::twin`, `tests/twin_table.rs`) builds and runs a seeded
+//! workload twice: equal reports, balanced arena books; the first two
+//! tests are pinned views of that row. Beyond it: tight ingress rings
 //! that refuse and still repeat, and a closed TCP loop.
 
-use conformance::twin::GraphWorkload;
+use conformance::twin::{check_rows, Contract, GraphWorkload, Schedule};
 use graph::{GraphSpec, PortKind, PortSpec};
+use proptest::prelude::*;
 use servers::RateProfile;
 use sfq_core::FlowId;
 use sfq_engine::EngineConfig;
 use simtime::{Bytes, Rate, SimDuration, SimTime};
+
+/// The graph row on twin seed `seed`.
+fn graph_row(seed: u64) -> Result<usize, String> {
+    check_rows(&Schedule::pinned(seed, |_| {}), Contract::Graph, |_| true)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Arena books balance over random incast and matrix topologies
+    /// with caps, drop policies, and churn.
+    #[test]
+    fn engine_port_graph_balances_its_books(seed in 0u64..1_000_000) {
+        graph_row(seed).map_err(TestCaseError::fail)?;
+    }
+}
+
+/// The engine-port graph build is deterministic run-to-run.
+#[test]
+fn sync_graph_is_deterministic() {
+    let transits = graph_row(7).unwrap_or_else(|e| panic!("{e}"));
+    assert!(transits > 0, "seed 7 carried no packet");
+}
 
 /// Tight ingress rings force scheduler-level refusals, on top of the
 /// switch-cap drops: they repeat run to run and the books balance.

@@ -1,15 +1,115 @@
-//! The pooled store at scale: `SfqFast` on the slab-pooled `FlowFifos`
-//! backend against the owned backend with 200 000 flows, where the
-//! head-of-flow heap outgrows cache and prefetches ahead of its descent
-//! (`sfq_core::flowq::HeadHeap`, docs/pooling.md). The pooled ≡ owned
-//! contract itself — every tag scheduler and the engine facade, exact
-//! observer events, under every op of the `Scheduler` surface — is a
-//! row group of the twin table (`conformance::twin`,
-//! `tests/twin_table.rs`); these runs add the size its schedules never
-//! reach.
+//! The pooled ≡ owned contract (docs/pooling.md): the slab-pooled
+//! `FlowFifos` backend against the owned one. The contract is a row group
+//! of the twin table (`conformance::twin`, `tests/twin_table.rs`) —
+//! every tag scheduler and the engine facade, exact observer events,
+//! under every op of the `Scheduler` surface. The proptests below are
+//! pinned views of those rows, one per scheduler and per pinned knob
+//! (re-registration before every enqueue, a three-shard engine); the
+//! 200 000-flow runs add the size the table's schedules never reach,
+//! where the head-of-flow heap outgrows cache and prefetches ahead of
+//! its descent (`sfq_core::flowq::HeadHeap`).
 
+use conformance::twin::{check_rows, Contract::Pool, Schedule};
+use conformance::{Preset, Scenario};
+use proptest::prelude::*;
 use sfq_repro::core::DEFAULT_SHIFT;
 use sfq_repro::prelude::*;
+
+/// The pool row of `product` on twin seed `seed`, after `pin`.
+fn pool_row(
+    product: &str,
+    seed: u64,
+    pin: impl FnOnce(&mut Schedule),
+) -> Result<(), TestCaseError> {
+    let sc = Schedule::pinned(seed, pin);
+    check_rows(&sc, Pool, |p| p == product).map_err(TestCaseError::fail)?;
+    Ok(())
+}
+
+/// Re-register each packet's flow before every enqueue and weight
+/// change: `add_flow` on a live flow must update it in place.
+fn reregister(sc: &mut Schedule) {
+    sc.reregister = true;
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Sfq pooled vs owned: identity across tie-break rules, rebasing
+    /// and churn, as drawn.
+    #[test]
+    fn sfq_pooled_is_bit_identical_to_owned(seed in 0u64..u64::MAX) {
+        pool_row("Sfq pooled", seed, |_| {})?;
+    }
+
+    /// SfqFast pooled vs owned, same obligation on the fixed-point path.
+    #[test]
+    fn sfq_fast_pooled_is_bit_identical_to_owned(seed in 0u64..u64::MAX) {
+        pool_row("SfqFast pooled", seed, |_| {})?;
+    }
+
+    /// Scfq pooled vs owned.
+    #[test]
+    fn scfq_pooled_is_bit_identical_to_owned(seed in 0u64..u64::MAX) {
+        pool_row("Scfq pooled", seed, |_| {})?;
+    }
+
+    /// ScfqFast pooled vs owned.
+    #[test]
+    fn scfq_fast_pooled_is_bit_identical_to_owned(seed in 0u64..u64::MAX) {
+        pool_row("ScfqFast pooled", seed, |_| {})?;
+    }
+
+    /// The engine facade on pooled shards vs owned ones, three shards.
+    #[test]
+    fn engine_facade_pooled_is_bit_identical_to_owned(seed in 0u64..u64::MAX) {
+        pool_row("engine, pooled shards", seed, |sc| {
+            sc.shards = 3;
+            sc.ring = 64;
+        })?;
+    }
+
+    /// Sfq pooled vs owned under register-before-enqueue discipline.
+    #[test]
+    fn sfq_reregistration_is_bit_identical(seed in 0u64..u64::MAX) {
+        pool_row("Sfq pooled", seed, reregister)?;
+    }
+
+    /// SfqFast, same obligation on the fixed-point path.
+    #[test]
+    fn sfq_fast_reregistration_is_bit_identical(seed in 0u64..u64::MAX) {
+        pool_row("SfqFast pooled", seed, reregister)?;
+    }
+
+    /// Scfq, same obligation.
+    #[test]
+    fn scfq_reregistration_is_bit_identical(seed in 0u64..u64::MAX) {
+        pool_row("Scfq pooled", seed, reregister)?;
+    }
+
+    /// ScfqFast, same obligation.
+    #[test]
+    fn scfq_fast_reregistration_is_bit_identical(seed in 0u64..u64::MAX) {
+        pool_row("ScfqFast pooled", seed, reregister)?;
+    }
+}
+
+/// A pool row's failure ends in the twin preset's replay line (the
+/// `pool` preset is folded into the twin table); the line round-trips
+/// to the same schedule and reproduces the pool rows' check.
+#[test]
+fn pool_preset_replay_line_reproduces_the_differential_check() {
+    let sc = Scenario::from_seed(Preset::Twin, 5);
+    assert_eq!(sc.replay_line(), "conformance replay: preset=twin seed=5");
+    let back = Scenario::from_replay_line(&sc.replay_line()).expect("round trip");
+    assert_eq!((back.preset, back.seed), (Preset::Twin, 5));
+    let (first, again) = (Schedule::of(&sc), Schedule::of(&back));
+    assert_eq!(first.ops, again.ops);
+    let pool = |sc| check_rows(sc, Pool, |_| true).unwrap_or_else(|e| panic!("{e}"));
+    let compared = pool(&first);
+    assert!(compared > 0);
+    assert_eq!(compared, pool(&again));
+}
 
 /// The twin table's schedules never hold more than a few hundred heap
 /// entries; the head-of-flow heap only prefetches ahead of its descent
