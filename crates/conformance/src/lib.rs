@@ -41,8 +41,11 @@
 //!   Theorem 6 along every path, Corollary 1 for the shaped observed
 //!   flow, Theorem 1 fairness at every port, full packet accounting on
 //!   engine ports, and exact packet-arena book balance,
+//! - [`paper`]: the paper oracle — SFQ and SCFQ as the paper and the
+//!   docs state them, over one ordered map of exact tags, sharing no
+//!   code with `sfq_core`'s tag core or flow store,
 //! - [`twin`]: the twin table — every "bit-identical to its twin"
-//!   contract (pooled ≡ owned, fixed ≡ exact, batch ≡ per packet,
+//!   contract (tag schedulers ≡ the paper oracle, fixed ≡ exact, batch ≡ per packet,
 //!   pages ≡ `CountingObserver`, a graph on engine ports built twice,
 //!   boxed ≡ unboxed) as one row each, run by one generator, driver,
 //!   recording observer and comparator.
@@ -60,6 +63,7 @@ pub mod engine;
 pub mod exec;
 pub mod faults;
 pub mod graph;
+pub mod paper;
 pub mod scenario;
 pub mod soak;
 pub mod telemetry;
@@ -103,17 +107,19 @@ mod fast {
     }
 }
 
-/// Seed walks over the twin table's pooled ≡ owned rows.
+/// Seed walks over the twin table's paper rows.
 #[cfg(test)]
 mod pool {
     mod tests {
         use crate::twin::{check_rows, Contract, Schedule};
 
+        /// The name is older than the paper rows: the pooled store's
+        /// reference was once its owned twin.
         #[test]
         fn pooled_matches_owned_on_seeded_scenarios() {
             for seed in [1u64, 7, 42] {
                 let sc = Schedule::pinned(seed, |_| {});
-                let compared = check_rows(&sc, Contract::Pool, |_| true)
+                let compared = check_rows(&sc, Contract::Paper, |_| true)
                     .unwrap_or_else(|d| panic!("seed {seed}:\n{d}"));
                 assert!(compared > 0, "seed {seed} compared no call");
             }

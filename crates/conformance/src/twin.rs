@@ -2,11 +2,13 @@
 //! repository, checked once, by one generator, one driver, one
 //! recording observer and one comparator.
 //!
-//! The paper's theorems are checked on the exact [`Sfq`]. They carry
-//! over to what ships — the pooled store, the fixed-point tags, the
-//! batch calls, the counter pages, a boxed port, an engine port in a
-//! graph — only because each of those is bit-identical to a twin the
-//! theorems do hold for. [`rows`] lists those pairs: each [`Row`] names
+//! The paper's theorems hold for SFQ as Eqs. 4–5 state it. They carry
+//! over to what ships — the tag core on the pooled store, the
+//! fixed-point tags, the batch calls, the counter pages, a boxed port,
+//! an engine port in a graph — only because each of those is
+//! bit-identical to a twin the theorems do hold for, the first of them
+//! the paper oracle ([`crate::paper`]), which shares no code with the
+//! tag core. [`rows`] lists those pairs: each [`Row`] names
 //! a product, its twin, the [`Inputs`] it is checked on and the
 //! [`Level`] it compares at.
 //!
@@ -17,17 +19,17 @@
 //! line `conformance replay: preset=twin seed=N`.
 
 use crate::engine::first_diff;
+use crate::paper::Paper;
 use crate::scenario::Scenario;
 use des::SimRng;
 use graph::{GraphReport, GraphSpec, PortKind, PortSpec};
 use netsim::DropPolicy;
 use servers::RateProfile;
 use sfq_core::obs::{FlowChange, SchedEvent, SchedObserver};
-use sfq_core::FifoBackend::{Owned, Pooled};
 use sfq_core::{
-    Exact, FifoBackend, FinishClock, Fixed, FlowId, HierSfq, Packet, PacketFactory, ReconfigCmd,
-    Scfq, ScfqFast, SchedError, Scheduler, Sfq, SfqFast, StartClock, TagArith, TagSched, TieBreak,
-    VtRule, DEFAULT_SHIFT,
+    Exact, FinishClock, Fixed, FlowId, HierSfq, Packet, PacketFactory, ReconfigCmd, Scfq, ScfqFast,
+    SchedError, Scheduler, Sfq, SfqFast, StartClock, TagArith, TagSched, TieBreak, VtRule,
+    DEFAULT_SHIFT,
 };
 use sfq_engine::{Engine, EngineConfig, ShardSched};
 use sfq_obs::CountingObserver;
@@ -225,16 +227,12 @@ pub enum Inputs {
     /// spans are exact on the 2^-24 grid, and the fixed-point rebase
     /// (a floor base) is not the exact one (`docs/fixed_point.md`).
     QuantizationSafe,
-    /// No re-registration before every enqueue: `HierSfq` binds a flow
-    /// to its class, and its `add_flow` panics on a registered flow.
-    RegisterOnce,
 }
 
 impl Inputs {
     /// `sc` restricted to these inputs.
     pub fn apply(self, sc: &Schedule) -> Schedule {
         let mut sc = sc.clone();
-        sc.reregister &= self != Inputs::RegisterOnce;
         if self == Inputs::QuantizationSafe {
             let safe = |bps: u64| 1u64 << (14 + bps.trailing_zeros().max(bps.count_ones()) % 6);
             sc.rebase = None;
@@ -272,9 +270,9 @@ pub enum Level {
 /// The contract a row checks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Contract {
-    /// The slab-pooled `FlowFifos` backend against the owned one
-    /// (`docs/pooling.md`).
-    Pool,
+    /// A tag scheduler against the paper oracle ([`crate::paper`]),
+    /// which shares no code with it (`docs/pooling.md`).
+    Paper,
     /// Fixed-point tags against exact ones (`docs/fixed_point.md`).
     Fixed,
     /// Batch calls against the per-packet loops that specify them.
@@ -292,9 +290,8 @@ pub enum Contract {
 /// A row's check: both sides of a schedule, compared at a level.
 type Check = Box<dyn Fn(&Schedule, Level) -> Result<usize, String> + Send + Sync>;
 
-/// A tag scheduler's constructor: on a backend, with the schedule's
-/// tie-break rule.
-type New<A, V> = fn(&Schedule, Rec, FifoBackend) -> TagSched<A, V, Rec>;
+/// A tag scheduler's constructor, with the schedule's tie-break rule.
+type New<A, V> = fn(&Schedule, Rec) -> TagSched<A, V, Rec>;
 
 /// One contract instance: a product, the twin it must be
 /// bit-identical to, the inputs it is checked on and how far the two
@@ -320,7 +317,7 @@ impl Row {
         let (inputs, level) = match contract {
             Contract::Fixed => (Inputs::QuantizationSafe, Level::Events),
             Contract::Graph => (Inputs::Any, Level::Packets),
-            Contract::Pool | Contract::Boxed => (Inputs::Any, Level::Events),
+            Contract::Paper | Contract::Boxed => (Inputs::Any, Level::Events),
             Contract::Batch | Contract::Telemetry => (Inputs::Any, Level::Pages),
         };
         Row {
@@ -350,52 +347,73 @@ impl Row {
 /// inputs sets its own), and build the two sides with `pair`; a product
 /// that is not a `Scheduler` writes its check like `graph_twice`.
 pub fn rows() -> Vec<Row> {
-    use Contract::{Batch, Boxed, Graph, Pool, Telemetry};
+    use Contract::{Batch, Boxed, Graph, Telemetry};
     use Mode::{Batched, PerPacket};
-    let sfq: New<Exact, StartClock> = |sc, o, b| Sfq::with_parts(sc.tie, o, b);
-    let scfq: New<Exact, FinishClock> = |_, o, b| Scfq::with_parts(o, b);
-    let sfq_fast: New<Fixed, StartClock> = |sc, o, b| {
-        SfqFast::with_parts(sc.tie, DEFAULT_SHIFT, o, b).expect("the default shift is valid")
+    let sfq: New<Exact, StartClock> = |sc, o| Sfq::with_observer(sc.tie, o);
+    let scfq: New<Exact, FinishClock> = |_, o| Scfq::with_observer(o);
+    let sfq_fast: New<Fixed, StartClock> = |sc, o| {
+        SfqFast::with_shift_observer(sc.tie, DEFAULT_SHIFT, o).expect("the default shift is valid")
     };
     let scfq_fast: New<Fixed, FinishClock> =
-        |_, o, b| ScfqFast::with_parts(DEFAULT_SHIFT, o, b).expect("the default shift is valid");
-    let engine_pool = |sc: &Schedule, l| {
-        let side = |backend| move |o| engine(sc, false, shards(sc, o, backend));
-        pair(sc, l, (Batched, side(Pooled)), (Batched, side(Owned)))
-    };
+        |_, o| ScfqFast::with_shift_observer(DEFAULT_SHIFT, o).expect("the default shift is valid");
     let fifo_batch = |sc: &Schedule, l| {
         let side = |o| (baselines::Fifo::with_observer(o), None);
         pair(sc, l, (Batched, side), (PerPacket, side))
     };
     let engine_batch = |sc: &Schedule, l| {
-        let side = |o| engine(sc, true, shards(sc, o, Pooled));
+        let side = |o| engine(sc, true, shards(sc, o));
         pair(sc, l, (Batched, side), (PerPacket, side))
     };
     let engine_pages = |sc: &Schedule, l| {
-        let side = |pages| move |o| engine(sc, pages, shards(sc, o, Pooled));
+        let side = |pages| move |o| engine(sc, pages, shards(sc, o));
         pair(sc, l, (Batched, side(true)), (Batched, side(false)))
     };
     let hier_boxed = |sc: &Schedule, l| {
         let side = |o| (HierSfq::with_observer(o), None);
         pair(sc, l, (Batched, |o| boxed(side(o))), (Batched, side))
     };
-    let mut hier = Row::new(Boxed, "boxed HierSfq", "HierSfq", hier_boxed);
-    hier.inputs = Inputs::RegisterOnce;
     let mut rows = vec![
-        Row::new(Pool, "engine, pooled shards", "owned", engine_pool),
+        paper("Sfq", sfq, false, Inputs::Any),
+        paper("Scfq", scfq, true, Inputs::Any),
+        paper("SfqFast", sfq_fast, false, Inputs::QuantizationSafe),
+        paper("ScfqFast", scfq_fast, true, Inputs::QuantizationSafe),
         fixed("SfqFast", sfq_fast, "Sfq", sfq),
         fixed("ScfqFast", scfq_fast, "Scfq", scfq),
         Row::new(Batch, "Fifo, batch calls", "per packet", fifo_batch),
         Row::new(Batch, "engine, batch calls", "per packet", engine_batch),
         Row::new(Telemetry, "engine pages", "counts", engine_pages),
         Row::new(Graph, "graph on engine ports", "built again", graph_twice),
-        hier,
+        Row::new(Boxed, "boxed HierSfq", "HierSfq", hier_boxed),
     ];
     rows.extend(tag_rows("Sfq", sfq));
     rows.extend(tag_rows("Scfq", scfq));
     rows.extend(tag_rows("SfqFast", sfq_fast));
     rows.extend(tag_rows("ScfqFast", scfq_fast));
     rows
+}
+
+/// The tag scheduler `new` ≡ the paper oracle (SCFQ if `scfq`, else
+/// SFQ) on `inputs`, with the schedule's tie-break rule and rebasing on
+/// both sides.
+fn paper<A: TagArith + 'static, V: VtRule + 'static>(
+    product: &str,
+    new: New<A, V>,
+    scfq: bool,
+    inputs: Inputs,
+) -> Row {
+    let mut row = Row::new(Contract::Paper, product, "paper", move |sc, l| {
+        let oracle = |o| {
+            let mut s = Paper::new(scfq, sc.tie, o);
+            if let Some(bits) = sc.rebase {
+                s.enable_rebasing(bits);
+            }
+            (s, None)
+        };
+        let product = |o| tag(sc, new, o, false);
+        pair(sc, l, (Mode::Batched, product), (Mode::Batched, oracle))
+    });
+    row.inputs = inputs;
+    row
 }
 
 /// Fixed-point `product` ≡ exact `twin`.
@@ -406,36 +424,31 @@ fn fixed<V: VtRule + 'static>(
     exact: New<Exact, V>,
 ) -> Row {
     Row::new(Contract::Fixed, product, twin, move |sc, l| {
-        let fast = |o| tag(sc, new, o, Pooled, false);
-        let exact = |o| tag(sc, exact, o, Pooled, false);
+        let fast = |o| tag(sc, new, o, false);
+        let exact = |o| tag(sc, exact, o, false);
         pair(sc, l, (Mode::Batched, fast), (Mode::Batched, exact))
     })
 }
 
-/// The rows of the tag scheduler `name`: pooled ≡ owned, batch calls ≡
-/// per-packet loops, page ≡ `CountingObserver`, and
-/// `Box<dyn Scheduler>` ≡ unboxed.
-fn tag_rows<A: TagArith + 'static, V: VtRule + 'static>(name: &str, new: New<A, V>) -> [Row; 4] {
-    use Contract::{Batch, Boxed, Pool, Telemetry};
+/// The rows of the tag scheduler `name`: batch calls ≡ per-packet
+/// loops, page ≡ `CountingObserver`, and `Box<dyn Scheduler>` ≡
+/// unboxed.
+fn tag_rows<A: TagArith + 'static, V: VtRule + 'static>(name: &str, new: New<A, V>) -> [Row; 3] {
+    use Contract::{Batch, Boxed, Telemetry};
     use Mode::{Batched, PerPacket};
-    let pool = move |sc: &Schedule, l| {
-        let side = |backend| move |o| tag(sc, new, o, backend, false);
-        pair(sc, l, (Batched, side(Pooled)), (Batched, side(Owned)))
-    };
     let batch = move |sc: &Schedule, l| {
-        let side = |o| tag(sc, new, o, Pooled, true);
+        let side = |o| tag(sc, new, o, true);
         pair(sc, l, (Batched, side), (PerPacket, side))
     };
     let pages = move |sc: &Schedule, l| {
-        let side = |pages| move |o| tag(sc, new, o, Pooled, pages);
+        let side = |pages| move |o| tag(sc, new, o, pages);
         pair(sc, l, (Batched, side(true)), (Batched, side(false)))
     };
     let boxed_ = move |sc: &Schedule, l| {
-        let side = |o| tag(sc, new, o, Pooled, false);
+        let side = |o| tag(sc, new, o, false);
         pair(sc, l, (Batched, |o| boxed(side(o))), (Batched, side))
     };
     [
-        Row::new(Pool, &format!("{name} pooled"), "owned", pool),
         Row::new(Batch, &format!("{name}, batch calls"), "per packet", batch),
         Row::new(Telemetry, &format!("{name} pages"), "counts", pages),
         Row::new(Boxed, &format!("boxed {name}"), name, boxed_),
@@ -813,10 +826,9 @@ fn tag<A: TagArith, V: VtRule>(
     sc: &Schedule,
     new: New<A, V>,
     o: Rec,
-    backend: FifoBackend,
     pages: bool,
 ) -> Side<TagSched<A, V, Rec>> {
-    let mut s = new(sc, o, backend);
+    let mut s = new(sc, o);
     if let Some(bits) = sc.rebase {
         s.enable_rebasing(bits);
     }
@@ -834,8 +846,8 @@ fn boxed<S: Scheduler + 'static>((s, page): Side<S>) -> Side<Box<dyn Scheduler>>
 }
 
 /// Engine shards: exact SFQ with the schedule's tie-break rule.
-fn shards(sc: &Schedule, o: Rec, backend: FifoBackend) -> impl FnMut(usize) -> Sfq<Rec> + '_ {
-    move |_| Sfq::with_parts(sc.tie, Rc::clone(&o), backend)
+fn shards(sc: &Schedule, o: Rec) -> impl FnMut(usize) -> Sfq<Rec> + '_ {
+    move |_| Sfq::with_observer(sc.tie, Rc::clone(&o))
 }
 
 /// An engine of the schedule's shape over `shard(i)`, with pages if

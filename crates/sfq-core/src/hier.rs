@@ -217,13 +217,46 @@ impl<O: SchedObserver, L: Scheduler> HierSfq<O, L> {
         self.attach(parent, weight, None)
     }
 
-    /// Attach a flow as a leaf of `parent`.
+    /// Attach a flow as a leaf of `parent`, or move the weight of a flow
+    /// attached there already: the tree charges a class at dequeue, so
+    /// the new rate applies from the leaf's next charge on. Panics if
+    /// the flow is attached to another class.
     pub fn add_flow_to(&mut self, parent: ClassId, flow: FlowId, weight: Rate) {
         assert!(weight.as_bps() > 0, "class weight must be positive");
-        assert!(!self.flows.contains(flow), "flow already attached");
+        if let Some(&Route { class, .. }) = self.flows.get(flow) {
+            let here = self.node(class).parent.is_some_and(|(p, _)| p == parent);
+            assert!(
+                here && matches!(self.node(class).leaf, Some(Leaf::Flow(_))),
+                "flow already attached to another class"
+            );
+            _ = self.update_flow(flow, weight);
+            return;
+        }
         let class = self.attach(parent, weight, Some(Leaf::Flow(VecDeque::new())));
         self.flows.insert(flow, Route { class, weight });
         self.obs.on_flow_change(flow, &FlowChange::Added { weight });
+    }
+
+    /// Re-register a routed flow at `weight`, in place: a flow leaf's
+    /// rate at its parent's server ([`RootSfq::reweigh`]), or a
+    /// scheduler class's nested registration (its `try_add_flow`, whose
+    /// error comes back with nothing changed); then the route.
+    fn update_flow(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
+        let Some(&Route { class, weight: old }) = self.flows.get(flow) else {
+            return Err(SchedError::UnknownFlow(flow));
+        };
+        let node = self.node_mut(class);
+        match (&mut node.leaf, node.parent) {
+            (Some(Leaf::Nested(inner)), _) => inner.try_add_flow(flow, weight)?,
+            (_, Some((parent, slot))) => {
+                let server = self.server_mut(parent);
+                server.reweigh(slot, old.as_bps(), weight.as_bps());
+                self.obs.on_flow_change(flow, &FlowChange::Added { weight });
+            }
+            (_, None) => unreachable!("flows are routed to leaf classes"),
+        }
+        self.flows.insert(flow, Route { class, weight });
+        Ok(())
     }
 
     /// Add a class under `parent` whose *internal* packet order is
@@ -467,10 +500,13 @@ impl Default for HierSfq {
 }
 
 impl<O: SchedObserver, L: Scheduler> Scheduler for HierSfq<O, L> {
-    /// Trait-level `add_flow` attaches the flow directly under the root,
-    /// which makes a flat `HierSfq` behave exactly like [`crate::Sfq`].
+    /// Trait-level `add_flow` attaches a new flow directly under the
+    /// root, which makes a flat `HierSfq` behave exactly like
+    /// [`crate::Sfq`]; a registered flow keeps its class and takes the
+    /// new weight in place.
     fn add_flow(&mut self, flow: FlowId, weight: Rate) {
-        self.add_flow_to(self.root(), flow, weight);
+        self.try_add_flow(flow, weight)
+            .unwrap_or_else(|e| panic!("HierSfq: {e}"));
     }
 
     fn enqueue(&mut self, now: SimTime, pkt: Packet) {
@@ -482,12 +518,10 @@ impl<O: SchedObserver, L: Scheduler> Scheduler for HierSfq<O, L> {
         if weight.as_bps() == 0 {
             return Err(SchedError::ZeroWeight(flow));
         }
-        // A flow is bound to its leaf class: re-registration is refused
-        // rather than treated as a weight update (the flat default).
         if self.flows.contains(flow) {
-            return Err(SchedError::DuplicateFlow(flow));
+            return self.update_flow(flow, weight);
         }
-        self.add_flow(flow, weight);
+        self.add_flow_to(self.root(), flow, weight);
         Ok(())
     }
 
@@ -793,6 +827,50 @@ mod tests {
         let f1_first5 = order[..5].iter().filter(|&&f| f == 1).count();
         assert!(f1_first5 >= 3, "inner discipline ignored: {order:?}");
         assert_eq!(order.len(), 8);
+    }
+
+    /// Re-registration is the trait's weight update: a flow leaf's rate
+    /// at its parent's server moves in place (3:1 from the next charge
+    /// on), and a flow routed to a scheduler class is re-registered with
+    /// the nested discipline (4:1 the other way round inside it).
+    #[test]
+    fn re_registration_moves_the_weight_in_place() {
+        let mut h = HierSfq::new();
+        let a = h.add_class(h.root(), Rate::bps(1_000));
+        h.add_flow_to(a, FlowId(1), Rate::bps(1_000));
+        h.add_flow_to(a, FlowId(2), Rate::bps(1_000));
+        h.add_flow_to(a, FlowId(1), Rate::bps(3_000));
+        assert_eq!(h.try_add_flow(FlowId(2), Rate::bps(1_000)), Ok(()));
+        assert_eq!(h.route(FlowId(1)), Some((ClassId(2), Rate::bps(3_000))));
+        let mut inner = crate::Sfq::new();
+        inner.add_flow(FlowId(3), Rate::bps(4_000));
+        inner.add_flow(FlowId(4), Rate::bps(1_000));
+        let class = h.add_scheduler_class(h.root(), Rate::bps(1_000), Box::new(inner));
+        h.attach_configured_flow(class, FlowId(3));
+        h.attach_configured_flow(class, FlowId(4));
+        h.add_flow(FlowId(3), Rate::bps(1_000));
+        h.add_flow(FlowId(4), Rate::bps(4_000));
+        assert_eq!(h.route(FlowId(4)), Some((class, Rate::bps(4_000))));
+        let mut pf = PacketFactory::new();
+        let t0 = SimTime::ZERO;
+        for _ in 0..8 {
+            for f in 1..=4 {
+                h.enqueue(t0, pf.make(FlowId(f), Bytes::new(125), t0));
+            }
+        }
+        let order = drain(&mut h);
+        let count = |f, n: usize| order[..n].iter().filter(|&&g| g == f).count();
+        assert_eq!((count(1, 8), count(2, 8)), (3, 1), "{order:?}");
+        assert_eq!((count(4, 10), count(3, 10)), (4, 1), "{order:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "attached to another class")]
+    fn add_flow_to_refuses_a_flow_of_another_class() {
+        let mut h = HierSfq::new();
+        let a = h.add_class(h.root(), Rate::bps(1_000));
+        h.add_flow_to(a, FlowId(1), Rate::bps(1_000));
+        h.add_flow_to(h.root(), FlowId(1), Rate::bps(1_000));
     }
 
     #[test]

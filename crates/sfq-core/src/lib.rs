@@ -59,7 +59,6 @@ mod tagsched;
 pub use arith::{Exact, TagArith, TieKey};
 pub use fair_airport::{FairAirport, ServedVia};
 pub use fixed::{Fixed, FixedInc, FixedTag, DEFAULT_SHIFT, ISM_SHIFT, MAX_REBASE_BITS, MAX_SHIFT};
-pub use flowq::FifoBackend;
 pub use gps::GpsClock;
 pub use hier::{ClassId, HierSfq};
 pub use obs::{Backpressure, FlowChange, NoopObserver, SchedEvent, SchedObserver};

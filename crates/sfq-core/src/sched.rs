@@ -24,9 +24,6 @@ use simtime::{Rate, SimTime};
 pub enum SchedError {
     /// The packet's flow was never registered (or was removed).
     UnknownFlow(FlowId),
-    /// The flow is already registered and the discipline refuses to
-    /// silently re-register it.
-    DuplicateFlow(FlowId),
     /// A flow cannot be registered with a zero rate: tag spans divide
     /// by the weight (Eq. 5's `l / r_f`).
     ZeroWeight(FlowId),
@@ -49,7 +46,6 @@ impl fmt::Display for SchedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SchedError::UnknownFlow(flow) => write!(f, "unregistered flow {flow}"),
-            SchedError::DuplicateFlow(flow) => write!(f, "flow {flow} already registered"),
             SchedError::ZeroWeight(flow) => write!(f, "flow {flow} has zero weight"),
             SchedError::BufferFull(flow) => write!(f, "buffer full for flow {flow}"),
             SchedError::TagOverflow => write!(f, "tag arithmetic overflow"),
@@ -110,10 +106,8 @@ pub trait Scheduler {
     fn dequeue(&mut self, now: SimTime) -> Option<Packet>;
 
     /// Fallible flow registration: [`SchedError::ZeroWeight`] instead of
-    /// the `add_flow` assertion. Disciplines that refuse to re-register
-    /// a live flow (e.g. `HierSfq`, where a flow is bound to a class)
-    /// return [`SchedError::DuplicateFlow`]; the default — like
-    /// `add_flow` — treats re-registration as a weight update.
+    /// the `add_flow` assertion. Like `add_flow`, re-registration is a
+    /// weight update.
     fn try_add_flow(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
         if weight.as_bps() == 0 {
             return Err(SchedError::ZeroWeight(flow));

@@ -43,7 +43,7 @@
 
 use crate::arith::{Exact, TagArith, TieKey};
 use crate::fixed::Fixed;
-use crate::flowq::{FifoBackend, FlowFifos};
+use crate::flowq::FlowFifos;
 use crate::gps::GpsClock;
 use crate::obs::{FlowChange, NoopObserver, SchedEvent, SchedObserver};
 use crate::packet::{FlowId, Packet};
@@ -388,9 +388,9 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
     /// [`FlowFifos`] label.
     const NAME: &'static str = if A::FIXED { V::FAST_NAME } else { V::NAME };
 
-    fn build(arith: A, tie: TieBreak, obs: O, backend: FifoBackend, clock: V::Clock) -> Self {
+    fn build(arith: A, tie: TieBreak, obs: O, clock: V::Clock) -> Self {
         TagSched {
-            q: FlowFifos::new_with(Self::NAME, backend),
+            q: FlowFifos::new(Self::NAME),
             arith,
             tie,
             v: A::ZERO,
@@ -418,15 +418,15 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
         self.tele.as_ref()
     }
 
-    /// Cap the pooled backend's packet-slot footprint; see
+    /// Cap the flow store's packet-slot footprint; see
     /// [`FlowFifos::set_pool_limit`]. Exhaustion surfaces as
     /// [`SchedError::BufferFull`] from the `try_enqueue` family.
     pub fn set_pool_limit(&mut self, limit: Option<usize>) {
         self.q.set_pool_limit(limit);
     }
 
-    /// Pool accounting (`None` on the owned backend).
-    pub fn pool_stats(&self) -> Option<PoolStats> {
+    /// Pool accounting.
+    pub fn pool_stats(&self) -> PoolStats {
         self.q.pool_stats()
     }
 
@@ -1051,14 +1051,12 @@ impl<A: TagArith + Default, V: VtRule, O: SchedObserver + Default> Default for T
 where
     V::Clock: Default,
 {
-    /// FIFO tie-breaking, the arithmetic's default grid, the pooled
-    /// backend.
+    /// FIFO tie-breaking, the arithmetic's default grid.
     fn default() -> Self {
         Self::build(
             A::default(),
             TieBreak::Fifo,
             O::default(),
-            FifoBackend::default(),
             Default::default(),
         )
     }
@@ -1158,16 +1156,7 @@ impl<O: SchedObserver> Sfq<O> {
     /// New SFQ scheduler reporting events to `obs` (see
     /// [`crate::obs::SchedObserver`]).
     pub fn with_observer(tie: TieBreak, obs: O) -> Self {
-        Self::with_parts(tie, obs, FifoBackend::default())
-    }
-
-    /// New SFQ scheduler with every knob explicit: tie-break rule,
-    /// observer, and [`FifoBackend`]. The owned backend exists as the
-    /// differential oracle (the twin table's pooled ≡ owned rows,
-    /// `conformance::twin`); production
-    /// callers take the pooled default.
-    pub fn with_parts(tie: TieBreak, obs: O, backend: FifoBackend) -> Self {
-        Self::build(Exact, tie, obs, backend, ())
+        Self::build(Exact, tie, obs, ())
     }
 
     /// Enqueue charging the packet at an explicit rate `r_f^j`
@@ -1218,25 +1207,13 @@ impl<O: SchedObserver> SfqFast<O> {
     /// New fixed-point SFQ reporting events to `obs` at
     /// [`DEFAULT_SHIFT`](crate::DEFAULT_SHIFT).
     pub fn with_observer(tie: TieBreak, obs: O) -> Self {
-        Self::build(Fixed::default(), tie, obs, FifoBackend::default(), ())
+        Self::build(Fixed::default(), tie, obs, ())
     }
 
     /// New fixed-point SFQ with custom shift and observer; see
     /// [`Fixed::new`] for the accepted shift range.
     pub fn with_shift_observer(tie: TieBreak, shift: u32, obs: O) -> Result<Self, SchedError> {
-        Self::with_parts(tie, shift, obs, FifoBackend::default())
-    }
-
-    /// New fixed-point SFQ with every knob explicit, including the
-    /// [`FifoBackend`] (the owned backend is the differential oracle;
-    /// production callers take the pooled default).
-    pub fn with_parts(
-        tie: TieBreak,
-        shift: u32,
-        obs: O,
-        backend: FifoBackend,
-    ) -> Result<Self, SchedError> {
-        Ok(Self::build(Fixed::new(shift)?, tie, obs, backend, ()))
+        Ok(Self::build(Fixed::new(shift)?, tie, obs, ()))
     }
 }
 
@@ -1250,13 +1227,7 @@ impl Scfq {
 impl<O: SchedObserver> Scfq<O> {
     /// New SCFQ scheduler reporting events to `obs`.
     pub fn with_observer(obs: O) -> Self {
-        Self::with_parts(obs, FifoBackend::default())
-    }
-
-    /// New SCFQ scheduler with an explicit [`FifoBackend`] (owned =
-    /// differential oracle).
-    pub fn with_parts(obs: O, backend: FifoBackend) -> Self {
-        Self::build(Exact, TieBreak::Fifo, obs, backend, ())
+        Self::build(Exact, TieBreak::Fifo, obs, ())
     }
 }
 
@@ -1277,30 +1248,12 @@ impl<O: SchedObserver> ScfqFast<O> {
     /// New fixed-point SCFQ reporting events to `obs` at
     /// [`DEFAULT_SHIFT`](crate::DEFAULT_SHIFT).
     pub fn with_observer(obs: O) -> Self {
-        Self::build(
-            Fixed::default(),
-            TieBreak::Fifo,
-            obs,
-            FifoBackend::default(),
-            (),
-        )
+        Self::build(Fixed::default(), TieBreak::Fifo, obs, ())
     }
 
     /// New fixed-point SCFQ with custom shift and observer.
     pub fn with_shift_observer(shift: u32, obs: O) -> Result<Self, SchedError> {
-        Self::with_parts(shift, obs, FifoBackend::default())
-    }
-
-    /// New fixed-point SCFQ with every knob explicit, including the
-    /// [`FifoBackend`] (owned = differential oracle).
-    pub fn with_parts(shift: u32, obs: O, backend: FifoBackend) -> Result<Self, SchedError> {
-        Ok(Self::build(
-            Fixed::new(shift)?,
-            TieBreak::Fifo,
-            obs,
-            backend,
-            (),
-        ))
+        Ok(Self::build(Fixed::new(shift)?, TieBreak::Fifo, obs, ()))
     }
 }
 
@@ -1340,7 +1293,7 @@ impl<O: SchedObserver> VirtualClock<O> {
     /// stamp as the finish tag, `max(A, VC_prev)` as the start tag and
     /// the wall clock as `v`.
     pub fn with_observer(obs: O) -> Self {
-        Self::build(Exact, TieBreak::Fifo, obs, FifoBackend::default(), WallTime)
+        Self::build(Exact, TieBreak::Fifo, obs, WallTime)
     }
 
     /// Timestamp of a still-queued packet (diagnostic, like
@@ -1406,7 +1359,7 @@ impl<V: VtRule<Clock = GpsClock>, O: SchedObserver> TagSched<Exact, V, O> {
     /// `assumed_capacity`, reporting events to `obs`.
     pub fn with_observer(assumed_capacity: Rate, obs: O) -> Self {
         let clock = GpsClock::new(assumed_capacity);
-        Self::build(Exact, TieBreak::Fifo, obs, FifoBackend::default(), clock)
+        Self::build(Exact, TieBreak::Fifo, obs, clock)
     }
 }
 

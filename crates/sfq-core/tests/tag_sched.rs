@@ -18,10 +18,9 @@
 use proptest::prelude::*;
 use sfq_core::obs::{NoopObserver, SchedEvent, SchedObserver};
 use sfq_core::{
-    Deadline, Exact, FifoBackend, FinishClock, Fixed, FlowId, Fqs, GpsFinish, GpsStart, Packet,
-    PacketFactory, ScfqFast, SchedError, Scheduler, Sfq, SfqFast, StartClock, TagArith, TagSched,
-    TelemetrySink, TieBreak, VtClock, VtRule, WallClock, Wfq, DEFAULT_SHIFT, MAX_REBASE_BITS,
-    MAX_SHIFT,
+    Deadline, Exact, FinishClock, Fixed, FlowId, Fqs, GpsFinish, GpsStart, Packet, PacketFactory,
+    ScfqFast, SchedError, Scheduler, Sfq, SfqFast, StartClock, TagArith, TagSched, TelemetrySink,
+    TieBreak, VtClock, VtRule, WallClock, Wfq, DEFAULT_SHIFT, MAX_REBASE_BITS, MAX_SHIFT,
 };
 use simtime::{Bytes, Rate, Ratio, SimTime};
 use std::cmp::Reverse;
@@ -1118,7 +1117,7 @@ proptest! {
     /// every tie-break rule, with reweighing (the tag rewrite restamps
     /// ties), re-registration (later arrivals tie at the new rate,
     /// queued ones keep theirs) and Eq. 36's per-packet rate in the mix,
-    /// `Sfq` and `SfqFast` on both backends serve the global-heap
+    /// `Sfq` and `SfqFast` serve the global-heap
     /// oracle's order and report its tags. `SfqFast` has no per-packet
     /// rate: its runs leave `EnqAt` out.
     #[test]
@@ -1133,19 +1132,17 @@ proptest! {
         };
         let fixed_ops: Vec<RateOp> =
             ops.iter().filter(|op| !matches!(op, RateOp::EnqAt(..))).cloned().collect();
-        for backend in [FifoBackend::Pooled, FifoBackend::Owned] {
-            let mut exact = Sfq::with_parts(tie, Departures::default(), backend);
-            let want = against_global_heap(&mut exact, tie, &ops, |s, p, r| {
-                s.enqueue_with_rate(T0, p, r)
-            })?;
-            prop_assert_eq!(&exact.observer().0, &want, "Sfq tags, {:?}", backend);
+        let mut exact = Sfq::with_observer(tie, Departures::default());
+        let want = against_global_heap(&mut exact, tie, &ops, |s, p, r| {
+            s.enqueue_with_rate(T0, p, r)
+        })?;
+        prop_assert_eq!(&exact.observer().0, &want, "Sfq tags");
 
-            let mut fixed = SfqFast::with_parts(tie, DEFAULT_SHIFT, Departures::default(), backend)
-                .expect("default shift");
-            let want = against_global_heap(&mut fixed, tie, &fixed_ops, |_, _, _| {
-                unreachable!("no per-packet rate on SfqFast")
-            })?;
-            prop_assert_eq!(&fixed.observer().0, &want, "SfqFast tags, {:?}", backend);
-        }
+        let mut fixed = SfqFast::with_shift_observer(tie, DEFAULT_SHIFT, Departures::default())
+            .expect("default shift");
+        let want = against_global_heap(&mut fixed, tie, &fixed_ops, |_, _, _| {
+            unreachable!("no per-packet rate on SfqFast")
+        })?;
+        prop_assert_eq!(&fixed.observer().0, &want, "SfqFast tags");
     }
 }

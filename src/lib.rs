@@ -82,9 +82,9 @@ pub mod prelude {
     pub use netsim::{SwitchCore, TcpConfig};
     pub use servers::{fc_on_off, run_server, Departure, FcParams, RateProfile, Segment};
     pub use sfq_core::{
-        Backpressure, ClassId, FairAirport, FifoBackend, FlowId, FlowMap, HierSfq, NoopObserver,
-        Packet, PacketFactory, PoolStats, ScfqFast, SchedError, SchedEvent, SchedObserver,
-        Scheduler, Sfq, SfqFast, TieBreak,
+        Backpressure, ClassId, FairAirport, FlowId, FlowMap, HierSfq, NoopObserver, Packet,
+        PacketFactory, PoolStats, ScfqFast, SchedError, SchedEvent, SchedObserver, Scheduler, Sfq,
+        SfqFast, TieBreak,
     };
     pub use sfq_obs::{CountingObserver, FlowMetrics, RingTracer};
     pub use simtime::{Bytes, Rate, Ratio, SimDuration, SimTime};

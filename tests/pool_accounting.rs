@@ -109,22 +109,22 @@ proptest! {
 
     #[test]
     fn sfq_pool_books_balance_under_churn(ops in ops()) {
-        churn_accounting(Sfq::new(), &ops, |s| s.pool_stats().expect("pooled default"));
+        churn_accounting(Sfq::new(), &ops, |s| s.pool_stats());
     }
 
     #[test]
     fn sfq_fast_pool_books_balance_under_churn(ops in ops()) {
-        churn_accounting(SfqFast::new(), &ops, |s| s.pool_stats().expect("pooled default"));
+        churn_accounting(SfqFast::new(), &ops, |s| s.pool_stats());
     }
 
     #[test]
     fn scfq_pool_books_balance_under_churn(ops in ops()) {
-        churn_accounting(Scfq::new(), &ops, |s| s.pool_stats().expect("pooled default"));
+        churn_accounting(Scfq::new(), &ops, |s| s.pool_stats());
     }
 
     #[test]
     fn scfq_fast_pool_books_balance_under_churn(ops in ops()) {
-        churn_accounting(ScfqFast::new(), &ops, |s| s.pool_stats().expect("pooled default"));
+        churn_accounting(ScfqFast::new(), &ops, |s| s.pool_stats());
     }
 }
 
@@ -141,7 +141,7 @@ fn pool_exhaustion_is_typed_and_recoverable() {
         s.try_enqueue(t0, pf.make(FlowId(1), Bytes::new(100), t0))
             .expect("under the cap");
     }
-    let before = s.pool_stats().expect("pooled default");
+    let before = s.pool_stats();
     let lf_before = s.flow_last_finish(FlowId(1));
     let refused = pf.make(FlowId(1), Bytes::new(100), t0);
     assert_eq!(
@@ -153,14 +153,14 @@ fn pool_exhaustion_is_typed_and_recoverable() {
     // tag recurrence are all exactly as before.
     assert_eq!(s.len(), 3);
     assert_eq!(s.flow_last_finish(FlowId(1)), lf_before);
-    let after = s.pool_stats().expect("pooled default");
+    let after = s.pool_stats();
     assert_eq!(after.pkts_in_use, before.pkts_in_use);
     assert_eq!(after.pkt_slots, before.pkt_slots);
     // Drain one, and the same arrival is admitted into the freed slot.
     assert!(s.dequeue(t0).is_some());
     s.on_departure(t0);
     s.try_enqueue(t0, refused).expect("slot freed");
-    let recovered = s.pool_stats().expect("pooled default");
+    let recovered = s.pool_stats();
     assert_eq!(recovered.pkts_in_use, 3);
     assert_eq!(recovered.pkt_slots, before.pkt_slots, "no growth past cap");
 }
@@ -186,11 +186,11 @@ fn tag_overflow_refusal_leaks_nothing() {
     s.enqueue(t0, pf.make(FlowId(2), Bytes::new(125), t0));
     assert!(s.dequeue(t0).is_some());
     s.on_departure(t0);
-    let before = s.pool_stats().expect("pooled default");
+    let before = s.pool_stats();
     assert_eq!(before.pkts_in_use, 0);
     let victim = pf.make(FlowId(3), Bytes::new(125), t0);
     assert_eq!(s.try_enqueue(t0, victim), Err(SchedError::TagOverflow));
-    let after = s.pool_stats().expect("pooled default");
+    let after = s.pool_stats();
     assert_eq!(after.pkts_in_use, 0, "refused packet stranded a slot");
     assert_eq!(after.pkt_slots, before.pkt_slots);
 }
@@ -267,7 +267,7 @@ fn switch_drop_policies_keep_books_balanced() {
         let mut now = SimTime::ZERO;
         let balanced = |inner: &Rc<RefCell<Sfq>>| {
             let s = inner.borrow();
-            let st = s.pool_stats().expect("pooled default");
+            let st = s.pool_stats();
             assert_eq!(st.pkts_in_use, s.len(), "{policy:?}: books diverged");
         };
         // Overfill past both caps, transmit a little, churn, repeat.
@@ -294,7 +294,7 @@ fn switch_drop_policies_keep_books_balanced() {
             now = done;
             balanced(&inner);
         }
-        let st = inner.borrow().pool_stats().expect("pooled default");
+        let st = inner.borrow().pool_stats();
         assert_eq!(st.pkts_in_use, 0, "{policy:?}: slots leaked after drain");
         assert!(
             st.pkts_hwm <= 10 + 4,
@@ -345,10 +345,10 @@ fn million_flow_churn_smoke() {
                 "wave {wave}: flow not idle"
             );
         }
-        let st = s.pool_stats().expect("pooled default");
+        let st = s.pool_stats();
         assert_eq!(st.pkts_in_use, 0, "wave {wave}: slots leaked");
     }
-    let st = s.pool_stats().expect("pooled default");
+    let st = s.pool_stats();
     assert_eq!(st.pkts_in_use, 0);
     // Removal keeps the flow table dense: each wave's flows take the
     // slots the one before released, so one wave's worth serves the 1M
