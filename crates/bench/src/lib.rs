@@ -22,9 +22,11 @@
 //! | Theorems 3/5 (EBF servers) | [`exp_ebf`] | `ebf` |
 //! | Eq. 36 variable-rate SFQ | [`exp_varrate`] | `varrate` |
 //! | Section 2.3 tie-breaking ablation | [`exp_tiebreak`] | `tiebreak` |
+//! | Table 1, complexity column (counted) | [`exp_cost`] | `cost` |
 
 #![warn(missing_docs)]
 
+pub mod exp_cost;
 pub mod exp_ebf;
 pub mod exp_fa;
 pub mod exp_fairness;

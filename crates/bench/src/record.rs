@@ -6,6 +6,7 @@
 //!
 //! A row whose check fails reads ❌ in the table, and stays there.
 
+use crate::exp_cost::{pair_costs, FLOWS};
 use crate::exp_ebf::ebf_tails;
 use crate::exp_fa::fair_airport;
 use crate::exp_fairness::{example2, scfq_delay_gap, table1};
@@ -162,7 +163,8 @@ impl Row {
 /// Run every experiment once and return the record, in the order
 /// EXPERIMENTS.md describes the experiments.
 pub fn rows() -> Vec<Row> {
-    let sections: [fn() -> Vec<Row>; 5] = [fairness, figures, hierarchy, guarantees, extensions];
+    let sections: [fn() -> Vec<Row>; 6] =
+        [fairness, figures, hierarchy, guarantees, extensions, cost];
     sections.iter().flat_map(|section| section()).collect()
 }
 
@@ -427,6 +429,22 @@ fn extensions() -> Vec<Row> {
         ms("bulk avg delay, low-weight-first", t.bulk_low_first_avg_s),
     ];
     [under("varrate", varrate), under("tiebreak", tiebreak)].concat()
+}
+
+/// Table 1's complexity column on the tag core, counted: comparisons
+/// per enqueue + dequeue pair grow with `log Q`, not `Q`. From 512 to
+/// 8 192 flows, `log2 Q` goes from 9 to 13; twice that ratio leaves
+/// room for the sift-up's constant, while a scan would grow 16-fold.
+fn cost() -> Vec<Row> {
+    let [small, large] = FLOWS;
+    let rows = pair_costs().map(|(discipline, [at_small, at_large])| {
+        let quantity = format!(
+            "{discipline} tag comparisons per pair, {small} → {large} flows: {at_small:.2} → {at_large:.2}"
+        );
+        let bound = 2.0 * 13.0 / 9.0;
+        row(quantity, Unit::Ratio, at_large / at_small).vs(AtMost, "2 × 13/9, O(log Q)", bound)
+    });
+    under("cost", rows)
 }
 
 /// The record as one markdown table, a line per row.

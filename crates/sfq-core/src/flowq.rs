@@ -30,8 +30,8 @@
 //! Tag arithmetic, virtual-time bookkeeping, and observer events stay
 //! in `TagSched` — only the FIFO + heap mechanics live here. Packets
 //! sit in a slab pool ([`crate::pool::SlabPool`]) chained into per-flow
-//! FIFOs by intrusive next-indexes, flows in a dense generation-checked
-//! table behind an id index: no allocation in steady state
+//! FIFOs by intrusive next-indexes, flows in a dense table of reused
+//! slots behind an id index: no allocation in steady state
 //! (`docs/pooling.md`). A flow leaves the table only through
 //! [`FlowFifos::remove_flow`] (idle) or [`FlowFifos::force_remove_flow`].
 //!
@@ -155,21 +155,17 @@ impl<K: Copy, M: Copy> Entry<K, M> {
     }
 }
 
-/// One slot of the dense flow table.
+/// One slot of the dense flow table. A free slot has `ext == None`
+/// and sits on the `free_flows` list. A heap entry left by a previous
+/// occupant is stale by its `(key, uid)`, like any other: no later head
+/// carries its uid.
 ///
-/// `gen` increments every time the slot is released (idle removal or
-/// force-remove), so heap entries — which carry the generation
-/// they were pushed under — from a previous occupant are recognized
-/// as stale even after the slot is reused by another flow. A free
-/// slot has `ext == None` and sits on the `free_flows` list.
-///
-/// Six words and the extension state: 64 bytes for `SfqFast`, one
+/// Five words and the extension state: 64 bytes for `SfqFast`, one
 /// cache line's worth (pinned by a test in `tagsched.rs`). `id` is also
 /// the flow of every packet in the FIFO: the records do not repeat it.
 #[derive(Debug)]
 struct FlowSlot<E> {
     id: FlowId,
-    gen: u32,
     /// Slab index of the FIFO head packet, or `NIL` when idle.
     head: u32,
     /// Slab index of the packet behind the head — always the head
@@ -225,10 +221,10 @@ pub struct FlowFifos<K, E, M = ()> {
     flows: Vec<FlowSlot<E>>,
     free_flows: Vec<u32>,
     ids: IdIndex,
-    /// `((head key, head uid), flow slot, slot generation)` — at most
-    /// one live entry per backlogged flow; stale entries are skipped by
-    /// generation or `(key, uid)` mismatch.
-    heap: HeadHeap<(HeadKey<K>, u32, u32)>,
+    /// `((head key, head uid), flow slot)` — at most one live entry per
+    /// backlogged flow; stale entries are skipped by `(key, uid)`
+    /// mismatch.
+    heap: HeadHeap<(HeadKey<K>, u32)>,
     queued: usize,
 }
 
@@ -289,7 +285,6 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                         let i = self.flows.len() as u32;
                         self.flows.push(FlowSlot {
                             id: flow,
-                            gen: 0,
                             head: NIL,
                             second: NIL,
                             tail: NIL,
@@ -374,7 +369,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
             // enters the heap. A non-idle flow's head is unchanged.
             s.head = slot;
             s.tail = slot;
-            self.heap.push(((key, pkt.uid), idx as u32, s.gen));
+            self.heap.push(((key, pkt.uid), idx as u32));
         } else {
             let tail = s.tail;
             s.tail = slot;
@@ -392,10 +387,10 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
     /// Remove and return the minimum-key head packet (the lowest uid
     /// among equal keys), with its key and metadata. Stale heap entries
     /// — left behind by [`FlowFifos::force_remove_flow`] or
-    /// [`FlowFifos::drop_front`] — are detected by a slot-generation or
-    /// `(key, uid)` mismatch against the flow's current head (uids are
-    /// never reused, so a leftover entry can never match a later head)
-    /// and skipped without disturbing the exact `queued` count.
+    /// [`FlowFifos::drop_front`] — are detected by a `(key, uid)`
+    /// mismatch against the flow's current head (uids are never reused,
+    /// so a leftover entry can never match a later head) and skipped
+    /// without disturbing the exact `queued` count.
     pub fn pop_min(&mut self) -> Option<(Packet, K, M)> {
         loop {
             let FlowFifos {
@@ -412,21 +407,18 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
             // just leaves. This is `pop_min_batch(1, …)` written out:
             // routed through the batch loop, `sched_hot` read 2–4 %
             // slower.
-            heap.pop_refill(|&(key, fidx, gen), _| {
+            heap.pop_refill(|&(key, fidx), _| {
                 let s = &mut flows[fidx as usize];
-                if s.gen != gen || s.head == NIL {
-                    return None; // slot released/reused since the push
-                }
                 let head = s.head;
-                if slab.val_raw(head).head_key() != key {
-                    return None; // head changed (drop_front) since the push
+                if head == NIL || slab.val_raw(head).head_key() != key {
+                    return None; // head served, dropped or released since the push
                 }
                 let e = slab.free_raw(head);
                 *queued -= 1;
                 served = Some(e.into_parts(s.id));
                 let next_key = s.advance(slab);
                 s.debug_check_second(slab);
-                next_key.map(|k| (k, fidx, gen))
+                next_key.map(|k| (k, fidx))
             })?;
             look_ahead(heap, flows, slab);
             if served.is_some() {
@@ -461,13 +453,10 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
             // and, unless the flow drained, comes back under the key of
             // the first packet not served (`HeadHeap::pop_refill`). A
             // stale entry just leaves.
-            let popped = heap.pop_refill(|&(key, fidx, gen), top| {
+            let popped = heap.pop_refill(|&(key, fidx), top| {
                 let s = &mut flows[fidx as usize];
-                if s.gen != gen || s.head == NIL {
-                    return None; // slot released/reused since the push
-                }
-                if slab.val_raw(s.head).head_key() != key {
-                    return None; // head changed (drop_front) since the push
+                if s.head == NIL || slab.val_raw(s.head).head_key() != key {
+                    return None; // head served, dropped or released since the push
                 }
                 // Run path: serve this flow's head, then keep serving it
                 // while its next head beats the rest of the heap (live
@@ -483,11 +472,11 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                     let (pkt, key, meta) = e.into_parts(s.id);
                     each(pkt, key, meta);
                     let next_key = next_key?;
-                    if n >= max || top.is_some_and(|&(top, _, _)| next_key >= top) {
+                    if n >= max || top.is_some_and(|&(top, _)| next_key >= top) {
                         // Re-admit the flow's head and return to the
                         // heap path (or stop, leaving the invariant
                         // restored).
-                        return Some((next_key, fidx, gen));
+                        return Some((next_key, fidx));
                     }
                 }
             });
@@ -567,7 +556,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
         let e = self.slab.free_raw(s.head);
         self.queued -= 1;
         if let Some(key) = s.advance(&self.slab) {
-            self.heap.push((key, fidx, s.gen));
+            self.heap.push((key, fidx));
         }
         s.debug_check_second(&self.slab);
         Some(e.into_parts(flow))
@@ -594,7 +583,7 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                     slab.val_mut_raw(cur).retag(&mut entry);
                     cur = slab.link_raw(cur);
                 }
-                (s.head != NIL).then(|| (slab.val_raw(s.head).head_key(), fidx as u32, s.gen))
+                (s.head != NIL).then(|| (slab.val_raw(s.head).head_key(), fidx as u32))
             }));
     }
 
@@ -670,13 +659,12 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
         Some(dropped)
     }
 
-    /// Free a flow slot: bump the generation (staling any heap entries
-    /// that reference the old occupancy), drop the extension state,
-    /// unlink the id, and push the slot onto the flow freelist.
+    /// Free a flow slot: drop the extension state and the FIFO ends
+    /// (staling any heap entry of the old occupancy), unlink the id, and
+    /// push the slot onto the flow freelist.
     fn release_slot(&mut self, fidx: u32) {
         let s = &mut self.flows[fidx as usize];
         s.ext = None;
-        s.gen = s.gen.wrapping_add(1);
         s.head = NIL;
         s.second = NIL;
         s.tail = NIL;
@@ -707,8 +695,8 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
             ),
             slab_slot: SlabPool::<Entry<K, M>>::slot_layout(),
             heap_entry: (
-                std::mem::size_of::<(HeadKey<K>, u32, u32)>(),
-                std::mem::align_of::<(HeadKey<K>, u32, u32)>(),
+                std::mem::size_of::<(HeadKey<K>, u32)>(),
+                std::mem::align_of::<(HeadKey<K>, u32)>(),
             ),
         }
     }
@@ -741,18 +729,18 @@ fn retag_at<K: Copy + PartialEq, M: Copy>(
 /// dequeue ago.
 #[inline(always)]
 fn look_ahead<K: Ord + Copy, E, M: Copy>(
-    heap: &HeadHeap<(HeadKey<K>, u32, u32)>,
+    heap: &HeadHeap<(HeadKey<K>, u32)>,
     flows: &[FlowSlot<E>],
     slab: &SlabPool<Entry<K, M>>,
 ) {
-    let Some(&(_, fidx, _)) = heap.peek() else {
+    let Some(&(_, fidx)) = heap.peek() else {
         return;
     };
     if let Some(s) = flows.get(fidx as usize) {
         slab.prefetch_raw(s.head);
         slab.prefetch_raw(s.second);
     }
-    for &(_, child, _) in heap.root_children() {
+    for &(_, child) in heap.root_children() {
         if let Some(s) = flows.get(child as usize) {
             prefetch_value(s);
         }

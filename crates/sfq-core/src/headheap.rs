@@ -257,7 +257,7 @@ mod tests {
     use std::collections::BinaryHeap;
     use std::fmt::Debug;
 
-    /// 32 bytes, like the scheduler's `(key, slot, generation)` entry.
+    /// 32 bytes, like the scheduler's `((key, uid), slot)` entry.
     type Elt = [u64; 4];
 
     /// Heap length past which `pop` takes the prefetching branch for

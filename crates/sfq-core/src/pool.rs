@@ -52,8 +52,8 @@ const FIRST_GROWTH: usize = 16;
 ///
 /// A `PktRef` is valid from the `try_alloc` that produced it until the
 /// `free` that consumes it; the pool's generation-free contract is
-/// upheld by the flow table above it (stale *flow* references are
-/// generation-checked there, and packet handles are never shared
+/// upheld by the flow table above it (a stale head-of-flow entry is
+/// caught there by its head's uid, and packet handles are never shared
 /// outside the owning queue structure).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PktRef(pub(crate) u32);

@@ -1,8 +1,8 @@
 //! Regression: long runs mixing many pairwise-coprime weights with
 //! idle-flow reactivation used to grow exact tag denominators like the
 //! lcm of every weight crossed, overflowing `i128` after ~1M packets
-//! (first seen in the criterion benches at |Q| = 64). The fix snaps
-//! the virtual time to a picosecond grid at its read points
+//! (first seen in a per-packet cost benchmark at |Q| = 64). The fix
+//! snaps the virtual time to a picosecond grid at its read points
 //! (`Ratio::snap_pico`); these tests replay the offending pattern.
 
 use sfq_repro::prelude::*;

@@ -3,7 +3,7 @@
 //! at every step — `pkts_in_use` equals the scheduler's queued count
 //! after **every** operation, every slot returns to the freelist after
 //! a drain (no leaks, no double frees, to the limit of the
-//! generation-checked churn paths: `force_remove_flow` mid-service,
+//! stale-entry churn paths: `force_remove_flow` mid-service,
 //! head-drop eviction, revival after removal), exhaustion under a pool
 //! cap is the typed [`SchedError::BufferFull`] with scheduler state
 //! untouched — never a panic — and the path that refuses a packet for

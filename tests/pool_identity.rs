@@ -110,10 +110,10 @@ fn pool_preset_replay_line_reproduces_the_differential_check() {
 /// This drives that branch through the real scheduler: 200 000 flows
 /// two packets deep (6 MB of heap), a closed loop of served-then-
 /// re-offered flows, and every source of stale heap entries —
-/// `force_remove_flow` handing its freed slot (generation bumped) to the
-/// flow registered next, `drop_head`, and `remove_flow` on flows that
-/// drained — with `SfqFast` on quantization-safe weights held to the
-/// paper oracle's exact departure order.
+/// `force_remove_flow` handing its freed slot to the flow registered
+/// next, `drop_head`, and `remove_flow` on flows that drained — with
+/// `SfqFast` on quantization-safe weights held to the paper oracle's
+/// exact departure order.
 #[test]
 fn sfq_fast_pooled_is_bit_identical_to_owned_at_200k_flows() {
     matches_the_paper_at_200k_flows(None);
