@@ -101,55 +101,6 @@ pub fn throughput_bps(departures: &[Departure], flow: FlowId, t1: SimTime, t2: S
     w.bits() as f64 / (t2 - t1).as_secs_f64()
 }
 
-/// Jain's fairness index over per-flow normalized throughputs
-/// `x_f = W_f / r_f`: `(Σ x)^2 / (n Σ x^2)`. 1.0 = perfectly
-/// proportional allocation; 1/n = one flow hogging everything.
-pub fn jain_index(
-    departures: &[Departure],
-    flows: &[(FlowId, Rate)],
-    t1: SimTime,
-    t2: SimTime,
-) -> f64 {
-    assert!(!flows.is_empty(), "Jain index needs at least one flow");
-    let xs: Vec<f64> = flows
-        .iter()
-        .map(|&(f, r)| work_in_interval(departures, f, t1, t2).bits() as f64 / r.as_bps() as f64)
-        .collect();
-    let sum: f64 = xs.iter().sum();
-    let sq: f64 = xs.iter().map(|x| x * x).sum();
-    if sq == 0.0 {
-        return 1.0; // no service at all is (vacuously) even
-    }
-    sum * sum / (xs.len() as f64 * sq)
-}
-
-/// Time series of the pairwise fairness gap over sliding windows of
-/// length `window` stepped by `window/2`: one `(window end, gap)`
-/// sample per step. Useful to see fairness recover after a
-/// perturbation (e.g. Figure 1(b)'s source-3 arrival).
-pub fn fairness_gap_series(
-    departures: &[Departure],
-    f: FlowId,
-    rf: Rate,
-    m: FlowId,
-    rm: Rate,
-    window: simtime::SimDuration,
-    horizon: SimTime,
-) -> Vec<(SimTime, f64)> {
-    assert!(window.as_ratio().is_positive(), "window must be positive");
-    let w = window.as_secs_f64();
-    let mut out = Vec::new();
-    let mut start = 0.0f64;
-    while start + w <= horizon.as_secs_f64() + 1e-12 {
-        let a = SimTime::from_nanos((start * 1e9) as i128);
-        let b = SimTime::from_nanos(((start + w) * 1e9) as i128);
-        let gap = max_fairness_gap(departures, f, rf, m, rm, a, b);
-        out.push((b, gap.to_f64()));
-        start += w / 2.0;
-    }
-    out
-}
-
 /// Count of a flow's packets delivered by `t`.
 pub fn packets_by(departures: &[Departure], flow: FlowId, t: SimTime) -> usize {
     departures
@@ -236,46 +187,6 @@ mod tests {
         assert!((thr - 1_000.0).abs() < 1e-9);
         assert_eq!(packets_by(&deps, FlowId(1), SimTime::from_secs(2)), 2);
         assert_eq!(packets_by(&deps, FlowId(1), SimTime::from_secs(4)), 4);
-    }
-
-    #[test]
-    fn jain_index_extremes() {
-        let deps = two_flow_run(20);
-        let flows = [(FlowId(1), Rate::bps(1_000)), (FlowId(2), Rate::bps(1_000))];
-        let j = jain_index(&deps, &flows, SimTime::ZERO, SimTime::from_secs(10));
-        assert!(j > 0.99, "alternating schedule should be ~1: {j}");
-        // A schedule serving only flow 1: index ~ 1/2.
-        let mut pf = PacketFactory::new();
-        let solo: Vec<Departure> = (0..10)
-            .map(|k| {
-                let p = pf.make(FlowId(1), Bytes::new(125), SimTime::ZERO);
-                Departure {
-                    pkt: p,
-                    service_start: SimTime::from_millis(500 * k),
-                    departure: SimTime::from_millis(500 * (k + 1)),
-                }
-            })
-            .collect();
-        let j = jain_index(&solo, &flows, SimTime::ZERO, SimTime::from_secs(10));
-        assert!((j - 0.5).abs() < 1e-9, "hog should give 1/n: {j}");
-    }
-
-    #[test]
-    fn gap_series_shape() {
-        let deps = two_flow_run(40);
-        let series = fairness_gap_series(
-            &deps,
-            FlowId(1),
-            Rate::bps(1_000),
-            FlowId(2),
-            Rate::bps(1_000),
-            SimDuration::from_secs(5),
-            SimTime::from_secs(20),
-        );
-        assert!(series.len() >= 6);
-        for (_, g) in &series {
-            assert!(*g <= 2.0 + 1e-9, "window gap above Theorem 1 bound: {g}");
-        }
     }
 
     #[test]

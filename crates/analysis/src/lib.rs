@@ -1,6 +1,6 @@
 //! # analysis — fairness/delay metrics and the paper's analytic bounds
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! - [`fairness`]: measure `W_f(t1,t2)`, normalized service curves, and
 //!   the empirical fairness gap from exact departure schedules,
@@ -17,13 +17,10 @@ pub mod admission;
 pub mod bounds;
 pub mod delay;
 pub mod fairness;
-pub mod timeseries;
 
 pub use admission::{Admission, AdmissionError, FlowSpec, Guarantee};
 pub use bounds::*;
 pub use delay::{max_e2e_violation, max_guarantee_violation, packet_delays, DelaySummary};
 pub use fairness::{
-    fairness_gap_series, jain_index, max_fairness_gap, normalized_service_curve, packets_by,
-    throughput_bps, work_in_interval,
+    max_fairness_gap, normalized_service_curve, packets_by, throughput_bps, work_in_interval,
 };
-pub use timeseries::{cumulative_series, throughput_series};

@@ -48,7 +48,7 @@ impl<T: Ord> PartialOrd for Counted<T> {
 }
 
 /// The arithmetic `A`, its tags [`Counted`]. The operations `A` runs on
-/// its own tags (`max`, `snap` …) are not counted.
+/// its own tags (`max`, `+` …) are not counted.
 #[derive(Clone, Copy, Debug, Default)]
 struct Counting<A>(A);
 
@@ -63,9 +63,6 @@ impl<A: TagArith> TagArith for Counting<A> {
 
     fn inc(&self, flow: FlowId, rate: Rate) -> Result<A::Inc, SchedError> {
         self.0.inc(flow, rate)
-    }
-    fn snap(v: Self::Tag) -> Self::Tag {
-        Counted(A::snap(v.0))
     }
     fn advance(start: Self::Tag, rate: Rate, inc: A::Inc, len: Bytes) -> Option<Self::Tag> {
         A::advance(start.0, rate, inc, len).map(Counted)

@@ -4,7 +4,7 @@
 //!
 //! The [`Preset::Engine`] scenario fixes the flow population; this
 //! module derives everything *operational* — shard count, batch size,
-//! ring capacity, and the interleaving of ingest / pump / drain calls —
+//! ring capacity, and the interleaving of ingest and drain calls —
 //! from the same seed under a separate domain separator, so one replay
 //! line reproduces both the workload and the exact call schedule. On
 //! top of conservation, per-flow FIFO order and the stall guard, one
@@ -14,11 +14,10 @@
 //! (`leaf_model`): with one class the root server has nothing to
 //! decide, so all the engine may add is the backlog-bound refusal and
 //! the batch loop. The model buffers ingests and stamps them at the
-//! next pump or drain, which the engine does not, so this also checks
-//! that Eq. 4's tags do not depend on when a packet is stamped between
-//! two dequeues. Since `try_ingest` schedules each packet at once,
-//! `pump` is a no-op: where the schedule places its pumps cannot change
-//! the output, and no oracle replays it with them moved.
+//! next drain, which the engine does not, so this also checks that
+//! Eq. 4's tags do not depend on when a packet is stamped between two
+//! dequeues. Since `try_ingest` schedules each packet at once,
+//! `Engine::pump` is a no-op, and no schedule calls it.
 //!
 //! The schedule executor ([`replay`]) runs a list of [`Op`]s and
 //! returns a [`Trace`]; the `chaos` and `telemetry` presets and the
@@ -42,8 +41,6 @@ const OP_DOMAIN: u64 = 0xE191_4E00;
 pub enum Op {
     /// Ingest `packets[a..b]` in arrival order.
     Ingest(usize, usize),
-    /// Pump at the current time.
-    Pump,
     /// Partial drain of up to this many packets.
     Drain(usize),
     /// Apply this command through `Scheduler::try_reconfig`.
@@ -108,7 +105,7 @@ impl Trace {
 }
 
 /// Replay `ops` on `eng` after registering `flows`, then drain to empty
-/// at `end`; `after_op` runs after every op. A pump or drain error, or
+/// at `end`; `after_op` runs after every op. A drain error, or
 /// an engine that cannot drain, is an `Err`; refusals and control-op
 /// errors are recorded in the trace.
 pub fn replay<S: ShardSched>(
@@ -143,7 +140,6 @@ pub fn replay<S: ShardSched>(
                     }
                 }
             }
-            Op::Pump => eng.pump(now).map_err(|e| format!("pump failed: {e}"))?,
             Op::Drain(max) => drain(eng, &mut tr, now, max)?,
             Op::Reconfig(cmd) => {
                 let before = eng.pending();
@@ -199,13 +195,13 @@ pub fn diff(oracle: &Trace, got: &Trace) -> Result<(), String> {
 }
 
 /// What a one-shard engine with `cfg`'s batch and backlog bound must do
-/// with an ingest / pump / drain schedule, written without the engine:
-/// a bare `Sfq` (rebasing as the engine enables it), a buffer of
-/// accepted, not yet stamped packets, and the pending-count refusal. An
-/// ingest is buffered unless `pending` has reached the bound; a pump is
-/// one `try_enqueue_batch` of the buffer; a drain of `max` pumps, then
-/// takes `dequeue_batch` chunks of `min(batch, left)`. The deferral is
-/// the model's own: the engine stamps each packet as it accepts it.
+/// with an ingest / drain schedule, written without the engine: a bare
+/// `Sfq` (rebasing as the engine enables it), a buffer of accepted, not
+/// yet stamped packets, and the pending-count refusal. An ingest is
+/// buffered unless `pending` has reached the bound; a drain of `max` is
+/// one `try_enqueue_batch` of the buffer, then `dequeue_batch` chunks of
+/// `min(batch, left)`. The deferral is the model's own: the engine
+/// stamps each packet as it accepts it.
 fn leaf_model(
     cfg: EngineConfig,
     flows: &[(FlowId, Rate)],
@@ -236,12 +232,11 @@ fn leaf_model(
                     }
                 }
             }
-            Op::Pump | Op::Drain(_) => {
+            Op::Drain(max) => {
                 let at = if i == ops.len() { end } else { now };
                 sfq.try_enqueue_batch(at, &ring)
                     .map_err(|e| format!("model enqueue failed: {e}"))?;
                 ring.clear();
-                let Op::Drain(max) = *op else { continue };
                 let mut left = max;
                 while left > 0 {
                     out.clear();
@@ -326,7 +321,7 @@ pub fn run_engine_conformance(sc: &Scenario) -> Result<EngineOutcome, String> {
     let offered = packets.len();
 
     // Ingest packets in arrival order in randomly-sized chunks,
-    // interleaved with pumps and partial drains at random points.
+    // interleaved with partial drains at random points.
     let mut ops = Vec::new();
     let mut i = 0;
     while i < offered {
@@ -335,7 +330,6 @@ pub fn run_engine_conformance(sc: &Scenario) -> Result<EngineOutcome, String> {
         ops.push(Op::Ingest(i, end));
         i = end;
         match rng.uniform_range(0, 4) {
-            0 => ops.push(Op::Pump),
             1 | 2 => ops.push(Op::Drain(rng.uniform_range(1, 129) as usize)),
             _ => {} // let backlog build
         }

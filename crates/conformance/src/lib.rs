@@ -31,7 +31,7 @@
 //!   under the real weight changes, and Theorem 1 reconvergence after
 //!   a mid-backlog weight change,
 //! - [`telemetry`]: telemetry-plane conformance — seeded operational
-//!   schedules (ingest chunks, pumps, partial drains, flow churn)
+//!   schedules (ingest chunks, partial drains, flow churn)
 //!   replayed on an engine with counter pages attached, checking
 //!   snapshot-vs-ledger conservation as read purely from the pages,
 //!   and the seqlock protocol under a reader thread snapshotting

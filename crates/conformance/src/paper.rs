@@ -136,12 +136,12 @@ impl<O: SchedObserver> Scheduler for Paper<O> {
         if self.rebase_bits.is_some_and(|most| bits > most) {
             self.rebase();
         }
-        let (v, Packet { flow, len, uid, .. }) = (self.v.snap_pico(), pkt);
+        let (v, Packet { flow, len, uid, .. }) = (self.v, pkt);
         let unknown = SchedError::UnknownFlow(flow);
         let f = self.flows.get_mut(&flow).ok_or(unknown)?;
         let (start_tag, rate) = (v.max(f.last_finish), Rate::bps(f.bps));
         let finish = start_tag.checked_add(rate.tag_span(len));
-        let finish_tag = finish.ok_or(SchedError::TagOverflow)?;
+        let finish_tag = finish.ok_or(SchedError::TagOverflow)?.snap_pico();
         let ev = SchedEvent {
             time,
             flow,
@@ -214,7 +214,8 @@ impl<O: SchedObserver> Scheduler for Paper<O> {
             .map_or(f.last_finish, |head| head.ev.finish_tag);
         for p in queue.iter_mut().skip(1) {
             let finish = last.checked_add(weight.tag_span(p.pkt.len));
-            (p.ev.start_tag, p.ev.finish_tag) = (last, finish.ok_or(SchedError::TagOverflow)?);
+            let finish = finish.ok_or(SchedError::TagOverflow)?.snap_pico();
+            (p.ev.start_tag, p.ev.finish_tag) = (last, finish);
             let tag = [p.ev.start_tag, p.ev.finish_tag][self.clock];
             (last, p.key) = (p.ev.finish_tag, (tag, self.tie.key(weight), p.pkt.uid));
         }

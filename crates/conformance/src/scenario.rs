@@ -40,7 +40,7 @@ pub enum Preset {
     /// `docs/robustness.md`).
     Soak,
     /// Sharded-engine conformance: a mixed flow population whose
-    /// packets are replayed as an ingest/pump/drain call schedule on
+    /// packets are replayed as an ingest/drain call schedule on
     /// `sfq_engine::SyncEngine`, judged by a hand-driven bare `Sfq` (at
     /// one shard) and, at the seeded shard count, by conservation,
     /// per-flow order and the stall guard; any divergence in departures
@@ -49,7 +49,7 @@ pub enum Preset {
     Engine,
     /// Control-plane chaos: the [`Preset::Engine`] workload shape with
     /// a seeded schedule of live reconfigurations (`SetWeight` under
-    /// the leaf tag-rewrite rule) woven into the ingest/pump/drain call
+    /// the leaf tag-rewrite rule) woven into the ingest/drain call
     /// stream. The chaos runner checks (a) that a *no-op*
     /// reconfiguration schedule is bit-identical to the unreconfigured
     /// one, (b) packet conservation, per-flow order and no stall under
@@ -59,7 +59,7 @@ pub enum Preset {
     Chaos,
     /// Telemetry-plane conformance: the [`Preset::Engine`] workload
     /// shape replayed with per-shard counter pages attached, under a
-    /// seeded schedule of ingest chunks, pumps, partial drains and flow
+    /// seeded schedule of ingest chunks, partial drains and flow
     /// churn (force-remove + revive). The runner checks the pages
     /// against a driver-side ledger (offered == departures + refusals +
     /// drops as read purely from the pages), once snapshotting from the
@@ -830,7 +830,7 @@ fn gen_soak(seed: u64, rng: &mut SimRng) -> Scenario {
 
 fn gen_engine(seed: u64, rng: &mut SimRng) -> Scenario {
     // The engine runner replays these flows' packets as an explicit
-    // ingest/pump/drain call schedule (derived from the same seed, see
+    // ingest/drain call schedule (derived from the same seed, see
     // `crate::engine`). Short horizons keep a single case cheap; the
     // fuzz driver covers breadth with many seeds.
     gen_population(Preset::Engine, seed, rng, (200, 801), (6, 33))

@@ -3,7 +3,7 @@
 //!
 //! A [`Preset::Telemetry`](crate::scenario::Preset::Telemetry) scenario
 //! fixes the flow population; this module derives an operational
-//! schedule — ingest chunks, pumps, partial drains and flow churn
+//! schedule — ingest chunks, partial drains and flow churn
 //! (force-remove + revive) — from the same seed under
 //! [`TELEMETRY_DOMAIN`], and replays it twice on a `SyncEngine` with
 //! pages attached:
@@ -301,9 +301,7 @@ pub fn run_telemetry_conformance(sc: &Scenario) -> Result<TelemetryOutcome, Stri
     let offered = packets.len();
 
     // Derive the operational schedule: ingest chunks interleaved with
-    // pumps, partial drains, and flow churn. Every removal is preceded
-    // by a `Pump`, as this schedule always was; pumps are no-ops now and
-    // stay so that a seed replays the schedule it always did.
+    // partial drains and flow churn.
     let mut ops: Vec<Op> = Vec::new();
     let mut removals = 0usize;
     let mut i = 0;
@@ -313,11 +311,9 @@ pub fn run_telemetry_conformance(sc: &Scenario) -> Result<TelemetryOutcome, Stri
         ops.push(Op::Ingest(i, end));
         i = end;
         match rng.uniform_range(0, 8) {
-            0 => ops.push(Op::Pump),
             1 | 2 => ops.push(Op::Drain(rng.uniform_range(1, 129) as usize)),
             3 => {
                 let f = &sc.flows[rng.uniform_range(0, sc.flows.len() as u64) as usize];
-                ops.push(Op::Pump);
                 ops.push(Op::ForceRemove(FlowId(f.id)));
                 removals += 1;
             }

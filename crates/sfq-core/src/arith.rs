@@ -1,12 +1,11 @@
 //! The tag-arithmetic seam of [`TagSched`](crate::TagSched).
 //!
-//! Eqs. 4/5 need five operations on tags — read `v(t)`, `max`, add a
-//! packet's span `l/r`, compare, and (for long-running servers) shift
-//! everything down by a baseline — and the wall-clock rules two more:
-//! read an instant as a tag, and add Delay EDD's offset. [`TagArith`]
-//! names them; the
-//! scheduler core is written once against the trait and instantiated
-//! with
+//! Eqs. 4/5 need four operations on tags — `max`, add a packet's span
+//! `l/r`, compare, and (for long-running servers) shift everything
+//! down by a baseline — and the wall-clock rules two more: read an
+//! instant as a tag, and add Delay EDD's offset. [`TagArith`] names
+//! them; the scheduler core is written once against the trait and
+//! instantiated with
 //!
 //! - [`Exact`] (here): reduced `i128` rationals ([`simtime::Ratio`]),
 //!   the foundation the paper's theorems are checked on as exact
@@ -74,9 +73,6 @@ pub trait TagArith: fmt::Debug {
     /// [`SchedError::ZeroWeight`] for a zero rate.
     fn inc(&self, flow: FlowId, rate: Rate) -> Result<Self::Inc, SchedError>;
 
-    /// `v(t)` as Eq. 4 reads it at an arrival.
-    fn snap(v: Self::Tag) -> Self::Tag;
-
     /// Eq. 5: `start + len / rate`, or `None` when the sum leaves the
     /// tag range.
     fn advance(start: Self::Tag, rate: Rate, inc: Self::Inc, len: Bytes) -> Option<Self::Tag>;
@@ -110,10 +106,12 @@ pub trait TagArith: fmt::Debug {
 
 /// Exact rational tag arithmetic.
 ///
-/// - The virtual time is snapped to the pico grid at its read point,
-///   which bounds tag denominators under adversarial weight mixes and
-///   is a no-op at the scales the theorem tests run at (see
-///   [`Ratio::snap_pico`]).
+/// - Every tag it writes — a finish tag, a Delay EDD deadline — is
+///   snapped to the pico grid as it is computed, which bounds tag
+///   denominators under any weight mix, live weight changes included,
+///   and is a no-op at the scales the theorem tests run at (see
+///   [`Ratio::snap_pico`]). `v(t)` is read as stored: it is always a
+///   tag already written, or an external clock's reading.
 /// - A rebase subtracts `⌊v⌋`. An integer shift commutes exactly with
 ///   `max`, `+`, comparison and the snap, so dequeue order and every
 ///   observer-visible lag are bit-identical to the un-rebased run; it
@@ -138,13 +136,8 @@ impl TagArith for Exact {
     }
 
     #[inline]
-    fn snap(v: Ratio) -> Ratio {
-        v.snap_pico()
-    }
-
-    #[inline]
     fn advance(start: Ratio, rate: Rate, (): (), len: Bytes) -> Option<Ratio> {
-        start.checked_add(rate.tag_span(len))
+        start.checked_add(rate.tag_span(len)).map(Ratio::snap_pico)
     }
 
     #[inline]
@@ -154,7 +147,7 @@ impl TagArith for Exact {
 
     #[inline]
     fn add(tag: Ratio, offset: Ratio) -> Option<Ratio> {
-        tag.checked_add(offset)
+        tag.checked_add(offset).map(Ratio::snap_pico)
     }
 
     #[inline]

@@ -268,7 +268,8 @@ impl FixedInc {
 /// - Tags are [`FixedTag`]s, the per-flow increment a [`FixedInc`], the
 ///   tie-break key an `i64`: a start-ordered heap key is 24 bytes
 ///   against the exact arithmetic's 64.
-/// - No snap at the `v(t)` read point: tags already live on the grid.
+/// - No snap where a tag is written: every tag already lives on the
+///   `2^-shift` grid.
 /// - A rebase subtracts the whole-unit part of `v(t)` and saturates
 ///   instead of dry-checking: every tag live in the current busy period
 ///   is `≥ base`, and an idle flow's stale `last_finish < base` clamps
@@ -321,11 +322,6 @@ impl TagArith for Fixed {
 
     fn inc(&self, flow: FlowId, rate: Rate) -> Result<FixedInc, SchedError> {
         FixedInc::new(flow, rate, self.shift)
-    }
-
-    #[inline]
-    fn snap(v: FixedTag) -> FixedTag {
-        v
     }
 
     #[inline]

@@ -5,28 +5,23 @@
 //! its shards, whose "packets" are the batches it pulls, and every
 //! interior class of [`HierSfq`](crate::HierSfq) runs one over its
 //! subclasses. Serving class `i` stamps it with the start tag
+//! `S_i = max(v, F_i)` — Eq. 4 with the server's own virtual time —
+//! then sets `v := S_i` and `F_i := snap_pico(S_i + bits / R_i)`
+//! (Eq. 5), `R_i` being the class's weight (for a shard, the sum of its
+//! flows' rates). When every class drains empty the busy period ends
+//! and `v` becomes the maximum finish tag served, as in the leaf
+//! discipline.
 //!
-//! ```text
-//! S_i = F_i                      if F_i > v
-//!     = max(snap_pico(v), F_i)   otherwise
-//! ```
-//!
-//! — Eq. 4 with the server's own virtual time, snapped to the
-//! picosecond grid where a class starts from it, as `Sfq`'s exact
-//! arithmetic does ([`Ratio::snap_pico`]: unsnapped, coprime weights
-//! grow the tags' denominators until they leave `i128`) — then sets
-//! `v := S_i` and `F_i := S_i + bits / R_i` (Eq. 5), `R_i` being the
-//! class's weight (for a shard, the sum of its flows' rates). When every
-//! class drains empty the busy period ends and `v` becomes the maximum
-//! finish tag served, as in the leaf discipline.
-//!
-//! The start is computed when the class is served, not fixed when it
-//! becomes backlogged. Fixed then, it would be `max(snap_pico(v), F_i)`
-//! for every class, including one with `F_i = v` (the class whose finish
-//! ended the last busy period), which is why only `F_i > v` skips the
-//! snap; `v` moves only to the start of a served class, so the two
-//! readings differ only when `F_i` lies strictly between `v` and
-//! `snap_pico(v)`, a gap under half a picosecond.
+//! The finish tag is snapped to the picosecond grid where it is
+//! written, as `Sfq`'s exact arithmetic does ([`Ratio::snap_pico`]:
+//! unsnapped, coprime weights and live weight changes grow the tags'
+//! denominators until they leave `i128`). `v` is only ever a tag
+//! already written, so every tag the server holds is on the grid and
+//! nothing is snapped where it is read. The start is computed when the
+//! class is served, not fixed when it becomes backlogged; the two
+//! agree, because `v` moves only to the least start among the classes
+//! `pick` chooses from and so never passes a waiting class's own (a
+//! weightless class, which `pick` skips, aside).
 //!
 //! A batch's size is only known after its shard is drained, so selection
 //! and charging are split: [`RootSfq::pick`] chooses the class and
@@ -38,9 +33,11 @@
 //! The tags are exact but not kept reduced: each is an [`Unreduced`]
 //! fraction seated on the lattice of its class's rate, so a class that
 //! stays ahead of `v` at an unchanged rate is charged by one
-//! divisibility test and one multiply-add ([`Unreduced::advance`]). A
-//! snap reduces `v`, a gcd, only when the rates charged so far have no
-//! common multiple within `10¹²`; otherwise it provably changes nothing.
+//! divisibility test and one multiply-add ([`Unreduced::advance`]). The
+//! snap reduces the finish tag, a gcd, only when the rates charged so
+//! far have no common multiple within `10¹²`; otherwise every tag is a
+//! multiple of one over that lattice, already on the grid, and the snap
+//! provably changes nothing.
 //! [`RootSfq::virtual_time`] reduces on read, and the rebase rule reduces
 //! every tag before it judges magnitudes, so the observable sequence —
 //! picks, `v`, rebase count, the `TagOverflow` point — is the one reduced
@@ -87,7 +84,8 @@ pub struct RootSfq {
     /// picosecond grid is known: the lcm of the rates charged so far,
     /// `None` once that passes `10¹²`. Each tag is then a multiple of
     /// `1 / lattice`, its reduced denominator is within the grid, and
-    /// `snap_pico` would return it unchanged: the start rule skips it.
+    /// `snap_pico` would return it unchanged: [`RootSfq::charge`] skips
+    /// it.
     lattice: Option<u64>,
     /// Running max of finish tags served; becomes `v` when the busy
     /// period ends.
@@ -174,14 +172,7 @@ impl RootSfq {
     /// The start tag `c` is stamped with if served now (module docs).
     #[inline]
     fn start(&self, c: &Class) -> Unreduced {
-        if c.last_finish > self.v {
-            return c.last_finish;
-        }
-        let snapped = match self.lattice {
-            Some(_) => self.v,
-            None => self.v.reduce().snap_pico().into(),
-        };
-        snapped.max(c.last_finish)
+        c.last_finish.max(self.v)
     }
 
     /// Class `class`'s start tag if served now and its finish tag,
@@ -210,7 +201,7 @@ impl RootSfq {
     }
 
     /// Serve `bits` from class `class`: stamp its start tag `S`, set
-    /// `v := S` and `F_i := S + bits / R_i`. Errors with
+    /// `v := S` and `F_i := snap_pico(S + bits / R_i)`. Errors with
     /// [`SchedError::TagOverflow`] only if tag arithmetic leaves `i128`
     /// range despite rebasing, leaving the server untouched.
     pub fn charge(&mut self, class: usize, bits: u64) -> Result<(), SchedError> {
@@ -219,7 +210,7 @@ impl RootSfq {
         debug_assert!(c.effective_bps() > 0, "charging a weightless class");
         let rate = c.effective_bps().max(1);
         let start = self.start(&c);
-        let finish = start
+        let mut finish = start
             .advance(bits as i128, rate)
             .ok_or(SchedError::TagOverflow)?;
         if rate != c.lattice_bps {
@@ -228,6 +219,9 @@ impl RootSfq {
                 (lcm <= PICO).then_some(lcm)
             });
             self.classes[class].lattice_bps = rate;
+        }
+        if self.lattice.is_none() {
+            finish = finish.reduce().snap_pico().into();
         }
         self.classes[class].last_finish = finish;
         self.widest_bits = self.widest_bits.max(finish.magnitude_bits());
@@ -358,16 +352,9 @@ mod tests {
                 self.rebases
             }
 
-            /// Eq. 4 over the server's clock: a class whose last finish
-            /// is ahead of `v` continues from it; any other restarts from
-            /// `v` on the picosecond grid, or from its own finish should
-            /// the snap round below it.
+            /// Eq. 4 over the server's clock.
             fn start(&self, c: &Class) -> Ratio {
-                if c.last_finish <= self.v {
-                    self.v.snap_pico().max(c.last_finish)
-                } else {
-                    c.last_finish
-                }
+                self.v.max(c.last_finish)
             }
 
             pub fn pick(&self, backlogged: &[bool]) -> Option<usize> {
@@ -390,6 +377,7 @@ mod tests {
                 let start = self.start(&c);
                 let span = Ratio::new(bits as i128, c.effective_bps().max(1) as i128);
                 let finish = start.checked_add(span).ok_or(SchedError::TagOverflow)?;
+                let finish = finish.snap_pico();
                 self.classes[shard].last_finish = finish;
                 self.v = start;
                 self.max_finish_served = self.max_finish_served.max(finish);
@@ -585,10 +573,11 @@ mod tests {
         }
 
         /// The same with weights of up to 63 bits and charges of up to
-        /// 2^62 bits: a class behind `v` starts on the picosecond grid,
-        /// but its finish tag still needs `10¹² · R_i` as denominator,
-        /// and the numerators run past `i128` after a few such charges —
-        /// at the same `TagOverflow` points, the root untouched at each.
+        /// 2^62 bits: every tag written is on the picosecond grid, but a
+        /// charge's sum needs `10¹² · R_i` as denominator before its
+        /// snap, and the numerators run past `i128` after a few such
+        /// charges — at the same `TagOverflow` points, the root
+        /// untouched at each.
         #[test]
         fn unreduced_root_overflows_where_the_oracle_does(
             weights in (bps(true), bps(true), bps(true)),
@@ -604,7 +593,8 @@ mod tests {
         // Three pairwise coprime 61- to 63-bit weights, no rebasing,
         // each class starting from the one before's finish tag. Exact,
         // the third would need a denominator past `i128`; snapped, each
-        // start is on the picosecond grid and the run completes.
+        // finish tag is written on the picosecond grid and the run
+        // completes.
         let serve = |mask| Op::Serve {
             mask,
             bits: (1 << 50) + 1,
@@ -690,9 +680,10 @@ mod tests {
 
     #[test]
     fn a_class_behind_v_starts_from_v_on_the_pico_grid() {
-        // Two prime weights just over 10^6: one bit from each puts `v`
-        // on a denominator past 10^12, and the class that fell behind
-        // restarts from `v` rounded to the picosecond.
+        // Two prime weights just over 10^6: one bit from each sums to a
+        // denominator past 10^12, so the finish tag that becomes `v` is
+        // written rounded to the picosecond, and the class that fell
+        // behind restarts from it.
         let mut root = RootSfq::new(2, None);
         root.reweigh(0, 0, 1_000_003);
         root.reweigh(1, 0, 1_000_033);
@@ -701,7 +692,9 @@ mod tests {
         root.charge(1, 1).unwrap();
         root.on_idle();
         let v = root.virtual_time();
-        assert!(v.denom() > 1_000_000_000_000, "v = {v}");
+        let exact = Ratio::new(1, 1_000_003) + Ratio::new(1, 1_000_033);
+        assert!(exact.denom() > 1_000_000_000_000, "exact = {exact}");
+        assert_eq!(v, exact.snap_pico());
         assert_eq!(root.pick(&[true, true]), Some(0));
         root.charge(0, 1).unwrap();
         let start = root.virtual_time();
@@ -758,5 +751,37 @@ mod tests {
         assert_eq!(root.pick(&[false, true]), Some(1));
         root.charge(1, 1000).unwrap();
         assert_eq!(root.pick(&[true]), Some(0));
+    }
+
+    #[test]
+    fn live_reweighs_never_overflow_a_charge() {
+        // Two backlogged classes, one moved to a random rate between
+        // 1 kb/s and 2 Mb/s every 50 charges: each new rate would join
+        // the lcm of the tags' denominators, were they written exactly.
+        let mut weights = [1_000u64, 2_000];
+        let mut root = RootSfq::new(2, None);
+        for (s, &w) in weights.iter().enumerate() {
+            root.reweigh(s, 0, w);
+        }
+        // A 64-bit LCG (Knuth's MMIX constants).
+        let mut state = 46u64;
+        let mut draw = |lo: u64, hi: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            lo + (state >> 33) % (hi - lo + 1)
+        };
+        for k in 0..20_000usize {
+            let s = root.pick(&[true, true]).unwrap();
+            let bits = 8 * draw(64, 1_500);
+            if let Err(e) = root.charge(s, bits) {
+                panic!("charge {k}: {e}");
+            }
+            if k % 50 == 49 {
+                let (c, w) = (k / 50 % 2, draw(1_000, 2_000_000));
+                root.reweigh(c, weights[c], w);
+                weights[c] = w;
+            }
+        }
     }
 }

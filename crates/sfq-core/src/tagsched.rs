@@ -104,10 +104,10 @@ impl VtClock for () {
     const EXTERNAL: bool = false;
 }
 
-/// The wall clock: `v(A)` is the arrival instant, exactly — no pico
-/// snap, because packets reach a tandem hop off any fixed grid — and
-/// every observer event reports its own instant as `v`, a head drop's
-/// being the dropped packet's arrival.
+/// The wall clock: `v(A)` is the arrival instant, exactly — packets
+/// reach a tandem hop off any fixed grid, and only the tags written
+/// from it are snapped — and every observer event reports its own
+/// instant as `v`, a head drop's being the dropped packet's arrival.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WallTime;
 
@@ -582,7 +582,7 @@ impl<A: TagArith, V: VtRule, O: SchedObserver> TagSched<A, V, O> {
         if self.rebase_due() {
             self.rebase();
         }
-        A::snap(self.v)
+        self.v
     }
 
     /// The eager-rebase check: rebasing is on and `v(t)` has outgrown

@@ -343,3 +343,52 @@ proptest! {
         }
     }
 }
+
+/// Two backlogged flows on the exact scheduler, one enqueue and one
+/// dequeue per µs, and every fiftieth step a live weight change to a
+/// random rate between 1 kb/s and 2 Mb/s. Each change re-chains a
+/// queue at a new rate; written exactly, the chain's denominators grow
+/// like the lcm of every rate crossed. Written on the picosecond grid,
+/// every call succeeds.
+#[test]
+fn exact_chains_survive_repeated_live_weight_changes() {
+    let mut s = Sfq::new();
+    let flows = [FlowId(1), FlowId(2)];
+    for (f, bps) in flows.iter().zip([1_000, 2_000]) {
+        s.add_flow(*f, Rate::bps(bps));
+    }
+    // A 64-bit LCG (Knuth's MMIX constants): draws without a
+    // dependency.
+    let mut state = 46u64;
+    let mut draw = |lo: u64, hi: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        lo + (state >> 33) % (hi - lo + 1)
+    };
+    let mut pf = PacketFactory::new();
+    for &f in &flows {
+        for _ in 0..8 {
+            s.enqueue(T0, pf.make(f, Bytes::new(draw(64, 1_500)), T0));
+        }
+    }
+    for step in 0..20_000usize {
+        let now = SimTime::from_micros(step as i128);
+        let f = flows[step % 2];
+        let pkt = pf.make(f, Bytes::new(draw(64, 1_500)), now);
+        if let Err(e) = s.try_enqueue(now, pkt) {
+            panic!("step {step}: enqueue refused: {e}");
+        }
+        assert!(
+            s.dequeue(now).is_some(),
+            "step {step}: both flows backlogged"
+        );
+        s.on_departure(now);
+        if step % 50 == 49 {
+            let rate = Rate::bps(draw(1_000, 2_000_000));
+            if let Err(e) = s.try_set_weight(flows[step / 50 % 2], rate) {
+                panic!("step {step}: try_set_weight to {rate} refused: {e}");
+            }
+        }
+    }
+}

@@ -397,12 +397,13 @@ impl Ratio {
     ///
     /// Self-clocked schedulers read another flow's tag as the virtual
     /// time; kept fully exact, a workload mixing many coprime weights
-    /// with idle-flow reactivations grows tag denominators like the lcm
-    /// of every weight crossed and eventually overflows `i128`. Snapping
-    /// the virtual time at its read point bounds every derived
-    /// denominator at `lcm(10^12, r_f)` while perturbing values by at
-    /// most 5e-13 — eleven orders of magnitude below the quantities the
-    /// paper's bounds compare.
+    /// with idle-flow reactivations or live weight changes grows tag
+    /// denominators like the lcm of every weight crossed and eventually
+    /// overflows `i128`. The one rule: snap every tag where it is
+    /// written. `v` is always a tag already written (or a clock's
+    /// reading), so it is read as stored, and each written tag moves by
+    /// at most 5e-13 — eleven orders of magnitude below the quantities
+    /// the paper's bounds compare.
     pub fn snap_pico(self) -> Self {
         const PICO: i128 = 1_000_000_000_000;
         if self.den <= PICO {

@@ -2,7 +2,7 @@
 //! idle-flow reactivation used to grow exact tag denominators like the
 //! lcm of every weight crossed, overflowing `i128` after ~1M packets
 //! (first seen in a per-packet cost benchmark at |Q| = 64). The fix
-//! snaps the virtual time to a picosecond grid at its read points
+//! snaps every exact tag to a picosecond grid where it is written
 //! (`Ratio::snap_pico`); these tests replay the offending pattern.
 
 use sfq_repro::prelude::*;

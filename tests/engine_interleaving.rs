@@ -1,9 +1,7 @@
 //! Seeded call-schedule conformance for the sharded engine: for *any*
-//! seeded interleaving of ingest, pump and drain calls, `SyncEngine`
-//! must depart and refuse as its oracle says — a hand-driven bare `Sfq`
-//! at one shard (`conformance::engine`; `pump` is a no-op since ingest
-//! schedules each packet at once, so where the pumps fall cannot
-//! matter and is not replayed). A failure panics with
+//! seeded interleaving of ingest and drain calls, `SyncEngine` must
+//! depart and refuse as its oracle says — a hand-driven bare `Sfq` at
+//! one shard (`conformance::engine`). A failure panics with
 //! the full report, which ends in the standard
 //! `conformance replay: preset=engine seed=N` line for offline
 //! reproduction via the conformance fuzzer.
@@ -46,14 +44,13 @@ fn act() -> impl Strategy<Value = Act> {
     ];
     let ingest = || (0..u32::MAX, 1usize..12).prop_map(|(seed, n)| Act::Ingest(seed, n));
     let drain = || (1usize..20).prop_map(|max| Act::Op(Op::Drain(max)));
-    // Repeated arms stand in for weights: about a third ingests, a
-    // quarter control ops.
+    // Repeated arms stand in for weights: four ingests in nine arms,
+    // a third control ops.
     prop_oneof![
         ingest(),
         ingest(),
         ingest(),
         ingest(),
-        Just(Act::Op(Op::Pump)),
         drain(),
         drain(),
         reconfig.prop_map(|cmd| Act::Op(Op::Reconfig(cmd))),
